@@ -10,8 +10,7 @@ Monte Carlo harness compares both against a uniform cylindrical baseline.
 __version__ = "0.1.0"
 
 from .alternating import optimize_angles, optimize_heights, solve_alternating
-from .channel import (ChannelMatrix, Dictionary, PathSet, apm_entry,
-                      build_angle_dictionary, build_height_dictionary,
+from .channel import (ChannelMatrix, Dictionary, PathSet,
                       build_joint_dictionary, draw_paths, export_paths,
                       synthesize_channel)
 from .geometry import (SPEED_OF_LIGHT, FclaConfig, PositionGrid, build_grid,
@@ -23,5 +22,5 @@ from .joint import match_atom, solve_joint
 from .oracle import OracleResult, exhaustive_best
 from .pattern import PatternSpec, amplitude, power_gain, wrap_angle
 from .precoding import (RateReport, SingularMatrixError, normalize_columns,
-                        rzf, rzf_objective, rzf_special, sinr)
+                        rzf, rzf_objective, sinr)
 from .solution import PlacementSolution

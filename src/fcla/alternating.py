@@ -2,9 +2,11 @@
 fixed heights, then greedy height selection at fixed angles, repeated for a
 fixed number of outer rounds.
 
-In the angle phase all rings match atoms in parallel against the same
-residual each inner step, then one joint refit updates the residual. In the
-height phase rings choose one height block each, sequentially, refitting
+Both phases gather their candidates from the joint position dictionary:
+column slot * G_H + angle is the response at grid angle `angle` and height
+slot `slot`. In the angle phase all rings match atoms in parallel against the
+same residual each inner step, then one joint refit updates the residual. In
+the height phase rings choose one height block each, sequentially, refitting
 between rings.
 """
 
@@ -12,92 +14,95 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import PathSet, build_angle_dictionary, build_height_dictionary
-from .geometry import FclaConfig, PositionGrid
+from .channel import Dictionary
+from .geometry import FclaConfig
 from .precoding import normalize_columns, rzf, rzf_objective, sinr
 from .solution import PlacementSolution
 
 
-def initial_heights(grid: PositionGrid, m_rings: int) -> np.ndarray:
-    """Evenly spread starting heights, one grid slot per ring."""
-    if grid.g_v < m_rings:
-        raise ValueError(f"{grid.g_v} height slots cannot host {m_rings} rings")
-    span = (grid.g_v - 1) / max(m_rings - 1, 1)
-    idx = np.round(np.arange(m_rings) * span).astype(int)
-    assert len(set(idx.tolist())) == m_rings
-    return grid.z[idx].copy()
+def initial_heights(g_v: int, m_rings: int) -> np.ndarray:
+    """Evenly spread starting height slots, one per ring."""
+    if g_v < m_rings:
+        raise ValueError(f"{g_v} height slots cannot host {m_rings} rings")
+    span = (g_v - 1) / max(m_rings - 1, 1)
+    slots = np.round(np.arange(m_rings) * span).astype(int)
+    if len(set(slots.tolist())) != m_rings:
+        raise RuntimeError(f"starting slots {slots.tolist()} are not distinct")
+    return slots
 
 
-def optimize_angles(paths: list[PathSet], heights, grid: PositionGrid,
-                    config: FclaConfig, alpha: float):
-    """Select each ring's element angles with the ring heights pinned.
+def optimize_angles(dictionary: Dictionary, slots, config: FclaConfig,
+                    alpha: float):
+    """Select each ring's element angles with ring m pinned at height slot
+    slots[m].
 
     Rings pick one live angle apiece per inner step (lowest index on ties),
-    all against the residual from the previous step; the refit and residual
-    update then run once over every column selected so far. Returns the (M, N)
-    angle array, the final channel and refit precoder, and a diagnostics dict.
+    all against the residual from the previous step, so one matched filter
+    scores every ring's live columns at once; the refit and residual update
+    then run once over every column selected so far. Returns the (M, N) array
+    of angle indices, the final channel and refit precoder, and a diagnostics
+    dict.
     """
-    heights = np.asarray(heights, dtype=float)
-    m_rings = len(heights)
-    n_elem = config.n_elements
-    dictionary = build_angle_dictionary(paths, heights, grid, config)
+    slots = np.asarray(slots, dtype=int)
+    m_rings = len(slots)
+    if len(set(slots.tolist())) != m_rings:
+        raise ValueError(f"rings share a height slot: {slots.tolist()}")
     g_h = dictionary.group_size
     n_users = dictionary.entries.shape[0]
+    ring_columns = slots[:, None] * g_h + np.arange(g_h)  # (M, G_H)
 
     residual = np.eye(n_users, dtype=complex)
     alive = np.ones((m_rings, g_h), dtype=bool)
-    chosen: list[list[int]] = [[] for _ in range(m_rings)]
+    picks = []
     support: list[int] = []
     objective_trace = []
     mf_columns = 0
     H_sel = np.zeros((n_users, 0), dtype=complex)
     F_sel = np.zeros((0, n_users), dtype=complex)
 
-    for _ in range(n_elem):
-        for m in range(m_rings):
-            live = np.flatnonzero(alive[m])
-            mf_columns += len(live)
-            cols = dictionary.entries[:, m * g_h + live]
-            scores = np.sum(np.abs(cols.conj().T @ residual) ** 2, axis=1)
-            pick = int(live[np.argmax(scores)])
-            chosen[m].append(pick)
-            alive[m, pick] = False
-            support.append(m * g_h + pick)
+    for _ in range(config.n_elements):
+        # every ring has the same number of live angles, so the live columns
+        # reshape ring-major into (M, live)
+        live = np.nonzero(alive)[1].reshape(m_rings, -1)
+        cols = ring_columns[alive]
+        mf_columns += len(cols)
+        matched = dictionary.entries[:, cols].conj().T @ residual
+        scores = np.sum(np.abs(matched) ** 2, axis=1).reshape(m_rings, -1)
+        pick = live[np.arange(m_rings), np.argmax(scores, axis=1)]
+        alive[np.arange(m_rings), pick] = False
+        picks.append(pick)
+        support.extend((slots * g_h + pick).tolist())
         H_sel = dictionary.entries[:, support]
         F_sel = rzf(H_sel, alpha)
         residual = np.eye(n_users) - H_sel @ F_sel
         objective_trace.append(rzf_objective(H_sel, F_sel, alpha))
 
-    angles = np.array([[grid.psi[g] for g in ring] for ring in chosen])
     diag = {
         "objective_trace": objective_trace,
         "support": support,
         "matched_filter_columns": mf_columns,
     }
-    return angles, H_sel, F_sel, diag
+    return np.stack(picks, axis=1), H_sel, F_sel, diag
 
 
-def optimize_heights(paths: list[PathSet], angles, grid: PositionGrid,
-                     config: FclaConfig, alpha: float):
-    """Assign one grid height to each ring with its angle set frozen.
+def optimize_heights(dictionary: Dictionary, angles, config: FclaConfig,
+                     alpha: float):
+    """Assign one height slot to each ring with its angle indices frozen.
 
     Rings go in order; ring m scores every live height slot by the Frobenius
-    norm of its block's matched filter against the current residual, takes the
-    best, and the joint refit over all placed rings updates the residual.
-    Returns the (M,) height array, final channel and refit precoder, and
-    diagnostics.
+    norm of its block's matched filter against the current residual (all
+    slots in one matched filter), takes the best, and the joint refit over
+    all placed rings updates the residual. Returns the (M,) slot array, final
+    channel and refit precoder, and diagnostics.
     """
-    angles = np.atleast_2d(np.asarray(angles, dtype=float))
+    angles = np.atleast_2d(np.asarray(angles, dtype=int))
     m_rings, n_elem = angles.shape
-    if grid.g_v < m_rings:
-        raise ValueError(f"{grid.g_v} height slots cannot host {m_rings} rings")
-    dictionary = build_height_dictionary(paths, angles, grid, config)
-    g_v = grid.g_v
+    if any(len(set(ring.tolist())) != n_elem for ring in angles):
+        raise ValueError(f"a ring repeats an angle slot: {angles.tolist()}")
+    g_h, g_v = dictionary.group_size, dictionary.n_groups
+    if g_v < m_rings:
+        raise ValueError(f"{g_v} height slots cannot host {m_rings} rings")
     n_users = dictionary.entries.shape[0]
-
-    def block(m: int, slot: int) -> np.ndarray:
-        start = (m * g_v + slot) * n_elem
-        return dictionary.entries[:, start:start + n_elem]
 
     residual = np.eye(n_users, dtype=complex)
     alive = np.ones(g_v, dtype=bool)
@@ -110,33 +115,29 @@ def optimize_heights(paths: list[PathSet], angles, grid: PositionGrid,
 
     for m in range(m_rings):
         live = np.flatnonzero(alive)
-        mf_columns += len(live) * n_elem
-        scores = [
-            float(np.linalg.norm(block(m, s).conj().T @ residual, "fro") ** 2)
-            for s in live
-        ]
-        pick = int(live[int(np.argmax(scores))])
-        slots[m] = pick
-        alive[pick] = False
-        start = (m * g_v + pick) * n_elem
-        support.extend(range(start, start + n_elem))
+        blocks = live[:, None] * g_h + angles[m]  # (live, N)
+        mf_columns += blocks.size
+        matched = dictionary.entries[:, blocks.ravel()].conj().T @ residual
+        scores = np.sum(np.abs(matched.reshape(len(live), -1)) ** 2, axis=1)
+        best = int(np.argmax(scores))
+        slots[m] = live[best]
+        alive[live[best]] = False
+        support.extend(blocks[best].tolist())
         H_sel = dictionary.entries[:, support]
         F_sel = rzf(H_sel, alpha)
         residual = np.eye(n_users) - H_sel @ F_sel
         objective_trace.append(rzf_objective(H_sel, F_sel, alpha))
 
-    heights = grid.z[slots].copy()
     diag = {
         "objective_trace": objective_trace,
-        "slots": slots.tolist(),
         "matched_filter_columns": mf_columns,
     }
-    return heights, H_sel, F_sel, diag
+    return slots, H_sel, F_sel, diag
 
 
-def solve_alternating(paths: list[PathSet], grid: PositionGrid,
-                      config: FclaConfig, alpha: float, n_outer: int,
-                      power: float = 1.0, sigma2: float = 1.0,
+def solve_alternating(dictionary: Dictionary, config: FclaConfig,
+                      alpha: float, n_outer: int, power: float = 1.0,
+                      sigma2: float = 1.0,
                       early_stop_tol: float | None = None) -> PlacementSolution:
     """Run the angle and height phases alternately for n_outer rounds.
 
@@ -147,8 +148,8 @@ def solve_alternating(paths: list[PathSet], grid: PositionGrid,
     """
     if n_outer < 1:
         raise ValueError("need at least one outer round")
-    m_rings, n_elem = config.m_rings, config.n_elements
-    heights = initial_heights(grid, m_rings)
+    dictionary.check_capacity(config)
+    slots = initial_heights(dictionary.n_groups, config.m_rings)
 
     sum_rate_trace = []
     phase_objectives = []
@@ -159,9 +160,9 @@ def solve_alternating(paths: list[PathSet], grid: PositionGrid,
     final_objective = None
 
     for _ in range(n_outer):
-        angles, _, _, diag_a = optimize_angles(paths, heights, grid, config, alpha)
-        heights, H_star, F_raw, diag_v = optimize_heights(paths, angles, grid,
-                                                          config, alpha)
+        angles, _, _, diag_a = optimize_angles(dictionary, slots, config, alpha)
+        slots, H_star, F_raw, diag_v = optimize_heights(dictionary, angles,
+                                                        config, alpha)
         mf_columns += diag_a["matched_filter_columns"] + diag_v["matched_filter_columns"]
         phase_objectives.append({
             "angle": diag_a["objective_trace"],
@@ -178,12 +179,15 @@ def solve_alternating(paths: list[PathSet], grid: PositionGrid,
 
     F_star = normalize_columns(F_raw, power, allow_zero=True)
     # column order of the final channel: ring-major blocks of N angles
-    placement = [(float(angles[m, n]), float(heights[m]))
-                 for m in range(m_rings) for n in range(n_elem)]
+    columns = slots[:, None] * dictionary.group_size + angles
+    heights = dictionary.z[columns[:, 0]]
+    angle_values = dictionary.psi[columns]
+    placement = [(float(dictionary.psi[g]), float(dictionary.z[g]))
+                 for g in columns.ravel()]
 
     return PlacementSolution(
         heights=heights,
-        angles=angles,
+        angles=angle_values,
         placement=placement,
         H_star=H_star,
         F_star=F_star,

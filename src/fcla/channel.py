@@ -1,4 +1,4 @@
-"""Multipath channel synthesis and the position dictionaries used by the solvers.
+"""Multipath channel synthesis and the position dictionary used by the solvers.
 
 A user's channel entry at a candidate position (psi, z) aggregates L plane-wave
 paths: conjugated path gain, element pattern amplitude toward the path, and the
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import FclaConfig, PositionGrid, check_spacing, ring_angle_distance
+from .geometry import FclaConfig, PositionGrid, check_spacing
 from .pattern import power_gain
 
 THETA_EL_RANGE = (np.pi / 6.0, 5.0 * np.pi / 6.0)
@@ -119,11 +119,6 @@ def _apm_columns(paths: list[PathSet], psi, z, config: FclaConfig) -> np.ndarray
     return terms.sum(axis=1) / np.sqrt(n_paths)
 
 
-def apm_entry(paths_k: PathSet, psi: float, z: float, config: FclaConfig) -> complex:
-    """Single user's response at one candidate position."""
-    return complex(_apm_columns([paths_k], [psi], [z], config)[0, 0])
-
-
 @dataclass
 class ChannelMatrix:
     """Stacked user responses at an actual placement. Row k acts as h_k^H."""
@@ -156,21 +151,17 @@ def synthesize_channel(paths: list[PathSet], placement,
 
 @dataclass
 class Dictionary:
-    """Candidate-position responses as a dense K x G matrix plus column metadata.
+    """Responses at every candidate position as a dense K x G matrix.
 
-    Columns are grouped: for the joint dictionary a group is a height slot
-    holding all ring angles; for the angle dictionary a group is a ring; for
-    the height dictionary a group is one (ring, height slot) block of that
-    ring's N fixed angles.
+    Columns are height-major: column slot * group_size + angle holds the
+    response at (grid.psi[angle], grid.z[slot]), so a height slot is a group
+    of group_size consecutive angle columns.
     """
 
     entries: np.ndarray
     psi: np.ndarray
     z: np.ndarray
-    group_ids: np.ndarray
-    member_ids: np.ndarray
     group_size: int
-    kind: str
 
     @property
     def n_columns(self) -> int:
@@ -180,87 +171,20 @@ class Dictionary:
     def n_groups(self) -> int:
         return self.n_columns // self.group_size
 
-    def column_of(self, group: int, member: int) -> int:
-        return group * self.group_size + member
-
-    def index_map(self, column: int):
-        """(group id, member id, psi, z) of a column."""
-        return (int(self.group_ids[column]), int(self.member_ids[column]),
-                float(self.psi[column]), float(self.z[column]))
+    def check_capacity(self, config: FclaConfig) -> None:
+        """Raise unless the grid can host config's rings of elements."""
+        if self.n_groups < config.m_rings or self.group_size < config.n_elements:
+            raise ValueError(
+                f"dictionary grid {self.group_size}x{self.n_groups} cannot host "
+                f"{config.m_rings} rings of {config.n_elements} elements"
+            )
 
 
 def build_joint_dictionary(paths: list[PathSet], grid: PositionGrid,
                            config: FclaConfig) -> Dictionary:
     """All (angle, height) candidates, height-major: the G_H angle columns of
     height slot 0, then slot 1, and so on."""
-    g_h, g_v = grid.g_h, grid.g_v
-    psi = np.tile(grid.psi, g_v)
-    z = np.repeat(grid.z, g_h)
-    entries = _apm_columns(paths, psi, z, config)
-    return Dictionary(
-        entries=entries, psi=psi, z=z,
-        group_ids=np.repeat(np.arange(g_v), g_h),
-        member_ids=np.tile(np.arange(g_h), g_v),
-        group_size=g_h, kind="joint",
-    )
-
-
-def build_angle_dictionary(paths: list[PathSet], heights, grid: PositionGrid,
-                           config: FclaConfig) -> Dictionary:
-    """Angle candidates with each ring pinned at a fixed height.
-
-    Block m holds every grid angle at heights[m]. Heights must be pairwise at
-    least d_min apart (duplicates rejected).
-    """
-    heights = np.asarray(heights, dtype=float)
-    m_rings = len(heights)
-    for i in range(m_rings):
-        for j in range(i + 1, m_rings):
-            if abs(heights[i] - heights[j]) < config.d_min - 1e-9:
-                raise ValueError(
-                    f"ring heights {heights[i]} and {heights[j]} are closer "
-                    f"than d_min={config.d_min}"
-                )
-    g_h = grid.g_h
-    psi = np.tile(grid.psi, m_rings)
-    z = np.repeat(heights, g_h)
-    entries = _apm_columns(paths, psi, z, config)
-    return Dictionary(
-        entries=entries, psi=psi, z=z,
-        group_ids=np.repeat(np.arange(m_rings), g_h),
-        member_ids=np.tile(np.arange(g_h), m_rings),
-        group_size=g_h, kind="angle",
-    )
-
-
-def build_height_dictionary(paths: list[PathSet], angles, grid: PositionGrid,
-                            config: FclaConfig) -> Dictionary:
-    """Height candidates with each ring's angles already fixed.
-
-    angles is an (M, N) array. For ring m and height slot g the block
-    [b(angles[m, 0], z_g), ..., b(angles[m, N-1], z_g)] appears as one group;
-    blocks are laid out ring-major, then height slot, then member.
-    """
-    angles = np.atleast_2d(np.asarray(angles, dtype=float))
-    m_rings, n_elem = angles.shape
-    psi_min = config.psi_min
-    for m in range(m_rings):
-        for i in range(n_elem):
-            for j in range(i + 1, n_elem):
-                if ring_angle_distance(angles[m, i], angles[m, j]) < psi_min - 1e-9:
-                    raise ValueError(
-                        f"ring {m} angles {angles[m, i]} and {angles[m, j]} are "
-                        f"closer than the minimum revolve angle {psi_min}"
-                    )
-    g_v = grid.g_v
-    # ring-major, then height slot, then the ring's N angles
-    psi = np.concatenate([np.tile(angles[m], g_v) for m in range(m_rings)])
-    z = np.tile(np.repeat(grid.z, n_elem), m_rings)
-    entries = _apm_columns(paths, psi, z, config)
-    n_blocks = m_rings * g_v
-    return Dictionary(
-        entries=entries, psi=psi, z=z,
-        group_ids=np.repeat(np.arange(n_blocks), n_elem),
-        member_ids=np.tile(np.arange(n_elem), n_blocks),
-        group_size=n_elem, kind="height",
-    )
+    psi = np.tile(grid.psi, grid.g_v)
+    z = np.repeat(grid.z, grid.g_h)
+    return Dictionary(entries=_apm_columns(paths, psi, z, config),
+                      psi=psi, z=z, group_size=grid.g_h)

@@ -149,6 +149,7 @@ def _solve_once(args: argparse.Namespace) -> int:
     paths = draw_paths(spec.users, spec.paths,
                        np.random.SeedSequence([spec.seed, 0, 0]))
     export_paths(paths, out / "paths.json")
+    dictionary = build_joint_dictionary(paths, grid, config)
 
     print(f"grid {grid.g_h}x{grid.g_v}, radius {config.radius:.5f} m, "
           f"snr {snr_db:g} dB, alpha {alpha:g}, power {power:g}")
@@ -157,7 +158,6 @@ def _solve_once(args: argparse.Namespace) -> int:
             _, _, report = ucla_baseline(paths, config, alpha, power, sigma2)
             print(f"ucla    sum rate {report.sum_rate:.4f} bits")
         elif method == "fcla-j":
-            dictionary = build_joint_dictionary(paths, grid, config)
             sol = solve_joint(dictionary, config, alpha, power=power)
             rate = sinr(sol.H_star, sol.F_star, sigma2).sum_rate
             trace_path = out / "fcla_j_trace.csv"
@@ -170,7 +170,7 @@ def _solve_once(args: argparse.Namespace) -> int:
                   f"({sol.diagnostics['iterations']} iterations, "
                   f"trace in {trace_path})")
         elif method == "fcla-a":
-            sol = solve_alternating(paths, grid, config, alpha,
+            sol = solve_alternating(dictionary, config, alpha,
                                     spec.outer_iters, power=power,
                                     sigma2=sigma2)
             rate = sinr(sol.H_star, sol.F_star, sigma2).sum_rate
@@ -238,7 +238,7 @@ def _validate(args: argparse.Namespace) -> int:
         best = exhaustive_best(paths, grid, config, alpha)
         dictionary = build_joint_dictionary(paths, grid, config)
         for sol in (solve_joint(dictionary, config, alpha),
-                    solve_alternating(paths, grid, config, alpha, 3)):
+                    solve_alternating(dictionary, config, alpha, 3)):
             gap = sol.diagnostics["final_objective"] - best.objective
             worst_violation = max(worst_violation, -gap)
             if gap < -1e-9:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -110,7 +111,17 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        known = {f for f in cls.__dataclass_fields__}
+        """Spec from a dict such as a manifest. Unknown keys are rejected; a
+        "version" key is accepted, with a warning when it names another
+        release."""
+        known = set(cls.__dataclass_fields__)
+        unknown = sorted(set(data) - known - {"version"})
+        if unknown:
+            raise ValueError(f"unknown experiment key(s): {', '.join(unknown)}")
+        version = data.get("version", __version__)
+        if version != __version__:
+            warnings.warn(f"spec was written by fcla {version}, "
+                          f"this is {__version__}", stacklevel=2)
         kwargs = {k: v for k, v in data.items() if k in known}
         if "methods" in kwargs:
             kwargs["methods"] = tuple(kwargs["methods"])
@@ -157,9 +168,7 @@ def ucla_baseline(paths, config: FclaConfig, alpha: float, power: float,
     The baseline is fixed hardware: it keeps the compact canonical radius
     regardless of how large the flexible candidate region is."""
     compact = ucla_config(config)
-    placement = ucla_placement(compact)
-    check_spacing(placement, compact)
-    H = synthesize_channel(paths, placement, compact)
+    H = synthesize_channel(paths, ucla_placement(compact), compact)
     F = normalize_columns(rzf(H.entries, alpha), power)
     return H, F, sinr(H.entries, F, sigma2)
 
@@ -168,12 +177,13 @@ def _trial_seed(base_seed: int, point_index: int, trial_index: int):
     return np.random.SeedSequence([base_seed, point_index, trial_index])
 
 
-def _rate_at_solution(paths, solution: PlacementSolution, config: FclaConfig,
+def _rate_at_solution(solution: PlacementSolution, config: FclaConfig,
                       power: float, sigma2: float) -> float:
-    """Evaluate the solver result on the channel synthesized at its placement."""
-    H = synthesize_channel(paths, solution.placement, config)
+    """Sum rate of a feasible solver result on its own channel. H_star holds
+    the dictionary columns at the placement, which are the channel there."""
+    check_spacing(solution.placement, config)
     F = normalize_columns(solution.F_star, power, allow_zero=True)
-    return sinr(H.entries, F, sigma2).sum_rate
+    return sinr(solution.H_star, F, sigma2).sum_rate
 
 
 def run_trial(spec: ExperimentSpec, point_index: int, trial_index: int,
@@ -188,13 +198,15 @@ def run_trial(spec: ExperimentSpec, point_index: int, trial_index: int,
     snr_db = snr_db if snr_db is not None else spec.snr_db
     n_outer = n_outer if n_outer is not None else spec.outer_iters
     config = spec.config_for_grid(grid_size)
-    grid = build_grid(config)
     alpha = spec.alpha_value()
     power = spec.power_for_snr(snr_db)
     sigma2 = spec.noise_power
 
     seed = _trial_seed(spec.seed, point_index, trial_index)
     paths = draw_paths(spec.users, spec.paths, seed)
+    # one dictionary per trial, shared by both flexible solvers
+    dictionary = (build_joint_dictionary(paths, build_grid(config), config)
+                  if set(spec.methods) - {"ucla"} else None)
 
     out: dict = {}
     for method in spec.methods:
@@ -202,13 +214,12 @@ def run_trial(spec: ExperimentSpec, point_index: int, trial_index: int,
             _, _, report = ucla_baseline(paths, config, alpha, power, sigma2)
             out[method] = report.sum_rate
         elif method == "fcla-j":
-            dictionary = build_joint_dictionary(paths, grid, config)
             solution = solve_joint(dictionary, config, alpha, power=power)
-            out[method] = _rate_at_solution(paths, solution, config, power, sigma2)
+            out[method] = _rate_at_solution(solution, config, power, sigma2)
         elif method == "fcla-a":
-            solution = solve_alternating(paths, grid, config, alpha, n_outer,
+            solution = solve_alternating(dictionary, config, alpha, n_outer,
                                          power=power, sigma2=sigma2)
-            out[method] = _rate_at_solution(paths, solution, config, power, sigma2)
+            out[method] = _rate_at_solution(solution, config, power, sigma2)
             if want_trace:
                 out["fcla-a-trace"] = list(solution.diagnostics["sum_rate_trace"])
     return out
@@ -270,12 +281,19 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
             kwargs = {"grid_size": int(value)}
         items = [(point_index, t, kwargs) for t in range(spec.trials)]
         per_method: dict[str, list[float]] = {m: [] for m in spec.methods}
+        point_failures = []
         for trial_index, result in enumerate(_map_trials(spec, items)):
             if isinstance(result, Exception):
-                failures.append((value, trial_index, result))
+                point_failures.append((value, trial_index, result))
                 continue
             for m in spec.methods:
                 per_method[m].append(result[m])
+        if len(point_failures) == spec.trials:
+            raise RuntimeError(
+                f"all {spec.trials} trial(s) at {spec.sweep_kind}={value:g} "
+                f"failed; the first with {point_failures[0][2]!r}"
+            )
+        failures.extend(point_failures)
         for m in spec.methods:
             values = np.array(per_method[m])
             mean, stderr = _mean_stderr(values)
@@ -297,12 +315,13 @@ def _run_iters_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     max_iters = max(points)
     items = [(0, t, {"n_outer": max_iters, "want_trace": True})
              for t in range(spec.trials)]
-    results = [r for r in _map_trials(spec, items)
-               if not isinstance(r, Exception)]
+    outcomes = _map_trials(spec, items)
+    results = [r for r in outcomes if not isinstance(r, Exception)]
     if len(results) < spec.trials:
         print(f"warning: {spec.trials - len(results)} trial(s) failed")
     if not results:
-        raise RuntimeError("every trial of the iteration sweep failed")
+        raise RuntimeError(f"all {spec.trials} trial(s) of the iteration "
+                           f"sweep failed; the first with {outcomes[0]!r}")
 
     rows: list[SweepRow] = []
     for m in spec.methods:

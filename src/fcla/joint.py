@@ -47,16 +47,10 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
     just filled up. Stops once M groups are complete, keeps only their atoms,
     and refits the final precoder on that support before normalizing columns.
     """
-    if dictionary.kind != "joint":
-        raise ValueError(f"expected a joint dictionary, got {dictionary.kind!r}")
+    dictionary.check_capacity(config)
     m_rings, n_elem = config.m_rings, config.n_elements
     g_h = dictionary.group_size
     g_v = dictionary.n_groups
-    if g_v < m_rings or g_h < n_elem:
-        raise ValueError(
-            f"dictionary grid {g_h}x{g_v} cannot host {m_rings} rings of "
-            f"{n_elem} elements"
-        )
     n_users = dictionary.entries.shape[0]
 
     residual = np.eye(n_users, dtype=complex)
@@ -88,12 +82,14 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
         if len(complete) == m_rings:
             break
     else:
-        raise AssertionError("candidate set exhausted before enough groups filled")
-    assert len(complete) == m_rings
+        raise RuntimeError("candidate set exhausted before enough groups filled")
 
     kept = set(complete)
     final_support = [g for g in support if g // g_h in kept]
-    assert len(final_support) == m_rings * n_elem
+    if len(final_support) != m_rings * n_elem:
+        raise RuntimeError(
+            f"kept {len(final_support)} atoms, expected {m_rings * n_elem}"
+        )
 
     H_star = dictionary.entries[:, final_support]
     F_raw = rzf(H_star, alpha, gram="k")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PathSet, _apm_columns
+from .channel import PathSet, build_joint_dictionary
 from .geometry import FclaConfig, PositionGrid
 from .precoding import normalize_columns, rzf, rzf_objective, sinr
 
@@ -54,11 +54,8 @@ def exhaustive_best(paths: list[PathSet], grid: PositionGrid,
             f"enumeration of {count} placements exceeds the cap of {cap}"
         )
 
-    n_users = len(paths)
-    # precompute the full joint response once; gather columns per candidate
-    psi_all = np.tile(grid.psi, grid.g_v)
-    z_all = np.repeat(grid.z, grid.g_h)
-    entries = _apm_columns(paths, psi_all, z_all, config)
+    # the full joint response once; gather columns per candidate
+    entries = build_joint_dictionary(paths, grid, config).entries
 
     height_subsets = list(itertools.combinations(range(grid.g_v), m_rings))
     angle_subsets = list(itertools.combinations(range(grid.g_h), n_elem))
@@ -88,7 +85,8 @@ def exhaustive_best(paths: list[PathSet], grid: PositionGrid,
                         sinr(H, normalize_columns(F_raw, power, allow_zero=True),
                              sigma2).sum_rate)
                 best = (h_idx, a_choice, objective, rate)
-    assert evaluated == count
+    if evaluated != count:
+        raise RuntimeError(f"evaluated {evaluated} placements, expected {count}")
 
     h_idx, a_choice, objective, rate = best
     heights = grid.z[list(h_idx)].copy()

@@ -54,21 +54,6 @@ def _require_invertible(G: np.ndarray, alpha: float) -> None:
         )
 
 
-def rzf_special(H: np.ndarray, mode: str, sigma2: float | None = None) -> np.ndarray:
-    """Named members of the RZF family: 'mrt' (H^H), 'zf' (alpha=0),
-    'mmse' (alpha equal to the noise power)."""
-    mode = mode.lower()
-    if mode == "mrt":
-        return np.asarray(H, dtype=complex).conj().T
-    if mode == "zf":
-        return rzf(H, 0.0)
-    if mode == "mmse":
-        if sigma2 is None or sigma2 <= 0.0:
-            raise ValueError("mmse mode needs a positive noise power")
-        return rzf(H, sigma2)
-    raise ValueError(f"unknown precoder mode {mode!r}")
-
-
 def normalize_columns(F: np.ndarray, power: float,
                       allow_zero: bool = False) -> np.ndarray:
     """Scale each precoder column to carry power/K, so the total is exactly power.

@@ -282,7 +282,7 @@ def test_criterion_6_solvers_dominated_by_oracle():
         best = exhaustive_best(paths, grid, config, alpha=1.0)
         dictionary = build_joint_dictionary(paths, grid, config)
         for sol in (solve_joint(dictionary, config, alpha=1.0),
-                    solve_alternating(paths, grid, config, 1.0, 3)):
+                    solve_alternating(dictionary, config, 1.0, 3)):
             try:
                 check_spacing(sol.placement, config)
             except ValueError:
@@ -375,9 +375,7 @@ def test_criterion_8_structural_properties():
         entries=entries,
         psi=np.tile(np.arange(2) * np.pi, 2),
         z=np.repeat(np.arange(2) * 0.05, 2),
-        group_ids=np.repeat(np.arange(2), 2),
-        member_ids=np.tile(np.arange(2), 2),
-        group_size=2, kind="joint",
+        group_size=2,
     )
     config2 = FclaConfig.from_grid(1, 2, 2, 2, d_min=0.05, wavelength=0.1)
     sol = solve_joint(crafted, config2, alpha=1.0)
@@ -402,7 +400,7 @@ def test_criterion_8_structural_properties():
     joint_trace = a.diagnostics["objective_trace"]
     mono_joint = all(y <= x + 1e-9 * max(1.0, abs(x))
                      for x, y in zip(joint_trace, joint_trace[1:]))
-    alt = solve_alternating(paths, grid, config, 1.0, 5)
+    alt = solve_alternating(dictionary, config, 1.0, 5)
     mono_alt = True
     for phases in alt.diagnostics["phase_objectives"]:
         for trace in (phases["angle"], phases["height"]):

@@ -3,8 +3,7 @@ import pytest
 
 from fcla.alternating import (initial_heights, optimize_angles,
                               optimize_heights, solve_alternating)
-from fcla.channel import (build_angle_dictionary, build_height_dictionary,
-                          build_joint_dictionary, draw_paths)
+from fcla.channel import build_joint_dictionary, draw_paths, synthesize_channel
 from fcla.geometry import FclaConfig, build_grid, check_spacing
 from fcla.joint import solve_joint
 from fcla.oracle import exhaustive_best
@@ -18,167 +17,174 @@ def make_setup(m=2, n=2, g_h=4, g_v=4, users=4, n_paths=2, seed=0,
                                   pattern=pattern or PatternSpec.omni())
     grid = build_grid(config)
     paths = draw_paths(users, n_paths, np.random.SeedSequence([seed]))
-    return config, grid, paths
+    dictionary = build_joint_dictionary(paths, grid, config)
+    return config, grid, paths, dictionary
 
 
 class TestInitialHeights:
     def test_even_spread(self):
-        config, grid, _ = make_setup(m=2, g_v=4)
-        assert np.allclose(initial_heights(grid, 2), [grid.z[0], grid.z[3]])
+        _, grid, _, _ = make_setup(m=2, g_v=4)
+        assert initial_heights(grid.g_v, 2).tolist() == [0, 3]
 
     def test_single_ring(self):
-        _, grid, _ = make_setup(m=1, n=2)
-        assert np.allclose(initial_heights(grid, 1), [grid.z[0]])
+        _, grid, _, _ = make_setup(m=1, n=2)
+        assert initial_heights(grid.g_v, 1).tolist() == [0]
 
     def test_distinct_for_many_shapes(self):
         for g_v in range(2, 12):
             for m in range(1, g_v + 1):
-                config = FclaConfig.from_grid(m, 1, 2, g_v, 0.05, 0.1)
-                grid = build_grid(config)
-                h = initial_heights(grid, m)
-                assert len(set(h.tolist())) == m
+                slots = initial_heights(g_v, m)
+                assert len(set(slots.tolist())) == m
+                assert 0 <= slots.min() and slots.max() < g_v
 
 
-def plain_omp_reference(dictionary, n_select, alpha):
-    """Straightforward greedy loop over one ring's dictionary; refit each step."""
-    n_users = dictionary.entries.shape[0]
+def plain_omp_reference(columns, n_select, alpha):
+    """Straightforward greedy loop over one ring's candidate columns; refit
+    each step."""
+    n_users, n_columns = columns.shape
     residual = np.eye(n_users, dtype=complex)
     picked = []
     for _ in range(n_select):
         scores = []
-        for g in range(dictionary.n_columns):
+        for g in range(n_columns):
             if g in picked:
                 scores.append(-1.0)
                 continue
-            row = dictionary.entries[:, g].conj() @ residual
+            row = columns[:, g].conj() @ residual
             scores.append(float(np.sum(np.abs(row) ** 2)))
         g = int(np.argmax(scores))
         picked.append(g)
-        H = dictionary.entries[:, picked]
+        H = columns[:, picked]
         F = rzf(H, alpha)
         residual = np.eye(n_users) - H @ F
     return picked
 
 
+def ring_columns(paths, grid, config, angles, z):
+    """Channel columns at the given angle indices of one ring at height z,
+    synthesized independently of the dictionary."""
+    return synthesize_channel(paths, [(grid.psi[a], z) for a in angles],
+                              config).entries
+
+
 class TestOptimizeAngles:
     def test_single_ring_reduces_to_plain_omp(self):
-        config, grid, paths = make_setup(m=1, n=2, g_h=5, g_v=2)
-        heights = [grid.z[0]]
-        angles, _, _, diag = optimize_angles(paths, heights, grid, config, 1.0)
-        ring_dict = build_angle_dictionary(paths, heights, grid, config)
-        want = plain_omp_reference(ring_dict, 2, 1.0)
+        config, grid, paths, d = make_setup(m=1, n=2, g_h=5, g_v=2)
+        angles, _, _, diag = optimize_angles(d, [0], config, 1.0)
+        columns = ring_columns(paths, grid, config, range(5), grid.z[0])
+        want = plain_omp_reference(columns, 2, 1.0)
         assert diag["support"] == want
-        assert np.allclose(angles, [[grid.psi[g] for g in want]])
+        assert angles.tolist() == [want]
 
     def test_full_ring_forced(self):
-        config, grid, paths = make_setup(m=2, n=2, g_h=2, g_v=4)
-        angles, _, _, _ = optimize_angles(paths, initial_heights(grid, 2),
-                                          grid, config, 1.0)
+        config, _, _, d = make_setup(m=2, n=2, g_h=2, g_v=4)
+        angles, _, _, _ = optimize_angles(d, initial_heights(4, 2), config, 1.0)
         for ring in angles:
-            assert sorted(ring.tolist()) == grid.psi.tolist()
+            assert sorted(ring.tolist()) == [0, 1]
 
     def test_parallel_selection_matches_scan_oracle(self):
         # rings score candidates against the shared residual of the previous
         # inner step; verify each pick against an explicit per-ring scan
-        config, grid, paths = make_setup(m=2, n=1, g_h=3, g_v=4, seed=5)
-        heights = initial_heights(grid, 2)
-        dictionary = build_angle_dictionary(paths, heights, grid, config)
-        residual = np.eye(len(paths), dtype=complex)
+        config, grid, paths, d = make_setup(m=2, n=1, g_h=3, g_v=4, seed=5)
+        slots = initial_heights(grid.g_v, 2)
         want = []
-        for m in range(2):
-            scores = []
-            for g in range(3):
-                row = dictionary.entries[:, m * 3 + g].conj() @ residual
-                scores.append(float(np.sum(np.abs(row) ** 2)))
+        for slot in slots:
+            columns = ring_columns(paths, grid, config, range(3), grid.z[slot])
+            scores = np.sum(np.abs(columns.conj().T) ** 2, axis=1)
             want.append(int(np.argmax(scores)))
-        angles, _, _, diag = optimize_angles(paths, heights, grid, config, 1.0)
-        got = [g % 3 for g in diag["support"]]
-        assert got == want
+        angles, _, _, diag = optimize_angles(d, slots, config, 1.0)
+        assert angles[:, 0].tolist() == want
+        assert diag["support"] == [s * 3 + a for s, a in zip(slots, want)]
 
     def test_objective_nonincreasing_within_phase(self):
-        config, grid, paths = make_setup(m=2, n=3, g_h=5, g_v=3, seed=7)
-        _, _, _, diag = optimize_angles(paths, initial_heights(grid, 2),
-                                        grid, config, 1.0)
+        config, _, _, d = make_setup(m=2, n=3, g_h=5, g_v=3, seed=7)
+        _, _, _, diag = optimize_angles(d, initial_heights(3, 2), config, 1.0)
         trace = diag["objective_trace"]
         assert len(trace) == 3
         for a, b in zip(trace, trace[1:]):
             assert b <= a + 1e-9 * max(1.0, abs(a))
 
+    def test_rejects_duplicate_heights(self):
+        config, _, _, d = make_setup()
+        with pytest.raises(ValueError):
+            optimize_angles(d, [1, 1], config, 1.0)
+
 
 class TestOptimizeHeights:
     def test_forced_permutation_when_slots_match_rings(self):
-        config, grid, paths = make_setup(m=3, n=1, g_h=3, g_v=3, seed=1)
-        angles = np.array([[grid.psi[0]], [grid.psi[1]], [grid.psi[2]]])
-        heights, _, _, _ = optimize_heights(paths, angles, grid, config, 1.0)
-        assert sorted(heights.tolist()) == grid.z.tolist()
+        config, _, _, d = make_setup(m=3, n=1, g_h=3, g_v=3, seed=1)
+        slots, _, _, _ = optimize_heights(d, [[0], [1], [2]], config, 1.0)
+        assert sorted(slots.tolist()) == [0, 1, 2]
 
     def test_two_slot_selection_picks_stronger_block(self):
-        config, grid, paths = make_setup(m=1, n=2, g_h=4, g_v=2, seed=2)
-        angles = np.array([[grid.psi[0], grid.psi[2]]])
-        dictionary = build_height_dictionary(paths, angles, grid, config)
+        config, grid, paths, d = make_setup(m=1, n=2, g_h=4, g_v=2, seed=2)
         scores = []
         for slot in range(2):
-            block = dictionary.entries[:, slot * 2:(slot + 1) * 2]
+            block = ring_columns(paths, grid, config, [0, 2], grid.z[slot])
             scores.append(float(np.linalg.norm(block.conj().T, "fro") ** 2))
-        heights, _, _, _ = optimize_heights(paths, angles, grid, config, 1.0)
-        assert heights[0] == grid.z[int(np.argmax(scores))]
+        slots, _, _, _ = optimize_heights(d, [[0, 2]], config, 1.0)
+        assert slots[0] == int(np.argmax(scores))
 
     def test_block_scan_oracle(self):
-        config, grid, paths = make_setup(m=2, n=2, g_h=4, g_v=3, seed=3)
-        angles = np.array([[grid.psi[0], grid.psi[2]],
-                           [grid.psi[1], grid.psi[3]]])
-        dictionary = build_height_dictionary(paths, angles, grid, config)
+        config, grid, paths, d = make_setup(m=2, n=2, g_h=4, g_v=3, seed=3)
+        angles = [[0, 2], [1, 3]]
         n_users = len(paths)
 
         residual = np.eye(n_users, dtype=complex)
         taken = []
-        support = []
+        blocks = []
         for m in range(2):
             best, best_score = None, -1.0
             for slot in range(3):
                 if slot in taken:
                     continue
-                cols = dictionary.entries[:, (m * 3 + slot) * 2:
-                                          (m * 3 + slot) * 2 + 2]
+                cols = ring_columns(paths, grid, config, angles[m], grid.z[slot])
                 score = float(np.linalg.norm(cols.conj().T @ residual,
                                              "fro") ** 2)
                 if score > best_score:
                     best, best_score = slot, score
             taken.append(best)
-            support.extend(range((m * 3 + best) * 2, (m * 3 + best) * 2 + 2))
-            H = dictionary.entries[:, support]
+            blocks.append(ring_columns(paths, grid, config, angles[m],
+                                       grid.z[best]))
+            H = np.hstack(blocks)
             F = rzf(H, 1.0)
             residual = np.eye(n_users) - H @ F
 
-        heights, _, _, diag = optimize_heights(paths, angles, grid, config, 1.0)
-        assert diag["slots"] == taken
-        assert np.allclose(heights, grid.z[taken])
+        slots, H_sel, _, _ = optimize_heights(d, angles, config, 1.0)
+        assert slots.tolist() == taken
+        assert np.array_equal(H_sel, H)
 
     def test_heights_distinct(self):
-        config, grid, paths = make_setup(m=3, n=2, g_h=4, g_v=5, seed=4)
-        angles, _, _, _ = optimize_angles(paths, initial_heights(grid, 3),
-                                          grid, config, 1.0)
-        heights, _, _, _ = optimize_heights(paths, angles, grid, config, 1.0)
-        assert len(set(heights.tolist())) == 3
+        config, _, _, d = make_setup(m=3, n=2, g_h=4, g_v=5, seed=4)
+        angles, _, _, _ = optimize_angles(d, initial_heights(5, 3), config, 1.0)
+        slots, _, _, _ = optimize_heights(d, angles, config, 1.0)
+        assert len(set(slots.tolist())) == 3
+
+    def test_rejects_repeated_angles(self):
+        config, _, _, d = make_setup()
+        with pytest.raises(ValueError):
+            optimize_heights(d, [[0, 0], [1, 2]], config, 1.0)
 
 
 class TestSolveAlternating:
     def test_single_round_composes_phases(self):
-        config, grid, paths = make_setup(m=2, n=2, g_h=3, g_v=2, seed=6)
-        sol = solve_alternating(paths, grid, config, 1.0, 1)
-        angles, _, _, _ = optimize_angles(paths, initial_heights(grid, 2),
-                                          grid, config, 1.0)
-        heights, H, F, _ = optimize_heights(paths, angles, grid, config, 1.0)
-        assert np.allclose(sol.angles, angles)
-        assert np.allclose(sol.heights, heights)
+        config, grid, _, d = make_setup(m=2, n=2, g_h=3, g_v=2, seed=6)
+        sol = solve_alternating(d, config, 1.0, 1)
+        angles, _, _, _ = optimize_angles(d, initial_heights(2, 2), config, 1.0)
+        slots, H, F, _ = optimize_heights(d, angles, config, 1.0)
+        assert np.array_equal(sol.angles, grid.psi[angles])
+        assert np.array_equal(sol.heights, grid.z[slots])
         assert np.array_equal(sol.H_star, H)
 
     def test_placement_feasible_and_aligned(self):
         for seed in range(4):
-            config, grid, paths = make_setup(m=2, n=2, g_h=4, g_v=4, seed=seed,
+            config, _, paths, d = make_setup(m=2, n=2, g_h=4, g_v=4, seed=seed,
                                              pattern=PatternSpec.directional(1.0))
-            sol = solve_alternating(paths, grid, config, 1.0, 3)
+            sol = solve_alternating(d, config, 1.0, 3)
             check_spacing(sol.placement, config)
+            assert np.array_equal(
+                sol.H_star,
+                synthesize_channel(paths, sol.placement, config).entries)
             assert len(sol.placement) == 4
             # columns are ring-major blocks of the ring's angles
             flat = [(sol.angles[m, n], sol.heights[m])
@@ -186,16 +192,15 @@ class TestSolveAlternating:
             assert flat == sol.placement
 
     def test_sum_rate_trace_recorded(self):
-        config, grid, paths = make_setup(seed=8)
-        sol = solve_alternating(paths, grid, config, 1.0, 4, power=1.0,
-                                sigma2=1.0)
+        config, _, _, d = make_setup(seed=8)
+        sol = solve_alternating(d, config, 1.0, 4, power=1.0, sigma2=1.0)
         trace = sol.diagnostics["sum_rate_trace"]
         assert len(trace) == 4
         assert all(np.isfinite(trace))
 
     def test_phase_objectives_nonincreasing(self):
-        config, grid, paths = make_setup(m=2, n=3, g_h=5, g_v=4, seed=9)
-        sol = solve_alternating(paths, grid, config, 1.0, 3)
+        config, _, _, d = make_setup(m=2, n=3, g_h=5, g_v=4, seed=9)
+        sol = solve_alternating(d, config, 1.0, 3)
         for phases in sol.diagnostics["phase_objectives"]:
             for trace in (phases["angle"], phases["height"]):
                 for a, b in zip(trace, trace[1:]):
@@ -203,37 +208,35 @@ class TestSolveAlternating:
 
     def test_never_beats_exhaustive_oracle(self):
         for seed in range(6):
-            config, grid, paths = make_setup(m=1, n=2, g_h=3, g_v=2, seed=seed)
-            sol = solve_alternating(paths, grid, config, 1.0, 3)
+            config, grid, paths, d = make_setup(m=1, n=2, g_h=3, g_v=2, seed=seed)
+            sol = solve_alternating(d, config, 1.0, 3)
             best = exhaustive_best(paths, grid, config, alpha=1.0)
             assert sol.diagnostics["final_objective"] >= best.objective - 1e-9
 
     def test_deterministic(self):
-        config, grid, paths = make_setup(seed=10)
-        a = solve_alternating(paths, grid, config, 1.0, 3)
-        b = solve_alternating(paths, grid, config, 1.0, 3)
+        config, _, _, d = make_setup(seed=10)
+        a = solve_alternating(d, config, 1.0, 3)
+        b = solve_alternating(d, config, 1.0, 3)
         assert np.array_equal(a.F_star, b.F_star)
         assert a.diagnostics["sum_rate_trace"] == b.diagnostics["sum_rate_trace"]
 
     def test_early_stop_trims_rounds(self):
-        config, grid, paths = make_setup(seed=11)
-        full = solve_alternating(paths, grid, config, 1.0, 8)
-        stopped = solve_alternating(paths, grid, config, 1.0, 8,
-                                    early_stop_tol=1e-4)
+        config, _, _, d = make_setup(seed=11)
+        full = solve_alternating(d, config, 1.0, 8)
+        stopped = solve_alternating(d, config, 1.0, 8, early_stop_tol=1e-4)
         assert (stopped.diagnostics["outer_iterations"]
                 <= full.diagnostics["outer_iterations"])
 
     def test_rejects_zero_rounds(self):
-        config, grid, paths = make_setup()
+        config, _, _, d = make_setup()
         with pytest.raises(ValueError):
-            solve_alternating(paths, grid, config, 1.0, 0)
+            solve_alternating(d, config, 1.0, 0)
 
     def test_matched_filter_work_below_joint(self):
         # the alternating decomposition exists to cut matching work
-        config, grid, paths = make_setup(m=4, n=4, g_h=12, g_v=12, users=8,
-                                         n_paths=4, seed=12)
-        dictionary = build_joint_dictionary(paths, grid, config)
-        joint = solve_joint(dictionary, config, 1.0)
-        alt = solve_alternating(paths, grid, config, 1.0, 5)
+        config, _, _, d = make_setup(m=4, n=4, g_h=12, g_v=12, users=8,
+                                     n_paths=4, seed=12)
+        joint = solve_joint(d, config, 1.0)
+        alt = solve_alternating(d, config, 1.0, 5)
         assert (alt.diagnostics["matched_filter_columns"]
                 < joint.diagnostics["matched_filter_columns"])

@@ -4,9 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from fcla.channel import (PathSet, apm_entry, build_angle_dictionary,
-                          build_height_dictionary, build_joint_dictionary,
-                          draw_paths, export_paths, synthesize_channel)
+from fcla.channel import (PathSet, build_joint_dictionary, draw_paths,
+                          export_paths, synthesize_channel)
 from fcla.geometry import FclaConfig, build_grid, position_of
 from fcla.pattern import PatternSpec, amplitude
 
@@ -37,6 +36,11 @@ def channel_entry_oracle(paths_k, psi, z, config):
         amp = amplitude(config.pattern, theta, phi, psi)
         total += paths_k.beta[l] * amp * np.exp(1j * phase)
     return np.conj(total / np.sqrt(paths_k.n_paths))
+
+
+def apm_entry(paths_k, psi, z, config):
+    """One user's response at one position: a one-element placement."""
+    return complex(synthesize_channel([paths_k], [(psi, z)], config).entries[0, 0])
 
 
 class TestDrawPaths:
@@ -119,7 +123,8 @@ class TestSynthesizeChannel:
         assert H.entries.shape == (3, 1)
         for k in range(3):
             assert np.isclose(H.entries[k, 0],
-                              apm_entry(paths[k], 0.3, 0.1, config))
+                              channel_entry_oracle(paths[k], 0.3, 0.1, config),
+                              atol=1e-12)
 
     def test_column_permutation(self):
         config = make_config()
@@ -158,73 +163,23 @@ class TestDictionaries:
         d = build_joint_dictionary(self.paths, self.grid, self.config)
         g_h, g_v = self.grid.g_h, self.grid.g_v
         assert d.entries.shape == (4, g_h * g_v)
+        assert d.group_size == g_h and d.n_groups == g_v
         for col in [0, 1, g_h, g_h * g_v - 1]:
-            group, member, psi, z = d.index_map(col)
-            assert group == col // g_h and member == col % g_h
-            assert psi == self.grid.psi[member]
-            assert z == self.grid.z[group]
+            psi, z = d.psi[col], d.z[col]
+            assert psi == self.grid.psi[col % g_h]
+            assert z == self.grid.z[col // g_h]
             recomputed = [apm_entry(p, psi, z, self.config) for p in self.paths]
             assert np.allclose(d.entries[:, col], recomputed, atol=1e-15)
 
     def test_index_map_round_trip(self):
+        # the solvers address column slot * g_h + angle
         d = build_joint_dictionary(self.paths, self.grid, self.config)
-        for col in range(d.n_columns):
-            group, member, _, _ = d.index_map(col)
-            assert d.column_of(group, member) == col
-
-    def test_single_height_joint_equals_angle_dictionary(self):
-        config = make_config(m_rings=1, height_extent=0.05)
-        grid = build_grid(config)
-        assert grid.g_v == 1
-        joint = build_joint_dictionary(self.paths, grid, config)
-        angle = build_angle_dictionary(self.paths, [grid.z[0]], grid, config)
-        assert np.array_equal(joint.entries, angle.entries)
-
-    def test_angle_dictionary_blocks(self):
-        heights = [self.grid.z[0], self.grid.z[3]]
-        d = build_angle_dictionary(self.paths, heights, self.grid, self.config)
         g_h = self.grid.g_h
-        assert d.entries.shape == (4, 2 * g_h)
-        col = g_h + 2  # ring 1, angle slot 2
-        group, member, psi, z = d.index_map(col)
-        assert (group, member) == (1, 2)
-        assert z == heights[1] and psi == self.grid.psi[2]
-        recomputed = [apm_entry(p, psi, z, self.config) for p in self.paths]
-        assert np.allclose(d.entries[:, col], recomputed, atol=1e-15)
-
-    def test_angle_dictionary_rejects_duplicate_heights(self):
-        with pytest.raises(ValueError):
-            build_angle_dictionary(self.paths, [0.0, 0.0], self.grid,
-                                   self.config)
-
-    def test_height_dictionary_blocks(self):
-        angles = np.array([[self.grid.psi[0], self.grid.psi[4]],
-                           [self.grid.psi[1], self.grid.psi[7]]])
-        d = build_height_dictionary(self.paths, angles, self.grid, self.config)
-        g_v, n = self.grid.g_v, 2
-        assert d.entries.shape == (4, 2 * n * g_v)
-        assert d.n_groups == 2 * g_v and d.group_size == n
-        # ring 1, height slot 3, member 0
-        col = d.column_of(1 * g_v + 3, 0)
-        _, _, psi, z = d.index_map(col)
-        assert psi == angles[1, 0] and z == self.grid.z[3]
-        recomputed = [apm_entry(p, psi, z, self.config) for p in self.paths]
-        assert np.allclose(d.entries[:, col], recomputed, atol=1e-15)
-
-    def test_height_dictionary_single_slot_reproduces_ring(self):
-        config = make_config(m_rings=1, height_extent=0.05)
-        grid = build_grid(config)
-        angles = np.array([[grid.psi[0], grid.psi[5]]])
-        d = build_height_dictionary(self.paths, angles, grid, config)
-        ring = synthesize_channel(self.paths,
-                                  [(angles[0, 0], grid.z[0]),
-                                   (angles[0, 1], grid.z[0])], config)
-        assert np.allclose(d.entries, ring.entries, atol=1e-15)
-
-    def test_height_dictionary_rejects_close_angles(self):
-        angles = np.array([[0.0, self.config.psi_min / 3.0]])
-        with pytest.raises(ValueError):
-            build_height_dictionary(self.paths, angles, self.grid, self.config)
+        for slot in range(self.grid.g_v):
+            for angle in range(g_h):
+                col = slot * g_h + angle
+                assert (d.psi[col], d.z[col]) == (self.grid.psi[angle],
+                                                  self.grid.z[slot])
 
     def test_channel_equals_dictionary_gather(self):
         d = build_joint_dictionary(self.paths, self.grid, self.config)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,26 @@ from fcla.cli import _parse_range, parse_and_dispatch
 
 SMALL = ["--rings", "2", "--elements", "2", "--users", "4", "--paths", "2",
          "--grid", "4", "--trials", "2", "--seed", "7", "--iters", "2"]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# fixed-seed sweeps of all three methods with directional elements; the
+# expected CSVs were written by the code before the alternating solver moved
+# onto the shared joint dictionary, and every refactor keeps them byte-exact
+GOLDEN_SWEEPS = {
+    "sweep-snr": ["--snr", "-4,4", "--grid", "6", "--seed", "11"],
+    "sweep-grid": ["--grid-range", "6,8", "--snr", "0", "--seed", "12"],
+}
+GOLDEN_SHAPE = ["--rings", "3", "--elements", "2", "--users", "6", "--paths",
+                "3", "--iters", "3", "--trials", "20"]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SWEEPS))
+def test_results_csv_matches_golden(command, tmp_path):
+    argv = [command, "--out", str(tmp_path)] + GOLDEN_SWEEPS[command] + GOLDEN_SHAPE
+    assert parse_and_dispatch(argv) == 0
+    assert ((tmp_path / "results.csv").read_bytes()
+            == (GOLDEN / f"{command}.csv").read_bytes())
 
 
 def test_parse_range_forms():

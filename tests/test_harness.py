@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from fcla.channel import draw_paths
+from fcla import __version__, harness
+from fcla.channel import draw_paths, synthesize_channel
 from fcla.geometry import check_spacing
 from fcla.harness import (ExperimentSpec, run_sweep, run_trial, ucla_baseline,
                           ucla_config, ucla_placement, write_manifest,
@@ -46,6 +47,18 @@ class TestSpec:
     def test_rejects_unknown_sweep(self):
         with pytest.raises(ValueError):
             small_spec(sweep_kind="users")
+
+    def test_rejects_unknown_key(self):
+        data = small_spec().to_dict()
+        data["trails"] = 5
+        with pytest.raises(ValueError, match="trails"):
+            ExperimentSpec.from_dict(data)
+
+    def test_warns_on_other_version(self):
+        data = dict(small_spec().to_dict(), version="0.0.0-other")
+        with pytest.warns(UserWarning, match="0.0.0-other"):
+            clone = ExperimentSpec.from_dict(data)
+        assert clone == small_spec()
 
 
 class TestUclaBaseline:
@@ -160,6 +173,66 @@ class TestRunSweep:
         parallel = run_sweep(small_spec(trials=4, jobs=2))
         assert serial == parallel
 
+    def test_point_with_every_trial_failed_aborts(self, monkeypatch):
+        def flaky(spec, point_index, trial_index, **kwargs):
+            if point_index == 1:
+                raise FloatingPointError(f"trial {trial_index} diverged")
+            return {m: 1.0 for m in spec.methods}
+
+        monkeypatch.setattr(harness, "run_trial", flaky)
+        spec = small_spec(trials=3, sweep_values=(0.0, 6.0), jobs=1)
+        with pytest.raises(RuntimeError) as info:
+            run_sweep(spec)
+        message = str(info.value)
+        assert "snr=6" in message and "all 3 trial(s)" in message
+        assert "trial 0 diverged" in message
+
+    def test_every_trial_satisfies_solution_invariants(self, monkeypatch):
+        drawn = []
+        checked = {"fcla-j": 0, "fcla-a": 0}
+        draw = harness.draw_paths
+
+        def recording_draw(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        def checked_solver(name, solver):
+            def run(dictionary, config, *args, **kwargs):
+                solution = solver(dictionary, config, *args, **kwargs)
+                check_solution(drawn[-1], solution, config, kwargs["power"])
+                checked[name] += 1
+                return solution
+            return run
+
+        monkeypatch.setattr(harness, "draw_paths", recording_draw)
+        monkeypatch.setattr(harness, "solve_joint",
+                            checked_solver("fcla-j", harness.solve_joint))
+        monkeypatch.setattr(harness, "solve_alternating",
+                            checked_solver("fcla-a", harness.solve_alternating))
+        spec = small_spec(trials=6, sweep_values=(-3.0, 3.0), elements=3,
+                          jobs=1)
+        run_sweep(spec)
+        assert checked == {"fcla-j": 12, "fcla-a": 12}
+
+
+def check_solution(paths, solution, config, power):
+    """Invariants of every solver result: the placement is feasible, H_star
+    is the channel synthesized there (bit for bit), each served user's
+    precoder column carries power/K, and only users without any channel are
+    left unserved."""
+    check_spacing(solution.placement, config)
+    H = synthesize_channel(paths, solution.placement, config).entries
+    assert np.array_equal(solution.H_star, H)
+    F = solution.F_star
+    n_users = F.shape[1]
+    zero = np.linalg.norm(F, axis=0) == 0.0
+    assert np.all(np.abs(H[zero]) == 0.0)
+    served = np.linalg.norm(F[:, ~zero], axis=0) ** 2
+    assert np.allclose(served, power / n_users, rtol=1e-12, atol=0.0)
+    total = np.linalg.norm(F, "fro") ** 2
+    assert np.isclose(total, power * (n_users - zero.sum()) / n_users,
+                      rtol=1e-12, atol=0.0)
+
 
 class TestOutputs:
     def test_csv_columns_and_precision(self):
@@ -178,6 +251,6 @@ class TestOutputs:
         buf = io.StringIO()
         write_manifest(spec, buf)
         data = json.loads(buf.getvalue())
-        assert data["version"]
+        assert data["version"] == __version__
         clone = ExperimentSpec.from_dict(data)
         assert clone == spec

@@ -24,12 +24,7 @@ def tiny_dictionary(columns, g_h, g_v):
     entries = np.array(columns, dtype=complex).T
     psi = np.tile(np.arange(g_h) * (2.0 * np.pi / g_h), g_v)
     z = np.repeat(np.arange(g_v) * 0.05, g_h)
-    return Dictionary(
-        entries=entries, psi=psi, z=z,
-        group_ids=np.repeat(np.arange(g_v), g_h),
-        member_ids=np.tile(np.arange(g_h), g_v),
-        group_size=g_h, kind="joint",
-    )
+    return Dictionary(entries=entries, psi=psi, z=z, group_size=g_h)
 
 
 class TestMatchAtom:
@@ -156,9 +151,10 @@ class TestSolveJoint:
         sol = solve_joint(d, config, alpha=1.0, power=2.0)
         assert abs(np.linalg.norm(sol.F_star, "fro") ** 2 - 2.0) < 1e-12
 
-    def test_rejects_wrong_dictionary_kind(self):
-        config, grid, paths, _ = make_setup()
-        from fcla.channel import build_angle_dictionary
-        angle_dict = build_angle_dictionary(paths, grid.z[:2], grid, config)
+    def test_rejects_grid_too_small(self):
+        config, grid, paths, _ = make_setup(m=2, g_v=2)
+        too_few_slots = build_joint_dictionary(paths, grid, config)
+        three_rings = FclaConfig.from_grid(3, 2, 4, 4, d_min=0.05,
+                                           wavelength=0.1)
         with pytest.raises(ValueError):
-            solve_joint(angle_dict, config, alpha=1.0)
+            solve_joint(too_few_slots, three_rings, alpha=1.0)

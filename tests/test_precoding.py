@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fcla.precoding import (RateReport, SingularMatrixError, normalize_columns,
-                            rzf, rzf_objective, rzf_special, sinr)
+                            rzf, rzf_objective, sinr)
 
 
 def solve_gauss(A, B):
@@ -75,18 +75,22 @@ class TestRzf:
 
 
 class TestRzfSpecial:
+    """Named members of the family: matched filter (alpha -> inf), MMSE
+    (alpha = noise power) and zero forcing (alpha = 0)."""
+
     def test_matched_filter(self):
+        # rzf(2I, a) = 2I / (4 + a), so a * rzf tends to H^H
         H = np.eye(3) * 2.0
-        assert np.allclose(rzf_special(H, "mrt"), H.conj().T)
+        assert np.allclose(1e12 * rzf(H, 1e12), H.conj().T)
 
     def test_mmse_identity(self):
-        assert np.allclose(rzf_special(np.eye(3), "mmse", sigma2=1.0),
-                           0.5 * np.eye(3))
+        assert np.allclose(rzf(np.eye(3), 1.0), 0.5 * np.eye(3))
 
     def test_zf_is_zero_alpha(self):
+        # the regularized precoder is continuous at alpha = 0
         rng = np.random.default_rng(3)
         H = random_channel(rng, 3, 5)
-        assert np.allclose(rzf_special(H, "zf"), rzf(H, 0.0))
+        assert np.allclose(rzf(H, 1e-10), rzf(H, 0.0), atol=1e-8)
 
     def test_large_alpha_approaches_matched_filter(self):
         rng = np.random.default_rng(4)
@@ -106,7 +110,7 @@ class TestRzfSpecial:
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            rzf_special(np.eye(2), "dirty")
+            rzf(np.eye(2), 1.0, gram="dirty")
 
 
 class TestNormalizeColumns:
