@@ -18,9 +18,9 @@ from .geometry import (SPEED_OF_LIGHT, FclaConfig, PositionGrid, build_grid,
 from .harness import (ExperimentSpec, SweepRow, run_sweep, run_trial,
                       ucla_baseline, ucla_config, ucla_placement, ucla_radius,
                       write_manifest, write_results_csv)
-from .joint import match_atom, solve_joint
+from .joint import solve_joint
 from .oracle import OracleResult, exhaustive_best
 from .pattern import PatternSpec, amplitude, power_gain, wrap_angle
-from .precoding import (RateReport, SingularMatrixError, normalize_columns,
-                        rzf, rzf_objective, sinr)
-from .solution import PlacementSolution
+from .precoding import (GreedyState, RateReport, SingularMatrixError,
+                        normalize_columns, rzf, rzf_objective, sinr)
+from .solution import PlacementBatch, PlacementSolution

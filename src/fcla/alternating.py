@@ -5,19 +5,25 @@ fixed number of outer rounds.
 Both phases gather their candidates from the joint position dictionary:
 column slot * G_H + angle is the response at grid angle `angle` and height
 slot `slot`. In the angle phase all rings match atoms in parallel against the
-same residual each inner step, then one joint refit updates the residual. In
-the height phase rings choose one height block each, sequentially, refitting
+same residual each inner step, then one update of the inverse-Gram state
+(`fcla.precoding.GreedyState`) takes in every ring's pick. In the height
+phase rings choose one height block each, sequentially, updating the state
 between rings.
+
+A dictionary with a leading trial axis runs every trial of the stack through
+the same steps at once; each trial's picks equal those of solving it alone.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
 from .channel import Dictionary
 from .geometry import FclaConfig
-from .precoding import normalize_columns, rzf, rzf_objective, sinr
-from .solution import PlacementSolution
+from .precoding import GreedyState, normalize_columns, rzf, sinr
+from .solution import PlacementBatch, PlacementSolution
 
 
 def initial_heights(g_v: int, m_rings: int) -> np.ndarray:
@@ -31,6 +37,11 @@ def initial_heights(g_v: int, m_rings: int) -> np.ndarray:
     return slots
 
 
+def _distinct(index: np.ndarray) -> bool:
+    """Whether every row along the last axis holds distinct values."""
+    return not (np.diff(np.sort(index, axis=-1), axis=-1) == 0).any()
+
+
 def optimize_angles(dictionary: Dictionary, slots, config: FclaConfig,
                     alpha: float):
     """Select each ring's element angles with ring m pinned at height slot
@@ -38,51 +49,42 @@ def optimize_angles(dictionary: Dictionary, slots, config: FclaConfig,
 
     Rings pick one live angle apiece per inner step (lowest index on ties),
     all against the residual from the previous step, so one matched filter
-    scores every ring's live columns at once; the refit and residual update
-    then run once over every column selected so far. Returns the (M, N) array
-    of angle indices, the final channel and refit precoder, and a diagnostics
-    dict.
+    scores every ring's columns at once; one rank-M update then takes in all
+    the picks. Returns the (M, N) array of angle indices and a diagnostics
+    dict. A (B, K, G) dictionary takes (M,) slots shared by every trial or
+    (B, M) slots, and its results carry the leading trial axis.
     """
+    n_trials, n_users, _ = dictionary.stacked.shape
     slots = np.asarray(slots, dtype=int)
-    m_rings = len(slots)
-    if len(set(slots.tolist())) != m_rings:
+    slots = np.broadcast_to(slots, (n_trials, slots.shape[-1]))
+    if not _distinct(slots):
         raise ValueError(f"rings share a height slot: {slots.tolist()}")
+    m_rings = slots.shape[1]
     g_h = dictionary.group_size
-    n_users = dictionary.entries.shape[0]
-    ring_columns = slots[:, None] * g_h + np.arange(g_h)  # (M, G_H)
+    ring_columns = slots[..., None] * g_h + np.arange(g_h)  # (B, M, G_H)
+    candidates = dictionary.rows(ring_columns.reshape(n_trials, -1))
 
-    residual = np.eye(n_users, dtype=complex)
-    alive = np.ones((m_rings, g_h), dtype=bool)
-    picks = []
-    support: list[int] = []
-    objective_trace = []
+    state = GreedyState(n_trials, n_users, alpha)
+    alive = np.ones((n_trials, m_rings, g_h), dtype=bool)
+    picks, objectives = [], []
     mf_columns = 0
-    H_sel = np.zeros((n_users, 0), dtype=complex)
-    F_sel = np.zeros((0, n_users), dtype=complex)
-
     for _ in range(config.n_elements):
-        # every ring has the same number of live angles, so the live columns
-        # reshape ring-major into (M, live)
-        live = np.nonzero(alive)[1].reshape(m_rings, -1)
-        cols = ring_columns[alive]
-        mf_columns += len(cols)
-        matched = dictionary.entries[:, cols].conj().T @ residual
-        scores = np.sum(np.abs(matched) ** 2, axis=1).reshape(m_rings, -1)
-        pick = live[np.arange(m_rings), np.argmax(scores, axis=1)]
-        alive[np.arange(m_rings), pick] = False
+        mf_columns += int(alive[0].sum())
+        pick = state.pick(candidates, alive)  # (B, M)
+        np.put_along_axis(alive, pick[..., None], False, axis=2)
+        state.add(dictionary.rows(slots * g_h + pick))
         picks.append(pick)
-        support.extend((slots * g_h + pick).tolist())
-        H_sel = dictionary.entries[:, support]
-        F_sel = rzf(H_sel, alpha)
-        residual = np.eye(n_users) - H_sel @ F_sel
-        objective_trace.append(rzf_objective(H_sel, F_sel, alpha))
+        objectives.append(state.objective())
 
+    angles = np.stack(picks, axis=2)
+    # selection order: step by step, ring by ring within a step
+    support = (slots[:, None] * g_h + np.stack(picks, axis=1)).reshape(n_trials, -1)
     diag = {
-        "objective_trace": objective_trace,
+        "objective_trace": np.stack(objectives, axis=1),
         "support": support,
         "matched_filter_columns": mf_columns,
     }
-    return np.stack(picks, axis=1), H_sel, F_sel, diag
+    return _unstack(dictionary, angles, diag)
 
 
 def optimize_heights(dictionary: Dictionary, angles, config: FclaConfig,
@@ -91,111 +93,112 @@ def optimize_heights(dictionary: Dictionary, angles, config: FclaConfig,
 
     Rings go in order; ring m scores every live height slot by the Frobenius
     norm of its block's matched filter against the current residual (all
-    slots in one matched filter), takes the best, and the joint refit over
-    all placed rings updates the residual. Returns the (M,) slot array, final
-    channel and refit precoder, and diagnostics.
+    slots in one matched filter), takes the best, and a rank-N update adds
+    the block. Returns the (M,) slot array and diagnostics. A (B, K, G)
+    dictionary takes (M, N) angles shared by every trial or (B, M, N) angles,
+    and its results carry the leading trial axis.
     """
+    n_trials, n_users, _ = dictionary.stacked.shape
     angles = np.atleast_2d(np.asarray(angles, dtype=int))
-    m_rings, n_elem = angles.shape
-    if any(len(set(ring.tolist())) != n_elem for ring in angles):
+    angles = np.broadcast_to(angles, (n_trials,) + angles.shape[-2:])
+    if not _distinct(angles):
         raise ValueError(f"a ring repeats an angle slot: {angles.tolist()}")
+    m_rings, n_elem = angles.shape[1:]
     g_h, g_v = dictionary.group_size, dictionary.n_groups
     if g_v < m_rings:
         raise ValueError(f"{g_v} height slots cannot host {m_rings} rings")
-    n_users = dictionary.entries.shape[0]
 
-    residual = np.eye(n_users, dtype=complex)
-    alive = np.ones(g_v, dtype=bool)
-    slots = np.empty(m_rings, dtype=int)
-    support: list[int] = []
-    objective_trace = []
+    state = GreedyState(n_trials, n_users, alpha)
+    alive = np.ones((n_trials, g_v), dtype=bool)
+    slots = np.empty((n_trials, m_rings), dtype=int)
+    objectives = []
     mf_columns = 0
-    H_sel = np.zeros((n_users, 0), dtype=complex)
-    F_sel = np.zeros((0, n_users), dtype=complex)
-
+    slot_columns = np.arange(g_v)[:, None] * g_h  # (G_V, 1)
     for m in range(m_rings):
-        live = np.flatnonzero(alive)
-        blocks = live[:, None] * g_h + angles[m]  # (live, N)
-        mf_columns += blocks.size
-        matched = dictionary.entries[:, blocks.ravel()].conj().T @ residual
-        scores = np.sum(np.abs(matched.reshape(len(live), -1)) ** 2, axis=1)
-        best = int(np.argmax(scores))
-        slots[m] = live[best]
-        alive[live[best]] = False
-        support.extend(blocks[best].tolist())
-        H_sel = dictionary.entries[:, support]
-        F_sel = rzf(H_sel, alpha)
-        residual = np.eye(n_users) - H_sel @ F_sel
-        objective_trace.append(rzf_objective(H_sel, F_sel, alpha))
+        mf_columns += int(alive[0].sum()) * n_elem
+        blocks = slot_columns + angles[:, m, None, :]  # (B, G_V, N)
+        best = state.pick(dictionary.rows(blocks.reshape(n_trials, -1)), alive,
+                          block=n_elem)
+        slots[:, m] = best
+        alive[np.arange(n_trials), best] = False
+        state.add(dictionary.rows(best[:, None] * g_h + angles[:, m]))
+        objectives.append(state.objective())
 
     diag = {
-        "objective_trace": objective_trace,
+        "objective_trace": np.stack(objectives, axis=1),
         "matched_filter_columns": mf_columns,
     }
-    return slots, H_sel, F_sel, diag
+    return _unstack(dictionary, slots, diag)
+
+
+def _unstack(dictionary: Dictionary, result: np.ndarray, diag: dict):
+    """Drop the trial axis again for a 2-D dictionary."""
+    if dictionary.entries.ndim == 3:
+        return result, diag
+    return result[0], {key: value if np.isscalar(value) else value[0]
+                       for key, value in diag.items()}
 
 
 def solve_alternating(dictionary: Dictionary, config: FclaConfig,
                       alpha: float, n_outer: int, power: float = 1.0,
-                      sigma2: float = 1.0,
-                      early_stop_tol: float | None = None) -> PlacementSolution:
+                      sigma2: float = 1.0, rate_trace: bool = False
+                      ) -> PlacementSolution | PlacementBatch:
     """Run the angle and height phases alternately for n_outer rounds.
 
-    Heights from one round seed the next round's angle phase. The sum rate of
-    each round's placement (with the refit precoder normalized to the power
-    budget) is recorded as a convergence trace; an optional relative-change
-    early stop on that trace is available but off by default.
+    Heights from one round seed the next round's angle phase. With
+    rate_trace, the sum rate of each round's placement (its refit precoder
+    normalized to the power budget) is recorded as "sum_rate_trace". A
+    (K, G) dictionary gives a PlacementSolution, a (B, K, G) one a
+    PlacementBatch of B solutions, each equal to solving its trial alone.
     """
     if n_outer < 1:
         raise ValueError("need at least one outer round")
     dictionary.check_capacity(config)
+    stacked = dataclasses.replace(dictionary, entries=dictionary.stacked)
+    entries = stacked.entries
+    g_h = dictionary.group_size
     slots = initial_heights(dictionary.n_groups, config.m_rings)
 
-    sum_rate_trace = []
     phase_objectives = []
+    sum_rates = []
     mf_columns = 0
-    angles = None
-    H_star = None
-    F_raw = None
-    final_objective = None
-
     for _ in range(n_outer):
-        angles, _, _, diag_a = optimize_angles(dictionary, slots, config, alpha)
-        slots, H_star, F_raw, diag_v = optimize_heights(dictionary, angles,
-                                                        config, alpha)
+        angles, diag_a = optimize_angles(stacked, slots, config, alpha)
+        slots, diag_v = optimize_heights(stacked, angles, config, alpha)
         mf_columns += diag_a["matched_filter_columns"] + diag_v["matched_filter_columns"]
-        phase_objectives.append({
-            "angle": diag_a["objective_trace"],
-            "height": diag_v["objective_trace"],
-        })
-        final_objective = diag_v["objective_trace"][-1]
-        rate = sinr(H_star, normalize_columns(F_raw, power, allow_zero=True),
-                    sigma2).sum_rate
-        sum_rate_trace.append(rate)
-        if (early_stop_tol is not None and len(sum_rate_trace) >= 2
-                and abs(sum_rate_trace[-1] - sum_rate_trace[-2])
-                < early_stop_tol * max(abs(sum_rate_trace[-2]), 1e-12)):
-            break
+        phase_objectives.append((diag_a["objective_trace"],
+                                 diag_v["objective_trace"]))
+        columns = slots[..., None] * g_h + angles  # (B, M, N)
+        if rate_trace:
+            sum_rates.append([
+                sinr(H, normalize_columns(rzf(H, alpha), power, allow_zero=True),
+                     sigma2).sum_rate
+                for H in _channels(entries, columns)
+            ])
 
-    F_star = normalize_columns(F_raw, power, allow_zero=True)
-    # column order of the final channel: ring-major blocks of N angles
-    columns = slots[:, None] * dictionary.group_size + angles
-    heights = dictionary.z[columns[:, 0]]
-    angle_values = dictionary.psi[columns]
-    placement = [(float(dictionary.psi[g]), float(dictionary.z[g]))
-                 for g in columns.ravel()]
-
-    return PlacementSolution(
-        heights=heights,
-        angles=angle_values,
-        placement=placement,
-        H_star=H_star,
-        F_star=F_star,
-        diagnostics={
-            "sum_rate_trace": sum_rate_trace,
-            "phase_objectives": phase_objectives,
-            "final_objective": final_objective,
-            "outer_iterations": len(sum_rate_trace),
+    solutions = []
+    for t, H_star in enumerate(_channels(entries, columns)):
+        diagnostics = {
+            "phase_objectives": [{"angle": a[t].tolist(), "height": v[t].tolist()}
+                                 for a, v in phase_objectives],
+            "final_objective": float(phase_objectives[-1][1][t, -1]),
             "matched_filter_columns": mf_columns,
-        },
-    )
+        }
+        if rate_trace:
+            diagnostics["sum_rate_trace"] = [rates[t] for rates in sum_rates]
+        solutions.append(PlacementSolution(
+            heights=dictionary.z[columns[t, :, 0]],
+            angles=dictionary.psi[columns[t]],
+            placement=[(float(dictionary.psi[g]), float(dictionary.z[g]))
+                       for g in columns[t].ravel()],
+            H_star=H_star,
+            F_star=normalize_columns(rzf(H_star, alpha), power, allow_zero=True),
+            diagnostics=diagnostics,
+        ))
+    return solutions[0] if dictionary.entries.ndim == 2 else PlacementBatch(solutions)
+
+
+def _channels(entries: np.ndarray, columns: np.ndarray) -> list:
+    """Each trial's channel at its (M, N) placement columns, in ring-major
+    blocks of N angles."""
+    return [trial[:, cols.ravel()] for trial, cols in zip(entries, columns)]

@@ -151,7 +151,8 @@ def synthesize_channel(paths: list[PathSet], placement,
 
 @dataclass
 class Dictionary:
-    """Responses at every candidate position as a dense K x G matrix.
+    """Responses at every candidate position as a dense K x G matrix, or a
+    B x K x G stack of them for B trials on the same grid.
 
     Columns are height-major: column slot * group_size + angle holds the
     response at (grid.psi[angle], grid.z[slot]), so a height slot is a group
@@ -163,9 +164,29 @@ class Dictionary:
     z: np.ndarray
     group_size: int
 
+    @classmethod
+    def stack(cls, dictionaries: list["Dictionary"]) -> "Dictionary":
+        """One B x K x G dictionary from B trials' dictionaries on one grid."""
+        first = dictionaries[0]
+        return cls(entries=np.stack([d.entries for d in dictionaries]),
+                   psi=first.psi, z=first.z, group_size=first.group_size)
+
+    @property
+    def stacked(self) -> np.ndarray:
+        """The entries with a leading trial axis (one trial if they are 2-D)."""
+        return self.entries if self.entries.ndim == 3 else self.entries[None]
+
     @property
     def n_columns(self) -> int:
-        return self.entries.shape[1]
+        return self.entries.shape[-1]
+
+    def rows(self, index: np.ndarray | None = None) -> np.ndarray:
+        """Conjugated columns as rows, (B, n, K): columns index[b] of each
+        trial b, or every column when index is None."""
+        entries = self.stacked
+        if index is not None:
+            entries = np.take_along_axis(entries, index[:, None, :], axis=2)
+        return np.ascontiguousarray(np.conj(np.swapaxes(entries, 1, 2)))
 
     @property
     def n_groups(self) -> int:

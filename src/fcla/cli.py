@@ -172,7 +172,7 @@ def _solve_once(args: argparse.Namespace) -> int:
         elif method == "fcla-a":
             sol = solve_alternating(dictionary, config, alpha,
                                     spec.outer_iters, power=power,
-                                    sigma2=sigma2)
+                                    sigma2=sigma2, rate_trace=True)
             rate = sinr(sol.H_star, sol.F_star, sigma2).sum_rate
             trace_path = out / "fcla_a_trace.csv"
             with open(trace_path, "w", newline="") as f:

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import __version__
 from .alternating import solve_alternating
-from .channel import build_joint_dictionary, draw_paths, synthesize_channel
+from .channel import (Dictionary, build_joint_dictionary, draw_paths,
+                      synthesize_channel)
 from .geometry import SPEED_OF_LIGHT, FclaConfig, build_grid, check_spacing
 from .joint import solve_joint
 from .pattern import PatternSpec
@@ -22,7 +23,10 @@ from .precoding import normalize_columns, rzf, sinr
 from .solution import PlacementSolution
 
 METHODS = ("ucla", "fcla-j", "fcla-a")
+GREEDY_METHODS = ("fcla-j", "fcla-a")
 SWEEP_KINDS = ("snr", "grid", "iters")
+# bytes of stacked dictionary entries (trials x users x columns) per batch
+BATCH_BYTES = 256 * 1024
 
 
 @dataclass
@@ -63,6 +67,13 @@ class ExperimentSpec:
         if not self.sweep_values:
             raise ValueError("sweep needs at least one point")
         self.sweep_values = tuple(float(v) for v in self.sweep_values)
+        alpha = self.alpha_value()
+        # the greedy solvers' inverse-Gram state exists only for alpha > 0
+        if set(self.methods) & set(GREEDY_METHODS) and not alpha > 0.0:
+            raise ValueError(
+                f"alpha must be > 0 for {', '.join(GREEDY_METHODS)} "
+                f"(got alpha={self.alpha!r}, noise_power={self.noise_power!r})"
+            )
 
     @property
     def wavelength(self) -> float:
@@ -88,7 +99,11 @@ class ExperimentSpec:
     def alpha_value(self) -> float:
         if self.alpha == "mmse":
             return self.noise_power
-        return float(self.alpha)
+        try:
+            return float(self.alpha)
+        except (TypeError, ValueError):
+            raise ValueError(f"alpha must be 'mmse' or a number, "
+                             f"got {self.alpha!r}") from None
 
     def power_for_snr(self, snr_db: float) -> float:
         return 10.0 ** (snr_db / 10.0) * self.noise_power
@@ -186,14 +201,19 @@ def _rate_at_solution(solution: PlacementSolution, config: FclaConfig,
     return sinr(solution.H_star, F, sigma2).sum_rate
 
 
-def run_trial(spec: ExperimentSpec, point_index: int, trial_index: int,
+def run_trial(spec: ExperimentSpec, point_index: int, trial_index,
               grid_size: int | None = None, snr_db: float | None = None,
-              n_outer: int | None = None, want_trace: bool = False) -> dict:
-    """One paired trial: every requested method on the same channel draw.
+              n_outer: int | None = None, want_trace: bool = False):
+    """Paired trials: every requested method on the same channel draw.
 
-    Returns method name -> sum rate; with want_trace the alternating solver's
-    per-round sum rates are included under "fcla-a-trace".
+    trial_index is one trial index or a sequence of them at the same sweep
+    point; the flexible solvers run them as one stacked batch. Returns, per
+    trial, a dict of method name -> sum rate (a list of them for a sequence);
+    with want_trace the alternating solver's per-round sum rates are
+    included under "fcla-a-trace".
     """
+    single = np.ndim(trial_index) == 0
+    trials = [trial_index] if single else trial_index
     grid_size = grid_size if grid_size is not None else spec.grid_size
     snr_db = snr_db if snr_db is not None else spec.snr_db
     n_outer = n_outer if n_outer is not None else spec.outer_iters
@@ -202,46 +222,85 @@ def run_trial(spec: ExperimentSpec, point_index: int, trial_index: int,
     power = spec.power_for_snr(snr_db)
     sigma2 = spec.noise_power
 
-    seed = _trial_seed(spec.seed, point_index, trial_index)
-    paths = draw_paths(spec.users, spec.paths, seed)
+    paths = [draw_paths(spec.users, spec.paths,
+                        _trial_seed(spec.seed, point_index, t))
+             for t in trials]
     # one dictionary per trial, shared by both flexible solvers
-    dictionary = (build_joint_dictionary(paths, build_grid(config), config)
-                  if set(spec.methods) - {"ucla"} else None)
+    if set(spec.methods) & set(GREEDY_METHODS):
+        grid = build_grid(config)
+        dictionary = Dictionary.stack([build_joint_dictionary(p, grid, config)
+                                       for p in paths])
 
-    out: dict = {}
+    out: list[dict] = [{} for _ in paths]
     for method in spec.methods:
         if method == "ucla":
-            _, _, report = ucla_baseline(paths, config, alpha, power, sigma2)
-            out[method] = report.sum_rate
+            for trial, trial_paths in zip(out, paths):
+                _, _, report = ucla_baseline(trial_paths, config, alpha, power,
+                                             sigma2)
+                trial[method] = report.sum_rate
         elif method == "fcla-j":
-            solution = solve_joint(dictionary, config, alpha, power=power)
-            out[method] = _rate_at_solution(solution, config, power, sigma2)
+            batch = solve_joint(dictionary, config, alpha, power=power)
+            for trial, solution in zip(out, batch):
+                trial[method] = _rate_at_solution(solution, config, power, sigma2)
         elif method == "fcla-a":
-            solution = solve_alternating(dictionary, config, alpha, n_outer,
-                                         power=power, sigma2=sigma2)
-            out[method] = _rate_at_solution(solution, config, power, sigma2)
-            if want_trace:
-                out["fcla-a-trace"] = list(solution.diagnostics["sum_rate_trace"])
-    return out
+            batch = solve_alternating(dictionary, config, alpha, n_outer,
+                                      power=power, sigma2=sigma2,
+                                      rate_trace=want_trace)
+            for trial, solution in zip(out, batch):
+                trial[method] = _rate_at_solution(solution, config, power, sigma2)
+                if want_trace:
+                    trial["fcla-a-trace"] = list(
+                        solution.diagnostics["sum_rate_trace"])
+    return out[0] if single else out
 
 
 def _sweep_work(args):
-    spec_dict, point_index, trial_index, kwargs = args
+    """Results of one batch of trials, one per trial in order. If the batch
+    raises, its trials run again one at a time, so only a trial that fails on
+    its own comes back as an exception (tagged with its point and trial)."""
+    spec_dict, point_index, trial_indices, kwargs = args
     spec = ExperimentSpec.from_dict(spec_dict)
     try:
-        return run_trial(spec, point_index, trial_index, **kwargs)
-    except Exception as exc:  # reported by the sweep, which keeps going
+        return run_trial(spec, point_index, trial_indices, **kwargs)
+    except Exception:
+        return [_run_alone(spec, point_index, t, kwargs) for t in trial_indices]
+
+
+def _run_alone(spec: ExperimentSpec, point_index: int, trial_index: int,
+               kwargs: dict):
+    """One trial run alone: its results, or its exception (reported by the
+    sweep, which keeps going)."""
+    try:
+        return run_trial(spec, point_index, [trial_index], **kwargs)[0]
+    except Exception as exc:
         exc.trial_context = (point_index, trial_index)
         return exc
 
 
-def _map_trials(spec: ExperimentSpec, work_items):
-    """Evaluate trial work items, in order, optionally on a process pool."""
-    args = [(spec.to_dict(),) + item for item in work_items]
+def _batches(spec: ExperimentSpec, grid_size: int) -> list[list[int]]:
+    """A sweep point's trial indices, split into batches whose stacked
+    dictionaries fit BATCH_BYTES. The batch count is a multiple of spec.jobs
+    (unless there are fewer trials), so every worker gets an equal share."""
+    per_trial = np.dtype(complex).itemsize * spec.users * grid_size ** 2
+    size = max(1, BATCH_BYTES // per_trial)
+    rounds = -(-spec.trials // (size * spec.jobs))
+    n_batches = min(spec.trials, rounds * spec.jobs)
+    return [b.tolist() for b in np.array_split(np.arange(spec.trials), n_batches)]
+
+
+def _map_trials(spec: ExperimentSpec, point_index: int, kwargs: dict) -> list:
+    """Results of every trial of one sweep point (run_trial's keyword
+    arguments in kwargs), in trial order, with a failed trial's exception in
+    its place; batches run in order, optionally on a process pool."""
+    grid_size = kwargs.get("grid_size", spec.grid_size)
+    args = [(spec.to_dict(), point_index, batch, kwargs)
+            for batch in _batches(spec, grid_size)]
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            return list(pool.map(_sweep_work, args))
-    return [_sweep_work(a) for a in args]
+            results = list(pool.map(_sweep_work, args))
+    else:
+        results = [_sweep_work(a) for a in args]
+    return [trial for batch in results for trial in batch]
 
 
 def _mean_stderr(values: np.ndarray):
@@ -279,10 +338,10 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
             kwargs = {"snr_db": value}
         else:
             kwargs = {"grid_size": int(value)}
-        items = [(point_index, t, kwargs) for t in range(spec.trials)]
         per_method: dict[str, list[float]] = {m: [] for m in spec.methods}
         point_failures = []
-        for trial_index, result in enumerate(_map_trials(spec, items)):
+        outcomes = _map_trials(spec, point_index, kwargs)
+        for trial_index, result in enumerate(outcomes):
             if isinstance(result, Exception):
                 point_failures.append((value, trial_index, result))
                 continue
@@ -313,9 +372,7 @@ def _run_iters_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     if "fcla-a" not in spec.methods:
         raise ValueError("an iteration sweep needs the fcla-a method")
     max_iters = max(points)
-    items = [(0, t, {"n_outer": max_iters, "want_trace": True})
-             for t in range(spec.trials)]
-    outcomes = _map_trials(spec, items)
+    outcomes = _map_trials(spec, 0, {"n_outer": max_iters, "want_trace": True})
     results = [r for r in outcomes if not isinstance(r, Exception)]
     if len(results) < spec.trials:
         print(f"warning: {spec.trials - len(results)} trial(s) failed")

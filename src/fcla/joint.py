@@ -1,10 +1,14 @@
 """Joint angle/height placement: greedy matching over the full position
-dictionary with regularized least-squares refits and group bookkeeping.
+dictionary with regularized least-squares updates and group bookkeeping.
 
 One atom is selected per iteration. A height slot whose selected-atom count
 reaches the per-ring element count becomes a completed group and its leftover
 candidates are retired. Matching may therefore pick more atoms than finally
 needed; atoms of never-completed groups are dropped before the final refit.
+
+Dictionaries with a leading trial axis are solved as one batch: every trial
+runs the same steps on its own inverse-Gram state, and a trial that has
+completed its groups stops recording picks while the others go on.
 """
 
 from __future__ import annotations
@@ -13,85 +17,92 @@ import numpy as np
 
 from .channel import Dictionary
 from .geometry import FclaConfig
-from .precoding import normalize_columns, rzf, rzf_objective
-from .solution import PlacementSolution
-
-
-def match_atom(dictionary: Dictionary, residual: np.ndarray, candidates,
-               norm: str = "l2sq") -> int:
-    """Candidate column with the largest matched-filter response to the residual.
-
-    The response of column g is the row vector column_g^H @ residual; its
-    squared Euclidean norm is the default score ("l2sq"), with an absolute-sum
-    variant behind norm="l1". Ties go to the lowest column index.
-    """
-    candidates = np.asarray(candidates, dtype=int)
-    if candidates.size == 0:
-        raise ValueError("candidate set is empty")
-    matched = dictionary.entries[:, candidates].conj().T @ residual
-    if norm == "l2sq":
-        scores = np.sum(np.abs(matched) ** 2, axis=1)
-    elif norm == "l1":
-        scores = np.sum(np.abs(matched), axis=1)
-    else:
-        raise ValueError(f"unknown matching norm {norm!r}")
-    return int(candidates[np.argmax(scores)])
+from .precoding import GreedyState, normalize_columns, rzf, rzf_objective
+from .solution import PlacementBatch, PlacementSolution
 
 
 def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
-                power: float = 1.0, matching_norm: str = "l2sq") -> PlacementSolution:
+                power: float = 1.0) -> PlacementSolution | PlacementBatch:
     """Greedy joint selection of ring heights and element angles.
 
-    Iterates: match the best live atom, refit the precoder on everything
-    selected so far, update the residual, and retire any height group that
-    just filled up. Stops once M groups are complete, keeps only their atoms,
-    and refits the final precoder on that support before normalizing columns.
+    Iterates: match the best live atom against the residual, add it to the
+    inverse-Gram state, and retire any height group that just filled up.
+    Stops once M groups are complete, keeps only their atoms, and refits the
+    final precoder on that support before normalizing columns. A (K, G)
+    dictionary gives a PlacementSolution, a (B, K, G) one a PlacementBatch of
+    B solutions, each equal to solving its trial alone.
     """
     dictionary.check_capacity(config)
     m_rings, n_elem = config.m_rings, config.n_elements
     g_h = dictionary.group_size
     g_v = dictionary.n_groups
-    n_users = dictionary.entries.shape[0]
+    entries = dictionary.stacked
+    rows = dictionary.rows()
+    n_trials, n_users, n_columns = entries.shape
+    trials = np.arange(n_trials)
 
-    residual = np.eye(n_users, dtype=complex)
-    alive = np.ones(dictionary.n_columns, dtype=bool)
-    support: list[int] = []
-    counts = np.zeros(g_v, dtype=int)
-    complete: list[int] = []
-    trace = []  # (iteration, column, group, objective)
-    mf_columns = 0
+    state = GreedyState(n_trials, n_users, alpha)
+    alive = np.ones((n_trials, n_columns), dtype=bool)
+    counts = np.zeros((n_trials, g_v), dtype=int)
+    completed_at = np.full((n_trials, g_v), -1)  # step that filled each group
+    iterations = np.zeros(n_trials, dtype=int)  # 0 while a trial is running
+    picks, objectives = [], []
+    mf_columns = np.zeros(n_trials, dtype=int)
 
-    for _ in range(dictionary.n_columns):
-        candidates = np.flatnonzero(alive)
-        mf_columns += len(candidates)
-        best = match_atom(dictionary, residual, candidates, norm=matching_norm)
-        support.append(best)
-        alive[best] = False
+    for step in range(n_columns):
+        running = iterations == 0
+        mf_columns[running] += alive[running].sum(axis=1)
+        # finished trials keep picking; their picks are dropped and their
+        # atoms zeroed, which leaves their state as it was
+        best = state.pick(rows, alive | ~running[:, None])
+        atoms = rows[trials, best][:, None]
+        atoms[~running] = 0.0
+        state.add(atoms)
+        picks.append(best)
+        objectives.append(state.objective())
 
-        H_sel = dictionary.entries[:, support]
-        F_sel = rzf(H_sel, alpha)
-        residual = np.eye(n_users) - H_sel @ F_sel
-        objective = rzf_objective(H_sel, F_sel, alpha)
-
-        group = best // g_h
-        counts[group] += 1
-        if counts[group] == n_elem:
-            complete.append(group)
-            alive[group * g_h:(group + 1) * g_h] = False
-        trace.append((len(support), best, group, objective))
-        if len(complete) == m_rings:
+        b, group = trials[running], best[running] // g_h
+        alive[b, best[running]] = False
+        counts[b, group] += 1
+        filled = counts[b, group] == n_elem
+        b, group = b[filled], group[filled]
+        alive.reshape(n_trials, g_v, g_h)[b, group] = False
+        completed_at[b, group] = step
+        done = (completed_at[b] >= 0).sum(axis=1) == m_rings
+        iterations[b[done]] = step + 1
+        if iterations.all():
             break
     else:
         raise RuntimeError("candidate set exhausted before enough groups filled")
 
+    picks, objectives = np.array(picks), np.array(objectives)
+    solutions = [
+        _solution(dictionary, entries[t], picks[:iterations[t], t].tolist(),
+                  objectives[:iterations[t], t].tolist(), completed_at[t],
+                  config, alpha, power, int(mf_columns[t]))
+        for t in trials
+    ]
+    return solutions[0] if dictionary.entries.ndim == 2 else PlacementBatch(solutions)
+
+
+def _solution(dictionary: Dictionary, entries: np.ndarray, support: list,
+              objective_trace: list, completed_at: np.ndarray,
+              config: FclaConfig, alpha: float, power: float,
+              mf_columns: int) -> PlacementSolution:
+    """One trial's result from its picks: keep the atoms of the completed
+    groups and refit the precoder on them."""
+    g_h = dictionary.group_size
+    filled = np.flatnonzero(completed_at >= 0)
+    complete = filled[np.argsort(completed_at[filled])].tolist()
     kept = set(complete)
     final_support = [g for g in support if g // g_h in kept]
-    if len(final_support) != m_rings * n_elem:
+    if len(final_support) != config.m_rings * config.n_elements:
         raise RuntimeError(
-            f"kept {len(final_support)} atoms, expected {m_rings * n_elem}"
+            f"kept {len(final_support)} atoms, expected "
+            f"{config.m_rings * config.n_elements}"
         )
 
-    H_star = dictionary.entries[:, final_support]
+    H_star = entries[:, final_support]
     F_raw = rzf(H_star, alpha, gram="k")
     final_objective = rzf_objective(H_star, F_raw, alpha)
     F_star = normalize_columns(F_raw, power, allow_zero=True)
@@ -103,6 +114,8 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
         [float(dictionary.psi[g]) for g in final_support if g // g_h == m]
         for m in complete
     ])
+    trace = [(i + 1, g, g // g_h, objective)
+             for i, (g, objective) in enumerate(zip(support, objective_trace))]
 
     return PlacementSolution(
         heights=heights,
@@ -113,9 +126,9 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
         diagnostics={
             "iterations": len(support),
             "trace": trace,
-            "objective_trace": [row[3] for row in trace],
+            "objective_trace": objective_trace,
             "final_objective": final_objective,
-            "support": list(support),
+            "support": support,
             "final_support": final_support,
             "matched_filter_columns": mf_columns,
         },

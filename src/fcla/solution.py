@@ -1,4 +1,4 @@
-"""Result container shared by the placement solvers."""
+"""Result containers shared by the placement solvers."""
 
 from __future__ import annotations
 
@@ -32,3 +32,24 @@ class PlacementSolution:
     @property
     def n_antennas(self) -> int:
         return len(self.placement)
+
+
+class PlacementBatch(list):
+    """The PlacementSolution of each trial of a stack, in trial order.
+
+    diagnostics totals the batch's work under the per-trial keys: counts
+    ("iterations", "matched_filter_columns") are summed and supports
+    ("support", "final_support") concatenated, for those keys the solutions
+    carry.
+    """
+
+    @property
+    def diagnostics(self) -> dict:
+        totals = {}
+        for key in ("iterations", "matched_filter_columns"):
+            if key in self[0].diagnostics:
+                totals[key] = sum(s.diagnostics[key] for s in self)
+        for key in ("support", "final_support"):
+            if key in self[0].diagnostics:
+                totals[key] = [g for s in self for g in s.diagnostics[key]]
+        return totals

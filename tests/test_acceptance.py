@@ -58,8 +58,8 @@ def reference_runs(pattern_kind):
     spec = reference_scale_spec(pattern_kind)
     config = spec.config_for_grid(spec.grid_size)
     ucla, joint, alt5, alt10, gain = [], [], [], [], []
-    for t in range(TRIALS):
-        out = run_trial(spec, 0, t, n_outer=10, want_trace=True)
+    outs = run_trial(spec, 0, range(TRIALS), n_outer=10, want_trace=True)
+    for t, out in enumerate(outs):
         ucla.append(out["ucla"])
         joint.append(out["fcla-j"])
         alt5.append(out["fcla-a-trace"][4])

@@ -110,6 +110,22 @@ def test_invalid_grid_rejected(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_zero_forcing_rejected_for_greedy_methods(tmp_path, capsys):
+    code = parse_and_dispatch(["sweep-snr", "--out", str(tmp_path),
+                               "--snr", "0", "--alpha", "0"] + SMALL)
+    assert code == 2
+    assert "alpha" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_zero_forcing_runs_for_ucla(tmp_path):
+    assert parse_and_dispatch(["sweep-snr", "--out", str(tmp_path),
+                               "--snr", "0", "--alpha", "0",
+                               "--methods", "ucla"] + SMALL) == 0
+    lines = (tmp_path / "results.csv").read_text().strip().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("ucla,")
+
+
 def test_bad_config_file_rejected(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")

@@ -7,9 +7,9 @@ import pytest
 from fcla import __version__, harness
 from fcla.channel import draw_paths, synthesize_channel
 from fcla.geometry import check_spacing
-from fcla.harness import (ExperimentSpec, run_sweep, run_trial, ucla_baseline,
-                          ucla_config, ucla_placement, write_manifest,
-                          write_results_csv)
+from fcla.harness import (METHODS, ExperimentSpec, run_sweep, run_trial,
+                          ucla_baseline, ucla_config, ucla_placement,
+                          write_manifest, write_results_csv)
 
 
 def small_spec(**kw):
@@ -53,6 +53,29 @@ class TestSpec:
         data["trails"] = 5
         with pytest.raises(ValueError, match="trails"):
             ExperimentSpec.from_dict(data)
+
+    @pytest.mark.parametrize("methods", [("fcla-j",), ("ucla", "fcla-a")])
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    def test_rejects_zero_forcing_for_greedy_methods(self, methods, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            small_spec(alpha=alpha, methods=methods)
+        data = dict(small_spec(methods=methods).to_dict(), alpha=alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            ExperimentSpec.from_dict(data)
+
+    @pytest.mark.parametrize("methods", [("ucla",), METHODS])
+    def test_rejects_alpha_that_is_not_a_number(self, methods):
+        with pytest.raises(ValueError, match="alpha"):
+            small_spec(alpha="mmsee", methods=methods)
+
+    def test_rejects_zero_mmse_regularization(self):
+        with pytest.raises(ValueError, match="alpha"):
+            small_spec(noise_power=0.0)
+
+    def test_ucla_keeps_zero_forcing(self):
+        spec = small_spec(alpha=0.0, methods=("ucla",), trials=3)
+        rows = run_sweep(spec)
+        assert rows[0].trials == 3 and np.isfinite(rows[0].mean_sum_rate)
 
     def test_warns_on_other_version(self):
         data = dict(small_spec().to_dict(), version="0.0.0-other")
@@ -98,6 +121,24 @@ class TestUclaBaseline:
 
 
 class TestRunTrial:
+    def test_batch_matches_single_trials(self):
+        spec = small_spec()
+        batch = run_trial(spec, 1, [4, 0, 2], n_outer=3, want_trace=True)
+        assert batch == [run_trial(spec, 1, t, n_outer=3, want_trace=True)
+                         for t in (4, 0, 2)]
+
+    def test_batches_split_by_bytes_and_jobs(self):
+        per_trial = 16 * 16 * 12 ** 2
+        spec = small_spec(users=16, grid_size=12, trials=30)
+        sizes = [len(b) for b in harness._batches(spec, 12)]
+        assert sum(sizes) == 30 and max(sizes) * per_trial <= harness.BATCH_BYTES
+        pooled = harness._batches(small_spec(users=16, trials=30, jobs=2), 12)
+        assert [len(b) for b in pooled] == [5] * 6
+        assert len(harness._batches(small_spec(trials=3, jobs=2), 6)) == 2
+        assert len(harness._batches(small_spec(trials=1, jobs=2), 6)) == 1
+        assert [len(b) for b in harness._batches(
+            small_spec(users=16, trials=3), 64)] == [1, 1, 1]
+
     def test_deterministic(self):
         spec = small_spec()
         a = run_trial(spec, 0, 3)
@@ -174,10 +215,10 @@ class TestRunSweep:
         assert serial == parallel
 
     def test_point_with_every_trial_failed_aborts(self, monkeypatch):
-        def flaky(spec, point_index, trial_index, **kwargs):
+        def flaky(spec, point_index, trial_indices, **kwargs):
             if point_index == 1:
-                raise FloatingPointError(f"trial {trial_index} diverged")
-            return {m: 1.0 for m in spec.methods}
+                raise FloatingPointError(f"trial {trial_indices[0]} diverged")
+            return [{m: 1.0 for m in spec.methods} for _ in trial_indices]
 
         monkeypatch.setattr(harness, "run_trial", flaky)
         spec = small_spec(trials=3, sweep_values=(0.0, 6.0), jobs=1)
@@ -187,9 +228,50 @@ class TestRunSweep:
         assert "snr=6" in message and "all 3 trial(s)" in message
         assert "trial 0 diverged" in message
 
+    def test_failed_trial_in_a_batch_is_reported_alone(self, monkeypatch,
+                                                       capsys):
+        spec = small_spec(trials=6, jobs=1)
+        want = [run_trial(spec, 0, t) for t in range(6)]
+        failing = set()
+        draw, build = harness.draw_paths, harness.build_joint_dictionary
+
+        def marking_draw(n_users, n_paths, seed):
+            paths = draw(n_users, n_paths, seed)
+            if list(seed.entropy)[-1] == 2:
+                failing.add(id(paths))
+            return paths
+
+        def failing_build(paths, grid, config):
+            if id(paths) in failing:
+                raise FloatingPointError("trial 2 diverged")
+            return build(paths, grid, config)
+
+        batches = []
+        run = harness.run_trial
+
+        def recording_run(spec, point_index, trial_indices, **kwargs):
+            batches.append(list(trial_indices))
+            return run(spec, point_index, trial_indices, **kwargs)
+
+        monkeypatch.setattr(harness, "draw_paths", marking_draw)
+        monkeypatch.setattr(harness, "build_joint_dictionary", failing_build)
+        monkeypatch.setattr(harness, "run_trial", recording_run)
+        rows = run_sweep(spec)
+        # the batch of all six fails, then each trial runs on its own
+        assert batches == [[0, 1, 2, 3, 4, 5], [0], [1], [2], [3], [4], [5]]
+        kept = [out for t, out in enumerate(want) if t != 2]
+        for row in rows:
+            assert row.trials == 5
+            assert row.mean_sum_rate == np.mean([out[row.method]
+                                                 for out in kept])
+        printed = capsys.readouterr().out
+        assert "1 trial(s) failed" in printed
+        assert "trial 2: trial 2 diverged" in printed
+
     def test_every_trial_satisfies_solution_invariants(self, monkeypatch):
         drawn = []
         checked = {"fcla-j": 0, "fcla-a": 0}
+        batch_sizes = []
         draw = harness.draw_paths
 
         def recording_draw(*args):
@@ -198,10 +280,13 @@ class TestRunSweep:
 
         def checked_solver(name, solver):
             def run(dictionary, config, *args, **kwargs):
-                solution = solver(dictionary, config, *args, **kwargs)
-                check_solution(drawn[-1], solution, config, kwargs["power"])
-                checked[name] += 1
-                return solution
+                batch = solver(dictionary, config, *args, **kwargs)
+                # a batch's paths are the last ones drawn, in trial order
+                for paths, solution in zip(drawn[-len(batch):], batch):
+                    check_solution(paths, solution, config, kwargs["power"])
+                    checked[name] += 1
+                batch_sizes.append(len(batch))
+                return batch
             return run
 
         monkeypatch.setattr(harness, "draw_paths", recording_draw)
@@ -213,6 +298,7 @@ class TestRunSweep:
                           jobs=1)
         run_sweep(spec)
         assert checked == {"fcla-j": 12, "fcla-a": 12}
+        assert batch_sizes == [6] * 4
 
 
 def check_solution(paths, solution, config, power):

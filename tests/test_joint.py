@@ -3,7 +3,7 @@ import pytest
 
 from fcla.channel import Dictionary, build_joint_dictionary, draw_paths
 from fcla.geometry import FclaConfig, build_grid, check_spacing
-from fcla.joint import match_atom, solve_joint
+from fcla.joint import solve_joint
 from fcla.oracle import exhaustive_best
 from fcla.pattern import PatternSpec
 from fcla.precoding import rzf_objective
@@ -25,46 +25,6 @@ def tiny_dictionary(columns, g_h, g_v):
     psi = np.tile(np.arange(g_h) * (2.0 * np.pi / g_h), g_v)
     z = np.repeat(np.arange(g_v) * 0.05, g_h)
     return Dictionary(entries=entries, psi=psi, z=z, group_size=g_h)
-
-
-class TestMatchAtom:
-    def test_identity_residual_reduces_to_column_norms(self):
-        _, _, _, d = make_setup()
-        residual = np.eye(4, dtype=complex)
-        candidates = np.arange(d.n_columns)
-        best = match_atom(d, residual, candidates)
-        norms = np.linalg.norm(d.entries, axis=0) ** 2
-        assert best == int(np.argmax(norms))
-
-    def test_single_candidate(self):
-        _, _, _, d = make_setup()
-        assert match_atom(d, np.eye(4, dtype=complex), [5]) == 5
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(3)
-        _, _, _, d = make_setup(users=4, g_h=4, g_v=3)
-        residual = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        candidates = np.array([1, 2, 5, 7, 8, 11])
-        scores = {}
-        for g in candidates:
-            row = d.entries[:, g].conj() @ residual
-            scores[g] = float(np.sum(np.abs(row) ** 2))
-        want = max(sorted(scores), key=lambda g: scores[g])
-        assert match_atom(d, residual, candidates) == want
-
-    def test_l1_option(self):
-        rng = np.random.default_rng(4)
-        _, _, _, d = make_setup()
-        residual = rng.standard_normal((4, 4)) + 0j
-        candidates = np.arange(d.n_columns)
-        scores = [float(np.sum(np.abs(d.entries[:, g].conj() @ residual)))
-                  for g in candidates]
-        assert match_atom(d, residual, candidates, norm="l1") == int(np.argmax(scores))
-
-    def test_empty_candidates(self):
-        _, _, _, d = make_setup()
-        with pytest.raises(ValueError):
-            match_atom(d, np.eye(4, dtype=complex), [])
 
 
 class TestGroupCompletion:
@@ -158,3 +118,51 @@ class TestSolveJoint:
                                            wavelength=0.1)
         with pytest.raises(ValueError):
             solve_joint(too_few_slots, three_rings, alpha=1.0)
+
+
+class TestStackedTrials:
+    """A (B, K, G) dictionary solves every trial as if it were alone."""
+
+    @pytest.mark.parametrize("n_trials", [1, 3, 8])
+    @pytest.mark.parametrize("pattern", [PatternSpec.omni(),
+                                         PatternSpec.directional(1.0)])
+    def test_stack_matches_one_at_a_time(self, n_trials, pattern):
+        config = FclaConfig.from_grid(3, 2, 5, 6, d_min=0.05, wavelength=0.1,
+                                      pattern=pattern)
+        grid = build_grid(config)
+        single = [build_joint_dictionary(
+            draw_paths(6, 3, np.random.SeedSequence([n_trials, t])), grid,
+            config) for t in range(n_trials)]
+        batch = solve_joint(Dictionary.stack(single), config, 0.7, power=2.0)
+        assert len(batch) == n_trials
+        for d, got in zip(single, batch):
+            want = solve_joint(d, config, 0.7, power=2.0)
+            assert got.diagnostics["support"] == want.diagnostics["support"]
+            assert np.array_equal(got.H_star, want.H_star)
+            assert np.array_equal(got.F_star, want.F_star)
+            assert got.diagnostics == want.diagnostics
+        totals = batch.diagnostics
+        assert totals["iterations"] == sum(s.diagnostics["iterations"]
+                                           for s in batch)
+        assert totals["final_support"] == [g for s in batch
+                                           for g in s.diagnostics["final_support"]]
+
+    @pytest.mark.parametrize("pattern", [PatternSpec.omni(),
+                                         PatternSpec.directional(1.0)])
+    def test_trials_finish_at_different_steps(self, pattern):
+        # the grid of test_stack_matches_one_at_a_time: trials of one batch
+        # run different iteration counts, so finished trials must stay frozen
+        config = FclaConfig.from_grid(3, 2, 5, 6, d_min=0.05, wavelength=0.1,
+                                      pattern=pattern)
+        grid = build_grid(config)
+        stacked = Dictionary.stack([build_joint_dictionary(
+            draw_paths(6, 3, np.random.SeedSequence([8, t])), grid, config)
+            for t in range(8)])
+        iterations = [s.diagnostics["iterations"]
+                      for s in solve_joint(stacked, config, 0.7)]
+        assert len(set(iterations)) > 1
+
+    def test_rejects_zero_forcing(self):
+        config, _, _, d = make_setup()
+        with pytest.raises(ValueError, match="alpha"):
+            solve_joint(d, config, alpha=0.0)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fcla.precoding import (RateReport, SingularMatrixError, normalize_columns,
-                            rzf, rzf_objective, sinr)
+from fcla.precoding import (GreedyState, RateReport, SingularMatrixError,
+                            normalize_columns, rzf, rzf_objective, sinr)
 
 
 def solve_gauss(A, B):
@@ -235,3 +235,140 @@ def test_rate_report_fields():
     report = sinr(np.eye(2, dtype=complex), np.eye(2, dtype=complex), 2.0)
     assert isinstance(report, RateReport)
     assert report.sum_rate == pytest.approx(float(report.rates.sum()))
+
+
+def rows_of(columns):
+    """Conjugated columns stacked as rows, with a leading trial axis."""
+    return np.conj(columns.T)[None]
+
+
+class TestGreedyState:
+    """The inverse-Gram state against a refit with rzf after every update."""
+
+    def test_matches_refit_over_random_updates(self):
+        rng = np.random.default_rng(10)
+        for _ in range(25):
+            k = int(rng.integers(1, 9))
+            alpha = float(rng.uniform(0.05, 3.0))
+            state = GreedyState(1, k, alpha)
+            H = np.zeros((k, 0), dtype=complex)
+            candidates = random_channel(rng, k, 7)
+            for _ in range(int(rng.integers(1, 5))):
+                block = random_channel(rng, k, int(rng.integers(1, 4)))
+                state.add(rows_of(block))
+                H = np.hstack([H, block])
+                F = rzf(H, alpha)
+                residual = np.eye(k) - H @ F
+                assert np.max(np.abs(alpha * state.inverse[0] - residual)) < 1e-12
+                objective = rzf_objective(H, F, alpha)
+                assert abs(state.objective()[0] - objective) < 1e-12 * objective
+                # the matched filter against the residual, up to alpha^2
+                want = np.sum(np.abs(candidates.conj().T @ residual) ** 2, axis=1)
+                got = alpha ** 2 * state.scores(rows_of(candidates))[0]
+                assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, want.max())
+
+    def test_fresh_state_is_the_empty_selection(self):
+        state = GreedyState(2, 3, 0.5)
+        assert np.array_equal(state.inverse, np.stack([np.eye(3) / 0.5] * 2))
+        # nothing picked: the residual is I, so the objective is ||I||^2 = K
+        assert np.allclose(state.objective(), [3.0, 3.0])
+
+    def test_batch_equals_batches_of_one(self):
+        rng = np.random.default_rng(11)
+        n_trials, k = 5, 6
+        blocks = [random_channel(rng, n_trials * k, 2).reshape(n_trials, k, 2)
+                  for _ in range(4)]
+        candidates = random_channel(rng, n_trials * k, 9).reshape(n_trials, k, 9)
+        rows = np.conj(np.swapaxes(candidates, 1, 2))
+        batch = GreedyState(n_trials, k, 0.8)
+        alone = [GreedyState(1, k, 0.8) for _ in range(n_trials)]
+        for block in blocks:
+            block_rows = np.conj(np.swapaxes(block, 1, 2))
+            batch.add(block_rows)
+            for t, state in enumerate(alone):
+                state.add(block_rows[t:t + 1])
+        live = rng.random((n_trials, 9)) < 0.6
+        live[:, 0] = True
+        picks = batch.pick(rows, live)
+        for t, state in enumerate(alone):
+            assert np.array_equal(batch.inverse[t], state.inverse[0])
+            assert np.array_equal(batch.scores(rows)[t],
+                                  state.scores(rows[t:t + 1])[0])
+            assert batch.objective()[t] == state.objective()[0]
+            assert picks[t] == state.pick(rows[t:t + 1], live[t:t + 1])[0]
+
+    def test_zero_rows_leave_a_trial_unchanged(self):
+        rng = np.random.default_rng(12)
+        state = GreedyState(2, 4, 1.0)
+        state.add(rows_of(random_channel(rng, 4, 2)).repeat(2, axis=0))
+        before = state.inverse.copy()
+        rows = np.conj(np.swapaxes(random_channel(rng, 8, 1).reshape(2, 4, 1),
+                                   1, 2))
+        rows[1] = 0.0
+        state.add(rows)
+        assert np.array_equal(state.inverse[1], before[1])
+        assert not np.array_equal(state.inverse[0], before[0])
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    def test_rejects_zero_forcing(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            GreedyState(1, 3, alpha)
+
+
+class TestGreedyPick:
+    """Candidate choice: the largest score among live candidates, the lowest
+    index on ties."""
+
+    def test_fresh_state_picks_largest_column(self):
+        rng = np.random.default_rng(13)
+        columns = random_channel(rng, 4, 10)
+        best = GreedyState(1, 4, 1.0).pick(rows_of(columns),
+                                           np.ones((1, 10), dtype=bool))
+        norms = np.linalg.norm(columns, axis=0) ** 2
+        assert best[0] == int(np.argmax(norms))
+
+    def test_single_live_candidate(self):
+        rng = np.random.default_rng(14)
+        live = np.zeros((1, 8), dtype=bool)
+        live[0, 5] = True
+        state = GreedyState(1, 4, 1.0)
+        assert state.pick(rows_of(random_channel(rng, 4, 8)), live)[0] == 5
+
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(3)
+        alpha = 0.6
+        picked = random_channel(rng, 4, 2)
+        residual = np.eye(4) - picked @ rzf(picked, alpha)
+        columns = random_channel(rng, 4, 12)
+        candidates = [1, 2, 5, 7, 8, 11]
+        scores = {g: float(np.sum(np.abs(columns[:, g].conj() @ residual) ** 2))
+                  for g in candidates}
+        want = max(sorted(scores), key=lambda g: scores[g])
+        state = GreedyState(1, 4, alpha)
+        state.add(rows_of(picked))
+        live = np.isin(np.arange(12), candidates)[None]
+        assert state.pick(rows_of(columns), live)[0] == want
+
+    def test_ties_go_to_lowest_index(self):
+        column = np.array([1.0, 2.0j, -1.0])
+        columns = np.stack([0.5 * column, column, column, column], axis=1)
+        live = np.array([[True, False, True, True]])
+        assert GreedyState(1, 3, 1.0).pick(rows_of(columns), live)[0] == 2
+
+    def test_blocks_score_their_summed_columns(self):
+        rng = np.random.default_rng(15)
+        columns = random_channel(rng, 3, 6)  # three blocks of two columns
+        state = GreedyState(1, 3, 0.9)
+        per_column = state.scores(rows_of(columns))[0]
+        blocks = state.scores(rows_of(columns), block=2)[0]
+        assert np.allclose(blocks, per_column.reshape(3, 2).sum(axis=1),
+                           rtol=1e-14, atol=0.0)
+        live = np.array([[True, True, True]])
+        assert state.pick(rows_of(columns), live, block=2)[0] == int(np.argmax(blocks))
+
+    def test_empty_candidates(self):
+        state = GreedyState(2, 3, 1.0)
+        live = np.ones((2, 4), dtype=bool)
+        live[1] = False
+        with pytest.raises(ValueError, match="empty"):
+            state.pick(np.ones((2, 4, 3), dtype=complex), live)
