@@ -296,8 +296,7 @@ class TestStackedTrials:
             assert np.array_equal(heights[t], want_heights)
 
     def test_rejects_shared_slot_in_any_trial(self):
-        config = FclaConfig.from_grid(2, 2, 4, 4, d_min=0.05, wavelength=0.1)
-        _, _, _, d = make_setup()
+        config, _, _, d = make_setup()
         stacked = Dictionary.stack([d, d])
         with pytest.raises(ValueError):
             optimize_angles(stacked, [[0, 1], [2, 2]], config, 1.0)
