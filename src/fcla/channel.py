@@ -126,14 +126,6 @@ class ChannelMatrix:
     entries: np.ndarray
     positions: list  # (psi, z) per column
 
-    @property
-    def n_users(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_antennas(self) -> int:
-        return self.entries.shape[1]
-
 
 def synthesize_channel(paths: list[PathSet], placement,
                        config: FclaConfig) -> ChannelMatrix:

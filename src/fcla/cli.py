@@ -16,8 +16,8 @@ import numpy as np
 from .alternating import solve_alternating
 from .channel import build_joint_dictionary, draw_paths, export_paths
 from .geometry import FclaConfig, build_grid
-from .harness import (METHODS, ExperimentSpec, run_sweep, ucla_baseline,
-                      write_manifest, write_results_csv)
+from .harness import (METHODS, ExperimentSpec, draw_batch, run_sweep,
+                      solve_methods, write_manifest, write_results_csv)
 from .joint import solve_joint
 from .oracle import exhaustive_best
 from .pattern import PatternSpec, power_gain
@@ -71,12 +71,16 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, help="trials per sweep point (default 200)")
     p.add_argument("--seed", type=int, help="base RNG seed (default 1)")
     p.add_argument("--snr", dest="snr_db",
-                   help="operating SNR in dB, or start:step:stop for sweep-snr")
+                   help="operating SNR in dB (default 0), or start:step:stop "
+                        "or a list for sweep-snr")
     p.add_argument("--jobs", type=int, help="worker processes (default 1)")
 
 
-def _build_spec(args: argparse.Namespace, sweep_kind: str) -> ExperimentSpec:
-    """Resolve config file < flags into a full spec for the given sweep axis."""
+def _build_spec(args: argparse.Namespace, sweep_kind: str,
+                snr_axis: bool = True) -> ExperimentSpec:
+    """Resolve config file < flags into a full spec for the given sweep axis.
+    --snr gives the sweep values of an SNR sweep (snr_axis) and the operating
+    SNR otherwise."""
     data: dict = {}
     if args.config is not None:
         with open(args.config) as f:
@@ -94,14 +98,18 @@ def _build_spec(args: argparse.Namespace, sweep_kind: str) -> ExperimentSpec:
     elif getattr(args, "kappa", None) is not None:
         data["pattern_kind"] = "directional"
     if getattr(args, "alpha", None) is not None:
-        data["alpha"] = args.alpha if args.alpha == "mmse" else float(args.alpha)
+        try:
+            data["alpha"] = float(args.alpha)
+        except ValueError:  # "mmse", or a word the spec rejects by name
+            data["alpha"] = args.alpha
     if getattr(args, "methods", None):
         data["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
 
     # sweep axis: flag beats config, config applies only for the same axis,
     # otherwise the command's default range
+    snr_axis = snr_axis and sweep_kind == "snr"
     flag_values = None
-    if sweep_kind == "snr" and getattr(args, "snr_db", None):
+    if snr_axis and getattr(args, "snr_db", None):
         flag_values = _parse_range(args.snr_db)
     elif sweep_kind == "grid" and getattr(args, "grid_range", None):
         flag_values = _parse_range(args.grid_range)
@@ -113,8 +121,12 @@ def _build_spec(args: argparse.Namespace, sweep_kind: str) -> ExperimentSpec:
         data["sweep_values"] = _parse_range(DEFAULT_SWEEPS[sweep_kind])
     data["sweep_kind"] = sweep_kind
 
-    if sweep_kind != "snr" and getattr(args, "snr_db", None) is not None:
-        data["snr_db"] = float(args.snr_db)
+    if not snr_axis and getattr(args, "snr_db", None) is not None:
+        try:
+            data["snr_db"] = float(args.snr_db)
+        except ValueError:  # a range or list: only sweep-snr sweeps the SNR
+            raise ValueError(f"--snr takes one SNR in dB here, "
+                             f"got {args.snr_db!r}") from None
     return ExperimentSpec.from_dict(data)
 
 
@@ -135,52 +147,40 @@ def _run_sweep_command(args: argparse.Namespace, sweep_kind: str) -> int:
     return 0
 
 
+# solve-once's trace file per method: name, header, rows from diagnostics
+TRACE_FILES = {
+    "fcla-j": ("fcla_j_trace.csv", ["iter", "selected_g", "group", "objective"],
+               lambda d: [[*row[:3], repr(row[3])] for row in d["trace"]]),
+    "fcla-a": ("fcla_a_trace.csv", ["i", "sum_rate"],
+               lambda d: [[i, repr(v)]
+                          for i, v in enumerate(d["sum_rate_trace"], 1)]),
+}
+
+
 def _solve_once(args: argparse.Namespace) -> int:
-    spec = _build_spec(args, "snr")
-    snr_db = spec.sweep_values[0] if getattr(args, "snr_db", None) else spec.snr_db
+    """Trial 0 of sweep point 0 at the spec's operating SNR, through the
+    sweeps' method table, with per-method trace files."""
+    spec = _build_spec(args, "snr", snr_axis=False)
     out = _out_dir(args)
-    methods = spec.methods if not args.method else (args.method,)
+    methods = (args.method,) if args.method else spec.methods
+    batch = draw_batch(spec, 0, [0], methods, rate_trace=True)
+    export_paths(batch.paths[0], out / "paths.json")
 
-    config = spec.config_for_grid(spec.grid_size)
-    grid = build_grid(config)
-    alpha = spec.alpha_value()
-    power = spec.power_for_snr(snr_db)
-    sigma2 = spec.noise_power
-    paths = draw_paths(spec.users, spec.paths,
-                       np.random.SeedSequence([spec.seed, 0, 0]))
-    export_paths(paths, out / "paths.json")
-    dictionary = build_joint_dictionary(paths, grid, config)
-
-    print(f"grid {grid.g_h}x{grid.g_v}, radius {config.radius:.5f} m, "
-          f"snr {snr_db:g} dB, alpha {alpha:g}, power {power:g}")
-    for method in methods:
-        if method == "ucla":
-            _, _, report = ucla_baseline(paths, config, alpha, power, sigma2)
-            print(f"ucla    sum rate {report.sum_rate:.4f} bits")
-        elif method == "fcla-j":
-            sol = solve_joint(dictionary, config, alpha, power=power)
-            rate = sinr(sol.H_star, sol.F_star, sigma2).sum_rate
-            trace_path = out / "fcla_j_trace.csv"
-            with open(trace_path, "w", newline="") as f:
+    config = batch.config
+    print(f"grid {config.grid_angles}x{config.grid_heights}, radius "
+          f"{config.radius:.5f} m, snr {spec.snr_db:g} dB, "
+          f"alpha {batch.alpha:g}, power {batch.power:g}")
+    for method, (sol,) in solve_methods(batch, methods).items():
+        rate = sinr(sol.H_star, sol.F_star, batch.sigma2).sum_rate
+        line = f"{method:<7} sum rate {rate:.4f} bits"
+        if method in TRACE_FILES:
+            name, header, rows = TRACE_FILES[method]
+            with open(out / name, "w", newline="") as f:
                 w = csv.writer(f)
-                w.writerow(["iter", "selected_g", "group", "objective"])
-                for row in sol.diagnostics["trace"]:
-                    w.writerow([row[0], row[1], row[2], repr(row[3])])
-            print(f"fcla-j  sum rate {rate:.4f} bits "
-                  f"({sol.diagnostics['iterations']} iterations, "
-                  f"trace in {trace_path})")
-        elif method == "fcla-a":
-            sol = solve_alternating(dictionary, config, alpha,
-                                    spec.outer_iters, power=power,
-                                    sigma2=sigma2, rate_trace=True)
-            rate = sinr(sol.H_star, sol.F_star, sigma2).sum_rate
-            trace_path = out / "fcla_a_trace.csv"
-            with open(trace_path, "w", newline="") as f:
-                w = csv.writer(f)
-                w.writerow(["i", "sum_rate"])
-                for i, value in enumerate(sol.diagnostics["sum_rate_trace"], 1):
-                    w.writerow([i, repr(value)])
-            print(f"fcla-a  sum rate {rate:.4f} bits (trace in {trace_path})")
+                w.writerow(header)
+                w.writerows(rows(sol.diagnostics))
+            line += f" (trace in {out / name})"
+        print(line)
     write_manifest(spec, out / "manifest.json")
     return 0
 
@@ -279,44 +279,38 @@ def parse_and_dispatch(argv=None) -> int:
 
     p_snr = sub.add_parser("sweep-snr", help="sum rate vs operating SNR")
     _add_common_flags(p_snr)
+    p_snr.set_defaults(run=lambda args: _run_sweep_command(args, "snr"))
 
     p_grid = sub.add_parser("sweep-grid", help="sum rate vs grid size")
     _add_common_flags(p_grid)
+    p_grid.set_defaults(run=lambda args: _run_sweep_command(args, "grid"))
     p_grid.add_argument("--grid-range", dest="grid_range",
                         help="start:step:stop grid sizes (default 4:2:12)")
 
     p_iter = sub.add_parser("sweep-iters",
                             help="sum rate vs alternating solver rounds")
     _add_common_flags(p_iter)
+    p_iter.set_defaults(run=lambda args: _run_sweep_command(args, "iters"))
     p_iter.add_argument("--iters-range", dest="iters_range",
                         help="start:step:stop rounds (default 1:1:10)")
 
     p_once = sub.add_parser("solve-once",
                             help="run one trial verbosely with traces")
     _add_common_flags(p_once)
+    p_once.set_defaults(run=_solve_once)
     p_once.add_argument("--method", choices=METHODS,
                         help="run a single method instead of all requested")
 
     p_val = sub.add_parser("validate", help="run built-in numerical self-checks")
     p_val.add_argument("--out", type=Path, default=None, help=argparse.SUPPRESS)
+    p_val.set_defaults(run=_validate)
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "sweep-snr":
-            return _run_sweep_command(args, "snr")
-        if args.command == "sweep-grid":
-            return _run_sweep_command(args, "grid")
-        if args.command == "sweep-iters":
-            return _run_sweep_command(args, "iters")
-        if args.command == "solve-once":
-            return _solve_once(args)
-        if args.command == "validate":
-            return _validate(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 def main() -> None:

@@ -22,8 +22,50 @@ from .pattern import PatternSpec
 from .precoding import normalize_columns, rzf, sinr
 from .solution import PlacementSolution
 
-METHODS = ("ucla", "fcla-j", "fcla-a")
-GREEDY_METHODS = ("fcla-j", "fcla-a")
+
+@dataclass
+class TrialBatch:
+    """What every method reads for a batch of trials at one sweep point:
+    each trial's paths and, when a greedy method runs, their stacked joint
+    dictionary."""
+
+    paths: list
+    dictionary: Dictionary | None
+    config: FclaConfig
+    alpha: float
+    power: float
+    sigma2: float
+    n_outer: int
+    rate_trace: bool = False
+
+
+# The solvers are looked up by name at call time, so a wrapper installed on
+# this module's attribute (a tracer, a test) sees every call.
+def _ucla(batch: TrialBatch) -> list:
+    return [ucla_baseline(p, batch.config, batch.alpha, batch.power)
+            for p in batch.paths]
+
+
+def _joint(batch: TrialBatch) -> list:
+    return solve_joint(batch.dictionary, batch.config, batch.alpha,
+                       power=batch.power)
+
+
+def _alternating(batch: TrialBatch) -> list:
+    return solve_alternating(batch.dictionary, batch.config, batch.alpha,
+                             batch.n_outer, power=batch.power,
+                             sigma2=batch.sigma2, rate_trace=batch.rate_trace)
+
+
+# method name -> (one PlacementSolution per trial of a TrialBatch, greedy:
+# whether it places elements on the joint dictionary, which needs alpha > 0)
+METHOD_TABLE = {
+    "ucla": (_ucla, False),
+    "fcla-j": (_joint, True),
+    "fcla-a": (_alternating, True),
+}
+METHODS = tuple(METHOD_TABLE)
+GREEDY_METHODS = tuple(m for m, (_, greedy) in METHOD_TABLE.items() if greedy)
 SWEEP_KINDS = ("snr", "grid", "iters")
 # bytes of stacked dictionary entries (trials x users x columns) per batch
 BATCH_BYTES = 256 * 1024
@@ -64,6 +106,8 @@ class ExperimentSpec:
             )
         if self.trials < 1:
             raise ValueError("need at least one trial per point")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs!r}")
         if not self.sweep_values:
             raise ValueError("sweep needs at least one point")
         self.sweep_values = tuple(float(v) for v in self.sweep_values)
@@ -109,20 +153,9 @@ class ExperimentSpec:
         return 10.0 ** (snr_db / 10.0) * self.noise_power
 
     def to_dict(self) -> dict:
-        return {
-            "rings": self.rings, "elements": self.elements,
-            "users": self.users, "paths": self.paths,
-            "frequency_hz": self.frequency_hz,
-            "noise_power": self.noise_power,
-            "pattern_kind": self.pattern_kind, "kappa": self.kappa,
-            "grid_size": self.grid_size, "d_min": self.d_min,
-            "alpha": self.alpha, "outer_iters": self.outer_iters,
-            "methods": list(self.methods),
-            "sweep_kind": self.sweep_kind,
-            "sweep_values": list(self.sweep_values),
-            "snr_db": self.snr_db, "trials": self.trials,
-            "seed": self.seed, "jobs": self.jobs,
-        }
+        """Every field, with lists for the tuple fields (JSON-ready)."""
+        return {**dataclasses.asdict(self), "methods": list(self.methods),
+                "sweep_values": list(self.sweep_values)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
@@ -137,12 +170,7 @@ class ExperimentSpec:
         if version != __version__:
             warnings.warn(f"spec was written by fcla {version}, "
                           f"this is {__version__}", stacklevel=2)
-        kwargs = {k: v for k, v in data.items() if k in known}
-        if "methods" in kwargs:
-            kwargs["methods"] = tuple(kwargs["methods"])
-        if "sweep_values" in kwargs:
-            kwargs["sweep_values"] = tuple(kwargs["sweep_values"])
-        return cls(**kwargs)
+        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 @dataclass
@@ -176,90 +204,88 @@ def ucla_placement(config: FclaConfig):
             for m in range(config.m_rings) for n in range(config.n_elements)]
 
 
-def ucla_baseline(paths, config: FclaConfig, alpha: float, power: float,
-                  sigma2: float):
-    """Channel, normalized precoder and rates for the uniform array.
+def ucla_baseline(paths, config: FclaConfig, alpha: float,
+                  power: float) -> PlacementSolution:
+    """The uniform array's placement, channel and normalized precoder.
 
     The baseline is fixed hardware: it keeps the compact canonical radius
     regardless of how large the flexible candidate region is."""
     compact = ucla_config(config)
-    H = synthesize_channel(paths, ucla_placement(compact), compact)
-    F = normalize_columns(rzf(H.entries, alpha), power)
-    return H, F, sinr(H.entries, F, sigma2)
+    placement = ucla_placement(compact)
+    H = synthesize_channel(paths, placement, compact).entries
+    rings = np.array(placement).reshape(config.m_rings, config.n_elements, 2)
+    return PlacementSolution(heights=rings[:, 0, 1], angles=rings[:, :, 0],
+                             placement=placement, H_star=H,
+                             F_star=normalize_columns(rzf(H, alpha), power))
 
 
-def _trial_seed(base_seed: int, point_index: int, trial_index: int):
-    return np.random.SeedSequence([base_seed, point_index, trial_index])
-
-
-def _rate_at_solution(solution: PlacementSolution, config: FclaConfig,
-                      power: float, sigma2: float) -> float:
-    """Sum rate of a feasible solver result on its own channel. H_star holds
-    the dictionary columns at the placement, which are the channel there."""
-    check_spacing(solution.placement, config)
-    F = normalize_columns(solution.F_star, power, allow_zero=True)
-    return sinr(solution.H_star, F, sigma2).sum_rate
-
-
-def run_trial(spec: ExperimentSpec, point_index: int, trial_index,
-              grid_size: int | None = None, snr_db: float | None = None,
-              n_outer: int | None = None, want_trace: bool = False):
-    """Paired trials: every requested method on the same channel draw.
-
-    trial_index is one trial index or a sequence of them at the same sweep
-    point; the flexible solvers run them as one stacked batch. Returns, per
-    trial, a dict of method name -> sum rate (a list of them for a sequence);
-    with want_trace the alternating solver's per-round sum rates are
-    included under "fcla-a-trace".
-    """
-    single = np.ndim(trial_index) == 0
-    trials = [trial_index] if single else trial_index
-    grid_size = grid_size if grid_size is not None else spec.grid_size
-    snr_db = snr_db if snr_db is not None else spec.snr_db
-    n_outer = n_outer if n_outer is not None else spec.outer_iters
-    config = spec.config_for_grid(grid_size)
-    alpha = spec.alpha_value()
-    power = spec.power_for_snr(snr_db)
-    sigma2 = spec.noise_power
-
+def draw_batch(spec: ExperimentSpec, point_index: int, trials,
+               methods=None, grid_size: int | None = None,
+               snr_db: float | None = None, n_outer: int | None = None,
+               rate_trace: bool = False) -> TrialBatch:
+    """The paths of the given trials at one sweep point, and their joint
+    dictionaries stacked when one of methods (default spec.methods) is
+    greedy; the other arguments default to the spec's."""
+    config = spec.config_for_grid(spec.grid_size if grid_size is None
+                                  else grid_size)
     paths = [draw_paths(spec.users, spec.paths,
-                        _trial_seed(spec.seed, point_index, t))
+                        np.random.SeedSequence([spec.seed, point_index, t]))
              for t in trials]
-    # one dictionary per trial, shared by both flexible solvers
-    if set(spec.methods) & set(GREEDY_METHODS):
+    dictionary = None
+    if set(methods or spec.methods) & set(GREEDY_METHODS):
         grid = build_grid(config)
         dictionary = Dictionary.stack([build_joint_dictionary(p, grid, config)
                                        for p in paths])
+    return TrialBatch(
+        paths=paths, dictionary=dictionary, config=config,
+        alpha=spec.alpha_value(),
+        power=spec.power_for_snr(spec.snr_db if snr_db is None else snr_db),
+        sigma2=spec.noise_power,
+        n_outer=spec.outer_iters if n_outer is None else n_outer,
+        rate_trace=rate_trace)
 
-    out: list[dict] = [{} for _ in paths]
-    for method in spec.methods:
-        if method == "ucla":
-            for trial, trial_paths in zip(out, paths):
-                _, _, report = ucla_baseline(trial_paths, config, alpha, power,
-                                             sigma2)
-                trial[method] = report.sum_rate
-        elif method == "fcla-j":
-            batch = solve_joint(dictionary, config, alpha, power=power)
-            for trial, solution in zip(out, batch):
-                trial[method] = _rate_at_solution(solution, config, power, sigma2)
-        elif method == "fcla-a":
-            batch = solve_alternating(dictionary, config, alpha, n_outer,
-                                      power=power, sigma2=sigma2,
-                                      rate_trace=want_trace)
-            for trial, solution in zip(out, batch):
-                trial[method] = _rate_at_solution(solution, config, power, sigma2)
-                if want_trace:
-                    trial["fcla-a-trace"] = list(
-                        solution.diagnostics["sum_rate_trace"])
-    return out[0] if single else out
+
+def solve_methods(batch: TrialBatch, methods) -> dict:
+    """Method name -> one PlacementSolution per trial of the batch, each
+    greedy placement checked against the spacing rules."""
+    solved = {}
+    for method in methods:
+        solve, greedy = METHOD_TABLE[method]
+        solved[method] = solve(batch)
+        if greedy:
+            for solution in solved[method]:
+                check_spacing(solution.placement, batch.config)
+    return solved
+
+
+def run_trial(spec: ExperimentSpec, point_index: int, trials,
+              grid_size: int | None = None, snr_db: float | None = None,
+              n_outer: int | None = None, want_trace: bool = False) -> list:
+    """Paired trials: every requested method on the same channel draws.
+
+    trials is a sequence of trial indices at one sweep point; the flexible
+    solvers run them as one stacked batch. Returns, per trial, a dict of
+    method name -> sum rate of its solution; with want_trace the per-round
+    sum rates of the alternating solver are included under "fcla-a-trace".
+    """
+    batch = draw_batch(spec, point_index, trials, grid_size=grid_size,
+                       snr_db=snr_db, n_outer=n_outer, rate_trace=want_trace)
+    out: list[dict] = [{} for _ in batch.paths]
+    for method, solutions in solve_methods(batch, spec.methods).items():
+        for trial, solution in zip(out, solutions):
+            trial[method] = sinr(solution.H_star, solution.F_star,
+                                 batch.sigma2).sum_rate
+            if "sum_rate_trace" in solution.diagnostics:
+                trial[f"{method}-trace"] = list(
+                    solution.diagnostics["sum_rate_trace"])
+    return out
 
 
 def _sweep_work(args):
     """Results of one batch of trials, one per trial in order. If the batch
     raises, its trials run again one at a time, so only a trial that fails on
     its own comes back as an exception (tagged with its point and trial)."""
-    spec_dict, point_index, trial_indices, kwargs = args
-    spec = ExperimentSpec.from_dict(spec_dict)
+    spec, point_index, trial_indices, kwargs = args
     try:
         return run_trial(spec, point_index, trial_indices, **kwargs)
     except Exception:
@@ -293,7 +319,7 @@ def _map_trials(spec: ExperimentSpec, point_index: int, kwargs: dict) -> list:
     arguments in kwargs), in trial order, with a failed trial's exception in
     its place; batches run in order, optionally on a process pool."""
     grid_size = kwargs.get("grid_size", spec.grid_size)
-    args = [(spec.to_dict(), point_index, batch, kwargs)
+    args = [(spec, point_index, batch, kwargs)
             for batch in _batches(spec, grid_size)]
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
@@ -334,27 +360,20 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     rows: list[SweepRow] = []
     failures: list[tuple] = []
     for point_index, value in enumerate(spec.sweep_values):
-        if spec.sweep_kind == "snr":
-            kwargs = {"snr_db": value}
-        else:
-            kwargs = {"grid_size": int(value)}
-        per_method: dict[str, list[float]] = {m: [] for m in spec.methods}
-        point_failures = []
+        kwargs = ({"snr_db": value} if spec.sweep_kind == "snr"
+                  else {"grid_size": int(value)})
         outcomes = _map_trials(spec, point_index, kwargs)
-        for trial_index, result in enumerate(outcomes):
-            if isinstance(result, Exception):
-                point_failures.append((value, trial_index, result))
-                continue
-            for m in spec.methods:
-                per_method[m].append(result[m])
-        if len(point_failures) == spec.trials:
+        results = [r for r in outcomes if not isinstance(r, Exception)]
+        point_failures = [(value, t, r) for t, r in enumerate(outcomes)
+                          if isinstance(r, Exception)]
+        if not results:
             raise RuntimeError(
                 f"all {spec.trials} trial(s) at {spec.sweep_kind}={value:g} "
                 f"failed; the first with {point_failures[0][2]!r}"
             )
         failures.extend(point_failures)
         for m in spec.methods:
-            values = np.array(per_method[m])
+            values = np.array([r[m] for r in results])
             mean, stderr = _mean_stderr(values)
             rows.append(SweepRow(method=m, sweep_var=spec.sweep_kind,
                                  sweep_value=value, mean_sum_rate=mean,
@@ -382,23 +401,26 @@ def _run_iters_sweep(spec: ExperimentSpec) -> list[SweepRow]:
 
     rows: list[SweepRow] = []
     for m in spec.methods:
-        if m == "fcla-a":
-            traces = np.array([r["fcla-a-trace"] for r in results])
-            for value in points:
-                mean, stderr = _mean_stderr(traces[:, value - 1])
-                rows.append(SweepRow(method=m, sweep_var="iters",
-                                     sweep_value=float(value),
-                                     mean_sum_rate=mean, stderr=stderr,
-                                     trials=len(results)))
-        else:
-            values = np.array([r[m] for r in results])
+        if f"{m}-trace" in results[0]:  # per-round rates: one column per point
+            traces = np.array([r[f"{m}-trace"] for r in results])
+            columns = [traces[:, value - 1] for value in points]
+        else:  # a method that ignores the round count: a constant row
+            columns = [np.array([r[m] for r in results])] * len(points)
+        for value, values in zip(points, columns):
             mean, stderr = _mean_stderr(values)
-            for value in points:
-                rows.append(SweepRow(method=m, sweep_var="iters",
-                                     sweep_value=float(value),
-                                     mean_sum_rate=mean, stderr=stderr,
-                                     trials=len(results)))
+            rows.append(SweepRow(method=m, sweep_var="iters",
+                                 sweep_value=float(value), mean_sum_rate=mean,
+                                 stderr=stderr, trials=len(results)))
     return rows
+
+
+def _write(fp, emit) -> None:
+    """emit(f) into fp, an open text file or a path to (re)write."""
+    if hasattr(fp, "write"):
+        emit(fp)
+    else:
+        with open(fp, "w", newline="") as f:
+            emit(f)
 
 
 def write_results_csv(rows: list[SweepRow], fp) -> None:
@@ -411,22 +433,11 @@ def write_results_csv(rows: list[SweepRow], fp) -> None:
             writer.writerow([row.method, row.sweep_var, repr(row.sweep_value),
                              repr(row.mean_sum_rate), repr(row.stderr),
                              row.trials])
-    if hasattr(fp, "write"):
-        emit(fp)
-    else:
-        with open(fp, "w", newline="") as f:
-            emit(f)
+    _write(fp, emit)
 
 
-def write_manifest(spec: ExperimentSpec, fp, extra: dict | None = None) -> None:
+def write_manifest(spec: ExperimentSpec, fp) -> None:
     """JSON echo of the experiment parameters plus the code version;
     re-usable as a config file."""
-    payload = spec.to_dict()
-    payload["version"] = __version__
-    if extra:
-        payload.update(extra)
-    if hasattr(fp, "write"):
-        json.dump(payload, fp, indent=1, sort_keys=True)
-    else:
-        with open(fp, "w") as f:
-            json.dump(payload, f, indent=1, sort_keys=True)
+    payload = {**spec.to_dict(), "version": __version__}
+    _write(fp, lambda f: json.dump(payload, f, indent=1, sort_keys=True))

@@ -25,14 +25,6 @@ class PlacementSolution:
     F_star: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def n_rings(self) -> int:
-        return len(self.heights)
-
-    @property
-    def n_antennas(self) -> int:
-        return len(self.placement)
-
 
 class PlacementBatch(list):
     """The PlacementSolution of each trial of a stack, in trial order.

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -7,6 +8,7 @@ import pytest
 from fcla import __version__, harness
 from fcla.channel import draw_paths, synthesize_channel
 from fcla.geometry import check_spacing
+from fcla.precoding import sinr
 from fcla.harness import (METHODS, ExperimentSpec, run_sweep, run_trial,
                           ucla_baseline, ucla_config, ucla_placement,
                           write_manifest, write_results_csv)
@@ -39,6 +41,12 @@ class TestSpec:
         spec = small_spec()
         clone = ExperimentSpec.from_dict(spec.to_dict())
         assert clone == spec
+
+    def test_to_dict_holds_every_field(self):
+        data = small_spec().to_dict()
+        assert list(data) == [f.name for f in dataclasses.fields(ExperimentSpec)]
+        assert data["methods"] == list(METHODS)
+        assert data["sweep_values"] == [0.0]
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
@@ -114,17 +122,47 @@ class TestUclaBaseline:
         spec = small_spec()
         config = spec.config_for_grid(6)
         paths = draw_paths(6, 2, 0)
-        H, F, report = ucla_baseline(paths, config, 1.0, 1.0, 1.0)
-        assert H.entries.shape == (6, 4)
-        assert abs(np.linalg.norm(F, "fro") ** 2 - 1.0) < 1e-12
-        assert report.sum_rate > 0.0
+        solution = ucla_baseline(paths, config, 1.0, 1.0)
+        assert solution.H_star.shape == (6, 4)
+        assert solution.placement == ucla_placement(ucla_config(config))
+        assert solution.heights.shape == (2,) and solution.angles.shape == (2, 2)
+        assert abs(np.linalg.norm(solution.F_star, "fro") ** 2 - 1.0) < 1e-12
+        assert sinr(solution.H_star, solution.F_star, 1.0).sum_rate > 0.0
+
+
+class TestMethodTable:
+    def test_methods_come_from_the_table(self):
+        assert METHODS == tuple(harness.METHOD_TABLE) == ("ucla", "fcla-j",
+                                                          "fcla-a")
+        assert harness.GREEDY_METHODS == ("fcla-j", "fcla-a")
+
+    def test_solvers_resolved_by_module_attribute(self, monkeypatch):
+        calls = []
+        for name in ("ucla_baseline", "solve_joint", "solve_alternating"):
+            def recording(*args, _solver=getattr(harness, name), _name=name,
+                          **kwargs):
+                calls.append(_name)
+                return _solver(*args, **kwargs)
+            monkeypatch.setattr(harness, name, recording)
+        run_trial(small_spec(), 0, [0, 1])
+        assert calls == ["ucla_baseline", "ucla_baseline", "solve_joint",
+                         "solve_alternating"]
+
+    def test_one_solution_per_trial(self):
+        spec = small_spec()
+        batch = harness.draw_batch(spec, 0, [2, 0, 1])
+        assert batch.dictionary.entries.shape[0] == 3
+        solved = harness.solve_methods(batch, METHODS)
+        assert list(solved) == list(METHODS)
+        assert all(len(solutions) == 3 for solutions in solved.values())
+        assert harness.draw_batch(spec, 0, [0], ("ucla",)).dictionary is None
 
 
 class TestRunTrial:
     def test_batch_matches_single_trials(self):
         spec = small_spec()
         batch = run_trial(spec, 1, [4, 0, 2], n_outer=3, want_trace=True)
-        assert batch == [run_trial(spec, 1, t, n_outer=3, want_trace=True)
+        assert batch == [run_trial(spec, 1, [t], n_outer=3, want_trace=True)[0]
                          for t in (4, 0, 2)]
 
     def test_batches_split_by_bytes_and_jobs(self):
@@ -141,31 +179,29 @@ class TestRunTrial:
 
     def test_deterministic(self):
         spec = small_spec()
-        a = run_trial(spec, 0, 3)
-        b = run_trial(spec, 0, 3)
+        a = run_trial(spec, 0, [3])
+        b = run_trial(spec, 0, [3])
         assert a == b
 
     def test_methods_restricted(self):
         spec = small_spec(methods=("ucla",))
-        out = run_trial(spec, 0, 0)
+        (out,) = run_trial(spec, 0, [0])
         assert set(out) == {"ucla"}
 
     def test_trace_request(self):
         spec = small_spec(methods=("fcla-a",))
-        out = run_trial(spec, 0, 0, n_outer=3, want_trace=True)
+        (out,) = run_trial(spec, 0, [0], n_outer=3, want_trace=True)
         assert len(out["fcla-a-trace"]) == 3
 
     def test_different_trials_differ(self):
         spec = small_spec(methods=("ucla",))
-        assert run_trial(spec, 0, 0) != run_trial(spec, 0, 1)
+        assert run_trial(spec, 0, [0]) != run_trial(spec, 0, [1])
 
     def test_flexible_beats_baseline_on_average(self):
         spec = small_spec(trials=40, methods=("ucla", "fcla-a"), grid_size=8,
                           outer_iters=3)
-        diffs = []
-        for t in range(40):
-            out = run_trial(spec, 0, t)
-            diffs.append(out["fcla-a"] - out["ucla"])
+        diffs = [out["fcla-a"] - out["ucla"]
+                 for out in run_trial(spec, 0, range(40))]
         assert np.mean(diffs) > 0.0
 
 
@@ -181,7 +217,7 @@ class TestRunSweep:
         spec = small_spec(trials=4, methods=("ucla", "fcla-a"))
         rows = run_sweep(spec)
         # same draw: recompute one method independently and compare means
-        rates = [run_trial(spec, 0, t)["ucla"] for t in range(4)]
+        rates = [out["ucla"] for out in run_trial(spec, 0, range(4))]
         ucla_row = next(r for r in rows if r.method == "ucla")
         assert np.isclose(ucla_row.mean_sum_rate, np.mean(rates))
 
@@ -209,6 +245,19 @@ class TestRunSweep:
                if r.method == "fcla-a"}
         assert alt[4.0] >= alt[1.0] - 1e-9
 
+    def test_batches_carry_the_spec(self, monkeypatch):
+        spec = small_spec(trials=3)
+        seen = []
+        work = harness._sweep_work
+
+        def recording(args):
+            seen.append(args[0])
+            return work(args)
+
+        monkeypatch.setattr(harness, "_sweep_work", recording)
+        run_sweep(spec)
+        assert seen and all(s is spec for s in seen)
+
     def test_parallel_matches_serial(self):
         serial = run_sweep(small_spec(trials=4))
         parallel = run_sweep(small_spec(trials=4, jobs=2))
@@ -231,7 +280,7 @@ class TestRunSweep:
     def test_failed_trial_in_a_batch_is_reported_alone(self, monkeypatch,
                                                        capsys):
         spec = small_spec(trials=6, jobs=1)
-        want = [run_trial(spec, 0, t) for t in range(6)]
+        want = [run_trial(spec, 0, [t])[0] for t in range(6)]
         failing = set()
         draw, build = harness.draw_paths, harness.build_joint_dictionary
 
