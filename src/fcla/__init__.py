@@ -10,17 +10,16 @@ Monte Carlo harness compares both against a uniform cylindrical baseline.
 __version__ = "0.1.0"
 
 from .alternating import optimize_angles, optimize_heights, solve_alternating
-from .channel import (ChannelMatrix, Dictionary, PathSet,
-                      build_joint_dictionary, draw_paths, export_paths,
-                      synthesize_channel)
+from .channel import (ChannelMatrix, Dictionary, Paths, build_joint_dictionary,
+                      draw_paths, export_paths, synthesize_channel)
 from .geometry import (SPEED_OF_LIGHT, FclaConfig, PositionGrid, build_grid,
-                       check_spacing, min_revolve_angle, position_of)
+                       check_spacing, min_revolve_angle)
 from .harness import (ExperimentSpec, SweepRow, run_sweep, run_trial,
                       ucla_baseline, ucla_config, ucla_placement, ucla_radius,
                       write_manifest, write_results_csv)
 from .joint import solve_joint
 from .oracle import OracleResult, exhaustive_best
-from .pattern import PatternSpec, amplitude, power_gain, wrap_angle
+from .pattern import PatternSpec, power_gain
 from .precoding import (GreedyState, RateReport, SingularMatrixError,
                         normalize_columns, rzf, rzf_objective, sinr)
 from .solution import PlacementBatch, PlacementSolution

@@ -10,13 +10,11 @@ same residual each inner step, then one update of the inverse-Gram state
 phase rings choose one height block each, sequentially, updating the state
 between rings.
 
-A dictionary with a leading trial axis runs every trial of the stack through
-the same steps at once; each trial's picks equal those of solving it alone.
+Every trial of a (B, K, G) dictionary runs through the same steps at once;
+each trial's picks equal those of solving it alone.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -50,11 +48,11 @@ def optimize_angles(dictionary: Dictionary, slots, config: FclaConfig,
     Rings pick one live angle apiece per inner step (lowest index on ties),
     all against the residual from the previous step, so one matched filter
     scores every ring's columns at once; one rank-M update then takes in all
-    the picks. Returns the (M, N) array of angle indices and a diagnostics
-    dict. A (B, K, G) dictionary takes (M,) slots shared by every trial or
-    (B, M) slots, and its results carry the leading trial axis.
+    the picks. slots is (M,), shared by every trial, or (B, M). Returns the
+    (B, M, N) array of angle indices and a diagnostics dict whose arrays lead
+    with the trial axis.
     """
-    n_trials, n_users, _ = dictionary.stacked.shape
+    n_trials, n_users, _ = dictionary.entries.shape
     slots = np.asarray(slots, dtype=int)
     slots = np.broadcast_to(slots, (n_trials, slots.shape[-1]))
     if not _distinct(slots):
@@ -84,7 +82,7 @@ def optimize_angles(dictionary: Dictionary, slots, config: FclaConfig,
         "support": support,
         "matched_filter_columns": mf_columns,
     }
-    return _unstack(dictionary, angles, diag)
+    return angles, diag
 
 
 def optimize_heights(dictionary: Dictionary, angles, config: FclaConfig,
@@ -94,11 +92,11 @@ def optimize_heights(dictionary: Dictionary, angles, config: FclaConfig,
     Rings go in order; ring m scores every live height slot by the Frobenius
     norm of its block's matched filter against the current residual (all
     slots in one matched filter), takes the best, and a rank-N update adds
-    the block. Returns the (M,) slot array and diagnostics. A (B, K, G)
-    dictionary takes (M, N) angles shared by every trial or (B, M, N) angles,
-    and its results carry the leading trial axis.
+    the block. angles is (M, N), shared by every trial, or (B, M, N). Returns
+    the (B, M) slot array and diagnostics whose arrays lead with the trial
+    axis.
     """
-    n_trials, n_users, _ = dictionary.stacked.shape
+    n_trials, n_users, _ = dictionary.entries.shape
     angles = np.atleast_2d(np.asarray(angles, dtype=int))
     angles = np.broadcast_to(angles, (n_trials,) + angles.shape[-2:])
     if not _distinct(angles):
@@ -128,34 +126,25 @@ def optimize_heights(dictionary: Dictionary, angles, config: FclaConfig,
         "objective_trace": np.stack(objectives, axis=1),
         "matched_filter_columns": mf_columns,
     }
-    return _unstack(dictionary, slots, diag)
-
-
-def _unstack(dictionary: Dictionary, result: np.ndarray, diag: dict):
-    """Drop the trial axis again for a 2-D dictionary."""
-    if dictionary.entries.ndim == 3:
-        return result, diag
-    return result[0], {key: value if np.isscalar(value) else value[0]
-                       for key, value in diag.items()}
+    return slots, diag
 
 
 def solve_alternating(dictionary: Dictionary, config: FclaConfig,
                       alpha: float, n_outer: int, power: float = 1.0,
                       sigma2: float = 1.0, rate_trace: bool = False
-                      ) -> PlacementSolution | PlacementBatch:
+                      ) -> PlacementBatch:
     """Run the angle and height phases alternately for n_outer rounds.
 
     Heights from one round seed the next round's angle phase. With
     rate_trace, the sum rate of each round's placement (its refit precoder
-    normalized to the power budget) is recorded as "sum_rate_trace". A
-    (K, G) dictionary gives a PlacementSolution, a (B, K, G) one a
-    PlacementBatch of B solutions, each equal to solving its trial alone.
+    normalized to the power budget) is recorded as "sum_rate_trace". Returns
+    one solution per trial of the (B, K, G) dictionary, each equal to solving
+    its trial alone.
     """
     if n_outer < 1:
         raise ValueError("need at least one outer round")
     dictionary.check_capacity(config)
-    stacked = dataclasses.replace(dictionary, entries=dictionary.stacked)
-    entries = stacked.entries
+    entries = dictionary.entries
     g_h = dictionary.group_size
     slots = initial_heights(dictionary.n_groups, config.m_rings)
 
@@ -163,8 +152,8 @@ def solve_alternating(dictionary: Dictionary, config: FclaConfig,
     sum_rates = []
     mf_columns = 0
     for _ in range(n_outer):
-        angles, diag_a = optimize_angles(stacked, slots, config, alpha)
-        slots, diag_v = optimize_heights(stacked, angles, config, alpha)
+        angles, diag_a = optimize_angles(dictionary, slots, config, alpha)
+        slots, diag_v = optimize_heights(dictionary, angles, config, alpha)
         mf_columns += diag_a["matched_filter_columns"] + diag_v["matched_filter_columns"]
         phase_objectives.append((diag_a["objective_trace"],
                                  diag_v["objective_trace"]))
@@ -176,7 +165,7 @@ def solve_alternating(dictionary: Dictionary, config: FclaConfig,
                 for H in _channels(entries, columns)
             ])
 
-    solutions = []
+    solutions = PlacementBatch()
     for t, H_star in enumerate(_channels(entries, columns)):
         diagnostics = {
             "phase_objectives": [{"angle": a[t].tolist(), "height": v[t].tolist()}
@@ -195,7 +184,7 @@ def solve_alternating(dictionary: Dictionary, config: FclaConfig,
             F_star=normalize_columns(rzf(H_star, alpha), power, allow_zero=True),
             diagnostics=diagnostics,
         ))
-    return solutions[0] if dictionary.entries.ndim == 2 else PlacementBatch(solutions)
+    return solutions
 
 
 def _channels(entries: np.ndarray, columns: np.ndarray) -> list:

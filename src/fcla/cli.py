@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -161,10 +162,12 @@ def _solve_once(args: argparse.Namespace) -> int:
     """Trial 0 of sweep point 0 at the spec's operating SNR, through the
     sweeps' method table, with per-method trace files."""
     spec = _build_spec(args, "snr", snr_axis=False)
-    out = _out_dir(args)
     methods = (args.method,) if args.method else spec.methods
+    # the spec's checks (alpha for greedy methods) on the methods that run
+    dataclasses.replace(spec, methods=methods)
+    out = _out_dir(args)
     batch = draw_batch(spec, 0, [0], methods, rate_trace=True)
-    export_paths(batch.paths[0], out / "paths.json")
+    export_paths(batch.paths, out / "paths.json")
 
     config = batch.config
     print(f"grid {config.grid_angles}x{config.grid_heights}, radius "
@@ -233,12 +236,12 @@ def _validate(args: argparse.Namespace) -> int:
         config = FclaConfig.from_grid(m_rings=2, n_elements=2, g_h=3, g_v=3,
                                       d_min=0.05, wavelength=0.1)
         grid = build_grid(config)
-        paths = draw_paths(4, 2, np.random.SeedSequence([seed, 0, 0]))
+        paths = draw_paths(4, 2, [np.random.SeedSequence([seed, 0, 0])])
         alpha = 1.0
         best = exhaustive_best(paths, grid, config, alpha)
         dictionary = build_joint_dictionary(paths, grid, config)
-        for sol in (solve_joint(dictionary, config, alpha),
-                    solve_alternating(dictionary, config, alpha, 3)):
+        for (sol,) in (solve_joint(dictionary, config, alpha),
+                       solve_alternating(dictionary, config, alpha, 3)):
             gap = sol.diagnostics["final_objective"] - best.objective
             worst_violation = max(worst_violation, -gap)
             if gap < -1e-9:

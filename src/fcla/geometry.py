@@ -40,11 +40,6 @@ def min_revolve_angle(d_min: float, radius: float) -> float:
     return 2.0 * math.asin(d_min / (2.0 * radius))
 
 
-def position_of(psi: float, z: float, radius: float):
-    """Cartesian (x, y, z) of an element at ring angle psi and height z."""
-    return (radius * np.cos(psi), radius * np.sin(psi), z)
-
-
 @dataclass(frozen=True)
 class FclaConfig:
     """Array description: ring count, elements per ring, track radius, vertical
@@ -160,24 +155,27 @@ def check_spacing(placement, config: FclaConfig, tol: float = 1e-9) -> None:
 
     Elements sharing a height form one ring and must be separated by at least
     the minimum revolve angle; distinct heights must differ by at least d_min.
-    Raises ValueError on the first violation found.
+    Raises ValueError naming the first violating pair: of heights in
+    ascending order, else of elements ring by ring from the lowest, in
+    placement order within a ring.
     """
-    placement = list(placement)
-    heights = sorted({z for _, z in placement})
-    for i in range(len(heights)):
-        for j in range(i + 1, len(heights)):
-            if abs(heights[i] - heights[j]) < config.d_min - tol:
-                raise ValueError(
-                    f"ring heights {heights[i]} and {heights[j]} are closer "
-                    f"than d_min={config.d_min}"
-                )
+    psi, z = np.asarray(placement, dtype=float).reshape(-1, 2).T
+    order = np.argsort(z, kind="stable")
+    psi, z = psi[order], z[order]
+    # consecutive distinct heights: the gaps between rings
+    gaps = np.diff(z)
+    close = np.flatnonzero((gaps > 0.0) & (gaps < config.d_min - tol))
+    if close.size:
+        low, high = z[close[0]], z[close[0] + 1]
+        raise ValueError(
+            f"ring heights {low} and {high} are closer than d_min={config.d_min}"
+        )
     psi_min = config.psi_min
-    for h in heights:
-        ring = [psi for psi, z in placement if z == h]
-        for i in range(len(ring)):
-            for j in range(i + 1, len(ring)):
-                if ring_angle_distance(ring[i], ring[j]) < psi_min - tol:
-                    raise ValueError(
-                        f"angles {ring[i]} and {ring[j]} on the ring at z={h} "
-                        f"are closer than the minimum revolve angle {psi_min}"
-                    )
+    close = np.triu((z[:, None] == z)
+                    & (ring_angle_distance(psi[:, None], psi) < psi_min - tol), 1)
+    if close.any():
+        i, j = np.argwhere(close)[0]
+        raise ValueError(
+            f"angles {psi[i]} and {psi[j]} on the ring at z={z[i]} "
+            f"are closer than the minimum revolve angle {psi_min}"
+        )

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -14,22 +15,22 @@ import numpy as np
 
 from . import __version__
 from .alternating import solve_alternating
-from .channel import (Dictionary, build_joint_dictionary, draw_paths,
-                      synthesize_channel)
-from .geometry import SPEED_OF_LIGHT, FclaConfig, build_grid, check_spacing
+from .channel import Dictionary, Paths, build_joint_dictionary, draw_paths
+from .geometry import (SPEED_OF_LIGHT, FclaConfig, PositionGrid, build_grid,
+                       check_spacing)
 from .joint import solve_joint
 from .pattern import PatternSpec
 from .precoding import normalize_columns, rzf, sinr
-from .solution import PlacementSolution
+from .solution import PlacementBatch, PlacementSolution
 
 
 @dataclass
 class TrialBatch:
     """What every method reads for a batch of trials at one sweep point:
-    each trial's paths and, when a greedy method runs, their stacked joint
+    the trials' paths and, when a greedy method runs, their joint
     dictionary."""
 
-    paths: list
+    paths: Paths
     dictionary: Dictionary | None
     config: FclaConfig
     alpha: float
@@ -42,8 +43,7 @@ class TrialBatch:
 # The solvers are looked up by name at call time, so a wrapper installed on
 # this module's attribute (a tracer, a test) sees every call.
 def _ucla(batch: TrialBatch) -> list:
-    return [ucla_baseline(p, batch.config, batch.alpha, batch.power)
-            for p in batch.paths]
+    return ucla_baseline(batch.paths, batch.config, batch.alpha, batch.power)
 
 
 def _joint(batch: TrialBatch) -> list:
@@ -67,7 +67,7 @@ METHOD_TABLE = {
 METHODS = tuple(METHOD_TABLE)
 GREEDY_METHODS = tuple(m for m, (_, greedy) in METHOD_TABLE.items() if greedy)
 SWEEP_KINDS = ("snr", "grid", "iters")
-# bytes of stacked dictionary entries (trials x users x columns) per batch
+# bytes of dictionary entries (trials x users x columns) per batch
 BATCH_BYTES = 256 * 1024
 
 
@@ -196,27 +196,40 @@ def ucla_config(config: FclaConfig) -> FclaConfig:
     return dataclasses.replace(config, radius=ucla_radius(config))
 
 
-def ucla_placement(config: FclaConfig):
+def _ucla_grid(config: FclaConfig) -> PositionGrid:
     """Uniform baseline: N angles spaced 2*pi/N per ring, rings stacked at
     d_min intervals starting from height zero."""
-    step = 2.0 * np.pi / config.n_elements
-    return [(n * step, m * config.d_min)
-            for m in range(config.m_rings) for n in range(config.n_elements)]
+    return PositionGrid(
+        psi=np.arange(config.n_elements) * (2.0 * np.pi / config.n_elements),
+        z=np.arange(config.m_rings) * config.d_min)
 
 
-def ucla_baseline(paths, config: FclaConfig, alpha: float,
-                  power: float) -> PlacementSolution:
-    """The uniform array's placement, channel and normalized precoder.
+def ucla_placement(config: FclaConfig):
+    """The uniform baseline's (psi, z) per element, ring by ring."""
+    grid = _ucla_grid(config)
+    return [(float(psi), float(z)) for z in grid.z for psi in grid.psi]
+
+
+def ucla_baseline(paths: Paths, config: FclaConfig, alpha: float,
+                  power: float) -> PlacementBatch:
+    """The uniform array's placement, channel and normalized precoder, for
+    each trial of paths.
 
     The baseline is fixed hardware: it keeps the compact canonical radius
-    regardless of how large the flexible candidate region is."""
+    regardless of how large the flexible candidate region is. Its placement
+    is a grid of N angles x M heights, so its channels are the columns of a
+    dictionary on that grid."""
     compact = ucla_config(config)
+    grid = _ucla_grid(compact)
     placement = ucla_placement(compact)
-    H = synthesize_channel(paths, placement, compact).entries
-    rings = np.array(placement).reshape(config.m_rings, config.n_elements, 2)
-    return PlacementSolution(heights=rings[:, 0, 1], angles=rings[:, :, 0],
-                             placement=placement, H_star=H,
-                             F_star=normalize_columns(rzf(H, alpha), power))
+    check_spacing(placement, compact)
+    channels = build_joint_dictionary(paths, grid, compact).entries
+    angles = np.tile(grid.psi, (config.m_rings, 1))
+    return PlacementBatch(
+        PlacementSolution(heights=grid.z, angles=angles, placement=placement,
+                          H_star=H,
+                          F_star=normalize_columns(rzf(H, alpha), power))
+        for H in channels)
 
 
 def draw_batch(spec: ExperimentSpec, point_index: int, trials,
@@ -224,18 +237,16 @@ def draw_batch(spec: ExperimentSpec, point_index: int, trials,
                snr_db: float | None = None, n_outer: int | None = None,
                rate_trace: bool = False) -> TrialBatch:
     """The paths of the given trials at one sweep point, and their joint
-    dictionaries stacked when one of methods (default spec.methods) is
-    greedy; the other arguments default to the spec's."""
+    dictionary when one of methods (default spec.methods) is greedy; the
+    other arguments default to the spec's."""
     config = spec.config_for_grid(spec.grid_size if grid_size is None
                                   else grid_size)
-    paths = [draw_paths(spec.users, spec.paths,
-                        np.random.SeedSequence([spec.seed, point_index, t]))
-             for t in trials]
+    paths = draw_paths(spec.users, spec.paths,
+                       [np.random.SeedSequence([spec.seed, point_index, t])
+                        for t in trials])
     dictionary = None
     if set(methods or spec.methods) & set(GREEDY_METHODS):
-        grid = build_grid(config)
-        dictionary = Dictionary.stack([build_joint_dictionary(p, grid, config)
-                                       for p in paths])
+        dictionary = build_joint_dictionary(paths, build_grid(config), config)
     return TrialBatch(
         paths=paths, dictionary=dictionary, config=config,
         alpha=spec.alpha_value(),
@@ -263,14 +274,14 @@ def run_trial(spec: ExperimentSpec, point_index: int, trials,
               n_outer: int | None = None, want_trace: bool = False) -> list:
     """Paired trials: every requested method on the same channel draws.
 
-    trials is a sequence of trial indices at one sweep point; the flexible
-    solvers run them as one stacked batch. Returns, per trial, a dict of
+    trials is a sequence of trial indices at one sweep point; every method
+    runs them as one batch. Returns, per trial, a dict of
     method name -> sum rate of its solution; with want_trace the per-round
     sum rates of the alternating solver are included under "fcla-a-trace".
     """
     batch = draw_batch(spec, point_index, trials, grid_size=grid_size,
                        snr_db=snr_db, n_outer=n_outer, rate_trace=want_trace)
-    out: list[dict] = [{} for _ in batch.paths]
+    out: list[dict] = [{} for _ in range(len(batch.paths))]
     for method, solutions in solve_methods(batch, spec.methods).items():
         for trial, solution in zip(out, solutions):
             trial[method] = sinr(solution.H_star, solution.F_star,
@@ -304,8 +315,8 @@ def _run_alone(spec: ExperimentSpec, point_index: int, trial_index: int,
 
 
 def _batches(spec: ExperimentSpec, grid_size: int) -> list[list[int]]:
-    """A sweep point's trial indices, split into batches whose stacked
-    dictionaries fit BATCH_BYTES. The batch count is a multiple of spec.jobs
+    """A sweep point's trial indices, split into batches whose dictionaries
+    fit BATCH_BYTES. The batch count is a multiple of spec.jobs
     (unless there are fewer trials), so every worker gets an equal share."""
     per_trial = np.dtype(complex).itemsize * spec.users * grid_size ** 2
     size = max(1, BATCH_BYTES // per_trial)
@@ -380,7 +391,8 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
                                  stderr=stderr, trials=len(values)))
     if failures:
         rows_failed = ", ".join(f"point {v} trial {t}: {e}" for v, t, e in failures)
-        print(f"warning: {len(failures)} trial(s) failed ({rows_failed})")
+        print(f"warning: {len(failures)} trial(s) failed ({rows_failed})",
+              file=sys.stderr)
     return rows
 
 
@@ -394,7 +406,8 @@ def _run_iters_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     outcomes = _map_trials(spec, 0, {"n_outer": max_iters, "want_trace": True})
     results = [r for r in outcomes if not isinstance(r, Exception)]
     if len(results) < spec.trials:
-        print(f"warning: {spec.trials - len(results)} trial(s) failed")
+        print(f"warning: {spec.trials - len(results)} trial(s) failed",
+              file=sys.stderr)
     if not results:
         raise RuntimeError(f"all {spec.trials} trial(s) of the iteration "
                            f"sweep failed; the first with {outcomes[0]!r}")

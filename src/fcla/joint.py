@@ -6,9 +6,9 @@ reaches the per-ring element count becomes a completed group and its leftover
 candidates are retired. Matching may therefore pick more atoms than finally
 needed; atoms of never-completed groups are dropped before the final refit.
 
-Dictionaries with a leading trial axis are solved as one batch: every trial
-runs the same steps on its own inverse-Gram state, and a trial that has
-completed its groups stops recording picks while the others go on.
+The trials of a dictionary are solved as one batch: every trial runs the
+same steps on its own inverse-Gram state, and a trial that has completed its
+groups stops recording picks while the others go on.
 """
 
 from __future__ import annotations
@@ -22,21 +22,21 @@ from .solution import PlacementBatch, PlacementSolution
 
 
 def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
-                power: float = 1.0) -> PlacementSolution | PlacementBatch:
+                power: float = 1.0) -> PlacementBatch:
     """Greedy joint selection of ring heights and element angles.
 
     Iterates: match the best live atom against the residual, add it to the
     inverse-Gram state, and retire any height group that just filled up.
     Stops once M groups are complete, keeps only their atoms, and refits the
-    final precoder on that support before normalizing columns. A (K, G)
-    dictionary gives a PlacementSolution, a (B, K, G) one a PlacementBatch of
-    B solutions, each equal to solving its trial alone.
+    final precoder on that support before normalizing columns. Returns one
+    solution per trial of the (B, K, G) dictionary, each equal to solving its
+    trial alone.
     """
     dictionary.check_capacity(config)
     m_rings, n_elem = config.m_rings, config.n_elements
     g_h = dictionary.group_size
     g_v = dictionary.n_groups
-    entries = dictionary.stacked
+    entries = dictionary.entries
     rows = dictionary.rows()
     n_trials, n_users, n_columns = entries.shape
     trials = np.arange(n_trials)
@@ -76,13 +76,12 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
         raise RuntimeError("candidate set exhausted before enough groups filled")
 
     picks, objectives = np.array(picks), np.array(objectives)
-    solutions = [
+    return PlacementBatch(
         _solution(dictionary, entries[t], picks[:iterations[t], t].tolist(),
                   objectives[:iterations[t], t].tolist(), completed_at[t],
                   config, alpha, power, int(mf_columns[t]))
         for t in trials
-    ]
-    return solutions[0] if dictionary.entries.ndim == 2 else PlacementBatch(solutions)
+    )
 
 
 def _solution(dictionary: Dictionary, entries: np.ndarray, support: list,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PathSet, build_joint_dictionary
+from .channel import Paths, build_joint_dictionary
 from .geometry import FclaConfig, PositionGrid
 from .precoding import normalize_columns, rzf, rzf_objective, sinr
 
@@ -33,12 +33,13 @@ def enumeration_count(grid: PositionGrid, m_rings: int, n_elem: int) -> int:
     return math.comb(grid.g_v, m_rings) * math.comb(grid.g_h, n_elem) ** m_rings
 
 
-def exhaustive_best(paths: list[PathSet], grid: PositionGrid,
+def exhaustive_best(paths: Paths, grid: PositionGrid,
                     config: FclaConfig, alpha: float,
                     criterion: str = "objective",
                     power: float = 1.0, sigma2: float = 1.0,
                     cap: int = 10**6) -> OracleResult:
-    """Globally best feasible placement under the chosen criterion.
+    """Globally best feasible placement, under the chosen criterion, for the
+    paths of one trial.
 
     criterion="objective" minimizes the regularized precoding objective at the
     refit precoder; criterion="sum_rate" maximizes the sum rate after column
@@ -55,7 +56,7 @@ def exhaustive_best(paths: list[PathSet], grid: PositionGrid,
         )
 
     # the full joint response once; gather columns per candidate
-    entries = build_joint_dictionary(paths, grid, config).entries
+    (entries,) = build_joint_dictionary(paths, grid, config).entries
 
     height_subsets = list(itertools.combinations(range(grid.g_v), m_rings))
     angle_subsets = list(itertools.combinations(range(grid.g_h), n_elem))

@@ -42,30 +42,19 @@ class PatternSpec:
         return 2.0 * (self.kappa + 1.0)
 
 
-def wrap_angle(phi):
-    """Wrap an angle (or array of angles) into (-pi, pi]."""
-    w = np.mod(phi, 2.0 * np.pi)
-    return np.where(w > np.pi, w - 2.0 * np.pi, w)
-
-
 def power_gain(spec: PatternSpec, theta, phi_rel):
     """Radiated power gain at elevation theta and element-relative azimuth phi_rel.
 
-    theta is expected in [0, pi]. phi_rel is wrapped into (-pi, pi) before the
-    front/back test, so any real azimuth is accepted. Omni elements return 1
-    everywhere; directional elements return 0 on the back half-space.
+    theta is expected in [0, pi]; any real azimuth phi_rel is accepted. Omni
+    elements return 1 everywhere; directional elements return 0 on the back
+    half-space.
     """
     theta = np.asarray(theta, dtype=float)
     phi_rel = np.asarray(phi_rel, dtype=float)
     if not spec.is_directional:
         return np.ones(np.broadcast_shapes(theta.shape, phi_rel.shape))
-    w = wrap_angle(phi_rel)
-    # clipped cosines vanish outside the support, so no explicit mask is needed
+    # clipped cosines vanish outside the support, so no explicit mask is
+    # needed, and cos is 2*pi-periodic, so phi_rel needs no wrapping
     s = np.maximum(np.sin(theta), 0.0)
-    c = np.maximum(np.cos(w), 0.0)
+    c = np.maximum(np.cos(phi_rel), 0.0)
     return spec.q * s**spec.kappa * c**spec.kappa
-
-
-def amplitude(spec: PatternSpec, theta, phi, psi):
-    """Field amplitude seen from direction (theta, phi) by an element oriented at psi."""
-    return np.sqrt(power_gain(spec, theta, np.asarray(phi) - np.asarray(psi)))

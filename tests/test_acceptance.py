@@ -57,18 +57,19 @@ def reference_runs(pattern_kind):
     of one name pair up across the omni and directional runs."""
     spec = reference_scale_spec(pattern_kind)
     config = spec.config_for_grid(spec.grid_size)
-    ucla, joint, alt5, alt10, gain = [], [], [], [], []
+    ucla, joint, alt5, alt10 = [], [], [], []
     outs = run_trial(spec, 0, range(TRIALS), n_outer=10, want_trace=True)
-    for t, out in enumerate(outs):
+    for out in outs:
         ucla.append(out["ucla"])
         joint.append(out["fcla-j"])
         alt5.append(out["fcla-a-trace"][4])
         alt10.append(out["fcla-a-trace"][9])
-        paths = draw_paths(spec.users, spec.paths,
-                           np.random.SeedSequence([spec.seed, 0, t]))
-        H = ucla_baseline(paths, config, spec.alpha_value(),
-                          spec.power_for_snr(spec.snr_db)).H_star
-        gain.append(float(np.mean(np.abs(H) ** 2)))
+    paths = draw_paths(spec.users, spec.paths,
+                       [np.random.SeedSequence([spec.seed, 0, t])
+                        for t in range(TRIALS)])
+    gain = [float(np.mean(np.abs(solution.H_star) ** 2))
+            for solution in ucla_baseline(paths, config, spec.alpha_value(),
+                                          spec.power_for_snr(spec.snr_db))]
     trials = {k: np.array(v)
               for k, v in [("ucla", ucla), ("fcla-j", joint),
                            ("fcla-a", alt5), ("fcla-a-10", alt10),
@@ -277,11 +278,11 @@ def test_criterion_6_solvers_dominated_by_oracle():
         config = FclaConfig.from_grid(m, n, g_h, g_v, d_min=0.05,
                                       wavelength=0.1, pattern=pattern)
         grid = build_grid(config)
-        paths = draw_paths(4, 2, np.random.SeedSequence([77, i]))
+        paths = draw_paths(4, 2, [np.random.SeedSequence([77, i])])
         best = exhaustive_best(paths, grid, config, alpha=1.0)
         dictionary = build_joint_dictionary(paths, grid, config)
-        for sol in (solve_joint(dictionary, config, alpha=1.0),
-                    solve_alternating(dictionary, config, 1.0, 3)):
+        for (sol,) in (solve_joint(dictionary, config, alpha=1.0),
+                       solve_alternating(dictionary, config, 1.0, 3)):
             try:
                 check_spacing(sol.placement, config)
             except ValueError:
@@ -371,13 +372,13 @@ def test_criterion_8_structural_properties():
     entries = np.array([[10.0, 0.0], [0.0, 3.0], [0.0, 4.0], [0.1, 0.1]],
                        dtype=complex).T
     crafted = Dictionary(
-        entries=entries,
+        entries=entries[None],
         psi=np.tile(np.arange(2) * np.pi, 2),
         z=np.repeat(np.arange(2) * 0.05, 2),
         group_size=2,
     )
     config2 = FclaConfig.from_grid(1, 2, 2, 2, d_min=0.05, wavelength=0.1)
-    sol = solve_joint(crafted, config2, alpha=1.0)
+    (sol,) = solve_joint(crafted, config2, alpha=1.0)
     trace_ok = ([row[1] for row in sol.diagnostics["trace"]] == [0, 2, 1]
                 and sol.diagnostics["final_support"] == [0, 1])
     ok &= trace_ok
@@ -387,10 +388,10 @@ def test_criterion_8_structural_properties():
     spec = reference_scale_spec("directional", trials=1)
     config = spec.config_for_grid(12)
     grid = build_grid(config)
-    paths = draw_paths(16, 4, np.random.SeedSequence([SEED, 0, 0]))
+    paths = draw_paths(16, 4, [np.random.SeedSequence([SEED, 0, 0])])
     dictionary = build_joint_dictionary(paths, grid, config)
-    a = solve_joint(dictionary, config, alpha=1.0)
-    b = solve_joint(dictionary, config, alpha=1.0)
+    (a,) = solve_joint(dictionary, config, alpha=1.0)
+    (b,) = solve_joint(dictionary, config, alpha=1.0)
     iters = a.diagnostics["iterations"]
     bounds_ok = 16 <= iters <= 144
     ok &= bounds_ok
@@ -399,7 +400,7 @@ def test_criterion_8_structural_properties():
     joint_trace = a.diagnostics["objective_trace"]
     mono_joint = all(y <= x + 1e-9 * max(1.0, abs(x))
                      for x, y in zip(joint_trace, joint_trace[1:]))
-    alt = solve_alternating(dictionary, config, 1.0, 5)
+    (alt,) = solve_alternating(dictionary, config, 1.0, 5)
     mono_alt = True
     for phases in alt.diagnostics["phase_objectives"]:
         for trace in (phases["angle"], phases["height"]):

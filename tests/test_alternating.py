@@ -3,8 +3,7 @@ import pytest
 
 from fcla.alternating import (initial_heights, optimize_angles,
                               optimize_heights, solve_alternating)
-from fcla.channel import (Dictionary, build_joint_dictionary, draw_paths,
-                          synthesize_channel)
+from fcla.channel import build_joint_dictionary, draw_paths, synthesize_channel
 from fcla.geometry import FclaConfig, build_grid, check_spacing
 from fcla.joint import solve_joint
 from fcla.oracle import exhaustive_best
@@ -17,7 +16,7 @@ def make_setup(m=2, n=2, g_h=4, g_v=4, users=4, n_paths=2, seed=0,
     config = FclaConfig.from_grid(m, n, g_h, g_v, d_min=0.05, wavelength=0.1,
                                   pattern=pattern or PatternSpec.omni())
     grid = build_grid(config)
-    paths = draw_paths(users, n_paths, np.random.SeedSequence([seed]))
+    paths = draw_paths(users, n_paths, [np.random.SeedSequence([seed])])
     dictionary = build_joint_dictionary(paths, grid, config)
     return config, grid, paths, dictionary
 
@@ -62,10 +61,10 @@ def plain_omp_reference(columns, n_select, alpha):
 
 
 def ring_columns(paths, grid, config, angles, z):
-    """Channel columns at the given angle indices of one ring at height z,
-    synthesized independently of the dictionary."""
+    """Channel columns (trial 0) at the given angle indices of one ring at
+    height z, synthesized independently of the dictionary."""
     return synthesize_channel(paths, [(grid.psi[a], z) for a in angles],
-                              config).entries
+                              config).entries[0]
 
 
 class TestOptimizeAngles:
@@ -74,12 +73,12 @@ class TestOptimizeAngles:
         angles, diag = optimize_angles(d, [0], config, 1.0)
         columns = ring_columns(paths, grid, config, range(5), grid.z[0])
         want = plain_omp_reference(columns, 2, 1.0)
-        assert diag["support"].tolist() == want
-        assert angles.tolist() == [want]
+        assert diag["support"].tolist() == [want]
+        assert angles.tolist() == [[want]]
 
     def test_full_ring_forced(self):
         config, _, _, d = make_setup(m=2, n=2, g_h=2, g_v=4)
-        angles, _ = optimize_angles(d, initial_heights(4, 2), config, 1.0)
+        (angles,), _ = optimize_angles(d, initial_heights(4, 2), config, 1.0)
         for ring in angles:
             assert sorted(ring.tolist()) == [0, 1]
 
@@ -93,14 +92,15 @@ class TestOptimizeAngles:
             columns = ring_columns(paths, grid, config, range(3), grid.z[slot])
             scores = np.sum(np.abs(columns.conj().T) ** 2, axis=1)
             want.append(int(np.argmax(scores)))
-        angles, diag = optimize_angles(d, slots, config, 1.0)
+        (angles,), diag = optimize_angles(d, slots, config, 1.0)
         assert angles[:, 0].tolist() == want
-        assert diag["support"].tolist() == [s * 3 + a for s, a in zip(slots, want)]
+        assert diag["support"].tolist() == [[s * 3 + a
+                                             for s, a in zip(slots, want)]]
 
     def test_objective_nonincreasing_within_phase(self):
         config, _, _, d = make_setup(m=2, n=3, g_h=5, g_v=3, seed=7)
         _, diag = optimize_angles(d, initial_heights(3, 2), config, 1.0)
-        trace = diag["objective_trace"]
+        (trace,) = diag["objective_trace"]
         assert len(trace) == 3
         for a, b in zip(trace, trace[1:]):
             assert b <= a + 1e-9 * max(1.0, abs(a))
@@ -114,7 +114,7 @@ class TestOptimizeAngles:
 class TestOptimizeHeights:
     def test_forced_permutation_when_slots_match_rings(self):
         config, _, _, d = make_setup(m=3, n=1, g_h=3, g_v=3, seed=1)
-        slots, _ = optimize_heights(d, [[0], [1], [2]], config, 1.0)
+        (slots,), _ = optimize_heights(d, [[0], [1], [2]], config, 1.0)
         assert sorted(slots.tolist()) == [0, 1, 2]
 
     def test_two_slot_selection_picks_stronger_block(self):
@@ -123,13 +123,13 @@ class TestOptimizeHeights:
         for slot in range(2):
             block = ring_columns(paths, grid, config, [0, 2], grid.z[slot])
             scores.append(float(np.linalg.norm(block.conj().T, "fro") ** 2))
-        slots, _ = optimize_heights(d, [[0, 2]], config, 1.0)
+        (slots,), _ = optimize_heights(d, [[0, 2]], config, 1.0)
         assert slots[0] == int(np.argmax(scores))
 
     def test_block_scan_oracle(self):
         config, grid, paths, d = make_setup(m=2, n=2, g_h=4, g_v=3, seed=3)
         angles = [[0, 2], [1, 3]]
-        n_users = len(paths)
+        n_users = paths.beta.shape[1]
 
         residual = np.eye(n_users, dtype=complex)
         taken = []
@@ -151,15 +151,15 @@ class TestOptimizeHeights:
             F = rzf(H, 1.0)
             residual = np.eye(n_users) - H @ F
 
-        slots, _ = optimize_heights(d, angles, config, 1.0)
+        (slots,), _ = optimize_heights(d, angles, config, 1.0)
         assert slots.tolist() == taken
         columns = (slots[:, None] * grid.g_h + np.array(angles)).ravel()
-        assert np.array_equal(d.entries[:, columns], H)
+        assert np.array_equal(d.entries[0][:, columns], H)
 
     def test_heights_distinct(self):
         config, _, _, d = make_setup(m=3, n=2, g_h=4, g_v=5, seed=4)
         angles, _ = optimize_angles(d, initial_heights(5, 3), config, 1.0)
-        slots, _ = optimize_heights(d, angles, config, 1.0)
+        (slots,), _ = optimize_heights(d, angles, config, 1.0)
         assert len(set(slots.tolist())) == 3
 
     def test_rejects_repeated_angles(self):
@@ -171,12 +171,13 @@ class TestOptimizeHeights:
 class TestSolveAlternating:
     def test_single_round_composes_phases(self):
         config, grid, _, d = make_setup(m=2, n=2, g_h=3, g_v=2, seed=6)
-        sol = solve_alternating(d, config, 1.0, 1)
+        (sol,) = solve_alternating(d, config, 1.0, 1)
         angles, _ = optimize_angles(d, initial_heights(2, 2), config, 1.0)
-        slots, _ = optimize_heights(d, angles, config, 1.0)
+        (slots,), _ = optimize_heights(d, angles, config, 1.0)
+        (angles,) = angles
         assert np.array_equal(sol.angles, grid.psi[angles])
         assert np.array_equal(sol.heights, grid.z[slots])
-        H = d.entries[:, (slots[:, None] * grid.g_h + angles).ravel()]
+        H = d.entries[0][:, (slots[:, None] * grid.g_h + angles).ravel()]
         assert np.array_equal(sol.H_star, H)
         assert np.array_equal(sol.F_star, normalize_columns(rzf(H, 1.0), 1.0))
 
@@ -184,11 +185,11 @@ class TestSolveAlternating:
         for seed in range(4):
             config, _, paths, d = make_setup(m=2, n=2, g_h=4, g_v=4, seed=seed,
                                              pattern=PatternSpec.directional(1.0))
-            sol = solve_alternating(d, config, 1.0, 3)
+            (sol,) = solve_alternating(d, config, 1.0, 3)
             check_spacing(sol.placement, config)
             assert np.array_equal(
                 sol.H_star,
-                synthesize_channel(paths, sol.placement, config).entries)
+                synthesize_channel(paths, sol.placement, config).entries[0])
             assert len(sol.placement) == 4
             # columns are ring-major blocks of the ring's angles
             flat = [(sol.angles[m, n], sol.heights[m])
@@ -197,8 +198,8 @@ class TestSolveAlternating:
 
     def test_sum_rate_trace_recorded(self):
         config, _, _, d = make_setup(seed=8)
-        sol = solve_alternating(d, config, 1.0, 4, power=1.0, sigma2=1.0,
-                                rate_trace=True)
+        (sol,) = solve_alternating(d, config, 1.0, 4, power=1.0, sigma2=1.0,
+                                   rate_trace=True)
         trace = sol.diagnostics["sum_rate_trace"]
         assert len(trace) == 4
         assert all(np.isfinite(trace))
@@ -210,13 +211,13 @@ class TestSolveAlternating:
         calls = []
         monkeypatch.setattr(fcla.alternating, "sinr",
                             lambda *args: calls.append(args))
-        sol = solve_alternating(d, config, 1.0, 4)
+        (sol,) = solve_alternating(d, config, 1.0, 4)
         assert "sum_rate_trace" not in sol.diagnostics
         assert calls == []
 
     def test_phase_objectives_nonincreasing(self):
         config, _, _, d = make_setup(m=2, n=3, g_h=5, g_v=4, seed=9)
-        sol = solve_alternating(d, config, 1.0, 3)
+        (sol,) = solve_alternating(d, config, 1.0, 3)
         for phases in sol.diagnostics["phase_objectives"]:
             for trace in (phases["angle"], phases["height"]):
                 for a, b in zip(trace, trace[1:]):
@@ -225,14 +226,14 @@ class TestSolveAlternating:
     def test_never_beats_exhaustive_oracle(self):
         for seed in range(6):
             config, grid, paths, d = make_setup(m=1, n=2, g_h=3, g_v=2, seed=seed)
-            sol = solve_alternating(d, config, 1.0, 3)
+            (sol,) = solve_alternating(d, config, 1.0, 3)
             best = exhaustive_best(paths, grid, config, alpha=1.0)
             assert sol.diagnostics["final_objective"] >= best.objective - 1e-9
 
     def test_deterministic(self):
         config, _, _, d = make_setup(seed=10)
-        a = solve_alternating(d, config, 1.0, 3, rate_trace=True)
-        b = solve_alternating(d, config, 1.0, 3, rate_trace=True)
+        (a,) = solve_alternating(d, config, 1.0, 3, rate_trace=True)
+        (b,) = solve_alternating(d, config, 1.0, 3, rate_trace=True)
         assert np.array_equal(a.F_star, b.F_star)
         assert a.diagnostics["sum_rate_trace"] == b.diagnostics["sum_rate_trace"]
 
@@ -245,8 +246,8 @@ class TestSolveAlternating:
         # the alternating decomposition exists to cut matching work
         config, _, _, d = make_setup(m=4, n=4, g_h=12, g_v=12, users=8,
                                      n_paths=4, seed=12)
-        joint = solve_joint(d, config, 1.0)
-        alt = solve_alternating(d, config, 1.0, 5)
+        (joint,) = solve_joint(d, config, 1.0)
+        (alt,) = solve_alternating(d, config, 1.0, 5)
         assert (alt.diagnostics["matched_filter_columns"]
                 < joint.diagnostics["matched_filter_columns"])
 
@@ -261,15 +262,16 @@ class TestStackedTrials:
         config = FclaConfig.from_grid(3, 2, 6, 5, d_min=0.05, wavelength=0.1,
                                       pattern=pattern)
         grid = build_grid(config)
-        single = [build_joint_dictionary(
-            draw_paths(6, 3, np.random.SeedSequence([n_trials, t])), grid,
-            config) for t in range(n_trials)]
-        batch = solve_alternating(Dictionary.stack(single), config, 0.7, 3,
-                                  power=2.0, sigma2=0.5, rate_trace=True)
+        seeds = [np.random.SeedSequence([n_trials, t]) for t in range(n_trials)]
+        stacked = build_joint_dictionary(draw_paths(6, 3, seeds), grid, config)
+        single = [build_joint_dictionary(draw_paths(6, 3, [seed]), grid, config)
+                  for seed in seeds]
+        batch = solve_alternating(stacked, config, 0.7, 3, power=2.0,
+                                  sigma2=0.5, rate_trace=True)
         assert len(batch) == n_trials
         for d, got in zip(single, batch):
-            want = solve_alternating(d, config, 0.7, 3, power=2.0, sigma2=0.5,
-                                     rate_trace=True)
+            (want,) = solve_alternating(d, config, 0.7, 3, power=2.0,
+                                        sigma2=0.5, rate_trace=True)
             assert got.placement == want.placement
             assert np.array_equal(got.H_star, want.H_star)
             assert np.array_equal(got.F_star, want.F_star)
@@ -280,24 +282,26 @@ class TestStackedTrials:
     def test_phases_take_per_trial_indices(self):
         config = FclaConfig.from_grid(2, 2, 4, 4, d_min=0.05, wavelength=0.1)
         grid = build_grid(config)
-        single = [build_joint_dictionary(
-            draw_paths(4, 2, np.random.SeedSequence([t])), grid, config)
-            for t in range(3)]
-        stacked = Dictionary.stack(single)
+        seeds = [np.random.SeedSequence([t]) for t in range(3)]
+        stacked = build_joint_dictionary(draw_paths(4, 2, seeds), grid, config)
+        single = [build_joint_dictionary(draw_paths(4, 2, [seed]), grid, config)
+                  for seed in seeds]
         slots = np.array([[0, 3], [1, 2], [3, 0]])
         angles, diag = optimize_angles(stacked, slots, config, 1.0)
         heights, _ = optimize_heights(stacked, angles, config, 1.0)
         for t, d in enumerate(single):
             want_angles, want_diag = optimize_angles(d, slots[t], config, 1.0)
-            assert np.array_equal(angles[t], want_angles)
+            assert np.array_equal(angles[t], want_angles[0])
             assert np.array_equal(diag["objective_trace"][t],
-                                  want_diag["objective_trace"])
+                                  want_diag["objective_trace"][0])
             want_heights, _ = optimize_heights(d, angles[t], config, 1.0)
-            assert np.array_equal(heights[t], want_heights)
+            assert np.array_equal(heights[t], want_heights[0])
 
     def test_rejects_shared_slot_in_any_trial(self):
-        config, _, _, d = make_setup()
-        stacked = Dictionary.stack([d, d])
+        config, grid, _, _ = make_setup()
+        stacked = build_joint_dictionary(
+            draw_paths(4, 2, [np.random.SeedSequence([t]) for t in range(2)]),
+            grid, config)
         with pytest.raises(ValueError):
             optimize_angles(stacked, [[0, 1], [2, 2]], config, 1.0)
 

@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from fcla.channel import (PathSet, build_joint_dictionary, draw_paths,
+from fcla.channel import (Paths, build_joint_dictionary, draw_paths,
                           export_paths, synthesize_channel)
-from fcla.geometry import FclaConfig, build_grid, position_of
-from fcla.pattern import PatternSpec, amplitude
+from fcla.geometry import FclaConfig, build_grid
+from fcla.pattern import PatternSpec, power_gain
 
 
 def make_config(pattern=None, **kw):
@@ -18,79 +18,111 @@ def make_config(pattern=None, **kw):
     return FclaConfig(**base)
 
 
-def channel_entry_oracle(paths_k, psi, z, config):
-    """Element-by-element physical channel entry, then conjugated.
+def position_of(psi, z, radius):
+    """Cartesian (x, y, z) of an element at ring angle psi and height z."""
+    return (radius * np.cos(psi), radius * np.sin(psi), z)
+
+
+def amplitude(spec, theta, phi, psi):
+    """Field amplitude seen from direction (theta, phi) by an element
+    oriented at psi."""
+    return np.sqrt(power_gain(spec, theta, np.asarray(phi) - np.asarray(psi)))
+
+
+def one_path(beta, theta_el, phi_az):
+    """One trial of one user with a single path."""
+    return Paths(np.full((1, 1, 1), beta, dtype=complex),
+                 np.full((1, 1, 1), theta_el), np.full((1, 1, 1), phi_az))
+
+
+def channel_entry_oracle(paths, k, psi, z, config):
+    """Element-by-element physical channel entry of user k (trial 0), then
+    conjugated.
 
     Independent of the vectorized kernel: walks the paths in a scalar loop,
     uses cartesian positions, and applies the pattern through amplitude().
     """
     x, y, zz = position_of(psi, z, config.radius)
+    beta, theta_el, phi_az = (paths.beta[0, k], paths.theta_el[0, k],
+                              paths.phi_az[0, k])
     total = 0.0 + 0.0j
-    for l in range(paths_k.n_paths):
-        theta = paths_k.theta_el[l]
-        phi = paths_k.phi_az[l]
+    for l in range(len(beta)):
+        theta = theta_el[l]
+        phi = phi_az[l]
         direction = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
                      np.cos(theta))
         phase = (2.0 * np.pi / config.wavelength) * (
             x * direction[0] + y * direction[1] + zz * direction[2])
         amp = amplitude(config.pattern, theta, phi, psi)
-        total += paths_k.beta[l] * amp * np.exp(1j * phase)
-    return np.conj(total / np.sqrt(paths_k.n_paths))
+        total += beta[l] * amp * np.exp(1j * phase)
+    return np.conj(total / np.sqrt(len(beta)))
 
 
-def apm_entry(paths_k, psi, z, config):
-    """One user's response at one position: a one-element placement."""
-    return complex(synthesize_channel([paths_k], [(psi, z)], config).entries[0, 0])
+def apm_entry(paths, k, psi, z, config):
+    """User k's response (trial 0) at one position: a one-element placement."""
+    return complex(synthesize_channel(paths, [(psi, z)], config).entries[0, k, 0])
 
 
 class TestDrawPaths:
     def test_shapes_and_ranges(self):
-        paths = draw_paths(16, 4, 123)
-        assert len(paths) == 16
-        for ps in paths:
-            assert ps.n_paths == 4
-            assert np.all(ps.theta_el >= np.pi / 6.0)
-            assert np.all(ps.theta_el <= 5.0 * np.pi / 6.0)
-            assert np.all(ps.phi_az >= 0.0)
-            assert np.all(ps.phi_az < 2.0 * np.pi)
+        paths = draw_paths(16, 4, [123, 124])
+        assert len(paths) == 2
+        for values in (paths.beta, paths.theta_el, paths.phi_az):
+            assert values.shape == (2, 16, 4)
+        assert np.all(paths.theta_el >= np.pi / 6.0)
+        assert np.all(paths.theta_el <= 5.0 * np.pi / 6.0)
+        assert np.all(paths.phi_az >= 0.0)
+        assert np.all(paths.phi_az < 2.0 * np.pi)
 
     def test_deterministic(self):
-        a = draw_paths(4, 3, 7)
-        b = draw_paths(4, 3, 7)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.beta, pb.beta)
-            assert np.array_equal(pa.theta_el, pb.theta_el)
-            assert np.array_equal(pa.phi_az, pb.phi_az)
+        a = draw_paths(4, 3, [7])
+        b = draw_paths(4, 3, [7])
+        assert np.array_equal(a.beta, b.beta)
+        assert np.array_equal(a.theta_el, b.theta_el)
+        assert np.array_equal(a.phi_az, b.phi_az)
+
+    def test_trial_draw_independent_of_batch(self):
+        seeds = [np.random.SeedSequence([5, 0, t]) for t in range(3)]
+        batch = draw_paths(4, 3, seeds)
+        for t, seed in enumerate(seeds):
+            alone = draw_paths(4, 3, [seed])
+            assert np.array_equal(batch.beta[t], alone.beta[0])
+            assert np.array_equal(batch.theta_el[t], alone.theta_el[0])
+            assert np.array_equal(batch.phi_az[t], alone.phi_az[0])
 
     def test_gain_moments(self):
         # 1e5 gains in one draw; |beta|^2 is unit-mean, unit-variance
-        paths = draw_paths(1000, 100, 99)
-        power = np.concatenate([np.abs(p.beta) ** 2 for p in paths])
+        power = np.abs(draw_paths(1000, 100, [99]).beta) ** 2
         assert abs(power.mean() - 1.0) < 0.05
         assert abs(power.var() - 1.0) < 0.05
 
     def test_virtual_angle_identity(self):
-        for ps in draw_paths(8, 4, 5):
-            radial = ps.phi_x**2 + ps.phi_y**2 + ps.theta_z**2
-            assert np.allclose(radial, 1.0, atol=1e-12)
+        paths = draw_paths(8, 4, [5])
+        sin_el = np.sin(paths.theta_el)
+        radial = ((sin_el * np.cos(paths.phi_az)) ** 2
+                  + (sin_el * np.sin(paths.phi_az)) ** 2
+                  + np.cos(paths.theta_el) ** 2)
+        assert np.allclose(radial, 1.0, atol=1e-12)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            draw_paths(0, 4, 1)
+            draw_paths(0, 4, [1])
         with pytest.raises(ValueError):
-            draw_paths(4, 0, 1)
+            draw_paths(4, 0, [1])
+        with pytest.raises(ValueError):
+            draw_paths(4, 4, [])
 
 
 class TestApmEntry:
     def test_zenith_path_has_unit_response_at_origin(self):
-        ps = PathSet(beta=[1.0 + 0.0j], theta_el=[0.0], phi_az=[0.0])
-        value = apm_entry(ps, psi=1.2, z=0.0, config=make_config())
+        ps = one_path(1.0, theta_el=0.0, phi_az=0.0)
+        value = apm_entry(ps, 0, psi=1.2, z=0.0, config=make_config())
         assert np.isclose(value, 1.0)
 
     def test_horizon_path_pure_phase(self):
         config = make_config()
-        ps = PathSet(beta=[1.0 + 0.0j], theta_el=[np.pi / 2.0], phi_az=[0.0])
-        value = apm_entry(ps, psi=0.0, z=0.37, config=config)
+        ps = one_path(1.0, theta_el=np.pi / 2.0, phi_az=0.0)
+        value = apm_entry(ps, 0, psi=0.0, z=0.37, config=config)
         expected = np.exp(-2j * np.pi * config.radius / config.wavelength)
         assert np.isclose(value, expected, atol=1e-14)
 
@@ -100,53 +132,53 @@ class TestApmEntry:
     def test_matches_element_loop_oracle(self, pattern):
         config = make_config(pattern=pattern)
         rng = np.random.default_rng(42)
-        paths = draw_paths(6, 4, 42)
-        for ps in paths[:3]:
+        paths = draw_paths(6, 4, [42])
+        for k in range(3):
             psi = rng.uniform(0.0, 2.0 * np.pi)
             z = rng.uniform(0.0, 0.4)
-            got = apm_entry(ps, psi, z, config)
-            want = channel_entry_oracle(ps, psi, z, config)
+            got = apm_entry(paths, k, psi, z, config)
+            want = channel_entry_oracle(paths, k, psi, z, config)
             assert np.isclose(got, want, atol=1e-12)
 
     def test_unit_modulus_with_single_unit_path(self):
         config = make_config()
-        ps = PathSet(beta=[np.exp(0.7j)], theta_el=[1.1], phi_az=[2.2])
+        ps = one_path(np.exp(0.7j), theta_el=1.1, phi_az=2.2)
         for psi, z in [(0.0, 0.0), (1.0, 0.2), (4.0, 0.35)]:
-            assert np.isclose(abs(apm_entry(ps, psi, z, config)), 1.0)
+            assert np.isclose(abs(apm_entry(ps, 0, psi, z, config)), 1.0)
 
 
 class TestSynthesizeChannel:
     def test_single_antenna(self):
         config = make_config()
-        paths = draw_paths(3, 2, 0)
+        paths = draw_paths(3, 2, [0])
         H = synthesize_channel(paths, [(0.3, 0.1)], config)
-        assert H.entries.shape == (3, 1)
+        assert H.entries.shape == (1, 3, 1)
         for k in range(3):
-            assert np.isclose(H.entries[k, 0],
-                              channel_entry_oracle(paths[k], 0.3, 0.1, config),
+            assert np.isclose(H.entries[0, k, 0],
+                              channel_entry_oracle(paths, k, 0.3, 0.1, config),
                               atol=1e-12)
 
     def test_column_permutation(self):
         config = make_config()
-        paths = draw_paths(3, 2, 1)
+        paths = draw_paths(3, 2, [1, 2])
         placement = [(0.0, 0.0), (2.0, 0.1), (4.0, 0.25)]
         H = synthesize_channel(paths, placement, config)
         H_rev = synthesize_channel(paths, placement[::-1], config)
-        assert np.allclose(H.entries[:, ::-1], H_rev.entries)
+        assert np.array_equal(H.entries[..., ::-1], H_rev.entries)
 
     def test_matches_bruteforce_oracle(self):
         config = make_config(pattern=PatternSpec.directional(1.0))
-        paths = draw_paths(2, 3, 11)
+        paths = draw_paths(2, 3, [11])
         placement = [(0.7, 0.05), (3.9, 0.30)]
         H = synthesize_channel(paths, placement, config)
         for k in range(2):
             for j, (psi, z) in enumerate(placement):
-                want = channel_entry_oracle(paths[k], psi, z, config)
-                assert np.isclose(H.entries[k, j], want, atol=1e-12)
+                want = channel_entry_oracle(paths, k, psi, z, config)
+                assert np.isclose(H.entries[0, k, j], want, atol=1e-12)
 
     def test_rejects_spacing_violations(self):
         config = make_config()
-        paths = draw_paths(2, 2, 3)
+        paths = draw_paths(2, 2, [3])
         with pytest.raises(ValueError):
             synthesize_channel(paths, [(0.0, 0.0), (0.01, 0.0)], config)
         with pytest.raises(ValueError):
@@ -157,19 +189,23 @@ class TestDictionaries:
     def setup_method(self):
         self.config = make_config(pattern=PatternSpec.directional(1.0))
         self.grid = build_grid(self.config)
-        self.paths = draw_paths(4, 3, 17)
+        self.paths = draw_paths(4, 3, [17, 18])
 
     def test_joint_layout_and_values(self):
         d = build_joint_dictionary(self.paths, self.grid, self.config)
         g_h, g_v = self.grid.g_h, self.grid.g_v
-        assert d.entries.shape == (4, g_h * g_v)
+        assert d.entries.shape == (2, 4, g_h * g_v)
         assert d.group_size == g_h and d.n_groups == g_v
         for col in [0, 1, g_h, g_h * g_v - 1]:
             psi, z = d.psi[col], d.z[col]
             assert psi == self.grid.psi[col % g_h]
             assert z == self.grid.z[col // g_h]
-            recomputed = [apm_entry(p, psi, z, self.config) for p in self.paths]
-            assert np.allclose(d.entries[:, col], recomputed, atol=1e-15)
+            recomputed = synthesize_channel(self.paths, [(psi, z)], self.config)
+            assert np.allclose(d.entries[..., col], recomputed.entries[..., 0],
+                               atol=1e-15)
+            oracle = [channel_entry_oracle(self.paths, k, psi, z, self.config)
+                      for k in range(4)]
+            assert np.allclose(d.entries[0, :, col], oracle, atol=1e-12)
 
     def test_index_map_round_trip(self):
         # the solvers address column slot * g_h + angle
@@ -186,11 +222,11 @@ class TestDictionaries:
         cols = [0, 5, self.grid.g_h * 2 + 3]
         placement = [(d.psi[c], d.z[c]) for c in cols]
         H = synthesize_channel(self.paths, placement, self.config)
-        assert np.array_equal(H.entries, d.entries[:, cols])
+        assert np.array_equal(H.entries, d.entries[..., cols])
 
 
 def test_export_paths_records():
-    paths = draw_paths(3, 2, 8)
+    paths = draw_paths(3, 2, [8])
     buf = io.StringIO()
     export_paths(paths, buf)
     records = json.loads(buf.getvalue())
@@ -198,5 +234,9 @@ def test_export_paths_records():
     first = records[0]
     assert set(first) == {"user", "path", "beta_re", "beta_im", "theta_el",
                           "phi_az"}
-    assert np.isclose(first["beta_re"] + 1j * first["beta_im"],
-                      paths[0].beta[0])
+    assert first["beta_re"] + 1j * first["beta_im"] == paths.beta[0, 0, 0]
+    assert [(r["user"], r["path"]) for r in records] == [
+        (k, l) for k in range(3) for l in range(2)]
+    assert records[3]["phi_az"] == paths.phi_az[0, 1, 1]
+    with pytest.raises(ValueError):
+        export_paths(draw_paths(3, 2, [8, 9]), io.StringIO())

@@ -16,8 +16,8 @@ SMALL = ["--rings", "2", "--elements", "2", "--users", "4", "--paths", "2",
 GOLDEN = Path(__file__).parent / "golden"
 # fixed-seed sweeps of all three methods with directional elements; a
 # refactor keeps the expected CSVs byte-exact. They were last regenerated
-# when the flexible methods' rates stopped normalizing the solvers' already
-# normalized precoders a second time (last-bit changes, named in CHANGES.md)
+# when responses became an angle factor times a height factor (last-bit
+# changes, named in CHANGES.md)
 GOLDEN_SWEEPS = {
     "sweep-snr": ["--snr", "-4,4", "--grid", "6", "--seed", "11"],
     "sweep-grid": ["--grid-range", "6,8", "--snr", "0", "--seed", "12"],
@@ -121,6 +121,16 @@ def test_zero_forcing_rejected_for_greedy_methods(tmp_path, capsys):
     assert code == 2
     assert "alpha" in capsys.readouterr().err
     assert not (tmp_path / "results.csv").exists()
+
+
+def test_solve_once_checks_alpha_for_the_method_that_runs(tmp_path, capsys):
+    out = tmp_path / "once"
+    code = parse_and_dispatch(["solve-once", "--methods", "ucla", "--alpha",
+                               "0", "--method", "fcla-j", "--out", str(out)]
+                              + SMALL)
+    assert code == 2
+    assert "alpha" in capsys.readouterr().err
+    assert not (out / "paths.json").exists()
 
 
 def test_zero_forcing_runs_for_ucla(tmp_path):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fcla.geometry import (FclaConfig, build_grid, check_spacing,
-                           min_revolve_angle, position_of, ring_angle_distance)
+                           min_revolve_angle, ring_angle_distance)
 from fcla.pattern import PatternSpec
+from test_channel import position_of
 
 
 def chord(radius, angle):
@@ -41,6 +42,8 @@ class TestMinRevolveAngle:
 
 
 class TestPositionOf:
+    """The cartesian position helper of the element-loop channel oracle."""
+
     def test_axis_points(self):
         assert np.allclose(position_of(0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
         assert np.allclose(position_of(np.pi / 2.0, 0.3, 2.0), (0.0, 2.0, 0.3))
@@ -153,6 +156,55 @@ class TestSpacingInvariants:
         # 0 and 2*pi - eps are the same direction, not far apart
         with pytest.raises(ValueError):
             check_spacing([(0.0, 0.0), (2.0 * np.pi - 0.01, 0.0)], config)
+
+
+def first_violation(placement, config, tol=1e-9):
+    """The pair check_spacing must name, by plain pairwise loops: the first
+    too-close pair of ascending distinct heights, else the first too-close
+    pair of angles ring by ring from the lowest, in placement order."""
+    heights = sorted({z for _, z in placement})
+    for i in range(len(heights)):
+        for j in range(i + 1, len(heights)):
+            if abs(heights[i] - heights[j]) < config.d_min - tol:
+                return heights[i], heights[j]
+    for h in heights:
+        ring = [psi for psi, z in placement if z == h]
+        for i in range(len(ring)):
+            for j in range(i + 1, len(ring)):
+                d = abs(ring[i] - ring[j]) % (2.0 * np.pi)
+                if min(d, 2.0 * np.pi - d) < config.psi_min - tol:
+                    return ring[i], ring[j]
+    return None
+
+
+def test_checker_matches_pairwise_loop():
+    # gaps at the floor, just inside it (1e-6 relative, far beyond the
+    # 1e-9 slack), just outside it, or well clear, around the full circle
+    config = make_config()
+    rng = np.random.default_rng(11)
+    jitter = np.array([-1e-6, 0.0, 1e-6, 0.4])
+    rejected = 0
+    for _ in range(300):
+        gaps = config.d_min * (1.0 + rng.choice(jitter, size=rng.integers(0, 3)))
+        heights = np.concatenate([[0.0], np.cumsum(gaps)])
+        placement = []
+        for h in heights:
+            steps = config.psi_min * (1.0 + rng.choice(jitter,
+                                                       size=rng.integers(0, 4)))
+            start = rng.uniform(0.0, 2.0 * np.pi)
+            angles = np.mod(start + np.concatenate([[0.0], np.cumsum(steps)]),
+                            2.0 * np.pi)
+            placement += [(float(a), float(h)) for a in angles]
+        placement = [placement[i] for i in rng.permutation(len(placement))]
+        pair = first_violation(placement, config)
+        if pair is None:
+            check_spacing(placement, config)
+            continue
+        rejected += 1
+        with pytest.raises(ValueError) as info:
+            check_spacing(placement, config)
+        assert f"{pair[0]} and {pair[1]}" in str(info.value)
+    assert 50 < rejected < 250
 
 
 def test_ring_angle_distance_wraps():

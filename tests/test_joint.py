@@ -14,14 +14,15 @@ def make_setup(m=2, n=2, g_h=4, g_v=4, users=4, n_paths=2, seed=0,
     config = FclaConfig.from_grid(m, n, g_h, g_v, d_min=0.05, wavelength=0.1,
                                   pattern=pattern or PatternSpec.omni())
     grid = build_grid(config)
-    paths = draw_paths(users, n_paths, np.random.SeedSequence([seed]))
+    paths = draw_paths(users, n_paths, [np.random.SeedSequence([seed])])
     dictionary = build_joint_dictionary(paths, grid, config)
     return config, grid, paths, dictionary
 
 
 def tiny_dictionary(columns, g_h, g_v):
-    """Hand-built dictionary over a g_h x g_v grid with given column vectors."""
-    entries = np.array(columns, dtype=complex).T
+    """Hand-built one-trial dictionary over a g_h x g_v grid with given
+    column vectors."""
+    entries = np.array(columns, dtype=complex).T[None]
     psi = np.tile(np.arange(g_h) * (2.0 * np.pi / g_h), g_v)
     z = np.repeat(np.arange(g_v) * 0.05, g_h)
     return Dictionary(entries=entries, psi=psi, z=z, group_size=g_h)
@@ -38,7 +39,7 @@ class TestGroupCompletion:
              [0.1, 0.1]],   # group 1, never picked
             g_h=2, g_v=2)
         config = FclaConfig.from_grid(1, 2, 2, 2, d_min=0.05, wavelength=0.1)
-        sol = solve_joint(d, config, alpha=1.0)
+        (sol,) = solve_joint(d, config, alpha=1.0)
         picked = [row[1] for row in sol.diagnostics["trace"]]
         assert picked == [0, 2, 1]
         assert sol.diagnostics["final_support"] == [0, 1]
@@ -48,7 +49,7 @@ class TestGroupCompletion:
 
     def test_forced_full_grid(self):
         config, grid, paths, d = make_setup(m=2, n=2, g_h=2, g_v=2)
-        sol = solve_joint(d, config, alpha=1.0)
+        (sol,) = solve_joint(d, config, alpha=1.0)
         assert sol.diagnostics["iterations"] == 4
         assert sorted(sol.diagnostics["final_support"]) == [0, 1, 2, 3]
         assert sorted(sol.heights.tolist()) == grid.z.tolist()
@@ -57,7 +58,7 @@ class TestGroupCompletion:
         for seed in range(5):
             config, _, _, d = make_setup(m=2, n=2, g_h=4, g_v=3, seed=seed,
                                          pattern=PatternSpec.directional(1.0))
-            sol = solve_joint(d, config, alpha=1.0)
+            (sol,) = solve_joint(d, config, alpha=1.0)
             assert len(sol.diagnostics["final_support"]) == 4
             assert len(sol.placement) == 4
             check_spacing(sol.placement, config)
@@ -69,7 +70,7 @@ class TestSolveJoint:
     def test_objective_nonincreasing_over_iterations(self):
         for seed in range(4):
             config, _, _, d = make_setup(m=2, n=2, g_h=4, g_v=4, seed=seed)
-            sol = solve_joint(d, config, alpha=0.8)
+            (sol,) = solve_joint(d, config, alpha=0.8)
             trace = sol.diagnostics["objective_trace"]
             for a, b in zip(trace, trace[1:]):
                 assert b <= a + 1e-9 * max(1.0, abs(a))
@@ -77,7 +78,7 @@ class TestSolveJoint:
     def test_iteration_count_bounds(self):
         for seed in range(6):
             config, grid, _, d = make_setup(m=2, n=2, g_h=4, g_v=4, seed=seed)
-            sol = solve_joint(d, config, alpha=1.0)
+            (sol,) = solve_joint(d, config, alpha=1.0)
             kept = config.m_rings * config.n_elements
             assert kept <= sol.diagnostics["iterations"] <= grid.g_h * grid.g_v
 
@@ -85,21 +86,21 @@ class TestSolveJoint:
         for seed in range(6):
             config, grid, paths, d = make_setup(m=1, n=2, g_h=3, g_v=3,
                                                 seed=seed)
-            sol = solve_joint(d, config, alpha=1.0)
+            (sol,) = solve_joint(d, config, alpha=1.0)
             best = exhaustive_best(paths, grid, config, alpha=1.0)
             assert sol.diagnostics["final_objective"] >= best.objective - 1e-9
 
     def test_deterministic(self):
         config, _, _, d = make_setup(seed=9)
-        a = solve_joint(d, config, alpha=1.0)
-        b = solve_joint(d, config, alpha=1.0)
+        (a,) = solve_joint(d, config, alpha=1.0)
+        (b,) = solve_joint(d, config, alpha=1.0)
         assert a.diagnostics["support"] == b.diagnostics["support"]
         assert np.array_equal(a.F_star, b.F_star)
 
     def test_final_channel_matches_recorded_objective(self):
         config, _, _, d = make_setup(seed=2)
-        sol = solve_joint(d, config, alpha=1.0)
-        H = d.entries[:, sol.diagnostics["final_support"]]
+        (sol,) = solve_joint(d, config, alpha=1.0)
+        H = d.entries[0][:, sol.diagnostics["final_support"]]
         assert np.array_equal(H, sol.H_star)
         from fcla.precoding import rzf
         F_raw = rzf(H, 1.0, gram="k")
@@ -108,7 +109,7 @@ class TestSolveJoint:
 
     def test_normalized_power(self):
         config, _, _, d = make_setup(seed=3)
-        sol = solve_joint(d, config, alpha=1.0, power=2.0)
+        (sol,) = solve_joint(d, config, alpha=1.0, power=2.0)
         assert abs(np.linalg.norm(sol.F_star, "fro") ** 2 - 2.0) < 1e-12
 
     def test_rejects_grid_too_small(self):
@@ -130,13 +131,14 @@ class TestStackedTrials:
         config = FclaConfig.from_grid(3, 2, 5, 6, d_min=0.05, wavelength=0.1,
                                       pattern=pattern)
         grid = build_grid(config)
-        single = [build_joint_dictionary(
-            draw_paths(6, 3, np.random.SeedSequence([n_trials, t])), grid,
-            config) for t in range(n_trials)]
-        batch = solve_joint(Dictionary.stack(single), config, 0.7, power=2.0)
+        seeds = [np.random.SeedSequence([n_trials, t]) for t in range(n_trials)]
+        stacked = build_joint_dictionary(draw_paths(6, 3, seeds), grid, config)
+        single = [build_joint_dictionary(draw_paths(6, 3, [seed]), grid, config)
+                  for seed in seeds]
+        batch = solve_joint(stacked, config, 0.7, power=2.0)
         assert len(batch) == n_trials
         for d, got in zip(single, batch):
-            want = solve_joint(d, config, 0.7, power=2.0)
+            (want,) = solve_joint(d, config, 0.7, power=2.0)
             assert got.diagnostics["support"] == want.diagnostics["support"]
             assert np.array_equal(got.H_star, want.H_star)
             assert np.array_equal(got.F_star, want.F_star)
@@ -155,9 +157,9 @@ class TestStackedTrials:
         config = FclaConfig.from_grid(3, 2, 5, 6, d_min=0.05, wavelength=0.1,
                                       pattern=pattern)
         grid = build_grid(config)
-        stacked = Dictionary.stack([build_joint_dictionary(
-            draw_paths(6, 3, np.random.SeedSequence([8, t])), grid, config)
-            for t in range(8)])
+        stacked = build_joint_dictionary(
+            draw_paths(6, 3, [np.random.SeedSequence([8, t]) for t in range(8)]),
+            grid, config)
         iterations = [s.diagnostics["iterations"]
                       for s in solve_joint(stacked, config, 0.7)]
         assert len(set(iterations)) > 1

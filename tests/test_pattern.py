@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
-from fcla.pattern import PatternSpec, amplitude, power_gain, wrap_angle
+from fcla.pattern import PatternSpec, power_gain
 
 
-def test_wrap_into_half_open_interval():
-    assert np.isclose(wrap_angle(2.0 * np.pi + 0.1), 0.1)
-    assert np.isclose(wrap_angle(-np.pi), np.pi)  # (-pi, pi] convention
-    assert np.isclose(wrap_angle(np.pi), np.pi)
-    assert np.isclose(wrap_angle(1.5 * np.pi), -0.5 * np.pi)
+def test_gain_is_periodic_in_relative_azimuth():
+    theta = np.linspace(0.1, np.pi - 0.1, 7)[:, None]
+    phi = np.linspace(-np.pi, np.pi, 41)[None, :]
+    for kappa in (1.0, 2.5):
+        spec = PatternSpec.directional(kappa)
+        want = power_gain(spec, theta, phi)
+        for k in range(-2, 3):
+            got = power_gain(spec, theta, phi + 2.0 * np.pi * k)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_boresight_gain_is_normalization_factor():
@@ -27,14 +31,14 @@ def test_omni_is_unity_everywhere():
     theta = np.linspace(0.0, np.pi, 7)
     phi = np.linspace(-3.0 * np.pi, 3.0 * np.pi, 11)
     assert np.all(power_gain(spec, theta[:, None], phi[None, :]) == 1.0)
-    assert amplitude(spec, 0.3, 1.0, 2.0) == 1.0
+    assert np.sqrt(power_gain(spec, 0.3, 1.0 - 2.0)) == 1.0
 
 
 def test_amplitude_is_root_of_power():
     spec = PatternSpec.directional(1.0)
-    assert np.isclose(amplitude(spec, np.pi / 2.0, 1.3, 1.3), 2.0)
+    assert np.isclose(np.sqrt(power_gain(spec, np.pi / 2.0, 1.3 - 1.3)), 2.0)
     # relative azimuth pi/3: sqrt(4 * cos(pi/3)) = sqrt(2)
-    assert np.isclose(amplitude(spec, np.pi / 2.0, np.pi / 3.0, 0.0),
+    assert np.isclose(np.sqrt(power_gain(spec, np.pi / 2.0, np.pi / 3.0)),
                       np.sqrt(2.0))
 
 
@@ -54,8 +58,8 @@ def test_amplitude_even_and_nonincreasing_off_boresight():
     spec = PatternSpec.directional(2.0)
     theta = 0.4 * np.pi
     offsets = np.linspace(0.0, np.pi / 2.0, 50)
-    forward = amplitude(spec, theta, offsets, 0.0)
-    backward = amplitude(spec, theta, -offsets, 0.0)
+    forward = np.sqrt(power_gain(spec, theta, offsets))
+    backward = np.sqrt(power_gain(spec, theta, -offsets))
     assert np.allclose(forward, backward, atol=1e-14)
     assert np.all(np.diff(forward) <= 1e-14)
 
