@@ -10,8 +10,8 @@ Monte Carlo harness compares both against a uniform cylindrical baseline.
 __version__ = "0.1.0"
 
 from .alternating import optimize_angles, optimize_heights, solve_alternating
-from .channel import (ChannelMatrix, Dictionary, Paths, build_joint_dictionary,
-                      draw_paths, export_paths, synthesize_channel)
+from .channel import (Dictionary, Paths, build_joint_dictionary, draw_paths,
+                      export_paths, synthesize_channel)
 from .geometry import (SPEED_OF_LIGHT, FclaConfig, PositionGrid, build_grid,
                        check_spacing, min_revolve_angle)
 from .harness import (ExperimentSpec, SweepRow, run_sweep, run_trial,

@@ -104,20 +104,12 @@ def _responses(paths: Paths, grid: PositionGrid, config: FclaConfig) -> np.ndarr
     return responses
 
 
-@dataclass
-class ChannelMatrix:
-    """User responses of B trials at an actual placement, (B, K, N). Row k of
-    a trial acts as h_k^H."""
-
-    entries: np.ndarray
-    positions: list  # (psi, z) per column
-
-
 def synthesize_channel(paths: Paths, placement,
-                       config: FclaConfig) -> ChannelMatrix:
+                       config: FclaConfig) -> np.ndarray:
     """Channel matrices (B, K, N) of every trial for a concrete placement (one
     (psi, z) pair per antenna), gathered from the responses on the
-    placement's distinct angles x distinct heights.
+    placement's distinct angles x distinct heights. Row k of a trial acts as
+    h_k^H.
 
     Rejects placements that violate the ring-angle or height spacing floors.
     """
@@ -126,8 +118,7 @@ def synthesize_channel(paths: Paths, placement,
     psi, angle = np.unique([p for p, _ in placement], return_inverse=True)
     z, height = np.unique([h for _, h in placement], return_inverse=True)
     entries = _responses(paths, PositionGrid(psi=psi, z=z), config)
-    return ChannelMatrix(entries=entries[..., height, angle],
-                         positions=placement)
+    return entries[..., height, angle]
 
 
 @dataclass

@@ -111,6 +111,7 @@ class ExperimentSpec:
         if not self.sweep_values:
             raise ValueError("sweep needs at least one point")
         self.sweep_values = tuple(float(v) for v in self.sweep_values)
+        self._check_points()
         alpha = self.alpha_value()
         # the greedy solvers' inverse-Gram state exists only for alpha > 0
         if set(self.methods) & set(GREEDY_METHODS) and not alpha > 0.0:
@@ -118,6 +119,27 @@ class ExperimentSpec:
                 f"alpha must be > 0 for {', '.join(GREEDY_METHODS)} "
                 f"(got alpha={self.alpha!r}, noise_power={self.noise_power!r})"
             )
+
+    def _check_points(self) -> None:
+        """Reject a sweep point that cannot run, naming the field it came
+        from, before any work or output."""
+        if self.sweep_kind == "iters":
+            if any(v < 1 or v != int(v) for v in self.sweep_values):
+                raise ValueError(f"sweep_values of an iteration sweep must be "
+                                 f"whole numbers >= 1, got {self.sweep_values}")
+            if "fcla-a" not in self.methods:
+                raise ValueError(f"methods of an iteration sweep must include "
+                                 f"fcla-a, got {self.methods}")
+        self.pattern()  # a bad pattern is named as such, not as a grid size
+        if self.sweep_kind == "grid":
+            grids, field = [int(v) for v in self.sweep_values], "sweep_values"
+        else:
+            grids, field = [self.grid_size], "grid_size"
+        for grid_size in grids:
+            try:
+                self.config_for_grid(grid_size)
+            except ValueError as exc:
+                raise ValueError(f"{field} grid size {grid_size}: {exc}") from None
 
     @property
     def wavelength(self) -> float:
@@ -228,19 +250,16 @@ def ucla_baseline(paths: Paths, config: FclaConfig, alpha: float,
     return PlacementBatch(
         PlacementSolution(heights=grid.z, angles=angles, placement=placement,
                           H_star=H,
-                          F_star=normalize_columns(rzf(H, alpha), power))
+                          F_star=normalize_columns(rzf(H, alpha), power,
+                                                   allow_zero=True))
         for H in channels)
 
 
 def draw_batch(spec: ExperimentSpec, point_index: int, trials,
-               methods=None, grid_size: int | None = None,
-               snr_db: float | None = None, n_outer: int | None = None,
-               rate_trace: bool = False) -> TrialBatch:
-    """The paths of the given trials at one sweep point, and their joint
-    dictionary when one of methods (default spec.methods) is greedy; the
-    other arguments default to the spec's."""
-    config = spec.config_for_grid(spec.grid_size if grid_size is None
-                                  else grid_size)
+               methods=None, rate_trace: bool = False) -> TrialBatch:
+    """The paths of the given trials at a point spec, and their joint
+    dictionary when one of methods (default spec.methods) is greedy."""
+    config = spec.config_for_grid(spec.grid_size)
     paths = draw_paths(spec.users, spec.paths,
                        [np.random.SeedSequence([spec.seed, point_index, t])
                         for t in trials])
@@ -249,10 +268,8 @@ def draw_batch(spec: ExperimentSpec, point_index: int, trials,
         dictionary = build_joint_dictionary(paths, build_grid(config), config)
     return TrialBatch(
         paths=paths, dictionary=dictionary, config=config,
-        alpha=spec.alpha_value(),
-        power=spec.power_for_snr(spec.snr_db if snr_db is None else snr_db),
-        sigma2=spec.noise_power,
-        n_outer=spec.outer_iters if n_outer is None else n_outer,
+        alpha=spec.alpha_value(), power=spec.power_for_snr(spec.snr_db),
+        sigma2=spec.noise_power, n_outer=spec.outer_iters,
         rate_trace=rate_trace)
 
 
@@ -269,23 +286,24 @@ def solve_methods(batch: TrialBatch, methods) -> dict:
     return solved
 
 
-def run_trial(spec: ExperimentSpec, point_index: int, trials,
-              grid_size: int | None = None, snr_db: float | None = None,
-              n_outer: int | None = None, want_trace: bool = False) -> list:
+def run_trial(spec: ExperimentSpec, point_index: int, trials) -> list:
     """Paired trials: every requested method on the same channel draws.
 
-    trials is a sequence of trial indices at one sweep point; every method
-    runs them as one batch. Returns, per trial, a dict of
-    method name -> sum rate of its solution; with want_trace the per-round
-    sum rates of the alternating solver are included under "fcla-a-trace".
+    spec is a point spec and trials a sequence of trial indices at that
+    point; every method runs them as one batch. Returns, per trial, a dict
+    of method name -> sum rate of its solution; in an iteration sweep the
+    per-round sum rates of the alternating solver are included under
+    "fcla-a-trace".
     """
-    batch = draw_batch(spec, point_index, trials, grid_size=grid_size,
-                       snr_db=snr_db, n_outer=n_outer, rate_trace=want_trace)
+    batch = draw_batch(spec, point_index, trials,
+                       rate_trace=spec.sweep_kind == "iters")
     out: list[dict] = [{} for _ in range(len(batch.paths))]
     for method, solutions in solve_methods(batch, spec.methods).items():
-        for trial, solution in zip(out, solutions):
-            trial[method] = sinr(solution.H_star, solution.F_star,
-                                 batch.sigma2).sum_rate
+        rates = sinr(np.stack([s.H_star for s in solutions]),
+                     np.stack([s.F_star for s in solutions]),
+                     batch.sigma2).sum_rate
+        for trial, solution, rate in zip(out, solutions, rates):
+            trial[method] = float(rate)
             if "sum_rate_trace" in solution.diagnostics:
                 trial[f"{method}-trace"] = list(
                     solution.diagnostics["sum_rate_trace"])
@@ -295,49 +313,44 @@ def run_trial(spec: ExperimentSpec, point_index: int, trials,
 def _sweep_work(args):
     """Results of one batch of trials, one per trial in order. If the batch
     raises, its trials run again one at a time, so only a trial that fails on
-    its own comes back as an exception (tagged with its point and trial)."""
-    spec, point_index, trial_indices, kwargs = args
+    its own comes back as an exception."""
+    spec, point_index, trial_indices = args
     try:
-        return run_trial(spec, point_index, trial_indices, **kwargs)
+        return run_trial(spec, point_index, trial_indices)
     except Exception:
-        return [_run_alone(spec, point_index, t, kwargs) for t in trial_indices]
+        return [_run_alone(spec, point_index, t) for t in trial_indices]
 
 
-def _run_alone(spec: ExperimentSpec, point_index: int, trial_index: int,
-               kwargs: dict):
+def _run_alone(spec: ExperimentSpec, point_index: int, trial_index: int):
     """One trial run alone: its results, or its exception (reported by the
     sweep, which keeps going)."""
     try:
-        return run_trial(spec, point_index, [trial_index], **kwargs)[0]
+        return run_trial(spec, point_index, [trial_index])[0]
     except Exception as exc:
-        exc.trial_context = (point_index, trial_index)
         return exc
 
 
-def _batches(spec: ExperimentSpec, grid_size: int) -> list[list[int]]:
-    """A sweep point's trial indices, split into batches whose dictionaries
+def _batches(spec: ExperimentSpec) -> list[list[int]]:
+    """A point spec's trial indices, split into batches whose dictionaries
     fit BATCH_BYTES. The batch count is a multiple of spec.jobs
     (unless there are fewer trials), so every worker gets an equal share."""
-    per_trial = np.dtype(complex).itemsize * spec.users * grid_size ** 2
+    per_trial = np.dtype(complex).itemsize * spec.users * spec.grid_size ** 2
     size = max(1, BATCH_BYTES // per_trial)
     rounds = -(-spec.trials // (size * spec.jobs))
     n_batches = min(spec.trials, rounds * spec.jobs)
     return [b.tolist() for b in np.array_split(np.arange(spec.trials), n_batches)]
 
 
-def _map_trials(spec: ExperimentSpec, point_index: int, kwargs: dict) -> list:
-    """Results of every trial of one sweep point (run_trial's keyword
-    arguments in kwargs), in trial order, with a failed trial's exception in
-    its place; batches run in order, optionally on a process pool."""
-    grid_size = kwargs.get("grid_size", spec.grid_size)
-    args = [(spec, point_index, batch, kwargs)
-            for batch in _batches(spec, grid_size)]
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            results = list(pool.map(_sweep_work, args))
-    else:
-        results = [_sweep_work(a) for a in args]
-    return [trial for batch in results for trial in batch]
+def _points(spec: ExperimentSpec) -> list[ExperimentSpec]:
+    """The spec of each sweep point. The iteration sweep is one point run
+    for the most rounds, whose per-round rates give every iteration count
+    on the same channels."""
+    if spec.sweep_kind == "snr":
+        return [dataclasses.replace(spec, snr_db=v) for v in spec.sweep_values]
+    if spec.sweep_kind == "grid":
+        return [dataclasses.replace(spec, grid_size=int(v))
+                for v in spec.sweep_values]
+    return [dataclasses.replace(spec, outer_iters=int(max(spec.sweep_values)))]
 
 
 def _mean_stderr(values: np.ndarray):
@@ -349,6 +362,26 @@ def _mean_stderr(values: np.ndarray):
     return mean, stderr
 
 
+def _point_rows(spec: ExperimentSpec, value: float, results: list) -> list:
+    """Rows of one sweep point, from its completed trials: one per method,
+    or for the iteration sweep one per method and round count, read from
+    the method's "<method>-trace" column (a constant row for a method that
+    ignores the round count)."""
+    values = spec.sweep_values if spec.sweep_kind == "iters" else (value,)
+    rows = []
+    for m in spec.methods:
+        for v in values:
+            if f"{m}-trace" in results[0]:
+                column = [r[f"{m}-trace"][int(v) - 1] for r in results]
+            else:
+                column = [r[m] for r in results]
+            mean, stderr = _mean_stderr(np.array(column))
+            rows.append(SweepRow(method=m, sweep_var=spec.sweep_kind,
+                                 sweep_value=v, mean_sum_rate=mean,
+                                 stderr=stderr, trials=len(column)))
+    return rows
+
+
 def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     """Paired-trial means and standard errors per (method, sweep point).
 
@@ -356,26 +389,28 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     the channel set fixed across points and reads the alternating solver's
     convergence trace, so the comparison across iteration counts is paired;
     methods that ignore the iteration count appear as constant rows.
-    """
-    # structural problems (infeasible grids, bad sizes) abort up front;
-    # only per-trial numerical failures are tolerated below
-    if spec.sweep_kind == "grid":
-        for value in spec.sweep_values:
-            spec.config_for_grid(int(value))
-    else:
-        spec.config_for_grid(spec.grid_size)
 
-    if spec.sweep_kind == "iters":
-        return _run_iters_sweep(spec)
+    Every batch of every point is one task; the tasks run in order, or on
+    one process pool when spec.jobs > 1.
+    """
+    points = _points(spec)
+    tasks = [(point, index, batch) for index, point in enumerate(points)
+             for batch in _batches(point)]
+    if spec.jobs > 1:
+        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+            done = list(pool.map(_sweep_work, tasks))
+    else:
+        done = [_sweep_work(task) for task in tasks]
+    outcomes = [trial for batch in done for trial in batch]
 
     rows: list[SweepRow] = []
     failures: list[tuple] = []
-    for point_index, value in enumerate(spec.sweep_values):
-        kwargs = ({"snr_db": value} if spec.sweep_kind == "snr"
-                  else {"grid_size": int(value)})
-        outcomes = _map_trials(spec, point_index, kwargs)
-        results = [r for r in outcomes if not isinstance(r, Exception)]
-        point_failures = [(value, t, r) for t, r in enumerate(outcomes)
+    for index, point in enumerate(points):
+        value = (point.outer_iters if spec.sweep_kind == "iters"
+                 else spec.sweep_values[index])
+        trials = outcomes[index * spec.trials:(index + 1) * spec.trials]
+        results = [r for r in trials if not isinstance(r, Exception)]
+        point_failures = [(value, t, r) for t, r in enumerate(trials)
                           if isinstance(r, Exception)]
         if not results:
             raise RuntimeError(
@@ -383,47 +418,11 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
                 f"failed; the first with {point_failures[0][2]!r}"
             )
         failures.extend(point_failures)
-        for m in spec.methods:
-            values = np.array([r[m] for r in results])
-            mean, stderr = _mean_stderr(values)
-            rows.append(SweepRow(method=m, sweep_var=spec.sweep_kind,
-                                 sweep_value=value, mean_sum_rate=mean,
-                                 stderr=stderr, trials=len(values)))
+        rows.extend(_point_rows(spec, value, results))
     if failures:
         rows_failed = ", ".join(f"point {v} trial {t}: {e}" for v, t, e in failures)
         print(f"warning: {len(failures)} trial(s) failed ({rows_failed})",
               file=sys.stderr)
-    return rows
-
-
-def _run_iters_sweep(spec: ExperimentSpec) -> list[SweepRow]:
-    points = [int(v) for v in spec.sweep_values]
-    if min(points) < 1:
-        raise ValueError("iteration sweep points must be >= 1")
-    if "fcla-a" not in spec.methods:
-        raise ValueError("an iteration sweep needs the fcla-a method")
-    max_iters = max(points)
-    outcomes = _map_trials(spec, 0, {"n_outer": max_iters, "want_trace": True})
-    results = [r for r in outcomes if not isinstance(r, Exception)]
-    if len(results) < spec.trials:
-        print(f"warning: {spec.trials - len(results)} trial(s) failed",
-              file=sys.stderr)
-    if not results:
-        raise RuntimeError(f"all {spec.trials} trial(s) of the iteration "
-                           f"sweep failed; the first with {outcomes[0]!r}")
-
-    rows: list[SweepRow] = []
-    for m in spec.methods:
-        if f"{m}-trace" in results[0]:  # per-round rates: one column per point
-            traces = np.array([r[f"{m}-trace"] for r in results])
-            columns = [traces[:, value - 1] for value in points]
-        else:  # a method that ignores the round count: a constant row
-            columns = [np.array([r[m] for r in results])] * len(points)
-        for value, values in zip(points, columns):
-            mean, stderr = _mean_stderr(values)
-            rows.append(SweepRow(method=m, sweep_var="iters",
-                                 sweep_value=float(value), mean_sum_rate=mean,
-                                 stderr=stderr, trials=len(results)))
     return rows
 
 

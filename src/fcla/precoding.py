@@ -79,26 +79,31 @@ class RateReport:
 
     sinr: np.ndarray
     rates: np.ndarray  # bits per channel use, log2(1 + sinr)
-    sum_rate: float
+    sum_rate: float | np.ndarray  # one per matrix of a stack
 
 
 def sinr(H_true: np.ndarray, F: np.ndarray, sigma2: float) -> RateReport:
     """Per-user SINR |h_k^H f_k|^2 / (sum_{i != k} |h_k^H f_i|^2 + sigma2)
-    with rows of H_true acting as h_k^H, plus log2 rates and their sum."""
+    with rows of H_true acting as h_k^H, plus log2 rates and their sum.
+
+    H_true (..., K, N) and F (..., N, K) may stack matrices along leading
+    axes; sum_rate is then one per matrix, and a float for a single one."""
     H_true = np.asarray(H_true, dtype=complex)
     F = np.asarray(F, dtype=complex)
     if sigma2 <= 0.0:
         raise ValueError("noise power must be positive")
-    if H_true.shape[1] != F.shape[0] or H_true.shape[0] != F.shape[1]:
+    if H_true.ndim < 2 or F.shape != (*H_true.shape[:-2], *H_true.shape[:-3:-1]):
         raise ValueError(
             f"shape mismatch: H is {H_true.shape}, F is {F.shape}"
         )
     cross = np.abs(H_true @ F) ** 2  # (k, i): power of stream i at user k
-    signal = np.diag(cross)
-    interference = cross.sum(axis=1) - signal
+    signal = np.diagonal(cross, axis1=-2, axis2=-1)
+    interference = cross.sum(axis=-1) - signal
     ratio = signal / (interference + sigma2)
     rates = np.log2(1.0 + ratio)
-    return RateReport(sinr=ratio, rates=rates, sum_rate=float(rates.sum()))
+    sum_rate = rates.sum(axis=-1)
+    return RateReport(sinr=ratio, rates=rates,
+                      sum_rate=float(sum_rate) if sum_rate.ndim == 0 else sum_rate)
 
 
 def rzf_objective(H: np.ndarray, F: np.ndarray, alpha: float) -> float:

@@ -55,10 +55,11 @@ def reference_runs(pattern_kind):
     entries of the uniform baseline's channel, drawn from the same paths.
     Trial t uses the same channel draw for every pattern kind, so values
     of one name pair up across the omni and directional runs."""
-    spec = reference_scale_spec(pattern_kind)
+    spec = reference_scale_spec(pattern_kind, sweep_kind="iters",
+                                sweep_values=(10,), outer_iters=10)
     config = spec.config_for_grid(spec.grid_size)
     ucla, joint, alt5, alt10 = [], [], [], []
-    outs = run_trial(spec, 0, range(TRIALS), n_outer=10, want_trace=True)
+    outs = run_trial(spec, 0, range(TRIALS))
     for out in outs:
         ucla.append(out["ucla"])
         joint.append(out["fcla-j"])

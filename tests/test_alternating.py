@@ -64,7 +64,7 @@ def ring_columns(paths, grid, config, angles, z):
     """Channel columns (trial 0) at the given angle indices of one ring at
     height z, synthesized independently of the dictionary."""
     return synthesize_channel(paths, [(grid.psi[a], z) for a in angles],
-                              config).entries[0]
+                              config)[0]
 
 
 class TestOptimizeAngles:
@@ -189,7 +189,7 @@ class TestSolveAlternating:
             check_spacing(sol.placement, config)
             assert np.array_equal(
                 sol.H_star,
-                synthesize_channel(paths, sol.placement, config).entries[0])
+                synthesize_channel(paths, sol.placement, config)[0])
             assert len(sol.placement) == 4
             # columns are ring-major blocks of the ring's angles
             flat = [(sol.angles[m, n], sol.heights[m])

@@ -60,7 +60,7 @@ def channel_entry_oracle(paths, k, psi, z, config):
 
 def apm_entry(paths, k, psi, z, config):
     """User k's response (trial 0) at one position: a one-element placement."""
-    return complex(synthesize_channel(paths, [(psi, z)], config).entries[0, k, 0])
+    return complex(synthesize_channel(paths, [(psi, z)], config)[0, k, 0])
 
 
 class TestDrawPaths:
@@ -152,9 +152,9 @@ class TestSynthesizeChannel:
         config = make_config()
         paths = draw_paths(3, 2, [0])
         H = synthesize_channel(paths, [(0.3, 0.1)], config)
-        assert H.entries.shape == (1, 3, 1)
+        assert H.shape == (1, 3, 1)
         for k in range(3):
-            assert np.isclose(H.entries[0, k, 0],
+            assert np.isclose(H[0, k, 0],
                               channel_entry_oracle(paths, k, 0.3, 0.1, config),
                               atol=1e-12)
 
@@ -164,7 +164,7 @@ class TestSynthesizeChannel:
         placement = [(0.0, 0.0), (2.0, 0.1), (4.0, 0.25)]
         H = synthesize_channel(paths, placement, config)
         H_rev = synthesize_channel(paths, placement[::-1], config)
-        assert np.array_equal(H.entries[..., ::-1], H_rev.entries)
+        assert np.array_equal(H[..., ::-1], H_rev)
 
     def test_matches_bruteforce_oracle(self):
         config = make_config(pattern=PatternSpec.directional(1.0))
@@ -174,7 +174,7 @@ class TestSynthesizeChannel:
         for k in range(2):
             for j, (psi, z) in enumerate(placement):
                 want = channel_entry_oracle(paths, k, psi, z, config)
-                assert np.isclose(H.entries[0, k, j], want, atol=1e-12)
+                assert np.isclose(H[0, k, j], want, atol=1e-12)
 
     def test_rejects_spacing_violations(self):
         config = make_config()
@@ -201,7 +201,7 @@ class TestDictionaries:
             assert psi == self.grid.psi[col % g_h]
             assert z == self.grid.z[col // g_h]
             recomputed = synthesize_channel(self.paths, [(psi, z)], self.config)
-            assert np.allclose(d.entries[..., col], recomputed.entries[..., 0],
+            assert np.allclose(d.entries[..., col], recomputed[..., 0],
                                atol=1e-15)
             oracle = [channel_entry_oracle(self.paths, k, psi, z, self.config)
                       for k in range(4)]
@@ -222,7 +222,7 @@ class TestDictionaries:
         cols = [0, 5, self.grid.g_h * 2 + 3]
         placement = [(d.psi[c], d.z[c]) for c in cols]
         H = synthesize_channel(self.paths, placement, self.config)
-        assert np.array_equal(H.entries, d.entries[..., cols])
+        assert np.array_equal(H, d.entries[..., cols])
 
 
 def test_export_paths_records():

@@ -229,3 +229,27 @@ def test_solve_once_rate_is_the_sweep_rate(method, tmp_path, monkeypatch):
     (rates,) = run_trial(spec, 0, [0])
     assert rates[method] == sinr(solution.H_star, solution.F_star,
                                  spec.noise_power).sum_rate
+
+
+def test_unservable_user_keeps_every_ucla_trial(tmp_path, capsys):
+    # one directional element: some users see no channel at all
+    assert parse_and_dispatch(["sweep-snr", "--rings", "1", "--elements", "1",
+                               "--users", "4", "--paths", "2", "--grid", "4",
+                               "--trials", "20", "--snr", "0",
+                               "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "results.csv").read_text().strip().splitlines()
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["20"] * 3
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command, flags, field", [
+    ("sweep-iters", ["--methods", "ucla"], "methods"),
+    ("sweep-iters", ["--iters-range", "0:1:2"], "sweep_values"),
+    ("sweep-grid", ["--grid-range", "2,12"], "sweep_values"),
+], ids=["iters-without-fcla-a", "zero-rounds", "grid-too-small"])
+def test_bad_sweep_point_rejected_before_output(command, flags, field,
+                                                tmp_path, capsys):
+    out = tmp_path / "out"
+    assert parse_and_dispatch([command, "--out", str(out)] + flags) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()

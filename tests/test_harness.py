@@ -1,9 +1,12 @@
 import dataclasses
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fcla import __version__, harness
 from fcla.channel import draw_paths, synthesize_channel
@@ -12,6 +15,10 @@ from fcla.precoding import sinr
 from fcla.harness import (METHODS, ExperimentSpec, run_sweep, run_trial,
                           ucla_baseline, ucla_config, ucla_placement,
                           write_manifest, write_results_csv)
+
+
+# (sweep kind, sweep values) of a small sweep of each kind
+SWEEPS = [("snr", (-3.0, 3.0)), ("grid", (4, 6)), ("iters", (1, 2, 4))]
 
 
 def small_spec(**kw):
@@ -159,22 +166,22 @@ class TestMethodTable:
 
 class TestRunTrial:
     def test_batch_matches_single_trials(self):
-        spec = small_spec()
-        batch = run_trial(spec, 1, [4, 0, 2], n_outer=3, want_trace=True)
-        assert batch == [run_trial(spec, 1, [t], n_outer=3, want_trace=True)[0]
-                         for t in (4, 0, 2)]
+        spec = small_spec(sweep_kind="iters", sweep_values=(1, 3), outer_iters=3)
+        batch = run_trial(spec, 1, [4, 0, 2])
+        assert batch == [run_trial(spec, 1, [t])[0] for t in (4, 0, 2)]
 
     def test_batches_split_by_bytes_and_jobs(self):
         per_trial = 16 * 16 * 12 ** 2
         spec = small_spec(users=16, grid_size=12, trials=30)
-        sizes = [len(b) for b in harness._batches(spec, 12)]
+        sizes = [len(b) for b in harness._batches(spec)]
         assert sum(sizes) == 30 and max(sizes) * per_trial <= harness.BATCH_BYTES
-        pooled = harness._batches(small_spec(users=16, trials=30, jobs=2), 12)
+        pooled = harness._batches(small_spec(users=16, grid_size=12, trials=30,
+                                             jobs=2))
         assert [len(b) for b in pooled] == [5] * 6
-        assert len(harness._batches(small_spec(trials=3, jobs=2), 6)) == 2
-        assert len(harness._batches(small_spec(trials=1, jobs=2), 6)) == 1
+        assert len(harness._batches(small_spec(trials=3, jobs=2))) == 2
+        assert len(harness._batches(small_spec(trials=1, jobs=2))) == 1
         assert [len(b) for b in harness._batches(
-            small_spec(users=16, trials=3), 64)] == [1, 1, 1]
+            small_spec(users=16, grid_size=64, trials=3))] == [1, 1, 1]
 
     def test_deterministic(self):
         spec = small_spec()
@@ -188,8 +195,9 @@ class TestRunTrial:
         assert set(out) == {"ucla"}
 
     def test_trace_request(self):
-        spec = small_spec(methods=("fcla-a",))
-        (out,) = run_trial(spec, 0, [0], n_outer=3, want_trace=True)
+        spec = small_spec(methods=("fcla-a",), sweep_kind="iters",
+                          sweep_values=(1, 3), outer_iters=3)
+        (out,) = run_trial(spec, 0, [0])
         assert len(out["fcla-a-trace"]) == 3
 
     def test_different_trials_differ(self):
@@ -245,7 +253,7 @@ class TestRunSweep:
         assert alt[4.0] >= alt[1.0] - 1e-9
 
     def test_batches_carry_the_spec(self, monkeypatch):
-        spec = small_spec(trials=3)
+        spec = small_spec(trials=3, sweep_values=(-3.0, 3.0))
         seen = []
         work = harness._sweep_work
 
@@ -255,12 +263,34 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "_sweep_work", recording)
         run_sweep(spec)
-        assert seen and all(s is spec for s in seen)
+        # one batch per point
+        assert seen == [dataclasses.replace(spec, snr_db=v)
+                        for v in spec.sweep_values]
 
-    def test_parallel_matches_serial(self):
-        serial = run_sweep(small_spec(trials=4))
-        parallel = run_sweep(small_spec(trials=4, jobs=2))
+    @pytest.mark.parametrize("kind, values", SWEEPS,
+                             ids=[kind for kind, _ in SWEEPS])
+    def test_parallel_matches_serial(self, kind, values):
+        spec = small_spec(trials=4, sweep_kind=kind, sweep_values=values)
+        serial = run_sweep(spec)
+        parallel = run_sweep(dataclasses.replace(spec, jobs=2))
         assert serial == parallel
+
+    @pytest.mark.parametrize("kind, values, jobs, starts", [
+        ("snr", (-3.0, 0.0, 3.0), 2, 1), ("iters", (1, 2, 3), 2, 1),
+        ("snr", (-3.0, 0.0, 3.0), 1, 0)], ids=["snr", "iters", "serial"])
+    def test_one_pool_per_sweep(self, kind, values, jobs, starts,
+                                monkeypatch):
+        started = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        run_sweep(small_spec(trials=3, sweep_kind=kind, sweep_values=values,
+                             jobs=jobs))
+        assert len(started) == starts
 
     def test_point_with_every_trial_failed_aborts(self, monkeypatch):
         def flaky(spec, point_index, trial_indices, **kwargs):
@@ -280,16 +310,7 @@ class TestRunSweep:
                                                        capsys):
         spec = small_spec(trials=6, jobs=1)
         want = [run_trial(spec, 0, [t])[0] for t in range(6)]
-        trial_2 = draw_paths(spec.users, spec.paths,
-                             [np.random.SeedSequence([spec.seed, 0, 2])])
-        build = harness.build_joint_dictionary
-
-        def failing_build(paths, grid, config):
-            # every response the batch of a sweep point needs is built here
-            if any(np.array_equal(beta, trial_2.beta[0]) for beta in paths.beta):
-                raise FloatingPointError("trial 2 diverged")
-            return build(paths, grid, config)
-
+        fail_trial_2(spec, monkeypatch)
         batches = []
         run = harness.run_trial
 
@@ -297,7 +318,6 @@ class TestRunSweep:
             batches.append(list(trial_indices))
             return run(spec, point_index, trial_indices, **kwargs)
 
-        monkeypatch.setattr(harness, "build_joint_dictionary", failing_build)
         monkeypatch.setattr(harness, "run_trial", recording_run)
         rows = run_sweep(spec)
         # the batch of all six fails, then each trial runs on its own
@@ -307,6 +327,16 @@ class TestRunSweep:
             assert row.trials == 5
             assert row.mean_sum_rate == np.mean([out[row.method]
                                                  for out in kept])
+        printed = capsys.readouterr().err
+        assert "1 trial(s) failed" in printed
+        assert "trial 2: trial 2 diverged" in printed
+
+    def test_failed_trial_of_an_iteration_sweep_is_named(self, monkeypatch,
+                                                        capsys):
+        spec = small_spec(trials=4, sweep_kind="iters", sweep_values=(1, 2))
+        fail_trial_2(spec, monkeypatch)
+        rows = run_sweep(spec)
+        assert {row.trials for row in rows} == {3}
         printed = capsys.readouterr().err
         assert "1 trial(s) failed" in printed
         assert "trial 2: trial 2 diverged" in printed
@@ -345,13 +375,46 @@ class TestRunSweep:
         assert batch_sizes == [6] * 4
 
 
+@given(st.sampled_from([("snr", (-3.0, 3.0)), ("grid", (6, 16)),
+                        ("iters", (1, 2, 4))]),
+       st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_rows_do_not_depend_on_batch_size(sweep, trials, seed):
+    """A sweep's rows are the same for one trial per batch, the default
+    batches (8 trials at 8 users on the 16x16 grid) and one batch per
+    point."""
+    kind, values = sweep
+    spec = small_spec(users=8, grid_size=16, trials=trials, seed=seed,
+                      sweep_kind=kind, sweep_values=values)
+    rows = []
+    for size in (1, harness.BATCH_BYTES, 1 << 30):
+        with mock.patch.object(harness, "BATCH_BYTES", size):
+            rows.append(run_sweep(spec))
+    assert rows[0] == rows[1] == rows[2]
+
+
+def fail_trial_2(spec, monkeypatch):
+    """Make trial 2 of sweep point 0 raise wherever it is built: every
+    response the batch of a sweep point needs comes from
+    build_joint_dictionary."""
+    trial_2 = draw_paths(spec.users, spec.paths,
+                         [np.random.SeedSequence([spec.seed, 0, 2])])
+    build = harness.build_joint_dictionary
+
+    def failing_build(paths, grid, config):
+        if any(np.array_equal(beta, trial_2.beta[0]) for beta in paths.beta):
+            raise FloatingPointError("trial 2 diverged")
+        return build(paths, grid, config)
+
+    monkeypatch.setattr(harness, "build_joint_dictionary", failing_build)
+
+
 def check_solution(paths, trial, solution, config, power):
     """Invariants of every solver result for one trial of paths: the
     placement is feasible, H_star is the channel synthesized there (bit for
     bit), each served user's precoder column carries power/K, and only users
     without any channel are left unserved."""
     check_spacing(solution.placement, config)
-    H = synthesize_channel(paths, solution.placement, config).entries[trial]
+    H = synthesize_channel(paths, solution.placement, config)[trial]
     assert np.array_equal(solution.H_star, H)
     F = solution.F_star
     n_users = F.shape[1]

@@ -39,7 +39,7 @@ def test_four_candidates_match_hand_loop():
     best_obj, best_pair = None, None
     for z in grid.z:
         for psi in grid.psi:
-            (H,) = synthesize_channel(paths, [(psi, z)], config).entries
+            (H,) = synthesize_channel(paths, [(psi, z)], config)
             obj = rzf_objective(H, rzf(H, 1.0), 1.0)
             if best_obj is None or obj < best_obj:
                 best_obj, best_pair = obj, (psi, z)
@@ -54,7 +54,7 @@ def test_objective_dominates_every_feasible_placement():
     for slot in range(grid.g_v):
         for pair in itertools.combinations(range(grid.g_h), 2):
             placement = [(grid.psi[a], grid.z[slot]) for a in pair]
-            (H,) = synthesize_channel(paths, placement, config).entries
+            (H,) = synthesize_channel(paths, placement, config)
             obj = rzf_objective(H, rzf(H, 0.7), 0.7)
             assert obj >= result.objective - 1e-12
 
@@ -75,7 +75,7 @@ def test_ring_order_invariance():
     swapped_angles = result.angles[::-1]
     swapped_heights = result.heights[::-1]
     placement = [(swapped_angles[m][0], swapped_heights[m]) for m in range(2)]
-    (H,) = synthesize_channel(paths, placement, config).entries
+    (H,) = synthesize_channel(paths, placement, config)
     assert np.isclose(rzf_objective(H, rzf(H, 1.0), 1.0), result.objective)
 
 

@@ -178,6 +178,23 @@ class TestSinr:
         report = sinr(H, F, 0.7)
         assert np.allclose(report.sinr, sinr_oracle(H, F, 0.7), atol=1e-12)
         assert np.allclose(report.rates, np.log2(1.0 + report.sinr))
+        assert isinstance(report.sum_rate, float)
+        stack = [(random_channel(rng, 3, 5), random_channel(rng, 5, 3))
+                 for _ in range(3)]
+        stacked = sinr(np.stack([h for h, _ in stack]),
+                       np.stack([f for _, f in stack]), 0.7)
+        assert stacked.sum_rate.shape == (3,)
+        for b, (h, f) in enumerate(stack):
+            assert np.allclose(stacked.sinr[b], sinr_oracle(h, f, 0.7),
+                               atol=1e-12)
+            assert stacked.sum_rate[b] == sinr(h, f, 0.7).sum_rate
+
+    def test_rejects_mismatched_stack(self):
+        H = np.zeros((2, 3, 4))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            sinr(H, np.zeros((3, 4, 3)), 1.0)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            sinr(H, np.zeros((2, 3, 3)), 1.0)
 
     def test_user_permutation_invariance(self):
         rng = np.random.default_rng(9)
