@@ -15,8 +15,8 @@ from .channel import (Dictionary, Paths, build_joint_dictionary, draw_paths,
 from .geometry import (SPEED_OF_LIGHT, FclaConfig, PositionGrid, build_grid,
                        check_spacing, min_revolve_angle)
 from .harness import (ExperimentSpec, SweepRow, run_sweep, run_trial,
-                      ucla_baseline, ucla_config, ucla_placement, ucla_radius,
-                      write_manifest, write_results_csv)
+                      ucla_baseline, ucla_config, ucla_radius, write_manifest,
+                      write_results_csv)
 from .joint import solve_joint
 from .oracle import OracleResult, exhaustive_best
 from .pattern import PatternSpec, power_gain

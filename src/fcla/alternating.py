@@ -20,8 +20,8 @@ import numpy as np
 
 from .channel import Dictionary
 from .geometry import FclaConfig
-from .precoding import GreedyState, normalize_columns, rzf, sinr
-from .solution import PlacementBatch, PlacementSolution
+from .precoding import GreedyState, sinr
+from .solution import PlacementBatch, refit, solutions
 
 
 def initial_heights(g_v: int, m_rings: int) -> np.ndarray:
@@ -138,13 +138,13 @@ def solve_alternating(dictionary: Dictionary, config: FclaConfig,
     Heights from one round seed the next round's angle phase. With
     rate_trace, the sum rate of each round's placement (its refit precoder
     normalized to the power budget) is recorded as "sum_rate_trace". Returns
-    one solution per trial of the (B, K, G) dictionary, each equal to solving
-    its trial alone.
+    one solution per trial of the (B, K, G) dictionary
+    (`fcla.solution.solutions`), each equal to solving its trial alone.
     """
     if n_outer < 1:
         raise ValueError("need at least one outer round")
     dictionary.check_capacity(config)
-    entries = dictionary.entries
+    n_trials = len(dictionary.entries)
     g_h = dictionary.group_size
     slots = initial_heights(dictionary.n_groups, config.m_rings)
 
@@ -157,37 +157,21 @@ def solve_alternating(dictionary: Dictionary, config: FclaConfig,
         mf_columns += diag_a["matched_filter_columns"] + diag_v["matched_filter_columns"]
         phase_objectives.append((diag_a["objective_trace"],
                                  diag_v["objective_trace"]))
-        columns = slots[..., None] * g_h + angles  # (B, M, N)
+        # ring-major blocks of N angle columns
+        columns = (slots[..., None] * g_h + angles).reshape(n_trials, -1)
         if rate_trace:
-            sum_rates.append([
-                sinr(H, normalize_columns(rzf(H, alpha), power, allow_zero=True),
-                     sigma2).sum_rate
-                for H in _channels(entries, columns)
-            ])
+            H, _, F = refit(dictionary, columns, alpha, power)
+            sum_rates.append(sinr(H, F, sigma2).sum_rate)
 
-    solutions = PlacementBatch()
-    for t, H_star in enumerate(_channels(entries, columns)):
-        diagnostics = {
+    diagnostics = []
+    for t in range(n_trials):
+        diagnostics.append({
             "phase_objectives": [{"angle": a[t].tolist(), "height": v[t].tolist()}
                                  for a, v in phase_objectives],
-            "final_objective": float(phase_objectives[-1][1][t, -1]),
             "matched_filter_columns": mf_columns,
-        }
+        })
         if rate_trace:
-            diagnostics["sum_rate_trace"] = [rates[t] for rates in sum_rates]
-        solutions.append(PlacementSolution(
-            heights=dictionary.z[columns[t, :, 0]],
-            angles=dictionary.psi[columns[t]],
-            placement=[(float(dictionary.psi[g]), float(dictionary.z[g]))
-                       for g in columns[t].ravel()],
-            H_star=H_star,
-            F_star=normalize_columns(rzf(H_star, alpha), power, allow_zero=True),
-            diagnostics=diagnostics,
-        ))
-    return solutions
-
-
-def _channels(entries: np.ndarray, columns: np.ndarray) -> list:
-    """Each trial's channel at its (M, N) placement columns, in ring-major
-    blocks of N angles."""
-    return [trial[:, cols.ravel()] for trial, cols in zip(entries, columns)]
+            diagnostics[t]["sum_rate_trace"] = [float(rates[t])
+                                                for rates in sum_rates]
+    return solutions(dictionary, columns, slots, config, alpha, power,
+                     diagnostics)

@@ -131,14 +131,10 @@ class PositionGrid:
 
 
 def build_grid(config: FclaConfig) -> PositionGrid:
-    """Derive the candidate position grid from an array configuration."""
+    """Derive the candidate position grid from an array configuration, which
+    already holds at least M height and N angle slots."""
     g_h = config.grid_angles
     g_v = config.grid_heights
-    if g_v < config.m_rings or g_h < config.n_elements:
-        raise ValueError(
-            f"grid {g_h}x{g_v} cannot host {config.m_rings} rings of "
-            f"{config.n_elements} elements"
-        )
     psi = np.arange(g_h) * (2.0 * np.pi / g_h)
     z = np.arange(g_v) * config.d_min
     return PositionGrid(psi=psi, z=z)

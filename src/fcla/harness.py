@@ -16,12 +16,11 @@ import numpy as np
 from . import __version__
 from .alternating import solve_alternating
 from .channel import Dictionary, Paths, build_joint_dictionary, draw_paths
-from .geometry import (SPEED_OF_LIGHT, FclaConfig, PositionGrid, build_grid,
-                       check_spacing)
+from .geometry import SPEED_OF_LIGHT, FclaConfig, PositionGrid, build_grid
 from .joint import solve_joint
 from .pattern import PatternSpec
-from .precoding import normalize_columns, rzf, sinr
-from .solution import PlacementBatch, PlacementSolution
+from .precoding import sinr
+from .solution import PlacementBatch, solutions
 
 
 @dataclass
@@ -67,6 +66,7 @@ METHOD_TABLE = {
 METHODS = tuple(METHOD_TABLE)
 GREEDY_METHODS = tuple(m for m, (_, greedy) in METHOD_TABLE.items() if greedy)
 SWEEP_KINDS = ("snr", "grid", "iters")
+PATTERN_KINDS = ("directional", "omni")
 # bytes of dictionary entries (trials x users x columns) per batch
 BATCH_BYTES = 256 * 1024
 
@@ -152,7 +152,10 @@ class ExperimentSpec:
     def pattern(self) -> PatternSpec:
         if self.pattern_kind == "omni":
             return PatternSpec.omni()
-        return PatternSpec.directional(self.kappa)
+        if self.pattern_kind == "directional":
+            return PatternSpec.directional(self.kappa)
+        raise ValueError(f"unknown pattern_kind {self.pattern_kind!r}; "
+                         f"choose from {PATTERN_KINDS}")
 
     def config_for_grid(self, grid_size: int) -> FclaConfig:
         return FclaConfig.from_grid(
@@ -218,41 +221,26 @@ def ucla_config(config: FclaConfig) -> FclaConfig:
     return dataclasses.replace(config, radius=ucla_radius(config))
 
 
-def _ucla_grid(config: FclaConfig) -> PositionGrid:
-    """Uniform baseline: N angles spaced 2*pi/N per ring, rings stacked at
-    d_min intervals starting from height zero."""
-    return PositionGrid(
-        psi=np.arange(config.n_elements) * (2.0 * np.pi / config.n_elements),
-        z=np.arange(config.m_rings) * config.d_min)
-
-
-def ucla_placement(config: FclaConfig):
-    """The uniform baseline's (psi, z) per element, ring by ring."""
-    grid = _ucla_grid(config)
-    return [(float(psi), float(z)) for z in grid.z for psi in grid.psi]
-
-
 def ucla_baseline(paths: Paths, config: FclaConfig, alpha: float,
                   power: float) -> PlacementBatch:
     """The uniform array's placement, channel and normalized precoder, for
     each trial of paths.
 
     The baseline is fixed hardware: it keeps the compact canonical radius
-    regardless of how large the flexible candidate region is. Its placement
-    is a grid of N angles x M heights, so its channels are the columns of a
-    dictionary on that grid."""
+    regardless of how large the flexible candidate region is. Each ring holds
+    N angles spaced 2*pi/N, and the rings stack at d_min intervals from
+    height zero. That is a grid of N angles x M heights, so the baseline
+    takes every column of the dictionary on that grid, ring by ring."""
     compact = ucla_config(config)
-    grid = _ucla_grid(compact)
-    placement = ucla_placement(compact)
-    check_spacing(placement, compact)
-    channels = build_joint_dictionary(paths, grid, compact).entries
-    angles = np.tile(grid.psi, (config.m_rings, 1))
-    return PlacementBatch(
-        PlacementSolution(heights=grid.z, angles=angles, placement=placement,
-                          H_star=H,
-                          F_star=normalize_columns(rzf(H, alpha), power,
-                                                   allow_zero=True))
-        for H in channels)
+    n_elem, m_rings = config.n_elements, config.m_rings
+    grid = PositionGrid(psi=np.arange(n_elem) * (2.0 * np.pi / n_elem),
+                        z=np.arange(m_rings) * compact.d_min)
+    dictionary = build_joint_dictionary(paths, grid, compact)
+    n_trials = len(paths)
+    columns = np.tile(np.arange(m_rings * n_elem), (n_trials, 1))
+    slots = np.tile(np.arange(m_rings), (n_trials, 1))
+    return solutions(dictionary, columns, slots, compact, alpha, power,
+                     [{}] * n_trials)
 
 
 def draw_batch(spec: ExperimentSpec, point_index: int, trials,
@@ -274,16 +262,8 @@ def draw_batch(spec: ExperimentSpec, point_index: int, trials,
 
 
 def solve_methods(batch: TrialBatch, methods) -> dict:
-    """Method name -> one PlacementSolution per trial of the batch, each
-    greedy placement checked against the spacing rules."""
-    solved = {}
-    for method in methods:
-        solve, greedy = METHOD_TABLE[method]
-        solved[method] = solve(batch)
-        if greedy:
-            for solution in solved[method]:
-                check_spacing(solution.placement, batch.config)
-    return solved
+    """Method name -> one PlacementSolution per trial of the batch."""
+    return {method: METHOD_TABLE[method][0](batch) for method in methods}
 
 
 def run_trial(spec: ExperimentSpec, point_index: int, trials) -> list:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .channel import Dictionary
 from .geometry import FclaConfig
-from .precoding import GreedyState, normalize_columns, rzf, rzf_objective
-from .solution import PlacementBatch, PlacementSolution
+from .precoding import GreedyState
+from .solution import PlacementBatch, solutions
 
 
 def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
@@ -27,10 +27,10 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
 
     Iterates: match the best live atom against the residual, add it to the
     inverse-Gram state, and retire any height group that just filled up.
-    Stops once M groups are complete, keeps only their atoms, and refits the
-    final precoder on that support before normalizing columns. Returns one
-    solution per trial of the (B, K, G) dictionary, each equal to solving its
-    trial alone.
+    Stops once M groups are complete and keeps only their atoms, in pick
+    order, as the placement; rings take the groups in completion order.
+    Returns one solution per trial of the (B, K, G) dictionary
+    (`fcla.solution.solutions`), each equal to solving its trial alone.
     """
     dictionary.check_capacity(config)
     m_rings, n_elem = config.m_rings, config.n_elements
@@ -75,60 +75,27 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
     else:
         raise RuntimeError("candidate set exhausted before enough groups filled")
 
-    picks, objectives = np.array(picks), np.array(objectives)
-    return PlacementBatch(
-        _solution(dictionary, entries[t], picks[:iterations[t], t].tolist(),
-                  objectives[:iterations[t], t].tolist(), completed_at[t],
-                  config, alpha, power, int(mf_columns[t]))
-        for t in trials
-    )
-
-
-def _solution(dictionary: Dictionary, entries: np.ndarray, support: list,
-              objective_trace: list, completed_at: np.ndarray,
-              config: FclaConfig, alpha: float, power: float,
-              mf_columns: int) -> PlacementSolution:
-    """One trial's result from its picks: keep the atoms of the completed
-    groups and refit the precoder on them."""
-    g_h = dictionary.group_size
-    filled = np.flatnonzero(completed_at >= 0)
-    complete = filled[np.argsort(completed_at[filled])].tolist()
-    kept = set(complete)
-    final_support = [g for g in support if g // g_h in kept]
-    if len(final_support) != config.m_rings * config.n_elements:
-        raise RuntimeError(
-            f"kept {len(final_support)} atoms, expected "
-            f"{config.m_rings * config.n_elements}"
-        )
-
-    H_star = entries[:, final_support]
-    F_raw = rzf(H_star, alpha, gram="k")
-    final_objective = rzf_objective(H_star, F_raw, alpha)
-    F_star = normalize_columns(F_raw, power, allow_zero=True)
-
-    placement = [(float(dictionary.psi[g]), float(dictionary.z[g]))
-                 for g in final_support]
-    heights = np.array([float(dictionary.z[m * g_h]) for m in complete])
-    angles = np.array([
-        [float(dictionary.psi[g]) for g in final_support if g // g_h == m]
-        for m in complete
-    ])
-    trace = [(i + 1, g, g // g_h, objective)
-             for i, (g, objective) in enumerate(zip(support, objective_trace))]
-
-    return PlacementSolution(
-        heights=heights,
-        angles=angles,
-        placement=placement,
-        H_star=H_star,
-        F_star=F_star,
-        diagnostics={
+    picks, objectives = np.array(picks).T, np.array(objectives).T  # (B, steps)
+    made = np.arange(picks.shape[1]) < iterations[:, None]
+    kept = made & (np.take_along_axis(completed_at, picks // g_h, axis=1) >= 0)
+    if not (kept.sum(axis=1) == m_rings * n_elem).all():
+        raise RuntimeError(f"kept {kept.sum(axis=1).tolist()} atoms, expected "
+                           f"{m_rings * n_elem} per trial")
+    columns = picks[kept].reshape(n_trials, -1)
+    # the M completed groups in completion order, after the -1s of the others
+    slots = np.argsort(completed_at, axis=1)[:, -m_rings:]
+    diagnostics = []
+    for t in trials:
+        support = picks[t, made[t]].tolist()
+        objective_trace = objectives[t, made[t]].tolist()
+        diagnostics.append({
             "iterations": len(support),
-            "trace": trace,
+            "trace": [(i + 1, g, g // g_h, objective) for i, (g, objective)
+                      in enumerate(zip(support, objective_trace))],
             "objective_trace": objective_trace,
-            "final_objective": final_objective,
             "support": support,
-            "final_support": final_support,
-            "matched_filter_columns": mf_columns,
-        },
-    )
+            "final_support": columns[t].tolist(),
+            "matched_filter_columns": int(mf_columns[t]),
+        })
+    return solutions(dictionary, columns, slots, config, alpha, power,
+                     diagnostics)

@@ -22,32 +22,40 @@ def rzf(H: np.ndarray, alpha: float, gram: str = "auto") -> np.ndarray:
     The same matrix equals (H^H H + alpha I)^-1 H^H, so the solve runs on
     whichever Gram matrix is smaller unless a specific form is forced via
     gram="k" (users) or gram="n" (antennas). alpha=0 requires a full-rank
-    system and raises SingularMatrixError otherwise.
+    system and raises SingularMatrixError otherwise. H (..., K, N) may stack
+    matrices along leading axes; each (..., N, K) precoder then equals its
+    matrix's own.
     """
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2:
-        raise ValueError("H must be a 2-D matrix")
+    if H.ndim < 2:
+        raise ValueError("H must be a matrix or a stack of matrices")
     if alpha < 0.0:
         raise ValueError(f"regularization must be >= 0, got {alpha}")
-    n_users, n_ant = H.shape
+    n_users, n_ant = H.shape[-2:]
     if gram == "auto":
         gram = "k" if n_users <= n_ant else "n"
+    H_h = _hermitian(H)
     if gram == "k":
-        G = H @ H.conj().T + alpha * np.eye(n_users)
+        G = H @ H_h + alpha * np.eye(n_users)
         _require_invertible(G, alpha)
         # (G^-1 H)^H = H^H G^-1 because G is Hermitian
-        return np.linalg.solve(G, H).conj().T
+        return _hermitian(np.linalg.solve(G, H))
     if gram == "n":
-        G = H.conj().T @ H + alpha * np.eye(n_ant)
+        G = H_h @ H + alpha * np.eye(n_ant)
         _require_invertible(G, alpha)
-        return np.linalg.solve(G, H.conj().T)
+        return np.linalg.solve(G, H_h)
     raise ValueError(f"gram must be 'auto', 'k' or 'n', got {gram!r}")
+
+
+def _hermitian(A: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return np.swapaxes(np.conj(A), -1, -2)
 
 
 def _require_invertible(G: np.ndarray, alpha: float) -> None:
     if alpha > 0.0:
         return
-    rcond = 1.0 / np.linalg.cond(G)
+    rcond = np.min(1.0 / np.linalg.cond(G))
     if not np.isfinite(rcond) or rcond < _RCOND_FLOOR:
         raise SingularMatrixError(
             f"Gram matrix is singular to working precision (rcond={rcond:.2e}); "
@@ -61,16 +69,17 @@ def normalize_columns(F: np.ndarray, power: float,
 
     A zero column is an error by default. With allow_zero it is left at zero
     (that user is unservable, e.g. entirely behind every directional element)
-    and only the remaining columns are scaled to their power/K share.
+    and only the remaining columns are scaled to their power/K share. F
+    (..., N, K) may stack precoders along leading axes.
     """
     F = np.asarray(F, dtype=complex)
-    norms = np.linalg.norm(F, axis=0)
+    norms = np.linalg.norm(F, axis=-2)
     zero = norms == 0.0
     if np.any(zero) and not allow_zero:
         raise ValueError("cannot normalize a zero precoder column")
-    target = np.sqrt(power / F.shape[1])
+    target = np.sqrt(power / F.shape[-1])
     scale = np.where(zero, 0.0, target / np.where(zero, 1.0, norms))
-    return F * scale
+    return F * scale[..., None, :]
 
 
 @dataclass
@@ -106,13 +115,18 @@ def sinr(H_true: np.ndarray, F: np.ndarray, sigma2: float) -> RateReport:
                       sum_rate=float(sum_rate) if sum_rate.ndim == 0 else sum_rate)
 
 
-def rzf_objective(H: np.ndarray, F: np.ndarray, alpha: float) -> float:
-    """Regularized interference objective ||I - H F||_F^2 + alpha ||F||_F^2."""
+def rzf_objective(H: np.ndarray, F: np.ndarray,
+                  alpha: float) -> float | np.ndarray:
+    """Regularized interference objective ||I - H F||_F^2 + alpha ||F||_F^2.
+
+    H (..., K, N) and F (..., N, K) may stack matrices along leading axes;
+    the objective is then one per matrix, and a float for a single one."""
     H = np.asarray(H, dtype=complex)
     F = np.asarray(F, dtype=complex)
-    k = H.shape[0]
-    mui = np.linalg.norm(np.eye(k) - H @ F, "fro") ** 2
-    return float(mui + alpha * np.linalg.norm(F, "fro") ** 2)
+    residual = np.eye(H.shape[-2]) - H @ F
+    objective = (np.linalg.norm(residual, axis=(-2, -1)) ** 2
+                 + alpha * np.linalg.norm(F, axis=(-2, -1)) ** 2)
+    return float(objective) if objective.ndim == 0 else objective
 
 
 class GreedyState:

@@ -149,6 +149,17 @@ def test_bad_config_file_rejected(tmp_path):
     assert code == 2
 
 
+def test_unknown_pattern_kind_in_config_rejected_by_name(tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"pattern_kind": "omnii"}))
+    out = tmp_path / "out"
+    code = parse_and_dispatch(["sweep-snr", "--config", str(cfg),
+                               "--out", str(out)] + SMALL)
+    assert code == 2
+    assert "pattern_kind" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_passes(capsys):
     assert parse_and_dispatch(["validate"]) == 0
     out = capsys.readouterr().out

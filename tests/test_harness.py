@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import io
 import json
 from unittest import mock
@@ -13,8 +14,8 @@ from fcla.channel import draw_paths, synthesize_channel
 from fcla.geometry import check_spacing
 from fcla.precoding import sinr
 from fcla.harness import (METHODS, ExperimentSpec, run_sweep, run_trial,
-                          ucla_baseline, ucla_config, ucla_placement,
-                          write_manifest, write_results_csv)
+                          ucla_baseline, ucla_config, write_manifest,
+                          write_results_csv)
 
 
 # (sweep kind, sweep values) of a small sweep of each kind
@@ -63,6 +64,10 @@ class TestSpec:
         with pytest.raises(ValueError):
             small_spec(sweep_kind="users")
 
+    def test_rejects_unknown_pattern_kind(self):
+        with pytest.raises(ValueError, match="pattern_kind 'omnii'"):
+            small_spec(pattern_kind="omnii")
+
     def test_rejects_unknown_key(self):
         data = small_spec().to_dict()
         data["trails"] = 5
@@ -99,25 +104,30 @@ class TestSpec:
         assert clone == small_spec()
 
 
+def baseline_placement(config):
+    """The uniform baseline's (psi, z) per element of one trial."""
+    return ucla_baseline(draw_paths(6, 2, [0]), config, 1.0, 1.0)[0].placement
+
+
 class TestUclaBaseline:
     def test_single_ring_angles(self):
         spec = small_spec(rings=1, elements=4, grid_size=6)
         config = spec.config_for_grid(6)
-        placement = ucla_placement(config)
+        placement = baseline_placement(config)
         assert np.allclose([p for p, _ in placement],
                            [0.0, np.pi / 2.0, np.pi, 1.5 * np.pi])
         assert all(z == 0.0 for _, z in placement)
 
     def test_heights_packed_at_minimum(self):
         config = small_spec(rings=3).config_for_grid(6)
-        placement = ucla_placement(config)
+        placement = baseline_placement(config)
         heights = sorted({z for _, z in placement})
         assert np.allclose(heights, [0.0, config.d_min, 2.0 * config.d_min])
 
     def test_placement_is_feasible(self):
         config = small_spec(rings=4, elements=4, grid_size=12).config_for_grid(12)
         compact = ucla_config(config)
-        check_spacing(ucla_placement(compact), compact)
+        check_spacing(baseline_placement(config), compact)
 
     def test_compact_radius_chord(self):
         config = small_spec(elements=4).config_for_grid(6)
@@ -131,7 +141,9 @@ class TestUclaBaseline:
         paths = draw_paths(6, 2, [0])
         (solution,) = ucla_baseline(paths, config, 1.0, 1.0)
         assert solution.H_star.shape == (6, 4)
-        assert solution.placement == ucla_placement(ucla_config(config))
+        d_min = config.d_min
+        assert solution.placement == [(0.0, 0.0), (np.pi, 0.0),
+                                      (0.0, d_min), (np.pi, d_min)]
         assert solution.heights.shape == (2,) and solution.angles.shape == (2, 2)
         assert abs(np.linalg.norm(solution.F_star, "fro") ** 2 - 1.0) < 1e-12
         assert sinr(solution.H_star, solution.F_star, 1.0).sum_rate > 0.0
@@ -343,7 +355,7 @@ class TestRunSweep:
 
     def test_every_trial_satisfies_solution_invariants(self, monkeypatch):
         drawn = []
-        checked = {"fcla-j": 0, "fcla-a": 0}
+        checked = {"ucla": 0, "fcla-j": 0, "fcla-a": 0}
         batch_sizes = []
         draw = harness.draw_paths
 
@@ -352,27 +364,31 @@ class TestRunSweep:
             return drawn[-1]
 
         def checked_solver(name, solver):
-            def run(dictionary, config, *args, **kwargs):
-                batch = solver(dictionary, config, *args, **kwargs)
+            def run(*args, **kwargs):
+                batch = solver(*args, **kwargs)
+                given = inspect.signature(solver).bind(*args, **kwargs).arguments
+                config = given["config"]
+                if name == "ucla":  # the baseline's own compact cylinder
+                    config = ucla_config(config)
                 # a batch's paths are the last ones drawn, in trial order
                 for t, solution in enumerate(batch):
                     check_solution(drawn[-1], t, solution, config,
-                                   kwargs["power"])
+                                   given["power"])
                     checked[name] += 1
                 batch_sizes.append(len(batch))
                 return batch
             return run
 
         monkeypatch.setattr(harness, "draw_paths", recording_draw)
-        monkeypatch.setattr(harness, "solve_joint",
-                            checked_solver("fcla-j", harness.solve_joint))
-        monkeypatch.setattr(harness, "solve_alternating",
-                            checked_solver("fcla-a", harness.solve_alternating))
+        for name, attr in (("ucla", "ucla_baseline"), ("fcla-j", "solve_joint"),
+                           ("fcla-a", "solve_alternating")):
+            monkeypatch.setattr(harness, attr,
+                                checked_solver(name, getattr(harness, attr)))
         spec = small_spec(trials=6, sweep_values=(-3.0, 3.0), elements=3,
                           jobs=1)
         run_sweep(spec)
-        assert checked == {"fcla-j": 12, "fcla-a": 12}
-        assert batch_sizes == [6] * 4
+        assert checked == {"ucla": 12, "fcla-j": 12, "fcla-a": 12}
+        assert batch_sizes == [6] * 6
 
 
 @given(st.sampled_from([("snr", (-3.0, 3.0)), ("grid", (6, 16)),

@@ -120,6 +120,14 @@ class TestSolveJoint:
         with pytest.raises(ValueError):
             solve_joint(too_few_slots, three_rings, alpha=1.0)
 
+    def test_rejects_placement_closer_than_min_angle(self):
+        # two angle columns 0.1 rad apart on a ring whose floor is pi/2
+        config = FclaConfig.from_grid(1, 2, 4, 1, d_min=0.05, wavelength=0.1)
+        d = Dictionary(entries=np.eye(2, dtype=complex)[None],
+                       psi=np.array([0.0, 0.1]), z=np.zeros(2), group_size=2)
+        with pytest.raises(ValueError, match="minimum revolve angle"):
+            solve_joint(d, config, alpha=1.0)
+
 
 class TestStackedTrials:
     """A (B, K, G) dictionary solves every trial as if it were alone."""

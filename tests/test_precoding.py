@@ -33,8 +33,8 @@ def rzf_oracle(H, alpha):
     return X.conj().T
 
 
-def random_channel(rng, k, n):
-    return (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+def random_channel(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestRzf:
@@ -140,6 +140,34 @@ class TestNormalizeColumns:
         out = normalize_columns(F, 1.0, allow_zero=True)
         assert np.all(out[:, 1] == 0.0)
         assert np.isclose(np.linalg.norm(out[:, 0]), np.sqrt(0.5))
+
+
+class TestStacks:
+    """A (B, K, N) stack gives each matrix exactly its own result."""
+
+    @pytest.mark.parametrize("shape", [(4, 3, 5), (4, 5, 3)],
+                             ids=["k-below-n", "k-above-n"])
+    @pytest.mark.parametrize("gram", ["auto", "k", "n"])
+    def test_stack_equals_per_matrix_calls(self, shape, gram):
+        rng = np.random.default_rng(8)
+        H = random_channel(rng, *shape)
+        F = rzf(H, 0.4, gram=gram)
+        F_norm = normalize_columns(F, 2.0)
+        objective = rzf_objective(H, F, 0.4)
+        assert F.shape == (shape[0], shape[2], shape[1])
+        for b in range(shape[0]):
+            F_b = rzf(H[b], 0.4, gram=gram)
+            assert np.array_equal(F[b], F_b)
+            assert np.array_equal(F_norm[b], normalize_columns(F_b, 2.0))
+            assert objective[b] == rzf_objective(H[b], F_b, 0.4)
+
+    def test_one_singular_matrix_fails_the_stack(self):
+        rng = np.random.default_rng(9)
+        H = random_channel(rng, 3, 3, 4)
+        rzf(H[[0, 2]], 0.0)
+        H[1] = 1.0  # rank one
+        with pytest.raises(SingularMatrixError):
+            rzf(H, 0.0)
 
 
 def sinr_oracle(H, F, sigma2):
