@@ -25,14 +25,10 @@ from .solution import PlacementBatch, refit, solutions
 
 
 def initial_heights(g_v: int, m_rings: int) -> np.ndarray:
-    """Evenly spread starting height slots, one per ring."""
-    if g_v < m_rings:
-        raise ValueError(f"{g_v} height slots cannot host {m_rings} rings")
+    """Evenly spread starting height slots, one per ring, for g_v >= m_rings
+    slots; they are distinct because the spread is at least one slot."""
     span = (g_v - 1) / max(m_rings - 1, 1)
-    slots = np.round(np.arange(m_rings) * span).astype(int)
-    if len(set(slots.tolist())) != m_rings:
-        raise RuntimeError(f"starting slots {slots.tolist()} are not distinct")
-    return slots
+    return np.round(np.arange(m_rings) * span).astype(int)
 
 
 def _distinct(index: np.ndarray) -> bool:
@@ -103,8 +99,6 @@ def optimize_heights(dictionary: Dictionary, angles, config: FclaConfig,
         raise ValueError(f"a ring repeats an angle slot: {angles.tolist()}")
     m_rings, n_elem = angles.shape[1:]
     g_h, g_v = dictionary.group_size, dictionary.n_groups
-    if g_v < m_rings:
-        raise ValueError(f"{g_v} height slots cannot host {m_rings} rings")
 
     state = GreedyState(n_trials, n_users, alpha)
     alive = np.ones((n_trials, g_v), dtype=bool)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import numbers
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -71,6 +72,23 @@ PATTERN_KINDS = ("directional", "omni")
 BATCH_BYTES = 256 * 1024
 
 
+# spec fields that count something, so each must be a whole number >= 1
+WHOLE_FIELDS = ("rings", "elements", "users", "paths", "grid_size",
+                "outer_iters", "trials", "jobs")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _whole(name: str, value, low: int) -> int:
+    """value as an int, or a ValueError naming the field unless it is a
+    whole number >= low."""
+    if not (_is_real(value) and float(value).is_integer() and value >= low):
+        raise ValueError(f"{name} must be a whole number >= {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentSpec:
     """Everything needed to reproduce one experiment."""
@@ -104,32 +122,35 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown sweep kind {self.sweep_kind!r}; choose from {SWEEP_KINDS}"
             )
-        if self.trials < 1:
-            raise ValueError("need at least one trial per point")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs!r}")
-        if not self.sweep_values:
-            raise ValueError("sweep needs at least one point")
-        self.sweep_values = tuple(float(v) for v in self.sweep_values)
-        self._check_points()
+        for name in WHOLE_FIELDS:
+            setattr(self, name, _whole(name, getattr(self, name), 1))
+        self.seed = _whole("seed", self.seed, 0)
         alpha = self.alpha_value()
         # the greedy solvers' inverse-Gram state exists only for alpha > 0
-        if set(self.methods) & set(GREEDY_METHODS) and not alpha > 0.0:
+        if (set(self.methods) & set(GREEDY_METHODS)
+                and not (_is_real(alpha) and alpha > 0.0)):
             raise ValueError(
                 f"alpha must be > 0 for {', '.join(GREEDY_METHODS)} "
                 f"(got alpha={self.alpha!r}, noise_power={self.noise_power!r})"
             )
+        for name in ("noise_power", "frequency_hz"):
+            value = getattr(self, name)
+            if not (_is_real(value) and value > 0.0):
+                raise ValueError(f"{name} must be a number > 0, got {value!r}")
+        if not self.sweep_values:
+            raise ValueError("sweep needs at least one point")
+        self.sweep_values = tuple(float(v) for v in self.sweep_values)
+        self._check_points()
 
     def _check_points(self) -> None:
         """Reject a sweep point that cannot run, naming the field it came
         from, before any work or output."""
-        if self.sweep_kind == "iters":
-            if any(v < 1 or v != int(v) for v in self.sweep_values):
-                raise ValueError(f"sweep_values of an iteration sweep must be "
-                                 f"whole numbers >= 1, got {self.sweep_values}")
-            if "fcla-a" not in self.methods:
-                raise ValueError(f"methods of an iteration sweep must include "
-                                 f"fcla-a, got {self.methods}")
+        if self.sweep_kind != "snr":
+            for v in self.sweep_values:
+                _whole(f"{self.sweep_kind} sweep_values", v, 1)
+        if self.sweep_kind == "iters" and "fcla-a" not in self.methods:
+            raise ValueError(f"methods of an iteration sweep must include "
+                             f"fcla-a, got {self.methods}")
         self.pattern()  # a bad pattern is named as such, not as a grid size
         if self.sweep_kind == "grid":
             grids, field = [int(v) for v in self.sweep_values], "sweep_values"

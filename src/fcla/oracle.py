@@ -1,9 +1,10 @@
 """Exhaustive reference solver for desk-scale instances.
 
-Enumerates every feasible grid placement (unordered height subsets, one
-unordered angle subset per ring), evaluates the regularized precoding
-objective or the normalized sum rate for each, and returns the optimum.
-Ground truth for validating the greedy solvers on tiny problems.
+Enumerates every feasible placement on a dictionary's grid (unordered height
+subsets, one unordered angle subset per ring), rates each by the regularized
+precoding objective and by the sum rate after column normalization, and
+returns the optimum under each. Ground truth for validating the greedy
+solvers on tiny problems.
 """
 
 from __future__ import annotations
@@ -14,9 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Paths, build_joint_dictionary
-from .geometry import FclaConfig, PositionGrid
+from .channel import Dictionary
+from .geometry import FclaConfig
 from .precoding import normalize_columns, rzf, rzf_objective, sinr
+
+# bytes of channels (trials x users x antennas per placement) gathered for
+# one stacked refit, to bound memory
+CHUNK_BYTES = 1 << 22
 
 
 @dataclass
@@ -28,70 +33,46 @@ class OracleResult:
     count: int
 
 
-def enumeration_count(grid: PositionGrid, m_rings: int, n_elem: int) -> int:
-    """C(G_V, M) * C(G_H, N)^M placements."""
-    return math.comb(grid.g_v, m_rings) * math.comb(grid.g_h, n_elem) ** m_rings
-
-
-def exhaustive_best(paths: Paths, grid: PositionGrid,
-                    config: FclaConfig, alpha: float,
-                    criterion: str = "objective",
+def exhaustive_best(dictionary: Dictionary, config: FclaConfig, alpha: float,
                     power: float = 1.0, sigma2: float = 1.0,
-                    cap: int = 10**6) -> OracleResult:
-    """Globally best feasible placement, under the chosen criterion, for the
-    paths of one trial.
+                    cap: int = 10**6) -> list[tuple[OracleResult, OracleResult]]:
+    """Per trial of the (B, K, G) dictionary, the globally best feasible
+    placement by objective and by sum rate, as a pair.
 
-    criterion="objective" minimizes the regularized precoding objective at the
-    refit precoder; criterion="sum_rate" maximizes the sum rate after column
-    normalization to the power budget. Raises if the enumeration would exceed
-    cap placements.
+    The objective is the regularized precoding objective at the refit RZF
+    precoder (minimized); the sum rate is taken after normalizing its columns
+    to the power budget (maximized). A zero column, an unservable user, has
+    zero rate. Ties go to the first placement in enumeration order. Raises if
+    the C(G_V, M) * C(G_H, N)^M placements would exceed cap.
     """
-    if criterion not in ("objective", "sum_rate"):
-        raise ValueError(f"unknown criterion {criterion!r}")
-    m_rings, n_elem = config.m_rings, config.n_elements
-    count = enumeration_count(grid, m_rings, n_elem)
+    dictionary.check_capacity(config)
+    m_rings, n_elem, g_h = config.m_rings, config.n_elements, dictionary.group_size
+    count = (math.comb(dictionary.n_groups, m_rings)
+             * math.comb(g_h, n_elem) ** m_rings)
     if count > cap:
-        raise ValueError(
-            f"enumeration of {count} placements exceeds the cap of {cap}"
-        )
+        raise ValueError(f"enumeration of {count} placements exceeds the cap of {cap}")
+    angle_subsets = list(itertools.combinations(range(g_h), n_elem))
+    columns = np.array(
+        [[h * g_h + a for h, ring in zip(h_idx, a_choice) for a in ring]
+         for h_idx in itertools.combinations(range(dictionary.n_groups), m_rings)
+         for a_choice in itertools.product(angle_subsets, repeat=m_rings)])
 
-    # the full joint response once; gather columns per candidate
-    (entries,) = build_joint_dictionary(paths, grid, config).entries
+    entries = dictionary.entries
+    objective, rate = np.empty((2, len(entries), count))
+    step = max(1, CHUNK_BYTES // (entries[..., :columns.shape[1]].nbytes))
+    for start in range(0, count, step):
+        part = slice(start, start + step)
+        H = np.moveaxis(entries[:, :, columns[part]], 1, 2)  # (B, P, K, M*N)
+        F = rzf(H, alpha)
+        objective[:, part] = rzf_objective(H, F, alpha)
+        rate[:, part] = sinr(H, normalize_columns(F, power), sigma2).sum_rate
 
-    height_subsets = list(itertools.combinations(range(grid.g_v), m_rings))
-    angle_subsets = list(itertools.combinations(range(grid.g_h), n_elem))
+    def result(trial: int, index: int) -> OracleResult:
+        rings = columns[index].reshape(m_rings, n_elem)
+        return OracleResult(heights=dictionary.z[rings[:, 0]],
+                            angles=dictionary.psi[rings],
+                            objective=float(objective[trial, index]),
+                            sum_rate=float(rate[trial, index]), count=count)
 
-    best_key = None
-    best = None
-    evaluated = 0
-    for h_idx in height_subsets:
-        for a_choice in itertools.product(angle_subsets, repeat=m_rings):
-            cols = [h * grid.g_h + a
-                    for h, ring in zip(h_idx, a_choice) for a in ring]
-            H = entries[:, cols]
-            F_raw = rzf(H, alpha)
-            objective = rzf_objective(H, F_raw, alpha)
-            if criterion == "objective":
-                key = objective
-                better = best_key is None or key < best_key
-            else:
-                # zero columns mean unservable users (zero rate), not an error
-                F = normalize_columns(F_raw, power, allow_zero=True)
-                key = sinr(H, F, sigma2).sum_rate
-                better = best_key is None or key > best_key
-            evaluated += 1
-            if better:
-                best_key = key
-                rate = (key if criterion == "sum_rate" else
-                        sinr(H, normalize_columns(F_raw, power, allow_zero=True),
-                             sigma2).sum_rate)
-                best = (h_idx, a_choice, objective, rate)
-    if evaluated != count:
-        raise RuntimeError(f"evaluated {evaluated} placements, expected {count}")
-
-    h_idx, a_choice, objective, rate = best
-    heights = grid.z[list(h_idx)].copy()
-    angles = np.array([[grid.psi[a] for a in ring] for ring in a_choice])
-    return OracleResult(heights=heights, angles=angles,
-                        objective=float(objective), sum_rate=float(rate),
-                        count=count)
+    return [(result(t, objective[t].argmin()), result(t, rate[t].argmax()))
+            for t in range(len(entries))]

@@ -63,20 +63,17 @@ def _require_invertible(G: np.ndarray, alpha: float) -> None:
         )
 
 
-def normalize_columns(F: np.ndarray, power: float,
-                      allow_zero: bool = False) -> np.ndarray:
+def normalize_columns(F: np.ndarray, power: float) -> np.ndarray:
     """Scale each precoder column to carry power/K, so the total is exactly power.
 
-    A zero column is an error by default. With allow_zero it is left at zero
-    (that user is unservable, e.g. entirely behind every directional element)
-    and only the remaining columns are scaled to their power/K share. F
-    (..., N, K) may stack precoders along leading axes.
+    A zero column stays at zero (that user is unservable, e.g. entirely
+    behind every directional element) and only the remaining columns are
+    scaled to their power/K share. F (..., N, K) may stack precoders along
+    leading axes.
     """
     F = np.asarray(F, dtype=complex)
     norms = np.linalg.norm(F, axis=-2)
     zero = norms == 0.0
-    if np.any(zero) and not allow_zero:
-        raise ValueError("cannot normalize a zero precoder column")
     target = np.sqrt(power / F.shape[-1])
     scale = np.where(zero, 0.0, target / np.where(zero, 1.0, norms))
     return F * scale[..., None, :]

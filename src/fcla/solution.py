@@ -62,7 +62,7 @@ def refit(dictionary: Dictionary, columns: np.ndarray, alpha: float,
     is and normalized to the power budget."""
     H = np.take_along_axis(dictionary.entries, columns[:, None, :], axis=2)
     F = rzf(H, alpha)
-    return H, F, normalize_columns(F, power, allow_zero=True)
+    return H, F, normalize_columns(F, power)
 
 
 def solutions(dictionary: Dictionary, columns: np.ndarray, slots: np.ndarray,

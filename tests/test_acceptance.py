@@ -280,8 +280,8 @@ def test_criterion_6_solvers_dominated_by_oracle():
                                       wavelength=0.1, pattern=pattern)
         grid = build_grid(config)
         paths = draw_paths(4, 2, [np.random.SeedSequence([77, i])])
-        best = exhaustive_best(paths, grid, config, alpha=1.0)
         dictionary = build_joint_dictionary(paths, grid, config)
+        ((best, _),) = exhaustive_best(dictionary, config, alpha=1.0)
         for (sol,) in (solve_joint(dictionary, config, alpha=1.0),
                        solve_alternating(dictionary, config, 1.0, 3)):
             try:

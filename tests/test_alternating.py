@@ -117,6 +117,11 @@ class TestOptimizeHeights:
         (slots,), _ = optimize_heights(d, [[0], [1], [2]], config, 1.0)
         assert sorted(slots.tolist()) == [0, 1, 2]
 
+    def test_more_rings_than_slots_rejected(self):
+        config, _, _, d = make_setup(m=2, n=1, g_h=3, g_v=2, seed=1)
+        with pytest.raises(ValueError, match="empty"):
+            optimize_heights(d, [[0], [1], [2]], config, 1.0)
+
     def test_two_slot_selection_picks_stronger_block(self):
         config, grid, paths, d = make_setup(m=1, n=2, g_h=4, g_v=2, seed=2)
         scores = []
@@ -225,9 +230,9 @@ class TestSolveAlternating:
 
     def test_never_beats_exhaustive_oracle(self):
         for seed in range(6):
-            config, grid, paths, d = make_setup(m=1, n=2, g_h=3, g_v=2, seed=seed)
+            config, _, _, d = make_setup(m=1, n=2, g_h=3, g_v=2, seed=seed)
             (sol,) = solve_alternating(d, config, 1.0, 3)
-            best = exhaustive_best(paths, grid, config, alpha=1.0)
+            ((best, _),) = exhaustive_best(d, config, alpha=1.0)
             assert sol.diagnostics["final_objective"] >= best.objective - 1e-9
 
     def test_deterministic(self):

@@ -44,6 +44,25 @@ def test_parse_range_forms():
         _parse_range("1:0:5")
 
 
+@pytest.mark.parametrize("text, points", [
+    ("8:4:15", [8.0, 12.0]),
+    ("-6:4:0", [-6.0, -2.0]),
+    ("0:0.3:1", [0.0, 0.3, 0.6, 0.8999999999999999]),
+    ("1:1:4", [1.0, 2.0, 3.0, 4.0]),
+    ("0:0.1:0.3", [0.0, 0.1, 0.2, 0.30000000000000004]),
+])
+def test_range_stops_at_its_stop(text, points):
+    assert _parse_range(text) == points
+
+
+def test_range_stopping_below_its_start_is_named(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert parse_and_dispatch(["sweep-snr", "--snr", "4:1:0",
+                               "--out", str(out)]) == 2
+    assert "'4:1:0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_snr_sweep_row_count(tmp_path):
     code = parse_and_dispatch(["sweep-snr", "--out", str(tmp_path),
                                "--snr", "-6:2:6"] + SMALL)
@@ -165,6 +184,9 @@ def test_validate_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 5
+    (oracle,) = [line for line in out.splitlines() if "exhaustive" in line]
+    assert re.search(r"fcla-j [\d.]+% / [\d.]+%, fcla-a [\d.]+% / [\d.]+%",
+                     oracle)
 
 
 def test_solve_once_manifest_replays_its_snr(tmp_path, capsys):
@@ -263,4 +285,47 @@ def test_bad_sweep_point_rejected_before_output(command, flags, field,
     out = tmp_path / "out"
     assert parse_and_dispatch([command, "--out", str(out)] + flags) == 2
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+BAD_SPEC_VALUES = [
+    (["--users", "0"], {}, "users"),
+    (["--paths", "0"], {}, "paths"),
+    (["--rings", "0"], {}, "rings"),
+    (["--elements", "0"], {}, "elements"),
+    (["--grid", "0"], {}, "grid_size"),
+    (["--trials", "0"], {}, "trials"),
+    (["--seed", "-1"], {}, "seed"),
+    (["--iters", "0", "--methods", "fcla-a"], {}, "outer_iters"),
+    (["--noise", "0", "--methods", "ucla", "--alpha", "1"], {}, "noise_power"),
+    (["--freq", "0"], {}, "frequency_hz"),
+    ([], {"seed": 1.5}, "seed"),
+    ([], {"rings": 2.5}, "rings"),
+    ([], {"trials": "5"}, "trials"),
+    ([], {"trials": 2.5}, "trials"),
+    ([], {"jobs": True}, "jobs"),
+    ([], {"grid_size": 6.5}, "grid_size"),
+    ([], {"noise_power": "1", "methods": ["ucla"]}, "noise_power"),
+]
+
+
+@pytest.mark.parametrize("flags, config, field", BAD_SPEC_VALUES,
+                         ids=[" ".join(flags) or json.dumps(config)
+                              for flags, config, _ in BAD_SPEC_VALUES])
+def test_bad_spec_value_named_before_output(flags, config, field, tmp_path,
+                                            capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert parse_and_dispatch(["sweep-snr", "--snr", "0", "--config",
+                               str(path), "--out", str(out)] + flags) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fractional_grid_sweep_value_named_before_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert parse_and_dispatch(["sweep-grid", "--grid-range", "6.5,8",
+                               "--out", str(out)]) == 2
+    assert "sweep_values" in capsys.readouterr().err
     assert not out.exists()

@@ -84,10 +84,9 @@ class TestSolveJoint:
 
     def test_never_beats_exhaustive_oracle(self):
         for seed in range(6):
-            config, grid, paths, d = make_setup(m=1, n=2, g_h=3, g_v=3,
-                                                seed=seed)
+            config, _, _, d = make_setup(m=1, n=2, g_h=3, g_v=3, seed=seed)
             (sol,) = solve_joint(d, config, alpha=1.0)
-            best = exhaustive_best(paths, grid, config, alpha=1.0)
+            ((best, _),) = exhaustive_best(d, config, alpha=1.0)
             assert sol.diagnostics["final_objective"] >= best.objective - 1e-9
 
     def test_deterministic(self):

@@ -4,43 +4,64 @@ import math
 import numpy as np
 import pytest
 
-from fcla.channel import draw_paths, synthesize_channel
+from fcla import oracle
+from fcla.channel import (Dictionary, build_joint_dictionary, draw_paths,
+                          synthesize_channel)
 from fcla.geometry import FclaConfig, build_grid
-from fcla.oracle import enumeration_count, exhaustive_best
-from fcla.precoding import rzf, rzf_objective
+from fcla.oracle import exhaustive_best
+from fcla.precoding import normalize_columns, rzf, rzf_objective, sinr
 
 
-def make_setup(m=1, n=1, g_h=2, g_v=2, users=3, n_paths=2, seed=0):
+def make_setup(m=1, n=1, g_h=2, g_v=2, users=3, n_paths=2, seed=0, trials=1):
     config = FclaConfig.from_grid(m, n, g_h, g_v, d_min=0.05, wavelength=0.1)
     grid = build_grid(config)
-    paths = draw_paths(users, n_paths, [np.random.SeedSequence([seed])])
-    return config, grid, paths
+    paths = draw_paths(users, n_paths, [np.random.SeedSequence([seed, t])
+                                        for t in range(trials)])
+    return config, grid, paths, build_joint_dictionary(paths, grid, config)
+
+
+def every_placement(grid, m, n):
+    """Each feasible placement as (psi, z) pairs, by a loop of its own."""
+    for slots in itertools.combinations(range(grid.g_v), m):
+        for rings in itertools.product(
+                itertools.combinations(range(grid.g_h), n), repeat=m):
+            yield [(grid.psi[a], grid.z[h]) for h, ring in zip(slots, rings)
+                   for a in ring]
+
+
+def rated(paths, placement, config, alpha, power=1.0, sigma2=1.0):
+    """(objective, sum rate) of trial 0 at a placement."""
+    (H,) = synthesize_channel(paths, placement, config)
+    F = rzf(H, alpha)
+    return (rzf_objective(H, F, alpha),
+            sinr(H, normalize_columns(F, power), sigma2).sum_rate)
 
 
 def test_count_formula():
-    config, grid, _ = make_setup(m=2, n=2, g_h=4, g_v=3)
-    assert enumeration_count(grid, 2, 2) == math.comb(3, 2) * math.comb(4, 2) ** 2
+    config, _, _, d = make_setup(m=2, n=2, g_h=4, g_v=3)
+    ((result, _),) = exhaustive_best(d, config, alpha=1.0)
+    assert result.count == math.comb(3, 2) * math.comb(4, 2) ** 2
 
 
 def test_single_candidate_grid():
-    config, grid, paths = make_setup(m=2, n=2, g_h=2, g_v=2)
-    result = exhaustive_best(paths, grid, config, alpha=1.0)
-    assert result.count == 1
-    assert sorted(result.heights.tolist()) == grid.z.tolist()
-    for ring in result.angles:
-        assert sorted(ring.tolist()) == grid.psi.tolist()
+    config, grid, _, d = make_setup(m=2, n=2, g_h=2, g_v=2)
+    ((by_objective, by_rate),) = exhaustive_best(d, config, alpha=1.0)
+    for result in (by_objective, by_rate):
+        assert result.count == 1
+        assert sorted(result.heights.tolist()) == grid.z.tolist()
+        for ring in result.angles:
+            assert sorted(ring.tolist()) == grid.psi.tolist()
 
 
 def test_four_candidates_match_hand_loop():
-    config, grid, paths = make_setup(m=1, n=1, g_h=2, g_v=2, seed=4)
-    result = exhaustive_best(paths, grid, config, alpha=1.0)
+    config, grid, paths, d = make_setup(m=1, n=1, g_h=2, g_v=2, seed=4)
+    ((result, _),) = exhaustive_best(d, config, alpha=1.0)
     assert result.count == 4
 
     best_obj, best_pair = None, None
     for z in grid.z:
         for psi in grid.psi:
-            (H,) = synthesize_channel(paths, [(psi, z)], config)
-            obj = rzf_objective(H, rzf(H, 1.0), 1.0)
+            obj, _ = rated(paths, [(psi, z)], config, 1.0)
             if best_obj is None or obj < best_obj:
                 best_obj, best_pair = obj, (psi, z)
     assert np.isclose(result.objective, best_obj)
@@ -49,43 +70,93 @@ def test_four_candidates_match_hand_loop():
 
 
 def test_objective_dominates_every_feasible_placement():
-    config, grid, paths = make_setup(m=1, n=2, g_h=3, g_v=2, seed=1)
-    result = exhaustive_best(paths, grid, config, alpha=0.7)
-    for slot in range(grid.g_v):
-        for pair in itertools.combinations(range(grid.g_h), 2):
-            placement = [(grid.psi[a], grid.z[slot]) for a in pair]
-            (H,) = synthesize_channel(paths, placement, config)
-            obj = rzf_objective(H, rzf(H, 0.7), 0.7)
-            assert obj >= result.objective - 1e-12
+    config, grid, paths, d = make_setup(m=1, n=2, g_h=3, g_v=2, seed=1)
+    ((result, _),) = exhaustive_best(d, config, alpha=0.7)
+    for placement in every_placement(grid, 1, 2):
+        obj, _ = rated(paths, placement, config, 0.7)
+        assert obj >= result.objective - 1e-12
 
 
 def test_sum_rate_criterion_maximizes():
-    config, grid, paths = make_setup(m=1, n=1, g_h=3, g_v=2, seed=2)
-    by_rate = exhaustive_best(paths, grid, config, alpha=1.0,
-                              criterion="sum_rate", power=1.0, sigma2=1.0)
-    by_obj = exhaustive_best(paths, grid, config, alpha=1.0)
-    assert by_rate.sum_rate >= by_obj.sum_rate - 1e-12
+    config, grid, paths, d = make_setup(m=2, n=1, g_h=3, g_v=3, seed=2)
+    ((by_objective, by_rate),) = exhaustive_best(d, config, alpha=1.0,
+                                                 power=2.0, sigma2=0.5)
+    assert by_rate.sum_rate >= by_objective.sum_rate
+    rates = [rated(paths, placement, config, 1.0, 2.0, 0.5)[1]
+             for placement in every_placement(grid, 2, 1)]
+    assert len(rates) == by_rate.count
+    assert np.isclose(by_rate.sum_rate, max(rates), rtol=1e-12, atol=0.0)
+
+
+def test_each_trial_matches_its_own_call():
+    config, _, _, d = make_setup(m=2, n=2, g_h=3, g_v=3, users=5, trials=3)
+    batch = exhaustive_best(d, config, alpha=0.6, power=2.0)
+    for t, pair in enumerate(batch):
+        alone = Dictionary(d.entries[t:t + 1], d.psi, d.z, d.group_size)
+        (want,) = exhaustive_best(alone, config, alpha=0.6, power=2.0)
+        for got, expected in zip(pair, want):
+            assert np.array_equal(got.heights, expected.heights)
+            assert np.array_equal(got.angles, expected.angles)
+            assert np.isclose(got.objective, expected.objective, rtol=1e-15)
+            assert np.isclose(got.sum_rate, expected.sum_rate, rtol=1e-15)
+
+
+# one placement per chunk, and chunks of 5 of the 108 placements (2 trials x
+# 4 users x 4 antennas x 16 bytes each)
+@pytest.mark.parametrize("chunk_bytes", [1, 5 * 512])
+def test_chunks_do_not_change_the_optima(chunk_bytes, monkeypatch):
+    config, _, _, d = make_setup(m=2, n=2, g_h=4, g_v=3, users=4, trials=2)
+    whole = exhaustive_best(d, config, alpha=0.8)
+    monkeypatch.setattr(oracle, "CHUNK_BYTES", chunk_bytes)
+    for got, want in zip(exhaustive_best(d, config, alpha=0.8), whole):
+        for a, b in zip(got, want):
+            assert np.array_equal(a.heights, b.heights)
+            assert np.array_equal(a.angles, b.angles)
+            assert (a.objective, a.sum_rate) == (b.objective, b.sum_rate)
+
+
+def test_ties_go_to_the_first_placement():
+    # every column equal: every placement rates the same
+    config, grid, _, d = make_setup(m=2, n=2, g_h=4, g_v=3, users=3)
+    flat = Dictionary(np.ones_like(d.entries), d.psi, d.z, d.group_size)
+    for result in exhaustive_best(flat, config, alpha=1.0)[0]:
+        assert np.array_equal(result.heights, grid.z[:2])
+        assert np.array_equal(result.angles, np.tile(grid.psi[:2], (2, 1)))
+
+
+def test_unservable_user_has_zero_rate():
+    config, _, _, d = make_setup(m=1, n=2, g_h=3, g_v=2, users=3, seed=5)
+    entries = d.entries.copy()
+    entries[:, 0] = 0.0  # user 0 has no channel anywhere
+    blind = Dictionary(entries, d.psi, d.z, d.group_size)
+    ((_, by_rate),) = exhaustive_best(blind, config, alpha=1.0)
+    ((_, served),) = exhaustive_best(
+        Dictionary(entries[:, 1:], d.psi, d.z, d.group_size), config, alpha=1.0)
+    assert np.isfinite(by_rate.sum_rate) and by_rate.sum_rate > 0.0
+    # the remaining users share power 1 among K = 3 streams, not 2
+    assert by_rate.sum_rate < served.sum_rate
 
 
 def test_ring_order_invariance():
     # two interchangeable rings: swapping which ring owns which height cannot
     # change the optimum value
-    config, grid, paths = make_setup(m=2, n=1, g_h=3, g_v=3, seed=3)
-    result = exhaustive_best(paths, grid, config, alpha=1.0)
+    config, _, paths, d = make_setup(m=2, n=1, g_h=3, g_v=3, seed=3)
+    ((result, _),) = exhaustive_best(d, config, alpha=1.0)
     swapped_angles = result.angles[::-1]
     swapped_heights = result.heights[::-1]
     placement = [(swapped_angles[m][0], swapped_heights[m]) for m in range(2)]
-    (H,) = synthesize_channel(paths, placement, config)
-    assert np.isclose(rzf_objective(H, rzf(H, 1.0), 1.0), result.objective)
+    obj, _ = rated(paths, placement, config, 1.0)
+    assert np.isclose(obj, result.objective)
 
 
 def test_cap_enforced():
-    config, grid, paths = make_setup(m=2, n=2, g_h=4, g_v=4)
-    with pytest.raises(ValueError):
-        exhaustive_best(paths, grid, config, alpha=1.0, cap=10)
+    config, _, _, d = make_setup(m=2, n=2, g_h=4, g_v=4)
+    with pytest.raises(ValueError, match="216 placements"):
+        exhaustive_best(d, config, alpha=1.0, cap=10)
 
 
-def test_unknown_criterion():
-    config, grid, paths = make_setup()
-    with pytest.raises(ValueError):
-        exhaustive_best(paths, grid, config, alpha=1.0, criterion="entropy")
+def test_grid_too_small_named():
+    config, _, _, d = make_setup(m=2, n=2, g_h=4, g_v=4)
+    small = Dictionary(d.entries[..., :4], d.psi[:4], d.z[:4], d.group_size)
+    with pytest.raises(ValueError, match="cannot host"):
+        exhaustive_best(small, config, alpha=1.0)

@@ -128,16 +128,10 @@ class TestNormalizeColumns:
         F = normalize_columns(random_channel(rng, 6, 2), 4.0)
         assert np.allclose(np.linalg.norm(F, axis=0), np.sqrt(2.0))
 
-    def test_zero_column_rejected(self):
-        F = np.zeros((3, 2), dtype=complex)
-        F[:, 0] = 1.0
-        with pytest.raises(ValueError):
-            normalize_columns(F, 1.0)
-
     def test_zero_column_tolerated_when_allowed(self):
         F = np.zeros((3, 2), dtype=complex)
         F[:, 0] = 1.0
-        out = normalize_columns(F, 1.0, allow_zero=True)
+        out = normalize_columns(F, 1.0)
         assert np.all(out[:, 1] == 0.0)
         assert np.isclose(np.linalg.norm(out[:, 0]), np.sqrt(0.5))
 

@@ -14,6 +14,10 @@ Two such relations hold for the channel model:
 - listing the users in another order lists the dictionary rows in that
   order and changes no placement and no sum rate.
 
+A third property needs no transformation: on shapes small enough to
+enumerate, no greedy placement beats the exhaustive optimum, by objective
+or by sum rate.
+
 Shapes stay small (2-8 users, 2-4 paths, grids up to 8x6) so that each
 example solves in milliseconds. Neither relation fixes which of two exactly
 tied candidates a greedy step picks: rounding does. A user who sees a single
@@ -34,6 +38,7 @@ from fcla.channel import Paths, build_joint_dictionary, draw_paths
 from fcla.geometry import FclaConfig, build_grid
 from fcla.harness import ucla_baseline
 from fcla.joint import solve_joint
+from fcla.oracle import exhaustive_best
 from fcla.pattern import PatternSpec
 from fcla.precoding import sinr
 
@@ -127,3 +132,25 @@ def test_user_permutation_permutes_rows(instance, random):
         assert solution.placement == want[method].placement
         assert np.isclose(sum_rate(solution), sum_rate(want[method]),
                           rtol=1e-12, atol=0.0)
+
+
+@given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 6),
+       st.integers(2, 4), st.integers(2, 3), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_exhaustive_optima_dominate_greedy_solvers(m, n, users, g_h, g_v,
+                                                   directional, seed):
+    # users may outnumber the antennas (K > M*N)
+    pattern = PatternSpec.directional(1.0) if directional else PatternSpec.omni()
+    config = FclaConfig.from_grid(m, n, g_h, g_v, d_min=0.05, wavelength=0.1,
+                                  pattern=pattern)
+    paths = draw_paths(users, 2, [np.random.SeedSequence([seed, t])
+                                  for t in range(3)])
+    dictionary = build_joint_dictionary(paths, build_grid(config), config)
+    optima = exhaustive_best(dictionary, config, ALPHA, POWER, SIGMA2)
+    for batch in (solve_joint(dictionary, config, ALPHA, power=POWER),
+                  solve_alternating(dictionary, config, ALPHA, 3, power=POWER,
+                                    sigma2=SIGMA2)):
+        for solution, (by_objective, by_rate) in zip(batch, optima, strict=True):
+            assert (solution.diagnostics["final_objective"]
+                    >= by_objective.objective - 1e-9)
+            assert sum_rate(solution) <= by_rate.sum_rate + 1e-9
