@@ -12,10 +12,9 @@ __version__ = "0.1.0"
 from .alternating import optimize_angles, optimize_heights, solve_alternating
 from .channel import (Dictionary, Paths, build_joint_dictionary, draw_paths,
                       export_paths, synthesize_channel)
-from .geometry import (SPEED_OF_LIGHT, FclaConfig, PositionGrid, build_grid,
-                       check_spacing, min_revolve_angle)
+from .geometry import SPEED_OF_LIGHT, FclaConfig, check_spacing
 from .harness import (ExperimentSpec, SweepRow, run_sweep, run_trial,
-                      ucla_baseline, ucla_config, ucla_radius, write_manifest,
+                      ucla_baseline, ucla_config, write_manifest,
                       write_results_csv)
 from .joint import solve_joint
 from .oracle import OracleResult, exhaustive_best

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FclaConfig, PositionGrid, check_spacing
+from .geometry import FclaConfig, check_spacing
 from .pattern import power_gain
 
 THETA_EL_RANGE = (np.pi / 6.0, 5.0 * np.pi / 6.0)
@@ -80,8 +80,10 @@ def export_paths(paths: Paths, fp) -> None:
             json.dump(records, f, indent=1)
 
 
-def _responses(paths: Paths, grid: PositionGrid, config: FclaConfig) -> np.ndarray:
-    """Response of every user at every grid position, (B, K, G_V, G_H).
+def _responses(paths: Paths, psi: np.ndarray, z: np.ndarray,
+               config: FclaConfig) -> np.ndarray:
+    """Response of every user at every position of the angles psi x heights
+    z, (B, K, len(z), len(psi)).
 
     Entry (v, a) holds (1/sqrt(L)) * sum_l conj(beta_l) * amp_l(psi_a)
     * exp(-j * 2*pi/lambda * (R*sin(theta_l)*cos(phi_l - psi_a) + z_v*cos(theta_l))),
@@ -92,13 +94,13 @@ def _responses(paths: Paths, grid: PositionGrid, config: FclaConfig) -> np.ndarr
     theta = paths.theta_el[..., None]
     phi = paths.phi_az[..., None]
     sin_el = np.sin(theta)
-    ring = (sin_el * np.cos(phi) * np.cos(grid.psi)
-            + sin_el * np.sin(phi) * np.sin(grid.psi))
+    ring = (sin_el * np.cos(phi) * np.cos(psi)
+            + sin_el * np.sin(phi) * np.sin(psi))
     angle = np.conj(paths.beta)[..., None] * np.exp(
         -1j * (wave * config.radius) * ring)  # (B, K, L, G_H)
     if config.pattern.is_directional:
-        angle *= np.sqrt(power_gain(config.pattern, theta, phi - grid.psi))
-    height = np.exp(-1j * wave * np.cos(theta) * grid.z)  # (B, K, L, G_V)
+        angle *= np.sqrt(power_gain(config.pattern, theta, phi - psi))
+    height = np.exp(-1j * wave * np.cos(theta) * z)  # (B, K, L, G_V)
     responses = np.einsum("...lv,...la->...va", height, angle)
     responses /= np.sqrt(paths.beta.shape[-1])
     return responses
@@ -117,8 +119,7 @@ def synthesize_channel(paths: Paths, placement,
     check_spacing(placement, config)
     psi, angle = np.unique([p for p, _ in placement], return_inverse=True)
     z, height = np.unique([h for _, h in placement], return_inverse=True)
-    entries = _responses(paths, PositionGrid(psi=psi, z=z), config)
-    return entries[..., height, angle]
+    return _responses(paths, psi, z, config)[..., height, angle]
 
 
 @dataclass
@@ -127,8 +128,8 @@ class Dictionary:
     entries.
 
     Columns are height-major: column slot * group_size + angle holds the
-    response at (grid.psi[angle], grid.z[slot]), so a height slot is a group
-    of group_size consecutive angle columns.
+    response at (config.psi[angle], config.z[slot]), so a height slot is a
+    group of group_size consecutive angle columns.
     """
 
     entries: np.ndarray
@@ -161,11 +162,10 @@ class Dictionary:
             )
 
 
-def build_joint_dictionary(paths: Paths, grid: PositionGrid,
-                           config: FclaConfig) -> Dictionary:
-    """All (angle, height) candidates, height-major: the G_H angle columns of
-    height slot 0, then slot 1, and so on."""
-    entries = _responses(paths, grid, config)
+def build_joint_dictionary(paths: Paths, config: FclaConfig) -> Dictionary:
+    """All (angle, height) candidates of config's grid, height-major: the G_H
+    angle columns of height slot 0, then slot 1, and so on."""
+    entries = _responses(paths, config.psi, config.z, config)
     return Dictionary(entries=entries.reshape(*entries.shape[:2], -1),
-                      psi=np.tile(grid.psi, grid.g_v),
-                      z=np.repeat(grid.z, grid.g_h), group_size=grid.g_h)
+                      psi=np.tile(config.psi, config.g_v),
+                      z=np.repeat(config.z, config.g_h), group_size=config.g_h)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .alternating import solve_alternating
 from .channel import build_joint_dictionary, draw_paths, export_paths
-from .geometry import FclaConfig, build_grid
+from .geometry import FclaConfig
 from .harness import (METHODS, ExperimentSpec, draw_batch, run_sweep,
                       solve_methods, write_manifest, write_results_csv)
 from .joint import solve_joint
@@ -174,7 +174,7 @@ def _solve_once(args: argparse.Namespace) -> int:
     export_paths(batch.paths, out / "paths.json")
 
     config = batch.config
-    print(f"grid {config.grid_angles}x{config.grid_heights}, radius "
+    print(f"grid {config.g_h}x{config.g_v}, radius "
           f"{config.radius:.5f} m, snr {spec.snr_db:g} dB, "
           f"alpha {batch.alpha:g}, power {batch.power:g}")
     for method, (sol,) in solve_methods(batch, methods).items():
@@ -235,11 +235,11 @@ def _validate(args: argparse.Namespace) -> int:
 
     # greedy solvers never beat the exhaustive optima: 30 draws of 4 users
     # on 2x2 omni rings over a 4x4 grid at 0 dB, one batch and one oracle call
-    config = FclaConfig.from_grid(m_rings=2, n_elements=2, g_h=4, g_v=4,
-                                  d_min=0.05, wavelength=0.1)
+    config = FclaConfig(m_rings=2, n_elements=2, g_h=4, g_v=4, d_min=0.05,
+                        wavelength=0.1)
     paths = draw_paths(4, 4, [np.random.SeedSequence([1, 0, t])
                               for t in range(30)])
-    dictionary = build_joint_dictionary(paths, build_grid(config), config)
+    dictionary = build_joint_dictionary(paths, config)
     # per draw, (objective, sum rate) at each optimum; worse is [+, -]
     best = np.array([(by_objective.objective, by_rate.sum_rate) for
                      by_objective, by_rate in exhaustive_best(dictionary, config, 1.0)])

@@ -1,10 +1,10 @@
-"""Cylindrical array geometry: ring placement grids and anti-coupling spacing rules.
+"""Cylindrical array geometry: the candidate grid and the spacing rules.
 
 An array is M stacked rings of N revolving elements on a shared vertical axis.
-Candidate positions live on a grid whose angular step equals the minimum
-revolve angle (the angle subtending a chord of d_min on the ring) and whose
-vertical step equals d_min, so any two distinct grid points automatically
-satisfy the spacing constraints.
+Candidate positions form a grid of G_H ring angles by G_V heights. The angle
+step 2*pi/G_H subtends a chord of exactly d_min on the ring, which fixes the
+track radius, and the heights are d_min apart, so any two distinct grid
+points satisfy the spacing constraints.
 """
 
 from __future__ import annotations
@@ -18,37 +18,20 @@ from .pattern import PatternSpec
 
 SPEED_OF_LIGHT = 299792458.0
 
-# slack for floor() on quantities that are exact integers up to rounding
-_FLOOR_EPS = 1e-9
-
-
-def min_revolve_angle(d_min: float, radius: float) -> float:
-    """Smallest ring angle between two elements whose chord distance is d_min.
-
-    The chord subtended by the returned angle on a circle of the given radius
-    equals d_min exactly: 2*R*sin(angle/2) == d_min.
-    """
-    if d_min <= 0.0:
-        raise ValueError(f"d_min must be positive, got {d_min}")
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if d_min > 2.0 * radius:
-        raise ValueError(
-            f"d_min={d_min} exceeds the ring diameter {2.0 * radius}; "
-            "no revolve angle can realize that chord"
-        )
-    return 2.0 * math.asin(d_min / (2.0 * radius))
+# slack of the spacing checks, for positions that sit on a floor up to rounding
+SPACING_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class FclaConfig:
-    """Array description: ring count, elements per ring, track radius, vertical
-    extent, spacing floor, carrier wavelength, and the element pattern."""
+    """Array description: ring count, elements per ring, a grid of g_h ring
+    angles by g_v heights, spacing floor, carrier wavelength, and the element
+    pattern. The track radius follows from the grid."""
 
     m_rings: int
     n_elements: int
-    radius: float
-    height_extent: float
+    g_h: int
+    g_v: int
     d_min: float
     wavelength: float
     pattern: PatternSpec = field(default_factory=PatternSpec.omni)
@@ -56,88 +39,33 @@ class FclaConfig:
     def __post_init__(self):
         if self.m_rings < 1 or self.n_elements < 1:
             raise ValueError("need at least one ring and one element per ring")
-        for name in ("radius", "height_extent", "d_min", "wavelength"):
-            if getattr(self, name) <= 0.0:
+        if self.g_h < max(2, self.n_elements):
+            raise ValueError(f"g_h must be >= max(2, n_elements), got {self.g_h}")
+        if self.g_v < self.m_rings:
+            raise ValueError(f"g_v must be >= m_rings, got {self.g_v}")
+        for name in ("d_min", "wavelength"):
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.d_min > 2.0 * self.radius:
-            raise ValueError(
-                f"d_min={self.d_min} exceeds ring diameter {2.0 * self.radius}"
-            )
-        if self.grid_heights < self.m_rings:
-            raise ValueError(
-                f"vertical extent {self.height_extent} gives {self.grid_heights} "
-                f"height slots, fewer than {self.m_rings} rings"
-            )
-        if self.grid_angles < self.n_elements:
-            raise ValueError(
-                f"ring admits {self.grid_angles} angle slots, fewer than "
-                f"{self.n_elements} elements"
-            )
 
-    @classmethod
-    def from_grid(cls, m_rings: int, n_elements: int, g_h: int, g_v: int,
-                  d_min: float, wavelength: float,
-                  pattern: PatternSpec | None = None) -> "FclaConfig":
-        """Build a config whose grid has exactly g_h angle and g_v height slots.
-
-        The radius is derived by inverting the chord relation, d_min / (2*sin(pi/g_h)),
-        and the vertical extent is g_v * d_min. Used for sweeps parameterized by
-        grid size instead of physical dimensions.
-        """
-        if g_h < max(2, n_elements):
-            raise ValueError(f"g_h must be >= max(2, n_elements), got {g_h}")
-        if g_v < max(1, m_rings):
-            raise ValueError(f"g_v must be >= m_rings, got {g_v}")
-        radius = d_min / (2.0 * math.sin(math.pi / g_h))
-        return cls(
-            m_rings=m_rings,
-            n_elements=n_elements,
-            radius=radius,
-            height_extent=g_v * d_min,
-            d_min=d_min,
-            wavelength=wavelength,
-            pattern=pattern if pattern is not None else PatternSpec.omni(),
-        )
+    @property
+    def radius(self) -> float:
+        """Track radius at which the grid's angle step has a chord of d_min."""
+        return self.d_min / (2.0 * math.sin(math.pi / self.g_h))
 
     @property
     def psi_min(self) -> float:
-        return min_revolve_angle(self.d_min, self.radius)
+        """Smallest ring angle between two elements: its chord is d_min."""
+        return 2.0 * math.asin(self.d_min / (2.0 * self.radius))
 
     @property
-    def grid_angles(self) -> int:
-        """Number of angle slots per ring, floor(2*pi / psi_min)."""
-        return int(math.floor(2.0 * math.pi / self.psi_min + _FLOOR_EPS))
+    def psi(self) -> np.ndarray:
+        """The grid's ring angles, g * 2*pi/g_h."""
+        return np.arange(self.g_h) * (2.0 * np.pi / self.g_h)
 
     @property
-    def grid_heights(self) -> int:
-        """Number of height slots, floor(height_extent / d_min)."""
-        return int(math.floor(self.height_extent / self.d_min + _FLOOR_EPS))
-
-
-@dataclass
-class PositionGrid:
-    """Candidate positions: psi[g] = g * 2*pi/G_H, z[g] = g * d_min."""
-
-    psi: np.ndarray
-    z: np.ndarray
-
-    @property
-    def g_h(self) -> int:
-        return len(self.psi)
-
-    @property
-    def g_v(self) -> int:
-        return len(self.z)
-
-
-def build_grid(config: FclaConfig) -> PositionGrid:
-    """Derive the candidate position grid from an array configuration, which
-    already holds at least M height and N angle slots."""
-    g_h = config.grid_angles
-    g_v = config.grid_heights
-    psi = np.arange(g_h) * (2.0 * np.pi / g_h)
-    z = np.arange(g_v) * config.d_min
-    return PositionGrid(psi=psi, z=z)
+    def z(self) -> np.ndarray:
+        """The grid's heights, g * d_min."""
+        return np.arange(self.g_v) * self.d_min
 
 
 def ring_angle_distance(a, b):
@@ -146,7 +74,7 @@ def ring_angle_distance(a, b):
     return np.minimum(d, 2.0 * np.pi - d)
 
 
-def check_spacing(placement, config: FclaConfig, tol: float = 1e-9) -> None:
+def check_spacing(placement, config: FclaConfig) -> None:
     """Validate anti-coupling constraints for a flat list of (psi, z) positions.
 
     Elements sharing a height form one ring and must be separated by at least
@@ -160,7 +88,7 @@ def check_spacing(placement, config: FclaConfig, tol: float = 1e-9) -> None:
     psi, z = psi[order], z[order]
     # consecutive distinct heights: the gaps between rings
     gaps = np.diff(z)
-    close = np.flatnonzero((gaps > 0.0) & (gaps < config.d_min - tol))
+    close = np.flatnonzero((gaps > 0.0) & (gaps < config.d_min - SPACING_TOL))
     if close.size:
         low, high = z[close[0]], z[close[0] + 1]
         raise ValueError(
@@ -168,7 +96,8 @@ def check_spacing(placement, config: FclaConfig, tol: float = 1e-9) -> None:
         )
     psi_min = config.psi_min
     close = np.triu((z[:, None] == z)
-                    & (ring_angle_distance(psi[:, None], psi) < psi_min - tol), 1)
+                    & (ring_angle_distance(psi[:, None], psi)
+                       < psi_min - SPACING_TOL), 1)
     if close.any():
         i, j = np.argwhere(close)[0]
         raise ValueError(

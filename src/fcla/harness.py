@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import numbers
 import sys
 import warnings
@@ -17,7 +18,7 @@ import numpy as np
 from . import __version__
 from .alternating import solve_alternating
 from .channel import Dictionary, Paths, build_joint_dictionary, draw_paths
-from .geometry import SPEED_OF_LIGHT, FclaConfig, PositionGrid, build_grid
+from .geometry import SPEED_OF_LIGHT, FclaConfig
 from .joint import solve_joint
 from .pattern import PatternSpec
 from .precoding import sinr
@@ -89,6 +90,18 @@ def _whole(name: str, value, low: int) -> int:
     return int(value)
 
 
+def _finite(name: str, value, low: float = -math.inf,
+            inclusive: bool = False) -> float:
+    """value as a float, or a ValueError naming the field unless it is a
+    finite real number above low (or at least low, when inclusive)."""
+    if not (_is_real(value) and math.isfinite(value)
+            and (value >= low if inclusive else value > low)):
+        op = ">=" if inclusive else ">"
+        bound = f" {op} {low:g}" if math.isfinite(low) else ""
+        raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class ExperimentSpec:
     """Everything needed to reproduce one experiment."""
@@ -114,6 +127,10 @@ class ExperimentSpec:
     jobs: int = 1
 
     def __post_init__(self):
+        if not (isinstance(self.methods, (list, tuple))
+                and all(isinstance(m, str) for m in self.methods)):
+            raise ValueError(f"methods must be a list of method names, "
+                             f"got {self.methods!r}")
         self.methods = tuple(m.lower() for m in self.methods)
         for m in self.methods:
             if m not in METHODS:
@@ -134,12 +151,15 @@ class ExperimentSpec:
                 f"(got alpha={self.alpha!r}, noise_power={self.noise_power!r})"
             )
         for name in ("noise_power", "frequency_hz"):
-            value = getattr(self, name)
-            if not (_is_real(value) and value > 0.0):
-                raise ValueError(f"{name} must be a number > 0, got {value!r}")
+            setattr(self, name, _finite(name, getattr(self, name), low=0.0))
+        if self.d_min is not None:
+            self.d_min = _finite("d_min", self.d_min, low=0.0)
+        self.kappa = _finite("kappa", self.kappa, low=1.0, inclusive=True)
+        self.snr_db = _finite("snr_db", self.snr_db)
         if not self.sweep_values:
             raise ValueError("sweep needs at least one point")
-        self.sweep_values = tuple(float(v) for v in self.sweep_values)
+        self.sweep_values = tuple(_finite("sweep_values", v)
+                                  for v in self.sweep_values)
         self._check_points()
 
     def _check_points(self) -> None:
@@ -179,7 +199,7 @@ class ExperimentSpec:
                          f"choose from {PATTERN_KINDS}")
 
     def config_for_grid(self, grid_size: int) -> FclaConfig:
-        return FclaConfig.from_grid(
+        return FclaConfig(
             m_rings=self.rings, n_elements=self.elements,
             g_h=grid_size, g_v=grid_size,
             d_min=self.spacing, wavelength=self.wavelength,
@@ -229,17 +249,12 @@ class SweepRow:
     trials: int
 
 
-def ucla_radius(config: FclaConfig) -> float:
-    """Ring radius of the canonical uniform cylinder: adjacent elements sit at
-    the minimum spacing along the circle (chord d_min), like the rings do
-    vertically. A single-element ring keeps the flexible track radius."""
-    if config.n_elements < 2:
-        return config.radius
-    return config.d_min / (2.0 * np.sin(np.pi / config.n_elements))
-
-
 def ucla_config(config: FclaConfig) -> FclaConfig:
-    return dataclasses.replace(config, radius=ucla_radius(config))
+    """The canonical uniform cylinder's grid: N angles (adjacent elements a
+    chord of d_min apart) by M heights. A single-element ring keeps the
+    flexible grid's angles and with them its track radius."""
+    g_h = config.n_elements if config.n_elements > 1 else config.g_h
+    return dataclasses.replace(config, g_h=g_h, g_v=config.m_rings)
 
 
 def ucla_baseline(paths: Paths, config: FclaConfig, alpha: float,
@@ -248,20 +263,17 @@ def ucla_baseline(paths: Paths, config: FclaConfig, alpha: float,
     each trial of paths.
 
     The baseline is fixed hardware: it keeps the compact canonical radius
-    regardless of how large the flexible candidate region is. Each ring holds
-    N angles spaced 2*pi/N, and the rings stack at d_min intervals from
-    height zero. That is a grid of N angles x M heights, so the baseline
-    takes every column of the dictionary on that grid, ring by ring."""
+    regardless of how large the flexible candidate region is. Ring m sits at
+    height slot m of the uniform grid and holds its first N angles, spaced
+    2*pi/N, so the baseline takes columns slot * g_h + angle of that grid's
+    dictionary, ring by ring."""
     compact = ucla_config(config)
-    n_elem, m_rings = config.n_elements, config.m_rings
-    grid = PositionGrid(psi=np.arange(n_elem) * (2.0 * np.pi / n_elem),
-                        z=np.arange(m_rings) * compact.d_min)
-    dictionary = build_joint_dictionary(paths, grid, compact)
     n_trials = len(paths)
-    columns = np.tile(np.arange(m_rings * n_elem), (n_trials, 1))
-    slots = np.tile(np.arange(m_rings), (n_trials, 1))
-    return solutions(dictionary, columns, slots, compact, alpha, power,
-                     [{}] * n_trials)
+    slots = np.tile(np.arange(config.m_rings), (n_trials, 1))
+    columns = (slots[..., None] * compact.g_h
+               + np.arange(config.n_elements)).reshape(n_trials, -1)
+    return solutions(build_joint_dictionary(paths, compact), columns, slots,
+                     compact, alpha, power, [{}] * n_trials)
 
 
 def draw_batch(spec: ExperimentSpec, point_index: int, trials,
@@ -274,7 +286,7 @@ def draw_batch(spec: ExperimentSpec, point_index: int, trials,
                         for t in trials])
     dictionary = None
     if set(methods or spec.methods) & set(GREEDY_METHODS):
-        dictionary = build_joint_dictionary(paths, build_grid(config), config)
+        dictionary = build_joint_dictionary(paths, config)
     return TrialBatch(
         paths=paths, dictionary=dictionary, config=config,
         alpha=spec.alpha_value(), power=spec.power_for_snr(spec.snr_db),

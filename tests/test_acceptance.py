@@ -14,7 +14,7 @@ import numpy as np
 
 from fcla.alternating import solve_alternating
 from fcla.channel import Dictionary, build_joint_dictionary, draw_paths
-from fcla.geometry import FclaConfig, build_grid, check_spacing
+from fcla.geometry import FclaConfig, check_spacing
 from fcla.harness import ExperimentSpec, run_sweep, run_trial, ucla_baseline
 from fcla.joint import solve_joint
 from fcla.oracle import exhaustive_best
@@ -276,11 +276,10 @@ def test_criterion_6_solvers_dominated_by_oracle():
         g_v = int(rng.integers(max(m, 2), 5))
         g_h = int(rng.integers(max(n, 2), 5))
         pattern = PatternSpec.directional(1.0) if i % 2 else PatternSpec.omni()
-        config = FclaConfig.from_grid(m, n, g_h, g_v, d_min=0.05,
-                                      wavelength=0.1, pattern=pattern)
-        grid = build_grid(config)
+        config = FclaConfig(m, n, g_h, g_v, d_min=0.05, wavelength=0.1,
+                            pattern=pattern)
         paths = draw_paths(4, 2, [np.random.SeedSequence([77, i])])
-        dictionary = build_joint_dictionary(paths, grid, config)
+        dictionary = build_joint_dictionary(paths, config)
         ((best, _),) = exhaustive_best(dictionary, config, alpha=1.0)
         for (sol,) in (solve_joint(dictionary, config, alpha=1.0),
                        solve_alternating(dictionary, config, 1.0, 3)):
@@ -378,7 +377,7 @@ def test_criterion_8_structural_properties():
         z=np.repeat(np.arange(2) * 0.05, 2),
         group_size=2,
     )
-    config2 = FclaConfig.from_grid(1, 2, 2, 2, d_min=0.05, wavelength=0.1)
+    config2 = FclaConfig(1, 2, 2, 2, d_min=0.05, wavelength=0.1)
     (sol,) = solve_joint(crafted, config2, alpha=1.0)
     trace_ok = ([row[1] for row in sol.diagnostics["trace"]] == [0, 2, 1]
                 and sol.diagnostics["final_support"] == [0, 1])
@@ -388,9 +387,8 @@ def test_criterion_8_structural_properties():
     # reference-scale structure: iteration bounds, monotone refits, determinism
     spec = reference_scale_spec("directional", trials=1)
     config = spec.config_for_grid(12)
-    grid = build_grid(config)
     paths = draw_paths(16, 4, [np.random.SeedSequence([SEED, 0, 0])])
-    dictionary = build_joint_dictionary(paths, grid, config)
+    dictionary = build_joint_dictionary(paths, config)
     (a,) = solve_joint(dictionary, config, alpha=1.0)
     (b,) = solve_joint(dictionary, config, alpha=1.0)
     iters = a.diagnostics["iterations"]

@@ -4,7 +4,7 @@ import pytest
 from fcla.alternating import (initial_heights, optimize_angles,
                               optimize_heights, solve_alternating)
 from fcla.channel import build_joint_dictionary, draw_paths, synthesize_channel
-from fcla.geometry import FclaConfig, build_grid, check_spacing
+from fcla.geometry import FclaConfig, check_spacing
 from fcla.joint import solve_joint
 from fcla.oracle import exhaustive_best
 from fcla.pattern import PatternSpec
@@ -13,22 +13,21 @@ from fcla.precoding import normalize_columns, rzf, sinr
 
 def make_setup(m=2, n=2, g_h=4, g_v=4, users=4, n_paths=2, seed=0,
                pattern=None):
-    config = FclaConfig.from_grid(m, n, g_h, g_v, d_min=0.05, wavelength=0.1,
-                                  pattern=pattern or PatternSpec.omni())
-    grid = build_grid(config)
+    config = FclaConfig(m, n, g_h, g_v, d_min=0.05, wavelength=0.1,
+                        pattern=pattern or PatternSpec.omni())
     paths = draw_paths(users, n_paths, [np.random.SeedSequence([seed])])
-    dictionary = build_joint_dictionary(paths, grid, config)
-    return config, grid, paths, dictionary
+    dictionary = build_joint_dictionary(paths, config)
+    return config, paths, dictionary
 
 
 class TestInitialHeights:
     def test_even_spread(self):
-        _, grid, _, _ = make_setup(m=2, g_v=4)
-        assert initial_heights(grid.g_v, 2).tolist() == [0, 3]
+        config, _, _ = make_setup(m=2, g_v=4)
+        assert initial_heights(config.g_v, 2).tolist() == [0, 3]
 
     def test_single_ring(self):
-        _, grid, _, _ = make_setup(m=1, n=2)
-        assert initial_heights(grid.g_v, 1).tolist() == [0]
+        config, _, _ = make_setup(m=1, n=2)
+        assert initial_heights(config.g_v, 1).tolist() == [0]
 
     def test_distinct_for_many_shapes(self):
         for g_v in range(2, 12):
@@ -60,24 +59,24 @@ def plain_omp_reference(columns, n_select, alpha):
     return picked
 
 
-def ring_columns(paths, grid, config, angles, z):
+def ring_columns(paths, config, angles, z):
     """Channel columns (trial 0) at the given angle indices of one ring at
     height z, synthesized independently of the dictionary."""
-    return synthesize_channel(paths, [(grid.psi[a], z) for a in angles],
+    return synthesize_channel(paths, [(config.psi[a], z) for a in angles],
                               config)[0]
 
 
 class TestOptimizeAngles:
     def test_single_ring_reduces_to_plain_omp(self):
-        config, grid, paths, d = make_setup(m=1, n=2, g_h=5, g_v=2)
+        config, paths, d = make_setup(m=1, n=2, g_h=5, g_v=2)
         angles, diag = optimize_angles(d, [0], config, 1.0)
-        columns = ring_columns(paths, grid, config, range(5), grid.z[0])
+        columns = ring_columns(paths, config, range(5), config.z[0])
         want = plain_omp_reference(columns, 2, 1.0)
         assert diag["support"].tolist() == [want]
         assert angles.tolist() == [[want]]
 
     def test_full_ring_forced(self):
-        config, _, _, d = make_setup(m=2, n=2, g_h=2, g_v=4)
+        config, _, d = make_setup(m=2, n=2, g_h=2, g_v=4)
         (angles,), _ = optimize_angles(d, initial_heights(4, 2), config, 1.0)
         for ring in angles:
             assert sorted(ring.tolist()) == [0, 1]
@@ -85,11 +84,11 @@ class TestOptimizeAngles:
     def test_parallel_selection_matches_scan_oracle(self):
         # rings score candidates against the shared residual of the previous
         # inner step; verify each pick against an explicit per-ring scan
-        config, grid, paths, d = make_setup(m=2, n=1, g_h=3, g_v=4, seed=5)
-        slots = initial_heights(grid.g_v, 2)
+        config, paths, d = make_setup(m=2, n=1, g_h=3, g_v=4, seed=5)
+        slots = initial_heights(config.g_v, 2)
         want = []
         for slot in slots:
-            columns = ring_columns(paths, grid, config, range(3), grid.z[slot])
+            columns = ring_columns(paths, config, range(3), config.z[slot])
             scores = np.sum(np.abs(columns.conj().T) ** 2, axis=1)
             want.append(int(np.argmax(scores)))
         (angles,), diag = optimize_angles(d, slots, config, 1.0)
@@ -98,7 +97,7 @@ class TestOptimizeAngles:
                                              for s, a in zip(slots, want)]]
 
     def test_objective_nonincreasing_within_phase(self):
-        config, _, _, d = make_setup(m=2, n=3, g_h=5, g_v=3, seed=7)
+        config, _, d = make_setup(m=2, n=3, g_h=5, g_v=3, seed=7)
         _, diag = optimize_angles(d, initial_heights(3, 2), config, 1.0)
         (trace,) = diag["objective_trace"]
         assert len(trace) == 3
@@ -106,33 +105,33 @@ class TestOptimizeAngles:
             assert b <= a + 1e-9 * max(1.0, abs(a))
 
     def test_rejects_duplicate_heights(self):
-        config, _, _, d = make_setup()
+        config, _, d = make_setup()
         with pytest.raises(ValueError):
             optimize_angles(d, [1, 1], config, 1.0)
 
 
 class TestOptimizeHeights:
     def test_forced_permutation_when_slots_match_rings(self):
-        config, _, _, d = make_setup(m=3, n=1, g_h=3, g_v=3, seed=1)
+        config, _, d = make_setup(m=3, n=1, g_h=3, g_v=3, seed=1)
         (slots,), _ = optimize_heights(d, [[0], [1], [2]], config, 1.0)
         assert sorted(slots.tolist()) == [0, 1, 2]
 
     def test_more_rings_than_slots_rejected(self):
-        config, _, _, d = make_setup(m=2, n=1, g_h=3, g_v=2, seed=1)
+        config, _, d = make_setup(m=2, n=1, g_h=3, g_v=2, seed=1)
         with pytest.raises(ValueError, match="empty"):
             optimize_heights(d, [[0], [1], [2]], config, 1.0)
 
     def test_two_slot_selection_picks_stronger_block(self):
-        config, grid, paths, d = make_setup(m=1, n=2, g_h=4, g_v=2, seed=2)
+        config, paths, d = make_setup(m=1, n=2, g_h=4, g_v=2, seed=2)
         scores = []
         for slot in range(2):
-            block = ring_columns(paths, grid, config, [0, 2], grid.z[slot])
+            block = ring_columns(paths, config, [0, 2], config.z[slot])
             scores.append(float(np.linalg.norm(block.conj().T, "fro") ** 2))
         (slots,), _ = optimize_heights(d, [[0, 2]], config, 1.0)
         assert slots[0] == int(np.argmax(scores))
 
     def test_block_scan_oracle(self):
-        config, grid, paths, d = make_setup(m=2, n=2, g_h=4, g_v=3, seed=3)
+        config, paths, d = make_setup(m=2, n=2, g_h=4, g_v=3, seed=3)
         angles = [[0, 2], [1, 3]]
         n_users = paths.beta.shape[1]
 
@@ -144,51 +143,51 @@ class TestOptimizeHeights:
             for slot in range(3):
                 if slot in taken:
                     continue
-                cols = ring_columns(paths, grid, config, angles[m], grid.z[slot])
+                cols = ring_columns(paths, config, angles[m], config.z[slot])
                 score = float(np.linalg.norm(cols.conj().T @ residual,
                                              "fro") ** 2)
                 if score > best_score:
                     best, best_score = slot, score
             taken.append(best)
-            blocks.append(ring_columns(paths, grid, config, angles[m],
-                                       grid.z[best]))
+            blocks.append(ring_columns(paths, config, angles[m],
+                                       config.z[best]))
             H = np.hstack(blocks)
             F = rzf(H, 1.0)
             residual = np.eye(n_users) - H @ F
 
         (slots,), _ = optimize_heights(d, angles, config, 1.0)
         assert slots.tolist() == taken
-        columns = (slots[:, None] * grid.g_h + np.array(angles)).ravel()
+        columns = (slots[:, None] * config.g_h + np.array(angles)).ravel()
         assert np.array_equal(d.entries[0][:, columns], H)
 
     def test_heights_distinct(self):
-        config, _, _, d = make_setup(m=3, n=2, g_h=4, g_v=5, seed=4)
+        config, _, d = make_setup(m=3, n=2, g_h=4, g_v=5, seed=4)
         angles, _ = optimize_angles(d, initial_heights(5, 3), config, 1.0)
         (slots,), _ = optimize_heights(d, angles, config, 1.0)
         assert len(set(slots.tolist())) == 3
 
     def test_rejects_repeated_angles(self):
-        config, _, _, d = make_setup()
+        config, _, d = make_setup()
         with pytest.raises(ValueError):
             optimize_heights(d, [[0, 0], [1, 2]], config, 1.0)
 
 
 class TestSolveAlternating:
     def test_single_round_composes_phases(self):
-        config, grid, _, d = make_setup(m=2, n=2, g_h=3, g_v=2, seed=6)
+        config, _, d = make_setup(m=2, n=2, g_h=3, g_v=2, seed=6)
         (sol,) = solve_alternating(d, config, 1.0, 1)
         angles, _ = optimize_angles(d, initial_heights(2, 2), config, 1.0)
         (slots,), _ = optimize_heights(d, angles, config, 1.0)
         (angles,) = angles
-        assert np.array_equal(sol.angles, grid.psi[angles])
-        assert np.array_equal(sol.heights, grid.z[slots])
-        H = d.entries[0][:, (slots[:, None] * grid.g_h + angles).ravel()]
+        assert np.array_equal(sol.angles, config.psi[angles])
+        assert np.array_equal(sol.heights, config.z[slots])
+        H = d.entries[0][:, (slots[:, None] * config.g_h + angles).ravel()]
         assert np.array_equal(sol.H_star, H)
         assert np.array_equal(sol.F_star, normalize_columns(rzf(H, 1.0), 1.0))
 
     def test_placement_feasible_and_aligned(self):
         for seed in range(4):
-            config, _, paths, d = make_setup(m=2, n=2, g_h=4, g_v=4, seed=seed,
+            config, paths, d = make_setup(m=2, n=2, g_h=4, g_v=4, seed=seed,
                                              pattern=PatternSpec.directional(1.0))
             (sol,) = solve_alternating(d, config, 1.0, 3)
             check_spacing(sol.placement, config)
@@ -202,7 +201,7 @@ class TestSolveAlternating:
             assert flat == sol.placement
 
     def test_sum_rate_trace_recorded(self):
-        config, _, _, d = make_setup(seed=8)
+        config, _, d = make_setup(seed=8)
         (sol,) = solve_alternating(d, config, 1.0, 4, power=1.0, sigma2=1.0,
                                    rate_trace=True)
         trace = sol.diagnostics["sum_rate_trace"]
@@ -212,7 +211,7 @@ class TestSolveAlternating:
 
     def test_sum_rate_trace_only_on_request(self, monkeypatch):
         import fcla.alternating
-        config, _, _, d = make_setup(seed=8)
+        config, _, d = make_setup(seed=8)
         calls = []
         monkeypatch.setattr(fcla.alternating, "sinr",
                             lambda *args: calls.append(args))
@@ -221,7 +220,7 @@ class TestSolveAlternating:
         assert calls == []
 
     def test_phase_objectives_nonincreasing(self):
-        config, _, _, d = make_setup(m=2, n=3, g_h=5, g_v=4, seed=9)
+        config, _, d = make_setup(m=2, n=3, g_h=5, g_v=4, seed=9)
         (sol,) = solve_alternating(d, config, 1.0, 3)
         for phases in sol.diagnostics["phase_objectives"]:
             for trace in (phases["angle"], phases["height"]):
@@ -230,26 +229,26 @@ class TestSolveAlternating:
 
     def test_never_beats_exhaustive_oracle(self):
         for seed in range(6):
-            config, _, _, d = make_setup(m=1, n=2, g_h=3, g_v=2, seed=seed)
+            config, _, d = make_setup(m=1, n=2, g_h=3, g_v=2, seed=seed)
             (sol,) = solve_alternating(d, config, 1.0, 3)
             ((best, _),) = exhaustive_best(d, config, alpha=1.0)
             assert sol.diagnostics["final_objective"] >= best.objective - 1e-9
 
     def test_deterministic(self):
-        config, _, _, d = make_setup(seed=10)
+        config, _, d = make_setup(seed=10)
         (a,) = solve_alternating(d, config, 1.0, 3, rate_trace=True)
         (b,) = solve_alternating(d, config, 1.0, 3, rate_trace=True)
         assert np.array_equal(a.F_star, b.F_star)
         assert a.diagnostics["sum_rate_trace"] == b.diagnostics["sum_rate_trace"]
 
     def test_rejects_zero_rounds(self):
-        config, _, _, d = make_setup()
+        config, _, d = make_setup()
         with pytest.raises(ValueError):
             solve_alternating(d, config, 1.0, 0)
 
     def test_matched_filter_work_below_joint(self):
         # the alternating decomposition exists to cut matching work
-        config, _, _, d = make_setup(m=4, n=4, g_h=12, g_v=12, users=8,
+        config, _, d = make_setup(m=4, n=4, g_h=12, g_v=12, users=8,
                                      n_paths=4, seed=12)
         (joint,) = solve_joint(d, config, 1.0)
         (alt,) = solve_alternating(d, config, 1.0, 5)
@@ -264,12 +263,11 @@ class TestStackedTrials:
     @pytest.mark.parametrize("pattern", [PatternSpec.omni(),
                                          PatternSpec.directional(1.0)])
     def test_stack_matches_one_at_a_time(self, n_trials, pattern):
-        config = FclaConfig.from_grid(3, 2, 6, 5, d_min=0.05, wavelength=0.1,
-                                      pattern=pattern)
-        grid = build_grid(config)
+        config = FclaConfig(3, 2, 6, 5, d_min=0.05, wavelength=0.1,
+                            pattern=pattern)
         seeds = [np.random.SeedSequence([n_trials, t]) for t in range(n_trials)]
-        stacked = build_joint_dictionary(draw_paths(6, 3, seeds), grid, config)
-        single = [build_joint_dictionary(draw_paths(6, 3, [seed]), grid, config)
+        stacked = build_joint_dictionary(draw_paths(6, 3, seeds), config)
+        single = [build_joint_dictionary(draw_paths(6, 3, [seed]), config)
                   for seed in seeds]
         batch = solve_alternating(stacked, config, 0.7, 3, power=2.0,
                                   sigma2=0.5, rate_trace=True)
@@ -285,11 +283,10 @@ class TestStackedTrials:
             s.diagnostics["matched_filter_columns"] for s in batch)
 
     def test_phases_take_per_trial_indices(self):
-        config = FclaConfig.from_grid(2, 2, 4, 4, d_min=0.05, wavelength=0.1)
-        grid = build_grid(config)
+        config = FclaConfig(2, 2, 4, 4, d_min=0.05, wavelength=0.1)
         seeds = [np.random.SeedSequence([t]) for t in range(3)]
-        stacked = build_joint_dictionary(draw_paths(4, 2, seeds), grid, config)
-        single = [build_joint_dictionary(draw_paths(4, 2, [seed]), grid, config)
+        stacked = build_joint_dictionary(draw_paths(4, 2, seeds), config)
+        single = [build_joint_dictionary(draw_paths(4, 2, [seed]), config)
                   for seed in seeds]
         slots = np.array([[0, 3], [1, 2], [3, 0]])
         angles, diag = optimize_angles(stacked, slots, config, 1.0)
@@ -303,14 +300,14 @@ class TestStackedTrials:
             assert np.array_equal(heights[t], want_heights[0])
 
     def test_rejects_shared_slot_in_any_trial(self):
-        config, grid, _, _ = make_setup()
+        config, _, _ = make_setup()
         stacked = build_joint_dictionary(
             draw_paths(4, 2, [np.random.SeedSequence([t]) for t in range(2)]),
-            grid, config)
+            config)
         with pytest.raises(ValueError):
             optimize_angles(stacked, [[0, 1], [2, 2]], config, 1.0)
 
     def test_rejects_zero_forcing(self):
-        config, _, _, d = make_setup()
+        config, _, d = make_setup()
         with pytest.raises(ValueError, match="alpha"):
             solve_alternating(d, config, 0.0, 2)

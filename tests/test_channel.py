@@ -6,13 +6,13 @@ import pytest
 
 from fcla.channel import (Paths, build_joint_dictionary, draw_paths,
                           export_paths, synthesize_channel)
-from fcla.geometry import FclaConfig, build_grid
+from fcla.geometry import FclaConfig
 from fcla.pattern import PatternSpec, power_gain
 
 
 def make_config(pattern=None, **kw):
-    base = dict(m_rings=2, n_elements=2, radius=0.10, height_extent=0.40,
-                d_min=0.05, wavelength=0.1,
+    base = dict(m_rings=2, n_elements=2, g_h=12, g_v=8, d_min=0.05,
+                wavelength=0.1,
                 pattern=pattern or PatternSpec.omni())
     base.update(kw)
     return FclaConfig(**base)
@@ -188,18 +188,17 @@ class TestSynthesizeChannel:
 class TestDictionaries:
     def setup_method(self):
         self.config = make_config(pattern=PatternSpec.directional(1.0))
-        self.grid = build_grid(self.config)
         self.paths = draw_paths(4, 3, [17, 18])
 
     def test_joint_layout_and_values(self):
-        d = build_joint_dictionary(self.paths, self.grid, self.config)
-        g_h, g_v = self.grid.g_h, self.grid.g_v
+        d = build_joint_dictionary(self.paths, self.config)
+        g_h, g_v = self.config.g_h, self.config.g_v
         assert d.entries.shape == (2, 4, g_h * g_v)
         assert d.group_size == g_h and d.n_groups == g_v
         for col in [0, 1, g_h, g_h * g_v - 1]:
             psi, z = d.psi[col], d.z[col]
-            assert psi == self.grid.psi[col % g_h]
-            assert z == self.grid.z[col // g_h]
+            assert psi == self.config.psi[col % g_h]
+            assert z == self.config.z[col // g_h]
             recomputed = synthesize_channel(self.paths, [(psi, z)], self.config)
             assert np.allclose(d.entries[..., col], recomputed[..., 0],
                                atol=1e-15)
@@ -209,17 +208,17 @@ class TestDictionaries:
 
     def test_index_map_round_trip(self):
         # the solvers address column slot * g_h + angle
-        d = build_joint_dictionary(self.paths, self.grid, self.config)
-        g_h = self.grid.g_h
-        for slot in range(self.grid.g_v):
+        d = build_joint_dictionary(self.paths, self.config)
+        g_h = self.config.g_h
+        for slot in range(self.config.g_v):
             for angle in range(g_h):
                 col = slot * g_h + angle
-                assert (d.psi[col], d.z[col]) == (self.grid.psi[angle],
-                                                  self.grid.z[slot])
+                assert (d.psi[col], d.z[col]) == (self.config.psi[angle],
+                                                  self.config.z[slot])
 
     def test_channel_equals_dictionary_gather(self):
-        d = build_joint_dictionary(self.paths, self.grid, self.config)
-        cols = [0, 5, self.grid.g_h * 2 + 3]
+        d = build_joint_dictionary(self.paths, self.config)
+        cols = [0, 5, self.config.g_h * 2 + 3]
         placement = [(d.psi[c], d.z[c]) for c in cols]
         H = synthesize_channel(self.paths, placement, self.config)
         assert np.array_equal(H, d.entries[..., cols])

@@ -306,6 +306,17 @@ BAD_SPEC_VALUES = [
     ([], {"jobs": True}, "jobs"),
     ([], {"grid_size": 6.5}, "grid_size"),
     ([], {"noise_power": "1", "methods": ["ucla"]}, "noise_power"),
+    (["--snr=nan"], {}, "sweep_values"),
+    (["--snr=inf,0"], {}, "sweep_values"),
+    ([], {"snr_db": float("nan")}, "snr_db"),
+    ([], {"snr_db": "3"}, "snr_db"),
+    (["--noise", "inf", "--methods", "ucla"], {}, "noise_power"),
+    (["--freq", "inf"], {}, "frequency_hz"),
+    (["--dmin", "0"], {}, "d_min"),
+    ([], {"d_min": "0.05"}, "d_min"),
+    (["--kappa", "0.5"], {}, "kappa"),
+    ([], {"kappa": "2"}, "kappa"),
+    ([], {"methods": "ucla,fcla-j"}, "methods"),
 ]
 
 

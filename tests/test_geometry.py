@@ -3,42 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fcla.geometry import (FclaConfig, build_grid, check_spacing,
-                           min_revolve_angle, ring_angle_distance)
+from fcla.geometry import FclaConfig, check_spacing, ring_angle_distance
 from fcla.pattern import PatternSpec
 from test_channel import position_of
 
 
 def chord(radius, angle):
     return 2.0 * radius * math.sin(angle / 2.0)
-
-
-class TestMinRevolveAngle:
-    def test_half_radius_chord(self):
-        assert np.isclose(min_revolve_angle(1.0, 1.0), np.pi / 3.0)
-
-    def test_diameter_chord(self):
-        assert np.isclose(min_revolve_angle(2.0, 1.0), np.pi)
-
-    def test_quarter_ratio(self):
-        # frozen from an independent high-precision evaluation of 2*asin(1/4)
-        assert np.isclose(min_revolve_angle(0.05, 0.10), 0.5053605102841573,
-                          rtol=0, atol=1e-15)
-
-    def test_chord_roundtrip(self):
-        for d_min, radius in [(0.05, 0.1), (0.03, 0.2), (0.199, 0.1)]:
-            angle = min_revolve_angle(d_min, radius)
-            assert np.isclose(chord(radius, angle), d_min, rtol=1e-12)
-
-    def test_rejects_infeasible_chord(self):
-        with pytest.raises(ValueError):
-            min_revolve_angle(0.21, 0.1)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            min_revolve_angle(0.0, 0.1)
-        with pytest.raises(ValueError):
-            min_revolve_angle(0.05, -1.0)
 
 
 class TestPositionOf:
@@ -56,25 +27,26 @@ class TestPositionOf:
 
 
 def make_config(**kw):
-    base = dict(m_rings=2, n_elements=2, radius=0.10, height_extent=0.40,
-                d_min=0.05, wavelength=0.1, pattern=PatternSpec.omni())
+    base = dict(m_rings=2, n_elements=2, g_h=12, g_v=8, d_min=0.05,
+                wavelength=0.1, pattern=PatternSpec.omni())
     base.update(kw)
     return FclaConfig(**base)
 
 
 class TestBuildGrid:
+    """The candidate grid a config describes, and the radius it implies."""
+
     def test_height_slots(self):
-        grid = build_grid(make_config())
-        assert grid.g_v == 8
-        assert np.allclose(grid.z, np.arange(8) * 0.05)
+        config = make_config()
+        assert config.g_v == 8
+        assert np.allclose(config.z, np.arange(8) * 0.05)
 
     def test_grid_size_override_derives_radius(self):
-        config = FclaConfig.from_grid(m_rings=2, n_elements=2, g_h=12, g_v=8,
-                                      d_min=0.05, wavelength=0.1)
+        config = FclaConfig(m_rings=2, n_elements=2, g_h=12, g_v=8,
+                            d_min=0.05, wavelength=0.1)
         # frozen from numerically inverting the chord relation
         assert np.isclose(config.radius, 0.09659258262890683, rtol=1e-12)
-        grid = build_grid(config)
-        assert (grid.g_h, grid.g_v) == (12, 8)
+        assert (len(config.psi), len(config.z)) == (12, 8)
 
     def test_override_radius_matches_bisection_oracle(self):
         d_min, g_h = 0.05, 12
@@ -85,60 +57,61 @@ class TestBuildGrid:
                 lo, hi = lo, mid
             else:
                 lo, hi = mid, hi
-        config = FclaConfig.from_grid(2, 2, g_h, 4, d_min, 0.1)
+        config = FclaConfig(2, 2, g_h, 4, d_min, 0.1)
         assert np.isclose(config.radius, 0.5 * (lo + hi), rtol=1e-10)
 
     def test_degenerate_two_slot_ring(self):
-        # d_min equal to the diameter leaves two angle slots and one height
-        config = make_config(m_rings=1, n_elements=2, radius=0.025,
-                             height_extent=0.05)
-        grid = build_grid(config)
-        assert (grid.g_h, grid.g_v) == (2, 1)
+        # two angle slots put d_min across the diameter, at half a turn
+        config = make_config(m_rings=1, n_elements=2, g_h=2, g_v=1)
+        assert config.radius == 0.025
+        assert config.psi.tolist() == [0.0, np.pi]
+        assert config.psi_min == np.pi
 
     def test_angle_step_at_least_min_angle(self):
         for g_h in (2, 3, 7, 12, 64):
-            config = FclaConfig.from_grid(1, 2, g_h, 2, 0.05, 0.1)
-            grid = build_grid(config)
-            step = 2.0 * np.pi / grid.g_h
+            config = FclaConfig(1, 2, g_h, 2, 0.05, 0.1)
+            step = 2.0 * np.pi / g_h
             assert step >= config.psi_min - 1e-12
-            gaps = np.diff(np.append(grid.psi, 2.0 * np.pi))
+            gaps = np.diff(np.append(config.psi, 2.0 * np.pi))
             assert np.all(gaps >= config.psi_min - 1e-12)
 
     def test_rejects_too_few_slots(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="g_v"):
             make_config(m_rings=9)  # only 8 height slots
-        with pytest.raises(ValueError):
-            FclaConfig.from_grid(1, 4, g_h=3, g_v=2, d_min=0.05, wavelength=0.1)
+        with pytest.raises(ValueError, match="g_h"):
+            FclaConfig(1, 4, g_h=3, g_v=2, d_min=0.05, wavelength=0.1)
+
+    def test_rejects_nonpositive_spacing(self):
+        for d_min in (0.0, -0.05):
+            with pytest.raises(ValueError, match="d_min"):
+                make_config(d_min=d_min)
 
     def test_deterministic(self):
         config = make_config()
-        a, b = build_grid(config), build_grid(config)
-        assert np.array_equal(a.psi, b.psi)
-        assert np.array_equal(a.z, b.z)
+        assert np.array_equal(config.psi, make_config().psi)
+        assert np.array_equal(config.z, make_config().z)
 
 
 class TestSpacingInvariants:
     @pytest.mark.parametrize("g_h", [2, 4, 11, 32, 64])
     def test_all_ring_pairs_at_least_d_min_apart(self, g_h):
-        config = FclaConfig.from_grid(1, 2, g_h, 2, 0.05, 0.1)
-        grid = build_grid(config)
-        pts = [position_of(psi, 0.0, config.radius) for psi in grid.psi]
+        config = FclaConfig(1, 2, g_h, 2, 0.05, 0.1)
+        pts = [position_of(psi, 0.0, config.radius) for psi in config.psi]
         for i in range(g_h):
             for j in range(i + 1, g_h):
                 d = math.dist(pts[i], pts[j])
                 assert d >= config.d_min - 1e-9
 
     def test_height_pairs_at_least_d_min_apart(self):
-        grid = build_grid(make_config())
-        for i in range(grid.g_v):
-            for j in range(i + 1, grid.g_v):
-                assert abs(grid.z[i] - grid.z[j]) >= 0.05 - 1e-12
+        z = make_config().z
+        for i in range(len(z)):
+            for j in range(i + 1, len(z)):
+                assert abs(z[i] - z[j]) >= 0.05 - 1e-12
 
     def test_checker_accepts_grid_points(self):
         config = make_config()
-        grid = build_grid(config)
-        placement = [(grid.psi[0], grid.z[0]), (grid.psi[3], grid.z[0]),
-                     (grid.psi[1], grid.z[2])]
+        psi, z = config.psi, config.z
+        placement = [(psi[0], z[0]), (psi[3], z[0]), (psi[1], z[2])]
         check_spacing(placement, config)
 
     def test_checker_rejects_close_angles(self):

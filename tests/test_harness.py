@@ -45,6 +45,14 @@ class TestSpec:
         spec = small_spec()
         assert np.isclose(spec.spacing, spec.wavelength / 2.0)
 
+    def test_real_fields_stored_as_floats(self):
+        spec = small_spec(frequency_hz=3_000_000_000, noise_power=1, kappa=2,
+                          d_min=1, snr_db=3, sweep_values=(-6, 0))
+        for name in ("frequency_hz", "noise_power", "kappa", "d_min",
+                     "snr_db"):
+            assert type(getattr(spec, name)) is float, name
+        assert all(type(v) is float for v in spec.sweep_values)
+
     def test_round_trip_dict(self):
         spec = small_spec()
         clone = ExperimentSpec.from_dict(spec.to_dict())
@@ -134,6 +142,21 @@ class TestUclaBaseline:
         compact = ucla_config(config)
         chord = 2.0 * compact.radius * np.sin(np.pi / 4.0)
         assert np.isclose(chord, config.d_min)
+
+    @pytest.mark.parametrize("rings, elements", [(1, 2), (2, 3), (4, 4)])
+    def test_uniform_grid_is_n_angles_by_m_heights(self, rings, elements):
+        config = small_spec(rings=rings, elements=elements).config_for_grid(8)
+        compact = ucla_config(config)
+        assert (compact.g_h, compact.g_v) == (elements, rings)
+        assert compact.psi_min == pytest.approx(2.0 * np.pi / elements)
+
+    def test_single_element_keeps_flexible_radius(self):
+        config = small_spec(rings=3, elements=1).config_for_grid(8)
+        compact = ucla_config(config)
+        assert compact.radius == config.radius
+        assert (compact.g_h, compact.g_v) == (8, 3)
+        placement = baseline_placement(config)
+        assert placement == [(0.0, z) for z in compact.z]
 
     def test_rates_returned(self):
         spec = small_spec()
@@ -416,10 +439,10 @@ def fail_trial_2(spec, monkeypatch):
                          [np.random.SeedSequence([spec.seed, 0, 2])])
     build = harness.build_joint_dictionary
 
-    def failing_build(paths, grid, config):
+    def failing_build(paths, config):
         if any(np.array_equal(beta, trial_2.beta[0]) for beta in paths.beta):
             raise FloatingPointError("trial 2 diverged")
-        return build(paths, grid, config)
+        return build(paths, config)
 
     monkeypatch.setattr(harness, "build_joint_dictionary", failing_build)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fcla.channel import Dictionary, build_joint_dictionary, draw_paths
-from fcla.geometry import FclaConfig, build_grid, check_spacing
+from fcla.geometry import FclaConfig, check_spacing
 from fcla.joint import solve_joint
 from fcla.oracle import exhaustive_best
 from fcla.pattern import PatternSpec
@@ -11,12 +11,11 @@ from fcla.precoding import rzf_objective
 
 def make_setup(m=2, n=2, g_h=4, g_v=4, users=4, n_paths=2, seed=0,
                pattern=None):
-    config = FclaConfig.from_grid(m, n, g_h, g_v, d_min=0.05, wavelength=0.1,
-                                  pattern=pattern or PatternSpec.omni())
-    grid = build_grid(config)
+    config = FclaConfig(m, n, g_h, g_v, d_min=0.05, wavelength=0.1,
+                        pattern=pattern or PatternSpec.omni())
     paths = draw_paths(users, n_paths, [np.random.SeedSequence([seed])])
-    dictionary = build_joint_dictionary(paths, grid, config)
-    return config, grid, paths, dictionary
+    dictionary = build_joint_dictionary(paths, config)
+    return config, paths, dictionary
 
 
 def tiny_dictionary(columns, g_h, g_v):
@@ -38,7 +37,7 @@ class TestGroupCompletion:
              [0.0, 4.0],    # group 1, outscores column 1 on pick two
              [0.1, 0.1]],   # group 1, never picked
             g_h=2, g_v=2)
-        config = FclaConfig.from_grid(1, 2, 2, 2, d_min=0.05, wavelength=0.1)
+        config = FclaConfig(1, 2, 2, 2, d_min=0.05, wavelength=0.1)
         (sol,) = solve_joint(d, config, alpha=1.0)
         picked = [row[1] for row in sol.diagnostics["trace"]]
         assert picked == [0, 2, 1]
@@ -48,15 +47,15 @@ class TestGroupCompletion:
         assert np.allclose(sol.angles, [[d.psi[0], d.psi[1]]])
 
     def test_forced_full_grid(self):
-        config, grid, paths, d = make_setup(m=2, n=2, g_h=2, g_v=2)
+        config, paths, d = make_setup(m=2, n=2, g_h=2, g_v=2)
         (sol,) = solve_joint(d, config, alpha=1.0)
         assert sol.diagnostics["iterations"] == 4
         assert sorted(sol.diagnostics["final_support"]) == [0, 1, 2, 3]
-        assert sorted(sol.heights.tolist()) == grid.z.tolist()
+        assert sorted(sol.heights.tolist()) == config.z.tolist()
 
     def test_support_size_and_feasibility(self):
         for seed in range(5):
-            config, _, _, d = make_setup(m=2, n=2, g_h=4, g_v=3, seed=seed,
+            config, _, d = make_setup(m=2, n=2, g_h=4, g_v=3, seed=seed,
                                          pattern=PatternSpec.directional(1.0))
             (sol,) = solve_joint(d, config, alpha=1.0)
             assert len(sol.diagnostics["final_support"]) == 4
@@ -69,7 +68,7 @@ class TestGroupCompletion:
 class TestSolveJoint:
     def test_objective_nonincreasing_over_iterations(self):
         for seed in range(4):
-            config, _, _, d = make_setup(m=2, n=2, g_h=4, g_v=4, seed=seed)
+            config, _, d = make_setup(m=2, n=2, g_h=4, g_v=4, seed=seed)
             (sol,) = solve_joint(d, config, alpha=0.8)
             trace = sol.diagnostics["objective_trace"]
             for a, b in zip(trace, trace[1:]):
@@ -77,27 +76,28 @@ class TestSolveJoint:
 
     def test_iteration_count_bounds(self):
         for seed in range(6):
-            config, grid, _, d = make_setup(m=2, n=2, g_h=4, g_v=4, seed=seed)
+            config, _, d = make_setup(m=2, n=2, g_h=4, g_v=4, seed=seed)
             (sol,) = solve_joint(d, config, alpha=1.0)
             kept = config.m_rings * config.n_elements
-            assert kept <= sol.diagnostics["iterations"] <= grid.g_h * grid.g_v
+            assert (kept <= sol.diagnostics["iterations"]
+                    <= config.g_h * config.g_v)
 
     def test_never_beats_exhaustive_oracle(self):
         for seed in range(6):
-            config, _, _, d = make_setup(m=1, n=2, g_h=3, g_v=3, seed=seed)
+            config, _, d = make_setup(m=1, n=2, g_h=3, g_v=3, seed=seed)
             (sol,) = solve_joint(d, config, alpha=1.0)
             ((best, _),) = exhaustive_best(d, config, alpha=1.0)
             assert sol.diagnostics["final_objective"] >= best.objective - 1e-9
 
     def test_deterministic(self):
-        config, _, _, d = make_setup(seed=9)
+        config, _, d = make_setup(seed=9)
         (a,) = solve_joint(d, config, alpha=1.0)
         (b,) = solve_joint(d, config, alpha=1.0)
         assert a.diagnostics["support"] == b.diagnostics["support"]
         assert np.array_equal(a.F_star, b.F_star)
 
     def test_final_channel_matches_recorded_objective(self):
-        config, _, _, d = make_setup(seed=2)
+        config, _, d = make_setup(seed=2)
         (sol,) = solve_joint(d, config, alpha=1.0)
         H = d.entries[0][:, sol.diagnostics["final_support"]]
         assert np.array_equal(H, sol.H_star)
@@ -107,21 +107,20 @@ class TestSolveJoint:
                           sol.diagnostics["final_objective"])
 
     def test_normalized_power(self):
-        config, _, _, d = make_setup(seed=3)
+        config, _, d = make_setup(seed=3)
         (sol,) = solve_joint(d, config, alpha=1.0, power=2.0)
         assert abs(np.linalg.norm(sol.F_star, "fro") ** 2 - 2.0) < 1e-12
 
     def test_rejects_grid_too_small(self):
-        config, grid, paths, _ = make_setup(m=2, g_v=2)
-        too_few_slots = build_joint_dictionary(paths, grid, config)
-        three_rings = FclaConfig.from_grid(3, 2, 4, 4, d_min=0.05,
-                                           wavelength=0.1)
+        config, paths, _ = make_setup(m=2, g_v=2)
+        too_few_slots = build_joint_dictionary(paths, config)
+        three_rings = FclaConfig(3, 2, 4, 4, d_min=0.05, wavelength=0.1)
         with pytest.raises(ValueError):
             solve_joint(too_few_slots, three_rings, alpha=1.0)
 
     def test_rejects_placement_closer_than_min_angle(self):
         # two angle columns 0.1 rad apart on a ring whose floor is pi/2
-        config = FclaConfig.from_grid(1, 2, 4, 1, d_min=0.05, wavelength=0.1)
+        config = FclaConfig(1, 2, 4, 1, d_min=0.05, wavelength=0.1)
         d = Dictionary(entries=np.eye(2, dtype=complex)[None],
                        psi=np.array([0.0, 0.1]), z=np.zeros(2), group_size=2)
         with pytest.raises(ValueError, match="minimum revolve angle"):
@@ -135,12 +134,11 @@ class TestStackedTrials:
     @pytest.mark.parametrize("pattern", [PatternSpec.omni(),
                                          PatternSpec.directional(1.0)])
     def test_stack_matches_one_at_a_time(self, n_trials, pattern):
-        config = FclaConfig.from_grid(3, 2, 5, 6, d_min=0.05, wavelength=0.1,
-                                      pattern=pattern)
-        grid = build_grid(config)
+        config = FclaConfig(3, 2, 5, 6, d_min=0.05, wavelength=0.1,
+                            pattern=pattern)
         seeds = [np.random.SeedSequence([n_trials, t]) for t in range(n_trials)]
-        stacked = build_joint_dictionary(draw_paths(6, 3, seeds), grid, config)
-        single = [build_joint_dictionary(draw_paths(6, 3, [seed]), grid, config)
+        stacked = build_joint_dictionary(draw_paths(6, 3, seeds), config)
+        single = [build_joint_dictionary(draw_paths(6, 3, [seed]), config)
                   for seed in seeds]
         batch = solve_joint(stacked, config, 0.7, power=2.0)
         assert len(batch) == n_trials
@@ -161,17 +159,16 @@ class TestStackedTrials:
     def test_trials_finish_at_different_steps(self, pattern):
         # the grid of test_stack_matches_one_at_a_time: trials of one batch
         # run different iteration counts, so finished trials must stay frozen
-        config = FclaConfig.from_grid(3, 2, 5, 6, d_min=0.05, wavelength=0.1,
-                                      pattern=pattern)
-        grid = build_grid(config)
+        config = FclaConfig(3, 2, 5, 6, d_min=0.05, wavelength=0.1,
+                            pattern=pattern)
         stacked = build_joint_dictionary(
             draw_paths(6, 3, [np.random.SeedSequence([8, t]) for t in range(8)]),
-            grid, config)
+            config)
         iterations = [s.diagnostics["iterations"]
                       for s in solve_joint(stacked, config, 0.7)]
         assert len(set(iterations)) > 1
 
     def test_rejects_zero_forcing(self):
-        config, _, _, d = make_setup()
+        config, _, d = make_setup()
         with pytest.raises(ValueError, match="alpha"):
             solve_joint(d, config, alpha=0.0)

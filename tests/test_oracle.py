@@ -7,25 +7,24 @@ import pytest
 from fcla import oracle
 from fcla.channel import (Dictionary, build_joint_dictionary, draw_paths,
                           synthesize_channel)
-from fcla.geometry import FclaConfig, build_grid
+from fcla.geometry import FclaConfig
 from fcla.oracle import exhaustive_best
 from fcla.precoding import normalize_columns, rzf, rzf_objective, sinr
 
 
 def make_setup(m=1, n=1, g_h=2, g_v=2, users=3, n_paths=2, seed=0, trials=1):
-    config = FclaConfig.from_grid(m, n, g_h, g_v, d_min=0.05, wavelength=0.1)
-    grid = build_grid(config)
+    config = FclaConfig(m, n, g_h, g_v, d_min=0.05, wavelength=0.1)
     paths = draw_paths(users, n_paths, [np.random.SeedSequence([seed, t])
                                         for t in range(trials)])
-    return config, grid, paths, build_joint_dictionary(paths, grid, config)
+    return config, paths, build_joint_dictionary(paths, config)
 
 
-def every_placement(grid, m, n):
+def every_placement(config, m, n):
     """Each feasible placement as (psi, z) pairs, by a loop of its own."""
-    for slots in itertools.combinations(range(grid.g_v), m):
+    for slots in itertools.combinations(range(config.g_v), m):
         for rings in itertools.product(
-                itertools.combinations(range(grid.g_h), n), repeat=m):
-            yield [(grid.psi[a], grid.z[h]) for h, ring in zip(slots, rings)
+                itertools.combinations(range(config.g_h), n), repeat=m):
+            yield [(config.psi[a], config.z[h]) for h, ring in zip(slots, rings)
                    for a in ring]
 
 
@@ -38,29 +37,29 @@ def rated(paths, placement, config, alpha, power=1.0, sigma2=1.0):
 
 
 def test_count_formula():
-    config, _, _, d = make_setup(m=2, n=2, g_h=4, g_v=3)
+    config, _, d = make_setup(m=2, n=2, g_h=4, g_v=3)
     ((result, _),) = exhaustive_best(d, config, alpha=1.0)
     assert result.count == math.comb(3, 2) * math.comb(4, 2) ** 2
 
 
 def test_single_candidate_grid():
-    config, grid, _, d = make_setup(m=2, n=2, g_h=2, g_v=2)
+    config, _, d = make_setup(m=2, n=2, g_h=2, g_v=2)
     ((by_objective, by_rate),) = exhaustive_best(d, config, alpha=1.0)
     for result in (by_objective, by_rate):
         assert result.count == 1
-        assert sorted(result.heights.tolist()) == grid.z.tolist()
+        assert sorted(result.heights.tolist()) == config.z.tolist()
         for ring in result.angles:
-            assert sorted(ring.tolist()) == grid.psi.tolist()
+            assert sorted(ring.tolist()) == config.psi.tolist()
 
 
 def test_four_candidates_match_hand_loop():
-    config, grid, paths, d = make_setup(m=1, n=1, g_h=2, g_v=2, seed=4)
+    config, paths, d = make_setup(m=1, n=1, g_h=2, g_v=2, seed=4)
     ((result, _),) = exhaustive_best(d, config, alpha=1.0)
     assert result.count == 4
 
     best_obj, best_pair = None, None
-    for z in grid.z:
-        for psi in grid.psi:
+    for z in config.z:
+        for psi in config.psi:
             obj, _ = rated(paths, [(psi, z)], config, 1.0)
             if best_obj is None or obj < best_obj:
                 best_obj, best_pair = obj, (psi, z)
@@ -70,26 +69,26 @@ def test_four_candidates_match_hand_loop():
 
 
 def test_objective_dominates_every_feasible_placement():
-    config, grid, paths, d = make_setup(m=1, n=2, g_h=3, g_v=2, seed=1)
+    config, paths, d = make_setup(m=1, n=2, g_h=3, g_v=2, seed=1)
     ((result, _),) = exhaustive_best(d, config, alpha=0.7)
-    for placement in every_placement(grid, 1, 2):
+    for placement in every_placement(config, 1, 2):
         obj, _ = rated(paths, placement, config, 0.7)
         assert obj >= result.objective - 1e-12
 
 
 def test_sum_rate_criterion_maximizes():
-    config, grid, paths, d = make_setup(m=2, n=1, g_h=3, g_v=3, seed=2)
+    config, paths, d = make_setup(m=2, n=1, g_h=3, g_v=3, seed=2)
     ((by_objective, by_rate),) = exhaustive_best(d, config, alpha=1.0,
                                                  power=2.0, sigma2=0.5)
     assert by_rate.sum_rate >= by_objective.sum_rate
     rates = [rated(paths, placement, config, 1.0, 2.0, 0.5)[1]
-             for placement in every_placement(grid, 2, 1)]
+             for placement in every_placement(config, 2, 1)]
     assert len(rates) == by_rate.count
     assert np.isclose(by_rate.sum_rate, max(rates), rtol=1e-12, atol=0.0)
 
 
 def test_each_trial_matches_its_own_call():
-    config, _, _, d = make_setup(m=2, n=2, g_h=3, g_v=3, users=5, trials=3)
+    config, _, d = make_setup(m=2, n=2, g_h=3, g_v=3, users=5, trials=3)
     batch = exhaustive_best(d, config, alpha=0.6, power=2.0)
     for t, pair in enumerate(batch):
         alone = Dictionary(d.entries[t:t + 1], d.psi, d.z, d.group_size)
@@ -105,7 +104,7 @@ def test_each_trial_matches_its_own_call():
 # 4 users x 4 antennas x 16 bytes each)
 @pytest.mark.parametrize("chunk_bytes", [1, 5 * 512])
 def test_chunks_do_not_change_the_optima(chunk_bytes, monkeypatch):
-    config, _, _, d = make_setup(m=2, n=2, g_h=4, g_v=3, users=4, trials=2)
+    config, _, d = make_setup(m=2, n=2, g_h=4, g_v=3, users=4, trials=2)
     whole = exhaustive_best(d, config, alpha=0.8)
     monkeypatch.setattr(oracle, "CHUNK_BYTES", chunk_bytes)
     for got, want in zip(exhaustive_best(d, config, alpha=0.8), whole):
@@ -117,15 +116,15 @@ def test_chunks_do_not_change_the_optima(chunk_bytes, monkeypatch):
 
 def test_ties_go_to_the_first_placement():
     # every column equal: every placement rates the same
-    config, grid, _, d = make_setup(m=2, n=2, g_h=4, g_v=3, users=3)
+    config, _, d = make_setup(m=2, n=2, g_h=4, g_v=3, users=3)
     flat = Dictionary(np.ones_like(d.entries), d.psi, d.z, d.group_size)
     for result in exhaustive_best(flat, config, alpha=1.0)[0]:
-        assert np.array_equal(result.heights, grid.z[:2])
-        assert np.array_equal(result.angles, np.tile(grid.psi[:2], (2, 1)))
+        assert np.array_equal(result.heights, config.z[:2])
+        assert np.array_equal(result.angles, np.tile(config.psi[:2], (2, 1)))
 
 
 def test_unservable_user_has_zero_rate():
-    config, _, _, d = make_setup(m=1, n=2, g_h=3, g_v=2, users=3, seed=5)
+    config, _, d = make_setup(m=1, n=2, g_h=3, g_v=2, users=3, seed=5)
     entries = d.entries.copy()
     entries[:, 0] = 0.0  # user 0 has no channel anywhere
     blind = Dictionary(entries, d.psi, d.z, d.group_size)
@@ -140,7 +139,7 @@ def test_unservable_user_has_zero_rate():
 def test_ring_order_invariance():
     # two interchangeable rings: swapping which ring owns which height cannot
     # change the optimum value
-    config, _, paths, d = make_setup(m=2, n=1, g_h=3, g_v=3, seed=3)
+    config, paths, d = make_setup(m=2, n=1, g_h=3, g_v=3, seed=3)
     ((result, _),) = exhaustive_best(d, config, alpha=1.0)
     swapped_angles = result.angles[::-1]
     swapped_heights = result.heights[::-1]
@@ -150,13 +149,13 @@ def test_ring_order_invariance():
 
 
 def test_cap_enforced():
-    config, _, _, d = make_setup(m=2, n=2, g_h=4, g_v=4)
+    config, _, d = make_setup(m=2, n=2, g_h=4, g_v=4)
     with pytest.raises(ValueError, match="216 placements"):
         exhaustive_best(d, config, alpha=1.0, cap=10)
 
 
 def test_grid_too_small_named():
-    config, _, _, d = make_setup(m=2, n=2, g_h=4, g_v=4)
+    config, _, d = make_setup(m=2, n=2, g_h=4, g_v=4)
     small = Dictionary(d.entries[..., :4], d.psi[:4], d.z[:4], d.group_size)
     with pytest.raises(ValueError, match="cannot host"):
         exhaustive_best(small, config, alpha=1.0)

@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 
 from fcla.alternating import solve_alternating
 from fcla.channel import Paths, build_joint_dictionary, draw_paths
-from fcla.geometry import FclaConfig, build_grid
+from fcla.geometry import FclaConfig
 from fcla.harness import ucla_baseline
 from fcla.joint import solve_joint
 from fcla.oracle import exhaustive_best
@@ -55,24 +55,24 @@ def instances(draw):
     pattern = draw(st.sampled_from([PatternSpec.omni(),
                                     PatternSpec.directional(1.0),
                                     PatternSpec.directional(2.0)]))
-    config = FclaConfig.from_grid(m, n, g_h, g_v, d_min=0.05, wavelength=0.1,
-                                  pattern=pattern)
+    config = FclaConfig(m, n, g_h, g_v, d_min=0.05, wavelength=0.1,
+                        pattern=pattern)
     paths = draw_paths(draw(st.integers(2, 8)), draw(st.integers(2, 4)),
                        [np.random.SeedSequence([draw(st.integers(0, 2**32 - 1))])])
     return config, paths
 
 
-def height_blind(entries, grid):
+def height_blind(entries, config):
     """Whether some grid angle gives every user one response magnitude at
     all heights."""
-    magnitude = np.abs(entries).reshape(-1, grid.g_v, grid.g_h)
+    magnitude = np.abs(entries).reshape(-1, config.g_v, config.g_h)
     spread = magnitude.max(axis=1) - magnitude.min(axis=1)  # (K, G_H)
     return bool((spread <= 1e-9 * magnitude.max()).all(axis=0).any())
 
 
 def greedy_solutions(paths, config):
     """Method name -> solution of both greedy solvers on the paths."""
-    dictionary = build_joint_dictionary(paths, build_grid(config), config)
+    dictionary = build_joint_dictionary(paths, config)
     (joint,) = solve_joint(dictionary, config, ALPHA, power=POWER)
     (alternating,) = solve_alternating(dictionary, config, ALPHA, 3,
                                        power=POWER, sigma2=SIGMA2)
@@ -97,14 +97,13 @@ def relative(a, b):
 @given(instances())
 def test_azimuth_rotation_rolls_angle_columns(instance):
     config, paths = instance
-    grid = build_grid(config)
-    step = 2.0 * np.pi / grid.g_h
+    step = 2.0 * np.pi / config.g_h
     rotated = Paths(paths.beta, paths.theta_el, paths.phi_az + step)
-    blocks = (-1, grid.g_v, grid.g_h)
-    before = build_joint_dictionary(paths, grid, config).entries.reshape(blocks)
-    after = build_joint_dictionary(rotated, grid, config).entries.reshape(blocks)
+    blocks = (-1, config.g_v, config.g_h)
+    before = build_joint_dictionary(paths, config).entries.reshape(blocks)
+    after = build_joint_dictionary(rotated, config).entries.reshape(blocks)
     assert relative(after, np.roll(before, 1, axis=-1)) <= 1e-12
-    assume(not height_blind(before, grid))
+    assume(not height_blind(before, config))
 
     want = greedy_solutions(paths, config)
     for method, got in greedy_solutions(rotated, config).items():
@@ -119,11 +118,10 @@ def test_user_permutation_permutes_rows(instance, random):
     random.shuffle(order)
     shuffled = Paths(paths.beta[:, order], paths.theta_el[:, order],
                      paths.phi_az[:, order])
-    grid = build_grid(config)
-    before = build_joint_dictionary(paths, grid, config).entries
-    after = build_joint_dictionary(shuffled, grid, config).entries
+    before = build_joint_dictionary(paths, config).entries
+    after = build_joint_dictionary(shuffled, config).entries
     assert relative(after, before[:, order]) <= 1e-12
-    assume(not height_blind(before, grid))
+    assume(not height_blind(before, config))
 
     want = greedy_solutions(paths, config)
     got = greedy_solutions(shuffled, config)
@@ -141,11 +139,11 @@ def test_exhaustive_optima_dominate_greedy_solvers(m, n, users, g_h, g_v,
                                                    directional, seed):
     # users may outnumber the antennas (K > M*N)
     pattern = PatternSpec.directional(1.0) if directional else PatternSpec.omni()
-    config = FclaConfig.from_grid(m, n, g_h, g_v, d_min=0.05, wavelength=0.1,
-                                  pattern=pattern)
+    config = FclaConfig(m, n, g_h, g_v, d_min=0.05, wavelength=0.1,
+                        pattern=pattern)
     paths = draw_paths(users, 2, [np.random.SeedSequence([seed, t])
                                   for t in range(3)])
-    dictionary = build_joint_dictionary(paths, build_grid(config), config)
+    dictionary = build_joint_dictionary(paths, config)
     optima = exhaustive_best(dictionary, config, ALPHA, POWER, SIGMA2)
     for batch in (solve_joint(dictionary, config, ALPHA, power=POWER),
                   solve_alternating(dictionary, config, ALPHA, 3, power=POWER,
