@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .alternating import optimize_angles, optimize_heights, solve_alternating
 from .channel import (Dictionary, Paths, build_joint_dictionary, draw_paths,
-                      export_paths, synthesize_channel)
-from .geometry import SPEED_OF_LIGHT, FclaConfig, check_spacing
+                      export_paths)
+from .geometry import SPEED_OF_LIGHT, FclaConfig
 from .harness import (ExperimentSpec, SweepRow, run_sweep, run_trial,
                       ucla_baseline, ucla_config, write_manifest,
                       write_results_csv)
@@ -21,4 +21,4 @@ from .oracle import OracleResult, exhaustive_best
 from .pattern import PatternSpec, power_gain
 from .precoding import (GreedyState, RateReport, SingularMatrixError,
                         normalize_columns, rzf, rzf_objective, sinr)
-from .solution import PlacementBatch, PlacementSolution
+from .solution import Solutions

@@ -21,7 +21,7 @@ import numpy as np
 from .channel import Dictionary
 from .geometry import FclaConfig
 from .precoding import GreedyState, sinr
-from .solution import PlacementBatch, refit, solutions
+from .solution import Solutions, refit, solutions
 
 
 def initial_heights(g_v: int, m_rings: int) -> np.ndarray:
@@ -126,14 +126,15 @@ def optimize_heights(dictionary: Dictionary, angles, config: FclaConfig,
 def solve_alternating(dictionary: Dictionary, config: FclaConfig,
                       alpha: float, n_outer: int, power: float = 1.0,
                       sigma2: float = 1.0, rate_trace: bool = False
-                      ) -> PlacementBatch:
+                      ) -> Solutions:
     """Run the angle and height phases alternately for n_outer rounds.
 
     Heights from one round seed the next round's angle phase. With
     rate_trace, the sum rate of each round's placement (its refit precoder
-    normalized to the power budget) is recorded as "sum_rate_trace". Returns
-    one solution per trial of the (B, K, G) dictionary
-    (`fcla.solution.solutions`), each equal to solving its trial alone.
+    normalized to the power budget) is recorded as sum_rate_trace. Returns
+    the record (`fcla.solution.Solutions`) of every trial of the (B, K, G)
+    dictionary, each trial's part equal to solving it alone, with each
+    round's phase objectives.
     """
     if n_outer < 1:
         raise ValueError("need at least one outer round")
@@ -142,30 +143,23 @@ def solve_alternating(dictionary: Dictionary, config: FclaConfig,
     g_h = dictionary.group_size
     slots = initial_heights(dictionary.n_groups, config.m_rings)
 
-    phase_objectives = []
-    sum_rates = []
+    angle_objectives, height_objectives, sum_rates = [], [], []
     mf_columns = 0
     for _ in range(n_outer):
         angles, diag_a = optimize_angles(dictionary, slots, config, alpha)
         slots, diag_v = optimize_heights(dictionary, angles, config, alpha)
         mf_columns += diag_a["matched_filter_columns"] + diag_v["matched_filter_columns"]
-        phase_objectives.append((diag_a["objective_trace"],
-                                 diag_v["objective_trace"]))
+        angle_objectives.append(diag_a["objective_trace"])
+        height_objectives.append(diag_v["objective_trace"])
         # ring-major blocks of N angle columns
         columns = (slots[..., None] * g_h + angles).reshape(n_trials, -1)
         if rate_trace:
             H, _, F = refit(dictionary, columns, alpha, power)
             sum_rates.append(sinr(H, F, sigma2).sum_rate)
 
-    diagnostics = []
-    for t in range(n_trials):
-        diagnostics.append({
-            "phase_objectives": [{"angle": a[t].tolist(), "height": v[t].tolist()}
-                                 for a, v in phase_objectives],
-            "matched_filter_columns": mf_columns,
-        })
-        if rate_trace:
-            diagnostics[t]["sum_rate_trace"] = [float(rates[t])
-                                                for rates in sum_rates]
-    return solutions(dictionary, columns, slots, config, alpha, power,
-                     diagnostics)
+    return solutions(dictionary, columns, slots, alpha, power,
+                     iterations=n_outer, matched_filter_columns=mf_columns,
+                     angle_objectives=np.stack(angle_objectives, axis=1),
+                     height_objectives=np.stack(height_objectives, axis=1),
+                     sum_rate_trace=(np.stack(sum_rates, axis=1)
+                                     if rate_trace else None))

@@ -5,8 +5,8 @@ paths: conjugated path gain, element pattern amplitude toward the path, and the
 carrier phase accumulated along the direction cosines. That phase is a ring
 term in psi plus a height term in z, so the entries on a grid of angles x
 heights contract, over the paths, an angle factor with a height factor.
-Stacking one entry per user gives a dictionary column; gathering columns at an
-actual placement gives the channel matrix whose rows act as h_k^H.
+Stacking one entry per user gives a dictionary column; gathering columns at a
+placement on the grid gives the channel matrix whose rows act as h_k^H.
 
 Every array carries a leading trial axis: B independent draws, B = 1 for a
 single trial.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FclaConfig, check_spacing
+from .geometry import FclaConfig
 from .pattern import power_gain
 
 THETA_EL_RANGE = (np.pi / 6.0, 5.0 * np.pi / 6.0)
@@ -104,22 +104,6 @@ def _responses(paths: Paths, psi: np.ndarray, z: np.ndarray,
     responses = np.einsum("...lv,...la->...va", height, angle)
     responses /= np.sqrt(paths.beta.shape[-1])
     return responses
-
-
-def synthesize_channel(paths: Paths, placement,
-                       config: FclaConfig) -> np.ndarray:
-    """Channel matrices (B, K, N) of every trial for a concrete placement (one
-    (psi, z) pair per antenna), gathered from the responses on the
-    placement's distinct angles x distinct heights. Row k of a trial acts as
-    h_k^H.
-
-    Rejects placements that violate the ring-angle or height spacing floors.
-    """
-    placement = [(float(p), float(h)) for p, h in placement]
-    check_spacing(placement, config)
-    psi, angle = np.unique([p for p, _ in placement], return_inverse=True)
-    z, height = np.unique([h for _, h in placement], return_inverse=True)
-    return _responses(paths, psi, z, config)[..., height, angle]
 
 
 @dataclass

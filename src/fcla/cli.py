@@ -152,13 +152,17 @@ def _run_sweep_command(args: argparse.Namespace, sweep_kind: str) -> int:
     return 0
 
 
-# solve-once's trace file per method: name, header, rows from diagnostics
+# solve-once's trace file per method: name, header, and the rows of trial 0
+# of the method's Solutions
 TRACE_FILES = {
     "fcla-j": ("fcla_j_trace.csv", ["iter", "selected_g", "group", "objective"],
-               lambda d: [[*row[:3], repr(row[3])] for row in d["trace"]]),
+               lambda s, g_h: [
+                   [i, g, g // g_h, repr(objective)] for i, g, objective in zip(
+                       range(1, s.iterations[0] + 1), s.picks[0].tolist(),
+                       s.pick_objectives[0].tolist())]),
     "fcla-a": ("fcla_a_trace.csv", ["i", "sum_rate"],
-               lambda d: [[i, repr(v)]
-                          for i, v in enumerate(d["sum_rate_trace"], 1)]),
+               lambda s, g_h: [[i, repr(v)] for i, v in
+                               enumerate(s.sum_rate_trace[0].tolist(), 1)]),
 }
 
 
@@ -177,15 +181,15 @@ def _solve_once(args: argparse.Namespace) -> int:
     print(f"grid {config.g_h}x{config.g_v}, radius "
           f"{config.radius:.5f} m, snr {spec.snr_db:g} dB, "
           f"alpha {batch.alpha:g}, power {batch.power:g}")
-    for method, (sol,) in solve_methods(batch, methods).items():
-        rate = sinr(sol.H_star, sol.F_star, batch.sigma2).sum_rate
+    for method, record in solve_methods(batch, methods).items():
+        rate = sinr(record.H_star[0], record.F_star[0], batch.sigma2).sum_rate
         line = f"{method:<7} sum rate {rate:.4f} bits"
         if method in TRACE_FILES:
             name, header, rows = TRACE_FILES[method]
             with open(out / name, "w", newline="") as f:
                 w = csv.writer(f)
                 w.writerow(header)
-                w.writerows(rows(sol.diagnostics))
+                w.writerows(rows(record, config.g_h))
             line += f" (trace in {out / name})"
         print(line)
     write_manifest(spec, out / "manifest.json")
@@ -247,8 +251,8 @@ def _validate(args: argparse.Namespace) -> int:
     violation, gaps = 0.0, []
     for method, batch in (("fcla-j", solve_joint(dictionary, config, 1.0)),
                           ("fcla-a", solve_alternating(dictionary, config, 1.0, 5))):
-        got = np.array([(s.diagnostics["final_objective"],
-                         sinr(s.H_star, s.F_star, 1.0).sum_rate) for s in batch])
+        got = np.stack([batch.objective,
+                        sinr(batch.H_star, batch.F_star, 1.0).sum_rate], axis=1)
         violation = max(violation, np.max((best - got) * worse))
         gap, short = np.median((got - best) / best * worse, axis=0)
         gaps.append(f"{method} {gap:.1%} / {short:.1%}")

@@ -1,4 +1,4 @@
-"""Cylindrical array geometry: the candidate grid and the spacing rules.
+"""Cylindrical array geometry: the candidate grid.
 
 An array is M stacked rings of N revolving elements on a shared vertical axis.
 Candidate positions form a grid of G_H ring angles by G_V heights. The angle
@@ -17,9 +17,6 @@ import numpy as np
 from .pattern import PatternSpec
 
 SPEED_OF_LIGHT = 299792458.0
-
-# slack of the spacing checks, for positions that sit on a floor up to rounding
-SPACING_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,11 +50,6 @@ class FclaConfig:
         return self.d_min / (2.0 * math.sin(math.pi / self.g_h))
 
     @property
-    def psi_min(self) -> float:
-        """Smallest ring angle between two elements: its chord is d_min."""
-        return 2.0 * math.asin(self.d_min / (2.0 * self.radius))
-
-    @property
     def psi(self) -> np.ndarray:
         """The grid's ring angles, g * 2*pi/g_h."""
         return np.arange(self.g_h) * (2.0 * np.pi / self.g_h)
@@ -66,41 +58,3 @@ class FclaConfig:
     def z(self) -> np.ndarray:
         """The grid's heights, g * d_min."""
         return np.arange(self.g_v) * self.d_min
-
-
-def ring_angle_distance(a, b):
-    """Circular distance between two ring angles, in [0, pi]."""
-    d = np.abs(np.mod(a - b, 2.0 * np.pi))
-    return np.minimum(d, 2.0 * np.pi - d)
-
-
-def check_spacing(placement, config: FclaConfig) -> None:
-    """Validate anti-coupling constraints for a flat list of (psi, z) positions.
-
-    Elements sharing a height form one ring and must be separated by at least
-    the minimum revolve angle; distinct heights must differ by at least d_min.
-    Raises ValueError naming the first violating pair: of heights in
-    ascending order, else of elements ring by ring from the lowest, in
-    placement order within a ring.
-    """
-    psi, z = np.asarray(placement, dtype=float).reshape(-1, 2).T
-    order = np.argsort(z, kind="stable")
-    psi, z = psi[order], z[order]
-    # consecutive distinct heights: the gaps between rings
-    gaps = np.diff(z)
-    close = np.flatnonzero((gaps > 0.0) & (gaps < config.d_min - SPACING_TOL))
-    if close.size:
-        low, high = z[close[0]], z[close[0] + 1]
-        raise ValueError(
-            f"ring heights {low} and {high} are closer than d_min={config.d_min}"
-        )
-    psi_min = config.psi_min
-    close = np.triu((z[:, None] == z)
-                    & (ring_angle_distance(psi[:, None], psi)
-                       < psi_min - SPACING_TOL), 1)
-    if close.any():
-        i, j = np.argwhere(close)[0]
-        raise ValueError(
-            f"angles {psi[i]} and {psi[j]} on the ring at z={z[i]} "
-            f"are closer than the minimum revolve angle {psi_min}"
-        )

@@ -22,7 +22,7 @@ from .geometry import SPEED_OF_LIGHT, FclaConfig
 from .joint import solve_joint
 from .pattern import PatternSpec
 from .precoding import sinr
-from .solution import PlacementBatch, solutions
+from .solution import Solutions, solutions
 
 
 @dataclass
@@ -43,23 +43,23 @@ class TrialBatch:
 
 # The solvers are looked up by name at call time, so a wrapper installed on
 # this module's attribute (a tracer, a test) sees every call.
-def _ucla(batch: TrialBatch) -> list:
+def _ucla(batch: TrialBatch) -> Solutions:
     return ucla_baseline(batch.paths, batch.config, batch.alpha, batch.power)
 
 
-def _joint(batch: TrialBatch) -> list:
+def _joint(batch: TrialBatch) -> Solutions:
     return solve_joint(batch.dictionary, batch.config, batch.alpha,
                        power=batch.power)
 
 
-def _alternating(batch: TrialBatch) -> list:
+def _alternating(batch: TrialBatch) -> Solutions:
     return solve_alternating(batch.dictionary, batch.config, batch.alpha,
                              batch.n_outer, power=batch.power,
                              sigma2=batch.sigma2, rate_trace=batch.rate_trace)
 
 
-# method name -> (one PlacementSolution per trial of a TrialBatch, greedy:
-# whether it places elements on the joint dictionary, which needs alpha > 0)
+# method name -> (the Solutions of a TrialBatch, greedy: whether it places
+# elements on the joint dictionary, which needs alpha > 0)
 METHOD_TABLE = {
     "ucla": (_ucla, False),
     "fcla-j": (_joint, True),
@@ -143,6 +143,10 @@ class ExperimentSpec:
             setattr(self, name, _whole(name, getattr(self, name), 1))
         self.seed = _whole("seed", self.seed, 0)
         alpha = self.alpha_value()
+        # "mmse" is noise_power, which is checked under its own name below
+        if self.alpha != "mmse":
+            self.alpha = alpha = _finite("alpha", self.alpha, low=0.0,
+                                         inclusive=True)
         # the greedy solvers' inverse-Gram state exists only for alpha > 0
         if (set(self.methods) & set(GREEDY_METHODS)
                 and not (_is_real(alpha) and alpha > 0.0)):
@@ -258,7 +262,7 @@ def ucla_config(config: FclaConfig) -> FclaConfig:
 
 
 def ucla_baseline(paths: Paths, config: FclaConfig, alpha: float,
-                  power: float) -> PlacementBatch:
+                  power: float) -> Solutions:
     """The uniform array's placement, channel and normalized precoder, for
     each trial of paths.
 
@@ -273,7 +277,7 @@ def ucla_baseline(paths: Paths, config: FclaConfig, alpha: float,
     columns = (slots[..., None] * compact.g_h
                + np.arange(config.n_elements)).reshape(n_trials, -1)
     return solutions(build_joint_dictionary(paths, compact), columns, slots,
-                     compact, alpha, power, [{}] * n_trials)
+                     alpha, power)
 
 
 def draw_batch(spec: ExperimentSpec, point_index: int, trials,
@@ -295,7 +299,7 @@ def draw_batch(spec: ExperimentSpec, point_index: int, trials,
 
 
 def solve_methods(batch: TrialBatch, methods) -> dict:
-    """Method name -> one PlacementSolution per trial of the batch."""
+    """Method name -> its Solutions of the batch."""
     return {method: METHOD_TABLE[method][0](batch) for method in methods}
 
 
@@ -311,15 +315,13 @@ def run_trial(spec: ExperimentSpec, point_index: int, trials) -> list:
     batch = draw_batch(spec, point_index, trials,
                        rate_trace=spec.sweep_kind == "iters")
     out: list[dict] = [{} for _ in range(len(batch.paths))]
-    for method, solutions in solve_methods(batch, spec.methods).items():
-        rates = sinr(np.stack([s.H_star for s in solutions]),
-                     np.stack([s.F_star for s in solutions]),
-                     batch.sigma2).sum_rate
-        for trial, solution, rate in zip(out, solutions, rates):
-            trial[method] = float(rate)
-            if "sum_rate_trace" in solution.diagnostics:
-                trial[f"{method}-trace"] = list(
-                    solution.diagnostics["sum_rate_trace"])
+    for method, record in solve_methods(batch, spec.methods).items():
+        rates = sinr(record.H_star, record.F_star, batch.sigma2).sum_rate
+        for trial, rate in zip(out, rates.tolist()):
+            trial[method] = rate
+        if record.sum_rate_trace is not None:
+            for trial, trace in zip(out, record.sum_rate_trace.tolist()):
+                trial[f"{method}-trace"] = trace
     return out
 
 

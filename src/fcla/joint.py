@@ -18,19 +18,20 @@ import numpy as np
 from .channel import Dictionary
 from .geometry import FclaConfig
 from .precoding import GreedyState
-from .solution import PlacementBatch, solutions
+from .solution import Solutions, solutions
 
 
 def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
-                power: float = 1.0) -> PlacementBatch:
+                power: float = 1.0) -> Solutions:
     """Greedy joint selection of ring heights and element angles.
 
     Iterates: match the best live atom against the residual, add it to the
     inverse-Gram state, and retire any height group that just filled up.
     Stops once M groups are complete and keeps only their atoms, in pick
     order, as the placement; rings take the groups in completion order.
-    Returns one solution per trial of the (B, K, G) dictionary
-    (`fcla.solution.solutions`), each equal to solving its trial alone.
+    Returns the record (`fcla.solution.Solutions`) of every trial of the
+    (B, K, G) dictionary, each trial's part equal to solving it alone, with
+    its picks and objective per step.
     """
     dictionary.check_capacity(config)
     m_rings, n_elem = config.m_rings, config.n_elements
@@ -84,18 +85,6 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
     columns = picks[kept].reshape(n_trials, -1)
     # the M completed groups in completion order, after the -1s of the others
     slots = np.argsort(completed_at, axis=1)[:, -m_rings:]
-    diagnostics = []
-    for t in trials:
-        support = picks[t, made[t]].tolist()
-        objective_trace = objectives[t, made[t]].tolist()
-        diagnostics.append({
-            "iterations": len(support),
-            "trace": [(i + 1, g, g // g_h, objective) for i, (g, objective)
-                      in enumerate(zip(support, objective_trace))],
-            "objective_trace": objective_trace,
-            "support": support,
-            "final_support": columns[t].tolist(),
-            "matched_filter_columns": int(mf_columns[t]),
-        })
-    return solutions(dictionary, columns, slots, config, alpha, power,
-                     diagnostics)
+    return solutions(dictionary, columns, slots, alpha, power,
+                     iterations=iterations, matched_filter_columns=mf_columns,
+                     picks=picks, pick_objectives=objectives)

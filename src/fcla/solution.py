@@ -1,58 +1,71 @@
-"""Result containers shared by every method, and the one builder that turns
-a method's chosen placement into solutions: gather the channel at the
-placement, refit and normalize the RZF precoder there, and check the
-spacing rules."""
+"""The one record every method returns, and the one builder that makes it
+from a method's chosen placement: check that the placement is M rings of N
+grid positions, gather the channel there, and refit and normalize the RZF
+precoder on it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import Dictionary
-from .geometry import FclaConfig, check_spacing
 from .precoding import normalize_columns, rzf, rzf_objective
 
 
-@dataclass
-class PlacementSolution:
-    """Optimized array placement plus the matching channel and precoder.
+@dataclass(eq=False)
+class Solutions:
+    """One method's placement, channel and precoder for each of B trials;
+    every array leads with the trial axis.
 
-    heights[m] is ring m's height; angles[m] its element angles. placement
-    lists (psi, z) per channel column, aligned with H_star's columns and
-    F_star's rows. F_star columns are normalized to the requested total power.
-    diagnostics carries solver traces (selection order, objective per step,
-    sum-rate per outer iteration, matched-filter work counters) and the RZF
-    objective of the refit precoder, "final_objective".
+    columns (B, M*N) are the placement's dictionary columns, in the order of
+    H_star's columns and F_star's rows. Ring m sits at height slot slots[:, m]
+    and height heights[:, m] and holds the angles angles[:, m] (B, M, N) of
+    that slot's columns, in column order. H_star (B, K, M*N) is the channel at
+    the placement and F_star (B, M*N, K) its RZF precoder normalized to the
+    power budget; objective (B,) is the RZF objective of the refit before
+    normalization. iterations (B,) counts the solver's iterations: greedy
+    steps of fcla-j, outer rounds of fcla-a, none for ucla.
+    matched_filter_columns (B,) counts the candidates its matched filters
+    scored.
+
+    The traces are None for a method that keeps none. picks and
+    pick_objectives (B, S) are fcla-j's column and RZF objective after each
+    step, read up to iterations[t]. angle_objectives (B, R, N) and
+    height_objectives (B, R, M) are fcla-a's objective after each inner step
+    of each round's angle and height phase, and sum_rate_trace (B, R) its sum
+    rate after each round (with rate_trace only).
     """
 
+    columns: np.ndarray
+    slots: np.ndarray
     heights: np.ndarray
     angles: np.ndarray
-    placement: list
     H_star: np.ndarray
     F_star: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
-
-
-class PlacementBatch(list):
-    """The PlacementSolution of each trial of a stack, in trial order.
-
-    diagnostics totals the batch's work under the per-trial keys: counts
-    ("iterations", "matched_filter_columns") are summed and supports
-    ("support", "final_support") concatenated, for those keys the solutions
-    carry.
-    """
+    objective: np.ndarray
+    iterations: np.ndarray
+    matched_filter_columns: np.ndarray
+    picks: np.ndarray | None = None
+    pick_objectives: np.ndarray | None = None
+    angle_objectives: np.ndarray | None = None
+    height_objectives: np.ndarray | None = None
+    sum_rate_trace: np.ndarray | None = None
 
     @property
     def diagnostics(self) -> dict:
-        totals = {}
-        for key in ("iterations", "matched_filter_columns"):
-            if key in self[0].diagnostics:
-                totals[key] = sum(s.diagnostics[key] for s in self)
-        for key in ("support", "final_support"):
-            if key in self[0].diagnostics:
-                totals[key] = [g for s in self for g in s.diagnostics[key]]
-        return totals
+        """Batch totals under the keys the benchmark's tracer
+        (perfbench/tracing.py) reads: "iterations", "matched_filter_columns",
+        every pick made ("support") and every kept column
+        ("final_support"). It is that reader's view only, and goes when the
+        tracer reads the fields themselves."""
+        support = np.empty(0, dtype=int)
+        if self.picks is not None:
+            made = np.arange(self.picks.shape[1]) < self.iterations[:, None]
+            support = self.picks[made]
+        return {"iterations": int(self.iterations.sum()),
+                "matched_filter_columns": int(self.matched_filter_columns.sum()),
+                "support": support, "final_support": self.columns.ravel()}
 
 
 def refit(dictionary: Dictionary, columns: np.ndarray, alpha: float,
@@ -65,36 +78,62 @@ def refit(dictionary: Dictionary, columns: np.ndarray, alpha: float,
     return H, F, normalize_columns(F, power)
 
 
-def solutions(dictionary: Dictionary, columns: np.ndarray, slots: np.ndarray,
-              config: FclaConfig, alpha: float, power: float,
-              diagnostics: list) -> PlacementBatch:
-    """One PlacementSolution per trial from a method's choice.
+def _rings(columns: np.ndarray, slots: np.ndarray, g_h: int) -> np.ndarray:
+    """Each column's ring, (B, M*N): the position of its height slot, column
+    // g_h, in slots (B, M).
 
-    columns (B, M*N) are each trial's placement columns into the dictionary,
-    in the order of its channel's columns, and slots (B, M) the height slot
-    of each ring. Ring m sits at slot slots[:, m] and holds that slot's
-    columns in column order. Each distinct placement must pass the spacing
-    rules of config. diagnostics holds the method's dict per trial, to which
-    "final_objective" is added.
+    Checks the placement's structure on the grid. Every trial needs M
+    distinct slots, M*N distinct columns, and N columns in each slot, so the
+    columns' slots are the slots, each repeated N times. Grid positions sit
+    at least the spacing floor apart, so such a placement keeps every
+    spacing rule. Raises ValueError naming the trial and the offending slot
+    or column.
     """
-    H_star, F, F_star = refit(dictionary, columns, alpha, power)
-    objective = rzf_objective(H_star, F, alpha)
-    psi, z = dictionary.psi, dictionary.z
-    placements = [list(zip(psi[c].tolist(), z[c].tolist())) for c in columns]
-    # the uniform baseline repeats one placement in every trial of a batch
-    for placement in dict.fromkeys(map(tuple, placements)):
-        check_spacing(placement, config)
+    n_elem = columns.shape[1] // slots.shape[1]
+    for index, name in ((slots, "height slot"), (columns, "column")):
+        ordered = np.sort(index, axis=1)
+        twice = np.diff(ordered, axis=1) == 0
+        if twice.any():
+            t, i = np.argwhere(twice)[0]
+            raise ValueError(f"trial {t}: {name} {ordered[t, i]} is taken twice")
+    member = columns[..., None] // g_h == slots[:, None, :]  # (B, M*N, M)
+    outside = ~member.any(axis=2)
+    if outside.any():
+        t, i = np.argwhere(outside)[0]
+        raise ValueError(
+            f"trial {t}: column {columns[t, i]} lies in height slot "
+            f"{columns[t, i] // g_h}, which is no ring's "
+            f"(slots {slots[t].tolist()})")
+    counts = member.sum(axis=1)
+    uneven = counts != n_elem
+    if uneven.any():
+        t, m = np.argwhere(uneven)[0]
+        raise ValueError(f"trial {t}: height slot {slots[t, m]} holds "
+                         f"{counts[t, m]} columns, not {n_elem}")
+    return member.argmax(axis=2)
+
+
+def solutions(dictionary: Dictionary, columns: np.ndarray, slots: np.ndarray,
+              alpha: float, power: float, iterations=0,
+              matched_filter_columns=0, **traces) -> Solutions:
+    """The record of a method's choice on each trial of the dictionary.
+
+    columns (B, M*N) are each trial's placement columns, in the order of its
+    channel's columns, and slots (B, M) the height slot of each ring; the
+    placement must pass the structural check of `_rings`. The counters are
+    per trial or one for all, and traces fill the record's trace fields.
+    """
     g_h = dictionary.group_size
-    # each column's ring: the position of its height slot in slots
-    ring = (columns[..., None] // g_h == slots[:, None, :]).argmax(axis=-1)
+    ring = _rings(columns, slots, g_h)
     by_ring = np.take_along_axis(columns, np.argsort(ring, kind="stable"), -1)
-    angles = psi[by_ring].reshape(*slots.shape, -1)
-    heights = z[slots * g_h]
-    return PlacementBatch(
-        PlacementSolution(
-            heights=heights[t], angles=angles[t],
-            placement=placements[t],
-            H_star=H_star[t], F_star=F_star[t],
-            diagnostics={**diagnostics[t],
-                         "final_objective": float(objective[t])})
-        for t in range(len(columns)))
+    H_star, F, F_star = refit(dictionary, columns, alpha, power)
+    n_trials = len(columns)
+    return Solutions(
+        columns=columns, slots=slots, heights=dictionary.z[slots * g_h],
+        angles=dictionary.psi[by_ring].reshape(*slots.shape, -1),
+        H_star=H_star, F_star=F_star,
+        objective=rzf_objective(H_star, F, alpha),
+        iterations=np.full(n_trials, iterations, dtype=int),
+        matched_filter_columns=np.full(n_trials, matched_filter_columns,
+                                       dtype=int),
+        **traces)

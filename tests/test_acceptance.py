@@ -14,12 +14,13 @@ import numpy as np
 
 from fcla.alternating import solve_alternating
 from fcla.channel import Dictionary, build_joint_dictionary, draw_paths
-from fcla.geometry import FclaConfig, check_spacing
+from fcla.geometry import FclaConfig
 from fcla.harness import ExperimentSpec, run_sweep, run_trial, ucla_baseline
 from fcla.joint import solve_joint
 from fcla.oracle import exhaustive_best
 from fcla.pattern import PatternSpec, power_gain
 from fcla.precoding import normalize_columns, rzf, sinr
+from spacing_oracle import check_spacing
 
 TRIALS = 200
 SWEEP_TRIALS = 100
@@ -68,9 +69,9 @@ def reference_runs(pattern_kind):
     paths = draw_paths(spec.users, spec.paths,
                        [np.random.SeedSequence([spec.seed, 0, t])
                         for t in range(TRIALS)])
-    gain = [float(np.mean(np.abs(solution.H_star) ** 2))
-            for solution in ucla_baseline(paths, config, spec.alpha_value(),
-                                          spec.power_for_snr(spec.snr_db))]
+    ucla_channels = ucla_baseline(paths, config, spec.alpha_value(),
+                                  spec.power_for_snr(spec.snr_db)).H_star
+    gain = np.mean(np.abs(ucla_channels) ** 2, axis=(1, 2))
     trials = {k: np.array(v)
               for k, v in [("ucla", ucla), ("fcla-j", joint),
                            ("fcla-a", alt5), ("fcla-a-10", alt10),
@@ -281,13 +282,15 @@ def test_criterion_6_solvers_dominated_by_oracle():
         paths = draw_paths(4, 2, [np.random.SeedSequence([77, i])])
         dictionary = build_joint_dictionary(paths, config)
         ((best, _),) = exhaustive_best(dictionary, config, alpha=1.0)
-        for (sol,) in (solve_joint(dictionary, config, alpha=1.0),
-                       solve_alternating(dictionary, config, 1.0, 3)):
+        for sol in (solve_joint(dictionary, config, alpha=1.0),
+                    solve_alternating(dictionary, config, 1.0, 3)):
+            (columns,) = sol.columns
             try:
-                check_spacing(sol.placement, config)
+                check_spacing(list(zip(dictionary.psi[columns],
+                                       dictionary.z[columns])), config)
             except ValueError:
                 feasible = False
-            gap = sol.diagnostics["final_objective"] - best.objective
+            gap = sol.objective[0] - best.objective
             if gap < -1e-9:
                 dominated = False
             gaps.append(gap / best.objective)
@@ -378,9 +381,9 @@ def test_criterion_8_structural_properties():
         group_size=2,
     )
     config2 = FclaConfig(1, 2, 2, 2, d_min=0.05, wavelength=0.1)
-    (sol,) = solve_joint(crafted, config2, alpha=1.0)
-    trace_ok = ([row[1] for row in sol.diagnostics["trace"]] == [0, 2, 1]
-                and sol.diagnostics["final_support"] == [0, 1])
+    sol = solve_joint(crafted, config2, alpha=1.0)
+    trace_ok = (sol.picks[0, :sol.iterations[0]].tolist() == [0, 2, 1]
+                and sol.columns.tolist() == [[0, 1]])
     ok &= trace_ok
     details.append(f"over-matching trace reproduced={trace_ok}")
 
@@ -389,35 +392,37 @@ def test_criterion_8_structural_properties():
     config = spec.config_for_grid(12)
     paths = draw_paths(16, 4, [np.random.SeedSequence([SEED, 0, 0])])
     dictionary = build_joint_dictionary(paths, config)
-    (a,) = solve_joint(dictionary, config, alpha=1.0)
-    (b,) = solve_joint(dictionary, config, alpha=1.0)
-    iters = a.diagnostics["iterations"]
+    a = solve_joint(dictionary, config, alpha=1.0)
+    b = solve_joint(dictionary, config, alpha=1.0)
+    iters = int(a.iterations[0])
     bounds_ok = 16 <= iters <= 144
     ok &= bounds_ok
     details.append(f"joint iterations {iters} within [16, 144]")
 
-    joint_trace = a.diagnostics["objective_trace"]
+    joint_trace = a.pick_objectives[0, :iters].tolist()
     mono_joint = all(y <= x + 1e-9 * max(1.0, abs(x))
                      for x, y in zip(joint_trace, joint_trace[1:]))
-    (alt,) = solve_alternating(dictionary, config, 1.0, 5)
+    alt = solve_alternating(dictionary, config, 1.0, 5)
     mono_alt = True
-    for phases in alt.diagnostics["phase_objectives"]:
-        for trace in (phases["angle"], phases["height"]):
+    for phases in (alt.angle_objectives, alt.height_objectives):
+        for trace in phases[0].tolist():
             mono_alt &= all(y <= x + 1e-9 * max(1.0, abs(x))
                             for x, y in zip(trace, trace[1:]))
     ok &= mono_joint and mono_alt
     details.append(f"per-phase objectives monotone: joint={mono_joint}, "
                    f"alternating={mono_alt}")
 
-    deterministic = (a.diagnostics["support"] == b.diagnostics["support"]
+    deterministic = (np.array_equal(a.picks, b.picks)
                      and np.array_equal(a.F_star, b.F_star)
                      and run_trial(spec, 0, [0]) == run_trial(spec, 0, [0]))
     ok &= deterministic
     details.append(f"deterministic under fixed seeds={deterministic}")
 
-    support_ok = len(a.diagnostics["final_support"]) == 16
-    check_spacing(a.placement, config)
-    check_spacing(alt.placement, config)
+    support_ok = a.columns.shape == (1, 16)
+    for sol in (a, alt):
+        (columns,) = sol.columns
+        check_spacing(list(zip(dictionary.psi[columns], dictionary.z[columns])),
+                      config)
     ok &= support_ok
     details.append(f"final support size 16={support_ok}, placements feasible")
 

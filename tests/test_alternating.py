@@ -3,12 +3,14 @@ import pytest
 
 from fcla.alternating import (initial_heights, optimize_angles,
                               optimize_heights, solve_alternating)
-from fcla.channel import build_joint_dictionary, draw_paths, synthesize_channel
-from fcla.geometry import FclaConfig, check_spacing
+from fcla.channel import build_joint_dictionary, draw_paths
+from fcla.geometry import FclaConfig
 from fcla.joint import solve_joint
 from fcla.oracle import exhaustive_best
 from fcla.pattern import PatternSpec
 from fcla.precoding import normalize_columns, rzf, sinr
+from spacing_oracle import check_spacing
+from test_channel import channel_entry_oracle
 
 
 def make_setup(m=2, n=2, g_h=4, g_v=4, users=4, n_paths=2, seed=0,
@@ -61,9 +63,9 @@ def plain_omp_reference(columns, n_select, alpha):
 
 def ring_columns(paths, config, angles, z):
     """Channel columns (trial 0) at the given angle indices of one ring at
-    height z, synthesized independently of the dictionary."""
-    return synthesize_channel(paths, [(config.psi[a], z) for a in angles],
-                              config)[0]
+    height z, from the element-loop oracle rather than the dictionary."""
+    return np.array([[channel_entry_oracle(paths, k, config.psi[a], z, config)
+                      for a in angles] for k in range(paths.beta.shape[1])])
 
 
 class TestOptimizeAngles:
@@ -158,7 +160,7 @@ class TestOptimizeHeights:
         (slots,), _ = optimize_heights(d, angles, config, 1.0)
         assert slots.tolist() == taken
         columns = (slots[:, None] * config.g_h + np.array(angles)).ravel()
-        assert np.array_equal(d.entries[0][:, columns], H)
+        assert np.allclose(d.entries[0][:, columns], H, rtol=0.0, atol=1e-12)
 
     def test_heights_distinct(self):
         config, _, d = make_setup(m=3, n=2, g_h=4, g_v=5, seed=4)
@@ -175,39 +177,44 @@ class TestOptimizeHeights:
 class TestSolveAlternating:
     def test_single_round_composes_phases(self):
         config, _, d = make_setup(m=2, n=2, g_h=3, g_v=2, seed=6)
-        (sol,) = solve_alternating(d, config, 1.0, 1)
+        sol = solve_alternating(d, config, 1.0, 1)
         angles, _ = optimize_angles(d, initial_heights(2, 2), config, 1.0)
         (slots,), _ = optimize_heights(d, angles, config, 1.0)
         (angles,) = angles
-        assert np.array_equal(sol.angles, config.psi[angles])
-        assert np.array_equal(sol.heights, config.z[slots])
+        assert sol.iterations.tolist() == [1]
+        assert np.array_equal(sol.slots[0], slots)
+        assert np.array_equal(sol.angles[0], config.psi[angles])
+        assert np.array_equal(sol.heights[0], config.z[slots])
         H = d.entries[0][:, (slots[:, None] * config.g_h + angles).ravel()]
-        assert np.array_equal(sol.H_star, H)
-        assert np.array_equal(sol.F_star, normalize_columns(rzf(H, 1.0), 1.0))
+        assert np.array_equal(sol.H_star[0], H)
+        assert np.array_equal(sol.F_star[0],
+                              normalize_columns(rzf(H, 1.0), 1.0))
 
     def test_placement_feasible_and_aligned(self):
         for seed in range(4):
             config, paths, d = make_setup(m=2, n=2, g_h=4, g_v=4, seed=seed,
                                              pattern=PatternSpec.directional(1.0))
-            (sol,) = solve_alternating(d, config, 1.0, 3)
-            check_spacing(sol.placement, config)
-            assert np.array_equal(
-                sol.H_star,
-                synthesize_channel(paths, sol.placement, config)[0])
-            assert len(sol.placement) == 4
+            sol = solve_alternating(d, config, 1.0, 3)
+            (columns,) = sol.columns
+            placement = list(zip(d.psi[columns], d.z[columns]))
+            check_spacing(placement, config)
+            H = [[channel_entry_oracle(paths, k, psi, z, config)
+                  for psi, z in placement] for k in range(4)]
+            assert np.allclose(sol.H_star[0], H, rtol=0.0, atol=1e-12)
+            assert len(placement) == 4
             # columns are ring-major blocks of the ring's angles
-            flat = [(sol.angles[m, n], sol.heights[m])
+            flat = [(sol.angles[0, m, n], sol.heights[0, m])
                     for m in range(2) for n in range(2)]
-            assert flat == sol.placement
+            assert flat == placement
 
     def test_sum_rate_trace_recorded(self):
         config, _, d = make_setup(seed=8)
-        (sol,) = solve_alternating(d, config, 1.0, 4, power=1.0, sigma2=1.0,
-                                   rate_trace=True)
-        trace = sol.diagnostics["sum_rate_trace"]
+        sol = solve_alternating(d, config, 1.0, 4, power=1.0, sigma2=1.0,
+                                rate_trace=True)
+        (trace,) = sol.sum_rate_trace
         assert len(trace) == 4
         assert all(np.isfinite(trace))
-        assert trace[-1] == sinr(sol.H_star, sol.F_star, 1.0).sum_rate
+        assert trace[-1] == sinr(sol.H_star, sol.F_star, 1.0).sum_rate[0]
 
     def test_sum_rate_trace_only_on_request(self, monkeypatch):
         import fcla.alternating
@@ -215,31 +222,33 @@ class TestSolveAlternating:
         calls = []
         monkeypatch.setattr(fcla.alternating, "sinr",
                             lambda *args: calls.append(args))
-        (sol,) = solve_alternating(d, config, 1.0, 4)
-        assert "sum_rate_trace" not in sol.diagnostics
+        sol = solve_alternating(d, config, 1.0, 4)
+        assert sol.sum_rate_trace is None
         assert calls == []
 
     def test_phase_objectives_nonincreasing(self):
         config, _, d = make_setup(m=2, n=3, g_h=5, g_v=4, seed=9)
-        (sol,) = solve_alternating(d, config, 1.0, 3)
-        for phases in sol.diagnostics["phase_objectives"]:
-            for trace in (phases["angle"], phases["height"]):
+        sol = solve_alternating(d, config, 1.0, 3)
+        assert sol.angle_objectives.shape == (1, 3, 3)
+        assert sol.height_objectives.shape == (1, 3, 2)
+        for phases in (sol.angle_objectives, sol.height_objectives):
+            for trace in phases[0].tolist():
                 for a, b in zip(trace, trace[1:]):
                     assert b <= a + 1e-9 * max(1.0, abs(a))
 
     def test_never_beats_exhaustive_oracle(self):
         for seed in range(6):
             config, _, d = make_setup(m=1, n=2, g_h=3, g_v=2, seed=seed)
-            (sol,) = solve_alternating(d, config, 1.0, 3)
+            sol = solve_alternating(d, config, 1.0, 3)
             ((best, _),) = exhaustive_best(d, config, alpha=1.0)
-            assert sol.diagnostics["final_objective"] >= best.objective - 1e-9
+            assert sol.objective[0] >= best.objective - 1e-9
 
     def test_deterministic(self):
         config, _, d = make_setup(seed=10)
-        (a,) = solve_alternating(d, config, 1.0, 3, rate_trace=True)
-        (b,) = solve_alternating(d, config, 1.0, 3, rate_trace=True)
+        a = solve_alternating(d, config, 1.0, 3, rate_trace=True)
+        b = solve_alternating(d, config, 1.0, 3, rate_trace=True)
         assert np.array_equal(a.F_star, b.F_star)
-        assert a.diagnostics["sum_rate_trace"] == b.diagnostics["sum_rate_trace"]
+        assert np.array_equal(a.sum_rate_trace, b.sum_rate_trace)
 
     def test_rejects_zero_rounds(self):
         config, _, d = make_setup()
@@ -250,10 +259,9 @@ class TestSolveAlternating:
         # the alternating decomposition exists to cut matching work
         config, _, d = make_setup(m=4, n=4, g_h=12, g_v=12, users=8,
                                      n_paths=4, seed=12)
-        (joint,) = solve_joint(d, config, 1.0)
-        (alt,) = solve_alternating(d, config, 1.0, 5)
-        assert (alt.diagnostics["matched_filter_columns"]
-                < joint.diagnostics["matched_filter_columns"])
+        joint = solve_joint(d, config, 1.0)
+        alt = solve_alternating(d, config, 1.0, 5)
+        assert alt.matched_filter_columns[0] < joint.matched_filter_columns[0]
 
 
 class TestStackedTrials:
@@ -271,16 +279,18 @@ class TestStackedTrials:
                   for seed in seeds]
         batch = solve_alternating(stacked, config, 0.7, 3, power=2.0,
                                   sigma2=0.5, rate_trace=True)
-        assert len(batch) == n_trials
-        for d, got in zip(single, batch):
-            (want,) = solve_alternating(d, config, 0.7, 3, power=2.0,
-                                        sigma2=0.5, rate_trace=True)
-            assert got.placement == want.placement
-            assert np.array_equal(got.H_star, want.H_star)
-            assert np.array_equal(got.F_star, want.F_star)
-            assert got.diagnostics == want.diagnostics
+        assert batch.columns.shape == (n_trials, 6)
+        alone = [solve_alternating(d, config, 0.7, 3, power=2.0, sigma2=0.5,
+                                   rate_trace=True) for d in single]
+        for t, want in enumerate(alone):
+            for name in ("columns", "slots", "heights", "angles", "H_star",
+                         "F_star", "objective", "iterations",
+                         "matched_filter_columns", "angle_objectives",
+                         "height_objectives", "sum_rate_trace"):
+                assert np.array_equal(getattr(batch, name)[t],
+                                      getattr(want, name)[0]), name
         assert batch.diagnostics["matched_filter_columns"] == sum(
-            s.diagnostics["matched_filter_columns"] for s in batch)
+            s.matched_filter_columns[0] for s in alone)
 
     def test_phases_take_per_trial_indices(self):
         config = FclaConfig(2, 2, 4, 4, d_min=0.05, wavelength=0.1)

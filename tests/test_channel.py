@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from fcla.channel import (Paths, build_joint_dictionary, draw_paths,
-                          export_paths, synthesize_channel)
+from fcla import channel
+from fcla.channel import Paths, build_joint_dictionary, draw_paths, export_paths
 from fcla.geometry import FclaConfig
 from fcla.pattern import PatternSpec, power_gain
+from fcla.solution import refit
 
 
 def make_config(pattern=None, **kw):
@@ -35,16 +36,16 @@ def one_path(beta, theta_el, phi_az):
                  np.full((1, 1, 1), theta_el), np.full((1, 1, 1), phi_az))
 
 
-def channel_entry_oracle(paths, k, psi, z, config):
-    """Element-by-element physical channel entry of user k (trial 0), then
+def channel_entry_oracle(paths, k, psi, z, config, trial=0):
+    """Element-by-element physical channel entry of user k of a trial, then
     conjugated.
 
     Independent of the vectorized kernel: walks the paths in a scalar loop,
     uses cartesian positions, and applies the pattern through amplitude().
     """
     x, y, zz = position_of(psi, z, config.radius)
-    beta, theta_el, phi_az = (paths.beta[0, k], paths.theta_el[0, k],
-                              paths.phi_az[0, k])
+    beta, theta_el, phi_az = (paths.beta[trial, k], paths.theta_el[trial, k],
+                              paths.phi_az[trial, k])
     total = 0.0 + 0.0j
     for l in range(len(beta)):
         theta = theta_el[l]
@@ -59,8 +60,10 @@ def channel_entry_oracle(paths, k, psi, z, config):
 
 
 def apm_entry(paths, k, psi, z, config):
-    """User k's response (trial 0) at one position: a one-element placement."""
-    return complex(synthesize_channel(paths, [(psi, z)], config)[0, k, 0])
+    """User k's response (trial 0) at one position, anywhere on or off the
+    grid: the dictionary's response kernel on one angle and one height."""
+    return complex(channel._responses(paths, np.array([psi]), np.array([z]),
+                                      config)[0, k, 0, 0])
 
 
 class TestDrawPaths:
@@ -148,41 +151,43 @@ class TestApmEntry:
 
 
 class TestSynthesizeChannel:
+    """The channel at a placement: the dictionary's columns gathered at the
+    placement's grid positions (`fcla.solution.refit`)."""
+
     def test_single_antenna(self):
         config = make_config()
         paths = draw_paths(3, 2, [0])
-        H = synthesize_channel(paths, [(0.3, 0.1)], config)
+        d = build_joint_dictionary(paths, config)
+        column = 2 * config.g_h + 5
+        H, _, _ = refit(d, np.array([[column]]), 1.0, 1.0)
         assert H.shape == (1, 3, 1)
         for k in range(3):
             assert np.isclose(H[0, k, 0],
-                              channel_entry_oracle(paths, k, 0.3, 0.1, config),
+                              channel_entry_oracle(paths, k, d.psi[column],
+                                                   d.z[column], config),
                               atol=1e-12)
 
     def test_column_permutation(self):
         config = make_config()
-        paths = draw_paths(3, 2, [1, 2])
-        placement = [(0.0, 0.0), (2.0, 0.1), (4.0, 0.25)]
-        H = synthesize_channel(paths, placement, config)
-        H_rev = synthesize_channel(paths, placement[::-1], config)
+        d = build_joint_dictionary(draw_paths(3, 2, [1, 2]), config)
+        columns = np.array([[0, 14, 40], [7, 3, 60]])
+        H, _, _ = refit(d, columns, 1.0, 1.0)
+        H_rev, _, _ = refit(d, columns[:, ::-1], 1.0, 1.0)
         assert np.array_equal(H[..., ::-1], H_rev)
 
     def test_matches_bruteforce_oracle(self):
         config = make_config(pattern=PatternSpec.directional(1.0))
-        paths = draw_paths(2, 3, [11])
-        placement = [(0.7, 0.05), (3.9, 0.30)]
-        H = synthesize_channel(paths, placement, config)
-        for k in range(2):
-            for j, (psi, z) in enumerate(placement):
-                want = channel_entry_oracle(paths, k, psi, z, config)
-                assert np.isclose(H[0, k, j], want, atol=1e-12)
-
-    def test_rejects_spacing_violations(self):
-        config = make_config()
-        paths = draw_paths(2, 2, [3])
-        with pytest.raises(ValueError):
-            synthesize_channel(paths, [(0.0, 0.0), (0.01, 0.0)], config)
-        with pytest.raises(ValueError):
-            synthesize_channel(paths, [(0.0, 0.0), (1.0, 0.01)], config)
+        paths = draw_paths(2, 3, [11, 12])
+        d = build_joint_dictionary(paths, config)
+        columns = np.array([[1 * config.g_h + 3, 6 * config.g_h + 9],
+                            [0, 7 * config.g_h + 11]])
+        H, _, _ = refit(d, columns, 1.0, 1.0)
+        for t in range(2):
+            for k in range(2):
+                for j, c in enumerate(columns[t]):
+                    want = channel_entry_oracle(paths, k, d.psi[c], d.z[c],
+                                                config, trial=t)
+                    assert np.isclose(H[t, k, j], want, atol=1e-12)
 
 
 class TestDictionaries:
@@ -199,12 +204,11 @@ class TestDictionaries:
             psi, z = d.psi[col], d.z[col]
             assert psi == self.config.psi[col % g_h]
             assert z == self.config.z[col // g_h]
-            recomputed = synthesize_channel(self.paths, [(psi, z)], self.config)
-            assert np.allclose(d.entries[..., col], recomputed[..., 0],
-                               atol=1e-15)
-            oracle = [channel_entry_oracle(self.paths, k, psi, z, self.config)
-                      for k in range(4)]
-            assert np.allclose(d.entries[0, :, col], oracle, atol=1e-12)
+            for t in range(2):
+                oracle = [channel_entry_oracle(self.paths, k, psi, z,
+                                               self.config, trial=t)
+                          for k in range(4)]
+                assert np.allclose(d.entries[t, :, col], oracle, atol=1e-12)
 
     def test_index_map_round_trip(self):
         # the solvers address column slot * g_h + angle
@@ -217,11 +221,12 @@ class TestDictionaries:
                                                   self.config.z[slot])
 
     def test_channel_equals_dictionary_gather(self):
+        # each trial's channel holds that trial's own columns, bit for bit
         d = build_joint_dictionary(self.paths, self.config)
-        cols = [0, 5, self.config.g_h * 2 + 3]
-        placement = [(d.psi[c], d.z[c]) for c in cols]
-        H = synthesize_channel(self.paths, placement, self.config)
-        assert np.array_equal(H, d.entries[..., cols])
+        cols = np.array([[0, 5, self.config.g_h * 2 + 3], [9, 1, 30]])
+        H, _, _ = refit(d, cols, 1.0, 1.0)
+        for t in range(2):
+            assert np.array_equal(H[t], d.entries[t][:, cols[t]])
 
 
 def test_export_paths_records():

@@ -256,11 +256,11 @@ def test_solve_once_rate_is_the_sweep_rate(method, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve_methods", recording)
     assert parse_and_dispatch(["solve-once", "--method", method, "--snr", "3",
                                "--out", str(tmp_path)] + SMALL) == 0
-    (solution,) = solved[method]
+    record = solved[method]
     spec = ExperimentSpec.from_dict(
         json.loads((tmp_path / "manifest.json").read_text()))
     (rates,) = run_trial(spec, 0, [0])
-    assert rates[method] == sinr(solution.H_star, solution.F_star,
+    assert rates[method] == sinr(record.H_star[0], record.F_star[0],
                                  spec.noise_power).sum_rate
 
 
@@ -317,6 +317,9 @@ BAD_SPEC_VALUES = [
     (["--kappa", "0.5"], {}, "kappa"),
     ([], {"kappa": "2"}, "kappa"),
     ([], {"methods": "ucla,fcla-j"}, "methods"),
+    (["--alpha", "nan", "--methods", "ucla"], {}, "alpha"),
+    (["--alpha", "-1", "--methods", "ucla"], {}, "alpha"),
+    (["--alpha", "inf"], {}, "alpha"),
 ]
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fcla.geometry import FclaConfig, check_spacing, ring_angle_distance
+from fcla.geometry import FclaConfig
 from fcla.pattern import PatternSpec
+from spacing_oracle import check_spacing, psi_min, ring_angle_distance
 from test_channel import position_of
 
 
@@ -65,15 +66,15 @@ class TestBuildGrid:
         config = make_config(m_rings=1, n_elements=2, g_h=2, g_v=1)
         assert config.radius == 0.025
         assert config.psi.tolist() == [0.0, np.pi]
-        assert config.psi_min == np.pi
+        assert psi_min(config) == np.pi
 
     def test_angle_step_at_least_min_angle(self):
         for g_h in (2, 3, 7, 12, 64):
             config = FclaConfig(1, 2, g_h, 2, 0.05, 0.1)
             step = 2.0 * np.pi / g_h
-            assert step >= config.psi_min - 1e-12
+            assert step >= psi_min(config) - 1e-12
             gaps = np.diff(np.append(config.psi, 2.0 * np.pi))
-            assert np.all(gaps >= config.psi_min - 1e-12)
+            assert np.all(gaps >= psi_min(config) - 1e-12)
 
     def test_rejects_too_few_slots(self):
         with pytest.raises(ValueError, match="g_v"):
@@ -117,7 +118,7 @@ class TestSpacingInvariants:
     def test_checker_rejects_close_angles(self):
         config = make_config()
         with pytest.raises(ValueError):
-            check_spacing([(0.0, 0.0), (config.psi_min / 2.0, 0.0)], config)
+            check_spacing([(0.0, 0.0), (psi_min(config) / 2.0, 0.0)], config)
 
     def test_checker_rejects_close_heights(self):
         config = make_config()
@@ -145,7 +146,7 @@ def first_violation(placement, config, tol=1e-9):
         for i in range(len(ring)):
             for j in range(i + 1, len(ring)):
                 d = abs(ring[i] - ring[j]) % (2.0 * np.pi)
-                if min(d, 2.0 * np.pi - d) < config.psi_min - tol:
+                if min(d, 2.0 * np.pi - d) < psi_min(config) - tol:
                     return ring[i], ring[j]
     return None
 
@@ -162,7 +163,7 @@ def test_checker_matches_pairwise_loop():
         heights = np.concatenate([[0.0], np.cumsum(gaps)])
         placement = []
         for h in heights:
-            steps = config.psi_min * (1.0 + rng.choice(jitter,
+            steps = psi_min(config) * (1.0 + rng.choice(jitter,
                                                        size=rng.integers(0, 4)))
             start = rng.uniform(0.0, 2.0 * np.pi)
             angles = np.mod(start + np.concatenate([[0.0], np.cumsum(steps)]),

@@ -10,12 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fcla import __version__, harness
-from fcla.channel import draw_paths, synthesize_channel
-from fcla.geometry import check_spacing
+from fcla.channel import draw_paths
 from fcla.precoding import sinr
 from fcla.harness import (METHODS, ExperimentSpec, run_sweep, run_trial,
                           ucla_baseline, ucla_config, write_manifest,
                           write_results_csv)
+from spacing_oracle import check_spacing, psi_min
+from test_channel import channel_entry_oracle
 
 
 # (sweep kind, sweep values) of a small sweep of each kind
@@ -113,8 +114,12 @@ class TestSpec:
 
 
 def baseline_placement(config):
-    """The uniform baseline's (psi, z) per element of one trial."""
-    return ucla_baseline(draw_paths(6, 2, [0]), config, 1.0, 1.0)[0].placement
+    """The uniform baseline's (psi, z) per element of one trial, ring by
+    ring."""
+    record = ucla_baseline(draw_paths(6, 2, [0]), config, 1.0, 1.0)
+    return [(psi, z) for z, ring in zip(record.heights[0].tolist(),
+                                        record.angles[0].tolist())
+            for psi in ring]
 
 
 class TestUclaBaseline:
@@ -148,7 +153,7 @@ class TestUclaBaseline:
         config = small_spec(rings=rings, elements=elements).config_for_grid(8)
         compact = ucla_config(config)
         assert (compact.g_h, compact.g_v) == (elements, rings)
-        assert compact.psi_min == pytest.approx(2.0 * np.pi / elements)
+        assert psi_min(compact) == pytest.approx(2.0 * np.pi / elements)
 
     def test_single_element_keeps_flexible_radius(self):
         config = small_spec(rings=3, elements=1).config_for_grid(8)
@@ -162,14 +167,14 @@ class TestUclaBaseline:
         spec = small_spec()
         config = spec.config_for_grid(6)
         paths = draw_paths(6, 2, [0])
-        (solution,) = ucla_baseline(paths, config, 1.0, 1.0)
-        assert solution.H_star.shape == (6, 4)
-        d_min = config.d_min
-        assert solution.placement == [(0.0, 0.0), (np.pi, 0.0),
-                                      (0.0, d_min), (np.pi, d_min)]
-        assert solution.heights.shape == (2,) and solution.angles.shape == (2, 2)
-        assert abs(np.linalg.norm(solution.F_star, "fro") ** 2 - 1.0) < 1e-12
-        assert sinr(solution.H_star, solution.F_star, 1.0).sum_rate > 0.0
+        record = ucla_baseline(paths, config, 1.0, 1.0)
+        assert record.H_star.shape == (1, 6, 4)
+        assert record.columns.tolist() == [[0, 1, 2, 3]]
+        assert record.slots.tolist() == [[0, 1]]
+        assert record.heights.tolist() == [[0.0, config.d_min]]
+        assert record.angles.tolist() == [[[0.0, np.pi], [0.0, np.pi]]]
+        assert abs(np.linalg.norm(record.F_star[0], "fro") ** 2 - 1.0) < 1e-12
+        assert sinr(record.H_star, record.F_star, 1.0).sum_rate[0] > 0.0
 
 
 class TestMethodTable:
@@ -195,7 +200,7 @@ class TestMethodTable:
         assert batch.dictionary.entries.shape[0] == 3
         solved = harness.solve_methods(batch, METHODS)
         assert list(solved) == list(METHODS)
-        assert all(len(solutions) == 3 for solutions in solved.values())
+        assert all(record.columns.shape[0] == 3 for record in solved.values())
         assert harness.draw_batch(spec, 0, [0], ("ucla",)).dictionary is None
 
 
@@ -394,11 +399,11 @@ class TestRunSweep:
                 if name == "ucla":  # the baseline's own compact cylinder
                     config = ucla_config(config)
                 # a batch's paths are the last ones drawn, in trial order
-                for t, solution in enumerate(batch):
-                    check_solution(drawn[-1], t, solution, config,
-                                   given["power"])
+                n_trials = len(batch.columns)
+                for t in range(n_trials):
+                    check_solution(drawn[-1], t, batch, config, given["power"])
                     checked[name] += 1
-                batch_sizes.append(len(batch))
+                batch_sizes.append(n_trials)
                 return batch
             return run
 
@@ -447,15 +452,26 @@ def fail_trial_2(spec, monkeypatch):
     monkeypatch.setattr(harness, "build_joint_dictionary", failing_build)
 
 
-def check_solution(paths, trial, solution, config, power):
-    """Invariants of every solver result for one trial of paths: the
-    placement is feasible, H_star is the channel synthesized there (bit for
-    bit), each served user's precoder column carries power/K, and only users
-    without any channel are left unserved."""
-    check_spacing(solution.placement, config)
-    H = synthesize_channel(paths, solution.placement, config)[trial]
-    assert np.array_equal(solution.H_star, H)
-    F = solution.F_star
+def check_solution(paths, trial, record, config, power):
+    """Invariants of every solver result for one trial of paths: the rings'
+    heights and angles are the positions of the placement's columns on
+    config's grid, the placement keeps the physical spacing rules, H_star is
+    the element-loop oracle's channel there, each served user's precoder
+    column carries power/K, and only users without any channel are left
+    unserved."""
+    columns = record.columns[trial]
+    placement = list(zip(config.psi[columns % config.g_h].tolist(),
+                         config.z[columns // config.g_h].tolist()))
+    rings = [(psi, z) for z, ring in zip(record.heights[trial].tolist(),
+                                         record.angles[trial].tolist())
+             for psi in ring]
+    assert sorted(rings) == sorted(placement)
+    check_spacing(placement, config)
+    H = record.H_star[trial]
+    want = [[channel_entry_oracle(paths, k, psi, z, config, trial)
+             for psi, z in placement] for k in range(H.shape[0])]
+    assert np.allclose(H, want, rtol=0.0, atol=1e-12)
+    F = record.F_star[trial]
     n_users = F.shape[1]
     zero = np.linalg.norm(F, axis=0) == 0.0
     assert np.all(np.abs(H[zero]) == 0.0)

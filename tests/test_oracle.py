@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from fcla import oracle
-from fcla.channel import (Dictionary, build_joint_dictionary, draw_paths,
-                          synthesize_channel)
+from fcla.channel import Dictionary, build_joint_dictionary, draw_paths
 from fcla.geometry import FclaConfig
 from fcla.oracle import exhaustive_best
 from fcla.precoding import normalize_columns, rzf, rzf_objective, sinr
+from test_channel import channel_entry_oracle
 
 
 def make_setup(m=1, n=1, g_h=2, g_v=2, users=3, n_paths=2, seed=0, trials=1):
@@ -29,8 +29,10 @@ def every_placement(config, m, n):
 
 
 def rated(paths, placement, config, alpha, power=1.0, sigma2=1.0):
-    """(objective, sum rate) of trial 0 at a placement."""
-    (H,) = synthesize_channel(paths, placement, config)
+    """(objective, sum rate) of trial 0 at a placement, on the channel of
+    the element-loop oracle."""
+    H = np.array([[channel_entry_oracle(paths, k, psi, z, config)
+                   for psi, z in placement] for k in range(paths.beta.shape[1])])
     F = rzf(H, alpha)
     return (rzf_objective(H, F, alpha),
             sinr(H, normalize_columns(F, power), sigma2).sum_rate)
