@@ -10,7 +10,7 @@ same residual each inner step, then one update of the inverse-Gram state
 phase rings choose one height block each, sequentially, updating the state
 between rings.
 
-Every trial of a (B, K, G) dictionary runs through the same steps at once;
+Every trial of a (B, G, K) dictionary runs through the same steps at once;
 each trial's picks equal those of solving it alone.
 """
 
@@ -48,7 +48,7 @@ def optimize_angles(dictionary: Dictionary, slots, config: FclaConfig,
     (B, M, N) array of angle indices and a diagnostics dict whose arrays lead
     with the trial axis.
     """
-    n_trials, n_users, _ = dictionary.entries.shape
+    n_trials, _, n_users = dictionary.rows.shape
     slots = np.asarray(slots, dtype=int)
     slots = np.broadcast_to(slots, (n_trials, slots.shape[-1]))
     if not _distinct(slots):
@@ -56,7 +56,7 @@ def optimize_angles(dictionary: Dictionary, slots, config: FclaConfig,
     m_rings = slots.shape[1]
     g_h = dictionary.group_size
     ring_columns = slots[..., None] * g_h + np.arange(g_h)  # (B, M, G_H)
-    candidates = dictionary.rows(ring_columns.reshape(n_trials, -1))
+    candidates = dictionary.take(ring_columns.reshape(n_trials, -1))
 
     state = GreedyState(n_trials, n_users, alpha)
     alive = np.ones((n_trials, m_rings, g_h), dtype=bool)
@@ -66,7 +66,7 @@ def optimize_angles(dictionary: Dictionary, slots, config: FclaConfig,
         mf_columns += int(alive[0].sum())
         pick = state.pick(candidates, alive)  # (B, M)
         np.put_along_axis(alive, pick[..., None], False, axis=2)
-        state.add(dictionary.rows(slots * g_h + pick))
+        state.add(dictionary.take(slots * g_h + pick))
         picks.append(pick)
         objectives.append(state.objective())
 
@@ -92,7 +92,7 @@ def optimize_heights(dictionary: Dictionary, angles, config: FclaConfig,
     the (B, M) slot array and diagnostics whose arrays lead with the trial
     axis.
     """
-    n_trials, n_users, _ = dictionary.entries.shape
+    n_trials, _, n_users = dictionary.rows.shape
     angles = np.atleast_2d(np.asarray(angles, dtype=int))
     angles = np.broadcast_to(angles, (n_trials,) + angles.shape[-2:])
     if not _distinct(angles):
@@ -109,11 +109,11 @@ def optimize_heights(dictionary: Dictionary, angles, config: FclaConfig,
     for m in range(m_rings):
         mf_columns += int(alive[0].sum()) * n_elem
         blocks = slot_columns + angles[:, m, None, :]  # (B, G_V, N)
-        best = state.pick(dictionary.rows(blocks.reshape(n_trials, -1)), alive,
+        best = state.pick(dictionary.take(blocks.reshape(n_trials, -1)), alive,
                           block=n_elem)
         slots[:, m] = best
         alive[np.arange(n_trials), best] = False
-        state.add(dictionary.rows(best[:, None] * g_h + angles[:, m]))
+        state.add(dictionary.take(best[:, None] * g_h + angles[:, m]))
         objectives.append(state.objective())
 
     diag = {
@@ -132,14 +132,14 @@ def solve_alternating(dictionary: Dictionary, config: FclaConfig,
     Heights from one round seed the next round's angle phase. With
     rate_trace, the sum rate of each round's placement (its refit precoder
     normalized to the power budget) is recorded as sum_rate_trace. Returns
-    the record (`fcla.solution.Solutions`) of every trial of the (B, K, G)
+    the record (`fcla.solution.Solutions`) of every trial of the (B, G, K)
     dictionary, each trial's part equal to solving it alone, with each
     round's phase objectives.
     """
     if n_outer < 1:
         raise ValueError("need at least one outer round")
     dictionary.check_capacity(config)
-    n_trials = len(dictionary.entries)
+    n_trials = len(dictionary.rows)
     g_h = dictionary.group_size
     slots = initial_heights(dictionary.n_groups, config.m_rings)
 

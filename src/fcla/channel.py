@@ -5,8 +5,9 @@ paths: conjugated path gain, element pattern amplitude toward the path, and the
 carrier phase accumulated along the direction cosines. That phase is a ring
 term in psi plus a height term in z, so the entries on a grid of angles x
 heights contract, over the paths, an angle factor with a height factor.
-Stacking one entry per user gives a dictionary column; gathering columns at a
-placement on the grid gives the channel matrix whose rows act as h_k^H.
+The dictionary stores one conjugated row of K user entries per position, as
+the solvers' matched filters read it; a placement's rows, conjugate
+transposed, give the channel matrix whose rows act as h_k^H.
 
 Every array carries a leading trial axis: B independent draws, B = 1 for a
 single trial.
@@ -82,13 +83,12 @@ def export_paths(paths: Paths, fp) -> None:
 
 def _responses(paths: Paths, psi: np.ndarray, z: np.ndarray,
                config: FclaConfig) -> np.ndarray:
-    """Response of every user at every position of the angles psi x heights
-    z, (B, K, len(z), len(psi)).
-
-    Entry (v, a) holds (1/sqrt(L)) * sum_l conj(beta_l) * amp_l(psi_a)
+    """Conjugated responses of every user at every position of the heights z
+    x angles psi, (B, len(z), len(psi), K): entry (v, a, k) is the conjugate
+    of (1/sqrt(L)) * sum_l conj(beta_l) * amp_l(psi_a)
     * exp(-j * 2*pi/lambda * (R*sin(theta_l)*cos(phi_l - psi_a) + z_v*cos(theta_l))),
-    the path sum of an angle factor (gain, pattern, ring phase) times a
-    height factor.
+    user k's path sum of an angle factor (gain, pattern, ring phase) times a
+    height factor, each built conjugated.
     """
     wave = 2.0 * np.pi / config.wavelength
     theta = paths.theta_el[..., None]
@@ -96,46 +96,40 @@ def _responses(paths: Paths, psi: np.ndarray, z: np.ndarray,
     sin_el = np.sin(theta)
     ring = (sin_el * np.cos(phi) * np.cos(psi)
             + sin_el * np.sin(phi) * np.sin(psi))
-    angle = np.conj(paths.beta)[..., None] * np.exp(
-        -1j * (wave * config.radius) * ring)  # (B, K, L, G_H)
+    angle = paths.beta[..., None] * np.exp(
+        1j * (wave * config.radius) * ring)  # (B, K, L, G_H)
     if config.pattern.is_directional:
         angle *= np.sqrt(power_gain(config.pattern, theta, phi - psi))
-    height = np.exp(-1j * wave * np.cos(theta) * z)  # (B, K, L, G_V)
-    responses = np.einsum("...lv,...la->...va", height, angle)
-    responses /= np.sqrt(paths.beta.shape[-1])
-    return responses
+    height = np.exp(1j * wave * np.cos(theta) * z)  # (B, K, L, G_V)
+    rows = np.einsum("bklv,bkla->bvak", height, angle, order="C")
+    rows /= np.sqrt(paths.beta.shape[-1])
+    return rows
 
 
 @dataclass
 class Dictionary:
-    """Responses of B trials at every candidate position, as (B, K, G)
-    entries.
+    """Responses of B trials at every candidate position, stored as the rows
+    (B, G, K) the solvers match against: row g of a trial is the conjugate
+    of its channel's column g, so a placement's channel (B, K, n) is the
+    conjugate transpose of the placement's rows.
 
     Columns are height-major: column slot * group_size + angle holds the
-    response at (config.psi[angle], config.z[slot]), so a height slot is a
-    group of group_size consecutive angle columns.
+    response at (psi[angle], z[slot]), so a height slot is a group of
+    group_size consecutive angle columns.
     """
 
-    entries: np.ndarray
+    rows: np.ndarray
     psi: np.ndarray
     z: np.ndarray
     group_size: int
 
-    @property
-    def n_columns(self) -> int:
-        return self.entries.shape[-1]
-
-    def rows(self, index: np.ndarray | None = None) -> np.ndarray:
-        """Conjugated columns as rows, (B, n, K): columns index[b] of each
-        trial b, or every column when index is None."""
-        entries = self.entries
-        if index is not None:
-            entries = np.take_along_axis(entries, index[:, None, :], axis=2)
-        return np.ascontiguousarray(np.conj(np.swapaxes(entries, 1, 2)))
+    def take(self, index: np.ndarray) -> np.ndarray:
+        """The rows of columns index[b] (B, n) of each trial b, (B, n, K)."""
+        return np.take_along_axis(self.rows, index[..., None], axis=1)
 
     @property
     def n_groups(self) -> int:
-        return self.n_columns // self.group_size
+        return self.rows.shape[1] // self.group_size
 
     def check_capacity(self, config: FclaConfig) -> None:
         """Raise unless the grid can host config's rings of elements."""
@@ -146,10 +140,13 @@ class Dictionary:
             )
 
 
-def build_joint_dictionary(paths: Paths, config: FclaConfig) -> Dictionary:
-    """All (angle, height) candidates of config's grid, height-major: the G_H
-    angle columns of height slot 0, then slot 1, and so on."""
-    entries = _responses(paths, config.psi, config.z, config)
-    return Dictionary(entries=entries.reshape(*entries.shape[:2], -1),
-                      psi=np.tile(config.psi, config.g_v),
-                      z=np.repeat(config.z, config.g_h), group_size=config.g_h)
+def build_joint_dictionary(paths: Paths, config: FclaConfig,
+                           psi: np.ndarray | None = None) -> Dictionary:
+    """All (angle, height) candidates of config's grid, or of the angles psi
+    (default config.psi) at its heights, height-major: the angle columns of
+    height slot 0, then slot 1, and so on."""
+    psi = config.psi if psi is None else psi
+    rows = _responses(paths, psi, config.z, config)
+    return Dictionary(rows=rows.reshape(len(paths), -1, rows.shape[-1]),
+                      psi=np.tile(psi, config.g_v),
+                      z=np.repeat(config.z, len(psi)), group_size=len(psi))

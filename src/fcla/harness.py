@@ -69,8 +69,8 @@ METHODS = tuple(METHOD_TABLE)
 GREEDY_METHODS = tuple(m for m, (_, greedy) in METHOD_TABLE.items() if greedy)
 SWEEP_KINDS = ("snr", "grid", "iters")
 PATTERN_KINDS = ("directional", "omni")
-# bytes of dictionary entries (trials x users x columns) per batch
-BATCH_BYTES = 256 * 1024
+# bytes of the greedy solvers' working set per batch (see _batches)
+BATCH_BYTES = 1536 * 1024
 
 
 # spec fields that count something, so each must be a whole number >= 1
@@ -269,15 +269,16 @@ def ucla_baseline(paths: Paths, config: FclaConfig, alpha: float,
     The baseline is fixed hardware: it keeps the compact canonical radius
     regardless of how large the flexible candidate region is. Ring m sits at
     height slot m of the uniform grid and holds its first N angles, spaced
-    2*pi/N, so the baseline takes columns slot * g_h + angle of that grid's
-    dictionary, ring by ring."""
+    2*pi/N. Only those M*N positions are built, so the baseline takes the
+    columns of its dictionary in order, ring by ring."""
     compact = ucla_config(config)
     n_trials = len(paths)
     slots = np.tile(np.arange(config.m_rings), (n_trials, 1))
-    columns = (slots[..., None] * compact.g_h
-               + np.arange(config.n_elements)).reshape(n_trials, -1)
-    return solutions(build_joint_dictionary(paths, compact), columns, slots,
-                     alpha, power)
+    columns = np.tile(np.arange(config.m_rings * config.n_elements),
+                      (n_trials, 1))
+    dictionary = build_joint_dictionary(paths, compact,
+                                        compact.psi[:config.n_elements])
+    return solutions(dictionary, columns, slots, alpha, power)
 
 
 def draw_batch(spec: ExperimentSpec, point_index: int, trials,
@@ -346,10 +347,13 @@ def _run_alone(spec: ExperimentSpec, point_index: int, trial_index: int):
 
 
 def _batches(spec: ExperimentSpec) -> list[list[int]]:
-    """A point spec's trial indices, split into batches whose dictionaries
-    fit BATCH_BYTES. The batch count is a multiple of spec.jobs
-    (unless there are fewer trials), so every worker gets an equal share."""
-    per_trial = np.dtype(complex).itemsize * spec.users * spec.grid_size ** 2
+    """A point spec's trial indices, split into batches whose greedy
+    solvers' working sets fit BATCH_BYTES: 40 bytes per trial, user and
+    column, for the complex row, its complex matched filter rows @ G^-1 and
+    the filter's float squared magnitude. The batch count is a multiple of
+    spec.jobs (unless there are fewer trials), so every worker gets an equal
+    share."""
+    per_trial = 40 * spec.users * spec.grid_size ** 2
     size = max(1, BATCH_BYTES // per_trial)
     rounds = -(-spec.trials // (size * spec.jobs))
     n_batches = min(spec.trials, rounds * spec.jobs)

@@ -30,16 +30,15 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
     Stops once M groups are complete and keeps only their atoms, in pick
     order, as the placement; rings take the groups in completion order.
     Returns the record (`fcla.solution.Solutions`) of every trial of the
-    (B, K, G) dictionary, each trial's part equal to solving it alone, with
+    (B, G, K) dictionary, each trial's part equal to solving it alone, with
     its picks and objective per step.
     """
     dictionary.check_capacity(config)
     m_rings, n_elem = config.m_rings, config.n_elements
     g_h = dictionary.group_size
     g_v = dictionary.n_groups
-    entries = dictionary.entries
-    rows = dictionary.rows()
-    n_trials, n_users, n_columns = entries.shape
+    rows = dictionary.rows
+    n_trials, n_columns, n_users = rows.shape
     trials = np.arange(n_trials)
 
     state = GreedyState(n_trials, n_users, alpha)

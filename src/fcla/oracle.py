@@ -36,7 +36,7 @@ class OracleResult:
 def exhaustive_best(dictionary: Dictionary, config: FclaConfig, alpha: float,
                     power: float = 1.0, sigma2: float = 1.0,
                     cap: int = 10**6) -> list[tuple[OracleResult, OracleResult]]:
-    """Per trial of the (B, K, G) dictionary, the globally best feasible
+    """Per trial of the (B, G, K) dictionary, the globally best feasible
     placement by objective and by sum rate, as a pair.
 
     The objective is the regularized precoding objective at the refit RZF
@@ -57,12 +57,12 @@ def exhaustive_best(dictionary: Dictionary, config: FclaConfig, alpha: float,
          for h_idx in itertools.combinations(range(dictionary.n_groups), m_rings)
          for a_choice in itertools.product(angle_subsets, repeat=m_rings)])
 
-    entries = dictionary.entries
-    objective, rate = np.empty((2, len(entries), count))
-    step = max(1, CHUNK_BYTES // (entries[..., :columns.shape[1]].nbytes))
+    rows = dictionary.rows
+    objective, rate = np.empty((2, len(rows), count))
+    step = max(1, CHUNK_BYTES // (rows[:, :columns.shape[1]].nbytes))
     for start in range(0, count, step):
         part = slice(start, start + step)
-        H = np.moveaxis(entries[:, :, columns[part]], 1, 2)  # (B, P, K, M*N)
+        H = np.conj(np.swapaxes(rows[:, columns[part]], 2, 3))  # (B, P, K, M*N)
         F = rzf(H, alpha)
         objective[:, part] = rzf_objective(H, F, alpha)
         rate[:, part] = sinr(H, normalize_columns(F, power), sigma2).sum_rate
@@ -75,4 +75,4 @@ def exhaustive_best(dictionary: Dictionary, config: FclaConfig, alpha: float,
                             sum_rate=float(rate[trial, index]), count=count)
 
     return [(result(t, objective[t].argmin()), result(t, rate[t].argmax()))
-            for t in range(len(entries))]
+            for t in range(len(rows))]

@@ -73,7 +73,7 @@ def refit(dictionary: Dictionary, columns: np.ndarray, alpha: float,
     """Each trial's channel at its placement columns (B, n) of the
     dictionary, (B, K, n), and the RZF precoder refit on it, (B, n, K), as
     is and normalized to the power budget."""
-    H = np.take_along_axis(dictionary.entries, columns[:, None, :], axis=2)
+    H = np.conj(np.swapaxes(dictionary.take(columns), 1, 2), order="C")
     F = rzf(H, alpha)
     return H, F, normalize_columns(F, power)
 

@@ -372,10 +372,10 @@ def test_criterion_8_structural_properties():
     details = []
 
     # crafted instance: a pick in a never-completed height group is dropped
-    entries = np.array([[10.0, 0.0], [0.0, 3.0], [0.0, 4.0], [0.1, 0.1]],
-                       dtype=complex).T
+    rows = np.array([[10.0, 0.0], [0.0, 3.0], [0.0, 4.0], [0.1, 0.1]],
+                    dtype=complex)
     crafted = Dictionary(
-        entries=entries[None],
+        rows=rows[None],
         psi=np.tile(np.arange(2) * np.pi, 2),
         z=np.repeat(np.arange(2) * 0.05, 2),
         group_size=2,

@@ -160,7 +160,7 @@ class TestOptimizeHeights:
         (slots,), _ = optimize_heights(d, angles, config, 1.0)
         assert slots.tolist() == taken
         columns = (slots[:, None] * config.g_h + np.array(angles)).ravel()
-        assert np.allclose(d.entries[0][:, columns], H, rtol=0.0, atol=1e-12)
+        assert np.allclose(d.rows[0, columns].conj().T, H, rtol=0.0, atol=1e-12)
 
     def test_heights_distinct(self):
         config, _, d = make_setup(m=3, n=2, g_h=4, g_v=5, seed=4)
@@ -185,7 +185,8 @@ class TestSolveAlternating:
         assert np.array_equal(sol.slots[0], slots)
         assert np.array_equal(sol.angles[0], config.psi[angles])
         assert np.array_equal(sol.heights[0], config.z[slots])
-        H = d.entries[0][:, (slots[:, None] * config.g_h + angles).ravel()]
+        columns = (slots[:, None] * config.g_h + angles).ravel()
+        H = np.ascontiguousarray(d.rows[0, columns].conj().T)
         assert np.array_equal(sol.H_star[0], H)
         assert np.array_equal(sol.F_star[0],
                               normalize_columns(rzf(H, 1.0), 1.0))

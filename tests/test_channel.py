@@ -62,8 +62,8 @@ def channel_entry_oracle(paths, k, psi, z, config, trial=0):
 def apm_entry(paths, k, psi, z, config):
     """User k's response (trial 0) at one position, anywhere on or off the
     grid: the dictionary's response kernel on one angle and one height."""
-    return complex(channel._responses(paths, np.array([psi]), np.array([z]),
-                                      config)[0, k, 0, 0])
+    row = channel._responses(paths, np.array([psi]), np.array([z]), config)
+    return np.conj(row[0, 0, 0, k])
 
 
 class TestDrawPaths:
@@ -198,7 +198,7 @@ class TestDictionaries:
     def test_joint_layout_and_values(self):
         d = build_joint_dictionary(self.paths, self.config)
         g_h, g_v = self.config.g_h, self.config.g_v
-        assert d.entries.shape == (2, 4, g_h * g_v)
+        assert d.rows.shape == (2, g_h * g_v, 4)
         assert d.group_size == g_h and d.n_groups == g_v
         for col in [0, 1, g_h, g_h * g_v - 1]:
             psi, z = d.psi[col], d.z[col]
@@ -208,7 +208,21 @@ class TestDictionaries:
                 oracle = [channel_entry_oracle(self.paths, k, psi, z,
                                                self.config, trial=t)
                           for k in range(4)]
-                assert np.allclose(d.entries[t, :, col], oracle, atol=1e-12)
+                assert np.allclose(np.conj(d.rows[t, col]), oracle,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("pattern", [PatternSpec.omni(),
+                                         PatternSpec.directional(2.0)])
+    def test_rows_are_contiguous_conjugated_oracle(self, pattern):
+        # the solvers read rows (B, G, K) in place: row g of trial t holds
+        # the conjugated entries of column g, one per user
+        config = make_config(pattern=pattern, g_h=5, g_v=3)
+        d = build_joint_dictionary(self.paths, config)
+        assert d.rows.shape == (2, 15, 4) and d.rows.flags.c_contiguous
+        want = [[[np.conj(channel_entry_oracle(self.paths, k, d.psi[g], d.z[g],
+                                               config, trial=t))
+                  for k in range(4)] for g in range(15)] for t in range(2)]
+        assert np.allclose(d.rows, want, rtol=0.0, atol=1e-12)
 
     def test_index_map_round_trip(self):
         # the solvers address column slot * g_h + angle
@@ -226,7 +240,8 @@ class TestDictionaries:
         cols = np.array([[0, 5, self.config.g_h * 2 + 3], [9, 1, 30]])
         H, _, _ = refit(d, cols, 1.0, 1.0)
         for t in range(2):
-            assert np.array_equal(H[t], d.entries[t][:, cols[t]])
+            assert np.array_equal(H[t], np.conj(d.rows[t, cols[t]]).T)
+        assert H.flags.c_contiguous
 
 
 def test_export_paths_records():

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import io
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -163,6 +164,25 @@ class TestUclaBaseline:
         placement = baseline_placement(config)
         assert placement == [(0.0, z) for z in compact.z]
 
+    @pytest.mark.parametrize("elements, pattern_kind", [
+        (1, "directional"), (1, "omni"), (3, "directional")])
+    def test_builds_only_its_columns(self, elements, pattern_kind,
+                                     monkeypatch):
+        config = small_spec(rings=3, elements=elements,
+                            pattern_kind=pattern_kind).config_for_grid(8)
+        paths = draw_paths(6, 2, [0, 1])
+        build, built = harness.build_joint_dictionary, []
+        monkeypatch.setattr(harness, "build_joint_dictionary",
+                            lambda *args: built.append(build(*args)) or built[-1])
+        record = ucla_baseline(paths, config, 1.0, 1.0)
+        assert [d.rows.shape[1] for d in built] == [3 * elements]
+        # bit for bit the columns of the whole uniform grid's dictionary
+        compact = ucla_config(config)
+        columns = (np.arange(3)[:, None] * compact.g_h
+                   + np.arange(elements)).ravel()
+        rows = build(paths, compact).rows[:, columns]
+        assert np.array_equal(record.H_star, np.conj(rows).swapaxes(1, 2))
+
     def test_rates_returned(self):
         spec = small_spec()
         config = spec.config_for_grid(6)
@@ -197,7 +217,7 @@ class TestMethodTable:
     def test_one_solution_per_trial(self):
         spec = small_spec()
         batch = harness.draw_batch(spec, 0, [2, 0, 1])
-        assert batch.dictionary.entries.shape[0] == 3
+        assert batch.dictionary.rows.shape[0] == 3
         solved = harness.solve_methods(batch, METHODS)
         assert list(solved) == list(METHODS)
         assert all(record.columns.shape[0] == 3 for record in solved.values())
@@ -211,13 +231,22 @@ class TestRunTrial:
         assert batch == [run_trial(spec, 1, [t])[0] for t in (4, 0, 2)]
 
     def test_batches_split_by_bytes_and_jobs(self):
-        per_trial = 16 * 16 * 12 ** 2
+        # the working set per trial, user and column: the complex row and
+        # matched filter (16 bytes each) and the filter's float magnitude
+        per_trial = 40 * 16 * 12 ** 2
         spec = small_spec(users=16, grid_size=12, trials=30)
         sizes = [len(b) for b in harness._batches(spec)]
         assert sum(sizes) == 30 and max(sizes) * per_trial <= harness.BATCH_BYTES
-        pooled = harness._batches(small_spec(users=16, grid_size=12, trials=30,
+        assert sizes == [15, 15]
+        pooled = harness._batches(small_spec(users=16, grid_size=12, trials=60,
                                              jobs=2))
-        assert [len(b) for b in pooled] == [5] * 6
+        assert [len(b) for b in pooled] == [15] * 4
+        # the default budget's largest batch per grid size at 16 users
+        for grid_size, cap in {8: 38, 12: 17, 16: 9, 24: 4, 32: 2}.items():
+            assert cap * 40 * 16 * grid_size ** 2 <= harness.BATCH_BYTES
+            for trials, n_batches in ((cap, 1), (cap + 1, 2)):
+                assert len(harness._batches(small_spec(
+                    users=16, grid_size=grid_size, trials=trials))) == n_batches
         assert len(harness._batches(small_spec(trials=3, jobs=2))) == 2
         assert len(harness._batches(small_spec(trials=1, jobs=2))) == 1
         assert [len(b) for b in harness._batches(
@@ -419,21 +448,48 @@ class TestRunSweep:
         assert batch_sizes == [6] * 6
 
 
+# what a default batch may hold at its tracemalloc peak beyond the working
+# set that sizes it (40 bytes per trial, user and column): the paths, the
+# records of the methods run before, the solver state and small temporaries.
+# One more full-size complex copy of the rows exceeds it at either shape.
+MEMORY_SLACK = 384 * 1024
+
+
+@pytest.mark.parametrize("shape", [
+    dict(grid_size=12, pattern_kind="directional", methods=METHODS),
+    dict(grid_size=32, pattern_kind="omni", methods=("ucla", "fcla-j")),
+])
+def test_default_batch_stays_within_its_working_set(shape):
+    working_set = 40 * 16 * shape["grid_size"] ** 2
+    spec = small_spec(rings=4, elements=4, users=16, paths=4,
+                      trials=harness.BATCH_BYTES // working_set, **shape)
+    (batch,) = harness._batches(spec)
+    assert len(batch) * working_set <= harness.BATCH_BYTES
+    run_trial(spec, 0, batch)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        run_trial(spec, 0, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(batch) * working_set + MEMORY_SLACK
+
+
 @given(st.sampled_from([("snr", (-3.0, 3.0)), ("grid", (6, 16)),
                         ("iters", (1, 2, 4))]),
        st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_rows_do_not_depend_on_batch_size(sweep, trials, seed):
-    """A sweep's rows are the same for one trial per batch, the default
-    batches (8 trials at 8 users on the 16x16 grid) and one batch per
-    point."""
+    """A sweep's rows are the same for one trial per batch, batches of an
+    eighth of the default budget (2 trials at 8 users on the 16x16 grid),
+    the default batches (19 trials there) and one batch per point."""
     kind, values = sweep
     spec = small_spec(users=8, grid_size=16, trials=trials, seed=seed,
                       sweep_kind=kind, sweep_values=values)
     rows = []
-    for size in (1, harness.BATCH_BYTES, 1 << 30):
+    for size in (1, harness.BATCH_BYTES // 8, harness.BATCH_BYTES, 1 << 30):
         with mock.patch.object(harness, "BATCH_BYTES", size):
             rows.append(run_sweep(spec))
-    assert rows[0] == rows[1] == rows[2]
+    assert rows[0] == rows[1] == rows[2] == rows[3]
 
 
 def fail_trial_2(spec, monkeypatch):
@@ -444,10 +500,10 @@ def fail_trial_2(spec, monkeypatch):
                          [np.random.SeedSequence([spec.seed, 0, 2])])
     build = harness.build_joint_dictionary
 
-    def failing_build(paths, config):
+    def failing_build(paths, config, *psi):
         if any(np.array_equal(beta, trial_2.beta[0]) for beta in paths.beta):
             raise FloatingPointError("trial 2 diverged")
-        return build(paths, config)
+        return build(paths, config, *psi)
 
     monkeypatch.setattr(harness, "build_joint_dictionary", failing_build)
 

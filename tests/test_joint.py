@@ -22,10 +22,10 @@ def make_setup(m=2, n=2, g_h=4, g_v=4, users=4, n_paths=2, seed=0,
 def tiny_dictionary(columns, g_h, g_v):
     """Hand-built one-trial dictionary over a g_h x g_v grid with given
     column vectors."""
-    entries = np.array(columns, dtype=complex).T[None]
+    rows = np.conj(np.array(columns, dtype=complex))[None]
     psi = np.tile(np.arange(g_h) * (2.0 * np.pi / g_h), g_v)
     z = np.repeat(np.arange(g_v) * 0.05, g_h)
-    return Dictionary(entries=entries, psi=psi, z=z, group_size=g_h)
+    return Dictionary(rows=rows, psi=psi, z=z, group_size=g_h)
 
 
 class TestGroupCompletion:
@@ -99,7 +99,7 @@ class TestSolveJoint:
     def test_final_channel_matches_recorded_objective(self):
         config, _, d = make_setup(seed=2)
         sol = solve_joint(d, config, alpha=1.0)
-        H = d.entries[0][:, sol.columns[0]]
+        H = np.ascontiguousarray(d.rows[0, sol.columns[0]].conj().T)
         assert np.array_equal(H, sol.H_star[0])
         from fcla.precoding import rzf
         F_raw = rzf(H, 1.0, gram="k")

@@ -93,7 +93,7 @@ def test_each_trial_matches_its_own_call():
     config, _, d = make_setup(m=2, n=2, g_h=3, g_v=3, users=5, trials=3)
     batch = exhaustive_best(d, config, alpha=0.6, power=2.0)
     for t, pair in enumerate(batch):
-        alone = Dictionary(d.entries[t:t + 1], d.psi, d.z, d.group_size)
+        alone = Dictionary(d.rows[t:t + 1], d.psi, d.z, d.group_size)
         (want,) = exhaustive_best(alone, config, alpha=0.6, power=2.0)
         for got, expected in zip(pair, want):
             assert np.array_equal(got.heights, expected.heights)
@@ -119,7 +119,7 @@ def test_chunks_do_not_change_the_optima(chunk_bytes, monkeypatch):
 def test_ties_go_to_the_first_placement():
     # every column equal: every placement rates the same
     config, _, d = make_setup(m=2, n=2, g_h=4, g_v=3, users=3)
-    flat = Dictionary(np.ones_like(d.entries), d.psi, d.z, d.group_size)
+    flat = Dictionary(np.ones_like(d.rows), d.psi, d.z, d.group_size)
     for result in exhaustive_best(flat, config, alpha=1.0)[0]:
         assert np.array_equal(result.heights, config.z[:2])
         assert np.array_equal(result.angles, np.tile(config.psi[:2], (2, 1)))
@@ -127,12 +127,12 @@ def test_ties_go_to_the_first_placement():
 
 def test_unservable_user_has_zero_rate():
     config, _, d = make_setup(m=1, n=2, g_h=3, g_v=2, users=3, seed=5)
-    entries = d.entries.copy()
-    entries[:, 0] = 0.0  # user 0 has no channel anywhere
-    blind = Dictionary(entries, d.psi, d.z, d.group_size)
+    rows = d.rows.copy()
+    rows[..., 0] = 0.0  # user 0 has no channel anywhere
+    blind = Dictionary(rows, d.psi, d.z, d.group_size)
     ((_, by_rate),) = exhaustive_best(blind, config, alpha=1.0)
     ((_, served),) = exhaustive_best(
-        Dictionary(entries[:, 1:], d.psi, d.z, d.group_size), config, alpha=1.0)
+        Dictionary(rows[..., 1:], d.psi, d.z, d.group_size), config, alpha=1.0)
     assert np.isfinite(by_rate.sum_rate) and by_rate.sum_rate > 0.0
     # the remaining users share power 1 among K = 3 streams, not 2
     assert by_rate.sum_rate < served.sum_rate
@@ -158,6 +158,6 @@ def test_cap_enforced():
 
 def test_grid_too_small_named():
     config, _, d = make_setup(m=2, n=2, g_h=4, g_v=4)
-    small = Dictionary(d.entries[..., :4], d.psi[:4], d.z[:4], d.group_size)
+    small = Dictionary(d.rows[:, :4], d.psi[:4], d.z[:4], d.group_size)
     with pytest.raises(ValueError, match="cannot host"):
         exhaustive_best(small, config, alpha=1.0)

@@ -62,12 +62,12 @@ def instances(draw):
     return config, paths
 
 
-def height_blind(entries, config):
+def height_blind(rows, config):
     """Whether some grid angle gives every user one response magnitude at
-    all heights."""
-    magnitude = np.abs(entries).reshape(-1, config.g_v, config.g_h)
-    spread = magnitude.max(axis=1) - magnitude.min(axis=1)  # (K, G_H)
-    return bool((spread <= 1e-9 * magnitude.max()).all(axis=0).any())
+    all heights, for the rows of one trial."""
+    magnitude = np.abs(rows).reshape(config.g_v, config.g_h, -1)
+    spread = magnitude.max(axis=0) - magnitude.min(axis=0)  # (G_H, K)
+    return bool((spread <= 1e-9 * magnitude.max()).all(axis=1).any())
 
 
 def greedy_solutions(paths, config):
@@ -98,10 +98,10 @@ def test_azimuth_rotation_rolls_angle_columns(instance):
     config, paths = instance
     step = 2.0 * np.pi / config.g_h
     rotated = Paths(paths.beta, paths.theta_el, paths.phi_az + step)
-    blocks = (-1, config.g_v, config.g_h)
-    before = build_joint_dictionary(paths, config).entries.reshape(blocks)
-    after = build_joint_dictionary(rotated, config).entries.reshape(blocks)
-    assert relative(after, np.roll(before, 1, axis=-1)) <= 1e-12
+    blocks = (config.g_v, config.g_h, -1)
+    before = build_joint_dictionary(paths, config).rows.reshape(blocks)
+    after = build_joint_dictionary(rotated, config).rows.reshape(blocks)
+    assert relative(after, np.roll(before, 1, axis=1)) <= 1e-12
     assume(not height_blind(before, config))
 
     want = greedy_solutions(paths, config)
@@ -117,9 +117,9 @@ def test_user_permutation_permutes_rows(instance, random):
     random.shuffle(order)
     shuffled = Paths(paths.beta[:, order], paths.theta_el[:, order],
                      paths.phi_az[:, order])
-    before = build_joint_dictionary(paths, config).entries
-    after = build_joint_dictionary(shuffled, config).entries
-    assert relative(after, before[:, order]) <= 1e-12
+    before = build_joint_dictionary(paths, config).rows
+    after = build_joint_dictionary(shuffled, config).rows
+    assert relative(after, before[..., order]) <= 1e-12
     assume(not height_blind(before, config))
 
     want = greedy_solutions(paths, config)
