@@ -70,19 +70,14 @@ def optimize_angles(dictionary: Dictionary, slots, config: FclaConfig,
         picks.append(pick)
         objectives.append(state.objective())
 
-    angles = np.stack(picks, axis=2)
-    # selection order: step by step, ring by ring within a step
-    support = (slots[:, None] * g_h + np.stack(picks, axis=1)).reshape(n_trials, -1)
     diag = {
         "objective_trace": np.stack(objectives, axis=1),
-        "support": support,
         "matched_filter_columns": mf_columns,
     }
-    return angles, diag
+    return np.stack(picks, axis=2), diag
 
 
-def optimize_heights(dictionary: Dictionary, angles, config: FclaConfig,
-                     alpha: float):
+def optimize_heights(dictionary: Dictionary, angles, alpha: float):
     """Assign one height slot to each ring with its angle indices frozen.
 
     Rings go in order; ring m scores every live height slot by the Frobenius
@@ -147,7 +142,7 @@ def solve_alternating(dictionary: Dictionary, config: FclaConfig,
     mf_columns = 0
     for _ in range(n_outer):
         angles, diag_a = optimize_angles(dictionary, slots, config, alpha)
-        slots, diag_v = optimize_heights(dictionary, angles, config, alpha)
+        slots, diag_v = optimize_heights(dictionary, angles, alpha)
         mf_columns += diag_a["matched_filter_columns"] + diag_v["matched_filter_columns"]
         angle_objectives.append(diag_a["objective_trace"])
         height_objectives.append(diag_v["objective_trace"])

@@ -170,18 +170,18 @@ def _solve_once(args: argparse.Namespace) -> int:
     """Trial 0 of sweep point 0 at the spec's operating SNR, through the
     sweeps' method table, with per-method trace files."""
     spec = _build_spec(args, "snr", snr_axis=False)
-    methods = (args.method,) if args.method else spec.methods
-    # the spec's checks (alpha for greedy methods) on the methods that run
-    dataclasses.replace(spec, methods=methods)
+    if args.method:
+        # checked (alpha for greedy methods) and recorded as the one to replay
+        spec = dataclasses.replace(spec, methods=(args.method,))
     out = _out_dir(args)
-    batch = draw_batch(spec, 0, [0], methods, rate_trace=True)
+    batch = draw_batch(spec, 0, [0], rate_trace=True)
     export_paths(batch.paths, out / "paths.json")
 
     config = batch.config
     print(f"grid {config.g_h}x{config.g_v}, radius "
           f"{config.radius:.5f} m, snr {spec.snr_db:g} dB, "
           f"alpha {batch.alpha:g}, power {batch.power:g}")
-    for method, record in solve_methods(batch, methods).items():
+    for method, record in solve_methods(batch, spec.methods).items():
         rate = sinr(record.H_star[0], record.F_star[0], batch.sigma2).sum_rate
         line = f"{method:<7} sum rate {rate:.4f} bits"
         if method in TRACE_FILES:

@@ -282,15 +282,15 @@ def ucla_baseline(paths: Paths, config: FclaConfig, alpha: float,
 
 
 def draw_batch(spec: ExperimentSpec, point_index: int, trials,
-               methods=None, rate_trace: bool = False) -> TrialBatch:
+               rate_trace: bool = False) -> TrialBatch:
     """The paths of the given trials at a point spec, and their joint
-    dictionary when one of methods (default spec.methods) is greedy."""
+    dictionary when one of spec.methods is greedy."""
     config = spec.config_for_grid(spec.grid_size)
     paths = draw_paths(spec.users, spec.paths,
                        [np.random.SeedSequence([spec.seed, point_index, t])
                         for t in trials])
     dictionary = None
-    if set(methods or spec.methods) & set(GREEDY_METHODS):
+    if set(spec.methods) & set(GREEDY_METHODS):
         dictionary = build_joint_dictionary(paths, config)
     return TrialBatch(
         paths=paths, dictionary=dictionary, config=config,
@@ -304,46 +304,42 @@ def solve_methods(batch: TrialBatch, methods) -> dict:
     return {method: METHOD_TABLE[method][0](batch) for method in methods}
 
 
-def run_trial(spec: ExperimentSpec, point_index: int, trials) -> list:
+def run_trial(spec: ExperimentSpec, point_index: int, trials) -> np.ndarray:
     """Paired trials: every requested method on the same channel draws.
 
-    spec is a point spec and trials a sequence of trial indices at that
-    point; every method runs them as one batch. Returns, per trial, a dict
-    of method name -> sum rate of its solution; in an iteration sweep the
-    per-round sum rates of the alternating solver are included under
-    "fcla-a-trace".
+    spec is a point spec and trials a sequence of B trial indices at that
+    point; every method runs them as one batch. Returns the (B, methods, V)
+    sum rates, methods in spec.methods order. V is 1, except at the
+    iteration sweep's point, where column v holds the alternating solver's
+    rate after spec.sweep_values[v] rounds and every other method's rate
+    repeated.
     """
-    batch = draw_batch(spec, point_index, trials,
-                       rate_trace=spec.sweep_kind == "iters")
-    out: list[dict] = [{} for _ in range(len(batch.paths))]
-    for method, record in solve_methods(batch, spec.methods).items():
-        rates = sinr(record.H_star, record.F_star, batch.sigma2).sum_rate
-        for trial, rate in zip(out, rates.tolist()):
-            trial[method] = rate
+    iters = spec.sweep_kind == "iters"
+    batch = draw_batch(spec, point_index, trials, rate_trace=iters)
+    rounds = np.array(spec.sweep_values, dtype=int) - 1 if iters else [0]
+    out = np.empty((len(batch.paths), len(spec.methods), len(rounds)))
+    for i, record in enumerate(solve_methods(batch, spec.methods).values()):
         if record.sum_rate_trace is not None:
-            for trial, trace in zip(out, record.sum_rate_trace.tolist()):
-                trial[f"{method}-trace"] = trace
+            out[:, i] = record.sum_rate_trace[:, rounds]
+        else:
+            out[:, i] = sinr(record.H_star, record.F_star,
+                             batch.sigma2).sum_rate[:, None]
     return out
 
 
 def _sweep_work(args):
-    """Results of one batch of trials, one per trial in order. If the batch
-    raises, its trials run again one at a time, so only a trial that fails on
-    its own comes back as an exception."""
+    """The (B, methods, V) rates of one batch of trials. If the batch
+    raises, its trials run again through here one at a time, and the result
+    is a list of each trial's (methods, V) rates or, for a trial that fails
+    on its own, its exception (reported by the sweep, which keeps going)."""
     spec, point_index, trial_indices = args
     try:
         return run_trial(spec, point_index, trial_indices)
-    except Exception:
-        return [_run_alone(spec, point_index, t) for t in trial_indices]
-
-
-def _run_alone(spec: ExperimentSpec, point_index: int, trial_index: int):
-    """One trial run alone: its results, or its exception (reported by the
-    sweep, which keeps going)."""
-    try:
-        return run_trial(spec, point_index, [trial_index])[0]
     except Exception as exc:
-        return exc
+        if len(trial_indices) == 1:
+            return [exc]
+        return [outcome for t in trial_indices
+                for outcome in _sweep_work((spec, point_index, [t]))]
 
 
 def _batches(spec: ExperimentSpec) -> list[list[int]]:
@@ -381,20 +377,19 @@ def _mean_stderr(values: np.ndarray):
     return mean, stderr
 
 
-def _point_rows(spec: ExperimentSpec, value: float, results: list) -> list:
-    """Rows of one sweep point, from its completed trials: one per method,
-    or for the iteration sweep one per method and round count, read from
-    the method's "<method>-trace" column (a constant row for a method that
-    ignores the round count)."""
+def _point_rows(spec: ExperimentSpec, value: float,
+                rates: np.ndarray) -> list:
+    """Rows of one sweep point, from the (trials, methods, V) rates of its
+    completed trials (see run_trial): one per method and column, the
+    columns being the iteration sweep's round counts or else the point's
+    value."""
     values = spec.sweep_values if spec.sweep_kind == "iters" else (value,)
     rows = []
-    for m in spec.methods:
-        for v in values:
-            if f"{m}-trace" in results[0]:
-                column = [r[f"{m}-trace"][int(v) - 1] for r in results]
-            else:
-                column = [r[m] for r in results]
-            mean, stderr = _mean_stderr(np.array(column))
+    for i, m in enumerate(spec.methods):
+        for j, v in enumerate(values):
+            # a contiguous copy, so numpy sums it exactly as a list of floats
+            column = np.ascontiguousarray(rates[:, i, j])
+            mean, stderr = _mean_stderr(column)
             rows.append(SweepRow(method=m, sweep_var=spec.sweep_kind,
                                  sweep_value=v, mean_sum_rate=mean,
                                  stderr=stderr, trials=len(column)))
@@ -428,16 +423,16 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
         value = (point.outer_iters if spec.sweep_kind == "iters"
                  else spec.sweep_values[index])
         trials = outcomes[index * spec.trials:(index + 1) * spec.trials]
-        results = [r for r in trials if not isinstance(r, Exception)]
+        rates = [r for r in trials if not isinstance(r, Exception)]
         point_failures = [(value, t, r) for t, r in enumerate(trials)
                           if isinstance(r, Exception)]
-        if not results:
+        if not rates:
             raise RuntimeError(
                 f"all {spec.trials} trial(s) at {spec.sweep_kind}={value:g} "
                 f"failed; the first with {point_failures[0][2]!r}"
             )
         failures.extend(point_failures)
-        rows.extend(_point_rows(spec, value, results))
+        rows.extend(_point_rows(spec, value, np.stack(rates)))
     if failures:
         rows_failed = ", ".join(f"point {v} trial {t}: {e}" for v, t, e in failures)
         print(f"warning: {len(failures)} trial(s) failed ({rows_failed})",

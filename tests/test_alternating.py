@@ -74,7 +74,6 @@ class TestOptimizeAngles:
         angles, diag = optimize_angles(d, [0], config, 1.0)
         columns = ring_columns(paths, config, range(5), config.z[0])
         want = plain_omp_reference(columns, 2, 1.0)
-        assert diag["support"].tolist() == [want]
         assert angles.tolist() == [[want]]
 
     def test_full_ring_forced(self):
@@ -93,10 +92,8 @@ class TestOptimizeAngles:
             columns = ring_columns(paths, config, range(3), config.z[slot])
             scores = np.sum(np.abs(columns.conj().T) ** 2, axis=1)
             want.append(int(np.argmax(scores)))
-        (angles,), diag = optimize_angles(d, slots, config, 1.0)
+        (angles,), _ = optimize_angles(d, slots, config, 1.0)
         assert angles[:, 0].tolist() == want
-        assert diag["support"].tolist() == [[s * 3 + a
-                                             for s, a in zip(slots, want)]]
 
     def test_objective_nonincreasing_within_phase(self):
         config, _, d = make_setup(m=2, n=3, g_h=5, g_v=3, seed=7)
@@ -115,13 +112,13 @@ class TestOptimizeAngles:
 class TestOptimizeHeights:
     def test_forced_permutation_when_slots_match_rings(self):
         config, _, d = make_setup(m=3, n=1, g_h=3, g_v=3, seed=1)
-        (slots,), _ = optimize_heights(d, [[0], [1], [2]], config, 1.0)
+        (slots,), _ = optimize_heights(d, [[0], [1], [2]], 1.0)
         assert sorted(slots.tolist()) == [0, 1, 2]
 
     def test_more_rings_than_slots_rejected(self):
         config, _, d = make_setup(m=2, n=1, g_h=3, g_v=2, seed=1)
         with pytest.raises(ValueError, match="empty"):
-            optimize_heights(d, [[0], [1], [2]], config, 1.0)
+            optimize_heights(d, [[0], [1], [2]], 1.0)
 
     def test_two_slot_selection_picks_stronger_block(self):
         config, paths, d = make_setup(m=1, n=2, g_h=4, g_v=2, seed=2)
@@ -129,7 +126,7 @@ class TestOptimizeHeights:
         for slot in range(2):
             block = ring_columns(paths, config, [0, 2], config.z[slot])
             scores.append(float(np.linalg.norm(block.conj().T, "fro") ** 2))
-        (slots,), _ = optimize_heights(d, [[0, 2]], config, 1.0)
+        (slots,), _ = optimize_heights(d, [[0, 2]], 1.0)
         assert slots[0] == int(np.argmax(scores))
 
     def test_block_scan_oracle(self):
@@ -157,7 +154,7 @@ class TestOptimizeHeights:
             F = rzf(H, 1.0)
             residual = np.eye(n_users) - H @ F
 
-        (slots,), _ = optimize_heights(d, angles, config, 1.0)
+        (slots,), _ = optimize_heights(d, angles, 1.0)
         assert slots.tolist() == taken
         columns = (slots[:, None] * config.g_h + np.array(angles)).ravel()
         assert np.allclose(d.rows[0, columns].conj().T, H, rtol=0.0, atol=1e-12)
@@ -165,13 +162,13 @@ class TestOptimizeHeights:
     def test_heights_distinct(self):
         config, _, d = make_setup(m=3, n=2, g_h=4, g_v=5, seed=4)
         angles, _ = optimize_angles(d, initial_heights(5, 3), config, 1.0)
-        (slots,), _ = optimize_heights(d, angles, config, 1.0)
+        (slots,), _ = optimize_heights(d, angles, 1.0)
         assert len(set(slots.tolist())) == 3
 
     def test_rejects_repeated_angles(self):
         config, _, d = make_setup()
         with pytest.raises(ValueError):
-            optimize_heights(d, [[0, 0], [1, 2]], config, 1.0)
+            optimize_heights(d, [[0, 0], [1, 2]], 1.0)
 
 
 class TestSolveAlternating:
@@ -179,7 +176,7 @@ class TestSolveAlternating:
         config, _, d = make_setup(m=2, n=2, g_h=3, g_v=2, seed=6)
         sol = solve_alternating(d, config, 1.0, 1)
         angles, _ = optimize_angles(d, initial_heights(2, 2), config, 1.0)
-        (slots,), _ = optimize_heights(d, angles, config, 1.0)
+        (slots,), _ = optimize_heights(d, angles, 1.0)
         (angles,) = angles
         assert sol.iterations.tolist() == [1]
         assert np.array_equal(sol.slots[0], slots)
@@ -301,13 +298,13 @@ class TestStackedTrials:
                   for seed in seeds]
         slots = np.array([[0, 3], [1, 2], [3, 0]])
         angles, diag = optimize_angles(stacked, slots, config, 1.0)
-        heights, _ = optimize_heights(stacked, angles, config, 1.0)
+        heights, _ = optimize_heights(stacked, angles, 1.0)
         for t, d in enumerate(single):
             want_angles, want_diag = optimize_angles(d, slots[t], config, 1.0)
             assert np.array_equal(angles[t], want_angles[0])
             assert np.array_equal(diag["objective_trace"][t],
                                   want_diag["objective_trace"][0])
-            want_heights, _ = optimize_heights(d, angles[t], config, 1.0)
+            want_heights, _ = optimize_heights(d, angles[t], 1.0)
             assert np.array_equal(heights[t], want_heights[0])
 
     def test_rejects_shared_slot_in_any_trial(self):

@@ -15,12 +15,15 @@ SMALL = ["--rings", "2", "--elements", "2", "--users", "4", "--paths", "2",
 
 GOLDEN = Path(__file__).parent / "golden"
 # fixed-seed sweeps of all three methods with directional elements; a
-# refactor keeps the expected CSVs byte-exact. They were last regenerated
-# when responses became an angle factor times a height factor (last-bit
-# changes, named in CHANGES.md)
+# refactor keeps the expected CSVs byte-exact. The SNR and grid CSVs were
+# last regenerated when responses became an angle factor times a height
+# factor (last-bit changes, named in CHANGES.md); the iteration CSV was
+# added later from unchanged rates
 GOLDEN_SWEEPS = {
     "sweep-snr": ["--snr", "-4,4", "--grid", "6", "--seed", "11"],
     "sweep-grid": ["--grid-range", "6,8", "--snr", "0", "--seed", "12"],
+    "sweep-iters": ["--iters-range", "1,3", "--snr", "0", "--grid", "6",
+                    "--seed", "13"],
 }
 GOLDEN_SHAPE = ["--rings", "3", "--elements", "2", "--users", "6", "--paths",
                 "3", "--iters", "3", "--trials", "20"]
@@ -203,6 +206,21 @@ def test_solve_once_manifest_replays_its_snr(tmp_path, capsys):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+@pytest.mark.parametrize("method", sorted(harness.METHOD_TABLE))
+def test_solve_once_method_manifest_replays_it(method, tmp_path, capsys):
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert parse_and_dispatch(["solve-once", "--method", method,
+                               "--out", str(first)] + SMALL) == 0
+    assert parse_and_dispatch(["solve-once", "--out", str(second), "--config",
+                               str(first / "manifest.json")]) == 0
+    # a header and one method line per run
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
 @pytest.mark.parametrize("command", ["solve-once", "sweep-grid"])
 @pytest.mark.parametrize("snr", ["-6:2:6", "0,2"])
 def test_operating_snr_rejects_ranges(command, snr, tmp_path, capsys):
@@ -259,9 +277,9 @@ def test_solve_once_rate_is_the_sweep_rate(method, tmp_path, monkeypatch):
     record = solved[method]
     spec = ExperimentSpec.from_dict(
         json.loads((tmp_path / "manifest.json").read_text()))
-    (rates,) = run_trial(spec, 0, [0])
-    assert rates[method] == sinr(record.H_star[0], record.F_star[0],
-                                 spec.noise_power).sum_rate
+    assert spec.methods == (method,)
+    assert run_trial(spec, 0, [0])[0, 0, 0] == sinr(
+        record.H_star[0], record.F_star[0], spec.noise_power).sum_rate
 
 
 def test_unservable_user_keeps_every_ucla_trial(tmp_path, capsys):

@@ -221,14 +221,17 @@ class TestMethodTable:
         solved = harness.solve_methods(batch, METHODS)
         assert list(solved) == list(METHODS)
         assert all(record.columns.shape[0] == 3 for record in solved.values())
-        assert harness.draw_batch(spec, 0, [0], ("ucla",)).dictionary is None
+        ucla_only = dataclasses.replace(spec, methods=("ucla",))
+        assert harness.draw_batch(ucla_only, 0, [0]).dictionary is None
 
 
 class TestRunTrial:
     def test_batch_matches_single_trials(self):
         spec = small_spec(sweep_kind="iters", sweep_values=(1, 3), outer_iters=3)
         batch = run_trial(spec, 1, [4, 0, 2])
-        assert batch == [run_trial(spec, 1, [t])[0] for t in (4, 0, 2)]
+        assert batch.shape == (3, 3, 2)
+        assert np.array_equal(batch, np.concatenate(
+            [run_trial(spec, 1, [t]) for t in (4, 0, 2)]))
 
     def test_batches_split_by_bytes_and_jobs(self):
         # the working set per trial, user and column: the complex row and
@@ -256,29 +259,43 @@ class TestRunTrial:
         spec = small_spec()
         a = run_trial(spec, 0, [3])
         b = run_trial(spec, 0, [3])
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_methods_restricted(self):
         spec = small_spec(methods=("ucla",))
-        (out,) = run_trial(spec, 0, [0])
-        assert set(out) == {"ucla"}
+        assert run_trial(spec, 0, [0]).shape == (1, 1, 1)
 
     def test_trace_request(self):
         spec = small_spec(methods=("fcla-a",), sweep_kind="iters",
                           sweep_values=(1, 3), outer_iters=3)
-        (out,) = run_trial(spec, 0, [0])
-        assert len(out["fcla-a-trace"]) == 3
+        assert run_trial(spec, 0, [0]).shape == (1, 1, 2)
+
+    def test_iteration_point_reads_each_round_count(self):
+        spec = small_spec(sweep_kind="iters", sweep_values=(1, 2, 4),
+                          outer_iters=4)
+        rates = run_trial(spec, 0, [1, 3])
+        assert rates.shape == (2, 3, 3)
+        batch = harness.draw_batch(spec, 0, [1, 3], rate_trace=True)
+        solved = harness.solve_methods(batch, spec.methods)
+        for i, (method, record) in enumerate(solved.items()):
+            if method == "fcla-a":
+                want = record.sum_rate_trace[:, [0, 1, 3]]
+            else:  # the final rate at every round count
+                rate = sinr(record.H_star, record.F_star,
+                            spec.noise_power).sum_rate
+                want = np.repeat(rate[:, None], 3, axis=1)
+            assert np.array_equal(rates[:, i], want), method
 
     def test_different_trials_differ(self):
         spec = small_spec(methods=("ucla",))
-        assert run_trial(spec, 0, [0]) != run_trial(spec, 0, [1])
+        assert not np.array_equal(run_trial(spec, 0, [0]),
+                                  run_trial(spec, 0, [1]))
 
     def test_flexible_beats_baseline_on_average(self):
         spec = small_spec(trials=40, methods=("ucla", "fcla-a"), grid_size=8,
                           outer_iters=3)
-        diffs = [out["fcla-a"] - out["ucla"]
-                 for out in run_trial(spec, 0, range(40))]
-        assert np.mean(diffs) > 0.0
+        rates = run_trial(spec, 0, range(40))[..., 0]
+        assert np.mean(rates[:, 1] - rates[:, 0]) > 0.0
 
 
 class TestRunSweep:
@@ -293,7 +310,7 @@ class TestRunSweep:
         spec = small_spec(trials=4, methods=("ucla", "fcla-a"))
         rows = run_sweep(spec)
         # same draw: recompute one method independently and compare means
-        rates = [out["ucla"] for out in run_trial(spec, 0, range(4))]
+        rates = run_trial(spec, 0, range(4))[:, 0, 0]
         ucla_row = next(r for r in rows if r.method == "ucla")
         assert np.isclose(ucla_row.mean_sum_rate, np.mean(rates))
 
@@ -365,7 +382,7 @@ class TestRunSweep:
         def flaky(spec, point_index, trial_indices, **kwargs):
             if point_index == 1:
                 raise FloatingPointError(f"trial {trial_indices[0]} diverged")
-            return [{m: 1.0 for m in spec.methods} for _ in trial_indices]
+            return np.ones((len(trial_indices), len(spec.methods), 1))
 
         monkeypatch.setattr(harness, "run_trial", flaky)
         spec = small_spec(trials=3, sweep_values=(0.0, 6.0), jobs=1)
@@ -378,7 +395,7 @@ class TestRunSweep:
     def test_failed_trial_in_a_batch_is_reported_alone(self, monkeypatch,
                                                        capsys):
         spec = small_spec(trials=6, jobs=1)
-        want = [run_trial(spec, 0, [t])[0] for t in range(6)]
+        want = np.concatenate([run_trial(spec, 0, [t]) for t in range(6)])
         fail_trial_2(spec, monkeypatch)
         batches = []
         run = harness.run_trial
@@ -391,11 +408,10 @@ class TestRunSweep:
         rows = run_sweep(spec)
         # the batch of all six fails, then each trial runs on its own
         assert batches == [[0, 1, 2, 3, 4, 5], [0], [1], [2], [3], [4], [5]]
-        kept = [out for t, out in enumerate(want) if t != 2]
-        for row in rows:
+        kept = np.delete(want, 2, axis=0)
+        for i, row in enumerate(rows):
             assert row.trials == 5
-            assert row.mean_sum_rate == np.mean([out[row.method]
-                                                 for out in kept])
+            assert row.mean_sum_rate == np.mean(kept[:, i, 0])
         printed = capsys.readouterr().err
         assert "1 trial(s) failed" in printed
         assert "trial 2: trial 2 diverged" in printed
