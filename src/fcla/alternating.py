@@ -36,17 +36,18 @@ def _distinct(index: np.ndarray) -> bool:
     return not (np.diff(np.sort(index, axis=-1), axis=-1) == 0).any()
 
 
-def optimize_angles(dictionary: Dictionary, slots, config: FclaConfig,
+def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
                     alpha: float):
     """Select each ring's element angles with ring m pinned at height slot
     slots[m].
 
-    Rings pick one live angle apiece per inner step (lowest index on ties),
-    all against the residual from the previous step, so one matched filter
-    scores every ring's columns at once; one rank-M update then takes in all
-    the picks. slots is (M,), shared by every trial, or (B, M). Returns the
-    (B, M, N) array of angle indices and a diagnostics dict whose arrays lead
-    with the trial axis.
+    Each ring takes n_elements angles. Rings pick one live angle apiece per
+    inner step (lowest index on ties), all against the residual from the
+    previous step, so the scores of every ring's columns, watched once per
+    phase, serve all rings; one rank-M update then takes in all the picks.
+    slots is (M,), shared by every trial, or (B, M). Returns the (B, M, N)
+    array of angle indices and a diagnostics dict whose arrays lead with the
+    trial axis.
     """
     n_trials, _, n_users = dictionary.rows.shape
     slots = np.asarray(slots, dtype=int)
@@ -56,15 +57,14 @@ def optimize_angles(dictionary: Dictionary, slots, config: FclaConfig,
     m_rings = slots.shape[1]
     g_h = dictionary.group_size
     ring_columns = slots[..., None] * g_h + np.arange(g_h)  # (B, M, G_H)
-    candidates = dictionary.take(ring_columns.reshape(n_trials, -1))
-
     state = GreedyState(n_trials, n_users, alpha)
+    state.watch(dictionary.take(ring_columns.reshape(n_trials, -1)))
     alive = np.ones((n_trials, m_rings, g_h), dtype=bool)
     picks, objectives = [], []
     mf_columns = 0
-    for _ in range(config.n_elements):
+    for _ in range(n_elements):
         mf_columns += int(alive[0].sum())
-        pick = state.pick(candidates, alive)  # (B, M)
+        pick = state.pick(alive)  # (B, M)
         np.put_along_axis(alive, pick[..., None], False, axis=2)
         state.add(dictionary.take(slots * g_h + pick))
         picks.append(pick)
@@ -104,8 +104,9 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float):
     for m in range(m_rings):
         mf_columns += int(alive[0].sum()) * n_elem
         blocks = slot_columns + angles[:, m, None, :]  # (B, G_V, N)
-        best = state.pick(dictionary.take(blocks.reshape(n_trials, -1)), alive,
-                          block=n_elem)
+        state.watch(dictionary.take(blocks.reshape(n_trials, -1)),
+                    block=n_elem)
+        best = state.pick(alive)
         slots[:, m] = best
         alive[np.arange(n_trials), best] = False
         state.add(dictionary.take(best[:, None] * g_h + angles[:, m]))
@@ -141,7 +142,8 @@ def solve_alternating(dictionary: Dictionary, config: FclaConfig,
     angle_objectives, height_objectives, sum_rates = [], [], []
     mf_columns = 0
     for _ in range(n_outer):
-        angles, diag_a = optimize_angles(dictionary, slots, config, alpha)
+        angles, diag_a = optimize_angles(dictionary, slots, config.n_elements,
+                                        alpha)
         slots, diag_v = optimize_heights(dictionary, angles, alpha)
         mf_columns += diag_a["matched_filter_columns"] + diag_v["matched_filter_columns"]
         angle_objectives.append(diag_a["objective_trace"])

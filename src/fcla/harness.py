@@ -346,9 +346,11 @@ def _batches(spec: ExperimentSpec) -> list[list[int]]:
     """A point spec's trial indices, split into batches whose greedy
     solvers' working sets fit BATCH_BYTES: 40 bytes per trial, user and
     column, for the complex row, its complex matched filter rows @ G^-1 and
-    the filter's float squared magnitude. The batch count is a multiple of
-    spec.jobs (unless there are fewer trials), so every worker gets an equal
-    share."""
+    the filter's float squared magnitude. The filter is formed once, when a
+    solver starts to watch its candidates, and that is the peak; each pick
+    then needs only a K x 2r product per candidate. The batch count is a
+    multiple of spec.jobs (unless there are fewer trials), so every worker
+    gets an equal share."""
     per_trial = 40 * spec.users * spec.grid_size ** 2
     size = max(1, BATCH_BYTES // per_trial)
     rounds = -(-spec.trials // (size * spec.jobs))
@@ -405,13 +407,16 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     methods that ignore the iteration count appear as constant rows.
 
     Every batch of every point is one task; the tasks run in order, or on
-    one process pool when spec.jobs > 1.
+    one process pool of at most spec.jobs workers, and no more workers
+    than tasks, when spec.jobs > 1.
     """
     points = _points(spec)
     tasks = [(point, index, batch) for index, point in enumerate(points)
              for batch in _batches(point)]
     if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        # no more workers than tasks: a fork start forks them all at once
+        workers = min(spec.jobs, len(tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_work, tasks))
     else:
         done = [_sweep_work(task) for task in tasks]

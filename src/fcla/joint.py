@@ -42,6 +42,7 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
     trials = np.arange(n_trials)
 
     state = GreedyState(n_trials, n_users, alpha)
+    state.watch(rows)
     alive = np.ones((n_trials, n_columns), dtype=bool)
     counts = np.zeros((n_trials, g_v), dtype=int)
     completed_at = np.full((n_trials, g_v), -1)  # step that filled each group
@@ -54,7 +55,7 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
         mf_columns[running] += alive[running].sum(axis=1)
         # finished trials keep picking; their picks are dropped and their
         # atoms zeroed, which leaves their state as it was
-        best = state.pick(rows, alive | ~running[:, None])
+        best = state.pick(alive | ~running[:, None])
         atoms = rows[trials, best][:, None]
         atoms[~running] = 0.0
         state.add(atoms)

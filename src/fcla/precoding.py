@@ -141,8 +141,12 @@ class GreedyState:
     Adding r columns is a rank-r Woodbury update of G^-1, so a greedy step
     costs two small matrix products instead of a refit (Batch-OMP, Rubinstein,
     Zibulevsky & Elad 2008; the matrix-residual score of simultaneous OMP,
-    Tropp, Gilbert & Strauss 2006). The identities need alpha > 0; zero
-    forcing has no such state and is rejected.
+    Tropp, Gilbert & Strauss 2006). The state keeps the scores of one watched
+    candidate set: watch() forms their full matched filter once, and each
+    add() is carried into them by the same update, as one product of the
+    candidates with K x 2r factors, when the scores are next read. The
+    identities need alpha > 0; zero forcing has no such state and is
+    rejected.
     """
 
     def __init__(self, n_trials: int, n_users: int, alpha: float):
@@ -153,17 +157,42 @@ class GreedyState:
         self.alpha = float(alpha)
         self.inverse = np.tile(np.eye(n_users, dtype=complex) / self.alpha,
                                (n_trials, 1, 1))
+        self._rows = None
+        self._score = None
+        self._pending: list[tuple] = []  # (G^-1 before, U, Z) per add
 
-    def scores(self, rows: np.ndarray, block: int = 1) -> np.ndarray:
-        """||a^H G^-1||^2 per candidate, from the candidates' conjugated
-        columns a^H stacked as rows: (B, n, K) to (B, n / block). A candidate
-        of block consecutive columns scores the sum of their scores."""
+    def watch(self, rows: np.ndarray, block: int = 1) -> None:
+        """Score the candidates given as their conjugated columns a^H stacked
+        as rows (B, n, K), and keep their scores up to date from now on. A
+        candidate of block consecutive columns scores the sum of their
+        scores. Updates still pending for the previous set are dropped."""
+        # the previous set goes first, so it is not held through the filter
+        self._rows, self._score, self._pending = rows, None, []
         matched = np.abs(rows @ self.inverse) ** 2
-        return matched.reshape(*rows.shape[:-2], -1, block * rows.shape[-1]).sum(axis=-1)
+        self._score = matched.reshape(
+            *rows.shape[:-2], -1, block * rows.shape[-1]).sum(axis=-1)
 
-    def pick(self, rows: np.ndarray, live: np.ndarray, block: int = 1) -> np.ndarray:
-        """Index of the best live candidate along live's last axis, scoring
-        the candidates of rows (B, n, K) in order, as scores() does.
+    @property
+    def score(self) -> np.ndarray:
+        """||a^H G^-1||^2 per watched candidate, (B, n / block)."""
+        for inverse, update, solved in self._pending:
+            # V = Z^H and P = V U^H U - 2 G^-1 U, with the G^-1 before the add
+            v = np.conj(np.swapaxes(solved, -1, -2))
+            p = (v @ (np.conj(np.swapaxes(update, -1, -2)) @ update)
+                 - 2.0 * (inverse @ update))
+            # each row's products with [P, V] as (B, n, 4r) floats: the real
+            # dot of the P half with the V half is Re<c P, c V>
+            product = (self._rows @ np.concatenate([p, v], axis=-1)).view(float)
+            half = product.shape[-1] // 2
+            change = np.einsum("...i,...i->...", product[..., :half],
+                               product[..., half:])
+            self._score += change.reshape(self._score.shape + (-1,)).sum(axis=-1)
+        self._pending = []
+        return self._score
+
+    def pick(self, live: np.ndarray) -> np.ndarray:
+        """Index of the best live watched candidate along live's last axis,
+        the candidates taken in order.
 
         Ties go to the lowest index; a trial without a live candidate raises
         ValueError.
@@ -171,18 +200,26 @@ class GreedyState:
         live = np.asarray(live, dtype=bool)
         if not live.any(axis=-1).all():
             raise ValueError("candidate set is empty")
-        scores = self.scores(rows, block).reshape(live.shape)
+        scores = self.score.reshape(live.shape)
         return np.where(live, scores, -np.inf).argmax(axis=-1)
 
     def add(self, rows: np.ndarray) -> None:
         """Append r columns A, given as the rows A^H (B, r, K), by a rank-r
-        Woodbury update: G^-1 -= U (I + A^H U)^-1 U^H with U = G^-1 A.
+        Woodbury update: G^-1 -= U Z with U = G^-1 A and
+        Z = (I + A^H U)^-1 U^H.
 
-        All-zero rows leave a trial's state unchanged bit for bit."""
+        A watched row c scores ||c G^-1||^2, which the update changes by
+        Re<c P, c V> with V = Z^H and P = V U^H U - 2 G^-1 U, formed from
+        U, Z and the G^-1 before the add when the scores are next read (a new
+        watch() drops them). All-zero rows leave a trial's state, scores
+        included, unchanged bit for bit."""
         update = self.inverse @ np.conj(np.swapaxes(rows, -1, -2))
         inner = np.eye(rows.shape[-2]) + rows @ update
         update_h = np.conj(np.swapaxes(update, -1, -2))
-        self.inverse -= update @ np.linalg.solve(inner, update_h)
+        solved = np.linalg.solve(inner, update_h)
+        if self._rows is not None:
+            self._pending.append((self.inverse, update, solved))
+        self.inverse = self.inverse - update @ solved
 
     def objective(self) -> np.ndarray:
         """alpha tr G^-1 per trial, the RZF objective of the columns so far."""

@@ -1,0 +1,36 @@
+"""Direct rescoring, as an oracle for the greedy solvers' kept scores.
+
+`fcla.precoding.GreedyState` forms the matched filter of its watched
+candidates once and then carries every added column into their scores by the
+Woodbury step. The oracle recomputes every score from scratch at every read,
+||a^H G^-1||^2 from the current G^-1, as the solvers did before they kept
+their scores; a solver run on it must pick exactly what it picks on the
+package's state.
+"""
+
+import numpy as np
+
+from fcla.precoding import GreedyState
+
+
+def direct_scores(rows, inverse, block=1):
+    """||a^H G^-1||^2 per candidate, from the candidates' conjugated columns
+    a^H stacked as rows: (B, n, K) to (B, n / block). A candidate of block
+    consecutive columns scores the sum of their scores."""
+    matched = np.abs(rows @ inverse) ** 2
+    return matched.reshape(*rows.shape[:-2], -1,
+                           block * rows.shape[-1]).sum(axis=-1)
+
+
+class RescoringState(GreedyState):
+    """The greedy state with every score recomputed at every read: it
+    remembers the watched candidates and keeps no scores of its own, so each
+    add() only updates G^-1."""
+
+    def watch(self, rows, block=1):
+        self.watched = rows, block
+
+    @property
+    def score(self):
+        rows, block = self.watched
+        return direct_scores(rows, self.inverse, block)

@@ -71,14 +71,15 @@ def ring_columns(paths, config, angles, z):
 class TestOptimizeAngles:
     def test_single_ring_reduces_to_plain_omp(self):
         config, paths, d = make_setup(m=1, n=2, g_h=5, g_v=2)
-        angles, diag = optimize_angles(d, [0], config, 1.0)
+        angles, diag = optimize_angles(d, [0], config.n_elements, 1.0)
         columns = ring_columns(paths, config, range(5), config.z[0])
         want = plain_omp_reference(columns, 2, 1.0)
         assert angles.tolist() == [[want]]
 
     def test_full_ring_forced(self):
         config, _, d = make_setup(m=2, n=2, g_h=2, g_v=4)
-        (angles,), _ = optimize_angles(d, initial_heights(4, 2), config, 1.0)
+        (angles,), _ = optimize_angles(d, initial_heights(4, 2),
+                                       config.n_elements, 1.0)
         for ring in angles:
             assert sorted(ring.tolist()) == [0, 1]
 
@@ -92,12 +93,13 @@ class TestOptimizeAngles:
             columns = ring_columns(paths, config, range(3), config.z[slot])
             scores = np.sum(np.abs(columns.conj().T) ** 2, axis=1)
             want.append(int(np.argmax(scores)))
-        (angles,), _ = optimize_angles(d, slots, config, 1.0)
+        (angles,), _ = optimize_angles(d, slots, config.n_elements, 1.0)
         assert angles[:, 0].tolist() == want
 
     def test_objective_nonincreasing_within_phase(self):
         config, _, d = make_setup(m=2, n=3, g_h=5, g_v=3, seed=7)
-        _, diag = optimize_angles(d, initial_heights(3, 2), config, 1.0)
+        _, diag = optimize_angles(d, initial_heights(3, 2),
+                                  config.n_elements, 1.0)
         (trace,) = diag["objective_trace"]
         assert len(trace) == 3
         for a, b in zip(trace, trace[1:]):
@@ -106,7 +108,7 @@ class TestOptimizeAngles:
     def test_rejects_duplicate_heights(self):
         config, _, d = make_setup()
         with pytest.raises(ValueError):
-            optimize_angles(d, [1, 1], config, 1.0)
+            optimize_angles(d, [1, 1], config.n_elements, 1.0)
 
 
 class TestOptimizeHeights:
@@ -161,7 +163,8 @@ class TestOptimizeHeights:
 
     def test_heights_distinct(self):
         config, _, d = make_setup(m=3, n=2, g_h=4, g_v=5, seed=4)
-        angles, _ = optimize_angles(d, initial_heights(5, 3), config, 1.0)
+        angles, _ = optimize_angles(d, initial_heights(5, 3),
+                                    config.n_elements, 1.0)
         (slots,), _ = optimize_heights(d, angles, 1.0)
         assert len(set(slots.tolist())) == 3
 
@@ -175,7 +178,8 @@ class TestSolveAlternating:
     def test_single_round_composes_phases(self):
         config, _, d = make_setup(m=2, n=2, g_h=3, g_v=2, seed=6)
         sol = solve_alternating(d, config, 1.0, 1)
-        angles, _ = optimize_angles(d, initial_heights(2, 2), config, 1.0)
+        angles, _ = optimize_angles(d, initial_heights(2, 2),
+                                    config.n_elements, 1.0)
         (slots,), _ = optimize_heights(d, angles, 1.0)
         (angles,) = angles
         assert sol.iterations.tolist() == [1]
@@ -297,10 +301,11 @@ class TestStackedTrials:
         single = [build_joint_dictionary(draw_paths(4, 2, [seed]), config)
                   for seed in seeds]
         slots = np.array([[0, 3], [1, 2], [3, 0]])
-        angles, diag = optimize_angles(stacked, slots, config, 1.0)
+        angles, diag = optimize_angles(stacked, slots, config.n_elements, 1.0)
         heights, _ = optimize_heights(stacked, angles, 1.0)
         for t, d in enumerate(single):
-            want_angles, want_diag = optimize_angles(d, slots[t], config, 1.0)
+            want_angles, want_diag = optimize_angles(d, slots[t],
+                                                     config.n_elements, 1.0)
             assert np.array_equal(angles[t], want_angles[0])
             assert np.array_equal(diag["objective_trace"][t],
                                   want_diag["objective_trace"][0])
@@ -313,7 +318,7 @@ class TestStackedTrials:
             draw_paths(4, 2, [np.random.SeedSequence([t]) for t in range(2)]),
             config)
         with pytest.raises(ValueError):
-            optimize_angles(stacked, [[0, 1], [2, 2]], config, 1.0)
+            optimize_angles(stacked, [[0, 1], [2, 2]], config.n_elements, 1.0)
 
     def test_rejects_zero_forcing(self):
         config, _, d = make_setup()

@@ -378,6 +378,29 @@ class TestRunSweep:
                              jobs=jobs))
         assert len(started) == starts
 
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        # a fake pool that runs the tasks here: no worker process starts
+        workers = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        spec = small_spec(trials=2, jobs=64)
+        rows = run_sweep(spec)
+        assert workers == [2]  # one task per trial
+        assert rows == run_sweep(dataclasses.replace(spec, jobs=1))
+
     def test_point_with_every_trial_failed_aborts(self, monkeypatch):
         def flaky(spec, point_index, trial_indices, **kwargs):
             if point_index == 1:
@@ -465,9 +488,11 @@ class TestRunSweep:
 
 
 # what a default batch may hold at its tracemalloc peak beyond the working
-# set that sizes it (40 bytes per trial, user and column): the paths, the
-# records of the methods run before, the solver state and small temporaries.
-# One more full-size complex copy of the rows exceeds it at either shape.
+# set that sizes it (40 bytes per trial, user and column: the rows, and the
+# matched filter rows @ G^-1 with its magnitudes that a solver forms once
+# when it starts to watch them): the paths, the records of the methods run
+# before, the solver state and small temporaries. One more full-size complex
+# copy of the rows exceeds it at either shape.
 MEMORY_SLACK = 384 * 1024
 
 

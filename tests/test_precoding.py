@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from fcla.channel import build_joint_dictionary, draw_paths
+from fcla.geometry import FclaConfig
+from fcla.pattern import PatternSpec
 from fcla.precoding import (GreedyState, RateReport, SingularMatrixError,
                             normalize_columns, rzf, rzf_objective, sinr)
+from greedy_oracle import direct_scores
 
 
 def solve_gauss(A, B):
@@ -282,7 +286,8 @@ def rows_of(columns):
 
 
 class TestGreedyState:
-    """The inverse-Gram state against a refit with rzf after every update."""
+    """The inverse-Gram state against a refit with rzf after every update,
+    and its kept scores against direct rescoring."""
 
     def test_matches_refit_over_random_updates(self):
         rng = np.random.default_rng(10)
@@ -292,6 +297,7 @@ class TestGreedyState:
             state = GreedyState(1, k, alpha)
             H = np.zeros((k, 0), dtype=complex)
             candidates = random_channel(rng, k, 7)
+            state.watch(rows_of(candidates))
             for _ in range(int(rng.integers(1, 5))):
                 block = random_channel(rng, k, int(rng.integers(1, 4)))
                 state.add(rows_of(block))
@@ -301,9 +307,9 @@ class TestGreedyState:
                 assert np.max(np.abs(alpha * state.inverse[0] - residual)) < 1e-12
                 objective = rzf_objective(H, F, alpha)
                 assert abs(state.objective()[0] - objective) < 1e-12 * objective
-                # the matched filter against the residual, up to alpha^2
+                # the kept matched filter against the residual, up to alpha^2
                 want = np.sum(np.abs(candidates.conj().T @ residual) ** 2, axis=1)
-                got = alpha ** 2 * state.scores(rows_of(candidates))[0]
+                got = alpha ** 2 * state.score[0]
                 assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, want.max())
 
     def test_fresh_state_is_the_empty_selection(self):
@@ -312,6 +318,39 @@ class TestGreedyState:
         # nothing picked: the residual is I, so the objective is ||I||^2 = K
         assert np.allclose(state.objective(), [3.0, 3.0])
 
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_watch_scores_by_the_direct_formula(self, block):
+        rng = np.random.default_rng(16)
+        state = GreedyState(2, 4, 0.7)
+        rows = np.conj(np.swapaxes(random_channel(rng, 8, 6).reshape(2, 4, 6),
+                                   1, 2))
+        state.watch(rows, block)
+        assert np.array_equal(state.score, direct_scores(rows, state.inverse,
+                                                         block))
+        # a watch after adds scores afresh too, dropping what was pending
+        state.add(rows[:, :2])
+        others = np.conj(np.swapaxes(
+            random_channel(rng, 8, 4).reshape(2, 4, 4), 1, 2))
+        state.watch(others, block)
+        assert np.array_equal(state.score, direct_scores(others, state.inverse,
+                                                         block))
+
+    def test_fresh_tie_rounds_as_the_direct_formula(self):
+        # two rows of equal magnitudes, the second phase-shifted per user:
+        # an exact tie that rounding breaks. The direct formula puts row 1
+        # one ulp ahead; a real-view dot of the same matched filter ties
+        # them, which would hand the pick to row 0.
+        rng = np.random.default_rng(0)
+        row = random_channel(rng, 4)
+        phase = np.exp(2j * np.pi * rng.random(4))
+        rows = np.stack([row, row * phase])[None]
+        state = GreedyState(1, 4, 0.8)
+        state.watch(rows)
+        want = direct_scores(rows, state.inverse)
+        assert want[0, 1] > want[0, 0]
+        assert np.array_equal(state.score, want)
+        assert state.pick(np.ones((1, 2), dtype=bool))[0] == 1
+
     def test_batch_equals_batches_of_one(self):
         rng = np.random.default_rng(11)
         n_trials, k = 5, 6
@@ -319,34 +358,58 @@ class TestGreedyState:
                   for _ in range(4)]
         candidates = random_channel(rng, n_trials * k, 9).reshape(n_trials, k, 9)
         rows = np.conj(np.swapaxes(candidates, 1, 2))
+        live = rng.random((n_trials, 9)) < 0.6
+        live[:, 0] = True
         batch = GreedyState(n_trials, k, 0.8)
         alone = [GreedyState(1, k, 0.8) for _ in range(n_trials)]
+        batch.watch(rows)
+        for t, state in enumerate(alone):
+            state.watch(rows[t:t + 1])
         for block in blocks:
             block_rows = np.conj(np.swapaxes(block, 1, 2))
             batch.add(block_rows)
+            picks = batch.pick(live)
             for t, state in enumerate(alone):
                 state.add(block_rows[t:t + 1])
-        live = rng.random((n_trials, 9)) < 0.6
-        live[:, 0] = True
-        picks = batch.pick(rows, live)
+                assert picks[t] == state.pick(live[t:t + 1])[0]
         for t, state in enumerate(alone):
             assert np.array_equal(batch.inverse[t], state.inverse[0])
-            assert np.array_equal(batch.scores(rows)[t],
-                                  state.scores(rows[t:t + 1])[0])
+            assert np.array_equal(batch.score[t], state.score[0])
             assert batch.objective()[t] == state.objective()[0]
-            assert picks[t] == state.pick(rows[t:t + 1], live[t:t + 1])[0]
 
     def test_zero_rows_leave_a_trial_unchanged(self):
         rng = np.random.default_rng(12)
         state = GreedyState(2, 4, 1.0)
+        state.watch(rows_of(random_channel(rng, 4, 5)).repeat(2, axis=0))
         state.add(rows_of(random_channel(rng, 4, 2)).repeat(2, axis=0))
-        before = state.inverse.copy()
+        before, scores = state.inverse.copy(), state.score.copy()
         rows = np.conj(np.swapaxes(random_channel(rng, 8, 1).reshape(2, 4, 1),
                                    1, 2))
         rows[1] = 0.0
         state.add(rows)
         assert np.array_equal(state.inverse[1], before[1])
+        assert np.array_equal(state.score[1], scores[1])
         assert not np.array_equal(state.inverse[0], before[0])
+        assert not np.array_equal(state.score[0], scores[0])
+
+    @pytest.mark.parametrize("rank", [1, 4])
+    def test_kept_scores_do_not_drift(self, rank):
+        # the reference shape's largest grid: 16 users, 32 x 32 columns,
+        # alpha of the mmse rule at unit noise, 60 adds of the best columns
+        config = FclaConfig(4, 4, 32, 32, d_min=0.05, wavelength=0.1,
+                            pattern=PatternSpec.omni())
+        rows = build_joint_dictionary(
+            draw_paths(16, 4, [np.random.SeedSequence([0])]), config).rows
+        state = GreedyState(1, 16, 1.0)
+        state.watch(rows)
+        live = np.ones((1, config.g_h * config.g_v), dtype=bool)
+        for _ in range(60):
+            best = np.argsort(np.where(live, state.score, -np.inf),
+                              axis=-1)[0, -rank:]
+            live[0, best] = False
+            state.add(rows[:, best])
+            want = direct_scores(rows, state.inverse)
+            assert np.all(np.abs(state.score - want) <= 1e-10 * want)
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0])
     def test_rejects_zero_forcing(self, alpha):
@@ -361,8 +424,9 @@ class TestGreedyPick:
     def test_fresh_state_picks_largest_column(self):
         rng = np.random.default_rng(13)
         columns = random_channel(rng, 4, 10)
-        best = GreedyState(1, 4, 1.0).pick(rows_of(columns),
-                                           np.ones((1, 10), dtype=bool))
+        state = GreedyState(1, 4, 1.0)
+        state.watch(rows_of(columns))
+        best = state.pick(np.ones((1, 10), dtype=bool))
         norms = np.linalg.norm(columns, axis=0) ** 2
         assert best[0] == int(np.argmax(norms))
 
@@ -371,7 +435,8 @@ class TestGreedyPick:
         live = np.zeros((1, 8), dtype=bool)
         live[0, 5] = True
         state = GreedyState(1, 4, 1.0)
-        assert state.pick(rows_of(random_channel(rng, 4, 8)), live)[0] == 5
+        state.watch(rows_of(random_channel(rng, 4, 8)))
+        assert state.pick(live)[0] == 5
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
@@ -384,30 +449,40 @@ class TestGreedyPick:
                   for g in candidates}
         want = max(sorted(scores), key=lambda g: scores[g])
         state = GreedyState(1, 4, alpha)
+        state.watch(rows_of(columns))  # scored before the add, kept after it
         state.add(rows_of(picked))
         live = np.isin(np.arange(12), candidates)[None]
-        assert state.pick(rows_of(columns), live)[0] == want
+        assert state.pick(live)[0] == want
 
     def test_ties_go_to_lowest_index(self):
         column = np.array([1.0, 2.0j, -1.0])
         columns = np.stack([0.5 * column, column, column, column], axis=1)
         live = np.array([[True, False, True, True]])
-        assert GreedyState(1, 3, 1.0).pick(rows_of(columns), live)[0] == 2
+        state = GreedyState(1, 3, 1.0)
+        state.watch(rows_of(columns))
+        assert state.pick(live)[0] == 2
 
     def test_blocks_score_their_summed_columns(self):
         rng = np.random.default_rng(15)
         columns = random_channel(rng, 3, 6)  # three blocks of two columns
         state = GreedyState(1, 3, 0.9)
-        per_column = state.scores(rows_of(columns))[0]
-        blocks = state.scores(rows_of(columns), block=2)[0]
-        assert np.allclose(blocks, per_column.reshape(3, 2).sum(axis=1),
-                           rtol=1e-14, atol=0.0)
+        per_column = GreedyState(1, 3, 0.9)
+        state.watch(rows_of(columns), block=2)
+        per_column.watch(rows_of(columns))
         live = np.array([[True, True, True]])
-        assert state.pick(rows_of(columns), live, block=2)[0] == int(np.argmax(blocks))
+        for added in (None, random_channel(rng, 3, 1)):
+            if added is not None:  # kept block scores follow an add too
+                state.add(rows_of(added))
+                per_column.add(rows_of(added))
+            blocks = state.score[0]
+            summed = per_column.score[0].reshape(3, 2).sum(axis=1)
+            assert np.allclose(blocks, summed, rtol=1e-14, atol=0.0)
+            assert state.pick(live)[0] == int(np.argmax(blocks))
 
     def test_empty_candidates(self):
         state = GreedyState(2, 3, 1.0)
+        state.watch(np.ones((2, 4, 3), dtype=complex))
         live = np.ones((2, 4), dtype=bool)
         live[1] = False
         with pytest.raises(ValueError, match="empty"):
-            state.pick(np.ones((2, 4, 3), dtype=complex), live)
+            state.pick(live)

@@ -16,7 +16,9 @@ Two such relations hold for the channel model:
 
 A third property needs no transformation: on shapes small enough to
 enumerate, no greedy placement beats the exhaustive optimum, by objective
-or by sum rate.
+or by sum rate. A fourth checks the solvers against an oracle: on batches
+of up to 4 trials, both pick exactly as they do when every score is
+recomputed at every pick (tests/greedy_oracle.py).
 
 Shapes stay small (2-8 users, 2-4 paths, grids up to 8x6) so that each
 example solves in milliseconds. Neither relation fixes which of two exactly
@@ -29,10 +31,13 @@ angle are skipped (about a third of these small ones, mostly directional
 with few users).
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from fcla import alternating, joint
 from fcla.alternating import solve_alternating
 from fcla.channel import Paths, build_joint_dictionary, draw_paths
 from fcla.geometry import FclaConfig
@@ -41,13 +46,15 @@ from fcla.joint import solve_joint
 from fcla.oracle import exhaustive_best
 from fcla.pattern import PatternSpec
 from fcla.precoding import sinr
+from greedy_oracle import RescoringState
 
 ALPHA, POWER, SIGMA2 = 0.8, 2.0, 1.0
 
 
 @st.composite
-def instances(draw):
-    """(config, paths) of a small random one-trial instance."""
+def instances(draw, max_trials=1):
+    """(config, paths) of a small random instance of 1 to max_trials
+    trials."""
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 3))
     g_h = draw(st.integers(max(2, n), 8))
@@ -57,9 +64,14 @@ def instances(draw):
                                     PatternSpec.directional(2.0)]))
     config = FclaConfig(m, n, g_h, g_v, d_min=0.05, wavelength=0.1,
                         pattern=pattern)
-    paths = draw_paths(draw(st.integers(2, 8)), draw(st.integers(2, 4)),
-                       [np.random.SeedSequence([draw(st.integers(0, 2**32 - 1))])])
-    return config, paths
+    users, n_paths = draw(st.integers(2, 8)), draw(st.integers(2, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    # a one-trial instance draws and seeds as it did before batches were
+    # drawn here, so the properties over one trial keep their examples
+    trials = draw(st.integers(1, max_trials)) if max_trials > 1 else 1
+    seeds = [np.random.SeedSequence([seed])]
+    seeds += [np.random.SeedSequence([seed, t]) for t in range(1, trials)]
+    return config, draw_paths(users, n_paths, seeds)
 
 
 def height_blind(rows, config):
@@ -152,3 +164,26 @@ def test_exhaustive_optima_dominate_greedy_solvers(m, n, users, g_h, g_v,
             assert batch.objective[t] >= by_objective.objective - 1e-9
             assert rates[t] <= by_rate.sum_rate + 1e-9
         assert len(rates) == len(optima)
+
+
+@given(instances(max_trials=4))
+def test_solvers_pick_as_direct_rescoring(instance):
+    # kept scores follow every add; the oracle recomputes them from G^-1 at
+    # every pick, so both solvers must make the same picks on it, and with
+    # the same picks the same G^-1 bit for bit. Exact ties are left to
+    # rounding, which differs between the two; an angle that only one user
+    # sees keeps its columns tied across heights after every add, so
+    # height-blind trials are skipped as above.
+    config, paths = instance
+    rows = build_joint_dictionary(paths, config).rows
+    assume(not any(height_blind(trial, config) for trial in rows))
+    kept = greedy_solutions(paths, config)
+    with mock.patch.object(joint, "GreedyState", RescoringState), \
+            mock.patch.object(alternating, "GreedyState", RescoringState):
+        direct = greedy_solutions(paths, config)
+    for method, want in direct.items():
+        got = kept[method]
+        for field in ("columns", "slots", "angles", "picks", "pick_objectives",
+                      "angle_objectives", "height_objectives"):
+            if getattr(want, field) is not None:
+                assert np.array_equal(getattr(got, field), getattr(want, field))
