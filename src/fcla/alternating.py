@@ -61,9 +61,7 @@ def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
     state.watch(dictionary.take(ring_columns.reshape(n_trials, -1)))
     alive = np.ones((n_trials, m_rings, g_h), dtype=bool)
     picks, objectives = [], []
-    mf_columns = 0
     for _ in range(n_elements):
-        mf_columns += int(alive[0].sum())
         pick = state.pick(alive)  # (B, M)
         np.put_along_axis(alive, pick[..., None], False, axis=2)
         state.add(dictionary.take(slots * g_h + pick))
@@ -72,7 +70,9 @@ def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
 
     diag = {
         "objective_trace": np.stack(objectives, axis=1),
-        "matched_filter_columns": mf_columns,
+        # every watched column is scored at the watch and updated before
+        # each later pick
+        "matched_filter_columns": m_rings * g_h * n_elements,
     }
     return np.stack(picks, axis=2), diag
 
@@ -99,14 +99,14 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float):
     alive = np.ones((n_trials, g_v), dtype=bool)
     slots = np.empty((n_trials, m_rings), dtype=int)
     objectives = []
-    mf_columns = 0
     slot_columns = np.arange(g_v)[:, None] * g_h  # (G_V, 1)
     for m in range(m_rings):
-        mf_columns += int(alive[0].sum()) * n_elem
         blocks = slot_columns + angles[:, m, None, :]  # (B, G_V, N)
         state.watch(dictionary.take(blocks.reshape(n_trials, -1)),
                     block=n_elem)
         best = state.pick(alive)
+        # the next ring's blocks are gathered without these beside them
+        state.unwatch()
         slots[:, m] = best
         alive[np.arange(n_trials), best] = False
         state.add(dictionary.take(best[:, None] * g_h + angles[:, m]))
@@ -114,7 +114,9 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float):
 
     diag = {
         "objective_trace": np.stack(objectives, axis=1),
-        "matched_filter_columns": mf_columns,
+        # each ring's watch scores every slot's block; its add is never
+        # carried into them
+        "matched_filter_columns": m_rings * g_v * n_elem,
     }
     return slots, diag
 

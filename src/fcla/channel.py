@@ -125,7 +125,7 @@ class Dictionary:
 
     def take(self, index: np.ndarray) -> np.ndarray:
         """The rows of columns index[b] (B, n) of each trial b, (B, n, K)."""
-        return np.take_along_axis(self.rows, index[..., None], axis=1)
+        return self.rows[np.arange(len(self.rows))[:, None], index]
 
     @property
     def n_groups(self) -> int:

@@ -69,8 +69,10 @@ METHODS = tuple(METHOD_TABLE)
 GREEDY_METHODS = tuple(m for m, (_, greedy) in METHOD_TABLE.items() if greedy)
 SWEEP_KINDS = ("snr", "grid", "iters")
 PATTERN_KINDS = ("directional", "omni")
-# bytes of the greedy solvers' working set per batch (see _batches)
-BATCH_BYTES = 1536 * 1024
+# bytes a batch may hold, counted per trial as in _batches; at the reference
+# scale a 30-trial 12x12 point runs as one batch and a 32x32 point in
+# batches of 6 (CHANGES.md has the measured curve behind it)
+BATCH_BYTES = 2_500_000
 
 
 # spec fields that count something, so each must be a whole number >= 1
@@ -318,13 +320,19 @@ def run_trial(spec: ExperimentSpec, point_index: int, trials) -> np.ndarray:
     batch = draw_batch(spec, point_index, trials, rate_trace=iters)
     rounds = np.array(spec.sweep_values, dtype=int) - 1 if iters else [0]
     out = np.empty((len(batch.paths), len(spec.methods), len(rounds)))
-    for i, record in enumerate(solve_methods(batch, spec.methods).values()):
-        if record.sum_rate_trace is not None:
-            out[:, i] = record.sum_rate_trace[:, rounds]
-        else:
-            out[:, i] = sinr(record.H_star, record.F_star,
-                             batch.sigma2).sum_rate[:, None]
+    for i, method in enumerate(spec.methods):
+        # each record is rated and dropped before the next method runs
+        out[:, i] = _rates(METHOD_TABLE[method][0](batch), rounds,
+                           batch.sigma2)
     return out
+
+
+def _rates(record: Solutions, rounds, sigma2: float) -> np.ndarray:
+    """A method's (B, V) rates: its per-round sum rates at rounds, or its
+    final sum rate."""
+    if record.sum_rate_trace is not None:
+        return record.sum_rate_trace[:, rounds]
+    return sinr(record.H_star, record.F_star, sigma2).sum_rate[:, None]
 
 
 def _sweep_work(args):
@@ -343,15 +351,18 @@ def _sweep_work(args):
 
 
 def _batches(spec: ExperimentSpec) -> list[list[int]]:
-    """A point spec's trial indices, split into batches whose greedy
-    solvers' working sets fit BATCH_BYTES: 40 bytes per trial, user and
-    column, for the complex row, its complex matched filter rows @ G^-1 and
-    the filter's float squared magnitude. The filter is formed once, when a
-    solver starts to watch its candidates, and that is the peak; each pick
-    then needs only a K x 2r product per candidate. The batch count is a
-    multiple of spec.jobs (unless there are fewer trials), so every worker
-    gets an equal share."""
-    per_trial = 40 * spec.users * spec.grid_size ** 2
+    """A point spec's trial indices, split into batches that fit
+    BATCH_BYTES by what a batch holds per trial: 16 bytes per user for each
+    dictionary column (the complex rows, whose matched filter the solvers
+    form a few candidates at a time), for 3 of each (K, L, G_H) entry (the
+    response builder's intermediates, held with the rows as they are built)
+    and for 2 of each (K, M*N) entry (the channel and precoder of a
+    placement; run_trial drops each method's record once it is rated). The
+    batch count is a multiple of spec.jobs (unless there are fewer trials),
+    so every worker gets an equal share."""
+    per_trial = 16 * spec.users * (spec.grid_size ** 2
+                                   + 3 * spec.paths * spec.grid_size
+                                   + 2 * spec.rings * spec.elements)
     size = max(1, BATCH_BYTES // per_trial)
     rounds = -(-spec.trials // (size * spec.jobs))
     n_batches = min(spec.trials, rounds * spec.jobs)

@@ -48,11 +48,9 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
     completed_at = np.full((n_trials, g_v), -1)  # step that filled each group
     iterations = np.zeros(n_trials, dtype=int)  # 0 while a trial is running
     picks, objectives = [], []
-    mf_columns = np.zeros(n_trials, dtype=int)
 
     for step in range(n_columns):
         running = iterations == 0
-        mf_columns[running] += alive[running].sum(axis=1)
         # finished trials keep picking; their picks are dropped and their
         # atoms zeroed, which leaves their state as it was
         best = state.pick(alive | ~running[:, None])
@@ -85,6 +83,9 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
     columns = picks[kept].reshape(n_trials, -1)
     # the M completed groups in completion order, after the -1s of the others
     slots = np.argsort(completed_at, axis=1)[:, -m_rings:]
+    # the watch forms every column's filter, and each step after the first
+    # carries its pending add into all of them, live or not
     return solutions(dictionary, columns, slots, alpha, power,
-                     iterations=iterations, matched_filter_columns=mf_columns,
+                     iterations=iterations,
+                     matched_filter_columns=n_columns * iterations,
                      picks=picks, pick_objectives=objectives)

@@ -14,6 +14,9 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 # reciprocal-condition floor below which an alpha=0 solve is rejected
 _RCOND_FLOOR = 1e-12
+# rows per piece of the matched filter that GreedyState.watch forms, rounded
+# down to whole candidates
+_CHUNK = 16
 
 
 def rzf(H: np.ndarray, alpha: float, gram: str = "auto") -> np.ndarray:
@@ -157,6 +160,7 @@ class GreedyState:
         self.alpha = float(alpha)
         self.inverse = np.tile(np.eye(n_users, dtype=complex) / self.alpha,
                                (n_trials, 1, 1))
+        self._fresh = True  # G^-1 is still I / alpha
         self._rows = None
         self._score = None
         self._pending: list[tuple] = []  # (G^-1 before, U, Z) per add
@@ -165,12 +169,36 @@ class GreedyState:
         """Score the candidates given as their conjugated columns a^H stacked
         as rows (B, n, K), and keep their scores up to date from now on. A
         candidate of block consecutive columns scores the sum of their
-        scores. Updates still pending for the previous set are dropped."""
+        scores. Updates still pending for the previous set are dropped.
+
+        The matched filter is formed in pieces of about _CHUNK rows, the last
+        piece taking the remainder, so only a piece of it sits beside the
+        rows; each piece's scores are bit for bit those of the whole set's
+        filter. Before any add G^-1 is I / alpha, and scaling the rows by
+        1 / alpha gives that product bit for bit."""
         # the previous set goes first, so it is not held through the filter
         self._rows, self._score, self._pending = rows, None, []
-        matched = np.abs(rows @ self.inverse) ** 2
-        self._score = matched.reshape(
-            *rows.shape[:-2], -1, block * rows.shape[-1]).sum(axis=-1)
+        n_trials, n_rows, n_users = rows.shape
+        n_candidates = n_rows // block
+        score = np.empty((n_trials, n_candidates))
+        # the last piece takes the remainder: a product of one row would go
+        # down numpy's vector path, which rounds differently
+        piece = max(_CHUNK // block, 1)
+        edges = [*range(0, max(n_candidates - piece, 1), piece), n_candidates]
+        for start, stop in zip(edges, edges[1:]):
+            chunk = rows[:, start * block:stop * block]
+            if self._fresh:
+                matched = np.abs(chunk * (1.0 / self.alpha)) ** 2
+            else:
+                matched = np.abs(chunk @ self.inverse) ** 2
+            score[:, start:stop] = matched.reshape(
+                n_trials, -1, block * n_users).sum(axis=-1)
+        self._score = score
+
+    def unwatch(self) -> None:
+        """Stop keeping scores: drop the watched set and its pending
+        updates."""
+        self._rows, self._score, self._pending = None, None, []
 
     @property
     def score(self) -> np.ndarray:
@@ -220,6 +248,7 @@ class GreedyState:
         if self._rows is not None:
             self._pending.append((self.inverse, update, solved))
         self.inverse = self.inverse - update @ solved
+        self._fresh = False
 
     def objective(self) -> np.ndarray:
         """alpha tr G^-1 per trial, the RZF objective of the columns so far."""

@@ -26,8 +26,8 @@ class Solutions:
     power budget; objective (B,) is the RZF objective of the refit before
     normalization. iterations (B,) counts the solver's iterations: greedy
     steps of fcla-j, outer rounds of fcla-a, none for ucla.
-    matched_filter_columns (B,) counts the candidates its matched filters
-    scored.
+    matched_filter_columns (B,) counts the candidate rows its matched filters
+    formed at a watch or updated after an add, live or not.
 
     The traces are None for a method that keeps none. picks and
     pick_objectives (B, S) are fcla-j's column and RZF objective after each

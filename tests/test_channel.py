@@ -243,6 +243,19 @@ class TestDictionaries:
             assert np.array_equal(H[t], np.conj(d.rows[t, cols[t]]).T)
         assert H.flags.c_contiguous
 
+    @pytest.mark.parametrize("n_trials", [1, 3])
+    def test_take_equals_take_along_axis(self, n_trials):
+        # unsorted and repeated columns, per trial, bit for bit
+        config = make_config(g_h=5, g_v=4)
+        d = build_joint_dictionary(draw_paths(4, 3, range(n_trials)), config)
+        rng = np.random.default_rng(n_trials)
+        index = rng.integers(0, 20, size=(n_trials, 9))
+        index[:, 4:7] = [[17, 2, 17]]
+        got = d.take(index)
+        want = np.take_along_axis(d.rows, index[..., None], axis=1)
+        assert got.shape == (n_trials, 9, 4)
+        assert np.array_equal(got, want)
+
 
 def test_export_paths_records():
     paths = draw_paths(3, 2, [8])

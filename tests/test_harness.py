@@ -24,6 +24,19 @@ from test_channel import channel_entry_oracle
 SWEEPS = [("snr", (-3.0, 3.0)), ("grid", (4, 6)), ("iters", (1, 2, 4))]
 
 
+# the reference scale: 16 users, 4 paths, 4 rings of 4 elements
+REFERENCE = dict(rings=4, elements=4, users=16, paths=4)
+
+
+def trial_bytes(spec):
+    """What a batch holds per trial, as fcla.harness._batches counts it: 16
+    bytes per user for each dictionary column, 3 for each (K, L, G_H) entry
+    and 2 for each (K, M*N) entry."""
+    return 16 * spec.users * (spec.grid_size ** 2
+                              + 3 * spec.paths * spec.grid_size
+                              + 2 * spec.rings * spec.elements)
+
+
 def small_spec(**kw):
     base = dict(rings=2, elements=2, users=6, paths=2, grid_size=6,
                 pattern_kind="directional", kappa=1.0, trials=5, seed=42,
@@ -234,26 +247,35 @@ class TestRunTrial:
             [run_trial(spec, 1, [t]) for t in (4, 0, 2)]))
 
     def test_batches_split_by_bytes_and_jobs(self):
-        # the working set per trial, user and column: the complex row and
-        # matched filter (16 bytes each) and the filter's float magnitude
-        per_trial = 40 * 16 * 12 ** 2
-        spec = small_spec(users=16, grid_size=12, trials=30)
-        sizes = [len(b) for b in harness._batches(spec)]
-        assert sum(sizes) == 30 and max(sizes) * per_trial <= harness.BATCH_BYTES
-        assert sizes == [15, 15]
-        pooled = harness._batches(small_spec(users=16, grid_size=12, trials=60,
-                                             jobs=2))
-        assert [len(b) for b in pooled] == [15] * 4
-        # the default budget's largest batch per grid size at 16 users
-        for grid_size, cap in {8: 38, 12: 17, 16: 9, 24: 4, 32: 2}.items():
-            assert cap * 40 * 16 * grid_size ** 2 <= harness.BATCH_BYTES
+        spec = small_spec(grid_size=12, trials=30, **REFERENCE)
+        assert [len(b) for b in harness._batches(spec)] == [30]
+        assert 30 * trial_bytes(spec) <= harness.BATCH_BYTES
+        pooled = harness._batches(small_spec(grid_size=12, trials=60, jobs=2,
+                                             **REFERENCE))
+        assert [len(b) for b in pooled] == [30, 30]
+        pooled = harness._batches(small_spec(grid_size=12, trials=30, jobs=2,
+                                             **REFERENCE))
+        assert [len(b) for b in pooled] == [15, 15]
+        # the default budget's largest batch per grid size at reference scale
+        for grid_size, cap in {8: 50, 12: 30, 16: 20, 24: 10, 32: 6}.items():
+            spec = small_spec(grid_size=grid_size, **REFERENCE)
+            assert (cap * trial_bytes(spec) <= harness.BATCH_BYTES
+                    < (cap + 1) * trial_bytes(spec))
             for trials, n_batches in ((cap, 1), (cap + 1, 2)):
-                assert len(harness._batches(small_spec(
-                    users=16, grid_size=grid_size, trials=trials))) == n_batches
+                assert len(harness._batches(dataclasses.replace(
+                    spec, trials=trials))) == n_batches
+        # the paths, rings and elements count as well as the grid
+        for shape in (dict(paths=8), dict(rings=6)):
+            spec = small_spec(grid_size=12, **{**REFERENCE, **shape})
+            cap = harness.BATCH_BYTES // trial_bytes(spec)
+            assert cap < 30
+            for trials, n_batches in ((cap, 1), (cap + 1, 2)):
+                assert len(harness._batches(dataclasses.replace(
+                    spec, trials=trials))) == n_batches
         assert len(harness._batches(small_spec(trials=3, jobs=2))) == 2
         assert len(harness._batches(small_spec(trials=1, jobs=2))) == 1
         assert [len(b) for b in harness._batches(
-            small_spec(users=16, grid_size=64, trials=3))] == [1, 1, 1]
+            small_spec(users=16, grid_size=128, trials=3))] == [1, 1, 1]
 
     def test_deterministic(self):
         spec = small_spec()
@@ -487,25 +509,27 @@ class TestRunSweep:
         assert batch_sizes == [6] * 6
 
 
-# what a default batch may hold at its tracemalloc peak beyond the working
-# set that sizes it (40 bytes per trial, user and column: the rows, and the
-# matched filter rows @ G^-1 with its magnitudes that a solver forms once
-# when it starts to watch them): the paths, the records of the methods run
-# before, the solver state and small temporaries. One more full-size complex
-# copy of the rows exceeds it at either shape.
+# what a default batch may hold at its tracemalloc peak beyond what sizes it
+# (trial_bytes per trial: the rows, whose matched filter a solver forms a
+# piece at a time, the response builder's intermediates and a placement's
+# channel and precoder): the paths, the solver state, its kept scores and
+# their updates, a refit's temporaries and small arrays. One more full-size
+# complex copy of the rows exceeds it at every shape.
 MEMORY_SLACK = 384 * 1024
 
 
 @pytest.mark.parametrize("shape", [
     dict(grid_size=12, pattern_kind="directional", methods=METHODS),
     dict(grid_size=32, pattern_kind="omni", methods=("ucla", "fcla-j")),
+    dict(grid_size=8, pattern_kind="omni", methods=("ucla", "fcla-j")),
 ])
 def test_default_batch_stays_within_its_working_set(shape):
-    working_set = 40 * 16 * shape["grid_size"] ** 2
-    spec = small_spec(rings=4, elements=4, users=16, paths=4,
-                      trials=harness.BATCH_BYTES // working_set, **shape)
+    spec = small_spec(trials=1, **REFERENCE, **shape)
+    spec.trials = harness.BATCH_BYTES // trial_bytes(spec)
     (batch,) = harness._batches(spec)
-    assert len(batch) * working_set <= harness.BATCH_BYTES
+    assert len(batch) * trial_bytes(spec) <= harness.BATCH_BYTES
+    rows = len(batch) * 16 * spec.users * spec.grid_size ** 2
+    assert MEMORY_SLACK < rows
     run_trial(spec, 0, batch)  # first-call allocations stay out of the peak
     tracemalloc.start()
     try:
@@ -513,7 +537,7 @@ def test_default_batch_stays_within_its_working_set(shape):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= len(batch) * working_set + MEMORY_SLACK
+    assert peak <= len(batch) * trial_bytes(spec) + MEMORY_SLACK
 
 
 @given(st.sampled_from([("snr", (-3.0, 3.0)), ("grid", (6, 16)),
@@ -521,8 +545,8 @@ def test_default_batch_stays_within_its_working_set(shape):
        st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_rows_do_not_depend_on_batch_size(sweep, trials, seed):
     """A sweep's rows are the same for one trial per batch, batches of an
-    eighth of the default budget (2 trials at 8 users on the 16x16 grid),
-    the default batches (19 trials there) and one batch per point."""
+    eighth of the default budget (6 trials at 8 users on the 16x16 grid),
+    the default batches (53 trials there) and one batch per point."""
     kind, values = sweep
     spec = small_spec(users=8, grid_size=16, trials=trials, seed=seed,
                       sweep_kind=kind, sweep_values=values)

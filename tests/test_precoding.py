@@ -4,8 +4,9 @@ import pytest
 from fcla.channel import build_joint_dictionary, draw_paths
 from fcla.geometry import FclaConfig
 from fcla.pattern import PatternSpec
-from fcla.precoding import (GreedyState, RateReport, SingularMatrixError,
-                            normalize_columns, rzf, rzf_objective, sinr)
+from fcla.precoding import (_CHUNK, GreedyState, RateReport,
+                            SingularMatrixError, normalize_columns, rzf,
+                            rzf_objective, sinr)
 from greedy_oracle import direct_scores
 
 
@@ -333,6 +334,23 @@ class TestGreedyState:
             random_channel(rng, 8, 4).reshape(2, 4, 4), 1, 2))
         state.watch(others, block)
         assert np.array_equal(state.score, direct_scores(others, state.inverse,
+                                                         block))
+
+    @pytest.mark.parametrize("block", [1, 4])
+    @pytest.mark.parametrize("n_candidates", [_CHUNK - 1, _CHUNK + 1,
+                                              2 * _CHUNK + 5, 3 * _CHUNK])
+    def test_watch_pieces_score_as_the_whole(self, block, n_candidates):
+        # the matched filter is formed in pieces of about _CHUNK rows; at
+        # every split the scores equal the whole set's, fresh and after adds
+        rng = np.random.default_rng(n_candidates)
+        rows = random_channel(rng, 3, n_candidates * block, 16)
+        state = GreedyState(3, 16, 0.8)
+        state.watch(rows, block)
+        assert np.array_equal(state.score, direct_scores(rows, state.inverse,
+                                                         block))
+        state.add(random_channel(rng, 3, 2, 16))
+        state.watch(rows, block)
+        assert np.array_equal(state.score, direct_scores(rows, state.inverse,
                                                          block))
 
     def test_fresh_tie_rounds_as_the_direct_formula(self):

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+from fcla import harness
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -14,3 +16,17 @@ def test_library_quick_start_runs(capsys):
     assert section.startswith("Library quick start")
     exec(compile(block.group(1), f"{README.name} quick start", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_batch_caps_are_the_budget():
+    # the caps README gives per grid size are what the harness's budget
+    # allows the default spec (the reference scale)
+    text = " ".join(README.read_text().split())
+    sentence = re.search(r"caps a batch at [^.]*\.", text).group(0)
+    caps = {int(grid): int(cap) for cap, grid in re.findall(
+        r"(\d+) (?:trials )?on (?:an )?(\d+)x\2", sentence)}
+    assert sorted(caps) == [8, 12, 16, 24, 32]
+    for grid_size, cap in caps.items():
+        for trials, n_batches in ((cap, 1), (cap + 1, 2)):
+            spec = harness.ExperimentSpec(grid_size=grid_size, trials=trials)
+            assert len(harness._batches(spec)) == n_batches, grid_size
