@@ -20,8 +20,8 @@ import numpy as np
 
 from .channel import Dictionary
 from .geometry import FclaConfig
-from .precoding import GreedyState, sinr
-from .solution import Solutions, refit, solutions
+from .precoding import GreedyState
+from .solution import Solutions, solutions
 
 
 def initial_heights(g_v: int, m_rings: int) -> np.ndarray:
@@ -46,8 +46,7 @@ def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
     previous step, so the scores of every ring's columns, watched once per
     phase, serve all rings; one rank-M update then takes in all the picks.
     slots is (M,), shared by every trial, or (B, M). Returns the (B, M, N)
-    array of angle indices and a diagnostics dict whose arrays lead with the
-    trial axis.
+    angle indices and the (B, N) objective after each inner step.
     """
     n_trials, _, n_users = dictionary.rows.shape
     slots = np.asarray(slots, dtype=int)
@@ -67,14 +66,7 @@ def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
         state.add(dictionary.take(slots * g_h + pick))
         picks.append(pick)
         objectives.append(state.objective())
-
-    diag = {
-        "objective_trace": np.stack(objectives, axis=1),
-        # every watched column is scored at the watch and updated before
-        # each later pick
-        "matched_filter_columns": m_rings * g_h * n_elements,
-    }
-    return np.stack(picks, axis=2), diag
+    return np.stack(picks, axis=2), np.stack(objectives, axis=1)
 
 
 def optimize_heights(dictionary: Dictionary, angles, alpha: float):
@@ -84,8 +76,7 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float):
     norm of its block's matched filter against the current residual (all
     slots in one matched filter), takes the best, and a rank-N update adds
     the block. angles is (M, N), shared by every trial, or (B, M, N). Returns
-    the (B, M) slot array and diagnostics whose arrays lead with the trial
-    axis.
+    the (B, M) slots and the (B, M) objective after each ring's add.
     """
     n_trials, _, n_users = dictionary.rows.shape
     angles = np.atleast_2d(np.asarray(angles, dtype=int))
@@ -111,28 +102,17 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float):
         alive[np.arange(n_trials), best] = False
         state.add(dictionary.take(best[:, None] * g_h + angles[:, m]))
         objectives.append(state.objective())
-
-    diag = {
-        "objective_trace": np.stack(objectives, axis=1),
-        # each ring's watch scores every slot's block; its add is never
-        # carried into them
-        "matched_filter_columns": m_rings * g_v * n_elem,
-    }
-    return slots, diag
+    return slots, np.stack(objectives, axis=1)
 
 
 def solve_alternating(dictionary: Dictionary, config: FclaConfig,
-                      alpha: float, n_outer: int, power: float = 1.0,
-                      sigma2: float = 1.0, rate_trace: bool = False
-                      ) -> Solutions:
+                      alpha: float, n_outer: int) -> Solutions:
     """Run the angle and height phases alternately for n_outer rounds.
 
-    Heights from one round seed the next round's angle phase. With
-    rate_trace, the sum rate of each round's placement (its refit precoder
-    normalized to the power budget) is recorded as sum_rate_trace. Returns
-    the record (`fcla.solution.Solutions`) of every trial of the (B, G, K)
+    Heights from one round seed the next round's angle phase. Returns the
+    record (`fcla.solution.Solutions`) of every trial of the (B, G, K)
     dictionary, each trial's part equal to solving it alone, with each
-    round's phase objectives.
+    round's phase objectives and placement columns.
     """
     if n_outer < 1:
         raise ValueError("need at least one outer round")
@@ -141,24 +121,24 @@ def solve_alternating(dictionary: Dictionary, config: FclaConfig,
     g_h = dictionary.group_size
     slots = initial_heights(dictionary.n_groups, config.m_rings)
 
-    angle_objectives, height_objectives, sum_rates = [], [], []
-    mf_columns = 0
+    angle_objectives, height_objectives, round_columns = [], [], []
     for _ in range(n_outer):
-        angles, diag_a = optimize_angles(dictionary, slots, config.n_elements,
-                                        alpha)
-        slots, diag_v = optimize_heights(dictionary, angles, alpha)
-        mf_columns += diag_a["matched_filter_columns"] + diag_v["matched_filter_columns"]
-        angle_objectives.append(diag_a["objective_trace"])
-        height_objectives.append(diag_v["objective_trace"])
+        angles, objectives = optimize_angles(dictionary, slots,
+                                             config.n_elements, alpha)
+        angle_objectives.append(objectives)
+        slots, objectives = optimize_heights(dictionary, angles, alpha)
+        height_objectives.append(objectives)
         # ring-major blocks of N angle columns
         columns = (slots[..., None] * g_h + angles).reshape(n_trials, -1)
-        if rate_trace:
-            H, _, F = refit(dictionary, columns, alpha, power)
-            sum_rates.append(sinr(H, F, sigma2).sum_rate)
+        round_columns.append(columns)
 
-    return solutions(dictionary, columns, slots, alpha, power,
-                     iterations=n_outer, matched_filter_columns=mf_columns,
+    # per round, the angle phase watches each ring's G_H columns and updates
+    # them before each of its N picks; the height phase scores every slot's
+    # N-column block for each ring and never carries an add into them
+    mf_columns = n_outer * config.m_rings * config.n_elements * (
+        g_h + dictionary.n_groups)
+    return solutions(dictionary, columns, slots, alpha, iterations=n_outer,
+                     matched_filter_columns=mf_columns,
                      angle_objectives=np.stack(angle_objectives, axis=1),
                      height_objectives=np.stack(height_objectives, axis=1),
-                     sum_rate_trace=(np.stack(sum_rates, axis=1)
-                                     if rate_trace else None))
+                     round_columns=np.stack(round_columns, axis=1))

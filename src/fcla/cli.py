@@ -15,15 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .alternating import solve_alternating
 from .channel import build_joint_dictionary, draw_paths, export_paths
 from .geometry import FclaConfig
-from .harness import (METHODS, ExperimentSpec, draw_batch, run_sweep,
-                      solve_methods, write_manifest, write_results_csv)
-from .joint import solve_joint
+from .harness import (METHODS, ExperimentSpec, TrialBatch, draw_batch, rates,
+                      run_sweep, solve_methods, write_manifest,
+                      write_results_csv)
 from .oracle import exhaustive_best
 from .pattern import PatternSpec, power_gain
-from .precoding import normalize_columns, rzf, sinr
+from .precoding import normalize_columns, rzf
 
 OUT_DIR_ENV = "FCLA_OUT_DIR"
 
@@ -153,16 +152,17 @@ def _run_sweep_command(args: argparse.Namespace, sweep_kind: str) -> int:
 
 
 # solve-once's trace file per method: name, header, and the rows of trial 0
-# of the method's Solutions
+# of the method's Solutions of a batch
 TRACE_FILES = {
     "fcla-j": ("fcla_j_trace.csv", ["iter", "selected_g", "group", "objective"],
-               lambda s, g_h: [
-                   [i, g, g // g_h, repr(objective)] for i, g, objective in zip(
+               lambda s, batch: [
+                   [i, g, g // batch.config.g_h, repr(objective)]
+                   for i, g, objective in zip(
                        range(1, s.iterations[0] + 1), s.picks[0].tolist(),
                        s.pick_objectives[0].tolist())]),
     "fcla-a": ("fcla_a_trace.csv", ["i", "sum_rate"],
-               lambda s, g_h: [[i, repr(v)] for i, v in
-                               enumerate(s.sum_rate_trace[0].tolist(), 1)]),
+               lambda s, batch: [[i, repr(v)] for i, v in enumerate(rates(
+                   batch, s, range(s.round_columns.shape[1]))[0].tolist(), 1)]),
 }
 
 
@@ -174,7 +174,7 @@ def _solve_once(args: argparse.Namespace) -> int:
         # checked (alpha for greedy methods) and recorded as the one to replay
         spec = dataclasses.replace(spec, methods=(args.method,))
     out = _out_dir(args)
-    batch = draw_batch(spec, 0, [0], rate_trace=True)
+    batch = draw_batch(spec, 0, [0])
     export_paths(batch.paths, out / "paths.json")
 
     config = batch.config
@@ -182,14 +182,13 @@ def _solve_once(args: argparse.Namespace) -> int:
           f"{config.radius:.5f} m, snr {spec.snr_db:g} dB, "
           f"alpha {batch.alpha:g}, power {batch.power:g}")
     for method, record in solve_methods(batch, spec.methods).items():
-        rate = sinr(record.H_star[0], record.F_star[0], batch.sigma2).sum_rate
-        line = f"{method:<7} sum rate {rate:.4f} bits"
+        line = f"{method:<7} sum rate {rates(batch, record)[0, 0]:.4f} bits"
         if method in TRACE_FILES:
             name, header, rows = TRACE_FILES[method]
             with open(out / name, "w", newline="") as f:
                 w = csv.writer(f)
                 w.writerow(header)
-                w.writerows(rows(record, config.g_h))
+                w.writerows(rows(record, batch))
             line += f" (trace in {out / name})"
         print(line)
     write_manifest(spec, out / "manifest.json")
@@ -243,16 +242,17 @@ def _validate(args: argparse.Namespace) -> int:
                         wavelength=0.1)
     paths = draw_paths(4, 4, [np.random.SeedSequence([1, 0, t])
                               for t in range(30)])
-    dictionary = build_joint_dictionary(paths, config)
+    batch = TrialBatch(paths, build_joint_dictionary(paths, config), config,
+                       alpha=1.0, power=1.0, sigma2=1.0, n_outer=5)
     # per draw, (objective, sum rate) at each optimum; worse is [+, -]
     best = np.array([(by_objective.objective, by_rate.sum_rate) for
-                     by_objective, by_rate in exhaustive_best(dictionary, config, 1.0)])
+                     by_objective, by_rate in
+                     exhaustive_best(batch.dictionary, config, 1.0)])
     worse = np.array([1.0, -1.0])
     violation, gaps = 0.0, []
-    for method, batch in (("fcla-j", solve_joint(dictionary, config, 1.0)),
-                          ("fcla-a", solve_alternating(dictionary, config, 1.0, 5))):
-        got = np.stack([batch.objective,
-                        sinr(batch.H_star, batch.F_star, 1.0).sum_rate], axis=1)
+    for method, record in solve_methods(batch, ("fcla-j", "fcla-a")).items():
+        got = np.concatenate([record.objective[:, None],
+                              rates(batch, record)], axis=1)
         violation = max(violation, np.max((best - got) * worse))
         gap, short = np.median((got - best) / best * worse, axis=0)
         gaps.append(f"{method} {gap:.1%} / {short:.1%}")

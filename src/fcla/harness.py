@@ -21,15 +21,16 @@ from .channel import Dictionary, Paths, build_joint_dictionary, draw_paths
 from .geometry import SPEED_OF_LIGHT, FclaConfig
 from .joint import solve_joint
 from .pattern import PatternSpec
-from .precoding import sinr
-from .solution import Solutions, solutions
+from .precoding import normalize_columns, sinr
+from .solution import Solutions, refit, solutions
 
 
 @dataclass
 class TrialBatch:
     """What every method reads for a batch of trials at one sweep point:
     the trials' paths and, when a greedy method runs, their joint
-    dictionary."""
+    dictionary. The methods read alpha but not power and sigma2, which only
+    rate their placements (`rates`)."""
 
     paths: Paths
     dictionary: Dictionary | None
@@ -38,24 +39,21 @@ class TrialBatch:
     power: float
     sigma2: float
     n_outer: int
-    rate_trace: bool = False
 
 
 # The solvers are looked up by name at call time, so a wrapper installed on
 # this module's attribute (a tracer, a test) sees every call.
 def _ucla(batch: TrialBatch) -> Solutions:
-    return ucla_baseline(batch.paths, batch.config, batch.alpha, batch.power)
+    return ucla_baseline(batch.paths, batch.config, batch.alpha)
 
 
 def _joint(batch: TrialBatch) -> Solutions:
-    return solve_joint(batch.dictionary, batch.config, batch.alpha,
-                       power=batch.power)
+    return solve_joint(batch.dictionary, batch.config, batch.alpha)
 
 
 def _alternating(batch: TrialBatch) -> Solutions:
     return solve_alternating(batch.dictionary, batch.config, batch.alpha,
-                             batch.n_outer, power=batch.power,
-                             sigma2=batch.sigma2, rate_trace=batch.rate_trace)
+                             batch.n_outer)
 
 
 # method name -> (the Solutions of a TrialBatch, greedy: whether it places
@@ -263,10 +261,9 @@ def ucla_config(config: FclaConfig) -> FclaConfig:
     return dataclasses.replace(config, g_h=g_h, g_v=config.m_rings)
 
 
-def ucla_baseline(paths: Paths, config: FclaConfig, alpha: float,
-                  power: float) -> Solutions:
-    """The uniform array's placement, channel and normalized precoder, for
-    each trial of paths.
+def ucla_baseline(paths: Paths, config: FclaConfig, alpha: float) -> Solutions:
+    """The uniform array's placement, channel and precoder, for each trial
+    of paths.
 
     The baseline is fixed hardware: it keeps the compact canonical radius
     regardless of how large the flexible candidate region is. Ring m sits at
@@ -280,11 +277,10 @@ def ucla_baseline(paths: Paths, config: FclaConfig, alpha: float,
                       (n_trials, 1))
     dictionary = build_joint_dictionary(paths, compact,
                                         compact.psi[:config.n_elements])
-    return solutions(dictionary, columns, slots, alpha, power)
+    return solutions(dictionary, columns, slots, alpha)
 
 
-def draw_batch(spec: ExperimentSpec, point_index: int, trials,
-               rate_trace: bool = False) -> TrialBatch:
+def draw_batch(spec: ExperimentSpec, point_index: int, trials) -> TrialBatch:
     """The paths of the given trials at a point spec, and their joint
     dictionary when one of spec.methods is greedy."""
     config = spec.config_for_grid(spec.grid_size)
@@ -297,8 +293,7 @@ def draw_batch(spec: ExperimentSpec, point_index: int, trials,
     return TrialBatch(
         paths=paths, dictionary=dictionary, config=config,
         alpha=spec.alpha_value(), power=spec.power_for_snr(spec.snr_db),
-        sigma2=spec.noise_power, n_outer=spec.outer_iters,
-        rate_trace=rate_trace)
+        sigma2=spec.noise_power, n_outer=spec.outer_iters)
 
 
 def solve_methods(batch: TrialBatch, methods) -> dict:
@@ -316,23 +311,31 @@ def run_trial(spec: ExperimentSpec, point_index: int, trials) -> np.ndarray:
     rate after spec.sweep_values[v] rounds and every other method's rate
     repeated.
     """
-    iters = spec.sweep_kind == "iters"
-    batch = draw_batch(spec, point_index, trials, rate_trace=iters)
-    rounds = np.array(spec.sweep_values, dtype=int) - 1 if iters else [0]
-    out = np.empty((len(batch.paths), len(spec.methods), len(rounds)))
+    batch = draw_batch(spec, point_index, trials)
+    rounds = ([int(v) - 1 for v in spec.sweep_values]
+              if spec.sweep_kind == "iters" else None)
+    out = np.empty((len(batch.paths), len(spec.methods), len(rounds or [0])))
     for i, method in enumerate(spec.methods):
         # each record is rated and dropped before the next method runs
-        out[:, i] = _rates(METHOD_TABLE[method][0](batch), rounds,
-                           batch.sigma2)
+        out[:, i] = rates(batch, METHOD_TABLE[method][0](batch), rounds)
     return out
 
 
-def _rates(record: Solutions, rounds, sigma2: float) -> np.ndarray:
-    """A method's (B, V) rates: its per-round sum rates at rounds, or its
-    final sum rate."""
-    if record.sum_rate_trace is not None:
-        return record.sum_rate_trace[:, rounds]
-    return sinr(record.H_star, record.F_star, sigma2).sum_rate[:, None]
+def rates(batch: TrialBatch, record: Solutions, rounds=None) -> np.ndarray:
+    """The (B, V) sum rates of a method's record on the batch: with its
+    precoders normalized to batch.power, under noise batch.sigma2.
+
+    Given rounds, a record with round_columns (fcla-a) is rated at each
+    listed round's placement, refit here one round at a time; otherwise V
+    is 1, the record's final placement."""
+    if rounds is None or record.round_columns is None:
+        placements = [(record.H_star, record.F)]
+    else:
+        placements = (refit(batch.dictionary, record.round_columns[:, r],
+                            batch.alpha) for r in rounds)
+    return np.stack([sinr(H, normalize_columns(F, batch.power),
+                          batch.sigma2).sum_rate for H, F in placements],
+                    axis=1)
 
 
 def _sweep_work(args):

@@ -21,8 +21,8 @@ from .precoding import GreedyState
 from .solution import Solutions, solutions
 
 
-def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
-                power: float = 1.0) -> Solutions:
+def solve_joint(dictionary: Dictionary, config: FclaConfig,
+                alpha: float) -> Solutions:
     """Greedy joint selection of ring heights and element angles.
 
     Iterates: match the best live atom against the residual, add it to the
@@ -85,7 +85,6 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig, alpha: float,
     slots = np.argsort(completed_at, axis=1)[:, -m_rings:]
     # the watch forms every column's filter, and each step after the first
     # carries its pending add into all of them, live or not
-    return solutions(dictionary, columns, slots, alpha, power,
-                     iterations=iterations,
+    return solutions(dictionary, columns, slots, alpha, iterations=iterations,
                      matched_filter_columns=n_columns * iterations,
                      picks=picks, pick_objectives=objectives)

@@ -1,7 +1,7 @@
 """The one record every method returns, and the one builder that makes it
 from a method's chosen placement: check that the placement is M rings of N
-grid positions, gather the channel there, and refit and normalize the RZF
-precoder on it."""
+grid positions, gather the channel there, and refit the RZF precoder on it.
+Power and noise only rate a placement, which `fcla.harness.rates` does."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Dictionary
-from .precoding import normalize_columns, rzf, rzf_objective
+from .precoding import rzf, rzf_objective
 
 
 @dataclass(eq=False)
@@ -19,13 +19,13 @@ class Solutions:
     every array leads with the trial axis.
 
     columns (B, M*N) are the placement's dictionary columns, in the order of
-    H_star's columns and F_star's rows. Ring m sits at height slot slots[:, m]
-    and height heights[:, m] and holds the angles angles[:, m] (B, M, N) of
-    that slot's columns, in column order. H_star (B, K, M*N) is the channel at
-    the placement and F_star (B, M*N, K) its RZF precoder normalized to the
-    power budget; objective (B,) is the RZF objective of the refit before
-    normalization. iterations (B,) counts the solver's iterations: greedy
-    steps of fcla-j, outer rounds of fcla-a, none for ucla.
+    H_star's columns and F's rows. Ring m sits at height slot slots[:, m] and
+    height heights[:, m] and holds the angles angles[:, m] (B, M, N) of that
+    slot's columns, in column order. H_star (B, K, M*N) is the channel at the
+    placement and F (B, M*N, K) its RZF precoder, not yet normalized to a
+    power budget; objective (B,) is the RZF objective of that refit.
+    iterations (B,) counts the solver's iterations: greedy steps of fcla-j,
+    outer rounds of fcla-a, none for ucla.
     matched_filter_columns (B,) counts the candidate rows its matched filters
     formed at a watch or updated after an add, live or not.
 
@@ -33,8 +33,8 @@ class Solutions:
     pick_objectives (B, S) are fcla-j's column and RZF objective after each
     step, read up to iterations[t]. angle_objectives (B, R, N) and
     height_objectives (B, R, M) are fcla-a's objective after each inner step
-    of each round's angle and height phase, and sum_rate_trace (B, R) its sum
-    rate after each round (with rate_trace only).
+    of each round's angle and height phase, and round_columns (B, R, M*N) the
+    placement columns of each round, the last being columns.
     """
 
     columns: np.ndarray
@@ -42,7 +42,7 @@ class Solutions:
     heights: np.ndarray
     angles: np.ndarray
     H_star: np.ndarray
-    F_star: np.ndarray
+    F: np.ndarray
     objective: np.ndarray
     iterations: np.ndarray
     matched_filter_columns: np.ndarray
@@ -50,7 +50,7 @@ class Solutions:
     pick_objectives: np.ndarray | None = None
     angle_objectives: np.ndarray | None = None
     height_objectives: np.ndarray | None = None
-    sum_rate_trace: np.ndarray | None = None
+    round_columns: np.ndarray | None = None
 
     @property
     def diagnostics(self) -> dict:
@@ -68,14 +68,11 @@ class Solutions:
                 "support": support, "final_support": self.columns.ravel()}
 
 
-def refit(dictionary: Dictionary, columns: np.ndarray, alpha: float,
-          power: float):
+def refit(dictionary: Dictionary, columns: np.ndarray, alpha: float):
     """Each trial's channel at its placement columns (B, n) of the
-    dictionary, (B, K, n), and the RZF precoder refit on it, (B, n, K), as
-    is and normalized to the power budget."""
+    dictionary, (B, K, n), and the RZF precoder refit on it, (B, n, K)."""
     H = np.conj(np.swapaxes(dictionary.take(columns), 1, 2), order="C")
-    F = rzf(H, alpha)
-    return H, F, normalize_columns(F, power)
+    return H, rzf(H, alpha)
 
 
 def _rings(columns: np.ndarray, slots: np.ndarray, g_h: int) -> np.ndarray:
@@ -114,8 +111,8 @@ def _rings(columns: np.ndarray, slots: np.ndarray, g_h: int) -> np.ndarray:
 
 
 def solutions(dictionary: Dictionary, columns: np.ndarray, slots: np.ndarray,
-              alpha: float, power: float, iterations=0,
-              matched_filter_columns=0, **traces) -> Solutions:
+              alpha: float, iterations=0, matched_filter_columns=0,
+              **traces) -> Solutions:
     """The record of a method's choice on each trial of the dictionary.
 
     columns (B, M*N) are each trial's placement columns, in the order of its
@@ -126,12 +123,12 @@ def solutions(dictionary: Dictionary, columns: np.ndarray, slots: np.ndarray,
     g_h = dictionary.group_size
     ring = _rings(columns, slots, g_h)
     by_ring = np.take_along_axis(columns, np.argsort(ring, kind="stable"), -1)
-    H_star, F, F_star = refit(dictionary, columns, alpha, power)
+    H_star, F = refit(dictionary, columns, alpha)
     n_trials = len(columns)
     return Solutions(
         columns=columns, slots=slots, heights=dictionary.z[slots * g_h],
         angles=dictionary.psi[by_ring].reshape(*slots.shape, -1),
-        H_star=H_star, F_star=F_star,
+        H_star=H_star, F=F,
         objective=rzf_objective(H_star, F, alpha),
         iterations=np.full(n_trials, iterations, dtype=int),
         matched_filter_columns=np.full(n_trials, matched_filter_columns,

@@ -5,10 +5,11 @@ from fcla.alternating import (initial_heights, optimize_angles,
                               optimize_heights, solve_alternating)
 from fcla.channel import build_joint_dictionary, draw_paths
 from fcla.geometry import FclaConfig
+from fcla.harness import TrialBatch, rates
 from fcla.joint import solve_joint
 from fcla.oracle import exhaustive_best
 from fcla.pattern import PatternSpec
-from fcla.precoding import normalize_columns, rzf, sinr
+from fcla.precoding import rzf
 from spacing_oracle import check_spacing
 from test_channel import channel_entry_oracle
 
@@ -71,7 +72,7 @@ def ring_columns(paths, config, angles, z):
 class TestOptimizeAngles:
     def test_single_ring_reduces_to_plain_omp(self):
         config, paths, d = make_setup(m=1, n=2, g_h=5, g_v=2)
-        angles, diag = optimize_angles(d, [0], config.n_elements, 1.0)
+        angles, _ = optimize_angles(d, [0], config.n_elements, 1.0)
         columns = ring_columns(paths, config, range(5), config.z[0])
         want = plain_omp_reference(columns, 2, 1.0)
         assert angles.tolist() == [[want]]
@@ -98,9 +99,8 @@ class TestOptimizeAngles:
 
     def test_objective_nonincreasing_within_phase(self):
         config, _, d = make_setup(m=2, n=3, g_h=5, g_v=3, seed=7)
-        _, diag = optimize_angles(d, initial_heights(3, 2),
-                                  config.n_elements, 1.0)
-        (trace,) = diag["objective_trace"]
+        _, (trace,) = optimize_angles(d, initial_heights(3, 2),
+                                      config.n_elements, 1.0)
         assert len(trace) == 3
         for a, b in zip(trace, trace[1:]):
             assert b <= a + 1e-9 * max(1.0, abs(a))
@@ -189,8 +189,7 @@ class TestSolveAlternating:
         columns = (slots[:, None] * config.g_h + angles).ravel()
         H = np.ascontiguousarray(d.rows[0, columns].conj().T)
         assert np.array_equal(sol.H_star[0], H)
-        assert np.array_equal(sol.F_star[0],
-                              normalize_columns(rzf(H, 1.0), 1.0))
+        assert np.array_equal(sol.F[0], rzf(H, 1.0))
 
     def test_placement_feasible_and_aligned(self):
         for seed in range(4):
@@ -209,24 +208,15 @@ class TestSolveAlternating:
                     for m in range(2) for n in range(2)]
             assert flat == placement
 
-    def test_sum_rate_trace_recorded(self):
-        config, _, d = make_setup(seed=8)
-        sol = solve_alternating(d, config, 1.0, 4, power=1.0, sigma2=1.0,
-                                rate_trace=True)
-        (trace,) = sol.sum_rate_trace
-        assert len(trace) == 4
-        assert all(np.isfinite(trace))
-        assert trace[-1] == sinr(sol.H_star, sol.F_star, 1.0).sum_rate[0]
-
-    def test_sum_rate_trace_only_on_request(self, monkeypatch):
-        import fcla.alternating
-        config, _, d = make_setup(seed=8)
-        calls = []
-        monkeypatch.setattr(fcla.alternating, "sinr",
-                            lambda *args: calls.append(args))
+    def test_round_columns_recorded(self):
+        config, paths, d = make_setup(seed=8)
         sol = solve_alternating(d, config, 1.0, 4)
-        assert sol.sum_rate_trace is None
-        assert calls == []
+        assert sol.round_columns.shape == (1, 4, 4)
+        assert np.array_equal(sol.round_columns[:, -1], sol.columns)
+        # the last round, refit from its columns, rates as the final record
+        batch = TrialBatch(paths, d, config, alpha=1.0, power=2.0,
+                           sigma2=0.5, n_outer=4)
+        assert np.array_equal(rates(batch, sol, [3]), rates(batch, sol))
 
     def test_phase_objectives_nonincreasing(self):
         config, _, d = make_setup(m=2, n=3, g_h=5, g_v=4, seed=9)
@@ -247,10 +237,10 @@ class TestSolveAlternating:
 
     def test_deterministic(self):
         config, _, d = make_setup(seed=10)
-        a = solve_alternating(d, config, 1.0, 3, rate_trace=True)
-        b = solve_alternating(d, config, 1.0, 3, rate_trace=True)
-        assert np.array_equal(a.F_star, b.F_star)
-        assert np.array_equal(a.sum_rate_trace, b.sum_rate_trace)
+        a = solve_alternating(d, config, 1.0, 3)
+        b = solve_alternating(d, config, 1.0, 3)
+        assert np.array_equal(a.F, b.F)
+        assert np.array_equal(a.round_columns, b.round_columns)
 
     def test_rejects_zero_rounds(self):
         config, _, d = make_setup()
@@ -279,16 +269,14 @@ class TestStackedTrials:
         stacked = build_joint_dictionary(draw_paths(6, 3, seeds), config)
         single = [build_joint_dictionary(draw_paths(6, 3, [seed]), config)
                   for seed in seeds]
-        batch = solve_alternating(stacked, config, 0.7, 3, power=2.0,
-                                  sigma2=0.5, rate_trace=True)
+        batch = solve_alternating(stacked, config, 0.7, 3)
         assert batch.columns.shape == (n_trials, 6)
-        alone = [solve_alternating(d, config, 0.7, 3, power=2.0, sigma2=0.5,
-                                   rate_trace=True) for d in single]
+        alone = [solve_alternating(d, config, 0.7, 3) for d in single]
         for t, want in enumerate(alone):
             for name in ("columns", "slots", "heights", "angles", "H_star",
-                         "F_star", "objective", "iterations",
+                         "F", "objective", "iterations",
                          "matched_filter_columns", "angle_objectives",
-                         "height_objectives", "sum_rate_trace"):
+                         "height_objectives", "round_columns"):
                 assert np.array_equal(getattr(batch, name)[t],
                                       getattr(want, name)[0]), name
         assert batch.diagnostics["matched_filter_columns"] == sum(
@@ -301,14 +289,14 @@ class TestStackedTrials:
         single = [build_joint_dictionary(draw_paths(4, 2, [seed]), config)
                   for seed in seeds]
         slots = np.array([[0, 3], [1, 2], [3, 0]])
-        angles, diag = optimize_angles(stacked, slots, config.n_elements, 1.0)
+        angles, objectives = optimize_angles(stacked, slots,
+                                             config.n_elements, 1.0)
         heights, _ = optimize_heights(stacked, angles, 1.0)
         for t, d in enumerate(single):
-            want_angles, want_diag = optimize_angles(d, slots[t],
-                                                     config.n_elements, 1.0)
+            want_angles, want_objectives = optimize_angles(
+                d, slots[t], config.n_elements, 1.0)
             assert np.array_equal(angles[t], want_angles[0])
-            assert np.array_equal(diag["objective_trace"][t],
-                                  want_diag["objective_trace"][0])
+            assert np.array_equal(objectives[t], want_objectives[0])
             want_heights, _ = optimize_heights(d, angles[t], 1.0)
             assert np.array_equal(heights[t], want_heights[0])
 

@@ -159,7 +159,7 @@ class TestSynthesizeChannel:
         paths = draw_paths(3, 2, [0])
         d = build_joint_dictionary(paths, config)
         column = 2 * config.g_h + 5
-        H, _, _ = refit(d, np.array([[column]]), 1.0, 1.0)
+        H, _ = refit(d, np.array([[column]]), 1.0)
         assert H.shape == (1, 3, 1)
         for k in range(3):
             assert np.isclose(H[0, k, 0],
@@ -171,8 +171,8 @@ class TestSynthesizeChannel:
         config = make_config()
         d = build_joint_dictionary(draw_paths(3, 2, [1, 2]), config)
         columns = np.array([[0, 14, 40], [7, 3, 60]])
-        H, _, _ = refit(d, columns, 1.0, 1.0)
-        H_rev, _, _ = refit(d, columns[:, ::-1], 1.0, 1.0)
+        H, _ = refit(d, columns, 1.0)
+        H_rev, _ = refit(d, columns[:, ::-1], 1.0)
         assert np.array_equal(H[..., ::-1], H_rev)
 
     def test_matches_bruteforce_oracle(self):
@@ -181,7 +181,7 @@ class TestSynthesizeChannel:
         d = build_joint_dictionary(paths, config)
         columns = np.array([[1 * config.g_h + 3, 6 * config.g_h + 9],
                             [0, 7 * config.g_h + 11]])
-        H, _, _ = refit(d, columns, 1.0, 1.0)
+        H, _ = refit(d, columns, 1.0)
         for t in range(2):
             for k in range(2):
                 for j, c in enumerate(columns[t]):
@@ -238,7 +238,7 @@ class TestDictionaries:
         # each trial's channel holds that trial's own columns, bit for bit
         d = build_joint_dictionary(self.paths, self.config)
         cols = np.array([[0, 5, self.config.g_h * 2 + 3], [9, 1, 30]])
-        H, _, _ = refit(d, cols, 1.0, 1.0)
+        H, _ = refit(d, cols, 1.0)
         for t in range(2):
             assert np.array_equal(H[t], np.conj(d.rows[t, cols[t]]).T)
         assert H.flags.c_contiguous

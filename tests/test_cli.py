@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -7,7 +9,7 @@ import pytest
 from fcla import cli, harness
 from fcla.cli import _parse_range, parse_and_dispatch
 from fcla.harness import ExperimentSpec, run_trial
-from fcla.precoding import sinr
+from fcla.precoding import normalize_columns, sinr
 
 SMALL = ["--rings", "2", "--elements", "2", "--users", "4", "--paths", "2",
          "--grid", "4", "--trials", "2", "--seed", "7", "--iters", "2"]
@@ -278,8 +280,27 @@ def test_solve_once_rate_is_the_sweep_rate(method, tmp_path, monkeypatch):
     spec = ExperimentSpec.from_dict(
         json.loads((tmp_path / "manifest.json").read_text()))
     assert spec.methods == (method,)
+    F = normalize_columns(record.F[0], spec.power_for_snr(spec.snr_db))
     assert run_trial(spec, 0, [0])[0, 0, 0] == sinr(
-        record.H_star[0], record.F_star[0], spec.noise_power).sum_rate
+        record.H_star[0], F, spec.noise_power).sum_rate
+
+
+def test_fcla_a_trace_is_the_iteration_sweep_rate(tmp_path):
+    # solve-once's per-round rates and the iteration sweep's come from one
+    # rating path: at the same spec with every round requested, trial 0 of
+    # point 0 rates as the trace file's rows
+    assert parse_and_dispatch(["solve-once", "--snr", "3", "--out",
+                               str(tmp_path)] + SMALL) == 0
+    spec = ExperimentSpec.from_dict(
+        json.loads((tmp_path / "manifest.json").read_text()))
+    rounds = range(1, spec.outer_iters + 1)
+    point = dataclasses.replace(spec, sweep_kind="iters",
+                                sweep_values=tuple(rounds))
+    rates = run_trial(point, 0, [0])[0, spec.methods.index("fcla-a")]
+    with open(tmp_path / "fcla_a_trace.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows == [["i", "sum_rate"]] + [
+        [str(i), repr(rate)] for i, rate in zip(rounds, rates.tolist())]
 
 
 def test_unservable_user_keeps_every_ucla_trial(tmp_path, capsys):

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fcla import __version__, harness
+from fcla import __version__, harness, solution
 from fcla.channel import draw_paths
-from fcla.precoding import sinr
+from fcla.precoding import normalize_columns, sinr
 from fcla.harness import (METHODS, ExperimentSpec, run_sweep, run_trial,
                           ucla_baseline, ucla_config, write_manifest,
                           write_results_csv)
@@ -130,7 +130,7 @@ class TestSpec:
 def baseline_placement(config):
     """The uniform baseline's (psi, z) per element of one trial, ring by
     ring."""
-    record = ucla_baseline(draw_paths(6, 2, [0]), config, 1.0, 1.0)
+    record = ucla_baseline(draw_paths(6, 2, [0]), config, 1.0)
     return [(psi, z) for z, ring in zip(record.heights[0].tolist(),
                                         record.angles[0].tolist())
             for psi in ring]
@@ -187,7 +187,7 @@ class TestUclaBaseline:
         build, built = harness.build_joint_dictionary, []
         monkeypatch.setattr(harness, "build_joint_dictionary",
                             lambda *args: built.append(build(*args)) or built[-1])
-        record = ucla_baseline(paths, config, 1.0, 1.0)
+        record = ucla_baseline(paths, config, 1.0)
         assert [d.rows.shape[1] for d in built] == [3 * elements]
         # bit for bit the columns of the whole uniform grid's dictionary
         compact = ucla_config(config)
@@ -200,14 +200,15 @@ class TestUclaBaseline:
         spec = small_spec()
         config = spec.config_for_grid(6)
         paths = draw_paths(6, 2, [0])
-        record = ucla_baseline(paths, config, 1.0, 1.0)
+        record = ucla_baseline(paths, config, 1.0)
         assert record.H_star.shape == (1, 6, 4)
         assert record.columns.tolist() == [[0, 1, 2, 3]]
         assert record.slots.tolist() == [[0, 1]]
         assert record.heights.tolist() == [[0.0, config.d_min]]
         assert record.angles.tolist() == [[[0.0, np.pi], [0.0, np.pi]]]
-        assert abs(np.linalg.norm(record.F_star[0], "fro") ** 2 - 1.0) < 1e-12
-        assert sinr(record.H_star, record.F_star, 1.0).sum_rate[0] > 0.0
+        F = normalize_columns(record.F, 1.0)
+        assert abs(np.linalg.norm(F[0], "fro") ** 2 - 1.0) < 1e-12
+        assert sinr(record.H_star, F, 1.0).sum_rate[0] > 0.0
 
 
 class TestMethodTable:
@@ -297,16 +298,52 @@ class TestRunTrial:
                           outer_iters=4)
         rates = run_trial(spec, 0, [1, 3])
         assert rates.shape == (2, 3, 3)
-        batch = harness.draw_batch(spec, 0, [1, 3], rate_trace=True)
+        batch = harness.draw_batch(spec, 0, [1, 3])
         solved = harness.solve_methods(batch, spec.methods)
+        power = spec.power_for_snr(spec.snr_db)
+
+        def rated(H, F):
+            return sinr(H, normalize_columns(F, power),
+                        spec.noise_power).sum_rate
+
         for i, (method, record) in enumerate(solved.items()):
-            if method == "fcla-a":
-                want = record.sum_rate_trace[:, [0, 1, 3]]
+            if method == "fcla-a":  # each round's placement, refit
+                want = np.stack([rated(*solution.refit(
+                    batch.dictionary, record.round_columns[:, r],
+                    batch.alpha)) for r in (0, 1, 3)], axis=1)
             else:  # the final rate at every round count
-                rate = sinr(record.H_star, record.F_star,
-                            spec.noise_power).sum_rate
-                want = np.repeat(rate[:, None], 3, axis=1)
+                want = np.repeat(rated(record.H_star, record.F)[:, None], 3,
+                                 axis=1)
             assert np.array_equal(rates[:, i], want), method
+
+    @pytest.mark.parametrize("point, fcla_a", [
+        (dict(), 1),
+        (dict(sweep_kind="iters", sweep_values=(1, 3), outer_iters=3), 3)])
+    def test_each_rated_placement_is_refit_once(self, point, fcla_a,
+                                                monkeypatch):
+        # a solver refits its final placement; the rating refits only the
+        # requested rounds of fcla-a (rounds 0 and 2 at the iteration point)
+        events = []
+
+        def logged(event, fn):
+            def run(*args, **kwargs):
+                events.append(event)
+                return fn(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(solution, "rzf", logged("refit", solution.rzf))
+        for name in ("ucla_baseline", "solve_joint", "solve_alternating"):
+            monkeypatch.setattr(harness, name,
+                                logged(name, getattr(harness, name)))
+        run_trial(small_spec(**point), 0, [0, 1])
+        refits = {}
+        for event in events:
+            if event == "refit":
+                refits[solver] += 1
+            else:
+                solver, refits[event] = event, 0
+        assert refits == {"ucla_baseline": 1, "solve_joint": 1,
+                          "solve_alternating": fcla_a}
 
     def test_different_trials_differ(self):
         spec = small_spec(methods=("ucla",))
@@ -475,7 +512,7 @@ class TestRunSweep:
         drawn = []
         checked = {"ucla": 0, "fcla-j": 0, "fcla-a": 0}
         batch_sizes = []
-        draw = harness.draw_paths
+        draw = harness.draw_batch
 
         def recording_draw(*args):
             drawn.append(draw(*args))
@@ -488,16 +525,17 @@ class TestRunSweep:
                 config = given["config"]
                 if name == "ucla":  # the baseline's own compact cylinder
                     config = ucla_config(config)
-                # a batch's paths are the last ones drawn, in trial order
+                # the record is of the last batch drawn, in trial order
                 n_trials = len(batch.columns)
                 for t in range(n_trials):
-                    check_solution(drawn[-1], t, batch, config, given["power"])
+                    check_solution(drawn[-1].paths, t, batch, config,
+                                   drawn[-1].power)
                     checked[name] += 1
                 batch_sizes.append(n_trials)
                 return batch
             return run
 
-        monkeypatch.setattr(harness, "draw_paths", recording_draw)
+        monkeypatch.setattr(harness, "draw_batch", recording_draw)
         for name, attr in (("ucla", "ucla_baseline"), ("fcla-j", "solve_joint"),
                            ("fcla-a", "solve_alternating")):
             monkeypatch.setattr(harness, attr,
@@ -578,8 +616,8 @@ def check_solution(paths, trial, record, config, power):
     heights and angles are the positions of the placement's columns on
     config's grid, the placement keeps the physical spacing rules, H_star is
     the element-loop oracle's channel there, each served user's precoder
-    column carries power/K, and only users without any channel are left
-    unserved."""
+    column, normalized to the power budget, carries power/K, and only users
+    without any channel are left unserved."""
     columns = record.columns[trial]
     placement = list(zip(config.psi[columns % config.g_h].tolist(),
                          config.z[columns // config.g_h].tolist()))
@@ -592,7 +630,7 @@ def check_solution(paths, trial, record, config, power):
     want = [[channel_entry_oracle(paths, k, psi, z, config, trial)
              for psi, z in placement] for k in range(H.shape[0])]
     assert np.allclose(H, want, rtol=0.0, atol=1e-12)
-    F = record.F_star[trial]
+    F = normalize_columns(record.F[trial], power)
     n_users = F.shape[1]
     zero = np.linalg.norm(F, axis=0) == 0.0
     assert np.all(np.abs(H[zero]) == 0.0)

@@ -6,7 +6,7 @@ from fcla.geometry import FclaConfig
 from fcla.joint import solve_joint
 from fcla.oracle import exhaustive_best
 from fcla.pattern import PatternSpec
-from fcla.precoding import rzf_objective
+from fcla.precoding import normalize_columns, rzf_objective
 from spacing_oracle import check_spacing
 
 
@@ -94,7 +94,7 @@ class TestSolveJoint:
         a = solve_joint(d, config, alpha=1.0)
         b = solve_joint(d, config, alpha=1.0)
         assert np.array_equal(a.picks, b.picks)
-        assert np.array_equal(a.F_star, b.F_star)
+        assert np.array_equal(a.F, b.F)
 
     def test_final_channel_matches_recorded_objective(self):
         config, _, d = make_setup(seed=2)
@@ -107,8 +107,9 @@ class TestSolveJoint:
 
     def test_normalized_power(self):
         config, _, d = make_setup(seed=3)
-        sol = solve_joint(d, config, alpha=1.0, power=2.0)
-        assert abs(np.linalg.norm(sol.F_star[0], "fro") ** 2 - 2.0) < 1e-12
+        sol = solve_joint(d, config, alpha=1.0)
+        F = normalize_columns(sol.F[0], 2.0)
+        assert abs(np.linalg.norm(F, "fro") ** 2 - 2.0) < 1e-12
 
     def test_rejects_grid_too_small(self):
         config, paths, _ = make_setup(m=2, g_v=2)
@@ -131,9 +132,9 @@ class TestStackedTrials:
         stacked = build_joint_dictionary(draw_paths(6, 3, seeds), config)
         single = [build_joint_dictionary(draw_paths(6, 3, [seed]), config)
                   for seed in seeds]
-        batch = solve_joint(stacked, config, 0.7, power=2.0)
+        batch = solve_joint(stacked, config, 0.7)
         assert batch.columns.shape == (n_trials, 6)
-        alone = [solve_joint(d, config, 0.7, power=2.0) for d in single]
+        alone = [solve_joint(d, config, 0.7) for d in single]
         for t, want in enumerate(alone):
             steps = want.iterations[0]
             assert batch.iterations[t] == steps
@@ -141,7 +142,7 @@ class TestStackedTrials:
                 assert np.array_equal(getattr(batch, name)[t, :steps],
                                       getattr(want, name)[0, :steps])
             for name in ("columns", "slots", "heights", "angles", "H_star",
-                         "F_star", "objective", "matched_filter_columns"):
+                         "F", "objective", "matched_filter_columns"):
                 assert np.array_equal(getattr(batch, name)[t],
                                       getattr(want, name)[0]), name
         totals = batch.diagnostics

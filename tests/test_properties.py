@@ -45,7 +45,7 @@ from fcla.harness import ucla_baseline
 from fcla.joint import solve_joint
 from fcla.oracle import exhaustive_best
 from fcla.pattern import PatternSpec
-from fcla.precoding import sinr
+from fcla.precoding import normalize_columns, sinr
 from greedy_oracle import RescoringState
 
 ALPHA, POWER, SIGMA2 = 0.8, 2.0, 1.0
@@ -85,20 +85,21 @@ def height_blind(rows, config):
 def greedy_solutions(paths, config):
     """Method name -> record of both greedy solvers on the paths."""
     dictionary = build_joint_dictionary(paths, config)
-    return {"fcla-j": solve_joint(dictionary, config, ALPHA, power=POWER),
-            "fcla-a": solve_alternating(dictionary, config, ALPHA, 3,
-                                        power=POWER, sigma2=SIGMA2)}
+    return {"fcla-j": solve_joint(dictionary, config, ALPHA),
+            "fcla-a": solve_alternating(dictionary, config, ALPHA, 3)}
 
 
 def uniform(paths, config):
     """The ucla record; a user with no channel to its fixed directional
     elements keeps a zero precoder column."""
-    return ucla_baseline(paths, config, ALPHA, POWER)
+    return ucla_baseline(paths, config, ALPHA)
 
 
 def sum_rate(record):
-    """The sum rate of each trial of a record."""
-    return sinr(record.H_star, record.F_star, SIGMA2).sum_rate
+    """The sum rate of each trial of a record, its precoder normalized to
+    POWER."""
+    return sinr(record.H_star, normalize_columns(record.F, POWER),
+                SIGMA2).sum_rate
 
 
 def relative(a, b):
@@ -156,9 +157,8 @@ def test_exhaustive_optima_dominate_greedy_solvers(m, n, users, g_h, g_v,
                                   for t in range(3)])
     dictionary = build_joint_dictionary(paths, config)
     optima = exhaustive_best(dictionary, config, ALPHA, POWER, SIGMA2)
-    for batch in (solve_joint(dictionary, config, ALPHA, power=POWER),
-                  solve_alternating(dictionary, config, ALPHA, 3, power=POWER,
-                                    sigma2=SIGMA2)):
+    for batch in (solve_joint(dictionary, config, ALPHA),
+                  solve_alternating(dictionary, config, ALPHA, 3)):
         rates = sum_rate(batch)
         for t, (by_objective, by_rate) in enumerate(optima):
             assert batch.objective[t] >= by_objective.objective - 1e-9

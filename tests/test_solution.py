@@ -18,7 +18,7 @@ CONFIG = FclaConfig(2, 2, 4, 3, d_min=0.05, wavelength=0.1)
 def build(columns, slots, config=CONFIG, n_trials=1):
     dictionary = build_joint_dictionary(
         draw_paths(3, 2, list(range(n_trials))), config)
-    return solutions(dictionary, np.array(columns), np.array(slots), 1.0, 1.0)
+    return solutions(dictionary, np.array(columns), np.array(slots), 1.0)
 
 
 def test_rings_follow_their_slots_in_column_order():
@@ -27,7 +27,7 @@ def test_rings_follow_their_slots_in_column_order():
     assert np.array_equal(record.heights, [[z[1], z[0]]])
     assert np.array_equal(record.angles, [[[psi[1], psi[0]], [psi[0], psi[2]]]])
     assert record.iterations.tolist() == [0]
-    assert record.picks is None and record.sum_rate_trace is None
+    assert record.picks is None and record.round_columns is None
 
 
 def test_rejects_a_repeated_column():
