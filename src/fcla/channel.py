@@ -62,7 +62,7 @@ def draw_paths(n_users: int, n_paths: int, seeds) -> Paths:
     return Paths(*(np.stack(arrays) for arrays in zip(*draws)))
 
 
-def export_paths(paths: Paths, fp) -> None:
+def export_paths(paths: Paths, path) -> None:
     """Write a one-trial path record as JSON records, one per (user, path)."""
     if len(paths) != 1:
         raise ValueError(f"exports one trial's paths, got {len(paths)} trials")
@@ -74,11 +74,8 @@ def export_paths(paths: Paths, fp) -> None:
         "theta_el": float(paths.theta_el[0, k, l]),
         "phi_az": float(paths.phi_az[0, k, l]),
     } for (k, l), beta in np.ndenumerate(paths.beta[0])]
-    if hasattr(fp, "write"):
-        json.dump(records, fp, indent=1)
-    else:
-        with open(fp, "w") as f:
-            json.dump(records, f, indent=1)
+    with open(path, "w") as f:
+        json.dump(records, f, indent=1)
 
 
 def _responses(paths: Paths, psi: np.ndarray, z: np.ndarray,

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -15,11 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import build_joint_dictionary, draw_paths, export_paths
-from .geometry import FclaConfig
-from .harness import (METHODS, ExperimentSpec, TrialBatch, draw_batch, rates,
-                      run_sweep, solve_methods, write_manifest,
-                      write_results_csv)
+from .channel import export_paths
+from .geometry import SPEED_OF_LIGHT
+from .harness import (METHODS, ExperimentSpec, draw_batch, rates, run_sweep,
+                      solve_methods, write_manifest, write_results_csv)
 from .oracle import exhaustive_best
 from .pattern import PatternSpec, power_gain
 from .precoding import normalize_columns, rzf
@@ -106,7 +104,7 @@ def _build_spec(args: argparse.Namespace, sweep_kind: str,
             data["alpha"] = float(args.alpha)
         except ValueError:  # "mmse", or a word the spec rejects by name
             data["alpha"] = args.alpha
-    if getattr(args, "methods", None):
+    if getattr(args, "methods", None) is not None:
         data["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
 
     # sweep axis: flag beats config, config applies only for the same axis,
@@ -170,9 +168,6 @@ def _solve_once(args: argparse.Namespace) -> int:
     """Trial 0 of sweep point 0 at the spec's operating SNR, through the
     sweeps' method table, with per-method trace files."""
     spec = _build_spec(args, "snr", snr_axis=False)
-    if args.method:
-        # checked (alpha for greedy methods) and recorded as the one to replay
-        spec = dataclasses.replace(spec, methods=(args.method,))
     out = _out_dir(args)
     batch = draw_batch(spec, 0, [0])
     export_paths(batch.paths, out / "paths.json")
@@ -212,8 +207,8 @@ def _validate(args: argparse.Namespace) -> int:
     theta = np.linspace(0.0, np.pi, 1501)
     phi = np.linspace(-np.pi / 2.0, np.pi / 2.0, 1501)
     for kappa in (1.0, 2.0, 3.0):
-        spec = PatternSpec.directional(kappa)
-        integrand = (power_gain(spec, theta[:, None], phi[None, :])
+        pattern = PatternSpec.directional(kappa)
+        integrand = (power_gain(pattern, theta[:, None], phi[None, :])
                      * np.sin(theta)[:, None])
         total = np.trapezoid(np.trapezoid(integrand, phi, axis=1), theta)
         rel = abs(total - 4.0 * np.pi) / (4.0 * np.pi)
@@ -237,20 +232,21 @@ def _validate(args: argparse.Namespace) -> int:
            bool(np.all(cosine > 1.0 - 1e-6)))
 
     # greedy solvers never beat the exhaustive optima: 30 draws of 4 users
-    # on 2x2 omni rings over a 4x4 grid at 0 dB, one batch and one oracle call
-    config = FclaConfig(m_rings=2, n_elements=2, g_h=4, g_v=4, d_min=0.05,
-                        wavelength=0.1)
-    paths = draw_paths(4, 4, [np.random.SeedSequence([1, 0, t])
-                              for t in range(30)])
-    batch = TrialBatch(paths, build_joint_dictionary(paths, config), config,
-                       alpha=1.0, power=1.0, sigma2=1.0, n_outer=5)
+    # on 2x2 omni rings over a 4x4 grid at 0 dB (wavelength 0.1 m), one
+    # batch and one oracle call
+    spec = ExperimentSpec(rings=2, elements=2, users=4, paths=4, grid_size=4,
+                          d_min=0.05, frequency_hz=SPEED_OF_LIGHT / 0.1,
+                          pattern_kind="omni", alpha=1.0,
+                          methods=("fcla-j", "fcla-a"))
+    batch = draw_batch(spec, 0, range(30))
     # per draw, (objective, sum rate) at each optimum; worse is [+, -]
     best = np.array([(by_objective.objective, by_rate.sum_rate) for
                      by_objective, by_rate in
-                     exhaustive_best(batch.dictionary, config, 1.0)])
+                     exhaustive_best(batch.dictionary, batch.config,
+                                     batch.alpha, batch.power, batch.sigma2)])
     worse = np.array([1.0, -1.0])
     violation, gaps = 0.0, []
-    for method, record in solve_methods(batch, ("fcla-j", "fcla-a")).items():
+    for method, record in solve_methods(batch, spec.methods).items():
         got = np.concatenate([record.objective[:, None],
                               rates(batch, record)], axis=1)
         violation = max(violation, np.max((best - got) * worse))
@@ -312,11 +308,8 @@ def parse_and_dispatch(argv=None) -> int:
                             help="run one trial verbosely with traces")
     _add_common_flags(p_once)
     p_once.set_defaults(run=_solve_once)
-    p_once.add_argument("--method", choices=METHODS,
-                        help="run a single method instead of all requested")
 
     p_val = sub.add_parser("validate", help="run built-in numerical self-checks")
-    p_val.add_argument("--out", type=Path, default=None, help=argparse.SUPPRESS)
     p_val.set_defaults(run=_validate)
 
     args = parser.parse_args(argv)

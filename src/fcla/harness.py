@@ -135,6 +135,9 @@ class ExperimentSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+        if not self.methods or len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must be distinct and at least one, "
+                             f"got {self.methods!r}")
         if self.sweep_kind not in SWEEP_KINDS:
             raise ValueError(
                 f"unknown sweep kind {self.sweep_kind!r}; choose from {SWEEP_KINDS}"
@@ -326,12 +329,16 @@ def rates(batch: TrialBatch, record: Solutions, rounds=None) -> np.ndarray:
     precoders normalized to batch.power, under noise batch.sigma2.
 
     Given rounds, a record with round_columns (fcla-a) is rated at each
-    listed round's placement, refit here one round at a time; otherwise V
-    is 1, the record's final placement."""
+    listed round's placement: the last round is the record's final one, and
+    each earlier round is refit here, one at a time. Otherwise V is 1, the
+    record's final placement."""
+    final = (record.H_star, record.F)
     if rounds is None or record.round_columns is None:
-        placements = [(record.H_star, record.F)]
+        placements = [final]
     else:
-        placements = (refit(batch.dictionary, record.round_columns[:, r],
+        last = record.round_columns.shape[1] - 1
+        placements = (final if r == last else
+                      refit(batch.dictionary, record.round_columns[:, r],
                             batch.alpha) for r in rounds)
     return np.stack([sinr(H, normalize_columns(F, batch.power),
                           batch.sigma2).sum_rate for H, F in placements],
@@ -459,18 +466,9 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     return rows
 
 
-def _write(fp, emit) -> None:
-    """emit(f) into fp, an open text file or a path to (re)write."""
-    if hasattr(fp, "write"):
-        emit(fp)
-    else:
-        with open(fp, "w", newline="") as f:
-            emit(f)
-
-
-def write_results_csv(rows: list[SweepRow], fp) -> None:
+def write_results_csv(rows: list[SweepRow], path) -> None:
     """CSV with one row per (method, sweep point); floats keep full precision."""
-    def emit(f):
+    with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["method", "sweep_var", "sweep_value",
                          "mean_sum_rate_bits", "stderr", "trials"])
@@ -478,11 +476,11 @@ def write_results_csv(rows: list[SweepRow], fp) -> None:
             writer.writerow([row.method, row.sweep_var, repr(row.sweep_value),
                              repr(row.mean_sum_rate), repr(row.stderr),
                              row.trials])
-    _write(fp, emit)
 
 
-def write_manifest(spec: ExperimentSpec, fp) -> None:
+def write_manifest(spec: ExperimentSpec, path) -> None:
     """JSON echo of the experiment parameters plus the code version;
     re-usable as a config file."""
-    payload = {**spec.to_dict(), "version": __version__}
-    _write(fp, lambda f: json.dump(payload, f, indent=1, sort_keys=True))
+    with open(path, "w", newline="") as f:
+        json.dump({**spec.to_dict(), "version": __version__}, f, indent=1,
+                  sort_keys=True)

@@ -1,4 +1,3 @@
-import io
 import json
 
 import numpy as np
@@ -257,11 +256,10 @@ class TestDictionaries:
         assert np.array_equal(got, want)
 
 
-def test_export_paths_records():
+def test_export_paths_records(tmp_path):
     paths = draw_paths(3, 2, [8])
-    buf = io.StringIO()
-    export_paths(paths, buf)
-    records = json.loads(buf.getvalue())
+    export_paths(paths, tmp_path / "paths.json")
+    records = json.loads((tmp_path / "paths.json").read_text())
     assert len(records) == 6
     first = records[0]
     assert set(first) == {"user", "path", "beta_re", "beta_im", "theta_el",
@@ -271,4 +269,4 @@ def test_export_paths_records():
         (k, l) for k in range(3) for l in range(2)]
     assert records[3]["phi_az"] == paths.phi_az[0, 1, 1]
     with pytest.raises(ValueError):
-        export_paths(draw_paths(3, 2, [8, 9]), io.StringIO())
+        export_paths(draw_paths(3, 2, [8, 9]), tmp_path / "two.json")

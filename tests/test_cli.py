@@ -101,7 +101,7 @@ def test_solve_once_deterministic_traces(tmp_path):
 
 def test_solve_once_single_method(tmp_path):
     out = tmp_path / "j"
-    assert parse_and_dispatch(["solve-once", "--method", "fcla-j",
+    assert parse_and_dispatch(["solve-once", "--methods", "fcla-j",
                                "--out", str(out)] + SMALL) == 0
     assert (out / "fcla_j_trace.csv").exists()
     assert not (out / "fcla_a_trace.csv").exists()
@@ -149,9 +149,8 @@ def test_zero_forcing_rejected_for_greedy_methods(tmp_path, capsys):
 
 def test_solve_once_checks_alpha_for_the_method_that_runs(tmp_path, capsys):
     out = tmp_path / "once"
-    code = parse_and_dispatch(["solve-once", "--methods", "ucla", "--alpha",
-                               "0", "--method", "fcla-j", "--out", str(out)]
-                              + SMALL)
+    code = parse_and_dispatch(["solve-once", "--alpha", "0", "--methods",
+                               "fcla-j", "--out", str(out)] + SMALL)
     assert code == 2
     assert "alpha" in capsys.readouterr().err
     assert not (out / "paths.json").exists()
@@ -211,7 +210,7 @@ def test_solve_once_manifest_replays_its_snr(tmp_path, capsys):
 @pytest.mark.parametrize("method", sorted(harness.METHOD_TABLE))
 def test_solve_once_method_manifest_replays_it(method, tmp_path, capsys):
     first, second = tmp_path / "a", tmp_path / "b"
-    assert parse_and_dispatch(["solve-once", "--method", method,
+    assert parse_and_dispatch(["solve-once", "--methods", method,
                                "--out", str(first)] + SMALL) == 0
     assert parse_and_dispatch(["solve-once", "--out", str(second), "--config",
                                str(first / "manifest.json")]) == 0
@@ -257,12 +256,25 @@ def test_numeric_alpha_lands_in_manifest_as_a_float(tmp_path):
     assert manifest["alpha"] == 2.0 and isinstance(manifest["alpha"], float)
 
 
-def test_method_choices_are_the_method_table(capsys):
-    with pytest.raises(SystemExit):
-        parse_and_dispatch(["solve-once", "--method", "genie"])
-    listed = re.search(r"choose from (.*)\)", capsys.readouterr().err).group(1)
+def test_method_choices_are_the_method_table(tmp_path, capsys):
+    assert parse_and_dispatch(["solve-once", "--methods", "genie",
+                               "--out", str(tmp_path)]) == 2
+    listed = re.search(r"choose from \((.*)\)", capsys.readouterr().err).group(1)
     assert [m.strip("'") for m in listed.split(", ")] == list(
         harness.METHOD_TABLE)
+
+
+def test_solve_once_lists_no_method_option(capsys):
+    with pytest.raises(SystemExit):
+        parse_and_dispatch(["solve-once", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--methods" in help_text and not re.search(r"--method\b", help_text)
+
+
+def test_validate_takes_no_options(tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        parse_and_dispatch(["validate", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
 
 
 @pytest.mark.parametrize("method", sorted(harness.METHOD_TABLE))
@@ -274,7 +286,7 @@ def test_solve_once_rate_is_the_sweep_rate(method, tmp_path, monkeypatch):
         return solved
 
     monkeypatch.setattr(cli, "solve_methods", recording)
-    assert parse_and_dispatch(["solve-once", "--method", method, "--snr", "3",
+    assert parse_and_dispatch(["solve-once", "--methods", method, "--snr", "3",
                                "--out", str(tmp_path)] + SMALL) == 0
     record = solved[method]
     spec = ExperimentSpec.from_dict(
@@ -359,6 +371,10 @@ BAD_SPEC_VALUES = [
     (["--alpha", "nan", "--methods", "ucla"], {}, "alpha"),
     (["--alpha", "-1", "--methods", "ucla"], {}, "alpha"),
     (["--alpha", "inf"], {}, "alpha"),
+    (["--methods", ","], {}, "methods"),
+    (["--methods", ""], {}, "methods"),
+    ([], {"methods": []}, "methods"),
+    (["--methods", "ucla,UCLA"], {}, "methods"),
 ]
 
 

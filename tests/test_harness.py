@@ -1,6 +1,5 @@
 import dataclasses
 import inspect
-import io
 import json
 import tracemalloc
 from unittest import mock
@@ -318,11 +317,12 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("point, fcla_a", [
         (dict(), 1),
-        (dict(sweep_kind="iters", sweep_values=(1, 3), outer_iters=3), 3)])
+        (dict(sweep_kind="iters", sweep_values=(1, 3), outer_iters=3), 2)])
     def test_each_rated_placement_is_refit_once(self, point, fcla_a,
                                                 monkeypatch):
         # a solver refits its final placement; the rating refits only the
-        # requested rounds of fcla-a (rounds 0 and 2 at the iteration point)
+        # requested rounds of fcla-a before its last (round 0 at the
+        # iteration point; round 2 is the final placement)
         events = []
 
         def logged(event, fn):
@@ -642,22 +642,20 @@ def check_solution(paths, trial, record, config, power):
 
 
 class TestOutputs:
-    def test_csv_columns_and_precision(self):
+    def test_csv_columns_and_precision(self, tmp_path):
         rows = run_sweep(small_spec(trials=2))
-        buf = io.StringIO()
-        write_results_csv(rows, buf)
-        lines = buf.getvalue().strip().splitlines()
+        write_results_csv(rows, tmp_path / "results.csv")
+        lines = (tmp_path / "results.csv").read_text().strip().splitlines()
         assert lines[0] == ("method,sweep_var,sweep_value,mean_sum_rate_bits,"
                             "stderr,trials")
         assert len(lines) == 1 + len(rows)
         value = float(lines[1].split(",")[3])
         assert value == rows[0].mean_sum_rate  # repr round-trips exactly
 
-    def test_manifest_reproduces_spec(self):
+    def test_manifest_reproduces_spec(self, tmp_path):
         spec = small_spec(trials=2)
-        buf = io.StringIO()
-        write_manifest(spec, buf)
-        data = json.loads(buf.getvalue())
+        write_manifest(spec, tmp_path / "manifest.json")
+        data = json.loads((tmp_path / "manifest.json").read_text())
         assert data["version"] == __version__
         clone = ExperimentSpec.from_dict(data)
         assert clone == spec

@@ -3,7 +3,7 @@
 import re
 from pathlib import Path
 
-from fcla import harness
+from fcla import cli, harness
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,3 +30,16 @@ def test_batch_caps_are_the_budget():
         for trials, n_batches in ((cap, 1), (cap + 1, 2)):
             spec = harness.ExperimentSpec(grid_size=grid_size, trials=trials)
             assert len(harness._batches(spec)) == n_batches, grid_size
+
+
+def test_validate_prints_readme_s_oracle_gaps(capsys):
+    # the median gaps README quotes are those `fcla validate` prints
+    text = " ".join(README.read_text().split())
+    quoted = re.search(r"`fcla-j` ([\d.]+)% objective gap and ([\d.]+)% "
+                       r"sum-rate shortfall, `fcla-a` ([\d.]+)% and ([\d.]+)%",
+                       text).groups()
+    assert cli.parse_and_dispatch(["validate"]) == 0
+    printed = re.search(r"fcla-j ([\d.]+)% / ([\d.]+)%, "
+                        r"fcla-a ([\d.]+)% / ([\d.]+)%",
+                        capsys.readouterr().out).groups()
+    assert printed == quoted
