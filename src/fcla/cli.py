@@ -29,23 +29,36 @@ DEFAULT_SWEEPS = {
     "grid": "4:2:12",
     "iters": "1:1:10",
 }
+# sweep command -> (its sweep kind and help, its range flag and what the
+# range lists)
+SWEEP_COMMANDS = {
+    "sweep-snr": ("snr", "sum rate vs operating SNR", "--snr", "SNRs in dB"),
+    "sweep-grid": ("grid", "sum rate vs grid size", "--grid-range",
+                   "grid sizes"),
+    "sweep-iters": ("iters", "sum rate vs alternating solver rounds",
+                    "--iters-range", "rounds"),
+}
 
 
 def _parse_range(text: str) -> list[float]:
     """start:step:stop (inclusive) or a comma-separated list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"expected start:step:stop, got {text!r}")
-        start, step, stop = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError("range step must be positive")
-        # the points up to stop, which a rounding error of the step still reaches
-        n = math.floor((stop - start) / step + 1e-9) + 1
-        if n < 1:
-            raise ValueError(f"range {text!r} stops below its start")
-        return [start + i * step for i in range(n)]
-    return [float(p) for p in text.split(",") if p]
+    parts = text.split(":") if ":" in text else [p for p in text.split(",") if p]
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"sweep_values must be numbers, got {text!r}") from None
+    if ":" not in text:
+        return values
+    if len(values) != 3:
+        raise ValueError(f"expected start:step:stop, got {text!r}")
+    start, step, stop = values
+    if step <= 0:
+        raise ValueError("range step must be positive")
+    # the points up to stop, which a rounding error of the step still reaches
+    n = math.floor((stop - start) / step + 1e-9) + 1
+    if n < 1:
+        raise ValueError(f"range {text!r} stops below its start")
+    return [start + i * step for i in range(n)]
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -72,64 +85,45 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--methods", help="comma list from: " + ",".join(METHODS))
     p.add_argument("--trials", type=int, help="trials per sweep point (default 200)")
     p.add_argument("--seed", type=int, help="base RNG seed (default 1)")
-    p.add_argument("--snr", dest="snr_db",
-                   help="operating SNR in dB (default 0), or start:step:stop "
-                        "or a list for sweep-snr")
     p.add_argument("--jobs", type=int, help="worker processes (default 1)")
 
 
-def _build_spec(args: argparse.Namespace, sweep_kind: str,
-                snr_axis: bool = True) -> ExperimentSpec:
-    """Resolve config file < flags into a full spec for the given sweep axis.
-    --snr gives the sweep values of an SNR sweep (snr_axis) and the operating
-    SNR otherwise."""
+def _add_operating_snr(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--snr", dest="snr_db", help="operating SNR in dB (default 0)")
+
+
+def _build_spec(args: argparse.Namespace, sweep_kind: str) -> ExperimentSpec:
+    """Resolve config file < flags into a full spec for the given sweep kind.
+    Each flag sets the spec field its destination names; the range flag sets
+    sweep_values, and a config's sweep_values apply only to its own kind."""
     data: dict = {}
     if args.config is not None:
         with open(args.config) as f:
             data.update(json.load(f))
-    config_kind = data.get("sweep_kind")
-
-    for key in ("rings", "elements", "users", "paths", "frequency_hz",
-                "noise_power", "kappa", "grid_size", "d_min", "outer_iters",
-                "trials", "seed", "jobs"):
-        value = getattr(args, key, None)
-        if value is not None:
-            data[key] = value
-    if getattr(args, "omni", False):
-        data["pattern_kind"] = "omni"
-    elif getattr(args, "kappa", None) is not None:
-        data["pattern_kind"] = "directional"
-    if getattr(args, "alpha", None) is not None:
+    flags = {key: value for key, value in vars(args).items()
+             if key in ExperimentSpec.__dataclass_fields__ and value is not None}
+    if args.omni:
+        flags["pattern_kind"] = "omni"
+    elif "kappa" in flags:
+        flags["pattern_kind"] = "directional"
+    if "alpha" in flags:
         try:
-            data["alpha"] = float(args.alpha)
+            flags["alpha"] = float(args.alpha)
         except ValueError:  # "mmse", or a word the spec rejects by name
-            data["alpha"] = args.alpha
-    if getattr(args, "methods", None) is not None:
-        data["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
-
-    # sweep axis: flag beats config, config applies only for the same axis,
-    # otherwise the command's default range
-    snr_axis = snr_axis and sweep_kind == "snr"
-    flag_values = None
-    if snr_axis and getattr(args, "snr_db", None):
-        flag_values = _parse_range(args.snr_db)
-    elif sweep_kind == "grid" and getattr(args, "grid_range", None):
-        flag_values = _parse_range(args.grid_range)
-    elif sweep_kind == "iters" and getattr(args, "iters_range", None):
-        flag_values = _parse_range(args.iters_range)
-    if flag_values is not None:
-        data["sweep_values"] = flag_values
-    elif config_kind != sweep_kind or "sweep_values" not in data:
-        data["sweep_values"] = _parse_range(DEFAULT_SWEEPS[sweep_kind])
-    data["sweep_kind"] = sweep_kind
-
-    if not snr_axis and getattr(args, "snr_db", None) is not None:
+            pass
+    if "methods" in flags:
+        flags["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if getattr(args, "sweep_range", None) is not None:
+        flags["sweep_values"] = _parse_range(args.sweep_range)
+    elif data.get("sweep_kind") != sweep_kind or "sweep_values" not in data:
+        flags["sweep_values"] = _parse_range(DEFAULT_SWEEPS[sweep_kind])
+    if "snr_db" in flags:
         try:
-            data["snr_db"] = float(args.snr_db)
+            flags["snr_db"] = float(args.snr_db)
         except ValueError:  # a range or list: only sweep-snr sweeps the SNR
             raise ValueError(f"--snr takes one SNR in dB here, "
                              f"got {args.snr_db!r}") from None
-    return ExperimentSpec.from_dict(data)
+    return ExperimentSpec.from_dict({**data, **flags, "sweep_kind": sweep_kind})
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -167,7 +161,7 @@ TRACE_FILES = {
 def _solve_once(args: argparse.Namespace) -> int:
     """Trial 0 of sweep point 0 at the spec's operating SNR, through the
     sweeps' method table, with per-method trace files."""
-    spec = _build_spec(args, "snr", snr_axis=False)
+    spec = _build_spec(args, "snr")
     out = _out_dir(args)
     batch = draw_batch(spec, 0, [0])
     export_paths(batch.paths, out / "paths.json")
@@ -287,26 +281,21 @@ def parse_and_dispatch(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_snr = sub.add_parser("sweep-snr", help="sum rate vs operating SNR")
-    _add_common_flags(p_snr)
-    p_snr.set_defaults(run=lambda args: _run_sweep_command(args, "snr"))
-
-    p_grid = sub.add_parser("sweep-grid", help="sum rate vs grid size")
-    _add_common_flags(p_grid)
-    p_grid.set_defaults(run=lambda args: _run_sweep_command(args, "grid"))
-    p_grid.add_argument("--grid-range", dest="grid_range",
-                        help="start:step:stop grid sizes (default 4:2:12)")
-
-    p_iter = sub.add_parser("sweep-iters",
-                            help="sum rate vs alternating solver rounds")
-    _add_common_flags(p_iter)
-    p_iter.set_defaults(run=lambda args: _run_sweep_command(args, "iters"))
-    p_iter.add_argument("--iters-range", dest="iters_range",
-                        help="start:step:stop rounds (default 1:1:10)")
+    for command, (sweep_kind, about, flag, points) in SWEEP_COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        _add_common_flags(p)
+        p.add_argument(flag, dest="sweep_range", metavar="RANGE",
+                       help=f"start:step:stop or a comma list of {points} "
+                            f"(default {DEFAULT_SWEEPS[sweep_kind]})")
+        if sweep_kind != "snr":
+            _add_operating_snr(p)
+        p.set_defaults(run=lambda args, kind=sweep_kind:
+                       _run_sweep_command(args, kind))
 
     p_once = sub.add_parser("solve-once",
                             help="run one trial verbosely with traces")
     _add_common_flags(p_once)
+    _add_operating_snr(p_once)
     p_once.set_defaults(run=_solve_once)
 
     p_val = sub.add_parser("validate", help="run built-in numerical self-checks")

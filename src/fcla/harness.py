@@ -91,14 +91,16 @@ def _whole(name: str, value, low: int) -> int:
 
 
 def _finite(name: str, value, low: float = -math.inf,
-            inclusive: bool = False) -> float:
-    """value as a float, or a ValueError naming the field unless it is a
-    finite real number above low (or at least low, when inclusive)."""
+            inclusive: bool = False, other: str = "") -> float:
+    """value as a float, or a ValueError naming the field (and the other
+    form it may take) unless it is a finite real number above low (or at
+    least low, when inclusive)."""
     if not (_is_real(value) and math.isfinite(value)
             and (value >= low if inclusive else value > low)):
         op = ">=" if inclusive else ">"
         bound = f" {op} {low:g}" if math.isfinite(low) else ""
-        raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
+        raise ValueError(f"{name} must be {other}a finite number{bound}, "
+                         f"got {value!r}")
     return float(value)
 
 
@@ -145,11 +147,11 @@ class ExperimentSpec:
         for name in WHOLE_FIELDS:
             setattr(self, name, _whole(name, getattr(self, name), 1))
         self.seed = _whole("seed", self.seed, 0)
-        alpha = self.alpha_value()
         # "mmse" is noise_power, which is checked under its own name below
         if self.alpha != "mmse":
-            self.alpha = alpha = _finite("alpha", self.alpha, low=0.0,
-                                         inclusive=True)
+            self.alpha = _finite("alpha", self.alpha, low=0.0, inclusive=True,
+                                 other="'mmse' or ")
+        alpha = self.alpha_value()
         # the greedy solvers' inverse-Gram state exists only for alpha > 0
         if (set(self.methods) & set(GREEDY_METHODS)
                 and not (_is_real(alpha) and alpha > 0.0)):
@@ -163,8 +165,10 @@ class ExperimentSpec:
             self.d_min = _finite("d_min", self.d_min, low=0.0)
         self.kappa = _finite("kappa", self.kappa, low=1.0, inclusive=True)
         self.snr_db = _finite("snr_db", self.snr_db)
-        if not self.sweep_values:
-            raise ValueError("sweep needs at least one point")
+        if not (isinstance(self.sweep_values, (list, tuple))
+                and self.sweep_values):
+            raise ValueError(f"sweep_values must be a list of at least one "
+                             f"point, got {self.sweep_values!r}")
         self.sweep_values = tuple(_finite("sweep_values", v)
                                   for v in self.sweep_values)
         self._check_points()
@@ -214,13 +218,7 @@ class ExperimentSpec:
         )
 
     def alpha_value(self) -> float:
-        if self.alpha == "mmse":
-            return self.noise_power
-        try:
-            return float(self.alpha)
-        except (TypeError, ValueError):
-            raise ValueError(f"alpha must be 'mmse' or a number, "
-                             f"got {self.alpha!r}") from None
+        return self.noise_power if self.alpha == "mmse" else self.alpha
 
     def power_for_snr(self, snr_db: float) -> float:
         return 10.0 ** (snr_db / 10.0) * self.noise_power

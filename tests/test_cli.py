@@ -222,7 +222,7 @@ def test_solve_once_method_manifest_replays_it(method, tmp_path, capsys):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-@pytest.mark.parametrize("command", ["solve-once", "sweep-grid"])
+@pytest.mark.parametrize("command", ["solve-once", "sweep-grid", "sweep-iters"])
 @pytest.mark.parametrize("snr", ["-6:2:6", "0,2"])
 def test_operating_snr_rejects_ranges(command, snr, tmp_path, capsys):
     code = parse_and_dispatch([command, "--snr", snr, "--out", str(tmp_path)]
@@ -330,7 +330,11 @@ def test_unservable_user_keeps_every_ucla_trial(tmp_path, capsys):
     ("sweep-iters", ["--methods", "ucla"], "methods"),
     ("sweep-iters", ["--iters-range", "0:1:2"], "sweep_values"),
     ("sweep-grid", ["--grid-range", "2,12"], "sweep_values"),
-], ids=["iters-without-fcla-a", "zero-rounds", "grid-too-small"])
+    ("sweep-grid", ["--grid-range", ""], "sweep_values"),
+    ("sweep-iters", ["--iters-range", ""], "sweep_values"),
+    ("sweep-grid", ["--grid-range", "4,b"], "sweep_values"),
+], ids=["iters-without-fcla-a", "zero-rounds", "grid-too-small",
+        "empty-grid-range", "empty-iters-range", "non-numeric-grid-range"])
 def test_bad_sweep_point_rejected_before_output(command, flags, field,
                                                 tmp_path, capsys):
     out = tmp_path / "out"
@@ -359,6 +363,9 @@ BAD_SPEC_VALUES = [
     ([], {"noise_power": "1", "methods": ["ucla"]}, "noise_power"),
     (["--snr=nan"], {}, "sweep_values"),
     (["--snr=inf,0"], {}, "sweep_values"),
+    (["--snr", ""], {}, "sweep_values"),
+    (["--snr", "0,a"], {}, "sweep_values"),
+    (["--snr", "1:x:3"], {}, "sweep_values"),
     ([], {"snr_db": float("nan")}, "snr_db"),
     ([], {"snr_db": "3"}, "snr_db"),
     (["--noise", "inf", "--methods", "ucla"], {}, "noise_power"),
@@ -389,6 +396,19 @@ def test_bad_spec_value_named_before_output(flags, config, field, tmp_path,
     assert parse_and_dispatch(["sweep-snr", "--snr", "0", "--config",
                                str(path), "--out", str(out)] + flags) == 2
     assert f"{field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", [5, None])
+def test_config_sweep_values_not_a_list_named_before_output(values, tmp_path,
+                                                            capsys):
+    # without --snr, which would replace the config's points
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sweep_kind": "snr", "sweep_values": values}))
+    out = tmp_path / "out"
+    assert parse_and_dispatch(["sweep-snr", "--config", str(path),
+                               "--out", str(out)]) == 2
+    assert "sweep_values must be" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -107,7 +107,7 @@ class TestSpec:
 
     @pytest.mark.parametrize("methods", [("ucla",), METHODS])
     def test_rejects_alpha_that_is_not_a_number(self, methods):
-        with pytest.raises(ValueError, match="alpha"):
+        with pytest.raises(ValueError, match="alpha must be 'mmse' or"):
             small_spec(alpha="mmsee", methods=methods)
 
     def test_rejects_zero_mmse_regularization(self):
