@@ -11,7 +11,11 @@ phase rings choose one height block each, sequentially, updating the state
 between rings.
 
 Every trial of a (B, G, K) dictionary runs through the same steps at once;
-each trial's picks equal those of solving it alone.
+each trial's picks equal those of solving it alone. A trial whose round ends
+on the height slots that seeded it has settled: the angle phase is a
+function of the slots alone and the height phase of the angles alone, so
+each later round would repeat that round exactly. Settled trials leave the
+batch, and their later rounds are recorded as copies of the settled one.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ def _distinct(index: np.ndarray) -> bool:
 
 
 def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
-                    alpha: float):
+                    alpha: float, trials=None):
     """Select each ring's element angles with ring m pinned at height slot
     slots[m].
 
@@ -45,40 +49,45 @@ def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
     inner step (lowest index on ties), all against the residual from the
     previous step, so the scores of every ring's columns, watched once per
     phase, serve all rings; one rank-M update then takes in all the picks.
-    slots is (M,), shared by every trial, or (B, M). Returns the (B, M, N)
-    angle indices and the (B, N) objective after each inner step.
+    slots is (M,), shared by every trial, or (T, M) for the T trials listed
+    by trials (`Dictionary.take`; default all B). Returns the (T, M, N)
+    angle indices and the (T, N) objective after each inner step.
     """
-    n_trials, _, n_users = dictionary.rows.shape
+    n_users = dictionary.rows.shape[2]
+    n_trials = len(dictionary.rows) if trials is None else len(trials)
     slots = np.asarray(slots, dtype=int)
     slots = np.broadcast_to(slots, (n_trials, slots.shape[-1]))
     if not _distinct(slots):
         raise ValueError(f"rings share a height slot: {slots.tolist()}")
     m_rings = slots.shape[1]
     g_h = dictionary.group_size
-    ring_columns = slots[..., None] * g_h + np.arange(g_h)  # (B, M, G_H)
+    ring_columns = slots[..., None] * g_h + np.arange(g_h)  # (T, M, G_H)
     state = GreedyState(n_trials, n_users, alpha)
-    state.watch(dictionary.take(ring_columns.reshape(n_trials, -1)))
+    state.watch(dictionary.take(ring_columns.reshape(n_trials, -1), trials))
     alive = np.ones((n_trials, m_rings, g_h), dtype=bool)
     picks, objectives = [], []
     for _ in range(n_elements):
-        pick = state.pick(alive)  # (B, M)
+        pick = state.pick(alive)  # (T, M)
         np.put_along_axis(alive, pick[..., None], False, axis=2)
-        state.add(dictionary.take(slots * g_h + pick))
+        state.add(dictionary.take(slots * g_h + pick, trials))
         picks.append(pick)
         objectives.append(state.objective())
     return np.stack(picks, axis=2), np.stack(objectives, axis=1)
 
 
-def optimize_heights(dictionary: Dictionary, angles, alpha: float):
+def optimize_heights(dictionary: Dictionary, angles, alpha: float,
+                     trials=None):
     """Assign one height slot to each ring with its angle indices frozen.
 
     Rings go in order; ring m scores every live height slot by the Frobenius
     norm of its block's matched filter against the current residual (all
     slots in one matched filter), takes the best, and a rank-N update adds
-    the block. angles is (M, N), shared by every trial, or (B, M, N). Returns
-    the (B, M) slots and the (B, M) objective after each ring's add.
+    the block. angles is (M, N), shared by every trial, or (T, M, N) for the
+    T trials listed by trials (default all B). Returns the (T, M) slots and
+    the (T, M) objective after each ring's add.
     """
-    n_trials, _, n_users = dictionary.rows.shape
+    n_users = dictionary.rows.shape[2]
+    n_trials = len(dictionary.rows) if trials is None else len(trials)
     angles = np.atleast_2d(np.asarray(angles, dtype=int))
     angles = np.broadcast_to(angles, (n_trials,) + angles.shape[-2:])
     if not _distinct(angles):
@@ -92,15 +101,15 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float):
     objectives = []
     slot_columns = np.arange(g_v)[:, None] * g_h  # (G_V, 1)
     for m in range(m_rings):
-        blocks = slot_columns + angles[:, m, None, :]  # (B, G_V, N)
-        state.watch(dictionary.take(blocks.reshape(n_trials, -1)),
+        blocks = slot_columns + angles[:, m, None, :]  # (T, G_V, N)
+        state.watch(dictionary.take(blocks.reshape(n_trials, -1), trials),
                     block=n_elem)
         best = state.pick(alive)
         # the next ring's blocks are gathered without these beside them
         state.unwatch()
         slots[:, m] = best
         alive[np.arange(n_trials), best] = False
-        state.add(dictionary.take(best[:, None] * g_h + angles[:, m]))
+        state.add(dictionary.take(best[:, None] * g_h + angles[:, m], trials))
         objectives.append(state.objective())
     return slots, np.stack(objectives, axis=1)
 
@@ -109,36 +118,52 @@ def solve_alternating(dictionary: Dictionary, config: FclaConfig,
                       alpha: float, n_outer: int) -> Solutions:
     """Run the angle and height phases alternately for n_outer rounds.
 
-    Heights from one round seed the next round's angle phase. Returns the
-    record (`fcla.solution.Solutions`) of every trial of the (B, G, K)
-    dictionary, each trial's part equal to solving it alone, with each
-    round's phase objectives and placement columns.
+    Heights from one round seed the next round's angle phase. A trial whose
+    round returns the slots that seeded it stops there, and its later rounds
+    repeat that round. Returns the record (`fcla.solution.Solutions`) of
+    every trial of the (B, G, K) dictionary, each trial's part equal to
+    solving it alone, with each round's phase objectives and placement
+    columns.
     """
     if n_outer < 1:
         raise ValueError("need at least one outer round")
     dictionary.check_capacity(config)
     n_trials = len(dictionary.rows)
+    m_rings, n_elem = config.m_rings, config.n_elements
     g_h = dictionary.group_size
-    slots = initial_heights(dictionary.n_groups, config.m_rings)
 
-    angle_objectives, height_objectives, round_columns = [], [], []
-    for _ in range(n_outer):
-        angles, objectives = optimize_angles(dictionary, slots,
-                                             config.n_elements, alpha)
-        angle_objectives.append(objectives)
-        slots, objectives = optimize_heights(dictionary, angles, alpha)
-        height_objectives.append(objectives)
+    angle_objectives = np.empty((n_trials, n_outer, n_elem))
+    height_objectives = np.empty((n_trials, n_outer, m_rings))
+    round_columns = np.empty((n_trials, n_outer, m_rings * n_elem), dtype=int)
+    rounds_run = np.empty(n_trials, dtype=int)
+    running = np.arange(n_trials)
+    seed_slots = np.broadcast_to(
+        initial_heights(dictionary.n_groups, m_rings), (n_trials, m_rings))
+    for r in range(n_outer):
+        # each running trial's round fills its entries from r on, so those
+        # of a trial that settles here stay this round's
+        angles, objectives = optimize_angles(dictionary, seed_slots, n_elem,
+                                             alpha, running)
+        angle_objectives[running, r:] = objectives[:, None]
+        slots, objectives = optimize_heights(dictionary, angles, alpha,
+                                             running)
+        height_objectives[running, r:] = objectives[:, None]
         # ring-major blocks of N angle columns
-        columns = (slots[..., None] * g_h + angles).reshape(n_trials, -1)
-        round_columns.append(columns)
+        columns = (slots[..., None] * g_h + angles).reshape(len(running), -1)
+        round_columns[running, r:] = columns[:, None]
+        rounds_run[running] = r + 1
+        moved = (slots != seed_slots).any(axis=1)
+        running, seed_slots = running[moved], slots[moved]
+        if not len(running):
+            break
 
-    # per round, the angle phase watches each ring's G_H columns and updates
-    # them before each of its N picks; the height phase scores every slot's
-    # N-column block for each ring and never carries an add into them
-    mf_columns = n_outer * config.m_rings * config.n_elements * (
-        g_h + dictionary.n_groups)
-    return solutions(dictionary, columns, slots, alpha, iterations=n_outer,
-                     matched_filter_columns=mf_columns,
-                     angle_objectives=np.stack(angle_objectives, axis=1),
-                     height_objectives=np.stack(height_objectives, axis=1),
-                     round_columns=np.stack(round_columns, axis=1))
+    columns = round_columns[:, -1]
+    # per round run, the angle phase watches each ring's G_H columns and
+    # updates them before each of its N picks; the height phase scores every
+    # slot's N-column block for each ring and never carries an add into them
+    mf_columns = rounds_run * m_rings * n_elem * (g_h + dictionary.n_groups)
+    return solutions(dictionary, columns, columns[:, ::n_elem] // g_h, alpha,
+                     iterations=n_outer, matched_filter_columns=mf_columns,
+                     angle_objectives=angle_objectives,
+                     height_objectives=height_objectives,
+                     round_columns=round_columns)

@@ -120,9 +120,14 @@ class Dictionary:
     z: np.ndarray
     group_size: int
 
-    def take(self, index: np.ndarray) -> np.ndarray:
-        """The rows of columns index[b] (B, n) of each trial b, (B, n, K)."""
-        return self.rows[np.arange(len(self.rows))[:, None], index]
+    def take(self, index: np.ndarray, trials=None) -> np.ndarray:
+        """The rows of columns index[i] (T, n) of trial trials[i], (T, n, K).
+
+        trials lists T of the B trials, by default all of them in order.
+        Only the gathered rows are copied, never the dictionary."""
+        if trials is None:
+            trials = np.arange(len(self.rows))
+        return self.rows[np.asarray(trials)[:, None], index]
 
     @property
     def n_groups(self) -> int:

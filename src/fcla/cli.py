@@ -96,10 +96,14 @@ def _build_spec(args: argparse.Namespace, sweep_kind: str) -> ExperimentSpec:
     """Resolve config file < flags into a full spec for the given sweep kind.
     Each flag sets the spec field its destination names; the range flag sets
     sweep_values, and a config's sweep_values apply only to its own kind."""
-    data: dict = {}
+    data = {}
     if args.config is not None:
         with open(args.config) as f:
-            data.update(json.load(f))
+            data = json.load(f)
+        if not isinstance(data, dict):
+            found = "null" if data is None else type(data).__name__
+            raise ValueError(f"config file {args.config} must hold a JSON "
+                             f"object of spec fields, got {found}")
     flags = {key: value for key, value in vars(args).items()
              if key in ExperimentSpec.__dataclass_fields__ and value is not None}
     if args.omni:

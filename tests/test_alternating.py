@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fcla.alternating import (initial_heights, optimize_angles,
                               optimize_heights, solve_alternating)
@@ -10,8 +12,10 @@ from fcla.joint import solve_joint
 from fcla.oracle import exhaustive_best
 from fcla.pattern import PatternSpec
 from fcla.precoding import rzf
+from fcla.solution import solutions
 from spacing_oracle import check_spacing
 from test_channel import channel_entry_oracle
+from test_properties import instances
 
 
 def make_setup(m=2, n=2, g_h=4, g_v=4, users=4, n_paths=2, seed=0,
@@ -254,6 +258,78 @@ class TestSolveAlternating:
         joint = solve_joint(d, config, 1.0)
         alt = solve_alternating(d, config, 1.0, 5)
         assert alt.matched_filter_columns[0] < joint.matched_filter_columns[0]
+
+
+RECORD_FIELDS = ("columns", "slots", "heights", "angles", "H_star", "F",
+                 "objective", "iterations", "matched_filter_columns",
+                 "angle_objectives", "height_objectives", "round_columns")
+
+
+def every_round_reference(dictionary, config, alpha, n_outer):
+    """solve_alternating's record from running both phases for all n_outer
+    rounds on every trial, settled or not, and whether each round returned
+    the slots that seeded it, (B, R). A trial counts matched-filter work up
+    to and including its first such round."""
+    g_h = dictionary.group_size
+    slots = initial_heights(dictionary.n_groups, config.m_rings)
+    settled, angle_objectives, height_objectives, round_columns = [], [], [], []
+    for _ in range(n_outer):
+        angles, objectives = optimize_angles(dictionary, slots,
+                                             config.n_elements, alpha)
+        angle_objectives.append(objectives)
+        seed_slots = slots
+        slots, objectives = optimize_heights(dictionary, angles, alpha)
+        height_objectives.append(objectives)
+        settled.append((slots == seed_slots).all(axis=1))
+        round_columns.append(
+            (slots[..., None] * g_h + angles).reshape(len(slots), -1))
+    settled = np.stack(settled, axis=1)
+    rounds_run = np.where(settled.any(axis=1), settled.argmax(axis=1) + 1,
+                          n_outer)
+    record = solutions(
+        dictionary, round_columns[-1], slots, alpha, iterations=n_outer,
+        matched_filter_columns=rounds_run * config.m_rings * config.n_elements
+        * (g_h + dictionary.n_groups),
+        angle_objectives=np.stack(angle_objectives, axis=1),
+        height_objectives=np.stack(height_objectives, axis=1),
+        round_columns=np.stack(round_columns, axis=1))
+    return record, settled
+
+
+def check_retirement(dictionary, config, alpha, n_outer):
+    """Check that solve_alternating equals the every-round reference on every
+    record field, and that the reference repeats a trial's round once its
+    slots repeat their seed; return solve_alternating's record."""
+    want, settled = every_round_reference(dictionary, config, alpha, n_outer)
+    got = solve_alternating(dictionary, config, alpha, n_outer)
+    for name in RECORD_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for t, r in zip(*np.nonzero(settled)):
+        for name in ("round_columns", "angle_objectives", "height_objectives"):
+            trace = getattr(want, name)[t]
+            assert (trace[r:] == trace[r]).all(), (name, t, r)
+    return got
+
+
+class TestRetirement:
+    """Trials whose slots repeat leave the batch; the record is unchanged."""
+
+    @given(instances(max_trials=4), st.integers(1, 10))
+    def test_equals_every_round_on_every_trial(self, instance, n_outer):
+        config, paths = instance
+        check_retirement(build_joint_dictionary(paths, config), config, 0.8,
+                         n_outer)
+
+    def test_settled_trial_counts_only_rounds_run(self):
+        config = FclaConfig(2, 2, 4, 4, d_min=0.05, wavelength=0.1,
+                            pattern=PatternSpec.directional(1.0))
+        seeds = [np.random.SeedSequence([t]) for t in range(4)]
+        d = build_joint_dictionary(draw_paths(4, 2, seeds), config)
+        sol = check_retirement(d, config, 1.0, 3)
+        # trials 0 and 2 settle in their first round, trial 3 runs all three
+        assert sol.matched_filter_columns.tolist() == [
+            rounds * 2 * 2 * (4 + 4) for rounds in (1, 2, 1, 3)]
+        assert sol.iterations.tolist() == [3] * 4
 
 
 class TestStackedTrials:

@@ -172,6 +172,21 @@ def test_bad_config_file_rejected(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("content, found", [("[1, 2]", "list"),
+                                            ("null", "null"), ('"x"', "str")])
+def test_config_that_is_not_an_object_rejected_by_name(content, found,
+                                                       tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(content)
+    out = tmp_path / "out"
+    code = parse_and_dispatch(["sweep-snr", "--config", str(cfg),
+                               "--out", str(out)] + SMALL)
+    assert code == 2
+    assert (f"config file {cfg} must hold a JSON object of spec fields, "
+            f"got {found}") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_pattern_kind_in_config_rejected_by_name(tmp_path, capsys):
     cfg = tmp_path / "typo.json"
     cfg.write_text(json.dumps({"pattern_kind": "omnii"}))
