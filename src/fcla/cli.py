@@ -9,6 +9,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -24,20 +25,18 @@ from .precoding import normalize_columns, rzf
 
 OUT_DIR_ENV = "FCLA_OUT_DIR"
 
-DEFAULT_SWEEPS = {
-    "snr": "-6:2:6",
-    "grid": "4:2:12",
-    "iters": "1:1:10",
+# sweep kind -> (its command and help, its range flag, what the range lists,
+# and the default range)
+SWEEPS = {
+    "snr": ("sweep-snr", "sum rate vs operating SNR", "--snr", "SNRs in dB",
+            "-6:2:6"),
+    "grid": ("sweep-grid", "sum rate vs grid size", "--grid-range",
+             "grid sizes", "4:2:12"),
+    "iters": ("sweep-iters", "sum rate vs alternating solver rounds",
+              "--iters-range", "rounds", "1:1:10"),
 }
-# sweep command -> (its sweep kind and help, its range flag and what the
-# range lists)
-SWEEP_COMMANDS = {
-    "sweep-snr": ("snr", "sum rate vs operating SNR", "--snr", "SNRs in dB"),
-    "sweep-grid": ("grid", "sum rate vs grid size", "--grid-range",
-                   "grid sizes"),
-    "sweep-iters": ("iters", "sum rate vs alternating solver rounds",
-                    "--iters-range", "rounds"),
-}
+# a value that begins with a negative number: -6:2:6, -1e-3, -inf, -.5
+DASHED_VALUE = re.compile(r"-(\.?\d|inf)", re.IGNORECASE)
 
 
 def _parse_range(text: str) -> list[float]:
@@ -120,7 +119,7 @@ def _build_spec(args: argparse.Namespace, sweep_kind: str) -> ExperimentSpec:
     if getattr(args, "sweep_range", None) is not None:
         flags["sweep_values"] = _parse_range(args.sweep_range)
     elif data.get("sweep_kind") != sweep_kind or "sweep_values" not in data:
-        flags["sweep_values"] = _parse_range(DEFAULT_SWEEPS[sweep_kind])
+        flags["sweep_values"] = _parse_range(SWEEPS[sweep_kind][-1])
     if "snr_db" in flags:
         try:
             flags["snr_db"] = float(args.snr_db)
@@ -259,17 +258,13 @@ def _validate(args: argparse.Namespace) -> int:
 
 
 def _merge_dashed_values(argv):
-    """Glue values like "-6:2:6" onto their flag so argparse keeps them."""
+    """Glue each value that begins with a negative number onto the --flag
+    before it, so argparse does not take it for an option."""
     merged = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if (token in ("--snr", "--dmin") and i + 1 < len(argv)
-                and argv[i + 1].startswith("-")):
-            merged.append(f"{token}={argv[i + 1]}")
-            skip = True
+    for token in argv:
+        if (merged and merged[-1].startswith("--") and "=" not in merged[-1]
+                and DASHED_VALUE.match(token)):
+            merged[-1] += f"={token}"
         else:
             merged.append(token)
     return merged
@@ -285,12 +280,12 @@ def parse_and_dispatch(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, (sweep_kind, about, flag, points) in SWEEP_COMMANDS.items():
+    for sweep_kind, (command, about, flag, points, default) in SWEEPS.items():
         p = sub.add_parser(command, help=about)
         _add_common_flags(p)
         p.add_argument(flag, dest="sweep_range", metavar="RANGE",
                        help=f"start:step:stop or a comma list of {points} "
-                            f"(default {DEFAULT_SWEEPS[sweep_kind]})")
+                            f"(default {default})")
         if sweep_kind != "snr":
             _add_operating_snr(p)
         p.set_defaults(run=lambda args, kind=sweep_kind:
@@ -308,7 +303,7 @@ def parse_and_dispatch(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from .alternating import solve_alternating
 from .channel import Dictionary, Paths, build_joint_dictionary, draw_paths
 from .geometry import SPEED_OF_LIGHT, FclaConfig
 from .joint import solve_joint
-from .pattern import PatternSpec
+from .pattern import PATTERN_KINDS, PatternSpec
 from .precoding import normalize_columns, sinr
 from .solution import Solutions, refit, solutions
 
@@ -66,7 +66,6 @@ METHOD_TABLE = {
 METHODS = tuple(METHOD_TABLE)
 GREEDY_METHODS = tuple(m for m, (_, greedy) in METHOD_TABLE.items() if greedy)
 SWEEP_KINDS = ("snr", "grid", "iters")
-PATTERN_KINDS = ("directional", "omni")
 # bytes a batch may hold, counted per trial as in _batches; at the reference
 # scale a 30-trial 12x12 point runs as one batch and a 32x32 point in
 # batches of 6 (CHANGES.md has the measured curve behind it)
@@ -147,20 +146,19 @@ class ExperimentSpec:
         for name in WHOLE_FIELDS:
             setattr(self, name, _whole(name, getattr(self, name), 1))
         self.seed = _whole("seed", self.seed, 0)
-        # "mmse" is noise_power, which is checked under its own name below
+        for name in ("noise_power", "frequency_hz"):
+            setattr(self, name, _finite(name, getattr(self, name), low=0.0))
+        # "mmse" is noise_power, checked above
         if self.alpha != "mmse":
             self.alpha = _finite("alpha", self.alpha, low=0.0, inclusive=True,
                                  other="'mmse' or ")
-        alpha = self.alpha_value()
         # the greedy solvers' inverse-Gram state exists only for alpha > 0
         if (set(self.methods) & set(GREEDY_METHODS)
-                and not (_is_real(alpha) and alpha > 0.0)):
+                and not self.alpha_value() > 0.0):
             raise ValueError(
                 f"alpha must be > 0 for {', '.join(GREEDY_METHODS)} "
                 f"(got alpha={self.alpha!r}, noise_power={self.noise_power!r})"
             )
-        for name in ("noise_power", "frequency_hz"):
-            setattr(self, name, _finite(name, getattr(self, name), low=0.0))
         if self.d_min is not None:
             self.d_min = _finite("d_min", self.d_min, low=0.0)
         self.kappa = _finite("kappa", self.kappa, low=1.0, inclusive=True)
@@ -222,11 +220,6 @@ class ExperimentSpec:
 
     def power_for_snr(self, snr_db: float) -> float:
         return 10.0 ** (snr_db / 10.0) * self.noise_power
-
-    def to_dict(self) -> dict:
-        """Every field, with lists for the tuple fields (JSON-ready)."""
-        return {**dataclasses.asdict(self), "methods": list(self.methods),
-                "sweep_values": list(self.sweep_values)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
@@ -377,16 +370,18 @@ def _batches(spec: ExperimentSpec) -> list[list[int]]:
     return [b.tolist() for b in np.array_split(np.arange(spec.trials), n_batches)]
 
 
-def _points(spec: ExperimentSpec) -> list[ExperimentSpec]:
-    """The spec of each sweep point. The iteration sweep is one point run
-    for the most rounds, whose per-round rates give every iteration count
-    on the same channels."""
+def _points(spec: ExperimentSpec) -> list[tuple[ExperimentSpec, tuple]]:
+    """The spec of each sweep point, with the sweep values its rows report.
+    The iteration sweep is one point run for the most rounds, whose
+    per-round rates give every iteration count on the same channels."""
     if spec.sweep_kind == "snr":
-        return [dataclasses.replace(spec, snr_db=v) for v in spec.sweep_values]
-    if spec.sweep_kind == "grid":
-        return [dataclasses.replace(spec, grid_size=int(v))
+        return [(dataclasses.replace(spec, snr_db=v), (v,))
                 for v in spec.sweep_values]
-    return [dataclasses.replace(spec, outer_iters=int(max(spec.sweep_values)))]
+    if spec.sweep_kind == "grid":
+        return [(dataclasses.replace(spec, grid_size=int(v)), (v,))
+                for v in spec.sweep_values]
+    return [(dataclasses.replace(spec, outer_iters=int(max(spec.sweep_values))),
+             spec.sweep_values)]
 
 
 def _mean_stderr(values: np.ndarray):
@@ -398,13 +393,11 @@ def _mean_stderr(values: np.ndarray):
     return mean, stderr
 
 
-def _point_rows(spec: ExperimentSpec, value: float,
+def _point_rows(spec: ExperimentSpec, values: tuple,
                 rates: np.ndarray) -> list:
     """Rows of one sweep point, from the (trials, methods, V) rates of its
-    completed trials (see run_trial): one per method and column, the
-    columns being the iteration sweep's round counts or else the point's
-    value."""
-    values = spec.sweep_values if spec.sweep_kind == "iters" else (value,)
+    completed trials (see run_trial): one per method and column, column j
+    reporting values[j]."""
     rows = []
     for i, m in enumerate(spec.methods):
         for j, v in enumerate(values):
@@ -430,7 +423,7 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     than tasks, when spec.jobs > 1.
     """
     points = _points(spec)
-    tasks = [(point, index, batch) for index, point in enumerate(points)
+    tasks = [(point, index, batch) for index, (point, _) in enumerate(points)
              for batch in _batches(point)]
     if spec.jobs > 1:
         # no more workers than tasks: a fork start forks them all at once
@@ -443,20 +436,19 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
 
     rows: list[SweepRow] = []
     failures: list[tuple] = []
-    for index, point in enumerate(points):
-        value = (point.outer_iters if spec.sweep_kind == "iters"
-                 else spec.sweep_values[index])
+    for index, (_, values) in enumerate(points):
+        value = max(values)
         trials = outcomes[index * spec.trials:(index + 1) * spec.trials]
         rates = [r for r in trials if not isinstance(r, Exception)]
         point_failures = [(value, t, r) for t, r in enumerate(trials)
                           if isinstance(r, Exception)]
-        if not rates:
-            raise RuntimeError(
+        if not rates:  # the point's spec cannot produce a row
+            raise ValueError(
                 f"all {spec.trials} trial(s) at {spec.sweep_kind}={value:g} "
                 f"failed; the first with {point_failures[0][2]!r}"
             )
         failures.extend(point_failures)
-        rows.extend(_point_rows(spec, value, np.stack(rates)))
+        rows.extend(_point_rows(spec, values, np.stack(rates)))
     if failures:
         rows_failed = ", ".join(f"point {v} trial {t}: {e}" for v, t, e in failures)
         print(f"warning: {len(failures)} trial(s) failed ({rows_failed})",
@@ -480,5 +472,5 @@ def write_manifest(spec: ExperimentSpec, path) -> None:
     """JSON echo of the experiment parameters plus the code version;
     re-usable as a config file."""
     with open(path, "w", newline="") as f:
-        json.dump({**spec.to_dict(), "version": __version__}, f, indent=1,
-                  sort_keys=True)
+        json.dump({**dataclasses.asdict(spec), "version": __version__}, f,
+                  indent=1, sort_keys=True)

@@ -22,6 +22,8 @@ from .precoding import normalize_columns, rzf, rzf_objective, sinr
 # bytes of channels (trials x users x antennas per placement) gathered for
 # one stacked refit, to bound memory
 CHUNK_BYTES = 1 << 22
+# placements an enumeration may hold
+CAP = 10**6
 
 
 @dataclass
@@ -34,8 +36,8 @@ class OracleResult:
 
 
 def exhaustive_best(dictionary: Dictionary, config: FclaConfig, alpha: float,
-                    power: float = 1.0, sigma2: float = 1.0,
-                    cap: int = 10**6) -> list[tuple[OracleResult, OracleResult]]:
+                    power: float = 1.0, sigma2: float = 1.0
+                    ) -> list[tuple[OracleResult, OracleResult]]:
     """Per trial of the (B, G, K) dictionary, the globally best feasible
     placement by objective and by sum rate, as a pair.
 
@@ -43,14 +45,14 @@ def exhaustive_best(dictionary: Dictionary, config: FclaConfig, alpha: float,
     precoder (minimized); the sum rate is taken after normalizing its columns
     to the power budget (maximized). A zero column, an unservable user, has
     zero rate. Ties go to the first placement in enumeration order. Raises if
-    the C(G_V, M) * C(G_H, N)^M placements would exceed cap.
+    the C(G_V, M) * C(G_H, N)^M placements would exceed CAP.
     """
     dictionary.check_capacity(config)
     m_rings, n_elem, g_h = config.m_rings, config.n_elements, dictionary.group_size
     count = (math.comb(dictionary.n_groups, m_rings)
              * math.comb(g_h, n_elem) ** m_rings)
-    if count > cap:
-        raise ValueError(f"enumeration of {count} placements exceeds the cap of {cap}")
+    if count > CAP:
+        raise ValueError(f"enumeration of {count} placements exceeds the cap of {CAP}")
     angle_subsets = list(itertools.combinations(range(g_h), n_elem))
     columns = np.array(
         [[h * g_h + a for h, ring in zip(h_idx, a_choice) for a in ring]

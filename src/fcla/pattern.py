@@ -12,14 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+PATTERN_KINDS = ("directional", "omni")
+
 
 @dataclass(frozen=True)
 class PatternSpec:
-    kind: str  # "omni" or "directional"
+    kind: str  # one of PATTERN_KINDS
     kappa: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("omni", "directional"):
+        if self.kind not in PATTERN_KINDS:
             raise ValueError(f"unknown pattern kind: {self.kind!r}")
         if self.kind == "directional" and self.kappa < 1.0:
             raise ValueError(f"pattern sharpness must be >= 1, got {self.kappa}")

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from fcla import cli, harness
-from fcla.cli import _parse_range, parse_and_dispatch
+from fcla.cli import _merge_dashed_values, _parse_range, parse_and_dispatch
 from fcla.harness import ExperimentSpec, run_trial
 from fcla.precoding import normalize_columns, sinr
 
@@ -58,6 +58,16 @@ def test_parse_range_forms():
 ])
 def test_range_stops_at_its_stop(text, points):
     assert _parse_range(text) == points
+
+
+def test_values_that_begin_with_a_negative_number_are_glued():
+    argv = ["sweep-snr", "--snr", "-6:2:6", "--noise", "-1e-3", "--alpha",
+            "-.5", "--kappa", "-INF", "--dmin=0.1", "-1", "--omni", "-h",
+            "--grid", "--rings"]
+    assert _merge_dashed_values(argv) == [
+        "sweep-snr", "--snr=-6:2:6", "--noise=-1e-3", "--alpha=-.5",
+        "--kappa=-INF", "--dmin=0.1", "-1", "--omni", "-h", "--grid",
+        "--rings"]
 
 
 def test_range_stopping_below_its_start_is_named(tmp_path, capsys):
@@ -348,8 +358,11 @@ def test_unservable_user_keeps_every_ucla_trial(tmp_path, capsys):
     ("sweep-grid", ["--grid-range", ""], "sweep_values"),
     ("sweep-iters", ["--iters-range", ""], "sweep_values"),
     ("sweep-grid", ["--grid-range", "4,b"], "sweep_values"),
+    ("sweep-grid", ["--grid-range", "-4:2:12"], "sweep_values"),
+    ("sweep-iters", ["--iters-range", "-1:1:3"], "sweep_values"),
 ], ids=["iters-without-fcla-a", "zero-rounds", "grid-too-small",
-        "empty-grid-range", "empty-iters-range", "non-numeric-grid-range"])
+        "empty-grid-range", "empty-iters-range", "non-numeric-grid-range",
+        "negative-grid-range", "negative-iters-range"])
 def test_bad_sweep_point_rejected_before_output(command, flags, field,
                                                 tmp_path, capsys):
     out = tmp_path / "out"
@@ -397,6 +410,15 @@ BAD_SPEC_VALUES = [
     (["--methods", ""], {}, "methods"),
     ([], {"methods": []}, "methods"),
     (["--methods", "ucla,UCLA"], {}, "methods"),
+    # dashed values reach the spec, which names their field
+    (["--noise", "-1e-3"], {}, "noise_power"),
+    (["--freq", "-3e9"], {}, "frequency_hz"),
+    (["--kappa", "-2e0"], {}, "kappa"),
+    (["--alpha", "-1e-3"], {}, "alpha"),
+    (["--snr", "-inf"], {}, "sweep_values"),
+    # the default alpha "mmse" is the noise power, which is named first
+    (["--noise", "0"], {}, "noise_power"),
+    (["--noise", "-1"], {}, "noise_power"),
 ]
 
 
@@ -410,7 +432,7 @@ def test_bad_spec_value_named_before_output(flags, config, field, tmp_path,
     out = tmp_path / "out"
     assert parse_and_dispatch(["sweep-snr", "--snr", "0", "--config",
                                str(path), "--out", str(out)] + flags) == 2
-    assert f"{field} must be" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {field} must be")
     assert not out.exists()
 
 
@@ -433,3 +455,19 @@ def test_fractional_grid_sweep_value_named_before_output(tmp_path, capsys):
                                "--out", str(out)]) == 2
     assert "sweep_values" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_point_with_every_trial_failed_exits_2(jobs, tmp_path, capsys):
+    # zero forcing with one element per ring: every trial's Gram matrix is
+    # singular, so the point has no row to write
+    assert parse_and_dispatch(["sweep-snr", "--methods", "ucla", "--alpha",
+                               "0", "--elements", "1", "--users", "4",
+                               "--paths", "1", "--trials", "20", "--snr", "0",
+                               "--seed", "1", "--jobs", jobs,
+                               "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: all 20 trial(s) at snr=0 failed; the first "
+                          "with SingularMatrixError(")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "results.csv").exists()

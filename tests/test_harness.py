@@ -69,12 +69,15 @@ class TestSpec:
 
     def test_round_trip_dict(self):
         spec = small_spec()
-        clone = ExperimentSpec.from_dict(spec.to_dict())
+        clone = ExperimentSpec.from_dict(dataclasses.asdict(spec))
         assert clone == spec
 
-    def test_to_dict_holds_every_field(self):
-        data = small_spec().to_dict()
-        assert list(data) == [f.name for f in dataclasses.fields(ExperimentSpec)]
+    def test_manifest_holds_every_field(self, tmp_path):
+        spec = small_spec()
+        assert (list(dataclasses.asdict(spec))
+                == [f.name for f in dataclasses.fields(ExperimentSpec)])
+        write_manifest(spec, tmp_path / "manifest.json")
+        data = json.loads((tmp_path / "manifest.json").read_text())
         assert data["methods"] == list(METHODS)
         assert data["sweep_values"] == [0.0]
 
@@ -91,7 +94,7 @@ class TestSpec:
             small_spec(pattern_kind="omnii")
 
     def test_rejects_unknown_key(self):
-        data = small_spec().to_dict()
+        data = dataclasses.asdict(small_spec())
         data["trails"] = 5
         with pytest.raises(ValueError, match="trails"):
             ExperimentSpec.from_dict(data)
@@ -101,7 +104,8 @@ class TestSpec:
     def test_rejects_zero_forcing_for_greedy_methods(self, methods, alpha):
         with pytest.raises(ValueError, match="alpha"):
             small_spec(alpha=alpha, methods=methods)
-        data = dict(small_spec(methods=methods).to_dict(), alpha=alpha)
+        data = dict(dataclasses.asdict(small_spec(methods=methods)),
+                    alpha=alpha)
         with pytest.raises(ValueError, match="alpha"):
             ExperimentSpec.from_dict(data)
 
@@ -111,7 +115,7 @@ class TestSpec:
             small_spec(alpha="mmsee", methods=methods)
 
     def test_rejects_zero_mmse_regularization(self):
-        with pytest.raises(ValueError, match="alpha"):
+        with pytest.raises(ValueError, match="^noise_power must be"):
             small_spec(noise_power=0.0)
 
     def test_ucla_keeps_zero_forcing(self):
@@ -120,7 +124,7 @@ class TestSpec:
         assert rows[0].trials == 3 and np.isfinite(rows[0].mean_sum_rate)
 
     def test_warns_on_other_version(self):
-        data = dict(small_spec().to_dict(), version="0.0.0-other")
+        data = dict(dataclasses.asdict(small_spec()), version="0.0.0-other")
         with pytest.warns(UserWarning, match="0.0.0-other"):
             clone = ExperimentSpec.from_dict(data)
         assert clone == small_spec()
@@ -468,7 +472,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "run_trial", flaky)
         spec = small_spec(trials=3, sweep_values=(0.0, 6.0), jobs=1)
-        with pytest.raises(RuntimeError) as info:
+        with pytest.raises(ValueError) as info:
             run_sweep(spec)
         message = str(info.value)
         assert "snr=6" in message and "all 3 trial(s)" in message

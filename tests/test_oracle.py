@@ -150,10 +150,11 @@ def test_ring_order_invariance():
     assert np.isclose(obj, result.objective)
 
 
-def test_cap_enforced():
+def test_cap_enforced(monkeypatch):
     config, _, d = make_setup(m=2, n=2, g_h=4, g_v=4)
+    monkeypatch.setattr(oracle, "CAP", 10)
     with pytest.raises(ValueError, match="216 placements"):
-        exhaustive_best(d, config, alpha=1.0, cap=10)
+        exhaustive_best(d, config, alpha=1.0)
 
 
 def test_grid_too_small_named():
