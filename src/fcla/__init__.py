@@ -19,6 +19,6 @@ from .harness import (ExperimentSpec, SweepRow, run_sweep, run_trial,
 from .joint import solve_joint
 from .oracle import OracleResult, exhaustive_best
 from .pattern import PatternSpec, power_gain
-from .precoding import (GreedyState, RateReport, SingularMatrixError,
-                        normalize_columns, rzf, rzf_objective, sinr)
+from .precoding import (GreedyState, SingularMatrixError, normalize_columns,
+                        rzf, rzf_objective, sinr)
 from .solution import Solutions

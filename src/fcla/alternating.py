@@ -51,7 +51,7 @@ def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
     phase, serve all rings; one rank-M update then takes in all the picks.
     slots is (M,), shared by every trial, or (T, M) for the T trials listed
     by trials (`Dictionary.take`; default all B). Returns the (T, M, N)
-    angle indices and the (T, N) objective after each inner step.
+    angle indices.
     """
     n_users = dictionary.rows.shape[2]
     n_trials = len(dictionary.rows) if trials is None else len(trials)
@@ -65,14 +65,13 @@ def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
     state = GreedyState(n_trials, n_users, alpha)
     state.watch(dictionary.take(ring_columns.reshape(n_trials, -1), trials))
     alive = np.ones((n_trials, m_rings, g_h), dtype=bool)
-    picks, objectives = [], []
+    picks = []
     for _ in range(n_elements):
         pick = state.pick(alive)  # (T, M)
         np.put_along_axis(alive, pick[..., None], False, axis=2)
         state.add(dictionary.take(slots * g_h + pick, trials))
         picks.append(pick)
-        objectives.append(state.objective())
-    return np.stack(picks, axis=2), np.stack(objectives, axis=1)
+    return np.stack(picks, axis=2)
 
 
 def optimize_heights(dictionary: Dictionary, angles, alpha: float,
@@ -83,8 +82,7 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float,
     norm of its block's matched filter against the current residual (all
     slots in one matched filter), takes the best, and a rank-N update adds
     the block. angles is (M, N), shared by every trial, or (T, M, N) for the
-    T trials listed by trials (default all B). Returns the (T, M) slots and
-    the (T, M) objective after each ring's add.
+    T trials listed by trials (default all B). Returns the (T, M) slots.
     """
     n_users = dictionary.rows.shape[2]
     n_trials = len(dictionary.rows) if trials is None else len(trials)
@@ -98,7 +96,6 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float,
     state = GreedyState(n_trials, n_users, alpha)
     alive = np.ones((n_trials, g_v), dtype=bool)
     slots = np.empty((n_trials, m_rings), dtype=int)
-    objectives = []
     slot_columns = np.arange(g_v)[:, None] * g_h  # (G_V, 1)
     for m in range(m_rings):
         blocks = slot_columns + angles[:, m, None, :]  # (T, G_V, N)
@@ -110,8 +107,7 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float,
         slots[:, m] = best
         alive[np.arange(n_trials), best] = False
         state.add(dictionary.take(best[:, None] * g_h + angles[:, m], trials))
-        objectives.append(state.objective())
-    return slots, np.stack(objectives, axis=1)
+    return slots
 
 
 def solve_alternating(dictionary: Dictionary, config: FclaConfig,
@@ -122,8 +118,7 @@ def solve_alternating(dictionary: Dictionary, config: FclaConfig,
     round returns the slots that seeded it stops there, and its later rounds
     repeat that round. Returns the record (`fcla.solution.Solutions`) of
     every trial of the (B, G, K) dictionary, each trial's part equal to
-    solving it alone, with each round's phase objectives and placement
-    columns.
+    solving it alone, with each round's placement columns.
     """
     if n_outer < 1:
         raise ValueError("need at least one outer round")
@@ -132,23 +127,18 @@ def solve_alternating(dictionary: Dictionary, config: FclaConfig,
     m_rings, n_elem = config.m_rings, config.n_elements
     g_h = dictionary.group_size
 
-    angle_objectives = np.empty((n_trials, n_outer, n_elem))
-    height_objectives = np.empty((n_trials, n_outer, m_rings))
     round_columns = np.empty((n_trials, n_outer, m_rings * n_elem), dtype=int)
     rounds_run = np.empty(n_trials, dtype=int)
     running = np.arange(n_trials)
     seed_slots = np.broadcast_to(
         initial_heights(dictionary.n_groups, m_rings), (n_trials, m_rings))
     for r in range(n_outer):
-        # each running trial's round fills its entries from r on, so those
-        # of a trial that settles here stay this round's
-        angles, objectives = optimize_angles(dictionary, seed_slots, n_elem,
-                                             alpha, running)
-        angle_objectives[running, r:] = objectives[:, None]
-        slots, objectives = optimize_heights(dictionary, angles, alpha,
-                                             running)
-        height_objectives[running, r:] = objectives[:, None]
-        # ring-major blocks of N angle columns
+        angles = optimize_angles(dictionary, seed_slots, n_elem, alpha,
+                                 running)
+        slots = optimize_heights(dictionary, angles, alpha, running)
+        # ring-major blocks of N angle columns; each running trial's round
+        # fills its entries from r on, so those of a trial that settles here
+        # stay this round's
         columns = (slots[..., None] * g_h + angles).reshape(len(running), -1)
         round_columns[running, r:] = columns[:, None]
         rounds_run[running] = r + 1
@@ -164,6 +154,4 @@ def solve_alternating(dictionary: Dictionary, config: FclaConfig,
     mf_columns = rounds_run * m_rings * n_elem * (g_h + dictionary.n_groups)
     return solutions(dictionary, columns, columns[:, ::n_elem] // g_h, alpha,
                      iterations=n_outer, matched_filter_columns=mf_columns,
-                     angle_objectives=angle_objectives,
-                     height_objectives=height_objectives,
                      round_columns=round_columns)

@@ -112,13 +112,15 @@ class Dictionary:
 
     Columns are height-major: column slot * group_size + angle holds the
     response at (psi[angle], z[slot]), so a height slot is a group of
-    group_size consecutive angle columns.
+    group_size consecutive angle columns. The positions lie on a track of
+    the given radius.
     """
 
     rows: np.ndarray
     psi: np.ndarray
     z: np.ndarray
     group_size: int
+    radius: float
 
     def take(self, index: np.ndarray, trials=None) -> np.ndarray:
         """The rows of columns index[i] (T, n) of trial trials[i], (T, n, K).
@@ -151,4 +153,5 @@ def build_joint_dictionary(paths: Paths, config: FclaConfig,
     rows = _responses(paths, psi, config.z, config)
     return Dictionary(rows=rows.reshape(len(paths), -1, rows.shape[-1]),
                       psi=np.tile(psi, config.g_v),
-                      z=np.repeat(config.z, len(psi)), group_size=len(psi))
+                      z=np.repeat(config.z, len(psi)), group_size=len(psi),
+                      radius=config.radius)

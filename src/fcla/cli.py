@@ -35,8 +35,8 @@ SWEEPS = {
     "iters": ("sweep-iters", "sum rate vs alternating solver rounds",
               "--iters-range", "rounds", "1:1:10"),
 }
-# a value that begins with a negative number: -6:2:6, -1e-3, -inf, -.5
-DASHED_VALUE = re.compile(r"-(\.?\d|inf)", re.IGNORECASE)
+# a value that begins with a negative number: -6:2:6, -1e-3, -inf, -nan, -.5
+DASHED_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _parse_range(text: str) -> list[float]:
@@ -137,8 +137,8 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def _run_sweep_command(args: argparse.Namespace, sweep_kind: str) -> int:
     spec = _build_spec(args, sweep_kind)
-    out = _out_dir(args)
     rows = run_sweep(spec)
+    out = _out_dir(args)
     write_results_csv(rows, out / "results.csv")
     write_manifest(spec, out / "manifest.json")
     print(f"wrote {out / 'results.csv'} ({len(rows)} rows) and "
@@ -157,13 +157,15 @@ TRACE_FILES = {
                        s.pick_objectives[0].tolist())]),
     "fcla-a": ("fcla_a_trace.csv", ["i", "sum_rate"],
                lambda s, batch: [[i, repr(v)] for i, v in enumerate(rates(
-                   batch, s, range(s.round_columns.shape[1]))[0].tolist(), 1)]),
+                   batch, s, range(s.round_columns.shape[1]))[0]
+                   .sum(axis=-1).tolist(), 1)]),
 }
 
 
 def _solve_once(args: argparse.Namespace) -> int:
     """Trial 0 of sweep point 0 at the spec's operating SNR, through the
-    sweeps' method table, with per-method trace files."""
+    sweeps' method table, with per-method trace files and every method's
+    placement in placement.json."""
     spec = _build_spec(args, "snr")
     out = _out_dir(args)
     batch = draw_batch(spec, 0, [0])
@@ -173,8 +175,16 @@ def _solve_once(args: argparse.Namespace) -> int:
     print(f"grid {config.g_h}x{config.g_v}, radius "
           f"{config.radius:.5f} m, snr {spec.snr_db:g} dB, "
           f"alpha {batch.alpha:g}, power {batch.power:g}")
+    placements = {}
     for method, record in solve_methods(batch, spec.methods).items():
-        line = f"{method:<7} sum rate {rates(batch, record)[0, 0]:.4f} bits"
+        user_rates = rates(batch, record)[0, 0]
+        sum_rate = float(user_rates.sum())
+        placements[method] = {
+            "radius": record.radius, "heights": record.heights[0].tolist(),
+            "angles": record.angles[0].tolist(),
+            "objective": float(record.objective[0]),
+            "rates": user_rates.tolist(), "sum_rate": sum_rate}
+        line = f"{method:<7} sum rate {sum_rate:.4f} bits"
         if method in TRACE_FILES:
             name, header, rows = TRACE_FILES[method]
             with open(out / name, "w", newline="") as f:
@@ -183,6 +193,8 @@ def _solve_once(args: argparse.Namespace) -> int:
                 w.writerows(rows(record, batch))
             line += f" (trace in {out / name})"
         print(line)
+    with open(out / "placement.json", "w") as f:
+        json.dump(placements, f, indent=1)
     write_manifest(spec, out / "manifest.json")
     return 0
 
@@ -245,7 +257,7 @@ def _validate(args: argparse.Namespace) -> int:
     violation, gaps = 0.0, []
     for method, record in solve_methods(batch, spec.methods).items():
         got = np.concatenate([record.objective[:, None],
-                              rates(batch, record)], axis=1)
+                              rates(batch, record).sum(axis=-1)], axis=1)
         violation = max(violation, np.max((best - got) * worse))
         gap, short = np.median((got - best) / best * worse, axis=0)
         gaps.append(f"{method} {gap:.1%} / {short:.1%}")

@@ -311,13 +311,14 @@ def run_trial(spec: ExperimentSpec, point_index: int, trials) -> np.ndarray:
     out = np.empty((len(batch.paths), len(spec.methods), len(rounds or [0])))
     for i, method in enumerate(spec.methods):
         # each record is rated and dropped before the next method runs
-        out[:, i] = rates(batch, METHOD_TABLE[method][0](batch), rounds)
+        out[:, i] = rates(batch, METHOD_TABLE[method][0](batch),
+                          rounds).sum(axis=-1)
     return out
 
 
 def rates(batch: TrialBatch, record: Solutions, rounds=None) -> np.ndarray:
-    """The (B, V) sum rates of a method's record on the batch: with its
-    precoders normalized to batch.power, under noise batch.sigma2.
+    """The (B, V, K) per-user rates of a method's record on the batch: with
+    its precoders normalized to batch.power, under noise batch.sigma2.
 
     Given rounds, a record with round_columns (fcla-a) is rated at each
     listed round's placement: the last round is the record's final one, and
@@ -331,9 +332,8 @@ def rates(batch: TrialBatch, record: Solutions, rounds=None) -> np.ndarray:
         placements = (final if r == last else
                       refit(batch.dictionary, record.round_columns[:, r],
                             batch.alpha) for r in rounds)
-    return np.stack([sinr(H, normalize_columns(F, batch.power),
-                          batch.sigma2).sum_rate for H, F in placements],
-                    axis=1)
+    return np.stack([sinr(H, normalize_columns(F, batch.power), batch.sigma2)
+                     for H, F in placements], axis=1)
 
 
 def _sweep_work(args):

@@ -67,7 +67,7 @@ def exhaustive_best(dictionary: Dictionary, config: FclaConfig, alpha: float,
         H = np.conj(np.swapaxes(rows[:, columns[part]], 2, 3))  # (B, P, K, M*N)
         F = rzf(H, alpha)
         objective[:, part] = rzf_objective(H, F, alpha)
-        rate[:, part] = sinr(H, normalize_columns(F, power), sigma2).sum_rate
+        rate[:, part] = sinr(H, normalize_columns(F, power), sigma2).sum(axis=-1)
 
     def result(trial: int, index: int) -> OracleResult:
         rings = columns[index].reshape(m_rings, n_elem)

@@ -3,8 +3,6 @@ and the inverse-Gram state that the greedy placement solvers share."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -82,21 +80,12 @@ def normalize_columns(F: np.ndarray, power: float) -> np.ndarray:
     return F * scale[..., None, :]
 
 
-@dataclass
-class RateReport:
-    """Per-user link quality and the resulting downlink throughput."""
-
-    sinr: np.ndarray
-    rates: np.ndarray  # bits per channel use, log2(1 + sinr)
-    sum_rate: float | np.ndarray  # one per matrix of a stack
-
-
-def sinr(H_true: np.ndarray, F: np.ndarray, sigma2: float) -> RateReport:
-    """Per-user SINR |h_k^H f_k|^2 / (sum_{i != k} |h_k^H f_i|^2 + sigma2)
-    with rows of H_true acting as h_k^H, plus log2 rates and their sum.
+def sinr(H_true: np.ndarray, F: np.ndarray, sigma2: float) -> np.ndarray:
+    """Per-user rates log2(1 + SINR), with SINR |h_k^H f_k|^2 /
+    (sum_{i != k} |h_k^H f_i|^2 + sigma2) and rows of H_true acting as h_k^H.
 
     H_true (..., K, N) and F (..., N, K) may stack matrices along leading
-    axes; sum_rate is then one per matrix, and a float for a single one."""
+    axes; the rates are then (..., K), K per matrix."""
     H_true = np.asarray(H_true, dtype=complex)
     F = np.asarray(F, dtype=complex)
     if sigma2 <= 0.0:
@@ -108,11 +97,7 @@ def sinr(H_true: np.ndarray, F: np.ndarray, sigma2: float) -> RateReport:
     cross = np.abs(H_true @ F) ** 2  # (k, i): power of stream i at user k
     signal = np.diagonal(cross, axis1=-2, axis2=-1)
     interference = cross.sum(axis=-1) - signal
-    ratio = signal / (interference + sigma2)
-    rates = np.log2(1.0 + ratio)
-    sum_rate = rates.sum(axis=-1)
-    return RateReport(sinr=ratio, rates=rates,
-                      sum_rate=float(sum_rate) if sum_rate.ndim == 0 else sum_rate)
+    return np.log2(1.0 + signal / (interference + sigma2))
 
 
 def rzf_objective(H: np.ndarray, F: np.ndarray,

@@ -21,9 +21,10 @@ class Solutions:
     columns (B, M*N) are the placement's dictionary columns, in the order of
     H_star's columns and F's rows. Ring m sits at height slot slots[:, m] and
     height heights[:, m] and holds the angles angles[:, m] (B, M, N) of that
-    slot's columns, in column order. H_star (B, K, M*N) is the channel at the
-    placement and F (B, M*N, K) its RZF precoder, not yet normalized to a
-    power budget; objective (B,) is the RZF objective of that refit.
+    slot's columns, in column order, on the track radius (one float, the
+    dictionary's). H_star (B, K, M*N) is the channel at the placement and F
+    (B, M*N, K) its RZF precoder, not yet normalized to a power budget;
+    objective (B,) is the RZF objective of that refit.
     iterations (B,) counts the solver's iterations: greedy steps of fcla-j,
     outer rounds of fcla-a, none for ucla.
     matched_filter_columns (B,) counts the candidate rows its matched filters
@@ -31,9 +32,7 @@ class Solutions:
 
     The traces are None for a method that keeps none. picks and
     pick_objectives (B, S) are fcla-j's column and RZF objective after each
-    step, read up to iterations[t]. angle_objectives (B, R, N) and
-    height_objectives (B, R, M) are fcla-a's objective after each inner step
-    of each round's angle and height phase, and round_columns (B, R, M*N) the
+    step, read up to iterations[t]. round_columns (B, R, M*N) are fcla-a's
     placement columns of each round, the last being columns.
     """
 
@@ -41,6 +40,7 @@ class Solutions:
     slots: np.ndarray
     heights: np.ndarray
     angles: np.ndarray
+    radius: float
     H_star: np.ndarray
     F: np.ndarray
     objective: np.ndarray
@@ -48,8 +48,6 @@ class Solutions:
     matched_filter_columns: np.ndarray
     picks: np.ndarray | None = None
     pick_objectives: np.ndarray | None = None
-    angle_objectives: np.ndarray | None = None
-    height_objectives: np.ndarray | None = None
     round_columns: np.ndarray | None = None
 
     @property
@@ -128,6 +126,7 @@ def solutions(dictionary: Dictionary, columns: np.ndarray, slots: np.ndarray,
     return Solutions(
         columns=columns, slots=slots, heights=dictionary.z[slots * g_h],
         angles=dictionary.psi[by_ring].reshape(*slots.shape, -1),
+        radius=dictionary.radius,
         H_star=H_star, F=F,
         objective=rzf_objective(H_star, F, alpha),
         iterations=np.full(n_trials, iterations, dtype=int),

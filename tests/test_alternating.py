@@ -76,15 +76,15 @@ def ring_columns(paths, config, angles, z):
 class TestOptimizeAngles:
     def test_single_ring_reduces_to_plain_omp(self):
         config, paths, d = make_setup(m=1, n=2, g_h=5, g_v=2)
-        angles, _ = optimize_angles(d, [0], config.n_elements, 1.0)
+        angles = optimize_angles(d, [0], config.n_elements, 1.0)
         columns = ring_columns(paths, config, range(5), config.z[0])
         want = plain_omp_reference(columns, 2, 1.0)
         assert angles.tolist() == [[want]]
 
     def test_full_ring_forced(self):
         config, _, d = make_setup(m=2, n=2, g_h=2, g_v=4)
-        (angles,), _ = optimize_angles(d, initial_heights(4, 2),
-                                       config.n_elements, 1.0)
+        (angles,) = optimize_angles(d, initial_heights(4, 2),
+                                    config.n_elements, 1.0)
         for ring in angles:
             assert sorted(ring.tolist()) == [0, 1]
 
@@ -98,16 +98,8 @@ class TestOptimizeAngles:
             columns = ring_columns(paths, config, range(3), config.z[slot])
             scores = np.sum(np.abs(columns.conj().T) ** 2, axis=1)
             want.append(int(np.argmax(scores)))
-        (angles,), _ = optimize_angles(d, slots, config.n_elements, 1.0)
+        (angles,) = optimize_angles(d, slots, config.n_elements, 1.0)
         assert angles[:, 0].tolist() == want
-
-    def test_objective_nonincreasing_within_phase(self):
-        config, _, d = make_setup(m=2, n=3, g_h=5, g_v=3, seed=7)
-        _, (trace,) = optimize_angles(d, initial_heights(3, 2),
-                                      config.n_elements, 1.0)
-        assert len(trace) == 3
-        for a, b in zip(trace, trace[1:]):
-            assert b <= a + 1e-9 * max(1.0, abs(a))
 
     def test_rejects_duplicate_heights(self):
         config, _, d = make_setup()
@@ -118,7 +110,7 @@ class TestOptimizeAngles:
 class TestOptimizeHeights:
     def test_forced_permutation_when_slots_match_rings(self):
         config, _, d = make_setup(m=3, n=1, g_h=3, g_v=3, seed=1)
-        (slots,), _ = optimize_heights(d, [[0], [1], [2]], 1.0)
+        (slots,) = optimize_heights(d, [[0], [1], [2]], 1.0)
         assert sorted(slots.tolist()) == [0, 1, 2]
 
     def test_more_rings_than_slots_rejected(self):
@@ -132,7 +124,7 @@ class TestOptimizeHeights:
         for slot in range(2):
             block = ring_columns(paths, config, [0, 2], config.z[slot])
             scores.append(float(np.linalg.norm(block.conj().T, "fro") ** 2))
-        (slots,), _ = optimize_heights(d, [[0, 2]], 1.0)
+        (slots,) = optimize_heights(d, [[0, 2]], 1.0)
         assert slots[0] == int(np.argmax(scores))
 
     def test_block_scan_oracle(self):
@@ -160,16 +152,16 @@ class TestOptimizeHeights:
             F = rzf(H, 1.0)
             residual = np.eye(n_users) - H @ F
 
-        (slots,), _ = optimize_heights(d, angles, 1.0)
+        (slots,) = optimize_heights(d, angles, 1.0)
         assert slots.tolist() == taken
         columns = (slots[:, None] * config.g_h + np.array(angles)).ravel()
         assert np.allclose(d.rows[0, columns].conj().T, H, rtol=0.0, atol=1e-12)
 
     def test_heights_distinct(self):
         config, _, d = make_setup(m=3, n=2, g_h=4, g_v=5, seed=4)
-        angles, _ = optimize_angles(d, initial_heights(5, 3),
-                                    config.n_elements, 1.0)
-        (slots,), _ = optimize_heights(d, angles, 1.0)
+        angles = optimize_angles(d, initial_heights(5, 3),
+                                 config.n_elements, 1.0)
+        (slots,) = optimize_heights(d, angles, 1.0)
         assert len(set(slots.tolist())) == 3
 
     def test_rejects_repeated_angles(self):
@@ -182,9 +174,9 @@ class TestSolveAlternating:
     def test_single_round_composes_phases(self):
         config, _, d = make_setup(m=2, n=2, g_h=3, g_v=2, seed=6)
         sol = solve_alternating(d, config, 1.0, 1)
-        angles, _ = optimize_angles(d, initial_heights(2, 2),
-                                    config.n_elements, 1.0)
-        (slots,), _ = optimize_heights(d, angles, 1.0)
+        angles = optimize_angles(d, initial_heights(2, 2),
+                                 config.n_elements, 1.0)
+        (slots,) = optimize_heights(d, angles, 1.0)
         (angles,) = angles
         assert sol.iterations.tolist() == [1]
         assert np.array_equal(sol.slots[0], slots)
@@ -222,16 +214,6 @@ class TestSolveAlternating:
                            sigma2=0.5, n_outer=4)
         assert np.array_equal(rates(batch, sol, [3]), rates(batch, sol))
 
-    def test_phase_objectives_nonincreasing(self):
-        config, _, d = make_setup(m=2, n=3, g_h=5, g_v=4, seed=9)
-        sol = solve_alternating(d, config, 1.0, 3)
-        assert sol.angle_objectives.shape == (1, 3, 3)
-        assert sol.height_objectives.shape == (1, 3, 2)
-        for phases in (sol.angle_objectives, sol.height_objectives):
-            for trace in phases[0].tolist():
-                for a, b in zip(trace, trace[1:]):
-                    assert b <= a + 1e-9 * max(1.0, abs(a))
-
     def test_never_beats_exhaustive_oracle(self):
         for seed in range(6):
             config, _, d = make_setup(m=1, n=2, g_h=3, g_v=2, seed=seed)
@@ -260,9 +242,9 @@ class TestSolveAlternating:
         assert alt.matched_filter_columns[0] < joint.matched_filter_columns[0]
 
 
-RECORD_FIELDS = ("columns", "slots", "heights", "angles", "H_star", "F",
-                 "objective", "iterations", "matched_filter_columns",
-                 "angle_objectives", "height_objectives", "round_columns")
+RECORD_FIELDS = ("columns", "slots", "heights", "angles", "radius", "H_star",
+                 "F", "objective", "iterations", "matched_filter_columns",
+                 "round_columns")
 
 
 def every_round_reference(dictionary, config, alpha, n_outer):
@@ -272,14 +254,11 @@ def every_round_reference(dictionary, config, alpha, n_outer):
     to and including its first such round."""
     g_h = dictionary.group_size
     slots = initial_heights(dictionary.n_groups, config.m_rings)
-    settled, angle_objectives, height_objectives, round_columns = [], [], [], []
+    settled, round_columns = [], []
     for _ in range(n_outer):
-        angles, objectives = optimize_angles(dictionary, slots,
-                                             config.n_elements, alpha)
-        angle_objectives.append(objectives)
+        angles = optimize_angles(dictionary, slots, config.n_elements, alpha)
         seed_slots = slots
-        slots, objectives = optimize_heights(dictionary, angles, alpha)
-        height_objectives.append(objectives)
+        slots = optimize_heights(dictionary, angles, alpha)
         settled.append((slots == seed_slots).all(axis=1))
         round_columns.append(
             (slots[..., None] * g_h + angles).reshape(len(slots), -1))
@@ -290,8 +269,6 @@ def every_round_reference(dictionary, config, alpha, n_outer):
         dictionary, round_columns[-1], slots, alpha, iterations=n_outer,
         matched_filter_columns=rounds_run * config.m_rings * config.n_elements
         * (g_h + dictionary.n_groups),
-        angle_objectives=np.stack(angle_objectives, axis=1),
-        height_objectives=np.stack(height_objectives, axis=1),
         round_columns=np.stack(round_columns, axis=1))
     return record, settled
 
@@ -305,9 +282,8 @@ def check_retirement(dictionary, config, alpha, n_outer):
     for name in RECORD_FIELDS:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     for t, r in zip(*np.nonzero(settled)):
-        for name in ("round_columns", "angle_objectives", "height_objectives"):
-            trace = getattr(want, name)[t]
-            assert (trace[r:] == trace[r]).all(), (name, t, r)
+        trace = want.round_columns[t]
+        assert (trace[r:] == trace[r]).all(), (t, r)
     return got
 
 
@@ -351,8 +327,7 @@ class TestStackedTrials:
         for t, want in enumerate(alone):
             for name in ("columns", "slots", "heights", "angles", "H_star",
                          "F", "objective", "iterations",
-                         "matched_filter_columns", "angle_objectives",
-                         "height_objectives", "round_columns"):
+                         "matched_filter_columns", "round_columns"):
                 assert np.array_equal(getattr(batch, name)[t],
                                       getattr(want, name)[0]), name
         assert batch.diagnostics["matched_filter_columns"] == sum(
@@ -365,15 +340,12 @@ class TestStackedTrials:
         single = [build_joint_dictionary(draw_paths(4, 2, [seed]), config)
                   for seed in seeds]
         slots = np.array([[0, 3], [1, 2], [3, 0]])
-        angles, objectives = optimize_angles(stacked, slots,
-                                             config.n_elements, 1.0)
-        heights, _ = optimize_heights(stacked, angles, 1.0)
+        angles = optimize_angles(stacked, slots, config.n_elements, 1.0)
+        heights = optimize_heights(stacked, angles, 1.0)
         for t, d in enumerate(single):
-            want_angles, want_objectives = optimize_angles(
-                d, slots[t], config.n_elements, 1.0)
+            want_angles = optimize_angles(d, slots[t], config.n_elements, 1.0)
             assert np.array_equal(angles[t], want_angles[0])
-            assert np.array_equal(objectives[t], want_objectives[0])
-            want_heights, _ = optimize_heights(d, angles[t], 1.0)
+            want_heights = optimize_heights(d, angles[t], 1.0)
             assert np.array_equal(heights[t], want_heights[0])
 
     def test_rejects_shared_slot_in_any_trial(self):

@@ -4,6 +4,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fcla import cli, harness
@@ -62,12 +63,12 @@ def test_range_stops_at_its_stop(text, points):
 
 def test_values_that_begin_with_a_negative_number_are_glued():
     argv = ["sweep-snr", "--snr", "-6:2:6", "--noise", "-1e-3", "--alpha",
-            "-.5", "--kappa", "-INF", "--dmin=0.1", "-1", "--omni", "-h",
-            "--grid", "--rings"]
+            "-.5", "--kappa", "-INF", "--freq", "-nan", "--dmin=0.1", "-1",
+            "--omni", "-h", "--grid", "--rings"]
     assert _merge_dashed_values(argv) == [
         "sweep-snr", "--snr=-6:2:6", "--noise=-1e-3", "--alpha=-.5",
-        "--kappa=-INF", "--dmin=0.1", "-1", "--omni", "-h", "--grid",
-        "--rings"]
+        "--kappa=-INF", "--freq=-nan", "--dmin=0.1", "-1", "--omni", "-h",
+        "--grid", "--rings"]
 
 
 def test_range_stopping_below_its_start_is_named(tmp_path, capsys):
@@ -105,7 +106,8 @@ def test_solve_once_deterministic_traces(tmp_path):
         assert parse_and_dispatch(["solve-once", "--out", str(out)]
                                   + SMALL) == 0
         runs.append(out)
-    for trace in ("fcla_j_trace.csv", "fcla_a_trace.csv", "paths.json"):
+    for trace in ("fcla_j_trace.csv", "fcla_a_trace.csv", "paths.json",
+                  "placement.json"):
         assert (runs[0] / trace).read_bytes() == (runs[1] / trace).read_bytes()
 
 
@@ -242,6 +244,7 @@ def test_solve_once_method_manifest_replays_it(method, tmp_path, capsys):
     # a header and one method line per run
     assert len(capsys.readouterr().out.splitlines()) == 4
     names = sorted(p.name for p in first.iterdir())
+    assert "placement.json" in names
     assert names == sorted(p.name for p in second.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes()
@@ -318,8 +321,57 @@ def test_solve_once_rate_is_the_sweep_rate(method, tmp_path, monkeypatch):
         json.loads((tmp_path / "manifest.json").read_text()))
     assert spec.methods == (method,)
     F = normalize_columns(record.F[0], spec.power_for_snr(spec.snr_db))
-    assert run_trial(spec, 0, [0])[0, 0, 0] == sinr(
-        record.H_star[0], F, spec.noise_power).sum_rate
+    rate = run_trial(spec, 0, [0])[0, 0, 0]
+    assert rate == sinr(record.H_star[0], F, spec.noise_power).sum()
+    placement = json.loads((tmp_path / "placement.json").read_text())
+    assert list(placement) == [method]
+    assert placement[method]["sum_rate"] == rate
+
+
+def test_placement_is_each_record_s_grid_positions(tmp_path, monkeypatch):
+    # placement.json holds, per method, the positions of its record's
+    # columns on the dictionary it placed on, which its radius names
+    solved, built = {}, []
+    build = harness.build_joint_dictionary
+
+    def recording(batch, methods):
+        solved.update(harness.solve_methods(batch, methods))
+        return solved
+
+    def building(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "solve_methods", recording)
+    monkeypatch.setattr(harness, "build_joint_dictionary", building)
+    assert parse_and_dispatch(["solve-once", "--out", str(tmp_path)]
+                              + SMALL) == 0
+    spec = ExperimentSpec.from_dict(
+        json.loads((tmp_path / "manifest.json").read_text()))
+    config = spec.config_for_grid(spec.grid_size)
+    placement = json.loads((tmp_path / "placement.json").read_text())
+    assert list(placement) == list(spec.methods)
+    dictionaries = {d.radius: d for d in built}
+    for method, entry in placement.items():
+        record, d = solved[method], dictionaries[entry["radius"]]
+        (columns,), (slots,) = record.columns, record.slots
+        for m, slot in enumerate(slots):
+            ring = [c for c in columns if c // d.group_size == slot]
+            assert entry["heights"][m] == d.z[ring[0]]
+            assert entry["angles"][m] == d.psi[ring].tolist()
+        assert entry["objective"] == record.objective[0]
+        assert len(entry["rates"]) == spec.users
+        assert np.sum(entry["rates"]) == entry["sum_rate"]
+    assert placement["fcla-j"]["radius"] == config.radius
+    # the uniform array: M rings of N elements spaced 2*pi/N, on the
+    # compact radius
+    ucla = placement["ucla"]
+    assert ucla["radius"] == harness.ucla_config(config).radius
+    assert ucla["radius"] != config.radius
+    angles = np.array(ucla["angles"])
+    assert angles.shape == (spec.rings, spec.elements)
+    assert np.allclose(np.diff(angles, axis=1), 2.0 * np.pi / spec.elements)
+    assert len(set(ucla["heights"])) == spec.rings
 
 
 def test_fcla_a_trace_is_the_iteration_sweep_rate(tmp_path):
@@ -416,6 +468,7 @@ BAD_SPEC_VALUES = [
     (["--kappa", "-2e0"], {}, "kappa"),
     (["--alpha", "-1e-3"], {}, "alpha"),
     (["--snr", "-inf"], {}, "sweep_values"),
+    (["--noise", "-nan"], {}, "noise_power"),
     # the default alpha "mmse" is the noise power, which is named first
     (["--noise", "0"], {}, "noise_power"),
     (["--noise", "-1"], {}, "noise_power"),
@@ -460,14 +513,16 @@ def test_fractional_grid_sweep_value_named_before_output(tmp_path, capsys):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_point_with_every_trial_failed_exits_2(jobs, tmp_path, capsys):
     # zero forcing with one element per ring: every trial's Gram matrix is
-    # singular, so the point has no row to write
+    # singular, so the point has no row to write, and no output directory
+    # is made
+    out = tmp_path / "out"
     assert parse_and_dispatch(["sweep-snr", "--methods", "ucla", "--alpha",
                                "0", "--elements", "1", "--users", "4",
                                "--paths", "1", "--trials", "20", "--snr", "0",
                                "--seed", "1", "--jobs", jobs,
-                               "--out", str(tmp_path)]) == 2
+                               "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: all 20 trial(s) at snr=0 failed; the first "
                           "with SingularMatrixError(")
     assert err.count("\n") == 1
-    assert not (tmp_path / "results.csv").exists()
+    assert not out.exists()

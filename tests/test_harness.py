@@ -211,7 +211,7 @@ class TestUclaBaseline:
         assert record.angles.tolist() == [[[0.0, np.pi], [0.0, np.pi]]]
         F = normalize_columns(record.F, 1.0)
         assert abs(np.linalg.norm(F[0], "fro") ** 2 - 1.0) < 1e-12
-        assert sinr(record.H_star, F, 1.0).sum_rate[0] > 0.0
+        assert sinr(record.H_star, F, 1.0).sum(axis=-1)[0] > 0.0
 
 
 class TestMethodTable:
@@ -307,7 +307,7 @@ class TestRunTrial:
 
         def rated(H, F):
             return sinr(H, normalize_columns(F, power),
-                        spec.noise_power).sum_rate
+                        spec.noise_power).sum(axis=-1)
 
         for i, (method, record) in enumerate(solved.items()):
             if method == "fcla-a":  # each round's placement, refit

@@ -25,7 +25,8 @@ def tiny_dictionary(columns, g_h, g_v):
     rows = np.conj(np.array(columns, dtype=complex))[None]
     psi = np.tile(np.arange(g_h) * (2.0 * np.pi / g_h), g_v)
     z = np.repeat(np.arange(g_v) * 0.05, g_h)
-    return Dictionary(rows=rows, psi=psi, z=z, group_size=g_h)
+    return Dictionary(rows=rows, psi=psi, z=z, group_size=g_h,
+                      radius=0.05 / (2.0 * np.sin(np.pi / g_h)))
 
 
 class TestGroupCompletion:

@@ -35,7 +35,7 @@ def rated(paths, placement, config, alpha, power=1.0, sigma2=1.0):
                    for psi, z in placement] for k in range(paths.beta.shape[1])])
     F = rzf(H, alpha)
     return (rzf_objective(H, F, alpha),
-            sinr(H, normalize_columns(F, power), sigma2).sum_rate)
+            sinr(H, normalize_columns(F, power), sigma2).sum())
 
 
 def test_count_formula():
@@ -93,7 +93,8 @@ def test_each_trial_matches_its_own_call():
     config, _, d = make_setup(m=2, n=2, g_h=3, g_v=3, users=5, trials=3)
     batch = exhaustive_best(d, config, alpha=0.6, power=2.0)
     for t, pair in enumerate(batch):
-        alone = Dictionary(d.rows[t:t + 1], d.psi, d.z, d.group_size)
+        alone = Dictionary(d.rows[t:t + 1], d.psi, d.z, d.group_size,
+                           d.radius)
         (want,) = exhaustive_best(alone, config, alpha=0.6, power=2.0)
         for got, expected in zip(pair, want):
             assert np.array_equal(got.heights, expected.heights)
@@ -119,7 +120,8 @@ def test_chunks_do_not_change_the_optima(chunk_bytes, monkeypatch):
 def test_ties_go_to_the_first_placement():
     # every column equal: every placement rates the same
     config, _, d = make_setup(m=2, n=2, g_h=4, g_v=3, users=3)
-    flat = Dictionary(np.ones_like(d.rows), d.psi, d.z, d.group_size)
+    flat = Dictionary(np.ones_like(d.rows), d.psi, d.z, d.group_size,
+                      d.radius)
     for result in exhaustive_best(flat, config, alpha=1.0)[0]:
         assert np.array_equal(result.heights, config.z[:2])
         assert np.array_equal(result.angles, np.tile(config.psi[:2], (2, 1)))
@@ -129,10 +131,10 @@ def test_unservable_user_has_zero_rate():
     config, _, d = make_setup(m=1, n=2, g_h=3, g_v=2, users=3, seed=5)
     rows = d.rows.copy()
     rows[..., 0] = 0.0  # user 0 has no channel anywhere
-    blind = Dictionary(rows, d.psi, d.z, d.group_size)
+    blind = Dictionary(rows, d.psi, d.z, d.group_size, d.radius)
     ((_, by_rate),) = exhaustive_best(blind, config, alpha=1.0)
-    ((_, served),) = exhaustive_best(
-        Dictionary(rows[..., 1:], d.psi, d.z, d.group_size), config, alpha=1.0)
+    served_rows = Dictionary(rows[..., 1:], d.psi, d.z, d.group_size, d.radius)
+    ((_, served),) = exhaustive_best(served_rows, config, alpha=1.0)
     assert np.isfinite(by_rate.sum_rate) and by_rate.sum_rate > 0.0
     # the remaining users share power 1 among K = 3 streams, not 2
     assert by_rate.sum_rate < served.sum_rate
@@ -159,6 +161,7 @@ def test_cap_enforced(monkeypatch):
 
 def test_grid_too_small_named():
     config, _, d = make_setup(m=2, n=2, g_h=4, g_v=4)
-    small = Dictionary(d.rows[:, :4], d.psi[:4], d.z[:4], d.group_size)
+    small = Dictionary(d.rows[:, :4], d.psi[:4], d.z[:4], d.group_size,
+                       d.radius)
     with pytest.raises(ValueError, match="cannot host"):
         exhaustive_best(small, config, alpha=1.0)

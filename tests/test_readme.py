@@ -43,3 +43,18 @@ def test_validate_prints_readme_s_oracle_gaps(capsys):
                         r"fcla-a ([\d.]+)% / ([\d.]+)%",
                         capsys.readouterr().out).groups()
     assert printed == quoted
+
+
+def test_solve_once_writes_readme_s_placement(tmp_path):
+    # README's placement.json excerpt is the file its own command writes:
+    # each run of lines between "..." elisions is in the file, in order
+    text = README.read_text()
+    command = "fcla solve-once --methods fcla-j --grid 8 --out runs/once"
+    assert command in text
+    excerpt = re.search(r"^```json\n(.*?)^```$", text, re.S | re.M).group(1)
+    out = tmp_path / "once"
+    assert cli.parse_and_dispatch(command.split()[1:-1] + [str(out)]) == 0
+    written = (out / "placement.json").read_text()
+    at = 0
+    for chunk in re.split(r"^ *\.\.\.\n", excerpt, flags=re.M):
+        at = written.index(chunk.strip("\n"), at) + len(chunk.strip("\n"))
