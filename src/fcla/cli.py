@@ -5,7 +5,6 @@ overrides; every run writes a manifest that reproduces it exactly."""
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -82,9 +81,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iters", type=int, dest="outer_iters",
                    help="alternating solver outer rounds (default 5)")
     p.add_argument("--methods", help="comma list from: " + ",".join(METHODS))
-    p.add_argument("--trials", type=int, help="trials per sweep point (default 200)")
     p.add_argument("--seed", type=int, help="base RNG seed (default 1)")
-    p.add_argument("--jobs", type=int, help="worker processes (default 1)")
 
 
 def _add_operating_snr(p: argparse.ArgumentParser) -> None:
@@ -146,31 +143,13 @@ def _run_sweep_command(args: argparse.Namespace, sweep_kind: str) -> int:
     return 0
 
 
-# solve-once's trace file per method: name, header, and the rows of trial 0
-# of the method's Solutions of a batch
-TRACE_FILES = {
-    "fcla-j": ("fcla_j_trace.csv", ["iter", "selected_g", "group", "objective"],
-               lambda s, batch: [
-                   [i, g, g // batch.config.g_h, repr(objective)]
-                   for i, g, objective in zip(
-                       range(1, s.iterations[0] + 1), s.picks[0].tolist(),
-                       s.pick_objectives[0].tolist())]),
-    "fcla-a": ("fcla_a_trace.csv", ["i", "sum_rate"],
-               lambda s, batch: [[i, repr(v)] for i, v in enumerate(rates(
-                   batch, s, range(s.round_columns.shape[1]))[0]
-                   .sum(axis=-1).tolist(), 1)]),
-}
-
-
 def _solve_once(args: argparse.Namespace) -> int:
     """Trial 0 of sweep point 0 at the spec's operating SNR, through the
-    sweeps' method table, with per-method trace files and every method's
-    placement in placement.json."""
+    sweeps' method table. placement.json holds each method's placement and
+    the traces its record keeps; nothing is written until every method has
+    been solved and rated."""
     spec = _build_spec(args, "snr")
-    out = _out_dir(args)
     batch = draw_batch(spec, 0, [0])
-    export_paths(batch.paths, out / "paths.json")
-
     config = batch.config
     print(f"grid {config.g_h}x{config.g_v}, radius "
           f"{config.radius:.5f} m, snr {spec.snr_db:g} dB, "
@@ -179,20 +158,23 @@ def _solve_once(args: argparse.Namespace) -> int:
     for method, record in solve_methods(batch, spec.methods).items():
         user_rates = rates(batch, record)[0, 0]
         sum_rate = float(user_rates.sum())
-        placements[method] = {
+        placement = placements[method] = {
             "radius": record.radius, "heights": record.heights[0].tolist(),
             "angles": record.angles[0].tolist(),
             "objective": float(record.objective[0]),
             "rates": user_rates.tolist(), "sum_rate": sum_rate}
-        line = f"{method:<7} sum rate {sum_rate:.4f} bits"
-        if method in TRACE_FILES:
-            name, header, rows = TRACE_FILES[method]
-            with open(out / name, "w", newline="") as f:
-                w = csv.writer(f)
-                w.writerow(header)
-                w.writerows(rows(record, batch))
-            line += f" (trace in {out / name})"
-        print(line)
+        if record.picks is not None:  # fcla-j: each step's pick and objective
+            made = slice(record.iterations[0])
+            placement["picks"] = record.picks[0, made].tolist()
+            placement["pick_objectives"] = record.pick_objectives[0, made].tolist()
+        if record.round_columns is not None:  # fcla-a: each round's rate
+            rounds = range(record.round_columns.shape[1])
+            placement["round_sum_rates"] = rates(
+                batch, record, rounds)[0].sum(axis=-1).tolist()
+        print(f"{method:<7} sum rate {sum_rate:.4f} bits")
+
+    out = _out_dir(args)
+    export_paths(batch.paths, out / "paths.json")
     with open(out / "placement.json", "w") as f:
         json.dump(placements, f, indent=1)
     write_manifest(spec, out / "manifest.json")
@@ -227,9 +209,12 @@ def _validate(args: argparse.Namespace) -> int:
     # precoder family limits
     rng = np.random.default_rng(7)
     H = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    both = [rzf(H, 0.7, gram=g) for g in ("k", "n")]
-    report("precoder Gram forms agree",
-           bool(np.max(np.abs(both[0] - both[1])) < 1e-10))
+    # each Gram form (the users' on a wide channel, the antennas' on a tall
+    # one) against the definition H^H (H H^H + alpha I)^-1
+    gap = max(np.max(np.abs(rzf(A, 0.7) - A.conj().T @ np.linalg.inv(
+        A @ A.conj().T + 0.7 * np.eye(len(A))))) for A in (H, H.T))
+    report("precoder Gram forms match the definition", bool(gap < 1e-10),
+           f"worst entry gap {gap:.2e}")
     F_zf = rzf(H, 0.0)
     report("zero regularization inverts the channel",
            bool(np.max(np.abs(H @ F_zf - np.eye(4))) < 1e-8))
@@ -295,6 +280,9 @@ def parse_and_dispatch(argv=None) -> int:
     for sweep_kind, (command, about, flag, points, default) in SWEEPS.items():
         p = sub.add_parser(command, help=about)
         _add_common_flags(p)
+        p.add_argument("--trials", type=int,
+                       help="trials per sweep point (default 200)")
+        p.add_argument("--jobs", type=int, help="worker processes (default 1)")
         p.add_argument(flag, dest="sweep_range", metavar="RANGE",
                        help=f"start:step:stop or a comma list of {points} "
                             f"(default {default})")
@@ -304,7 +292,7 @@ def parse_and_dispatch(argv=None) -> int:
                        _run_sweep_command(args, kind))
 
     p_once = sub.add_parser("solve-once",
-                            help="run one trial verbosely with traces")
+                            help="run one trial and export its placements")
     _add_common_flags(p_once)
     _add_operating_snr(p_once)
     p_once.set_defaults(run=_solve_once)

@@ -17,15 +17,15 @@ _RCOND_FLOOR = 1e-12
 _CHUNK = 16
 
 
-def rzf(H: np.ndarray, alpha: float, gram: str = "auto") -> np.ndarray:
+def rzf(H: np.ndarray, alpha: float) -> np.ndarray:
     """Regularized zero-forcing precoder H^H (H H^H + alpha I)^-1.
 
     The same matrix equals (H^H H + alpha I)^-1 H^H, so the solve runs on
-    whichever Gram matrix is smaller unless a specific form is forced via
-    gram="k" (users) or gram="n" (antennas). alpha=0 requires a full-rank
-    system and raises SingularMatrixError otherwise. H (..., K, N) may stack
-    matrices along leading axes; each (..., N, K) precoder then equals its
-    matrix's own.
+    the smaller Gram matrix: the users' (K x K) when K <= N, else the
+    antennas' (N x N), the only one invertible at alpha=0 when K > N.
+    alpha=0 requires a full-rank system and raises SingularMatrixError
+    otherwise. H (..., K, N) may stack matrices along leading axes; each
+    (..., N, K) precoder then equals its matrix's own.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim < 2:
@@ -33,19 +33,15 @@ def rzf(H: np.ndarray, alpha: float, gram: str = "auto") -> np.ndarray:
     if alpha < 0.0:
         raise ValueError(f"regularization must be >= 0, got {alpha}")
     n_users, n_ant = H.shape[-2:]
-    if gram == "auto":
-        gram = "k" if n_users <= n_ant else "n"
     H_h = _hermitian(H)
-    if gram == "k":
+    if n_users <= n_ant:
         G = H @ H_h + alpha * np.eye(n_users)
         _require_invertible(G, alpha)
         # (G^-1 H)^H = H^H G^-1 because G is Hermitian
         return _hermitian(np.linalg.solve(G, H))
-    if gram == "n":
-        G = H_h @ H + alpha * np.eye(n_ant)
-        _require_invertible(G, alpha)
-        return np.linalg.solve(G, H_h)
-    raise ValueError(f"gram must be 'auto', 'k' or 'n', got {gram!r}")
+    G = H_h @ H + alpha * np.eye(n_ant)
+    _require_invertible(G, alpha)
+    return np.linalg.solve(G, H_h)
 
 
 def _hermitian(A: np.ndarray) -> np.ndarray:

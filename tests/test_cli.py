@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import json
 import re
@@ -12,8 +11,16 @@ from fcla.cli import _merge_dashed_values, _parse_range, parse_and_dispatch
 from fcla.harness import ExperimentSpec, run_trial
 from fcla.precoding import normalize_columns, sinr
 
-SMALL = ["--rings", "2", "--elements", "2", "--users", "4", "--paths", "2",
-         "--grid", "4", "--trials", "2", "--seed", "7", "--iters", "2"]
+# one small problem: solve-once solves its trial 0, a sweep 2 trials a point
+SHAPE = ["--rings", "2", "--elements", "2", "--users", "4", "--paths", "2",
+         "--grid", "4", "--seed", "7", "--iters", "2"]
+SMALL = SHAPE + ["--trials", "2"]
+# what solve-once writes, and the keys of each method's placement.json object
+SOLVE_ONCE_FILES = ["manifest.json", "paths.json", "placement.json"]
+PLACEMENT_KEYS = ["radius", "heights", "angles", "objective", "rates",
+                  "sum_rate"]
+TRACE_KEYS = {"ucla": [], "fcla-j": ["picks", "pick_objectives"],
+              "fcla-a": ["round_sum_rates"]}
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -104,21 +111,26 @@ def test_solve_once_deterministic_traces(tmp_path):
     for name in ("x", "y"):
         out = tmp_path / name
         assert parse_and_dispatch(["solve-once", "--out", str(out)]
-                                  + SMALL) == 0
+                                  + SHAPE) == 0
         runs.append(out)
-    for trace in ("fcla_j_trace.csv", "fcla_a_trace.csv", "paths.json",
-                  "placement.json"):
-        assert (runs[0] / trace).read_bytes() == (runs[1] / trace).read_bytes()
+    assert sorted(p.name for p in runs[0].iterdir()) == SOLVE_ONCE_FILES
+    for name in SOLVE_ONCE_FILES:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+    placement = json.loads((runs[0] / "placement.json").read_text())
+    assert {method: list(entry) for method, entry in placement.items()} == {
+        method: PLACEMENT_KEYS + keys for method, keys in TRACE_KEYS.items()}
 
 
 def test_solve_once_single_method(tmp_path):
-    out = tmp_path / "j"
-    assert parse_and_dispatch(["solve-once", "--methods", "fcla-j",
-                               "--out", str(out)] + SMALL) == 0
-    assert (out / "fcla_j_trace.csv").exists()
-    assert not (out / "fcla_a_trace.csv").exists()
-    header = (out / "fcla_j_trace.csv").read_text().splitlines()[0]
-    assert header == "iter,selected_g,group,objective"
+    # a method's object holds the traces its own record keeps, and no other
+    for method, keys in TRACE_KEYS.items():
+        out = tmp_path / method
+        assert parse_and_dispatch(["solve-once", "--methods", method,
+                                   "--out", str(out)] + SHAPE) == 0
+        assert sorted(p.name for p in out.iterdir()) == SOLVE_ONCE_FILES
+        placement = json.loads((out / "placement.json").read_text())
+        assert list(placement) == [method]
+        assert list(placement[method]) == PLACEMENT_KEYS + keys
 
 
 def test_grid_sweep(tmp_path):
@@ -162,10 +174,22 @@ def test_zero_forcing_rejected_for_greedy_methods(tmp_path, capsys):
 def test_solve_once_checks_alpha_for_the_method_that_runs(tmp_path, capsys):
     out = tmp_path / "once"
     code = parse_and_dispatch(["solve-once", "--alpha", "0", "--methods",
-                               "fcla-j", "--out", str(out)] + SMALL)
+                               "fcla-j", "--out", str(out)] + SHAPE)
     assert code == 2
     assert "alpha" in capsys.readouterr().err
-    assert not (out / "paths.json").exists()
+    assert not out.exists()
+
+
+def test_solve_once_whose_trial_fails_writes_nothing(tmp_path, capsys):
+    # zero forcing with one element per ring: the trial's Gram matrix is
+    # singular, so the method fails after the spec has passed
+    out = tmp_path / "out"
+    assert parse_and_dispatch(["solve-once", "--methods", "ucla", "--alpha",
+                               "0", "--elements", "1", "--users", "4",
+                               "--paths", "1", "--seed", "1",
+                               "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: Gram matrix is singular")
+    assert not out.exists()
 
 
 def test_zero_forcing_runs_for_ucla(tmp_path):
@@ -223,14 +247,13 @@ def test_validate_passes(capsys):
 def test_solve_once_manifest_replays_its_snr(tmp_path, capsys):
     first, second = tmp_path / "a", tmp_path / "b"
     assert parse_and_dispatch(["solve-once", "--snr", "6", "--out", str(first)]
-                              + SMALL) == 0
+                              + SHAPE) == 0
     manifest = json.loads((first / "manifest.json").read_text())
     assert manifest["snr_db"] == 6.0
     assert parse_and_dispatch(["solve-once", "--out", str(second), "--config",
                                str(first / "manifest.json")]) == 0
     assert capsys.readouterr().out.count("snr 6 dB") == 2
-    for name in ("paths.json", "fcla_j_trace.csv", "fcla_a_trace.csv",
-                 "manifest.json"):
+    for name in SOLVE_ONCE_FILES:
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
@@ -238,13 +261,13 @@ def test_solve_once_manifest_replays_its_snr(tmp_path, capsys):
 def test_solve_once_method_manifest_replays_it(method, tmp_path, capsys):
     first, second = tmp_path / "a", tmp_path / "b"
     assert parse_and_dispatch(["solve-once", "--methods", method,
-                               "--out", str(first)] + SMALL) == 0
+                               "--out", str(first)] + SHAPE) == 0
     assert parse_and_dispatch(["solve-once", "--out", str(second), "--config",
                                str(first / "manifest.json")]) == 0
     # a header and one method line per run
     assert len(capsys.readouterr().out.splitlines()) == 4
     names = sorted(p.name for p in first.iterdir())
-    assert "placement.json" in names
+    assert names == SOLVE_ONCE_FILES
     assert names == sorted(p.name for p in second.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes()
@@ -254,7 +277,7 @@ def test_solve_once_method_manifest_replays_it(method, tmp_path, capsys):
 @pytest.mark.parametrize("snr", ["-6:2:6", "0,2"])
 def test_operating_snr_rejects_ranges(command, snr, tmp_path, capsys):
     code = parse_and_dispatch([command, "--snr", snr, "--out", str(tmp_path)]
-                              + SMALL)
+                              + SHAPE)
     assert code == 2
     assert "--snr" in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
@@ -299,6 +322,31 @@ def test_solve_once_lists_no_method_option(capsys):
     assert "--methods" in help_text and not re.search(r"--method\b", help_text)
 
 
+def test_solve_once_takes_no_trials_or_jobs(tmp_path, capsys):
+    # it solves trial 0 in its own process; only the sweeps take --trials
+    # and --jobs
+    with pytest.raises(SystemExit):
+        parse_and_dispatch(["solve-once", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--trials" not in help_text and "--jobs" not in help_text
+    for flag in ("--trials", "--jobs"):
+        with pytest.raises(SystemExit) as exit_info:
+            parse_and_dispatch(["solve-once", flag, "3", "--out",
+                                str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_once_loads_a_config_s_trials_and_jobs(tmp_path):
+    # they are spec fields, so the manifest keeps them for a sweep's replay
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"trials": 3, "jobs": 2}))
+    assert parse_and_dispatch(["solve-once", "--config", str(config),
+                               "--out", str(tmp_path / "out")] + SHAPE) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (manifest["trials"], manifest["jobs"]) == (3, 2)
+
+
 def test_validate_takes_no_options(tmp_path):
     with pytest.raises(SystemExit) as exit_info:
         parse_and_dispatch(["validate", "--out", str(tmp_path)])
@@ -315,7 +363,7 @@ def test_solve_once_rate_is_the_sweep_rate(method, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "solve_methods", recording)
     assert parse_and_dispatch(["solve-once", "--methods", method, "--snr", "3",
-                               "--out", str(tmp_path)] + SMALL) == 0
+                               "--out", str(tmp_path)] + SHAPE) == 0
     record = solved[method]
     spec = ExperimentSpec.from_dict(
         json.loads((tmp_path / "manifest.json").read_text()))
@@ -345,7 +393,7 @@ def test_placement_is_each_record_s_grid_positions(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve_methods", recording)
     monkeypatch.setattr(harness, "build_joint_dictionary", building)
     assert parse_and_dispatch(["solve-once", "--out", str(tmp_path)]
-                              + SMALL) == 0
+                              + SHAPE) == 0
     spec = ExperimentSpec.from_dict(
         json.loads((tmp_path / "manifest.json").read_text()))
     config = spec.config_for_grid(spec.grid_size)
@@ -377,19 +425,39 @@ def test_placement_is_each_record_s_grid_positions(tmp_path, monkeypatch):
 def test_fcla_a_trace_is_the_iteration_sweep_rate(tmp_path):
     # solve-once's per-round rates and the iteration sweep's come from one
     # rating path: at the same spec with every round requested, trial 0 of
-    # point 0 rates as the trace file's rows
+    # point 0 rates as fcla-a's round_sum_rates, the last of them its sum_rate
     assert parse_and_dispatch(["solve-once", "--snr", "3", "--out",
-                               str(tmp_path)] + SMALL) == 0
+                               str(tmp_path)] + SHAPE) == 0
     spec = ExperimentSpec.from_dict(
         json.loads((tmp_path / "manifest.json").read_text()))
     rounds = range(1, spec.outer_iters + 1)
     point = dataclasses.replace(spec, sweep_kind="iters",
                                 sweep_values=tuple(rounds))
     rates = run_trial(point, 0, [0])[0, spec.methods.index("fcla-a")]
-    with open(tmp_path / "fcla_a_trace.csv", newline="") as f:
-        rows = list(csv.reader(f))
-    assert rows == [["i", "sum_rate"]] + [
-        [str(i), repr(rate)] for i, rate in zip(rounds, rates.tolist())]
+    placement = json.loads((tmp_path / "placement.json").read_text())["fcla-a"]
+    assert placement["round_sum_rates"] == rates.tolist()
+    assert placement["round_sum_rates"][-1] == placement["sum_rate"]
+
+
+def test_fcla_j_trace_is_the_record_s_picks(tmp_path, monkeypatch):
+    # fcla-j's picks and their objectives, in pick order, up to the steps
+    # its trial made
+    solved = {}
+
+    def recording(batch, methods):
+        solved.update(harness.solve_methods(batch, methods))
+        return solved
+
+    monkeypatch.setattr(cli, "solve_methods", recording)
+    assert parse_and_dispatch(["solve-once", "--methods", "fcla-j", "--out",
+                               str(tmp_path)] + SHAPE) == 0
+    record = solved["fcla-j"]
+    made = record.iterations[0]
+    placement = json.loads((tmp_path / "placement.json").read_text())["fcla-j"]
+    assert placement["picks"] == record.picks[0, :made].tolist()
+    assert placement["pick_objectives"] == (
+        record.pick_objectives[0, :made].tolist())
+    assert len(placement["picks"]) == made > 0
 
 
 def test_unservable_user_keeps_every_ucla_trial(tmp_path, capsys):
