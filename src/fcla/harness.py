@@ -27,16 +27,17 @@ from .solution import Solutions, refit, solutions
 
 @dataclass
 class TrialBatch:
-    """What every method reads for a batch of trials at one sweep point:
-    the trials' paths and, when a greedy method runs, their joint
-    dictionary. The methods read alpha but not power and sigma2, which only
-    rate their placements (`rates`)."""
+    """What every method reads for a batch of trials on one grid: the
+    trials' paths and, when a greedy method runs, their joint dictionary.
+    The methods read alpha but not power and sigma2, which only rate their
+    placements (`rates`). power is one budget for every trial, or, when the
+    batch spans points of an SNR sweep, a (B,) array of each trial's own."""
 
     paths: Paths
     dictionary: Dictionary | None
     config: FclaConfig
     alpha: float
-    power: float
+    power: float | np.ndarray
     sigma2: float
     n_outer: int
 
@@ -169,6 +170,9 @@ class ExperimentSpec:
                              f"point, got {self.sweep_values!r}")
         self.sweep_values = tuple(_finite("sweep_values", v)
                                   for v in self.sweep_values)
+        if len(set(self.sweep_values)) < len(self.sweep_values):
+            raise ValueError(f"sweep_values must be distinct, "
+                             f"got {self.sweep_values!r}")
         self._check_points()
 
     def _check_points(self) -> None:
@@ -274,20 +278,36 @@ def ucla_baseline(paths: Paths, config: FclaConfig, alpha: float) -> Solutions:
     return solutions(dictionary, columns, slots, alpha)
 
 
-def draw_batch(spec: ExperimentSpec, point_index: int, trials) -> TrialBatch:
-    """The paths of the given trials at a point spec, and their joint
-    dictionary when one of spec.methods is greedy."""
+def draw_batch(spec: ExperimentSpec, point_index, trials) -> TrialBatch:
+    """The paths of the given trials, and their joint dictionary when one
+    of spec.methods is greedy. Trial t of sweep point p is drawn from
+    SeedSequence([spec.seed, p, t]), so it draws the same paths in any
+    batch.
+
+    point_index is the trials' point, with spec its point spec, and the
+    batch has one power. Or it lists one point per trial, for a batch that
+    spans consecutive points of a sweep (run_sweep); each trial is then
+    rated at its own point's power: at SNR spec.sweep_values[p] on an SNR
+    sweep, at spec.snr_db otherwise."""
     config = spec.config_for_grid(spec.grid_size)
+    if np.ndim(point_index) == 0:
+        points = [point_index] * len(trials)
+        power = spec.power_for_snr(spec.snr_db)
+    else:
+        points = point_index
+        power = np.array([spec.power_for_snr(
+            spec.sweep_values[p] if spec.sweep_kind == "snr" else spec.snr_db)
+            for p in points])
     paths = draw_paths(spec.users, spec.paths,
-                       [np.random.SeedSequence([spec.seed, point_index, t])
-                        for t in trials])
+                       [np.random.SeedSequence([spec.seed, p, t])
+                        for p, t in zip(points, trials, strict=True)])
     dictionary = None
     if set(spec.methods) & set(GREEDY_METHODS):
         dictionary = build_joint_dictionary(paths, config)
     return TrialBatch(
         paths=paths, dictionary=dictionary, config=config,
-        alpha=spec.alpha_value(), power=spec.power_for_snr(spec.snr_db),
-        sigma2=spec.noise_power, n_outer=spec.outer_iters)
+        alpha=spec.alpha_value(), power=power, sigma2=spec.noise_power,
+        n_outer=spec.outer_iters)
 
 
 def solve_methods(batch: TrialBatch, methods) -> dict:
@@ -295,15 +315,15 @@ def solve_methods(batch: TrialBatch, methods) -> dict:
     return {method: METHOD_TABLE[method][0](batch) for method in methods}
 
 
-def run_trial(spec: ExperimentSpec, point_index: int, trials) -> np.ndarray:
+def run_trial(spec: ExperimentSpec, point_index, trials) -> np.ndarray:
     """Paired trials: every requested method on the same channel draws.
 
-    spec is a point spec and trials a sequence of B trial indices at that
-    point; every method runs them as one batch. Returns the (B, methods, V)
-    sum rates, methods in spec.methods order. V is 1, except at the
-    iteration sweep's point, where column v holds the alternating solver's
-    rate after spec.sweep_values[v] rounds and every other method's rate
-    repeated.
+    trials is a sequence of B trial indices, all at point point_index or
+    each at its own point (see draw_batch); every method runs them as one
+    batch. Returns the (B, methods, V) sum rates, methods in spec.methods
+    order. V is 1, except at the iteration sweep's point, where column v
+    holds the alternating solver's rate after spec.sweep_values[v] rounds
+    and every other method's rate repeated.
     """
     batch = draw_batch(spec, point_index, trials)
     rounds = ([int(v) - 1 for v in spec.sweep_values]
@@ -318,7 +338,8 @@ def run_trial(spec: ExperimentSpec, point_index: int, trials) -> np.ndarray:
 
 def rates(batch: TrialBatch, record: Solutions, rounds=None) -> np.ndarray:
     """The (B, V, K) per-user rates of a method's record on the batch: with
-    its precoders normalized to batch.power, under noise batch.sigma2.
+    its precoders normalized to batch.power (each trial's own, when it
+    holds one per trial), under noise batch.sigma2.
 
     Given rounds, a record with round_columns (fcla-a) is rated at each
     listed round's placement: the last round is the record's final one, and
@@ -337,37 +358,44 @@ def rates(batch: TrialBatch, record: Solutions, rounds=None) -> np.ndarray:
 
 
 def _sweep_work(args):
-    """The (B, methods, V) rates of one batch of trials. If the batch
-    raises, its trials run again through here one at a time, and the result
-    is a list of each trial's (methods, V) rates or, for a trial that fails
-    on its own, its exception (reported by the sweep, which keeps going)."""
-    spec, point_index, trial_indices = args
+    """The (B, methods, V) rates of one batch of (point, trial) pairs. If
+    the batch raises, its trials run again through here one at a time, and
+    the result is a list of each trial's (methods, V) rates or, for a trial
+    that fails on its own, its exception (reported by the sweep, which
+    keeps going)."""
+    spec, pairs = args
+    points, trials = zip(*pairs)
     try:
-        return run_trial(spec, point_index, trial_indices)
+        return run_trial(spec, points, trials)
     except Exception as exc:
-        if len(trial_indices) == 1:
+        if len(pairs) == 1:
             return [exc]
-        return [outcome for t in trial_indices
-                for outcome in _sweep_work((spec, point_index, [t]))]
+        return [outcome for pair in pairs
+                for outcome in _sweep_work((spec, [pair]))]
 
 
-def _batches(spec: ExperimentSpec) -> list[list[int]]:
-    """A point spec's trial indices, split into batches that fit
-    BATCH_BYTES by what a batch holds per trial: 16 bytes per user for each
-    dictionary column (the complex rows, whose matched filter the solvers
-    form a few candidates at a time), for 3 of each (K, L, G_H) entry (the
-    response builder's intermediates, held with the rows as they are built)
-    and for 2 of each (K, M*N) entry (the channel and precoder of a
-    placement; run_trial drops each method's record once it is rated). The
-    batch count is a multiple of spec.jobs (unless there are fewer trials),
-    so every worker gets an equal share."""
+def _batches(spec: ExperimentSpec, points=(0,)) -> list[list[tuple]]:
+    """The (point, trial) pairs of a run of consecutive sweep points on
+    spec's grid, point by point and each point's spec.trials trials in
+    order, split into batches that fit BATCH_BYTES by what a batch holds
+    per trial: 16 bytes per user for each dictionary column (the complex
+    rows, whose matched filter the solvers form a few candidates at a
+    time), for 3 of each (K, L, G_H) entry (the response builder's
+    intermediates, held with the rows as they are built) and for 2 of each
+    (K, M*N) entry (the channel and precoder of a placement; run_trial
+    drops each method's record once it is rated). The batch count is a
+    multiple of spec.jobs (unless there are fewer trials), so every worker
+    gets an equal share; a batch may take trials from more than one point
+    of the run."""
+    pairs = [(p, t) for p in points for t in range(spec.trials)]
     per_trial = 16 * spec.users * (spec.grid_size ** 2
                                    + 3 * spec.paths * spec.grid_size
                                    + 2 * spec.rings * spec.elements)
     size = max(1, BATCH_BYTES // per_trial)
-    rounds = -(-spec.trials // (size * spec.jobs))
-    n_batches = min(spec.trials, rounds * spec.jobs)
-    return [b.tolist() for b in np.array_split(np.arange(spec.trials), n_batches)]
+    rounds = -(-len(pairs) // (size * spec.jobs))
+    n_batches = min(len(pairs), rounds * spec.jobs)
+    return [pairs[b[0]:b[-1] + 1]
+            for b in np.array_split(np.arange(len(pairs)), n_batches)]
 
 
 def _points(spec: ExperimentSpec) -> list[tuple[ExperimentSpec, tuple]]:
@@ -418,13 +446,18 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     convergence trace, so the comparison across iteration counts is paired;
     methods that ignore the iteration count appear as constant rows.
 
-    Every batch of every point is one task; the tasks run in order, or on
-    one process pool of at most spec.jobs workers, and no more workers
-    than tasks, when spec.jobs > 1.
+    The points fall into runs of consecutive points that share a grid and
+    differ at most in power: the whole of an SNR sweep, each grid size, the
+    iteration sweep's one point. Each run's trials are split into batches
+    (_batches), which may span its points, and every batch is one task; the
+    tasks run in order, or on one process pool of at most spec.jobs
+    workers, and no more workers than tasks, when spec.jobs > 1.
     """
     points = _points(spec)
-    tasks = [(point, index, batch) for index, (point, _) in enumerate(points)
-             for batch in _batches(point)]
+    runs = ([(points[0][0], range(len(points)))] if spec.sweep_kind == "snr"
+            else [(point, [index]) for index, (point, _) in enumerate(points)])
+    tasks = [(point, pairs) for point, run in runs
+             for pairs in _batches(point, run)]
     if spec.jobs > 1:
         # no more workers than tasks: a fork start forks them all at once
         workers = min(spec.jobs, len(tasks))
@@ -432,6 +465,8 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
             done = list(pool.map(_sweep_work, tasks))
     else:
         done = [_sweep_work(task) for task in tasks]
+    # the tasks hold the runs in point order and each run point by point,
+    # so each point's trials are a slice of the outcomes, in trial order
     outcomes = [trial for batch in done for trial in batch]
 
     rows: list[SweepRow] = []

@@ -66,12 +66,13 @@ def normalize_columns(F: np.ndarray, power: float) -> np.ndarray:
     A zero column stays at zero (that user is unservable, e.g. entirely
     behind every directional element) and only the remaining columns are
     scaled to their power/K share. F (..., N, K) may stack precoders along
-    leading axes.
+    leading axes, and power may then hold one budget per precoder (...),
+    or one for all.
     """
     F = np.asarray(F, dtype=complex)
     norms = np.linalg.norm(F, axis=-2)
     zero = norms == 0.0
-    target = np.sqrt(power / F.shape[-1])
+    target = np.sqrt(np.asarray(power)[..., None] / F.shape[-1])
     scale = np.where(zero, 0.0, target / np.where(zero, 1.0, norms))
     return F * scale[..., None, :]
 

@@ -514,6 +514,10 @@ BAD_SPEC_VALUES = [
     (["--snr", ""], {}, "sweep_values"),
     (["--snr", "0,a"], {}, "sweep_values"),
     (["--snr", "1:x:3"], {}, "sweep_values"),
+    # a repeated point, in each command's own range flag
+    (["--snr", "0,0"], {}, "sweep_values"),
+    (["--grid-range", "6,6"], {}, "sweep_values"),
+    (["--iters-range", "3,3"], {}, "sweep_values"),
     ([], {"snr_db": float("nan")}, "snr_db"),
     ([], {"snr_db": "3"}, "snr_db"),
     (["--noise", "inf", "--methods", "ucla"], {}, "noise_power"),
@@ -551,7 +555,11 @@ def test_bad_spec_value_named_before_output(flags, config, field, tmp_path,
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert parse_and_dispatch(["sweep-snr", "--snr", "0", "--config",
+    # the sweep whose range flag the flags set, else sweep-snr; --snr 0 is
+    # sweep-snr's one point, or the other sweeps' operating SNR
+    command = next((name for name, _, flag, *_ in cli.SWEEPS.values()
+                    if flags[:1] == [flag]), "sweep-snr")
+    assert parse_and_dispatch([command, "--snr", "0", "--config",
                                str(path), "--out", str(out)] + flags) == 2
     assert capsys.readouterr().err.startswith(f"error: {field} must be")
     assert not out.exists()

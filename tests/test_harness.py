@@ -250,16 +250,55 @@ class TestRunTrial:
         assert np.array_equal(batch, np.concatenate(
             [run_trial(spec, 1, [t]) for t in (4, 0, 2)]))
 
+    def test_batch_across_points_matches_each_point_alone(self):
+        # trials of two SNR points in one batch, each rated at its own
+        # point's power, as a run of its point spec alone rates it
+        spec = small_spec(sweep_values=(-3.0, 6.0))
+        points, trials = (1, 0, 1, 0), (4, 0, 2, 2)
+        batch = run_trial(spec, points, trials)
+        point_specs = [dataclasses.replace(spec, snr_db=v)
+                       for v in spec.sweep_values]
+        alone = [run_trial(point_specs[p], p, [t])
+                 for p, t in zip(points, trials)]
+        assert np.array_equal(batch, np.concatenate(alone))
+        assert np.array_equal(harness.draw_batch(spec, points, trials).power,
+                              [spec.power_for_snr(spec.sweep_values[p])
+                               for p in points])
+
+    def test_rates_take_a_power_per_trial(self):
+        spec = small_spec(sweep_kind="iters", sweep_values=(1, 2),
+                          outer_iters=2)
+        batch = harness.draw_batch(spec, 0, [0, 1, 2])
+        powers = np.array([0.5, 2.0, 8.0])
+        each = dataclasses.replace(batch, power=powers)
+        for method, record in harness.solve_methods(batch, METHODS).items():
+            rated = harness.rates(each, record, [0, 1])
+            for t, power in enumerate(powers):
+                alone = harness.rates(dataclasses.replace(batch, power=power),
+                                      record, [0, 1])
+                assert np.array_equal(rated[t], alone[t]), method
+
     def test_batches_split_by_bytes_and_jobs(self):
         spec = small_spec(grid_size=12, trials=30, **REFERENCE)
         assert [len(b) for b in harness._batches(spec)] == [30]
         assert 30 * trial_bytes(spec) <= harness.BATCH_BYTES
+        assert harness._batches(spec)[0] == [(0, t) for t in range(30)]
         pooled = harness._batches(small_spec(grid_size=12, trials=60, jobs=2,
                                              **REFERENCE))
         assert [len(b) for b in pooled] == [30, 30]
+        # a lone point (the iteration sweep's) splits for the workers
         pooled = harness._batches(small_spec(grid_size=12, trials=30, jobs=2,
                                              **REFERENCE))
         assert [len(b) for b in pooled] == [15, 15]
+        # a run of 7 points of 30 trials (the reference SNR sweep): whole
+        # 30-trial batches alone, and 8 batches of 26-27 across points for 2
+        # workers, each run's (point, trial) pairs in order
+        for jobs, sizes in ((1, [30] * 7), (2, [27, 27] + [26] * 6)):
+            spec = small_spec(grid_size=12, trials=30, jobs=jobs, **REFERENCE)
+            run = harness._batches(spec, range(7))
+            assert [len(b) for b in run] == sizes
+            assert [pair for b in run for pair in b] == [
+                (p, t) for p in range(7) for t in range(30)]
         # the default budget's largest batch per grid size at reference scale
         for grid_size, cap in {8: 50, 12: 30, 16: 20, 24: 10, 32: 6}.items():
             spec = small_spec(grid_size=grid_size, **REFERENCE)
@@ -402,19 +441,28 @@ class TestRunSweep:
         assert alt[4.0] >= alt[1.0] - 1e-9
 
     def test_batches_carry_the_spec(self, monkeypatch):
-        spec = small_spec(trials=3, sweep_values=(-3.0, 3.0))
         seen = []
         work = harness._sweep_work
 
         def recording(args):
-            seen.append(args[0])
+            seen.append(args)
             return work(args)
 
         monkeypatch.setattr(harness, "_sweep_work", recording)
+        spec = small_spec(trials=3, sweep_values=(-3.0, 3.0))
         run_sweep(spec)
-        # one batch per point
-        assert seen == [dataclasses.replace(spec, snr_db=v)
-                        for v in spec.sweep_values]
+        # the SNR points are one run, and their 6 trials fit one batch: the
+        # first point's spec, with each trial's (point, trial) pair
+        assert seen == [(dataclasses.replace(spec, snr_db=-3.0),
+                         [(p, t) for p in (0, 1) for t in range(3)])]
+        # both grid sizes' trials would fit one batch, yet each size is a
+        # run of its own, carrying its point's spec
+        seen.clear()
+        spec = small_spec(trials=3, sweep_kind="grid", sweep_values=(4, 6))
+        run_sweep(spec)
+        assert seen == [(dataclasses.replace(spec, grid_size=g),
+                         [(p, t) for t in range(3)])
+                        for p, g in enumerate((4, 6))]
 
     @pytest.mark.parametrize("kind, values", SWEEPS,
                              ids=[kind for kind, _ in SWEEPS])
@@ -466,7 +514,7 @@ class TestRunSweep:
 
     def test_point_with_every_trial_failed_aborts(self, monkeypatch):
         def flaky(spec, point_index, trial_indices, **kwargs):
-            if point_index == 1:
+            if 1 in point_index:
                 raise FloatingPointError(f"trial {trial_indices[0]} diverged")
             return np.ones((len(trial_indices), len(spec.methods), 1))
 
@@ -502,6 +550,35 @@ class TestRunSweep:
         assert "1 trial(s) failed" in printed
         assert "trial 2: trial 2 diverged" in printed
 
+    def test_failed_trial_in_a_batch_across_points_keeps_its_point(
+            self, monkeypatch, capsys):
+        spec = small_spec(trials=4, sweep_values=(0.0, 6.0), jobs=1)
+        # each point's trials, run at its point spec alone
+        want = [run_trial(dataclasses.replace(spec, snr_db=v), p, range(4))
+                for p, v in enumerate(spec.sweep_values)]
+        fail_trial_2(spec, monkeypatch, point=1)
+        batches = []
+        run = harness.run_trial
+
+        def recording_run(spec, point_index, trial_indices, **kwargs):
+            batches.append(list(zip(point_index, trial_indices)))
+            return run(spec, point_index, trial_indices, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trial", recording_run)
+        rows = run_sweep(spec)
+        # the batch of both points fails, then each trial runs on its own
+        pairs = [(p, t) for p in (0, 1) for t in range(4)]
+        assert batches == [pairs] + [[pair] for pair in pairs]
+        kept = {0.0: want[0], 6.0: np.delete(want[1], 2, axis=0)}
+        for row in rows:
+            method = spec.methods.index(row.method)
+            column = kept[row.sweep_value][:, method, 0]
+            assert row.trials == len(column)
+            assert row.mean_sum_rate == np.mean(column)
+        printed = capsys.readouterr().err
+        assert ("1 trial(s) failed (point 6.0 trial 2: trial 2 diverged)"
+                in printed)
+
     def test_failed_trial_of_an_iteration_sweep_is_named(self, monkeypatch,
                                                         capsys):
         spec = small_spec(trials=4, sweep_kind="iters", sweep_values=(1, 2))
@@ -533,7 +610,7 @@ class TestRunSweep:
                 n_trials = len(batch.columns)
                 for t in range(n_trials):
                     check_solution(drawn[-1].paths, t, batch, config,
-                                   drawn[-1].power)
+                                   drawn[-1].power[t])
                     checked[name] += 1
                 batch_sizes.append(n_trials)
                 return batch
@@ -548,7 +625,10 @@ class TestRunSweep:
                           jobs=1)
         run_sweep(spec)
         assert checked == {"ucla": 12, "fcla-j": 12, "fcla-a": 12}
-        assert batch_sizes == [6] * 6
+        # one batch holds both points, each trial at its own point's power
+        assert batch_sizes == [12] * 3
+        assert np.array_equal(drawn[0].power, np.repeat(
+            [spec.power_for_snr(v) for v in spec.sweep_values], 6))
 
 
 # what a default batch may hold at its tracemalloc peak beyond what sizes it
@@ -572,10 +652,12 @@ def test_default_batch_stays_within_its_working_set(shape):
     assert len(batch) * trial_bytes(spec) <= harness.BATCH_BYTES
     rows = len(batch) * 16 * spec.users * spec.grid_size ** 2
     assert MEMORY_SLACK < rows
-    run_trial(spec, 0, batch)  # first-call allocations stay out of the peak
+    points, trials = zip(*batch)
+    # first-call allocations stay out of the peak
+    run_trial(spec, points, trials)
     tracemalloc.start()
     try:
-        run_trial(spec, 0, batch)
+        run_trial(spec, points, trials)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -599,12 +681,12 @@ def test_rows_do_not_depend_on_batch_size(sweep, trials, seed):
     assert rows[0] == rows[1] == rows[2] == rows[3]
 
 
-def fail_trial_2(spec, monkeypatch):
-    """Make trial 2 of sweep point 0 raise wherever it is built: every
-    response the batch of a sweep point needs comes from
+def fail_trial_2(spec, monkeypatch, point=0):
+    """Make trial 2 of the sweep point raise wherever it is built: every
+    response a batch of sweep trials needs comes from
     build_joint_dictionary."""
     trial_2 = draw_paths(spec.users, spec.paths,
-                         [np.random.SeedSequence([spec.seed, 0, 2])])
+                         [np.random.SeedSequence([spec.seed, point, 2])])
     build = harness.build_joint_dictionary
 
     def failing_build(paths, config, *psi):

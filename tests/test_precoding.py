@@ -157,6 +157,8 @@ class TestStacks:
         H = random_channel(rng, *shape)
         F = rzf(H, 0.4)
         F_norm = normalize_columns(F, 2.0)
+        powers = 0.5 + rng.random(shape[0])  # a budget per matrix
+        F_each = normalize_columns(F, powers)
         objective = rzf_objective(H, F, 0.4)
         assert F.shape == (shape[0], shape[2], shape[1])
         for b in range(shape[0]):
@@ -164,6 +166,7 @@ class TestStacks:
             assert np.array_equal(F[b], F_b)
             assert np.max(np.abs(F_b - rzf_oracle(H[b], 0.4))) < 1e-10
             assert np.array_equal(F_norm[b], normalize_columns(F_b, 2.0))
+            assert np.array_equal(F_each[b], normalize_columns(F_b, powers[b]))
             assert objective[b] == rzf_objective(H[b], F_b, 0.4)
 
     def test_one_singular_matrix_fails_the_stack(self):
