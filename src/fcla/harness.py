@@ -459,6 +459,11 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     tasks = [(point, pairs) for point, run in runs
              for pairs in _batches(point, run)]
     if spec.jobs > 1:
+        # numpy loads numpy.random on first use, and this process draws no
+        # trial: loaded here, the workers fork with it instead of each
+        # importing it on its first draw (tens of ms); at import time it
+        # would slow every start instead
+        import numpy.random  # noqa: F401
         # no more workers than tasks: a fork start forks them all at once
         workers = min(spec.jobs, len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:

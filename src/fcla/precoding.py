@@ -128,10 +128,10 @@ class GreedyState:
     Zibulevsky & Elad 2008; the matrix-residual score of simultaneous OMP,
     Tropp, Gilbert & Strauss 2006). The state keeps the scores of one watched
     candidate set: watch() forms their full matched filter once, and each
-    add() is carried into them by the same update, as one product of the
-    candidates with K x 2r factors, when the scores are next read. The
-    identities need alpha > 0; zero forcing has no such state and is
-    rejected.
+    add() is carried into them by the same update when the scores are next
+    read, as the candidates' products with two K x r factors and a real dot
+    of those 2r-float rows. The identities need alpha > 0; zero forcing has
+    no such state and is rejected.
     """
 
     def __init__(self, n_trials: int, n_users: int, alpha: float):
@@ -190,12 +190,14 @@ class GreedyState:
             v = np.conj(np.swapaxes(solved, -1, -2))
             p = (v @ (np.conj(np.swapaxes(update, -1, -2)) @ update)
                  - 2.0 * (inverse @ update))
-            # each row's products with [P, V] as (B, n, 4r) floats: the real
-            # dot of the P half with the V half is Re<c P, c V>
-            product = (self._rows @ np.concatenate([p, v], axis=-1)).view(float)
-            half = product.shape[-1] // 2
-            change = np.einsum("...i,...i->...", product[..., :half],
-                               product[..., half:])
+            # each row's products c P and c V as (B, n, 2r) floats: the real
+            # dot of the two, summed column by column in order, is
+            # Re<c P, c V>; at rank 1 the products are matrix-vector ones
+            cp = (self._rows @ p).view(float)
+            cp *= (self._rows @ v).view(float)
+            change = cp[..., 0].copy()
+            for column in range(1, cp.shape[-1]):
+                change += cp[..., column]
             self._score += change.reshape(self._score.shape + (-1,)).sum(axis=-1)
         self._pending = []
         return self._score

@@ -1,7 +1,12 @@
 import dataclasses
 import inspect
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -511,6 +516,33 @@ class TestRunSweep:
         rows = run_sweep(spec)
         assert workers == [2]  # one task per trial
         assert rows == run_sweep(dataclasses.replace(spec, jobs=1))
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers inherit modules only when forked")
+    def test_pool_workers_load_no_module_of_their_own(self, tmp_path):
+        # a fresh interpreter, since this one has numpy.random loaded; each
+        # worker lists the modules it loaded beyond those it was forked with
+        script = f"""
+import json, os, sys
+from fcla import harness
+forked = set()
+os.register_at_fork(after_in_child=lambda: forked.update(sys.modules))
+inner = harness.run_trial
+def run_trial(*args, **kwargs):
+    try:
+        return inner(*args, **kwargs)
+    finally:
+        with open(os.path.join({str(tmp_path)!r}, str(os.getpid())), "w") as f:
+            json.dump(sorted(set(sys.modules) - forked), f)
+harness.run_trial = run_trial
+harness.run_sweep(harness.{small_spec(trials=2, jobs=2)!r})
+"""
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+        loaded = [json.loads(f.read_text()) for f in tmp_path.iterdir()]
+        # one file per worker; one worker may have run both tasks
+        assert loaded and loaded == [[]] * len(loaded)
 
     def test_point_with_every_trial_failed_aborts(self, monkeypatch):
         def flaky(spec, point_index, trial_indices, **kwargs):

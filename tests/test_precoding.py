@@ -367,11 +367,14 @@ class TestGreedyState:
         assert np.array_equal(state.score, want)
         assert state.pick(np.ones((1, 2), dtype=bool))[0] == 1
 
-    def test_batch_equals_batches_of_one(self):
+    # rank 1 as fcla-j adds an atom, 4 as the angle phase adds an element
+    # to each of 4 rings
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    def test_batch_equals_batches_of_one(self, rank):
         rng = np.random.default_rng(11)
         n_trials, k = 5, 6
-        blocks = [random_channel(rng, n_trials * k, 2).reshape(n_trials, k, 2)
-                  for _ in range(4)]
+        blocks = [random_channel(rng, n_trials * k, rank)
+                  .reshape(n_trials, k, rank) for _ in range(4)]
         candidates = random_channel(rng, n_trials * k, 9).reshape(n_trials, k, 9)
         rows = np.conj(np.swapaxes(candidates, 1, 2))
         live = rng.random((n_trials, 9)) < 0.6
