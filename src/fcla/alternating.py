@@ -48,7 +48,8 @@ def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
     Each ring takes n_elements angles. Rings pick one live angle apiece per
     inner step (lowest index on ties), all against the residual from the
     previous step, so the scores of every ring's columns, watched once per
-    phase, serve all rings; one rank-M update then takes in all the picks.
+    phase, serve all rings; one rank-M update takes in all the picks before
+    the next step, and none follows the last.
     slots is (M,), shared by every trial, or (T, M) for the T trials listed
     by trials (`Dictionary.take`; default all B). Returns the (T, M, N)
     angle indices.
@@ -67,9 +68,10 @@ def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
     alive = np.ones((n_trials, m_rings, g_h), dtype=bool)
     picks = []
     for _ in range(n_elements):
+        if picks:
+            state.add(dictionary.take(slots * g_h + picks[-1], trials))
         pick = state.pick(alive)  # (T, M)
         np.put_along_axis(alive, pick[..., None], False, axis=2)
-        state.add(dictionary.take(slots * g_h + pick, trials))
         picks.append(pick)
     return np.stack(picks, axis=2)
 
@@ -149,8 +151,8 @@ def solve_alternating(dictionary: Dictionary, config: FclaConfig,
 
     columns = round_columns[:, -1]
     # per round run, the angle phase watches each ring's G_H columns and
-    # updates them before each of its N picks; the height phase scores every
-    # slot's N-column block for each ring and never carries an add into them
+    # carries its N - 1 adds into them; the height phase scores every slot's
+    # N-column block for each ring and never carries an add into them
     mf_columns = rounds_run * m_rings * n_elem * (g_h + dictionary.n_groups)
     return solutions(dictionary, columns, columns[:, ::n_elem] // g_h, alpha,
                      iterations=n_outer, matched_filter_columns=mf_columns,

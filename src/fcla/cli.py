@@ -59,7 +59,10 @@ def _parse_range(text: str) -> list[float]:
     return [start + i * step for i in range(n)]
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_flags(p: argparse.ArgumentParser,
+                      swept: str | None = None) -> None:
+    """The spec flags, less the one of the field that a sweep of kind swept
+    sets with its range flag instead."""
     p.add_argument("--config", type=Path, help="JSON config file; flags override it")
     p.add_argument("--out", type=Path, default=None,
                    help=f"output directory (default ${OUT_DIR_ENV} or '.')")
@@ -73,19 +76,20 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="noise power (default 1.0)")
     p.add_argument("--kappa", type=float, help="directional sharpness (default 1)")
     p.add_argument("--omni", action="store_true", help="use the omni pattern")
-    p.add_argument("--grid", type=int, dest="grid_size",
-                   help="angle and height slots per dimension (default 12)")
+    if swept != "grid":
+        p.add_argument("--grid", type=int, dest="grid_size",
+                       help="angle and height slots per dimension (default 12)")
     p.add_argument("--dmin", type=float, dest="d_min",
                    help="spacing floor in meters (default half wavelength)")
     p.add_argument("--alpha", help="'mmse' or a fixed regularization value")
-    p.add_argument("--iters", type=int, dest="outer_iters",
-                   help="alternating solver outer rounds (default 5)")
+    if swept != "iters":
+        p.add_argument("--iters", type=int, dest="outer_iters",
+                       help="alternating solver outer rounds (default 5)")
+    if swept != "snr":
+        p.add_argument("--snr", dest="snr_db",
+                       help="operating SNR in dB (default 0)")
     p.add_argument("--methods", help="comma list from: " + ",".join(METHODS))
     p.add_argument("--seed", type=int, help="base RNG seed (default 1)")
-
-
-def _add_operating_snr(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--snr", dest="snr_db", help="operating SNR in dB (default 0)")
 
 
 def _build_spec(args: argparse.Namespace, sweep_kind: str) -> ExperimentSpec:
@@ -278,23 +282,21 @@ def parse_and_dispatch(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for sweep_kind, (command, about, flag, points, default) in SWEEPS.items():
-        p = sub.add_parser(command, help=about)
-        _add_common_flags(p)
+        # unabbreviated: --grid would pass for --grid-range
+        p = sub.add_parser(command, help=about, allow_abbrev=False)
+        _add_common_flags(p, sweep_kind)
         p.add_argument("--trials", type=int,
                        help="trials per sweep point (default 200)")
         p.add_argument("--jobs", type=int, help="worker processes (default 1)")
         p.add_argument(flag, dest="sweep_range", metavar="RANGE",
                        help=f"start:step:stop or a comma list of {points} "
                             f"(default {default})")
-        if sweep_kind != "snr":
-            _add_operating_snr(p)
         p.set_defaults(run=lambda args, kind=sweep_kind:
                        _run_sweep_command(args, kind))
 
     p_once = sub.add_parser("solve-once",
                             help="run one trial and export its placements")
     _add_common_flags(p_once)
-    _add_operating_snr(p_once)
     p_once.set_defaults(run=_solve_once)
 
     p_val = sub.add_parser("validate", help="run built-in numerical self-checks")

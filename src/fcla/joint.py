@@ -83,8 +83,8 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig,
     columns = picks[kept].reshape(n_trials, -1)
     # the M completed groups in completion order, after the -1s of the others
     slots = np.argsort(completed_at, axis=1)[:, -m_rings:]
-    # the watch forms every column's filter, and each step after the first
-    # carries its pending add into all of them, live or not
+    # the watch forms every column's filter, and each of the trial's adds
+    # is carried into all of them, live or not
     return solutions(dictionary, columns, slots, alpha, iterations=iterations,
-                     matched_filter_columns=n_columns * iterations,
+                     matched_filter_columns=n_columns * (iterations + 1),
                      picks=picks, pick_objectives=objectives)

@@ -97,18 +97,17 @@ def sinr(H_true: np.ndarray, F: np.ndarray, sigma2: float) -> np.ndarray:
     return np.log2(1.0 + signal / (interference + sigma2))
 
 
-def rzf_objective(H: np.ndarray, F: np.ndarray,
-                  alpha: float) -> float | np.ndarray:
+def rzf_objective(H: np.ndarray, F: np.ndarray, alpha: float) -> np.ndarray:
     """Regularized interference objective ||I - H F||_F^2 + alpha ||F||_F^2.
 
     H (..., K, N) and F (..., N, K) may stack matrices along leading axes;
-    the objective is then one per matrix, and a float for a single one."""
+    the objective (...) holds one value per matrix."""
     H = np.asarray(H, dtype=complex)
     F = np.asarray(F, dtype=complex)
     residual = np.eye(H.shape[-2]) - H @ F
     objective = (np.linalg.norm(residual, axis=(-2, -1)) ** 2
                  + alpha * np.linalg.norm(F, axis=(-2, -1)) ** 2)
-    return float(objective) if objective.ndim == 0 else objective
+    return objective
 
 
 class GreedyState:
@@ -128,10 +127,10 @@ class GreedyState:
     Zibulevsky & Elad 2008; the matrix-residual score of simultaneous OMP,
     Tropp, Gilbert & Strauss 2006). The state keeps the scores of one watched
     candidate set: watch() forms their full matched filter once, and each
-    add() is carried into them by the same update when the scores are next
-    read, as the candidates' products with two K x r factors and a real dot
-    of those 2r-float rows. The identities need alpha > 0; zero forcing has
-    no such state and is rejected.
+    add() carries the same update into them, as the candidates' products
+    with two K x r factors and a real dot of those 2r-float rows. The
+    identities need alpha > 0; zero forcing has no such state and is
+    rejected.
     """
 
     def __init__(self, n_trials: int, n_users: int, alpha: float):
@@ -145,13 +144,12 @@ class GreedyState:
         self._fresh = True  # G^-1 is still I / alpha
         self._rows = None
         self._score = None
-        self._pending: list[tuple] = []  # (G^-1 before, U, Z) per add
 
     def watch(self, rows: np.ndarray, block: int = 1) -> None:
         """Score the candidates given as their conjugated columns a^H stacked
         as rows (B, n, K), and keep their scores up to date from now on. A
         candidate of block consecutive columns scores the sum of their
-        scores. Updates still pending for the previous set are dropped.
+        scores. The previous set's scores are dropped.
 
         The matched filter is formed in pieces of about _CHUNK rows, the last
         piece taking the remainder, so only a piece of it sits beside the
@@ -159,7 +157,7 @@ class GreedyState:
         filter. Before any add G^-1 is I / alpha, and scaling the rows by
         1 / alpha gives that product bit for bit."""
         # the previous set goes first, so it is not held through the filter
-        self._rows, self._score, self._pending = rows, None, []
+        self._rows, self._score = rows, None
         n_trials, n_rows, n_users = rows.shape
         n_candidates = n_rows // block
         score = np.empty((n_trials, n_candidates))
@@ -178,28 +176,13 @@ class GreedyState:
         self._score = score
 
     def unwatch(self) -> None:
-        """Stop keeping scores: drop the watched set and its pending
-        updates."""
-        self._rows, self._score, self._pending = None, None, []
+        """Stop keeping scores: drop the watched set and its scores, so
+        later adds update only G^-1."""
+        self._rows, self._score = None, None
 
     @property
     def score(self) -> np.ndarray:
         """||a^H G^-1||^2 per watched candidate, (B, n / block)."""
-        for inverse, update, solved in self._pending:
-            # V = Z^H and P = V U^H U - 2 G^-1 U, with the G^-1 before the add
-            v = np.conj(np.swapaxes(solved, -1, -2))
-            p = (v @ (np.conj(np.swapaxes(update, -1, -2)) @ update)
-                 - 2.0 * (inverse @ update))
-            # each row's products c P and c V as (B, n, 2r) floats: the real
-            # dot of the two, summed column by column in order, is
-            # Re<c P, c V>; at rank 1 the products are matrix-vector ones
-            cp = (self._rows @ p).view(float)
-            cp *= (self._rows @ v).view(float)
-            change = cp[..., 0].copy()
-            for column in range(1, cp.shape[-1]):
-                change += cp[..., column]
-            self._score += change.reshape(self._score.shape + (-1,)).sum(axis=-1)
-        self._pending = []
         return self._score
 
     def pick(self, live: np.ndarray) -> np.ndarray:
@@ -220,17 +203,26 @@ class GreedyState:
         Woodbury update: G^-1 -= U Z with U = G^-1 A and
         Z = (I + A^H U)^-1 U^H.
 
-        A watched row c scores ||c G^-1||^2, which the update changes by
-        Re<c P, c V> with V = Z^H and P = V U^H U - 2 G^-1 U, formed from
-        U, Z and the G^-1 before the add when the scores are next read (a new
-        watch() drops them). All-zero rows leave a trial's state, scores
-        included, unchanged bit for bit."""
+        A watched row c scores ||c G^-1||^2, and the add changes its score
+        by Re<c P, c V> with V = Z^H and P = V U^H U - 2 G^-1 U, formed from
+        U, Z and the G^-1 before the add. All-zero rows leave a trial's
+        state, scores included, unchanged bit for bit."""
         update = self.inverse @ np.conj(np.swapaxes(rows, -1, -2))
         inner = np.eye(rows.shape[-2]) + rows @ update
         update_h = np.conj(np.swapaxes(update, -1, -2))
         solved = np.linalg.solve(inner, update_h)
         if self._rows is not None:
-            self._pending.append((self.inverse, update, solved))
+            v = np.conj(np.swapaxes(solved, -1, -2))
+            p = v @ (update_h @ update) - 2.0 * (self.inverse @ update)
+            # each row's products c P and c V as (B, n, 2r) floats: the real
+            # dot of the two, summed column by column in order, is
+            # Re<c P, c V>; at rank 1 the products are matrix-vector ones
+            cp = (self._rows @ p).view(float)
+            cp *= (self._rows @ v).view(float)
+            change = cp[..., 0].copy()
+            for column in range(1, cp.shape[-1]):
+                change += cp[..., column]
+            self._score += change.reshape(self._score.shape + (-1,)).sum(axis=-1)
         self.inverse = self.inverse - update @ solved
         self._fresh = False
 

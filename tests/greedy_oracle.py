@@ -5,7 +5,8 @@ candidates once and then carries every added column into their scores by the
 Woodbury step. The oracle recomputes every score from scratch at every read,
 ||a^H G^-1||^2 from the current G^-1, as the solvers did before they kept
 their scores; a solver run on it must pick exactly what it picks on the
-package's state.
+package's state. A second subclass counts the rows the package's state
+scores, against which the solvers' work counters are checked.
 """
 
 import numpy as np
@@ -34,3 +35,22 @@ class RescoringState(GreedyState):
     def score(self):
         rows, block = self.watched
         return direct_scores(rows, self.inverse, block)
+
+
+class CountingState(GreedyState):
+    """The greedy state counting, in rows_scored, the candidate rows it
+    scores per trial: the rows its matched filter forms at each watch, and
+    the watched rows each add is carried into."""
+
+    def __init__(self, n_trials, n_users, alpha):
+        super().__init__(n_trials, n_users, alpha)
+        self.rows_scored = 0
+
+    def watch(self, rows, block=1):
+        super().watch(rows, block)
+        self.rows_scored += rows.shape[1]
+
+    def add(self, rows):
+        if self._rows is not None:
+            self.rows_scored += self._rows.shape[1]
+        super().add(rows)

@@ -11,9 +11,12 @@ from fcla.cli import _merge_dashed_values, _parse_range, parse_and_dispatch
 from fcla.harness import ExperimentSpec, run_trial
 from fcla.precoding import normalize_columns, sinr
 
-# one small problem: solve-once solves its trial 0, a sweep 2 trials a point
-SHAPE = ["--rings", "2", "--elements", "2", "--users", "4", "--paths", "2",
-         "--grid", "4", "--seed", "7", "--iters", "2"]
+# one small problem: solve-once solves its trial 0, a sweep 2 trials a point.
+# COMMON leaves out --grid and --iters, which sweep-grid and sweep-iters do
+# not take
+COMMON = ["--rings", "2", "--elements", "2", "--users", "4", "--paths", "2",
+          "--seed", "7"]
+SHAPE = COMMON + ["--grid", "4", "--iters", "2"]
 SMALL = SHAPE + ["--trials", "2"]
 # what solve-once writes, and the keys of each method's placement.json object
 SOLVE_ONCE_FILES = ["manifest.json", "paths.json", "placement.json"]
@@ -30,13 +33,15 @@ GOLDEN = Path(__file__).parent / "golden"
 # factor (last-bit changes, named in CHANGES.md); the iteration CSV was
 # added later from unchanged rates
 GOLDEN_SWEEPS = {
-    "sweep-snr": ["--snr", "-4,4", "--grid", "6", "--seed", "11"],
-    "sweep-grid": ["--grid-range", "6,8", "--snr", "0", "--seed", "12"],
+    "sweep-snr": ["--snr", "-4,4", "--grid", "6", "--iters", "3", "--seed",
+                  "11"],
+    "sweep-grid": ["--grid-range", "6,8", "--snr", "0", "--iters", "3",
+                   "--seed", "12"],
     "sweep-iters": ["--iters-range", "1,3", "--snr", "0", "--grid", "6",
                     "--seed", "13"],
 }
 GOLDEN_SHAPE = ["--rings", "3", "--elements", "2", "--users", "6", "--paths",
-                "3", "--iters", "3", "--trials", "20"]
+                "3", "--trials", "20"]
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_SWEEPS))
@@ -135,15 +140,17 @@ def test_solve_once_single_method(tmp_path):
 
 def test_grid_sweep(tmp_path):
     assert parse_and_dispatch(["sweep-grid", "--out", str(tmp_path),
-                               "--grid-range", "4:2:6"] + SMALL) == 0
+                               "--grid-range", "4:2:6", "--iters", "2",
+                               "--trials", "2"] + COMMON) == 0
     lines = (tmp_path / "results.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 3
 
 
 def test_iters_sweep(tmp_path):
     assert parse_and_dispatch(["sweep-iters", "--out", str(tmp_path),
-                               "--iters-range", "1:1:3",
-                               "--methods", "fcla-a"] + SMALL) == 0
+                               "--iters-range", "1:1:3", "--grid", "4",
+                               "--methods", "fcla-a", "--trials", "2"]
+                              + COMMON) == 0
     lines = (tmp_path / "results.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 3
 
@@ -277,7 +284,7 @@ def test_solve_once_method_manifest_replays_it(method, tmp_path, capsys):
 @pytest.mark.parametrize("snr", ["-6:2:6", "0,2"])
 def test_operating_snr_rejects_ranges(command, snr, tmp_path, capsys):
     code = parse_and_dispatch([command, "--snr", snr, "--out", str(tmp_path)]
-                              + SHAPE)
+                              + COMMON)
     assert code == 2
     assert "--snr" in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
@@ -335,6 +342,37 @@ def test_solve_once_takes_no_trials_or_jobs(tmp_path, capsys):
                                 str(tmp_path / "out")])
         assert exit_info.value.code == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag", [("sweep-grid", "--grid"),
+                                           ("sweep-iters", "--iters")])
+def test_sweep_takes_no_flag_for_the_field_it_ranges_over(command, flag,
+                                                          tmp_path, capsys):
+    # its range flag sets the points; a lone value would be ignored
+    with pytest.raises(SystemExit):
+        parse_and_dispatch([command, "--help"])
+    assert f"{flag} " not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        parse_and_dispatch([command, flag, "4", "--out",
+                            str(tmp_path / "out")] + COMMON)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("sweep-grid", "grid_size", 9), ("sweep-iters", "outer_iters", 9)])
+def test_sweep_keeps_a_config_s_field_it_ranges_over(command, field, value,
+                                                     tmp_path):
+    # a manifest records every spec field, so it must still load
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({field: value}))
+    out = tmp_path / "out"
+    assert parse_and_dispatch([command, "--config", str(config), "--out",
+                               str(out), "--methods", "fcla-a", "--trials",
+                               "1"] + COMMON) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest[field] == value
 
 
 def test_solve_once_loads_a_config_s_trials_and_jobs(tmp_path):

@@ -326,7 +326,7 @@ class TestGreedyState:
         state.watch(rows, block)
         assert np.array_equal(state.score, direct_scores(rows, state.inverse,
                                                          block))
-        # a watch after adds scores afresh too, dropping what was pending
+        # a watch after adds scores afresh too, from the G^-1 they left
         state.add(rows[:, :2])
         others = np.conj(np.swapaxes(
             random_channel(rng, 8, 4).reshape(2, 4, 4), 1, 2))

@@ -18,7 +18,8 @@ A third property needs no transformation: on shapes small enough to
 enumerate, no greedy placement beats the exhaustive optimum, by objective
 or by sum rate. A fourth checks the solvers against an oracle: on batches
 of up to 4 trials, both pick exactly as they do when every score is
-recomputed at every pick (tests/greedy_oracle.py).
+recomputed at every pick (tests/greedy_oracle.py). A fifth holds each
+solver's matched_filter_columns to the rows its greedy states scored.
 
 Shapes stay small (2-8 users, 2-4 paths, grids up to 8x6) so that each
 example solves in milliseconds. Neither relation fixes which of two exactly
@@ -46,7 +47,7 @@ from fcla.joint import solve_joint
 from fcla.oracle import exhaustive_best
 from fcla.pattern import PatternSpec
 from fcla.precoding import normalize_columns, sinr
-from greedy_oracle import RescoringState
+from greedy_oracle import CountingState, RescoringState
 
 ALPHA, POWER, SIGMA2 = 0.8, 2.0, 1.0
 
@@ -187,3 +188,30 @@ def test_solvers_pick_as_direct_rescoring(instance):
                       "pick_objectives"):
             if getattr(want, field) is not None:
                 assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+@given(instances(max_trials=4), st.integers(1, 10))
+def test_counters_are_the_rows_scored(instance, n_outer):
+    # each trial solved alone: its matched_filter_columns is the number of
+    # candidate rows its states formed at watches plus those each add was
+    # carried into, over every state the solver made; up to 10 rounds, so
+    # fcla-a's settled trials are counted too
+    config, paths = instance
+    for t in range(len(paths)):
+        alone = Paths(paths.beta[t:t + 1], paths.theta_el[t:t + 1],
+                      paths.phi_az[t:t + 1])
+        dictionary = build_joint_dictionary(alone, config)
+        for module, solve in (
+                (joint, lambda: solve_joint(dictionary, config, ALPHA)),
+                (alternating, lambda: solve_alternating(dictionary, config,
+                                                        ALPHA, n_outer))):
+            states = []
+
+            def counting(*args):
+                states.append(CountingState(*args))
+                return states[-1]
+
+            with mock.patch.object(module, "GreedyState", counting):
+                record = solve()
+            assert record.matched_filter_columns.tolist() == [
+                sum(state.rows_scored for state in states)]
