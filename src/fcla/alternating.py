@@ -66,12 +66,13 @@ def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
     state = GreedyState(n_trials, n_users, alpha)
     state.watch(dictionary.take(ring_columns.reshape(n_trials, -1), trials))
     alive = np.ones((n_trials, m_rings, g_h), dtype=bool)
+    trial_index, ring_index = np.arange(n_trials)[:, None], np.arange(m_rings)
     picks = []
     for _ in range(n_elements):
         if picks:
             state.add(dictionary.take(slots * g_h + picks[-1], trials))
         pick = state.pick(alive)  # (T, M)
-        np.put_along_axis(alive, pick[..., None], False, axis=2)
+        alive[trial_index, ring_index, pick] = False
         picks.append(pick)
     return np.stack(picks, axis=2)
 

@@ -24,6 +24,9 @@ from .geometry import FclaConfig
 from .pattern import power_gain
 
 THETA_EL_RANGE = (np.pi / 6.0, 5.0 * np.pi / 6.0)
+# pieces of a batch's trials that build_joint_dictionary fills one at a
+# time, so the response builder's intermediates exist for one piece only
+_PIECES = 4
 
 
 @dataclass
@@ -79,13 +82,14 @@ def export_paths(paths: Paths, path) -> None:
 
 
 def _responses(paths: Paths, psi: np.ndarray, z: np.ndarray,
-               config: FclaConfig) -> np.ndarray:
+               config: FclaConfig, out: np.ndarray | None = None) -> np.ndarray:
     """Conjugated responses of every user at every position of the heights z
     x angles psi, (B, len(z), len(psi), K): entry (v, a, k) is the conjugate
     of (1/sqrt(L)) * sum_l conj(beta_l) * amp_l(psi_a)
     * exp(-j * 2*pi/lambda * (R*sin(theta_l)*cos(phi_l - psi_a) + z_v*cos(theta_l))),
     user k's path sum of an angle factor (gain, pattern, ring phase) times a
-    height factor, each built conjugated.
+    height factor, each built conjugated. They are written into out when
+    given (a C-ordered complex array of that shape), else into a new array.
     """
     wave = 2.0 * np.pi / config.wavelength
     theta = paths.theta_el[..., None]
@@ -98,7 +102,7 @@ def _responses(paths: Paths, psi: np.ndarray, z: np.ndarray,
     if config.pattern.is_directional:
         angle *= np.sqrt(power_gain(config.pattern, theta, phi - psi))
     height = np.exp(1j * wave * np.cos(theta) * z)  # (B, K, L, G_V)
-    rows = np.einsum("bklv,bkla->bvak", height, angle, order="C")
+    rows = np.einsum("bklv,bkla->bvak", height, angle, out=out, order="C")
     rows /= np.sqrt(paths.beta.shape[-1])
     return rows
 
@@ -148,10 +152,21 @@ def build_joint_dictionary(paths: Paths, config: FclaConfig,
                            psi: np.ndarray | None = None) -> Dictionary:
     """All (angle, height) candidates of config's grid, or of the angles psi
     (default config.psi) at its heights, height-major: the angle columns of
-    height slot 0, then slot 1, and so on."""
+    height slot 0, then slot 1, and so on.
+
+    The rows are allocated once and filled _PIECES pieces of trials at a
+    time (or one trial at a time, for fewer trials), so the builder's
+    intermediates are held for one piece only; each trial's rows are bit
+    for bit those of building it alone."""
     psi = config.psi if psi is None else psi
-    rows = _responses(paths, psi, config.z, config)
-    return Dictionary(rows=rows.reshape(len(paths), -1, rows.shape[-1]),
+    n_trials, n_users = paths.beta.shape[:2]
+    rows = np.empty((n_trials, len(config.z), len(psi), n_users), dtype=complex)
+    for piece in np.array_split(np.arange(n_trials), min(_PIECES, n_trials)):
+        part = slice(piece[0], piece[-1] + 1)
+        _responses(Paths(paths.beta[part], paths.theta_el[part],
+                         paths.phi_az[part]),
+                   psi, config.z, config, out=rows[part])
+    return Dictionary(rows=rows.reshape(n_trials, -1, n_users),
                       psi=np.tile(psi, config.g_v),
                       z=np.repeat(config.z, len(psi)), group_size=len(psi),
                       radius=config.radius)

@@ -10,7 +10,6 @@ import math
 import numbers
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +41,9 @@ class TrialBatch:
     n_outer: int
 
 
-# The solvers are looked up by name at call time, so a wrapper installed on
-# this module's attribute (a tracer, a test) sees every call.
+# The solvers, and run_sweep's pool class, are looked up as this module's
+# attributes at call time, so a wrapper installed on the attribute (a
+# tracer, a test) sees every call.
 def _ucla(batch: TrialBatch) -> Solutions:
     return ucla_baseline(batch.paths, batch.config, batch.alpha)
 
@@ -67,10 +67,12 @@ METHOD_TABLE = {
 METHODS = tuple(METHOD_TABLE)
 GREEDY_METHODS = tuple(m for m, (_, greedy) in METHOD_TABLE.items() if greedy)
 SWEEP_KINDS = ("snr", "grid", "iters")
-# bytes a batch may hold, counted per trial as in _batches; at the reference
-# scale a 30-trial 12x12 point runs as one batch and a 32x32 point in
-# batches of 6 (CHANGES.md has the measured curve behind it)
-BATCH_BYTES = 2_500_000
+# bytes that a sweep's concurrent batches may hold together, counted per
+# trial as in _batches and split evenly over spec.jobs; at the reference
+# scale a serial sweep runs 61-trial batches on 12x12 and 13-trial ones on
+# 32x32, and each of 2 workers 30 and 6 (CHANGES.md has the measured curve
+# behind it)
+BATCH_BYTES = 5_000_000
 
 
 # spec fields that count something, so each must be a whole number >= 1
@@ -377,11 +379,13 @@ def _sweep_work(args):
 def _batches(spec: ExperimentSpec, points=(0,)) -> list[list[tuple]]:
     """The (point, trial) pairs of a run of consecutive sweep points on
     spec's grid, point by point and each point's spec.trials trials in
-    order, split into batches that fit BATCH_BYTES by what a batch holds
-    per trial: 16 bytes per user for each dictionary column (the complex
+    order, split into batches that fit a spec.jobs-th of BATCH_BYTES, the
+    budget that the spec.jobs batches running at once share. A batch holds
+    per trial 16 bytes per user for each dictionary column (the complex
     rows, whose matched filter the solvers form a few candidates at a
     time), for 3 of each (K, L, G_H) entry (the response builder's
-    intermediates, held with the rows as they are built) and for 2 of each
+    intermediates, which it holds for a piece of the batch at a time, so
+    the term also covers the other temporaries) and for 2 of each
     (K, M*N) entry (the channel and precoder of a placement; run_trial
     drops each method's record once it is rated). The batch count is a
     multiple of spec.jobs (unless there are fewer trials), so every worker
@@ -391,7 +395,7 @@ def _batches(spec: ExperimentSpec, points=(0,)) -> list[list[tuple]]:
     per_trial = 16 * spec.users * (spec.grid_size ** 2
                                    + 3 * spec.paths * spec.grid_size
                                    + 2 * spec.rings * spec.elements)
-    size = max(1, BATCH_BYTES // per_trial)
+    size = max(1, BATCH_BYTES // spec.jobs // per_trial)
     rounds = -(-len(pairs) // (size * spec.jobs))
     n_batches = min(len(pairs), rounds * spec.jobs)
     return [pairs[b[0]:b[-1] + 1]
@@ -438,6 +442,15 @@ def _point_rows(spec: ExperimentSpec, values: tuple,
     return rows
 
 
+def __getattr__(name: str):
+    # the pool class is imported on first use, so a serial sweep loads
+    # neither concurrent.futures nor multiprocessing (2 MB resident)
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     """Paired-trial means and standard errors per (method, sweep point).
 
@@ -466,7 +479,8 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
         import numpy.random  # noqa: F401
         # no more workers than tasks: a fork start forks them all at once
         workers = min(spec.jobs, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=workers) as pool:
             done = list(pool.map(_sweep_work, tasks))
     else:
         done = [_sweep_work(task) for task in tasks]

@@ -3,6 +3,8 @@ and the inverse-Gram state that the greedy placement solvers share."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -33,15 +35,24 @@ def rzf(H: np.ndarray, alpha: float) -> np.ndarray:
     if alpha < 0.0:
         raise ValueError(f"regularization must be >= 0, got {alpha}")
     n_users, n_ant = H.shape[-2:]
-    H_h = _hermitian(H)
     if n_users <= n_ant:
-        G = H @ H_h + alpha * np.eye(n_users)
+        # H^H is not kept: it is freed before the solve
+        G = H @ _hermitian(H) + alpha * np.eye(n_users)
         _require_invertible(G, alpha)
         # (G^-1 H)^H = H^H G^-1 because G is Hermitian
         return _hermitian(np.linalg.solve(G, H))
+    H_h = _hermitian(H)
     G = H_h @ H + alpha * np.eye(n_ant)
     _require_invertible(G, alpha)
     return np.linalg.solve(G, H_h)
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, built once per n and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _hermitian(A: np.ndarray) -> np.ndarray:
@@ -208,7 +219,7 @@ class GreedyState:
         U, Z and the G^-1 before the add. All-zero rows leave a trial's
         state, scores included, unchanged bit for bit."""
         update = self.inverse @ np.conj(np.swapaxes(rows, -1, -2))
-        inner = np.eye(rows.shape[-2]) + rows @ update
+        inner = _identity(rows.shape[-2]) + rows @ update
         update_h = np.conj(np.swapaxes(update, -1, -2))
         solved = np.linalg.solve(inner, update_h)
         if self._rows is not None:

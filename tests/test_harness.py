@@ -284,10 +284,10 @@ class TestRunTrial:
                 assert np.array_equal(rated[t], alone[t]), method
 
     def test_batches_split_by_bytes_and_jobs(self):
-        spec = small_spec(grid_size=12, trials=30, **REFERENCE)
-        assert [len(b) for b in harness._batches(spec)] == [30]
-        assert 30 * trial_bytes(spec) <= harness.BATCH_BYTES
-        assert harness._batches(spec)[0] == [(0, t) for t in range(30)]
+        spec = small_spec(grid_size=12, trials=61, **REFERENCE)
+        assert [len(b) for b in harness._batches(spec)] == [61]
+        assert 61 * trial_bytes(spec) <= harness.BATCH_BYTES
+        assert harness._batches(spec)[0] == [(0, t) for t in range(61)]
         pooled = harness._batches(small_spec(grid_size=12, trials=60, jobs=2,
                                              **REFERENCE))
         assert [len(b) for b in pooled] == [30, 30]
@@ -295,28 +295,43 @@ class TestRunTrial:
         pooled = harness._batches(small_spec(grid_size=12, trials=30, jobs=2,
                                              **REFERENCE))
         assert [len(b) for b in pooled] == [15, 15]
-        # a run of 7 points of 30 trials (the reference SNR sweep): whole
-        # 30-trial batches alone, and 8 batches of 26-27 across points for 2
+        # a run of 7 points of 30 trials (the reference SNR sweep): 4
+        # batches of 52-53 across points alone, and 8 batches of 26-27 for 2
         # workers, each run's (point, trial) pairs in order
-        for jobs, sizes in ((1, [30] * 7), (2, [27, 27] + [26] * 6)):
+        for jobs, sizes in ((1, [53, 53, 52, 52]), (2, [27, 27] + [26] * 6)):
             spec = small_spec(grid_size=12, trials=30, jobs=jobs, **REFERENCE)
             run = harness._batches(spec, range(7))
             assert [len(b) for b in run] == sizes
             assert [pair for b in run for pair in b] == [
                 (p, t) for p in range(7) for t in range(30)]
-        # the default budget's largest batch per grid size at reference scale
-        for grid_size, cap in {8: 50, 12: 30, 16: 20, 24: 10, 32: 6}.items():
-            spec = small_spec(grid_size=grid_size, **REFERENCE)
-            assert (cap * trial_bytes(spec) <= harness.BATCH_BYTES
-                    < (cap + 1) * trial_bytes(spec))
-            for trials, n_batches in ((cap, 1), (cap + 1, 2)):
-                assert len(harness._batches(dataclasses.replace(
-                    spec, trials=trials))) == n_batches
+        # the default budget's largest batch per grid size at reference
+        # scale: alone, and for each of 2 workers, which share the budget
+        caps = {1: {8: 101, 12: 61, 16: 40, 24: 21, 32: 13},
+                2: {8: 50, 12: 30, 16: 20, 24: 10, 32: 6}}
+        for jobs, grid_caps in caps.items():
+            budget = harness.BATCH_BYTES // jobs
+            for grid_size, cap in grid_caps.items():
+                spec = small_spec(grid_size=grid_size, jobs=jobs, **REFERENCE)
+                assert (cap * trial_bytes(spec) <= budget
+                        < (cap + 1) * trial_bytes(spec))
+                # one round of batches, one per worker, or two rounds
+                for trials, n_batches in ((cap * jobs, jobs),
+                                          (cap * jobs + 1, 2 * jobs)):
+                    assert len(harness._batches(dataclasses.replace(
+                        spec, trials=trials))) == n_batches
+        # every batch fits its worker's share of the budget
+        for jobs in (1, 2, 3):
+            for grid_size in (8, 12, 32):
+                spec = small_spec(grid_size=grid_size, trials=30, jobs=jobs,
+                                  **REFERENCE)
+                for batch in harness._batches(spec, range(7)):
+                    assert (len(batch) * trial_bytes(spec)
+                            <= harness.BATCH_BYTES // jobs)
         # the paths, rings and elements count as well as the grid
         for shape in (dict(paths=8), dict(rings=6)):
             spec = small_spec(grid_size=12, **{**REFERENCE, **shape})
             cap = harness.BATCH_BYTES // trial_bytes(spec)
-            assert cap < 30
+            assert cap < 61
             for trials, n_batches in ((cap, 1), (cap + 1, 2)):
                 assert len(harness._batches(dataclasses.replace(
                     spec, trials=trials))) == n_batches
@@ -544,6 +559,27 @@ harness.run_sweep(harness.{small_spec(trials=2, jobs=2)!r})
         # one file per worker; one worker may have run both tasks
         assert loaded and loaded == [[]] * len(loaded)
 
+    def test_serial_sweep_loads_no_pool_module(self, tmp_path):
+        # a fresh interpreter, since this one has the pool modules loaded;
+        # it lists the multiprocessing and concurrent modules a serial sweep
+        # through the CLI leaves loaded
+        args = ["sweep-snr", "--snr", "-3,3", "--rings", "2", "--elements",
+                "2", "--users", "6", "--paths", "2", "--grid", "6",
+                "--trials", "3", "--jobs", "1", "--out", str(tmp_path / "out")]
+        script = f"""
+import json, sys
+from fcla import cli
+assert cli.parse_and_dispatch({args!r}) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("multiprocessing", "concurrent"))))
+"""
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              check=True, capture_output=True, text=True)
+        assert (tmp_path / "out" / "results.csv").exists()
+        assert json.loads(done.stdout.splitlines()[-1]) == []
+
     def test_point_with_every_trial_failed_aborts(self, monkeypatch):
         def flaky(spec, point_index, trial_indices, **kwargs):
             if 1 in point_index:
@@ -701,8 +737,8 @@ def test_default_batch_stays_within_its_working_set(shape):
        st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_rows_do_not_depend_on_batch_size(sweep, trials, seed):
     """A sweep's rows are the same for one trial per batch, batches of an
-    eighth of the default budget (6 trials at 8 users on the 16x16 grid),
-    the default batches (53 trials there) and one batch per point."""
+    eighth of the default budget (13 trials at 8 users on the 16x16 grid),
+    the default batches (108 trials there) and one batch per point."""
     kind, values = sweep
     spec = small_spec(users=8, grid_size=16, trials=trials, seed=seed,
                       sweep_kind=kind, sweep_values=values)
