@@ -83,8 +83,9 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float,
 
     Rings go in order; ring m scores every live height slot by the Frobenius
     norm of its block's matched filter against the current residual (all
-    slots in one matched filter), takes the best, and a rank-N update adds
-    the block. angles is (M, N), shared by every trial, or (T, M, N) for the
+    slots in one matched filter) and takes the best, and a rank-N update
+    adds the block before the next ring scores; none follows the last ring.
+    angles is (M, N), shared by every trial, or (T, M, N) for the
     T trials listed by trials (default all B). Returns the (T, M) slots.
     """
     n_users = dictionary.rows.shape[2]
@@ -101,6 +102,9 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float,
     slots = np.empty((n_trials, m_rings), dtype=int)
     slot_columns = np.arange(g_v)[:, None] * g_h  # (G_V, 1)
     for m in range(m_rings):
+        if m:
+            state.add(dictionary.take(
+                slots[:, m - 1, None] * g_h + angles[:, m - 1], trials))
         blocks = slot_columns + angles[:, m, None, :]  # (T, G_V, N)
         state.watch(dictionary.take(blocks.reshape(n_trials, -1), trials),
                     block=n_elem)
@@ -109,7 +113,6 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float,
         state.unwatch()
         slots[:, m] = best
         alive[np.arange(n_trials), best] = False
-        state.add(dictionary.take(best[:, None] * g_h + angles[:, m], trials))
     return slots
 
 

@@ -8,7 +8,9 @@ needed; atoms of never-completed groups are dropped before the final refit.
 
 The trials of a dictionary are solved as one batch: every trial runs the
 same steps on its own inverse-Gram state, and a trial that has completed its
-groups stops recording picks while the others go on.
+groups leaves the batch while the others go on. It leaves by swapping places
+with the last running trial, its rows in the dictionary included; the swaps
+are undone before the solve returns or raises.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig,
     g_v = dictionary.n_groups
     rows = dictionary.rows
     n_trials, n_columns, n_users = rows.shape
-    trials = np.arange(n_trials)
 
     state = GreedyState(n_trials, n_users, alpha)
     state.watch(rows)
@@ -47,32 +48,46 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig,
     counts = np.zeros((n_trials, g_v), dtype=int)
     completed_at = np.full((n_trials, g_v), -1)  # step that filled each group
     iterations = np.zeros(n_trials, dtype=int)  # 0 while a trial is running
-    picks, objectives = [], []
+    # the state's batch is the running trials, order[:n_running]: place i of
+    # the batch, and of the rows, holds trial order[i]
+    order, n_running = np.arange(n_trials), n_trials
+    swaps, picks, objectives = [], [], []
+    try:
+        for step in range(n_columns):
+            b = order[:n_running]
+            best = state.pick(alive[b])
+            state.add(rows[np.arange(n_running), best][:, None])
+            picks.append(np.zeros(n_trials, dtype=int))
+            picks[-1][b] = best
+            objectives.append(np.zeros(n_trials))
+            objectives[-1][b] = state.objective()
 
-    for step in range(n_columns):
-        running = iterations == 0
-        # finished trials keep picking; their picks are dropped and their
-        # atoms zeroed, which leaves their state as it was
-        best = state.pick(alive | ~running[:, None])
-        atoms = rows[trials, best][:, None]
-        atoms[~running] = 0.0
-        state.add(atoms)
-        picks.append(best)
-        objectives.append(state.objective())
-
-        b, group = trials[running], best[running] // g_h
-        alive[b, best[running]] = False
-        counts[b, group] += 1
-        filled = counts[b, group] == n_elem
-        b, group = b[filled], group[filled]
-        alive.reshape(n_trials, g_v, g_h)[b, group] = False
-        completed_at[b, group] = step
-        done = (completed_at[b] >= 0).sum(axis=1) == m_rings
-        iterations[b[done]] = step + 1
-        if iterations.all():
-            break
-    else:
-        raise RuntimeError("candidate set exhausted before enough groups filled")
+            group = best // g_h
+            alive[b, best] = False
+            counts[b, group] += 1
+            filled = np.flatnonzero(counts[b, group] == n_elem)
+            alive.reshape(n_trials, g_v, g_h)[b[filled], group[filled]] = False
+            completed_at[b[filled], group[filled]] = step
+            done = filled[(completed_at[b[filled]] >= 0).sum(axis=1) == m_rings]
+            iterations[b[done]] = step + 1
+            # from the back, so that each place still holds its trial
+            for place in done[::-1]:
+                n_running -= 1
+                state.retire(place)
+                swaps.append((place, n_running))
+                order[[place, n_running]] = order[[n_running, place]]
+            if not n_running:
+                break
+        else:
+            raise RuntimeError("candidate set exhausted before enough groups "
+                               "filled")
+    finally:
+        # the retirements swapped the rows in place: swap them back, last
+        # first, holding one trial's rows aside at a time
+        for place, last in reversed(swaps):
+            held = rows[place].copy()
+            rows[place] = rows[last]
+            rows[last] = held
 
     picks, objectives = np.array(picks).T, np.array(objectives).T  # (B, steps)
     made = np.arange(picks.shape[1]) < iterations[:, None]

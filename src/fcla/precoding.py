@@ -3,8 +3,6 @@ and the inverse-Gram state that the greedy placement solvers share."""
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 
@@ -45,14 +43,6 @@ def rzf(H: np.ndarray, alpha: float) -> np.ndarray:
     G = H_h @ H + alpha * np.eye(n_ant)
     _require_invertible(G, alpha)
     return np.linalg.solve(G, H_h)
-
-
-@functools.cache
-def _identity(n: int) -> np.ndarray:
-    """The n x n identity, built once per n and read-only."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
 
 
 def _hermitian(A: np.ndarray) -> np.ndarray:
@@ -133,15 +123,16 @@ class GreedyState:
     - a candidate column a scores ||a^H G^-1||^2, its matched-filter response
       to the residual up to the constant factor alpha^2.
 
-    Adding r columns is a rank-r Woodbury update of G^-1, so a greedy step
-    costs two small matrix products instead of a refit (Batch-OMP, Rubinstein,
-    Zibulevsky & Elad 2008; the matrix-residual score of simultaneous OMP,
-    Tropp, Gilbert & Strauss 2006). The state keeps the scores of one watched
-    candidate set: watch() forms their full matched filter once, and each
-    add() carries the same update into them, as the candidates' products
-    with two K x r factors and a real dot of those 2r-float rows. The
-    identities need alpha > 0; zero forcing has no such state and is
-    rejected.
+    Adding r columns is r rank-1 updates of G^-1, so a greedy step costs a
+    few small matrix-vector products instead of a refit (Batch-OMP,
+    Rubinstein, Zibulevsky & Elad 2008; the matrix-residual score of
+    simultaneous OMP, Tropp, Gilbert & Strauss 2006). The state keeps the
+    scores of one watched candidate set: watch() forms their full matched
+    filter once, and each add() carries the same update into them, as the
+    candidates' products with two K x r factors and a real dot of those
+    2r-float rows. A trial that needs no more adds can leave the batch
+    (retire()). The identities need alpha > 0; zero forcing has no such
+    state and is rejected.
     """
 
     def __init__(self, n_trials: int, n_users: int, alpha: float):
@@ -210,32 +201,54 @@ class GreedyState:
         return np.where(live, scores, -np.inf).argmax(axis=-1)
 
     def add(self, rows: np.ndarray) -> None:
-        """Append r columns A, given as the rows A^H (B, r, K), by a rank-r
-        Woodbury update: G^-1 -= U Z with U = G^-1 A and
-        Z = (I + A^H U)^-1 U^H.
+        """Append r columns A, given as the rows A^H (B, r, K), as r rank-1
+        updates, none of which solves: column a_i takes u_i = G^-1 a_i and
+        s_i = 1 / (1 + Re a_i^H u_i) from the G^-1 the columns before it
+        left, and G^-1 -= v_i u_i^H with v_i = s_i u_i. Together
+        G^-1 -= V U^H, with U = [u_1 ... u_r] and V = U diag(s).
 
         A watched row c scores ||c G^-1||^2, and the add changes its score
-        by Re<c P, c V> with V = Z^H and P = V U^H U - 2 G^-1 U, formed from
-        U, Z and the G^-1 before the add. All-zero rows leave a trial's
-        state, scores included, unchanged bit for bit."""
-        update = self.inverse @ np.conj(np.swapaxes(rows, -1, -2))
-        inner = _identity(rows.shape[-2]) + rows @ update
-        update_h = np.conj(np.swapaxes(update, -1, -2))
-        solved = np.linalg.solve(inner, update_h)
+        by Re<c P, c V> with P = V U^H U - 2 G0^-1 U, formed from U, V and
+        the G0^-1 before the add. All-zero rows leave a trial's state,
+        scores included, unchanged bit for bit."""
+        before = self.inverse
+        us = np.empty(before.shape[:-1] + (rows.shape[-2],), dtype=complex)
+        vs = np.empty_like(us)
+        for i in range(rows.shape[-2]):
+            row = rows[:, i, None]  # a_i^H, (B, 1, K)
+            u = self.inverse @ _hermitian(row)
+            v = u * (1.0 / (1.0 + (row @ u).real))  # s_i u_i
+            self.inverse = self.inverse - v * _hermitian(u)
+            us[..., i, None], vs[..., i, None] = u, v
         if self._rows is not None:
-            v = np.conj(np.swapaxes(solved, -1, -2))
-            p = v @ (update_h @ update) - 2.0 * (self.inverse @ update)
+            p = vs @ (_hermitian(us) @ us) - 2.0 * (before @ us)
             # each row's products c P and c V as (B, n, 2r) floats: the real
             # dot of the two, summed column by column in order, is
             # Re<c P, c V>; at rank 1 the products are matrix-vector ones
             cp = (self._rows @ p).view(float)
-            cp *= (self._rows @ v).view(float)
+            cp *= (self._rows @ vs).view(float)
             change = cp[..., 0].copy()
             for column in range(1, cp.shape[-1]):
                 change += cp[..., column]
             self._score += change.reshape(self._score.shape + (-1,)).sum(axis=-1)
-        self.inverse = self.inverse - update @ solved
         self._fresh = False
+
+    def retire(self, trial: int) -> None:
+        """Drop one trial from the batch: it swaps places with the batch's
+        last trial in G^-1, in the kept scores and in the watched rows, and
+        the batch then ends before it. The watched rows swap in place, so
+        the array given to watch() keeps the retired trial's rows behind the
+        batch's, and swapping them back restores it; only one trial's rows
+        are held aside."""
+        last = len(self.inverse) - 1
+        for array in (self.inverse, self._score, self._rows):
+            if array is not None:
+                held = array[trial].copy()
+                array[trial] = array[last]
+                array[last] = held
+        self.inverse = self.inverse[:last]
+        if self._rows is not None:
+            self._rows, self._score = self._rows[:last], self._score[:last]
 
     def objective(self) -> np.ndarray:
         """alpha tr G^-1 per trial, the RZF objective of the columns so far."""

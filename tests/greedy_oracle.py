@@ -1,12 +1,12 @@
 """Direct rescoring, as an oracle for the greedy solvers' kept scores.
 
 `fcla.precoding.GreedyState` forms the matched filter of its watched
-candidates once and then carries every added column into their scores by the
-Woodbury step. The oracle recomputes every score from scratch at every read,
+candidates once and then carries every added column into their scores by its
+rank-1 updates. The oracle recomputes every score from scratch at every read,
 ||a^H G^-1||^2 from the current G^-1, as the solvers did before they kept
 their scores; a solver run on it must pick exactly what it picks on the
 package's state. A second subclass counts the rows the package's state
-scores, against which the solvers' work counters are checked.
+scores and its adds, against which the solvers' work counters are checked.
 """
 
 import numpy as np
@@ -26,10 +26,18 @@ def direct_scores(rows, inverse, block=1):
 class RescoringState(GreedyState):
     """The greedy state with every score recomputed at every read: it
     remembers the watched candidates and keeps no scores of its own, so each
-    add() only updates G^-1."""
+    add() only updates G^-1. A retired trial's watched rows swap in place
+    with the last trial's, as the package's state swaps them."""
 
     def watch(self, rows, block=1):
         self.watched = rows, block
+
+    def retire(self, trial):
+        super().retire(trial)
+        rows, block = self.watched
+        last = len(self.inverse)
+        rows[[trial, last]] = rows[[last, trial]]
+        self.watched = rows[:last], block
 
     @property
     def score(self):
@@ -38,19 +46,28 @@ class RescoringState(GreedyState):
 
 
 class CountingState(GreedyState):
-    """The greedy state counting, in rows_scored, the candidate rows it
-    scores per trial: the rows its matched filter forms at each watch, and
-    the watched rows each add is carried into."""
+    """The greedy state counting its work: in rows_scored, the candidate
+    rows it scores per trial (the rows its matched filter forms at each
+    watch, and the watched rows each add is carried into); in
+    trial_rows_carried, the watched rows each add is carried into, times the
+    trials in the batch at that add; and in adds, its adds."""
 
     def __init__(self, n_trials, n_users, alpha):
         super().__init__(n_trials, n_users, alpha)
-        self.rows_scored = 0
+        self.rows_scored = self.trial_rows_carried = self.adds = 0
+        self.watched_rows = 0
 
     def watch(self, rows, block=1):
         super().watch(rows, block)
-        self.rows_scored += rows.shape[1]
+        self.watched_rows = rows.shape[1]
+        self.rows_scored += self.watched_rows
+
+    def unwatch(self):
+        super().unwatch()
+        self.watched_rows = 0
 
     def add(self, rows):
-        if self._rows is not None:
-            self.rows_scored += self._rows.shape[1]
+        self.rows_scored += self.watched_rows
+        self.trial_rows_carried += len(self.inverse) * self.watched_rows
+        self.adds += 1
         super().add(rows)

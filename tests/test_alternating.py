@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fcla import alternating
 from fcla.alternating import (initial_heights, optimize_angles,
                               optimize_heights, solve_alternating)
 from fcla.channel import build_joint_dictionary, draw_paths
@@ -13,6 +16,7 @@ from fcla.oracle import exhaustive_best
 from fcla.pattern import PatternSpec
 from fcla.precoding import rzf
 from fcla.solution import solutions
+from greedy_oracle import CountingState
 from spacing_oracle import check_spacing
 from test_channel import channel_entry_oracle
 from test_properties import instances
@@ -168,6 +172,22 @@ class TestOptimizeHeights:
         config, _, d = make_setup()
         with pytest.raises(ValueError):
             optimize_heights(d, [[0, 0], [1, 2]], 1.0)
+
+    def test_adds_every_ring_but_the_last(self):
+        # the last ring's block would only feed a state that is thrown away
+        config, _, d = make_setup(m=3, n=2, g_h=4, g_v=5, seed=4)
+        angles = optimize_angles(d, initial_heights(5, 3),
+                                 config.n_elements, 1.0)
+        states = []
+
+        def counting(*args):
+            states.append(CountingState(*args))
+            return states[-1]
+
+        with mock.patch.object(alternating, "GreedyState", counting):
+            (slots,) = optimize_heights(d, angles, 1.0)
+        assert [state.adds for state in states] == [config.m_rings - 1]
+        assert slots.tolist() == optimize_heights(d, angles, 1.0)[0].tolist()
 
 
 class TestSolveAlternating:

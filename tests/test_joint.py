@@ -1,12 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from fcla import joint
 from fcla.channel import Dictionary, build_joint_dictionary, draw_paths
 from fcla.geometry import FclaConfig
 from fcla.joint import solve_joint
 from fcla.oracle import exhaustive_best
 from fcla.pattern import PatternSpec
-from fcla.precoding import normalize_columns, rzf_objective
+from fcla.precoding import GreedyState, normalize_columns, rzf_objective
+from greedy_oracle import CountingState
 from spacing_oracle import check_spacing
 
 
@@ -122,12 +126,23 @@ class TestSolveJoint:
             solve_joint(too_few_slots, three_rings, alpha=1.0)
 
 
+PATTERNS = [PatternSpec.omni(), PatternSpec.directional(1.0)]
+
+
+def finishing_batch(pattern):
+    """(config, dictionary) of 8 trials on the grid of
+    test_stack_matches_one_at_a_time, which finish at different steps."""
+    config = FclaConfig(3, 2, 5, 6, d_min=0.05, wavelength=0.1,
+                        pattern=pattern)
+    seeds = [np.random.SeedSequence([8, t]) for t in range(8)]
+    return config, build_joint_dictionary(draw_paths(6, 3, seeds), config)
+
+
 class TestStackedTrials:
     """A (B, K, G) dictionary solves every trial as if it were alone."""
 
     @pytest.mark.parametrize("n_trials", [1, 3, 8])
-    @pytest.mark.parametrize("pattern", [PatternSpec.omni(),
-                                         PatternSpec.directional(1.0)])
+    @pytest.mark.parametrize("pattern", PATTERNS)
     def test_stack_matches_one_at_a_time(self, n_trials, pattern):
         config = FclaConfig(3, 2, 5, 6, d_min=0.05, wavelength=0.1,
                             pattern=pattern)
@@ -155,18 +170,62 @@ class TestStackedTrials:
         assert totals["final_support"].tolist() == [
             g for s in alone for g in s.columns[0].tolist()]
 
-    @pytest.mark.parametrize("pattern", [PatternSpec.omni(),
-                                         PatternSpec.directional(1.0)])
+    @pytest.mark.parametrize("pattern", PATTERNS)
     def test_trials_finish_at_different_steps(self, pattern):
-        # the grid of test_stack_matches_one_at_a_time: trials of one batch
-        # run different iteration counts, so finished trials must stay frozen
-        config = FclaConfig(3, 2, 5, 6, d_min=0.05, wavelength=0.1,
-                            pattern=pattern)
-        stacked = build_joint_dictionary(
-            draw_paths(6, 3, [np.random.SeedSequence([8, t]) for t in range(8)]),
-            config)
+        # trials of one batch run different iteration counts, so finished
+        # trials must leave the batch without moving the others
+        config, stacked = finishing_batch(pattern)
         iterations = solve_joint(stacked, config, 0.7).iterations
         assert len(set(iterations.tolist())) > 1
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_finished_trials_are_carried_no_further(self, pattern):
+        # each add is carried into the G watched rows of the trials still
+        # running: G rows per step a trial runs, where carrying the whole
+        # batch to its slowest trial's end would take B G rows per step
+        config, stacked = finishing_batch(pattern)
+        states = []
+
+        def counting(*args):
+            states.append(CountingState(*args))
+            return states[-1]
+
+        with mock.patch.object(joint, "GreedyState", counting):
+            iterations = solve_joint(stacked, config, 0.7).iterations
+        (state,) = states
+        assert state.trial_rows_carried == config.g_h * config.g_v * iterations.sum()
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_rows_are_restored(self, pattern):
+        # finished trials swap their rows behind the running ones in place;
+        # the solve swaps them back, without copying the rows
+        config, stacked = finishing_batch(pattern)
+        rows, before = stacked.rows, stacked.rows.copy()
+        solve_joint(stacked, config, 0.7)
+        assert stacked.rows is rows
+        assert np.array_equal(rows, before)
+
+    def test_rows_are_restored_when_a_step_raises(self):
+        # a state that fails at its first add after a trial has retired
+        config, stacked = finishing_batch(PatternSpec.omni())
+        before = stacked.rows.copy()
+
+        class Failing(GreedyState):
+            retired = False
+
+            def retire(self, trial):
+                super().retire(trial)
+                self.retired = True
+
+            def add(self, rows):
+                if self.retired:
+                    raise FloatingPointError("mid-solve")
+                super().add(rows)
+
+        with mock.patch.object(joint, "GreedyState", Failing), \
+                pytest.raises(FloatingPointError):
+            solve_joint(stacked, config, 0.7)
+        assert np.array_equal(stacked.rows, before)
 
     def test_rejects_zero_forcing(self):
         config, _, d = make_setup()

@@ -396,6 +396,36 @@ class TestGreedyState:
             assert np.array_equal(batch.score[t], state.score[0])
             assert batch.objective()[t] == state.objective()[0]
 
+    def test_retired_trials_leave_the_others_as_they_were(self):
+        # trial 1 retires after one add and trial 4 after two; the batch's
+        # last trial takes each one's place, and the watched rows swap in
+        # place with the state
+        rng = np.random.default_rng(13)
+        n_trials, k = 5, 6
+        rows = random_channel(rng, n_trials, 9, k)
+        blocks = random_channel(rng, 3, n_trials, 1, k)
+        original = rows.copy()
+        batch = GreedyState(n_trials, k, 0.8)
+        alone = [GreedyState(1, k, 0.8) for _ in range(n_trials)]
+        batch.watch(rows)
+        for t, state in enumerate(alone):
+            state.watch(original[t:t + 1])
+        order = list(range(n_trials))  # the trial at each place
+        for block, retiring in zip(blocks, (1, 4, None)):
+            batch.add(block[order])
+            for t in order:
+                alone[t].add(block[t:t + 1])
+            if retiring is not None:
+                place = order.index(retiring)
+                batch.retire(place)
+                order[place] = order[-1]
+                order.pop()
+            assert np.array_equal(rows[:len(order)], original[order])
+            for place, t in enumerate(order):
+                assert np.array_equal(batch.inverse[place], alone[t].inverse[0])
+                assert np.array_equal(batch.score[place], alone[t].score[0])
+        assert sorted(map(bytes, rows)) == sorted(map(bytes, original))
+
     def test_zero_rows_leave_a_trial_unchanged(self):
         rng = np.random.default_rng(12)
         state = GreedyState(2, 4, 1.0)
