@@ -151,20 +151,32 @@ class ExperimentSpec:
         self.seed = _whole("seed", self.seed, 0)
         for name in ("noise_power", "frequency_hz"):
             setattr(self, name, _finite(name, getattr(self, name), low=0.0))
+        if not math.isfinite(self.wavelength):
+            raise ValueError(f"frequency_hz must be large enough for a "
+                             f"finite wavelength, got {self.frequency_hz!r}")
         # "mmse" is noise_power, checked above
         if self.alpha != "mmse":
             self.alpha = _finite("alpha", self.alpha, low=0.0, inclusive=True,
                                  other="'mmse' or ")
-        # the greedy solvers' inverse-Gram state exists only for alpha > 0
-        if (set(self.methods) & set(GREEDY_METHODS)
-                and not self.alpha_value() > 0.0):
-            raise ValueError(
-                f"alpha must be > 0 for {', '.join(GREEDY_METHODS)} "
-                f"(got alpha={self.alpha!r}, noise_power={self.noise_power!r})"
-            )
+        # the greedy solvers' inverse-Gram state exists only for alpha > 0,
+        # and starts at I / alpha, scoring each candidate |a|^2 / alpha^2
+        if set(self.methods) & set(GREEDY_METHODS):
+            alpha, greedy = self.alpha_value(), ", ".join(GREEDY_METHODS)
+            if not alpha > 0.0:
+                raise ValueError(
+                    f"alpha must be > 0 for {greedy} (got alpha={self.alpha!r}, "
+                    f"noise_power={self.noise_power!r})")
+            if not alpha * alpha * sys.float_info.max >= 1.0:
+                name = "noise_power" if self.alpha == "mmse" else "alpha"
+                raise ValueError(f"{name} must be at least 1 / sqrt(max float) "
+                                 f"for {greedy}, whose scores start at "
+                                 f"|a|^2 / alpha^2; got alpha={alpha!r}")
         if self.d_min is not None:
             self.d_min = _finite("d_min", self.d_min, low=0.0)
         self.kappa = _finite("kappa", self.kappa, low=1.0, inclusive=True)
+        if not math.isfinite(PatternSpec.directional(self.kappa).q):
+            raise ValueError(f"kappa must be small enough for a finite "
+                             f"pattern factor 2 (kappa + 1), got {self.kappa!r}")
         self.snr_db = _finite("snr_db", self.snr_db)
         if not (isinstance(self.sweep_values, (list, tuple))
                 and self.sweep_values):
@@ -193,9 +205,33 @@ class ExperimentSpec:
             grids, field = [self.grid_size], "grid_size"
         for grid_size in grids:
             try:
-                self.config_for_grid(grid_size)
+                config = self.config_for_grid(grid_size)
             except ValueError as exc:
                 raise ValueError(f"{field} grid size {grid_size}: {exc}") from None
+            # the responses' largest phases, 2 pi / wavelength times the
+            # radius and the top height
+            top = (config.g_v - 1) * config.d_min
+            phase = 2.0 * math.pi / config.wavelength * max(config.radius, top)
+            if not math.isfinite(phase):
+                name, value, bound = (
+                    ("frequency_hz", self.frequency_hz, "large")
+                    if self.d_min is None else ("d_min", self.d_min, "small"))
+                raise ValueError(f"{name} must be {bound} enough to keep the "
+                                 f"phases of the {grid_size}x{grid_size} grid "
+                                 f"finite, got {value!r}")
+        # every SNR a point can run at: snr_db, and an SNR sweep's values
+        snrs = [("snr_db", self.snr_db)]
+        if self.sweep_kind == "snr":
+            snrs += [("sweep_values", v) for v in self.sweep_values]
+        for name, snr in snrs:
+            try:
+                finite = math.isfinite(self.power_for_snr(snr))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be small enough to keep the "
+                                 f"transmit power 10^(snr / 10) * noise_power "
+                                 f"finite, got {snr!r}")
 
     @property
     def wavelength(self) -> float:

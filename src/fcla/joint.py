@@ -8,9 +8,9 @@ needed; atoms of never-completed groups are dropped before the final refit.
 
 The trials of a dictionary are solved as one batch: every trial runs the
 same steps on its own inverse-Gram state, and a trial that has completed its
-groups leaves the batch while the others go on. It leaves by swapping places
-with the last running trial, its rows in the dictionary included; the swaps
-are undone before the solve returns or raises.
+groups leaves the batch while the others go on. The state keeps the batch
+order, swapping a leaving trial's rows in the dictionary behind the batch's
+and back when it stops watching them, before the solve returns or raises.
 """
 
 from __future__ import annotations
@@ -39,24 +39,20 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig,
     m_rings, n_elem = config.m_rings, config.n_elements
     g_h = dictionary.group_size
     g_v = dictionary.n_groups
-    rows = dictionary.rows
-    n_trials, n_columns, n_users = rows.shape
+    n_trials, n_columns, n_users = dictionary.rows.shape
 
     state = GreedyState(n_trials, n_users, alpha)
-    state.watch(rows)
+    state.watch(dictionary.rows)
     alive = np.ones((n_trials, n_columns), dtype=bool)
     counts = np.zeros((n_trials, g_v), dtype=int)
     completed_at = np.full((n_trials, g_v), -1)  # step that filled each group
     iterations = np.zeros(n_trials, dtype=int)  # 0 while a trial is running
-    # the state's batch is the running trials, order[:n_running]: place i of
-    # the batch, and of the rows, holds trial order[i]
-    order, n_running = np.arange(n_trials), n_trials
-    swaps, picks, objectives = [], [], []
+    picks, objectives = [], []
     try:
         for step in range(n_columns):
-            b = order[:n_running]
+            b = state.trials  # the running trials, in batch order
             best = state.pick(alive[b])
-            state.add(rows[np.arange(n_running), best][:, None])
+            state.add(state.rows[np.arange(len(b)), best][:, None])
             picks.append(np.zeros(n_trials, dtype=int))
             picks[-1][b] = best
             objectives.append(np.zeros(n_trials))
@@ -69,25 +65,16 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig,
             alive.reshape(n_trials, g_v, g_h)[b[filled], group[filled]] = False
             completed_at[b[filled], group[filled]] = step
             done = filled[(completed_at[b[filled]] >= 0).sum(axis=1) == m_rings]
-            iterations[b[done]] = step + 1
-            # from the back, so that each place still holds its trial
-            for place in done[::-1]:
-                n_running -= 1
-                state.retire(place)
-                swaps.append((place, n_running))
-                order[[place, n_running]] = order[[n_running, place]]
-            if not n_running:
+            if len(done):
+                iterations[b[done]] = step + 1
+                state.retire(done)  # swaps b's entries: none is read after
+            if not len(state.trials):
                 break
         else:
             raise RuntimeError("candidate set exhausted before enough groups "
                                "filled")
     finally:
-        # the retirements swapped the rows in place: swap them back, last
-        # first, holding one trial's rows aside at a time
-        for place, last in reversed(swaps):
-            held = rows[place].copy()
-            rows[place] = rows[last]
-            rows[last] = held
+        state.unwatch()
 
     picks, objectives = np.array(picks).T, np.array(objectives).T  # (B, steps)
     made = np.arange(picks.shape[1]) < iterations[:, None]

@@ -131,8 +131,9 @@ class GreedyState:
     filter once, and each add() carries the same update into them, as the
     candidates' products with two K x r factors and a real dot of those
     2r-float rows. A trial that needs no more adds can leave the batch
-    (retire()). The identities need alpha > 0; zero forcing has no such
-    state and is rejected.
+    (retire()); trials and rows (read-only) hold the batch order and the
+    watched rows in it, swapped back when the state stops watching them. The
+    identities need alpha > 0; zero forcing has no such state and is rejected.
     """
 
     def __init__(self, n_trials: int, n_users: int, alpha: float):
@@ -144,8 +145,9 @@ class GreedyState:
         self.inverse = np.tile(np.eye(n_users, dtype=complex) / self.alpha,
                                (n_trials, 1, 1))
         self._fresh = True  # G^-1 is still I / alpha
-        self._rows = None
-        self._score = None
+        self.trials = np.arange(n_trials)  # the trial at each place
+        # the watched array, its batch's rows read-only, and retire's swaps
+        self._watched, self.rows, self._score, self._swaps = None, None, None, []
 
     def watch(self, rows: np.ndarray, block: int = 1) -> None:
         """Score the candidates given as their conjugated columns a^H stacked
@@ -157,9 +159,12 @@ class GreedyState:
         piece taking the remainder, so only a piece of it sits beside the
         rows; each piece's scores are bit for bit those of the whole set's
         filter. Before any add G^-1 is I / alpha, and scaling the rows by
-        1 / alpha gives that product bit for bit."""
+        1 / alpha gives that product bit for bit. Place i of rows must hold
+        trial trials[i]'s rows."""
         # the previous set goes first, so it is not held through the filter
-        self._rows, self._score = rows, None
+        self.unwatch()
+        self._watched, self.rows = rows, rows.view()
+        self.rows.flags.writeable = False
         n_trials, n_rows, n_users = rows.shape
         n_candidates = n_rows // block
         score = np.empty((n_trials, n_candidates))
@@ -179,8 +184,13 @@ class GreedyState:
 
     def unwatch(self) -> None:
         """Stop keeping scores: drop the watched set and its scores, so
-        later adds update only G^-1."""
-        self._rows, self._score = None, None
+        later adds update only G^-1. retire()'s swaps of the watched rows are
+        undone first, last first, holding one trial's rows aside at a time,
+        so the array given to watch() is again bit for bit as given."""
+        for place, last in reversed(self._swaps):
+            _swap(self._watched, place, last)
+        self._watched = self.rows = self._score = None
+        self._swaps = []
 
     @property
     def score(self) -> np.ndarray:
@@ -220,36 +230,45 @@ class GreedyState:
             v = u * (1.0 / (1.0 + (row @ u).real))  # s_i u_i
             self.inverse = self.inverse - v * _hermitian(u)
             us[..., i, None], vs[..., i, None] = u, v
-        if self._rows is not None:
+        if self._score is not None:
             p = vs @ (_hermitian(us) @ us) - 2.0 * (before @ us)
             # each row's products c P and c V as (B, n, 2r) floats: the real
             # dot of the two, summed column by column in order, is
             # Re<c P, c V>; at rank 1 the products are matrix-vector ones
-            cp = (self._rows @ p).view(float)
-            cp *= (self._rows @ vs).view(float)
+            cp = (self.rows @ p).view(float)
+            cp *= (self.rows @ vs).view(float)
             change = cp[..., 0].copy()
             for column in range(1, cp.shape[-1]):
                 change += cp[..., column]
             self._score += change.reshape(self._score.shape + (-1,)).sum(axis=-1)
         self._fresh = False
 
-    def retire(self, trial: int) -> None:
-        """Drop one trial from the batch: it swaps places with the batch's
-        last trial in G^-1, in the kept scores and in the watched rows, and
-        the batch then ends before it. The watched rows swap in place, so
-        the array given to watch() keeps the retired trial's rows behind the
-        batch's, and swapping them back restores it; only one trial's rows
-        are held aside."""
-        last = len(self.inverse) - 1
-        for array in (self.inverse, self._score, self._rows):
-            if array is not None:
-                held = array[trial].copy()
-                array[trial] = array[last]
-                array[last] = held
-        self.inverse = self.inverse[:last]
-        if self._rows is not None:
-            self._rows, self._score = self._rows[:last], self._score[:last]
+    def retire(self, places) -> None:
+        """Drop the trials at the given places of the batch. From the back,
+        each swaps places with the batch's last trial in trials, in G^-1, in
+        the kept scores and in the watched rows, and the batch then ends
+        before it. The watched rows swap in place, so the array given to
+        watch() holds the retired trials' rows behind the batch's until
+        unwatch() swaps them back; only one trial's rows are held aside."""
+        for place in sorted(places, reverse=True):
+            last = len(self.trials) - 1
+            for array in (self.trials, self.inverse, self._score, self._watched):
+                if array is not None:
+                    _swap(array, place, last)
+            self.trials, self.inverse = self.trials[:last], self.inverse[:last]
+            if self.rows is not None:
+                self._swaps.append((place, last))
+                self.rows = self.rows[:last]
+            if self._score is not None:
+                self._score = self._score[:last]
 
     def objective(self) -> np.ndarray:
         """alpha tr G^-1 per trial, the RZF objective of the columns so far."""
         return self.alpha * np.trace(self.inverse, axis1=-2, axis2=-1).real
+
+
+def _swap(array: np.ndarray, i: int, j: int) -> None:
+    """Swap array[i] and array[j] in place, holding one of them aside."""
+    held = array[i].copy()
+    array[i] = array[j]
+    array[j] = held

@@ -25,24 +25,17 @@ def direct_scores(rows, inverse, block=1):
 
 class RescoringState(GreedyState):
     """The greedy state with every score recomputed at every read: it
-    remembers the watched candidates and keeps no scores of its own, so each
-    add() only updates G^-1. A retired trial's watched rows swap in place
-    with the last trial's, as the package's state swaps them."""
+    watches its candidates as the package's state does, rows and batch order
+    included, but drops the scores that the watch formed, so each add() only
+    updates G^-1."""
 
     def watch(self, rows, block=1):
-        self.watched = rows, block
-
-    def retire(self, trial):
-        super().retire(trial)
-        rows, block = self.watched
-        last = len(self.inverse)
-        rows[[trial, last]] = rows[[last, trial]]
-        self.watched = rows[:last], block
+        super().watch(rows, block)
+        self._score, self.block = None, block
 
     @property
     def score(self):
-        rows, block = self.watched
-        return direct_scores(rows, self.inverse, block)
+        return direct_scores(self.rows, self.inverse, self.block)
 
 
 class CountingState(GreedyState):

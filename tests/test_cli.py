@@ -187,6 +187,14 @@ def test_solve_once_checks_alpha_for_the_method_that_runs(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_once_rejects_an_snr_whose_power_overflows(tmp_path, capsys):
+    out = tmp_path / "once"
+    assert parse_and_dispatch(["solve-once", "--snr", "4000", "--out",
+                               str(out)] + SHAPE) == 2
+    assert capsys.readouterr().err.startswith("error: snr_db must be")
+    assert not out.exists()
+
+
 def test_solve_once_whose_trial_fails_writes_nothing(tmp_path, capsys):
     # zero forcing with one element per ring: the trial's Gram matrix is
     # singular, so the method fails after the spec has passed
@@ -582,6 +590,21 @@ BAD_SPEC_VALUES = [
     # the default alpha "mmse" is the noise power, which is named first
     (["--noise", "0"], {}, "noise_power"),
     (["--noise", "-1"], {}, "noise_power"),
+    # finite values whose derived values overflow: the transmit power, the
+    # pattern factor 2 (kappa + 1), the wavelength, the responses' phases,
+    # and the greedy state's start I / alpha
+    (["--snr", "4000"], {}, "sweep_values"),
+    (["--snr", "0,4000"], {}, "sweep_values"),
+    (["--grid-range", "6,8", "--snr", "4000"], {}, "snr_db"),
+    ([], {"snr_db": 4000}, "snr_db"),
+    (["--kappa", "1e308"], {}, "kappa"),
+    (["--freq", "1e-300"], {}, "frequency_hz"),
+    (["--freq", "1e-299", "--grid", "24"], {}, "frequency_hz"),
+    (["--dmin", "1e308"], {}, "d_min"),
+    (["--grid-range", "6,24", "--dmin", "1e306"], {}, "d_min"),
+    (["--alpha", "1e-320"], {}, "alpha"),
+    (["--alpha", "1e-200", "--methods", "fcla-a"], {}, "alpha"),
+    (["--noise", "1e-320"], {}, "noise_power"),
 ]
 
 
@@ -601,6 +624,19 @@ def test_bad_spec_value_named_before_output(flags, config, field, tmp_path,
                                str(path), "--out", str(out)] + flags) == 2
     assert capsys.readouterr().err.startswith(f"error: {field} must be")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dmin", "1e300"], ["--freq", "1e-299"], ["--kappa", "1e300"],
+    ["--alpha", "1e-150"], ["--snr", "3000"]])
+def test_large_finite_spec_runs(flags, tmp_path):
+    # values just inside the spec's bounds run to finite rates
+    out = tmp_path / "out"
+    assert parse_and_dispatch(["sweep-snr", "--snr", "0", "--out", str(out)]
+                              + SMALL + flags) == 0
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert all(np.isfinite(float(row.split(",")[3])) for row in rows)
 
 
 @pytest.mark.parametrize("values", [5, None])

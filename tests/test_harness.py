@@ -340,6 +340,24 @@ class TestRunTrial:
         assert [len(b) for b in harness._batches(
             small_spec(users=16, grid_size=128, trials=3))] == [1, 1, 1]
 
+    @pytest.mark.parametrize("method", ["fcla-a", "ucla"])
+    def test_rates_do_not_depend_on_the_methods_before(self, method):
+        # at a 16x16 omni point fcla-j's trials finish at different steps
+        # and leave its batch, swapping the dictionary's rows until the
+        # solve puts them back: a method run after it rates as run alone
+        spec = ExperimentSpec(**REFERENCE, grid_size=16, pattern_kind="omni",
+                              trials=8, outer_iters=2,
+                              methods=("fcla-j", method))
+        trials = range(spec.trials)
+        batch = harness.draw_batch(spec, 0, trials)
+        iterations = harness.solve_joint(batch.dictionary, batch.config,
+                                         batch.alpha).iterations
+        assert len(set(iterations.tolist())) > 1
+        after = run_trial(spec, 0, trials)
+        alone = run_trial(dataclasses.replace(spec, methods=(method,)), 0,
+                          trials)
+        assert np.array_equal(after[:, 1], alone[:, 0])
+
     def test_deterministic(self):
         spec = small_spec()
         a = run_trial(spec, 0, [3])

@@ -397,9 +397,20 @@ class TestGreedyState:
             assert batch.objective()[t] == state.objective()[0]
 
     def test_retired_trials_leave_the_others_as_they_were(self):
-        # trial 1 retires after one add and trial 4 after two; the batch's
-        # last trial takes each one's place, and the watched rows swap in
-        # place with the state
+        # the trials that finish at each step: one at a time; two at one
+        # step, their places given in either order; the batch's last place
+        # among them. The state stops watching by unwatch() or by a watch()
+        # of another set
+        for finishing in ([(1,), (4,), ()], [(1, 3), (4,), ()],
+                          [(3, 1), (4,), ()], [(4, 0), (), (2,)]):
+            for stop in ("unwatch", "watch"):
+                self.check_retirement(finishing, stop)
+
+    @staticmethod
+    def check_retirement(finishing, stop):
+        # the batch's last trials take the retired ones' places, the watched
+        # rows swapping in place with the state, until the state stops
+        # watching them and swaps them back
         rng = np.random.default_rng(13)
         n_trials, k = 5, 6
         rows = random_channel(rng, n_trials, 9, k)
@@ -410,21 +421,28 @@ class TestGreedyState:
         batch.watch(rows)
         for t, state in enumerate(alone):
             state.watch(original[t:t + 1])
-        order = list(range(n_trials))  # the trial at each place
-        for block, retiring in zip(blocks, (1, 4, None)):
+        assert batch.trials.tolist() == list(range(n_trials))
+        for block, trials in zip(blocks, finishing):
+            order = batch.trials.tolist()
             batch.add(block[order])
             for t in order:
                 alone[t].add(block[t:t + 1])
-            if retiring is not None:
-                place = order.index(retiring)
-                batch.retire(place)
-                order[place] = order[-1]
-                order.pop()
-            assert np.array_equal(rows[:len(order)], original[order])
-            for place, t in enumerate(order):
+            batch.retire([order.index(t) for t in trials])
+            assert sorted(batch.trials) == sorted(set(order) - set(trials))
+            running = len(batch.trials)
+            assert np.array_equal(batch.rows, original[batch.trials])
+            assert np.shares_memory(batch.rows, rows[:running])
+            for place, t in enumerate(batch.trials):
                 assert np.array_equal(batch.inverse[place], alone[t].inverse[0])
                 assert np.array_equal(batch.score[place], alone[t].score[0])
-        assert sorted(map(bytes, rows)) == sorted(map(bytes, original))
+        with pytest.raises(ValueError, match="read-only"):
+            batch.rows[0] = 0.0
+        if stop == "unwatch":
+            batch.unwatch()
+            assert batch.rows is None and batch.score is None
+        else:
+            batch.watch(original[batch.trials])
+        assert rows.tobytes() == original.tobytes(), (finishing, stop)
 
     def test_zero_rows_leave_a_trial_unchanged(self):
         rng = np.random.default_rng(12)
