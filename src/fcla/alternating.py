@@ -8,7 +8,9 @@ slot `slot`. In the angle phase all rings match atoms in parallel against the
 same residual each inner step, then one update of the inverse-Gram state
 (`fcla.precoding.GreedyState`) takes in every ring's pick. In the height
 phase rings choose one height block each, sequentially, updating the state
-between rings.
+between rings. A phase keeps no mask of what may still be picked: a ring's
+picked angle, and a slot an earlier ring took, leave the state's kept scores
+(`GreedyState.drop`), and each pick is an argmax over them.
 
 Every trial of a (B, G, K) dictionary runs through the same steps at once;
 each trial's picks equal those of solving it alone. A trial whose round ends
@@ -45,11 +47,12 @@ def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
     """Select each ring's element angles with ring m pinned at height slot
     slots[m].
 
-    Each ring takes n_elements angles. Rings pick one live angle apiece per
+    Each ring takes n_elements angles. Rings pick one angle apiece per
     inner step (lowest index on ties), all against the residual from the
     previous step, so the scores of every ring's columns, watched once per
     phase, serve all rings; one rank-M update takes in all the picks before
-    the next step, and none follows the last.
+    the next step, and none follows the last. Each pick then leaves the
+    kept scores.
     slots is (M,), shared by every trial, or (T, M) for the T trials listed
     by trials (`Dictionary.take`; default all B). Returns the (T, M, N)
     angle indices.
@@ -65,15 +68,15 @@ def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
     ring_columns = slots[..., None] * g_h + np.arange(g_h)  # (T, M, G_H)
     state = GreedyState(n_trials, n_users, alpha)
     state.watch(dictionary.take(ring_columns.reshape(n_trials, -1), trials))
-    alive = np.ones((n_trials, m_rings, g_h), dtype=bool)
-    trial_index, ring_index = np.arange(n_trials)[:, None], np.arange(m_rings)
+    trial_index = np.arange(n_trials)[:, None]
+    # each ring's first watched column, in the (T, M * G_H) kept scores
+    ring_start = np.arange(m_rings) * g_h
     picks = []
     for _ in range(n_elements):
         if picks:
             state.add(dictionary.take(slots * g_h + picks[-1], trials))
-        pick = state.pick(alive)  # (T, M)
-        alive[trial_index, ring_index, pick] = False
-        picks.append(pick)
+            state.drop(trial_index, ring_start + picks[-1])
+        picks.append(state.pick(m_rings))  # (T, M)
     return np.stack(picks, axis=2)
 
 
@@ -81,10 +84,11 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float,
                      trials=None):
     """Assign one height slot to each ring with its angle indices frozen.
 
-    Rings go in order; ring m scores every live height slot by the Frobenius
+    Rings go in order; ring m scores every height slot by the Frobenius
     norm of its block's matched filter against the current residual (all
-    slots in one matched filter) and takes the best, and a rank-N update
-    adds the block before the next ring scores; none follows the last ring.
+    slots in one matched filter), drops the slots earlier rings took and
+    takes the best, and a rank-N update adds the block before the next ring
+    scores; none follows the last ring.
     angles is (M, N), shared by every trial, or (T, M, N) for the
     T trials listed by trials (default all B). Returns the (T, M) slots.
     """
@@ -98,9 +102,9 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float,
     g_h, g_v = dictionary.group_size, dictionary.n_groups
 
     state = GreedyState(n_trials, n_users, alpha)
-    alive = np.ones((n_trials, g_v), dtype=bool)
     slots = np.empty((n_trials, m_rings), dtype=int)
     slot_columns = np.arange(g_v)[:, None] * g_h  # (G_V, 1)
+    trial_index = np.arange(n_trials)[:, None]
     for m in range(m_rings):
         if m:
             state.add(dictionary.take(
@@ -108,11 +112,10 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float,
         blocks = slot_columns + angles[:, m, None, :]  # (T, G_V, N)
         state.watch(dictionary.take(blocks.reshape(n_trials, -1), trials),
                     block=n_elem)
-        best = state.pick(alive)
+        state.drop(trial_index, slots[:, :m])
+        slots[:, m] = state.pick()
         # the next ring's blocks are gathered without these beside them
         state.unwatch()
-        slots[:, m] = best
-        alive[np.arange(n_trials), best] = False
     return slots
 
 

@@ -20,7 +20,7 @@ from .channel import Dictionary, Paths, build_joint_dictionary, draw_paths
 from .geometry import SPEED_OF_LIGHT, FclaConfig
 from .joint import solve_joint
 from .pattern import PATTERN_KINDS, PatternSpec
-from .precoding import normalize_columns, sinr
+from .precoding import ScoreRangeError, normalize_columns, sinr
 from .solution import Solutions, refit, solutions
 
 
@@ -30,7 +30,9 @@ class TrialBatch:
     trials' paths and, when a greedy method runs, their joint dictionary.
     The methods read alpha but not power and sigma2, which only rate their
     placements (`rates`). power is one budget for every trial, or, when the
-    batch spans points of an SNR sweep, a (B,) array of each trial's own."""
+    batch spans points of an SNR sweep, a (B,) array of each trial's own.
+    alpha_field names the spec field alpha comes from: noise_power under
+    the "mmse" rule."""
 
     paths: Paths
     dictionary: Dictionary | None
@@ -39,6 +41,7 @@ class TrialBatch:
     power: float | np.ndarray
     sigma2: float
     n_outer: int
+    alpha_field: str = "alpha"
 
 
 # The solvers, and run_sweep's pool class, are looked up as this module's
@@ -167,10 +170,10 @@ class ExperimentSpec:
                     f"alpha must be > 0 for {greedy} (got alpha={self.alpha!r}, "
                     f"noise_power={self.noise_power!r})")
             if not alpha * alpha * sys.float_info.max >= 1.0:
-                name = "noise_power" if self.alpha == "mmse" else "alpha"
-                raise ValueError(f"{name} must be at least 1 / sqrt(max float) "
-                                 f"for {greedy}, whose scores start at "
-                                 f"|a|^2 / alpha^2; got alpha={alpha!r}")
+                raise ValueError(f"{self.alpha_field()} must be at least "
+                                 f"1 / sqrt(max float) for {greedy}, whose "
+                                 f"scores start at |a|^2 / alpha^2; got "
+                                 f"alpha={alpha!r}")
         if self.d_min is not None:
             self.d_min = _finite("d_min", self.d_min, low=0.0)
         self.kappa = _finite("kappa", self.kappa, low=1.0, inclusive=True)
@@ -260,6 +263,10 @@ class ExperimentSpec:
     def alpha_value(self) -> float:
         return self.noise_power if self.alpha == "mmse" else self.alpha
 
+    def alpha_field(self) -> str:
+        """The field that alpha_value() comes from."""
+        return "noise_power" if self.alpha == "mmse" else "alpha"
+
     def power_for_snr(self, snr_db: float) -> float:
         return 10.0 ** (snr_db / 10.0) * self.noise_power
 
@@ -345,12 +352,22 @@ def draw_batch(spec: ExperimentSpec, point_index, trials) -> TrialBatch:
     return TrialBatch(
         paths=paths, dictionary=dictionary, config=config,
         alpha=spec.alpha_value(), power=power, sigma2=spec.noise_power,
-        n_outer=spec.outer_iters)
+        n_outer=spec.outer_iters, alpha_field=spec.alpha_field())
+
+
+def solve(batch: TrialBatch, method: str) -> Solutions:
+    """The method's Solutions of the batch. A greedy state's rejection of
+    alpha names the spec field that alpha comes from."""
+    try:
+        return METHOD_TABLE[method][0](batch)
+    except ScoreRangeError as exc:  # its message names alpha
+        raise ScoreRangeError(batch.alpha_field
+                              + str(exc).removeprefix("alpha")) from None
 
 
 def solve_methods(batch: TrialBatch, methods) -> dict:
     """Method name -> its Solutions of the batch."""
-    return {method: METHOD_TABLE[method][0](batch) for method in methods}
+    return {method: solve(batch, method) for method in methods}
 
 
 def run_trial(spec: ExperimentSpec, point_index, trials) -> np.ndarray:
@@ -369,8 +386,7 @@ def run_trial(spec: ExperimentSpec, point_index, trials) -> np.ndarray:
     out = np.empty((len(batch.paths), len(spec.methods), len(rounds or [0])))
     for i, method in enumerate(spec.methods):
         # each record is rated and dropped before the next method runs
-        out[:, i] = rates(batch, METHOD_TABLE[method][0](batch),
-                          rounds).sum(axis=-1)
+        out[:, i] = rates(batch, solve(batch, method), rounds).sum(axis=-1)
     return out
 
 

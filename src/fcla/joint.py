@@ -5,6 +5,9 @@ One atom is selected per iteration. A height slot whose selected-atom count
 reaches the per-ring element count becomes a completed group and its leftover
 candidates are retired. Matching may therefore pick more atoms than finally
 needed; atoms of never-completed groups are dropped before the final refit.
+A picked atom, and each column of a completed group, leaves the greedy
+state's kept scores (`GreedyState.drop`), so each pick is an argmax over
+them, and a step where no group completes does no group bookkeeping.
 
 The trials of a dictionary are solved as one batch: every trial runs the
 same steps on its own inverse-Gram state, and a trial that has completed its
@@ -28,7 +31,8 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig,
     """Greedy joint selection of ring heights and element angles.
 
     Iterates: match the best live atom against the residual, add it to the
-    inverse-Gram state, and retire any height group that just filled up.
+    inverse-Gram state, drop it from the kept scores, and retire any height
+    group that just filled up, dropping its columns.
     Stops once M groups are complete and keeps only their atoms, in pick
     order, as the placement; rings take the groups in completion order.
     Returns the record (`fcla.solution.Solutions`) of every trial of the
@@ -43,26 +47,33 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig,
 
     state = GreedyState(n_trials, n_users, alpha)
     state.watch(dictionary.rows)
-    alive = np.ones((n_trials, n_columns), dtype=bool)
     counts = np.zeros((n_trials, g_v), dtype=int)
     completed_at = np.full((n_trials, g_v), -1)  # step that filled each group
     iterations = np.zeros(n_trials, dtype=int)  # 0 while a trial is running
-    picks, objectives = [], []
+    # each step fills a group or adds to one of the g_v unfilled ones, which
+    # hold n_elem - 1 picks at most: m_rings groups fill within this many
+    max_steps = g_v * (n_elem - 1) + m_rings
+    # each step's pick and objective per trial, 0 once the trial has retired
+    picks = np.zeros((max_steps, n_trials), dtype=int)
+    objectives = np.zeros((max_steps, n_trials))
+    angles = np.arange(g_h)
     try:
-        for step in range(n_columns):
+        for step in range(max_steps):
             b = state.trials  # the running trials, in batch order
-            best = state.pick(alive[b])
-            state.add(state.rows[np.arange(len(b)), best][:, None])
-            picks.append(np.zeros(n_trials, dtype=int))
-            picks[-1][b] = best
-            objectives.append(np.zeros(n_trials))
-            objectives[-1][b] = state.objective()
+            places = np.arange(len(b))
+            best = state.pick()
+            state.add(state.rows[places, best][:, None])
+            state.drop(places, best)
+            picks[step, b] = best
+            objectives[step, b] = state.objective()
 
             group = best // g_h
-            alive[b, best] = False
-            counts[b, group] += 1
-            filled = np.flatnonzero(counts[b, group] == n_elem)
-            alive.reshape(n_trials, g_v, g_h)[b[filled], group[filled]] = False
+            count = counts[b, group] + 1
+            counts[b, group] = count
+            filled = np.flatnonzero(count == n_elem)
+            if not len(filled):
+                continue
+            state.drop(filled[:, None], group[filled, None] * g_h + angles)
             completed_at[b[filled], group[filled]] = step
             done = filled[(completed_at[b[filled]] >= 0).sum(axis=1) == m_rings]
             if len(done):
@@ -76,7 +87,7 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig,
     finally:
         state.unwatch()
 
-    picks, objectives = np.array(picks).T, np.array(objectives).T  # (B, steps)
+    picks, objectives = picks[:step + 1].T, objectives[:step + 1].T  # (B, S)
     made = np.arange(picks.shape[1]) < iterations[:, None]
     kept = made & (np.take_along_axis(completed_at, picks // g_h, axis=1) >= 0)
     if not (kept.sum(axis=1) == m_rings * n_elem).all():

@@ -10,6 +10,11 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """The unregularized system is rank deficient."""
 
 
+class ScoreRangeError(ValueError):
+    """alpha puts a greedy score out of floating-point range; the message
+    names alpha."""
+
+
 # reciprocal-condition floor below which an alpha=0 solve is rejected
 _RCOND_FLOOR = 1e-12
 # rows per piece of the matched filter that GreedyState.watch forms, rounded
@@ -69,9 +74,23 @@ def normalize_columns(F: np.ndarray, power: float) -> np.ndarray:
     scaled to their power/K share. F (..., N, K) may stack precoders along
     leading axes, and power may then hold one budget per precoder (...),
     or one for all.
+
+    A column whose norm would leave the floating-point range, such as an
+    RZF precoder's at a huge alpha, is first scaled by the power of two that
+    brings its largest real or imaginary part into [0.5, 1), so it is rated
+    as any other; the scaling is exact, so every other column comes out bit
+    for bit as without it.
     """
     F = np.asarray(F, dtype=complex)
-    norms = np.linalg.norm(F, axis=-2)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(F, axis=-2)
+    # far enough above the smallest float that a sum of squares loses nothing
+    if not ((norms > 1e-150) & (norms < np.inf)).all():
+        peak = np.maximum(np.abs(F.real), np.abs(F.imag)).max(axis=-2)
+        # a scale of at most 2^1022, which is finite
+        exponent = np.maximum(np.frexp(peak)[1], -1022)
+        F = F * np.ldexp(1.0, -exponent)[..., None, :]
+        norms = np.linalg.norm(F, axis=-2)
     zero = norms == 0.0
     target = np.sqrt(np.asarray(power)[..., None] / F.shape[-1])
     scale = np.where(zero, 0.0, target / np.where(zero, 1.0, norms))
@@ -130,10 +149,13 @@ class GreedyState:
     scores of one watched candidate set: watch() forms their full matched
     filter once, and each add() carries the same update into them, as the
     candidates' products with two K x r factors and a real dot of those
-    2r-float rows. A trial that needs no more adds can leave the batch
-    (retire()); trials and rows (read-only) hold the batch order and the
-    watched rows in it, swapped back when the state stops watching them. The
-    identities need alpha > 0; zero forcing has no such state and is rejected.
+    2r-float rows. A candidate that may no longer be picked leaves the kept
+    scores (drop(): its score is -inf, which every later carry leaves at
+    -inf), so pick() is an argmax over them. A trial that needs no more adds
+    can leave the batch (retire()); trials and rows (read-only) hold the
+    batch order and the watched rows in it, swapped back when the state stops
+    watching them. The identities need alpha > 0; zero forcing has no such
+    state and is rejected.
     """
 
     def __init__(self, n_trials: int, n_users: int, alpha: float):
@@ -153,14 +175,18 @@ class GreedyState:
         """Score the candidates given as their conjugated columns a^H stacked
         as rows (B, n, K), and keep their scores up to date from now on. A
         candidate of block consecutive columns scores the sum of their
-        scores. The previous set's scores are dropped.
+        scores. The previous set's scores are dropped, and every candidate
+        of the new set may be picked.
 
         The matched filter is formed in pieces of about _CHUNK rows, the last
         piece taking the remainder, so only a piece of it sits beside the
         rows; each piece's scores are bit for bit those of the whole set's
         filter. Before any add G^-1 is I / alpha, and scaling the rows by
         1 / alpha gives that product bit for bit. Place i of rows must hold
-        trial trials[i]'s rows."""
+        trial trials[i]'s rows. A score out of floating-point range raises
+        ScoreRangeError: an infinite one would turn into NaN under later
+        carries, and a candidate with a nonzero entry scored 0 would hand
+        picks to the lowest index."""
         # the previous set goes first, so it is not held through the filter
         self.unwatch()
         self._watched, self.rows = rows, rows.view()
@@ -172,15 +198,26 @@ class GreedyState:
         # down numpy's vector path, which rounds differently
         piece = max(_CHUNK // block, 1)
         edges = [*range(0, max(n_candidates - piece, 1), piece), n_candidates]
-        for start, stop in zip(edges, edges[1:]):
-            chunk = rows[:, start * block:stop * block]
-            if self._fresh:
-                matched = np.abs(chunk * (1.0 / self.alpha)) ** 2
-            else:
-                matched = np.abs(chunk @ self.inverse) ** 2
-            score[:, start:stop] = matched.reshape(
-                n_trials, -1, block * n_users).sum(axis=-1)
-        self._score = score
+        with np.errstate(over="ignore"):  # checked below, by name
+            for start, stop in zip(edges, edges[1:]):
+                chunk = rows[:, start * block:stop * block]
+                if self._fresh:
+                    matched = np.abs(chunk * (1.0 / self.alpha)) ** 2
+                else:
+                    matched = np.abs(chunk @ self.inverse) ** 2
+                score[:, start:stop] = matched.reshape(
+                    n_trials, -1, block * n_users).sum(axis=-1)
+        self._score, self._block = score, block
+        if not score.max() < np.inf:
+            raise ScoreRangeError(
+                f"alpha must be large enough to keep every greedy score "
+                f"||a^H G^-1||^2 finite, got {self.alpha!r}")
+        if score.min() == 0.0 and (np.abs(rows.reshape(
+                score.shape + (-1,))[score == 0.0]) ** 2).any():
+            raise ScoreRangeError(
+                f"alpha must be small enough to keep the greedy score "
+                f"||a^H G^-1||^2 of every nonzero candidate above 0, got "
+                f"{self.alpha!r}")
 
     def unwatch(self) -> None:
         """Stop keeping scores: drop the watched set and its scores, so
@@ -197,18 +234,29 @@ class GreedyState:
         """||a^H G^-1||^2 per watched candidate, (B, n / block)."""
         return self._score
 
-    def pick(self, live: np.ndarray) -> np.ndarray:
-        """Index of the best live watched candidate along live's last axis,
-        the candidates taken in order.
+    def drop(self, places, candidates) -> None:
+        """Take watched candidates out of every later pick until the next
+        watch: the kept scores at [places, candidates], indexed as numpy
+        indexes the (B, n / block) scores, become -inf."""
+        self._score[places, candidates] = -np.inf
 
-        Ties go to the lowest index; a trial without a live candidate raises
-        ValueError.
+    def pick(self, sets: int | None = None) -> np.ndarray:
+        """Index of the best kept score per trial, (B,): the argmax over
+        the watched candidates, which holds -inf for dropped ones. With sets,
+        the candidates are read as that many equal runs, and the pick is
+        each run's best, (B, sets).
+
+        Ties go to the lowest index; a trial, or run, whose best score is
+        -inf (every candidate dropped) raises ValueError.
         """
-        live = np.asarray(live, dtype=bool)
-        if not live.any(axis=-1).all():
+        score = self.score
+        if sets is not None:
+            score = score.reshape(len(score), sets, -1)
+        best = score.argmax(axis=-1)
+        flat = score.reshape(-1, score.shape[-1])
+        if flat[np.arange(len(flat)), best.reshape(-1)].min() == -np.inf:
             raise ValueError("candidate set is empty")
-        scores = self.score.reshape(live.shape)
-        return np.where(live, scores, -np.inf).argmax(axis=-1)
+        return best
 
     def add(self, rows: np.ndarray) -> None:
         """Append r columns A, given as the rows A^H (B, r, K), as r rank-1
@@ -219,17 +267,22 @@ class GreedyState:
 
         A watched row c scores ||c G^-1||^2, and the add changes its score
         by Re<c P, c V> with P = V U^H U - 2 G0^-1 U, formed from U, V and
-        the G0^-1 before the add. All-zero rows leave a trial's state,
-        scores included, unchanged bit for bit."""
-        before = self.inverse
-        us = np.empty(before.shape[:-1] + (rows.shape[-2],), dtype=complex)
-        vs = np.empty_like(us)
-        for i in range(rows.shape[-2]):
+        the G0^-1 before the add. A finite change leaves a dropped score at
+        -inf. All-zero rows leave a trial's state, scores included,
+        unchanged bit for bit."""
+        before, rank = self.inverse, rows.shape[-2]
+        if rank > 1:
+            us = np.empty(before.shape[:-1] + (rank,), dtype=complex)
+            vs = np.empty_like(us)
+        for i in range(rank):
             row = rows[:, i, None]  # a_i^H, (B, 1, K)
             u = self.inverse @ _hermitian(row)
             v = u * (1.0 / (1.0 + (row @ u).real))  # s_i u_i
             self.inverse = self.inverse - v * _hermitian(u)
-            us[..., i, None], vs[..., i, None] = u, v
+            if rank > 1:
+                us[..., i, None], vs[..., i, None] = u, v
+            else:  # a rank-1 add's factors are its u and v
+                us, vs = u, v
         if self._score is not None:
             p = vs @ (_hermitian(us) @ us) - 2.0 * (before @ us)
             # each row's products c P and c V as (B, n, 2r) floats: the real
@@ -237,10 +290,12 @@ class GreedyState:
             # Re<c P, c V>; at rank 1 the products are matrix-vector ones
             cp = (self.rows @ p).view(float)
             cp *= (self.rows @ vs).view(float)
-            change = cp[..., 0].copy()
-            for column in range(1, cp.shape[-1]):
+            change = np.add(cp[..., 0], cp[..., 1])
+            for column in range(2, cp.shape[-1]):
                 change += cp[..., column]
-            self._score += change.reshape(self._score.shape + (-1,)).sum(axis=-1)
+            if self._block > 1:
+                change = change.reshape(self._score.shape + (-1,)).sum(axis=-1)
+            self._score += change
         self._fresh = False
 
     def retire(self, places) -> None:

@@ -2,9 +2,10 @@
 
 `fcla.precoding.GreedyState` forms the matched filter of its watched
 candidates once and then carries every added column into their scores by its
-rank-1 updates. The oracle recomputes every score from scratch at every read,
-||a^H G^-1||^2 from the current G^-1, as the solvers did before they kept
-their scores; a solver run on it must pick exactly what it picks on the
+rank-1 updates, and a dropped candidate's score is -inf. The oracle
+recomputes every score from scratch at every read, ||a^H G^-1||^2 from the
+current G^-1, as the solvers did before they kept their scores, and keeps
+only the drops; a solver run on it must pick exactly what it picks on the
 package's state. A second subclass counts the rows the package's state
 scores and its adds, against which the solvers' work counters are checked.
 """
@@ -26,16 +27,24 @@ def direct_scores(rows, inverse, block=1):
 class RescoringState(GreedyState):
     """The greedy state with every score recomputed at every read: it
     watches its candidates as the package's state does, rows and batch order
-    included, but drops the scores that the watch formed, so each add() only
-    updates G^-1."""
+    included, but in place of the scores that the watch formed it keeps a
+    penalty per candidate, 0 until drop() sets it to -inf, which retire()
+    swaps with its trial as it swaps kept scores. Each add() only updates
+    G^-1, and a read adds the penalties to the direct scores."""
 
     def watch(self, rows, block=1):
         super().watch(rows, block)
-        self._score, self.block = None, block
+        self._score, self.block = np.zeros_like(self._score), block
+
+    def add(self, rows):
+        # no carry into the penalties
+        penalty, self._score = self._score, None
+        super().add(rows)
+        self._score = penalty
 
     @property
     def score(self):
-        return direct_scores(self.rows, self.inverse, self.block)
+        return direct_scores(self.rows, self.inverse, self.block) + self._score
 
 
 class CountingState(GreedyState):

@@ -27,29 +27,35 @@ TRACE_KEYS = {"ucla": [], "fcla-j": ["picks", "pick_objectives"],
 
 
 GOLDEN = Path(__file__).parent / "golden"
-# fixed-seed sweeps of all three methods with directional elements; a
-# refactor keeps the expected CSVs byte-exact. The SNR and grid CSVs were
-# last regenerated when responses became an angle factor times a height
-# factor (last-bit changes, named in CHANGES.md); the iteration CSV was
-# added later from unchanged rates
-GOLDEN_SWEEPS = {
-    "sweep-snr": ["--snr", "-4,4", "--grid", "6", "--iters", "3", "--seed",
-                  "11"],
-    "sweep-grid": ["--grid-range", "6,8", "--snr", "0", "--iters", "3",
-                   "--seed", "12"],
-    "sweep-iters": ["--iters-range", "1,3", "--snr", "0", "--grid", "6",
-                    "--seed", "13"],
-}
+# fixed-seed sweeps, keyed by the name of their expected CSV; a refactor keeps
+# each byte-exact. The first three run all three methods with directional
+# elements on a small shape; the SNR and grid CSVs were last regenerated when
+# responses became an angle factor times a height factor (last-bit changes,
+# named in CHANGES.md), and the iteration CSV was added later from unchanged
+# rates. sweep-grid-joint is the grid-joint benchmark's shape (reference
+# scale, omni, ucla and fcla-j, grids up to 32x32) at 6 trials a grid
 GOLDEN_SHAPE = ["--rings", "3", "--elements", "2", "--users", "6", "--paths",
                 "3", "--trials", "20"]
+GOLDEN_SWEEPS = {
+    "sweep-snr": ["sweep-snr", "--snr", "-4,4", "--grid", "6", "--iters", "3",
+                  "--seed", "11"] + GOLDEN_SHAPE,
+    "sweep-grid": ["sweep-grid", "--grid-range", "6,8", "--snr", "0",
+                   "--iters", "3", "--seed", "12"] + GOLDEN_SHAPE,
+    "sweep-iters": ["sweep-iters", "--iters-range", "1,3", "--snr", "0",
+                    "--grid", "6", "--seed", "13"] + GOLDEN_SHAPE,
+    "sweep-grid-joint": ["sweep-grid", "--grid-range", "8,16,24,32", "--omni",
+                         "--methods", "ucla,fcla-j", "--snr", "0", "--rings",
+                         "4", "--elements", "4", "--users", "16", "--paths",
+                         "4", "--trials", "6", "--seed", "14"],
+}
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN_SWEEPS))
-def test_results_csv_matches_golden(command, tmp_path):
-    argv = [command, "--out", str(tmp_path)] + GOLDEN_SWEEPS[command] + GOLDEN_SHAPE
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+def test_results_csv_matches_golden(name, tmp_path):
+    argv = GOLDEN_SWEEPS[name] + ["--out", str(tmp_path)]
     assert parse_and_dispatch(argv) == 0
     assert ((tmp_path / "results.csv").read_bytes()
-            == (GOLDEN / f"{command}.csv").read_bytes())
+            == (GOLDEN / f"{name}.csv").read_bytes())
 
 
 def test_parse_range_forms():
@@ -628,7 +634,7 @@ def test_bad_spec_value_named_before_output(flags, config, field, tmp_path,
 
 @pytest.mark.parametrize("flags", [
     ["--dmin", "1e300"], ["--freq", "1e-299"], ["--kappa", "1e300"],
-    ["--alpha", "1e-150"], ["--snr", "3000"]])
+    ["--alpha", "1e-150"], ["--snr", "3000"], ["--alpha", "1e160"]])
 def test_large_finite_spec_runs(flags, tmp_path):
     # values just inside the spec's bounds run to finite rates
     out = tmp_path / "out"
@@ -637,6 +643,40 @@ def test_large_finite_spec_runs(flags, tmp_path):
     rows = (out / "results.csv").read_text().splitlines()[1:]
     assert len(rows) == 3
     assert all(np.isfinite(float(row.split(",")[3])) for row in rows)
+
+
+@pytest.mark.parametrize("flags, field", [
+    # |a|^2 / alpha^2 overflows for rows of |a|^2 above about 1.8
+    (["--alpha", "1e-154"], "alpha"),
+    # |a|^2 / alpha^2 underflows to 0
+    (["--alpha", "1e200"], "alpha"),
+    (["--noise", "1e200"], "noise_power"),  # alpha of the mmse rule
+], ids=["alpha-1e-154", "alpha-1e200", "noise-1e200"])
+def test_solve_once_names_an_alpha_whose_scores_leave_the_range(
+        flags, field, tmp_path, capsys):
+    # within the spec's bounds, but the greedy scores of these rows are out
+    # of floating-point range; nothing is written
+    out = tmp_path / "out"
+    assert parse_and_dispatch(["solve-once", "--out", str(out)] + SHAPE
+                              + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_huge_alpha_precoder_is_rated(tmp_path):
+    # at alpha 1e200 the RZF precoder's entries are near 1e-200, whose
+    # squares underflow; it is the matched filter as at 1e100, and rated so
+    rates = {}
+    for alpha in ("1e100", "1e200"):
+        out = tmp_path / alpha
+        assert parse_and_dispatch(["solve-once", "--methods", "ucla",
+                                   "--alpha", alpha, "--out", str(out)]
+                                  + SHAPE) == 0
+        placement = json.loads((out / "placement.json").read_text())
+        rates[alpha] = placement["ucla"]["rates"]
+    assert min(rates["1e200"]) > 0.0
+    assert np.allclose(rates["1e200"], rates["1e100"], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("values", [5, None])

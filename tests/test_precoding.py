@@ -146,6 +146,20 @@ class TestNormalizeColumns:
         assert np.all(out[:, 1] == 0.0)
         assert np.isclose(np.linalg.norm(out[:, 0]), np.sqrt(0.5))
 
+    @pytest.mark.parametrize("exponent", [-1000, -700, -520, 520, 1000])
+    def test_columns_out_of_range_normalize_as_in_range(self, exponent):
+        # columns whose squares underflow (to 0 below 2^-537) or overflow
+        # (above 2^512), scaled exactly by a power of two, normalize as the
+        # same columns at unit scale, bit for bit; the zero column stays
+        # zero, and the column at unit scale beside them is unchanged
+        rng = np.random.default_rng(8)
+        F = random_channel(rng, 2, 5, 4)
+        F[:, :, 3] = 0.0
+        want = normalize_columns(F, 2.0)
+        scaled = F.copy()
+        scaled[:, :, 1:3] *= 2.0 ** exponent
+        assert np.array_equal(normalize_columns(scaled, 2.0), want)
+
 
 class TestStacks:
     """A (B, K, N) stack gives each matrix exactly its own result."""
@@ -365,7 +379,7 @@ class TestGreedyState:
         want = direct_scores(rows, state.inverse)
         assert want[0, 1] > want[0, 0]
         assert np.array_equal(state.score, want)
-        assert state.pick(np.ones((1, 2), dtype=bool))[0] == 1
+        assert state.pick()[0] == 1
 
     # rank 1 as fcla-j adds an atom, 4 as the angle phase adds an element
     # to each of 4 rings
@@ -382,15 +396,17 @@ class TestGreedyState:
         batch = GreedyState(n_trials, k, 0.8)
         alone = [GreedyState(1, k, 0.8) for _ in range(n_trials)]
         batch.watch(rows)
+        batch.drop(*np.nonzero(~live))
         for t, state in enumerate(alone):
             state.watch(rows[t:t + 1])
+            state.drop(0, np.flatnonzero(~live[t]))
         for block in blocks:
             block_rows = np.conj(np.swapaxes(block, 1, 2))
             batch.add(block_rows)
-            picks = batch.pick(live)
+            picks = batch.pick()
             for t, state in enumerate(alone):
                 state.add(block_rows[t:t + 1])
-                assert picks[t] == state.pick(live[t:t + 1])[0]
+                assert picks[t] == state.pick()[0]
         for t, state in enumerate(alone):
             assert np.array_equal(batch.inverse[t], state.inverse[0])
             assert np.array_equal(batch.score[t], state.score[0])
@@ -485,25 +501,24 @@ class TestGreedyState:
 
 
 class TestGreedyPick:
-    """Candidate choice: the largest score among live candidates, the lowest
-    index on ties."""
+    """Candidate choice: the largest score among the candidates not dropped,
+    the lowest index on ties."""
 
     def test_fresh_state_picks_largest_column(self):
         rng = np.random.default_rng(13)
         columns = random_channel(rng, 4, 10)
         state = GreedyState(1, 4, 1.0)
         state.watch(rows_of(columns))
-        best = state.pick(np.ones((1, 10), dtype=bool))
+        best = state.pick()
         norms = np.linalg.norm(columns, axis=0) ** 2
         assert best[0] == int(np.argmax(norms))
 
     def test_single_live_candidate(self):
         rng = np.random.default_rng(14)
-        live = np.zeros((1, 8), dtype=bool)
-        live[0, 5] = True
         state = GreedyState(1, 4, 1.0)
         state.watch(rows_of(random_channel(rng, 4, 8)))
-        assert state.pick(live)[0] == 5
+        state.drop(0, [0, 1, 2, 3, 4, 6, 7])
+        assert state.pick()[0] == 5
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
@@ -517,17 +532,18 @@ class TestGreedyPick:
         want = max(sorted(scores), key=lambda g: scores[g])
         state = GreedyState(1, 4, alpha)
         state.watch(rows_of(columns))  # scored before the add, kept after it
+        # dropped before the add, which leaves them out
+        state.drop(0, np.setdiff1d(np.arange(12), candidates))
         state.add(rows_of(picked))
-        live = np.isin(np.arange(12), candidates)[None]
-        assert state.pick(live)[0] == want
+        assert state.pick()[0] == want
 
     def test_ties_go_to_lowest_index(self):
         column = np.array([1.0, 2.0j, -1.0])
         columns = np.stack([0.5 * column, column, column, column], axis=1)
-        live = np.array([[True, False, True, True]])
         state = GreedyState(1, 3, 1.0)
         state.watch(rows_of(columns))
-        assert state.pick(live)[0] == 2
+        state.drop(0, 1)
+        assert state.pick()[0] == 2
 
     def test_blocks_score_their_summed_columns(self):
         rng = np.random.default_rng(15)
@@ -536,7 +552,6 @@ class TestGreedyPick:
         per_column = GreedyState(1, 3, 0.9)
         state.watch(rows_of(columns), block=2)
         per_column.watch(rows_of(columns))
-        live = np.array([[True, True, True]])
         for added in (None, random_channel(rng, 3, 1)):
             if added is not None:  # kept block scores follow an add too
                 state.add(rows_of(added))
@@ -544,12 +559,59 @@ class TestGreedyPick:
             blocks = state.score[0]
             summed = per_column.score[0].reshape(3, 2).sum(axis=1)
             assert np.allclose(blocks, summed, rtol=1e-14, atol=0.0)
-            assert state.pick(live)[0] == int(np.argmax(blocks))
+            assert state.pick()[0] == int(np.argmax(blocks))
 
     def test_empty_candidates(self):
         state = GreedyState(2, 3, 1.0)
         state.watch(np.ones((2, 4, 3), dtype=complex))
-        live = np.ones((2, 4), dtype=bool)
-        live[1] = False
+        state.drop(1, np.arange(4))
         with pytest.raises(ValueError, match="empty"):
-            state.pick(live)
+            state.pick()
+
+    def test_sets_pick_in_each_run(self):
+        # the candidates read as 3 runs of 2, as the angle phase reads its
+        # rings' columns; a run with every candidate dropped is empty
+        rng = np.random.default_rng(18)
+        rows = random_channel(rng, 2, 6, 4)
+        state = GreedyState(2, 4, 1.0)
+        state.watch(rows)
+        state.drop([[0], [1]], [[1], [4]])
+        want = direct_scores(rows, state.inverse)
+        want[0, 1] = want[1, 4] = -np.inf
+        assert np.array_equal(state.pick(3),
+                              want.reshape(2, 3, 2).argmax(axis=-1))
+        state.drop(0, [2, 3])
+        want[0, 2:4] = -np.inf
+        with pytest.raises(ValueError, match="empty"):
+            state.pick(3)
+        assert state.pick().tolist() == [int(np.argmax(want[0])),
+                                         int(np.argmax(want[1]))]
+
+    def test_dropped_candidates_stay_out(self):
+        # dropped scores stay -inf through adds and retirements, and every
+        # other kept score is bit for bit that of a state that dropped none
+        rng = np.random.default_rng(17)
+        n_trials, k = 4, 5
+        rows = random_channel(rng, n_trials, 10, k)
+        blocks = random_channel(rng, 3, n_trials, 2, k)
+        dropped = GreedyState(n_trials, k, 0.8)
+        kept = GreedyState(n_trials, k, 0.8)
+        dropped.watch(rows.copy())
+        kept.watch(rows.copy())
+        out = np.zeros((n_trials, 10), dtype=bool)  # by trial
+        places, candidates = [[0], [2], [3]], [[1, 6], [4, 9], [0, 3]]
+        dropped.drop(places, candidates)
+        out[places, candidates] = True
+        for block, finishing in zip(blocks, ([], [0], [1])):
+            order = dropped.trials.tolist()
+            dropped.add(block[order])
+            kept.add(block[order])
+            dropped.retire(finishing)
+            kept.retire(finishing)
+            assert dropped.trials.tolist() == kept.trials.tolist()
+            mask = out[dropped.trials]
+            assert np.all(dropped.score[mask] == -np.inf)
+            assert np.array_equal(dropped.score[~mask], kept.score[~mask])
+            assert np.array_equal(dropped.pick(),
+                                  np.where(mask, -np.inf, kept.score)
+                                  .argmax(axis=-1))
