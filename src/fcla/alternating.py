@@ -8,9 +8,10 @@ slot `slot`. In the angle phase all rings match atoms in parallel against the
 same residual each inner step, then one update of the inverse-Gram state
 (`fcla.precoding.GreedyState`) takes in every ring's pick. In the height
 phase rings choose one height block each, sequentially, updating the state
-between rings. A phase keeps no mask of what may still be picked: a ring's
-picked angle, and a slot an earlier ring took, leave the state's kept scores
-(`GreedyState.drop`), and each pick is an argmax over them.
+between rings. The angle phase keeps no mask: a ring's picked angle leaves the
+state's kept scores (`GreedyState.drop`), and each pick is an argmax over
+them. The height phase keeps no scores: each ring scores its blocks once
+(`GreedyState.scores`), and takes the best slot no earlier ring took.
 
 Every trial of a (B, G, K) dictionary runs through the same steps at once;
 each trial's picks equal those of solving it alone. A trial whose round ends
@@ -86,9 +87,9 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float,
 
     Rings go in order; ring m scores every height slot by the Frobenius
     norm of its block's matched filter against the current residual (all
-    slots in one matched filter), drops the slots earlier rings took and
-    takes the best, and a rank-N update adds the block before the next ring
-    scores; none follows the last ring.
+    slots in one matched filter), takes the best slot no earlier ring took
+    (the lowest on ties; ValueError if none is left), and a rank-N update
+    adds the block before the next ring scores; none follows the last ring.
     angles is (M, N), shared by every trial, or (T, M, N) for the
     T trials listed by trials (default all B). Returns the (T, M) slots.
     """
@@ -100,6 +101,8 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float,
         raise ValueError(f"a ring repeats an angle slot: {angles.tolist()}")
     m_rings, n_elem = angles.shape[1:]
     g_h, g_v = dictionary.group_size, dictionary.n_groups
+    if m_rings > g_v:  # ring g_v would find every height slot taken
+        raise ValueError(f"candidate set is empty: all {g_v} slots taken")
 
     state = GreedyState(n_trials, n_users, alpha)
     slots = np.empty((n_trials, m_rings), dtype=int)
@@ -110,12 +113,10 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float,
             state.add(dictionary.take(
                 slots[:, m - 1, None] * g_h + angles[:, m - 1], trials))
         blocks = slot_columns + angles[:, m, None, :]  # (T, G_V, N)
-        state.watch(dictionary.take(blocks.reshape(n_trials, -1), trials),
-                    block=n_elem)
-        state.drop(trial_index, slots[:, :m])
-        slots[:, m] = state.pick()
-        # the next ring's blocks are gathered without these beside them
-        state.unwatch()
+        score = state.scores(
+            dictionary.take(blocks.reshape(n_trials, -1), trials), n_elem)
+        score[trial_index, slots[:, :m]] = -np.inf
+        slots[:, m] = score.argmax(axis=1)
     return slots
 
 

@@ -17,7 +17,7 @@ class ScoreRangeError(ValueError):
 
 # reciprocal-condition floor below which an alpha=0 solve is rejected
 _RCOND_FLOOR = 1e-12
-# rows per piece of the matched filter that GreedyState.watch forms, rounded
+# rows per piece of the matched filter that GreedyState.scores forms, rounded
 # down to whole candidates
 _CHUNK = 16
 
@@ -145,9 +145,10 @@ class GreedyState:
     Adding r columns is r rank-1 updates of G^-1, so a greedy step costs a
     few small matrix-vector products instead of a refit (Batch-OMP,
     Rubinstein, Zibulevsky & Elad 2008; the matrix-residual score of
-    simultaneous OMP, Tropp, Gilbert & Strauss 2006). The state keeps the
-    scores of one watched candidate set: watch() forms their full matched
-    filter once, and each add() carries the same update into them, as the
+    simultaneous OMP, Tropp, Gilbert & Strauss 2006). scores() forms the
+    matched filter of any candidate set and keeps nothing. Only a watched
+    set of one column per candidate keeps its scores: watch() forms them
+    once, and each add() carries the same update into them, as the
     candidates' products with two K x r factors and a real dot of those
     2r-float rows. A candidate that may no longer be picked leaves the kept
     scores (drop(): its score is -inf, which every later carry leaves at
@@ -171,26 +172,19 @@ class GreedyState:
         # the watched array, its batch's rows read-only, and retire's swaps
         self._watched, self.rows, self._score, self._swaps = None, None, None, []
 
-    def watch(self, rows: np.ndarray, block: int = 1) -> None:
-        """Score the candidates given as their conjugated columns a^H stacked
-        as rows (B, n, K), and keep their scores up to date from now on. A
-        candidate of block consecutive columns scores the sum of their
-        scores. The previous set's scores are dropped, and every candidate
-        of the new set may be picked.
+    def scores(self, rows: np.ndarray, block: int = 1) -> np.ndarray:
+        """||a^H G^-1||^2 per candidate, (B, n / block), returned, not kept,
+        for candidates given as their conjugated columns a^H stacked as rows
+        (B, n, K); a candidate of block consecutive columns scores their sum.
 
         The matched filter is formed in pieces of about _CHUNK rows, the last
         piece taking the remainder, so only a piece of it sits beside the
         rows; each piece's scores are bit for bit those of the whole set's
         filter. Before any add G^-1 is I / alpha, and scaling the rows by
-        1 / alpha gives that product bit for bit. Place i of rows must hold
-        trial trials[i]'s rows. A score out of floating-point range raises
-        ScoreRangeError: an infinite one would turn into NaN under later
-        carries, and a candidate with a nonzero entry scored 0 would hand
-        picks to the lowest index."""
-        # the previous set goes first, so it is not held through the filter
-        self.unwatch()
-        self._watched, self.rows = rows, rows.view()
-        self.rows.flags.writeable = False
+        1 / alpha gives that product bit for bit. A score out of
+        floating-point range raises ScoreRangeError: an infinite one would
+        turn into NaN under later carries, and a candidate with a nonzero
+        entry scored 0 would hand picks to the lowest index."""
         n_trials, n_rows, n_users = rows.shape
         n_candidates = n_rows // block
         score = np.empty((n_trials, n_candidates))
@@ -207,7 +201,6 @@ class GreedyState:
                     matched = np.abs(chunk @ self.inverse) ** 2
                 score[:, start:stop] = matched.reshape(
                     n_trials, -1, block * n_users).sum(axis=-1)
-        self._score, self._block = score, block
         if not score.max() < np.inf:
             raise ScoreRangeError(
                 f"alpha must be large enough to keep every greedy score "
@@ -218,6 +211,18 @@ class GreedyState:
                 f"alpha must be small enough to keep the greedy score "
                 f"||a^H G^-1||^2 of every nonzero candidate above 0, got "
                 f"{self.alpha!r}")
+        return score
+
+    def watch(self, rows: np.ndarray) -> None:
+        """Keep the scores (`scores`) of the candidates given as rows
+        (B, n, K), one column each, up to date from now on. The previous
+        set's scores are dropped, and every candidate of the new set may be
+        picked. Place i of rows must hold trial trials[i]'s rows."""
+        # the previous set goes first, so it is not held through the filter
+        self.unwatch()
+        self._watched, self.rows = rows, rows.view()
+        self.rows.flags.writeable = False
+        self._score = self.scores(rows)
 
     def unwatch(self) -> None:
         """Stop keeping scores: drop the watched set and its scores, so
@@ -231,13 +236,13 @@ class GreedyState:
 
     @property
     def score(self) -> np.ndarray:
-        """||a^H G^-1||^2 per watched candidate, (B, n / block)."""
+        """||a^H G^-1||^2 per watched candidate, (B, n)."""
         return self._score
 
     def drop(self, places, candidates) -> None:
         """Take watched candidates out of every later pick until the next
         watch: the kept scores at [places, candidates], indexed as numpy
-        indexes the (B, n / block) scores, become -inf."""
+        indexes the (B, n) scores, become -inf."""
         self._score[places, candidates] = -np.inf
 
     def pick(self, sets: int | None = None) -> np.ndarray:
@@ -270,20 +275,16 @@ class GreedyState:
         the G0^-1 before the add. A finite change leaves a dropped score at
         -inf. All-zero rows leave a trial's state, scores included,
         unchanged bit for bit."""
-        before, rank = self.inverse, rows.shape[-2]
-        if rank > 1:
-            us = np.empty(before.shape[:-1] + (rank,), dtype=complex)
-            vs = np.empty_like(us)
-        for i in range(rank):
+        before, us, vs = self.inverse, [], []
+        for i in range(rows.shape[-2]):
             row = rows[:, i, None]  # a_i^H, (B, 1, K)
             u = self.inverse @ _hermitian(row)
             v = u * (1.0 / (1.0 + (row @ u).real))  # s_i u_i
             self.inverse = self.inverse - v * _hermitian(u)
-            if rank > 1:
-                us[..., i, None], vs[..., i, None] = u, v
-            else:  # a rank-1 add's factors are its u and v
-                us, vs = u, v
+            us.append(u)
+            vs.append(v)
         if self._score is not None:
+            us, vs = np.concatenate(us, axis=-1), np.concatenate(vs, axis=-1)
             p = vs @ (_hermitian(us) @ us) - 2.0 * (before @ us)
             # each row's products c P and c V as (B, n, 2r) floats: the real
             # dot of the two, summed column by column in order, is
@@ -293,8 +294,6 @@ class GreedyState:
             change = np.add(cp[..., 0], cp[..., 1])
             for column in range(2, cp.shape[-1]):
                 change += cp[..., column]
-            if self._block > 1:
-                change = change.reshape(self._score.shape + (-1,)).sum(axis=-1)
             self._score += change
         self._fresh = False
 

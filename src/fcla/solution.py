@@ -28,7 +28,7 @@ class Solutions:
     iterations (B,) counts the solver's iterations: greedy steps of fcla-j,
     outer rounds of fcla-a, none for ucla.
     matched_filter_columns (B,) counts the candidate rows its matched filters
-    formed at a watch or updated after an add, live or not.
+    scored, formed afresh or updated after an add, live or not.
 
     The traces are None for a method that keeps none. picks and
     pick_objectives (B, S) are fcla-j's column and RZF objective after each

@@ -3,10 +3,11 @@
 `fcla.precoding.GreedyState` forms the matched filter of its watched
 candidates once and then carries every added column into their scores by its
 rank-1 updates, and a dropped candidate's score is -inf. The oracle
-recomputes every score from scratch at every read, ||a^H G^-1||^2 from the
-current G^-1, as the solvers did before they kept their scores, and keeps
-only the drops; a solver run on it must pick exactly what it picks on the
-package's state. A second subclass counts the rows the package's state
+recomputes every kept score from scratch at every read, ||a^H G^-1||^2 from
+the current G^-1, as the solvers did before they kept their scores, and
+keeps only the drops; a solver run on it must pick exactly what it picks on
+the package's state. Scores formed without watching (`GreedyState.scores`)
+are direct already. A second subclass counts the rows the package's state
 scores and its adds, against which the solvers' work counters are checked.
 """
 
@@ -32,9 +33,9 @@ class RescoringState(GreedyState):
     swaps with its trial as it swaps kept scores. Each add() only updates
     G^-1, and a read adds the penalties to the direct scores."""
 
-    def watch(self, rows, block=1):
-        super().watch(rows, block)
-        self._score, self.block = np.zeros_like(self._score), block
+    def watch(self, rows):
+        super().watch(rows)
+        self._score = np.zeros_like(self._score)
 
     def add(self, rows):
         # no carry into the penalties
@@ -44,25 +45,28 @@ class RescoringState(GreedyState):
 
     @property
     def score(self):
-        return direct_scores(self.rows, self.inverse, self.block) + self._score
+        return direct_scores(self.rows, self.inverse) + self._score
 
 
 class CountingState(GreedyState):
     """The greedy state counting its work: in rows_scored, the candidate
     rows it scores per trial (the rows its matched filter forms at each
-    watch, and the watched rows each add is carried into); in
-    trial_rows_carried, the watched rows each add is carried into, times the
-    trials in the batch at that add; and in adds, its adds."""
+    scores(), a watch's included, and the watched rows each add is carried
+    into); in trial_rows_carried, the watched rows each add is carried into,
+    times the trials in the batch at that add; and in adds, its adds."""
 
     def __init__(self, n_trials, n_users, alpha):
         super().__init__(n_trials, n_users, alpha)
         self.rows_scored = self.trial_rows_carried = self.adds = 0
         self.watched_rows = 0
 
-    def watch(self, rows, block=1):
-        super().watch(rows, block)
+    def scores(self, rows, block=1):
+        self.rows_scored += rows.shape[1]
+        return super().scores(rows, block)
+
+    def watch(self, rows):
+        super().watch(rows)
         self.watched_rows = rows.shape[1]
-        self.rows_scored += self.watched_rows
 
     def unwatch(self):
         super().unwatch()

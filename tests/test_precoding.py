@@ -333,20 +333,25 @@ class TestGreedyState:
 
     @pytest.mark.parametrize("block", [1, 2])
     def test_watch_scores_by_the_direct_formula(self, block):
+        # scores() of blocks of columns, and the scores a watch of single
+        # columns keeps, are the direct formula's
         rng = np.random.default_rng(16)
         state = GreedyState(2, 4, 0.7)
         rows = np.conj(np.swapaxes(random_channel(rng, 8, 6).reshape(2, 4, 6),
                                    1, 2))
-        state.watch(rows, block)
-        assert np.array_equal(state.score, direct_scores(rows, state.inverse,
-                                                         block))
-        # a watch after adds scores afresh too, from the G^-1 they left
+        self.check_direct(state, rows, block)
+        # after adds they score afresh too, from the G^-1 the adds left
         state.add(rows[:, :2])
         others = np.conj(np.swapaxes(
             random_channel(rng, 8, 4).reshape(2, 4, 4), 1, 2))
-        state.watch(others, block)
-        assert np.array_equal(state.score, direct_scores(others, state.inverse,
-                                                         block))
+        self.check_direct(state, others, block)
+
+    @staticmethod
+    def check_direct(state, rows, block):
+        assert np.array_equal(state.scores(rows, block),
+                              direct_scores(rows, state.inverse, block))
+        state.watch(rows)
+        assert np.array_equal(state.score, direct_scores(rows, state.inverse))
 
     @pytest.mark.parametrize("block", [1, 4])
     @pytest.mark.parametrize("n_candidates", [_CHUNK - 1, _CHUNK + 1,
@@ -357,13 +362,9 @@ class TestGreedyState:
         rng = np.random.default_rng(n_candidates)
         rows = random_channel(rng, 3, n_candidates * block, 16)
         state = GreedyState(3, 16, 0.8)
-        state.watch(rows, block)
-        assert np.array_equal(state.score, direct_scores(rows, state.inverse,
-                                                         block))
+        self.check_direct(state, rows, block)
         state.add(random_channel(rng, 3, 2, 16))
-        state.watch(rows, block)
-        assert np.array_equal(state.score, direct_scores(rows, state.inverse,
-                                                         block))
+        self.check_direct(state, rows, block)
 
     def test_fresh_tie_rounds_as_the_direct_formula(self):
         # two rows of equal magnitudes, the second phase-shifted per user:
@@ -546,20 +547,18 @@ class TestGreedyPick:
         assert state.pick()[0] == 2
 
     def test_blocks_score_their_summed_columns(self):
+        # the height phase's block scores, against the kept scores of their
+        # columns, fresh and after an add
         rng = np.random.default_rng(15)
         columns = random_channel(rng, 3, 6)  # three blocks of two columns
-        state = GreedyState(1, 3, 0.9)
         per_column = GreedyState(1, 3, 0.9)
-        state.watch(rows_of(columns), block=2)
         per_column.watch(rows_of(columns))
         for added in (None, random_channel(rng, 3, 1)):
-            if added is not None:  # kept block scores follow an add too
-                state.add(rows_of(added))
+            if added is not None:
                 per_column.add(rows_of(added))
-            blocks = state.score[0]
+            blocks = per_column.scores(rows_of(columns), 2)[0]
             summed = per_column.score[0].reshape(3, 2).sum(axis=1)
             assert np.allclose(blocks, summed, rtol=1e-14, atol=0.0)
-            assert state.pick()[0] == int(np.argmax(blocks))
 
     def test_empty_candidates(self):
         state = GreedyState(2, 3, 1.0)

@@ -14,17 +14,30 @@ Two such relations hold for the channel model:
 - listing the users in another order lists the dictionary rows in that
   order and changes no placement and no sum rate.
 
-A third property needs no transformation: on shapes small enough to
+Two more change no rounding at all, since scaling by a power of two is
+exact in binary floating point, so they hold bit for bit and skip nothing:
+
+- doubling the wavelength and the spacing floor doubles the radius and
+  every height and halves the wavenumber, so every phase, the dictionary
+  rows, every pick and every rate are unchanged;
+- doubling every path gain doubles the rows, and with alpha and the noise
+  power 4 times larger G^-1 and every score scale by 1/4, so every pick and,
+  at the same power, every per-user rate are unchanged.
+
+Either fails as soon as an absolute constant (a floor, a tolerance, an
+epsilon that does not scale) enters the pipeline.
+
+A further property needs no transformation: on shapes small enough to
 enumerate, no greedy placement beats the exhaustive optimum, by objective
-or by sum rate. A fourth checks the solvers against an oracle: on batches
+or by sum rate. Another checks the solvers against an oracle: on batches
 of up to 4 trials, both pick exactly as they do when every score is
-recomputed at every pick (tests/greedy_oracle.py). A fifth holds each
+recomputed at every pick (tests/greedy_oracle.py). The last holds each
 solver's matched_filter_columns to the rows its greedy states scored.
 
 Shapes stay small (2-8 users, 2-4 paths, grids up to 8x6) so that each
-example solves in milliseconds. Neither relation fixes which of two exactly
-tied candidates a greedy step picks: rounding does. A user who sees a single
-path from some grid angle (one path drawn, or all but one behind a
+example solves in milliseconds. Neither inexact relation fixes which of two
+exactly tied candidates a greedy step picks: rounding does. A user who sees
+a single path from some grid angle (one path drawn, or all but one behind a
 directional element) has the same response magnitude there at every height,
 and when every user does, the scores of that angle's columns tie across
 height slots. Users draw at least two paths, and instances with such an
@@ -32,6 +45,7 @@ angle are skipped (about a third of these small ones, mostly directional
 with few users).
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -83,24 +97,40 @@ def height_blind(rows, config):
     return bool((spread <= 1e-9 * magnitude.max()).all(axis=1).any())
 
 
-def greedy_solutions(paths, config):
+def greedy_solutions(paths, config, alpha=ALPHA):
     """Method name -> record of both greedy solvers on the paths."""
     dictionary = build_joint_dictionary(paths, config)
-    return {"fcla-j": solve_joint(dictionary, config, ALPHA),
-            "fcla-a": solve_alternating(dictionary, config, ALPHA, 3)}
+    return {"fcla-j": solve_joint(dictionary, config, alpha),
+            "fcla-a": solve_alternating(dictionary, config, alpha, 3)}
 
 
-def uniform(paths, config):
+def uniform(paths, config, alpha=ALPHA):
     """The ucla record; a user with no channel to its fixed directional
     elements keeps a zero precoder column."""
-    return ucla_baseline(paths, config, ALPHA)
+    return ucla_baseline(paths, config, alpha)
+
+
+def user_rates(record, sigma2=SIGMA2):
+    """The per-user rates of each trial of a record, (B, K), its precoder
+    normalized to POWER."""
+    return sinr(record.H_star, normalize_columns(record.F, POWER), sigma2)
 
 
 def sum_rate(record):
-    """The sum rate of each trial of a record, its precoder normalized to
-    POWER."""
-    return sinr(record.H_star, normalize_columns(record.F, POWER),
-                SIGMA2).sum(axis=-1)
+    """The sum rate of each trial of a record."""
+    return user_rates(record).sum(axis=-1)
+
+
+def assert_same_choices_and_rates(got, want, sigma2_got, sigma2_want):
+    """Both runs of every method picked the same columns in the same order
+    and rate every user bit for bit alike."""
+    for method, record in want.items():
+        for field in ("columns", "slots", "picks", "round_columns"):
+            if getattr(record, field) is not None:
+                assert np.array_equal(getattr(got[method], field),
+                                      getattr(record, field)), (method, field)
+        assert np.array_equal(user_rates(got[method], sigma2_got),
+                              user_rates(record, sigma2_want)), method
 
 
 def relative(a, b):
@@ -143,6 +173,30 @@ def test_user_permutation_permutes_rows(instance, random):
         assert np.array_equal(solution.columns, want[method].columns)
         assert np.isclose(sum_rate(solution), sum_rate(want[method]),
                           rtol=1e-12, atol=0.0)
+
+
+@given(instances(max_trials=4))
+def test_doubled_wavelength_and_spacing_change_nothing(instance):
+    # half the carrier frequency at the default spacing floor of lambda/2
+    config, paths = instance
+    large = dataclasses.replace(config, d_min=2.0 * config.d_min,
+                                wavelength=2.0 * config.wavelength)
+    assert np.array_equal(build_joint_dictionary(paths, large).rows,
+                          build_joint_dictionary(paths, config).rows)
+    want, got = greedy_solutions(paths, config), greedy_solutions(paths, large)
+    want["ucla"], got["ucla"] = uniform(paths, config), uniform(paths, large)
+    assert_same_choices_and_rates(got, want, SIGMA2, SIGMA2)
+
+
+@given(instances(max_trials=4))
+def test_doubled_gains_with_alpha_and_noise_change_nothing(instance):
+    config, paths = instance
+    loud = Paths(2.0 * paths.beta, paths.theta_el, paths.phi_az)
+    want = greedy_solutions(paths, config)
+    got = greedy_solutions(loud, config, 4.0 * ALPHA)
+    want["ucla"], got["ucla"] = (uniform(paths, config),
+                                 uniform(loud, config, 4.0 * ALPHA))
+    assert_same_choices_and_rates(got, want, 4.0 * SIGMA2, SIGMA2)
 
 
 @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 6),

@@ -1,5 +1,6 @@
 """README's code runs as written."""
 
+import csv
 import re
 from pathlib import Path
 
@@ -43,6 +44,28 @@ def test_validate_prints_readme_s_oracle_gaps(capsys):
                         r"fcla-a ([\d.]+)% / ([\d.]+)%",
                         capsys.readouterr().out).groups()
     assert printed == quoted
+
+
+def test_alpha_sweep_gives_readme_s_rates(tmp_path):
+    # the sum rates README quotes at three regularizations are those its
+    # own sweeps print to two decimals, and fcla-a leads at every one
+    text = " ".join(README.read_text().split())
+    command = "fcla sweep-snr --snr 0 --seed 1 --trials 100 --alpha A"
+    assert command in text
+    rate = r"([\d.]+) / ([\d.]+) / ([\d.]+)"
+    quoted = re.search(rf"sum rates are {rate} bits at α = σ² \(the "
+                       rf"default\), {rate} at α = 4 and {rate} at α = 16",
+                       text).groups()
+    for i, alpha in enumerate(("mmse", "4", "16")):
+        out = tmp_path / alpha
+        assert cli.parse_and_dispatch(
+            command.split()[1:-1] + [alpha, "--out", str(out)]) == 0
+        with open(out / "results.csv") as f:
+            rates = {row["method"]: float(row["mean_sum_rate_bits"])
+                     for row in csv.DictReader(f)}
+        printed = [f"{rates[m]:.2f}" for m in ("ucla", "fcla-j", "fcla-a")]
+        assert printed == list(quoted[3 * i:3 * i + 3]), alpha
+        assert max(rates, key=rates.get) == "fcla-a", alpha
 
 
 def test_solve_once_writes_readme_s_placement(tmp_path):
