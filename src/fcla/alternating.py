@@ -44,9 +44,9 @@ def _distinct(index: np.ndarray) -> bool:
 
 
 def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
-                    alpha: float, trials=None):
-    """Select each ring's element angles with ring m pinned at height slot
-    slots[m].
+                    alpha: float, trials):
+    """Select each ring's element angles with ring m of the i-th listed
+    trial pinned at height slot slots[i, m].
 
     Each ring takes n_elements angles. Rings pick one angle apiece per
     inner step (lowest index on ties), all against the residual from the
@@ -54,14 +54,12 @@ def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
     phase, serve all rings; one rank-M update takes in all the picks before
     the next step, and none follows the last. Each pick then leaves the
     kept scores.
-    slots is (M,), shared by every trial, or (T, M) for the T trials listed
-    by trials (`Dictionary.take`; default all B). Returns the (T, M, N)
-    angle indices.
+    slots is (T, M) for the T trials listed by trials (`Dictionary.take`).
+    Returns the (T, M, N) angle indices.
     """
     n_users = dictionary.rows.shape[2]
-    n_trials = len(dictionary.rows) if trials is None else len(trials)
+    n_trials = len(trials)
     slots = np.asarray(slots, dtype=int)
-    slots = np.broadcast_to(slots, (n_trials, slots.shape[-1]))
     if not _distinct(slots):
         raise ValueError(f"rings share a height slot: {slots.tolist()}")
     m_rings = slots.shape[1]
@@ -81,8 +79,7 @@ def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
     return np.stack(picks, axis=2)
 
 
-def optimize_heights(dictionary: Dictionary, angles, alpha: float,
-                     trials=None):
+def optimize_heights(dictionary: Dictionary, angles, alpha: float, trials):
     """Assign one height slot to each ring with its angle indices frozen.
 
     Rings go in order; ring m scores every height slot by the Frobenius
@@ -90,13 +87,12 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float,
     slots in one matched filter), takes the best slot no earlier ring took
     (the lowest on ties; ValueError if none is left), and a rank-N update
     adds the block before the next ring scores; none follows the last ring.
-    angles is (M, N), shared by every trial, or (T, M, N) for the
-    T trials listed by trials (default all B). Returns the (T, M) slots.
+    angles is (T, M, N) for the T trials listed by trials. Returns the
+    (T, M) slots.
     """
     n_users = dictionary.rows.shape[2]
-    n_trials = len(dictionary.rows) if trials is None else len(trials)
-    angles = np.atleast_2d(np.asarray(angles, dtype=int))
-    angles = np.broadcast_to(angles, (n_trials,) + angles.shape[-2:])
+    n_trials = len(trials)
+    angles = np.asarray(angles, dtype=int)
     if not _distinct(angles):
         raise ValueError(f"a ring repeats an angle slot: {angles.tolist()}")
     m_rings, n_elem = angles.shape[1:]

@@ -53,9 +53,12 @@ def _parse_range(text: str) -> list[float]:
     if step <= 0:
         raise ValueError("range step must be positive")
     # the points up to stop, which a rounding error of the step still reaches
-    n = math.floor((stop - start) / step + 1e-9) + 1
+    count = (stop - start) / step + 1e-9
+    if not all(map(math.isfinite, (start, step, stop, count))):
+        raise ValueError(f"sweep_values must be a finite range, got {text!r}")
+    n = math.floor(count) + 1
     if n < 1:
-        raise ValueError(f"range {text!r} stops below its start")
+        raise ValueError(f"sweep_values range {text!r} stops below its start")
     return [start + i * step for i in range(n)]
 
 

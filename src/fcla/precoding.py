@@ -148,15 +148,15 @@ class GreedyState:
     simultaneous OMP, Tropp, Gilbert & Strauss 2006). scores() forms the
     matched filter of any candidate set and keeps nothing. Only a watched
     set of one column per candidate keeps its scores: watch() forms them
-    once, and each add() carries the same update into them, as the
-    candidates' products with two K x r factors and a real dot of those
-    2r-float rows. A candidate that may no longer be picked leaves the kept
+    once, and add() carries each rank-1 update into them as it makes it, as
+    the candidates' products with two K-vectors and a real dot of those
+    float pairs. A candidate that may no longer be picked leaves the kept
     scores (drop(): its score is -inf, which every later carry leaves at
-    -inf), so pick() is an argmax over them. A trial that needs no more adds
-    can leave the batch (retire()); trials and rows (read-only) hold the
-    batch order and the watched rows in it, swapped back when the state stops
-    watching them. The identities need alpha > 0; zero forcing has no such
-    state and is rejected.
+    -inf), so pick() is an argmax over them. A trial of a watching batch
+    that needs no more adds can leave it (retire()); trials and rows
+    (read-only) hold the batch order and the watched rows in it, swapped
+    back when the state stops watching them. The identities need alpha > 0;
+    zero forcing has no such state and is rejected.
     """
 
     def __init__(self, n_trials: int, n_users: int, alpha: float):
@@ -267,54 +267,42 @@ class GreedyState:
         """Append r columns A, given as the rows A^H (B, r, K), as r rank-1
         updates, none of which solves: column a_i takes u_i = G^-1 a_i and
         s_i = 1 / (1 + Re a_i^H u_i) from the G^-1 the columns before it
-        left, and G^-1 -= v_i u_i^H with v_i = s_i u_i. Together
-        G^-1 -= V U^H, with U = [u_1 ... u_r] and V = U diag(s).
+        left, and G^-1 -= v_i u_i^H with v_i = s_i u_i.
 
-        A watched row c scores ||c G^-1||^2, and the add changes its score
-        by Re<c P, c V> with P = V U^H U - 2 G0^-1 U, formed from U, V and
-        the G0^-1 before the add. A finite change leaves a dropped score at
+        A watched row c scores ||c G^-1||^2, and each update changes its
+        score by Re<c p_i, c v_i> with p_i = v_i (u_i^H u_i) - 2 G^-1 u_i,
+        formed from the G^-1 before that update, so an add of r columns
+        carries as r adds of one. A finite change leaves a dropped score at
         -inf. All-zero rows leave a trial's state, scores included,
         unchanged bit for bit."""
-        before, us, vs = self.inverse, [], []
         for i in range(rows.shape[-2]):
             row = rows[:, i, None]  # a_i^H, (B, 1, K)
             u = self.inverse @ _hermitian(row)
             v = u * (1.0 / (1.0 + (row @ u).real))  # s_i u_i
+            if self._score is not None:
+                p = v @ (_hermitian(u) @ u) - 2.0 * (self.inverse @ u)
+                # each row's products c p_i and c v_i as (B, n, 2) floats:
+                # the real dot of the two is Re<c p_i, c v_i>
+                cp = (self.rows @ p).view(float)
+                cp *= (self.rows @ v).view(float)
+                self._score += np.add(cp[..., 0], cp[..., 1])
             self.inverse = self.inverse - v * _hermitian(u)
-            us.append(u)
-            vs.append(v)
-        if self._score is not None:
-            us, vs = np.concatenate(us, axis=-1), np.concatenate(vs, axis=-1)
-            p = vs @ (_hermitian(us) @ us) - 2.0 * (before @ us)
-            # each row's products c P and c V as (B, n, 2r) floats: the real
-            # dot of the two, summed column by column in order, is
-            # Re<c P, c V>; at rank 1 the products are matrix-vector ones
-            cp = (self.rows @ p).view(float)
-            cp *= (self.rows @ vs).view(float)
-            change = np.add(cp[..., 0], cp[..., 1])
-            for column in range(2, cp.shape[-1]):
-                change += cp[..., column]
-            self._score += change
         self._fresh = False
 
     def retire(self, places) -> None:
-        """Drop the trials at the given places of the batch. From the back,
-        each swaps places with the batch's last trial in trials, in G^-1, in
-        the kept scores and in the watched rows, and the batch then ends
-        before it. The watched rows swap in place, so the array given to
+        """Drop the trials at the given places of a watching batch. From the
+        back, each swaps places with the batch's last trial in trials, in
+        G^-1, in the kept scores and in the watched rows, and the batch then
+        ends before it. The watched rows swap in place, so the array given to
         watch() holds the retired trials' rows behind the batch's until
         unwatch() swaps them back; only one trial's rows are held aside."""
         for place in sorted(places, reverse=True):
             last = len(self.trials) - 1
             for array in (self.trials, self.inverse, self._score, self._watched):
-                if array is not None:
-                    _swap(array, place, last)
+                _swap(array, place, last)
             self.trials, self.inverse = self.trials[:last], self.inverse[:last]
-            if self.rows is not None:
-                self._swaps.append((place, last))
-                self.rows = self.rows[:last]
-            if self._score is not None:
-                self._score = self._score[:last]
+            self._score, self.rows = self._score[:last], self.rows[:last]
+            self._swaps.append((place, last))
 
     def objective(self) -> np.ndarray:
         """alpha tr G^-1 per trial, the RZF objective of the columns so far."""

@@ -80,15 +80,15 @@ def ring_columns(paths, config, angles, z):
 class TestOptimizeAngles:
     def test_single_ring_reduces_to_plain_omp(self):
         config, paths, d = make_setup(m=1, n=2, g_h=5, g_v=2)
-        angles = optimize_angles(d, [0], config.n_elements, 1.0)
+        angles = optimize_angles(d, [[0]], config.n_elements, 1.0, [0])
         columns = ring_columns(paths, config, range(5), config.z[0])
         want = plain_omp_reference(columns, 2, 1.0)
         assert angles.tolist() == [[want]]
 
     def test_full_ring_forced(self):
         config, _, d = make_setup(m=2, n=2, g_h=2, g_v=4)
-        (angles,) = optimize_angles(d, initial_heights(4, 2),
-                                    config.n_elements, 1.0)
+        (angles,) = optimize_angles(d, [initial_heights(4, 2)],
+                                    config.n_elements, 1.0, [0])
         for ring in angles:
             assert sorted(ring.tolist()) == [0, 1]
 
@@ -102,25 +102,25 @@ class TestOptimizeAngles:
             columns = ring_columns(paths, config, range(3), config.z[slot])
             scores = np.sum(np.abs(columns.conj().T) ** 2, axis=1)
             want.append(int(np.argmax(scores)))
-        (angles,) = optimize_angles(d, slots, config.n_elements, 1.0)
+        (angles,) = optimize_angles(d, [slots], config.n_elements, 1.0, [0])
         assert angles[:, 0].tolist() == want
 
     def test_rejects_duplicate_heights(self):
         config, _, d = make_setup()
         with pytest.raises(ValueError):
-            optimize_angles(d, [1, 1], config.n_elements, 1.0)
+            optimize_angles(d, [[1, 1]], config.n_elements, 1.0, [0])
 
 
 class TestOptimizeHeights:
     def test_forced_permutation_when_slots_match_rings(self):
         config, _, d = make_setup(m=3, n=1, g_h=3, g_v=3, seed=1)
-        (slots,) = optimize_heights(d, [[0], [1], [2]], 1.0)
+        (slots,) = optimize_heights(d, [[[0], [1], [2]]], 1.0, [0])
         assert sorted(slots.tolist()) == [0, 1, 2]
 
     def test_more_rings_than_slots_rejected(self):
         config, _, d = make_setup(m=2, n=1, g_h=3, g_v=2, seed=1)
         with pytest.raises(ValueError, match="empty"):
-            optimize_heights(d, [[0], [1], [2]], 1.0)
+            optimize_heights(d, [[[0], [1], [2]]], 1.0, [0])
 
     def test_two_slot_selection_picks_stronger_block(self):
         config, paths, d = make_setup(m=1, n=2, g_h=4, g_v=2, seed=2)
@@ -128,7 +128,7 @@ class TestOptimizeHeights:
         for slot in range(2):
             block = ring_columns(paths, config, [0, 2], config.z[slot])
             scores.append(float(np.linalg.norm(block.conj().T, "fro") ** 2))
-        (slots,) = optimize_heights(d, [[0, 2]], 1.0)
+        (slots,) = optimize_heights(d, [[[0, 2]]], 1.0, [0])
         assert slots[0] == int(np.argmax(scores))
 
     def test_block_scan_oracle(self):
@@ -156,28 +156,28 @@ class TestOptimizeHeights:
             F = rzf(H, 1.0)
             residual = np.eye(n_users) - H @ F
 
-        (slots,) = optimize_heights(d, angles, 1.0)
+        (slots,) = optimize_heights(d, [angles], 1.0, [0])
         assert slots.tolist() == taken
         columns = (slots[:, None] * config.g_h + np.array(angles)).ravel()
         assert np.allclose(d.rows[0, columns].conj().T, H, rtol=0.0, atol=1e-12)
 
     def test_heights_distinct(self):
         config, _, d = make_setup(m=3, n=2, g_h=4, g_v=5, seed=4)
-        angles = optimize_angles(d, initial_heights(5, 3),
-                                 config.n_elements, 1.0)
-        (slots,) = optimize_heights(d, angles, 1.0)
+        angles = optimize_angles(d, [initial_heights(5, 3)],
+                                 config.n_elements, 1.0, [0])
+        (slots,) = optimize_heights(d, angles, 1.0, [0])
         assert len(set(slots.tolist())) == 3
 
     def test_rejects_repeated_angles(self):
         config, _, d = make_setup()
         with pytest.raises(ValueError):
-            optimize_heights(d, [[0, 0], [1, 2]], 1.0)
+            optimize_heights(d, [[[0, 0], [1, 2]]], 1.0, [0])
 
     def test_adds_every_ring_but_the_last(self):
         # the last ring's block would only feed a state that is thrown away
         config, _, d = make_setup(m=3, n=2, g_h=4, g_v=5, seed=4)
-        angles = optimize_angles(d, initial_heights(5, 3),
-                                 config.n_elements, 1.0)
+        angles = optimize_angles(d, [initial_heights(5, 3)],
+                                 config.n_elements, 1.0, [0])
         states = []
 
         def counting(*args):
@@ -185,18 +185,19 @@ class TestOptimizeHeights:
             return states[-1]
 
         with mock.patch.object(alternating, "GreedyState", counting):
-            (slots,) = optimize_heights(d, angles, 1.0)
+            (slots,) = optimize_heights(d, angles, 1.0, [0])
         assert [state.adds for state in states] == [config.m_rings - 1]
-        assert slots.tolist() == optimize_heights(d, angles, 1.0)[0].tolist()
+        (again,) = optimize_heights(d, angles, 1.0, [0])
+        assert slots.tolist() == again.tolist()
 
 
 class TestSolveAlternating:
     def test_single_round_composes_phases(self):
         config, _, d = make_setup(m=2, n=2, g_h=3, g_v=2, seed=6)
         sol = solve_alternating(d, config, 1.0, 1)
-        angles = optimize_angles(d, initial_heights(2, 2),
-                                 config.n_elements, 1.0)
-        (slots,) = optimize_heights(d, angles, 1.0)
+        angles = optimize_angles(d, [initial_heights(2, 2)],
+                                 config.n_elements, 1.0, [0])
+        (slots,) = optimize_heights(d, angles, 1.0, [0])
         (angles,) = angles
         assert sol.iterations.tolist() == [1]
         assert np.array_equal(sol.slots[0], slots)
@@ -273,12 +274,15 @@ def every_round_reference(dictionary, config, alpha, n_outer):
     the slots that seeded it, (B, R). A trial counts matched-filter work up
     to and including its first such round."""
     g_h = dictionary.group_size
-    slots = initial_heights(dictionary.n_groups, config.m_rings)
+    trials = np.arange(len(dictionary.rows))
+    slots = np.tile(initial_heights(dictionary.n_groups, config.m_rings),
+                    (len(trials), 1))
     settled, round_columns = [], []
     for _ in range(n_outer):
-        angles = optimize_angles(dictionary, slots, config.n_elements, alpha)
+        angles = optimize_angles(dictionary, slots, config.n_elements, alpha,
+                                 trials)
         seed_slots = slots
-        slots = optimize_heights(dictionary, angles, alpha)
+        slots = optimize_heights(dictionary, angles, alpha, trials)
         settled.append((slots == seed_slots).all(axis=1))
         round_columns.append(
             (slots[..., None] * g_h + angles).reshape(len(slots), -1))
@@ -360,12 +364,15 @@ class TestStackedTrials:
         single = [build_joint_dictionary(draw_paths(4, 2, [seed]), config)
                   for seed in seeds]
         slots = np.array([[0, 3], [1, 2], [3, 0]])
-        angles = optimize_angles(stacked, slots, config.n_elements, 1.0)
-        heights = optimize_heights(stacked, angles, 1.0)
+        trials = np.arange(3)
+        angles = optimize_angles(stacked, slots, config.n_elements, 1.0,
+                                 trials)
+        heights = optimize_heights(stacked, angles, 1.0, trials)
         for t, d in enumerate(single):
-            want_angles = optimize_angles(d, slots[t], config.n_elements, 1.0)
+            want_angles = optimize_angles(d, slots[t:t + 1],
+                                          config.n_elements, 1.0, [0])
             assert np.array_equal(angles[t], want_angles[0])
-            want_heights = optimize_heights(d, angles[t], 1.0)
+            want_heights = optimize_heights(d, angles[t:t + 1], 1.0, [0])
             assert np.array_equal(heights[t], want_heights[0])
 
     def test_rejects_shared_slot_in_any_trial(self):
@@ -374,7 +381,8 @@ class TestStackedTrials:
             draw_paths(4, 2, [np.random.SeedSequence([t]) for t in range(2)]),
             config)
         with pytest.raises(ValueError):
-            optimize_angles(stacked, [[0, 1], [2, 2]], config.n_elements, 1.0)
+            optimize_angles(stacked, [[0, 1], [2, 2]], config.n_elements, 1.0,
+                            [0, 1])
 
     def test_rejects_zero_forcing(self):
         config, _, d = make_setup()

@@ -89,11 +89,17 @@ def test_values_that_begin_with_a_negative_number_are_glued():
         "--grid", "--rings"]
 
 
-def test_range_stopping_below_its_start_is_named(tmp_path, capsys):
+# a range that stops below its start, or whose start, step, stop or point
+# count is not finite
+@pytest.mark.parametrize("option", [
+    "--snr=4:1:0", "--snr=0:1:inf", "--snr=-inf:1:0", "--snr=0:nan:1",
+    "--grid-range=-1e308:1e308:1e308"])
+def test_range_stopping_below_its_start_is_named(option, tmp_path, capsys):
     out = tmp_path / "out"
-    assert parse_and_dispatch(["sweep-snr", "--snr", "4:1:0",
-                               "--out", str(out)]) == 2
-    assert "'4:1:0'" in capsys.readouterr().err
+    command = "sweep-grid" if option.startswith("--grid") else "sweep-snr"
+    assert parse_and_dispatch([command, option, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "sweep_values" in err and repr(option.split("=")[1]) in err
     assert not out.exists()
 
 
@@ -716,3 +722,36 @@ def test_point_with_every_trial_failed_exits_2(jobs, tmp_path, capsys):
                           "with SingularMatrixError(")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def sweep_rows(argv, out):
+    """The bytes of results.csv from running argv into out."""
+    assert parse_and_dispatch(argv + ["--out", str(out)]) == 0
+    return (out / "results.csv").read_bytes()
+
+
+def test_finished_fcla_j_trials_retire_alike_in_any_batch(tmp_path):
+    # at --jobs 1 each grid's 12 trials run as one batch, at --jobs 2 as two
+    # of 6, so trials leave their batches in other orders
+    argv = ["sweep-grid", "--grid-range", "16,24", "--omni", "--methods",
+            "ucla,fcla-j", "--snr", "0", "--trials", "12"]
+    assert (sweep_rows(argv + ["--jobs", "1"], tmp_path / "serial")
+            == sweep_rows(argv + ["--jobs", "2"], tmp_path / "pooled"))
+
+
+def test_fcla_a_does_not_see_fcla_j_s_retirements(tmp_path):
+    # fcla-j's finished trials swap their rows in the shared dictionary until
+    # its solve puts them back; fcla-a, solved after it on that dictionary,
+    # must rate as it does alone. One trial a point makes each row one
+    # trial's rate, so rows left swapped among trials move it; the 12
+    # points' trials run as one batch, in which fcla-j retires trials at
+    # different steps
+    argv = ["sweep-snr", "--snr=-6:1:5", "--grid", "16", "--omni",
+            "--trials", "1", "--methods"]
+
+    def fcla_a_rows(methods):
+        rows = sweep_rows(argv + [methods], tmp_path / methods)
+        return [line for line in rows.splitlines(keepends=True)
+                if line.startswith(b"fcla-a,")]
+
+    assert fcla_a_rows("fcla-j,fcla-a") == fcla_a_rows("fcla-a")

@@ -413,6 +413,32 @@ class TestGreedyState:
             assert np.array_equal(batch.score[t], state.score[0])
             assert batch.objective()[t] == state.objective()[0]
 
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_add_equals_adds_of_one_column(self, rank):
+        # an add of r columns carries each rank-1 update as it makes it, so
+        # it is r adds of one column, kept scores included, before and
+        # after a retire; dropped candidates stay at -inf
+        rng = np.random.default_rng(rank)
+        n_trials, k = 4, 6
+        rows = random_channel(rng, n_trials, 9, k)
+        blocks = random_channel(rng, 3, n_trials, rank, k)
+        dropped = np.zeros((n_trials, 9), dtype=bool)
+        dropped[[0, 0, 2, 2], [1, 5, 3, 4]] = True
+        whole, ones = GreedyState(n_trials, k, 0.8), GreedyState(n_trials, k, 0.8)
+        for state in whole, ones:
+            state.watch(rows.copy())
+            state.drop(*np.nonzero(dropped))
+        for step, block in enumerate(blocks):
+            whole.add(block[whole.trials])
+            for i in range(rank):
+                ones.add(block[ones.trials, i:i + 1])
+            assert np.array_equal(whole.inverse, ones.inverse)
+            assert np.array_equal(whole.score, ones.score)
+            assert np.array_equal(whole.score == -np.inf, dropped[whole.trials])
+            if step == 0:
+                for state in whole, ones:
+                    state.retire([1])
+
     def test_retired_trials_leave_the_others_as_they_were(self):
         # the trials that finish at each step: one at a time; two at one
         # step, their places given in either order; the batch's last place
