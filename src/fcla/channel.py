@@ -82,14 +82,16 @@ def export_paths(paths: Paths, path) -> None:
 
 
 def _responses(paths: Paths, psi: np.ndarray, z: np.ndarray,
-               config: FclaConfig, out: np.ndarray | None = None) -> np.ndarray:
+               config: FclaConfig, out: np.ndarray) -> None:
     """Conjugated responses of every user at every position of the heights z
     x angles psi, (B, len(z), len(psi), K): entry (v, a, k) is the conjugate
     of (1/sqrt(L)) * sum_l conj(beta_l) * amp_l(psi_a)
     * exp(-j * 2*pi/lambda * (R*sin(theta_l)*cos(phi_l - psi_a) + z_v*cos(theta_l))),
-    user k's path sum of an angle factor (gain, pattern, ring phase) times a
-    height factor, each built conjugated. They are written into out when
-    given (a C-ordered complex array of that shape), else into a new array.
+    user k's path sum of an angle factor (gain, pattern, ring phase and the
+    1/sqrt(L) scale) times a height factor, each built conjugated. The sum
+    over paths is one matrix product per trial and user, the height
+    factor's transpose (len(z), L) times the angle factor (L, len(psi)),
+    written into out, a complex array of that shape.
     """
     wave = 2.0 * np.pi / config.wavelength
     theta = paths.theta_el[..., None]
@@ -101,10 +103,9 @@ def _responses(paths: Paths, psi: np.ndarray, z: np.ndarray,
         1j * (wave * config.radius) * ring)  # (B, K, L, G_H)
     if config.pattern.is_directional:
         angle *= np.sqrt(power_gain(config.pattern, theta, phi - psi))
+    angle /= np.sqrt(paths.beta.shape[-1])
     height = np.exp(1j * wave * np.cos(theta) * z)  # (B, K, L, G_V)
-    rows = np.einsum("bklv,bkla->bvak", height, angle, out=out, order="C")
-    rows /= np.sqrt(paths.beta.shape[-1])
-    return rows
+    np.matmul(height.swapaxes(-1, -2), angle, out=np.moveaxis(out, -1, 1))
 
 
 @dataclass
@@ -148,25 +149,22 @@ class Dictionary:
             )
 
 
-def build_joint_dictionary(paths: Paths, config: FclaConfig,
-                           psi: np.ndarray | None = None) -> Dictionary:
-    """All (angle, height) candidates of config's grid, or of the angles psi
-    (default config.psi) at its heights, height-major: the angle columns of
-    height slot 0, then slot 1, and so on.
+def build_joint_dictionary(paths: Paths, config: FclaConfig) -> Dictionary:
+    """All (angle, height) candidates of config's grid, height-major: the
+    angle columns of height slot 0, then slot 1, and so on.
 
     The rows are allocated once and filled _PIECES pieces of trials at a
     time (or one trial at a time, for fewer trials), so the builder's
     intermediates are held for one piece only; each trial's rows are bit
     for bit those of building it alone."""
-    psi = config.psi if psi is None else psi
+    psi, z = config.psi, config.z
     n_trials, n_users = paths.beta.shape[:2]
-    rows = np.empty((n_trials, len(config.z), len(psi), n_users), dtype=complex)
+    rows = np.empty((n_trials, len(z), len(psi), n_users), dtype=complex)
     for piece in np.array_split(np.arange(n_trials), min(_PIECES, n_trials)):
         part = slice(piece[0], piece[-1] + 1)
         _responses(Paths(paths.beta[part], paths.theta_el[part],
                          paths.phi_az[part]),
-                   psi, config.z, config, out=rows[part])
+                   psi, z, config, rows[part])
     return Dictionary(rows=rows.reshape(n_trials, -1, n_users),
-                      psi=np.tile(psi, config.g_v),
-                      z=np.repeat(config.z, len(psi)), group_size=len(psi),
-                      radius=config.radius)
+                      psi=np.tile(psi, len(z)), z=np.repeat(z, len(psi)),
+                      group_size=len(psi), radius=config.radius)

@@ -34,6 +34,9 @@ SWEEPS = {
     "iters": ("sweep-iters", "sum rate vs alternating solver rounds",
               "--iters-range", "rounds", "1:1:10"),
 }
+# the most points a start:step:stop range may hold, far above any real
+# sweep; a range is checked against it before its points are listed
+MAX_RANGE_POINTS = 10_000
 # a value that begins with a negative number: -6:2:6, -1e-3, -inf, -nan, -.5
 DASHED_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
@@ -59,6 +62,9 @@ def _parse_range(text: str) -> list[float]:
     n = math.floor(count) + 1
     if n < 1:
         raise ValueError(f"sweep_values range {text!r} stops below its start")
+    if n > MAX_RANGE_POINTS:
+        raise ValueError(f"sweep_values range {text!r} holds more than "
+                         f"{MAX_RANGE_POINTS} points")
     return [start + i * step for i in range(n)]
 
 

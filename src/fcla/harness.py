@@ -311,16 +311,17 @@ def ucla_baseline(paths: Paths, config: FclaConfig, alpha: float) -> Solutions:
     The baseline is fixed hardware: it keeps the compact canonical radius
     regardless of how large the flexible candidate region is. Ring m sits at
     height slot m of the uniform grid and holds its first N angles, spaced
-    2*pi/N. Only those M*N positions are built, so the baseline takes the
-    columns of its dictionary in order, ring by ring."""
+    2*pi/N. The dictionary is that whole grid: M*N positions, or, with one
+    element a ring, the M heights of the flexible grid's angles, of which
+    each ring takes the first. So the baseline's rows are those of any
+    build of its grid, made by the same matrix product."""
     compact = ucla_config(config)
     n_trials = len(paths)
     slots = np.tile(np.arange(config.m_rings), (n_trials, 1))
-    columns = np.tile(np.arange(config.m_rings * config.n_elements),
-                      (n_trials, 1))
-    dictionary = build_joint_dictionary(paths, compact,
-                                        compact.psi[:config.n_elements])
-    return solutions(dictionary, columns, slots, alpha)
+    columns = (slots[..., None] * compact.g_h
+               + np.arange(config.n_elements)).reshape(n_trials, -1)
+    return solutions(build_joint_dictionary(paths, compact), columns, slots,
+                     alpha)
 
 
 def draw_batch(spec: ExperimentSpec, point_index, trials) -> TrialBatch:

@@ -1,13 +1,17 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from fcla import channel
 from fcla.channel import Paths, build_joint_dictionary, draw_paths, export_paths
 from fcla.geometry import FclaConfig
+from fcla.harness import ucla_baseline, ucla_config
 from fcla.pattern import PatternSpec, power_gain
 from fcla.solution import refit
+from test_properties import instances
 
 
 def make_config(pattern=None, **kw):
@@ -61,7 +65,8 @@ def channel_entry_oracle(paths, k, psi, z, config, trial=0):
 def apm_entry(paths, k, psi, z, config):
     """User k's response (trial 0) at one position, anywhere on or off the
     grid: the dictionary's response kernel on one angle and one height."""
-    row = channel._responses(paths, np.array([psi]), np.array([z]), config)
+    row = np.empty((1, 1, 1, paths.beta.shape[1]), dtype=complex)
+    channel._responses(paths, np.array([psi]), np.array([z]), config, row)
     return np.conj(row[0, 0, 0, k])
 
 
@@ -270,3 +275,52 @@ def test_export_paths_records(tmp_path):
     assert records[3]["phi_az"] == paths.phi_az[0, 1, 1]
     with pytest.raises(ValueError):
         export_paths(draw_paths(3, 2, [8, 9]), tmp_path / "two.json")
+
+
+def einsum_rows(paths, config):
+    """The rows (B, G_V, G_H, K) of config's grid as the builder formed them
+    with one einsum: the same angle and height factors, contracted over the
+    paths, then divided by sqrt(L). The oracle of the builder's matrix
+    product, which rounds otherwise."""
+    psi, z = config.psi, config.z
+    wave = 2.0 * np.pi / config.wavelength
+    theta = paths.theta_el[..., None]
+    phi = paths.phi_az[..., None]
+    sin_el = np.sin(theta)
+    ring = (sin_el * np.cos(phi) * np.cos(psi)
+            + sin_el * np.sin(phi) * np.sin(psi))
+    angle = paths.beta[..., None] * np.exp(1j * (wave * config.radius) * ring)
+    if config.pattern.is_directional:
+        angle *= np.sqrt(power_gain(config.pattern, theta, phi - psi))
+    height = np.exp(1j * wave * np.cos(theta) * z)
+    rows = np.einsum("bklv,bkla->bvak", height, angle)
+    return rows / np.sqrt(paths.beta.shape[-1])
+
+
+# the largest entry's gap from the einsum oracle, relative to the largest
+# entry: the two round a sum of L products differently (2.9e-16 seen)
+CONTRACTION_RTOL = 1e-15
+
+
+def relative_gap(got, expected):
+    return np.abs(got - expected).max() / np.abs(expected).max()
+
+
+@given(instances(max_trials=3))
+def test_rows_are_the_einsum_contraction(instance):
+    config, paths = instance
+    rows = build_joint_dictionary(paths, config).rows
+    expected = einsum_rows(paths, config).reshape(rows.shape)
+    assert relative_gap(rows, expected) <= CONTRACTION_RTOL
+
+
+@given(instances(max_trials=3))
+def test_one_element_baseline_is_its_uniform_grid(instance):
+    # a one-element ring's uniform grid keeps the flexible grid's angles,
+    # and ring m's one element sits at angle 0 of height slot m
+    config, paths = instance
+    single = dataclasses.replace(config, n_elements=1)
+    record = ucla_baseline(paths, single, 1.0)
+    grid = einsum_rows(paths, ucla_config(single))  # (B, M, G_H, K)
+    expected = np.conj(grid[:, :, 0]).swapaxes(1, 2)
+    assert relative_gap(record.H_star, expected) <= CONTRACTION_RTOL

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,8 @@ from fcla import cli, harness
 from fcla.cli import _merge_dashed_values, _parse_range, parse_and_dispatch
 from fcla.harness import ExperimentSpec, run_trial
 from fcla.precoding import normalize_columns, sinr
+from goldens import (GOLDEN, GOLDEN_SWEEPS, PLACEMENT_SWEEPS, PLACEMENTS,
+                     placements)
 
 # one small problem: solve-once solves its trial 0, a sweep 2 trials a point.
 # COMMON leaves out --grid and --iters, which sweep-grid and sweep-iters do
@@ -26,36 +31,20 @@ TRACE_KEYS = {"ucla": [], "fcla-j": ["picks", "pick_objectives"],
               "fcla-a": ["round_sum_rates"]}
 
 
-GOLDEN = Path(__file__).parent / "golden"
-# fixed-seed sweeps, keyed by the name of their expected CSV; a refactor keeps
-# each byte-exact. The first three run all three methods with directional
-# elements on a small shape; the SNR and grid CSVs were last regenerated when
-# responses became an angle factor times a height factor (last-bit changes,
-# named in CHANGES.md), and the iteration CSV was added later from unchanged
-# rates. sweep-grid-joint is the grid-joint benchmark's shape (reference
-# scale, omni, ucla and fcla-j, grids up to 32x32) at 6 trials a grid
-GOLDEN_SHAPE = ["--rings", "3", "--elements", "2", "--users", "6", "--paths",
-                "3", "--trials", "20"]
-GOLDEN_SWEEPS = {
-    "sweep-snr": ["sweep-snr", "--snr", "-4,4", "--grid", "6", "--iters", "3",
-                  "--seed", "11"] + GOLDEN_SHAPE,
-    "sweep-grid": ["sweep-grid", "--grid-range", "6,8", "--snr", "0",
-                   "--iters", "3", "--seed", "12"] + GOLDEN_SHAPE,
-    "sweep-iters": ["sweep-iters", "--iters-range", "1,3", "--snr", "0",
-                    "--grid", "6", "--seed", "13"] + GOLDEN_SHAPE,
-    "sweep-grid-joint": ["sweep-grid", "--grid-range", "8,16,24,32", "--omni",
-                         "--methods", "ucla,fcla-j", "--snr", "0", "--rings",
-                         "4", "--elements", "4", "--users", "16", "--paths",
-                         "4", "--trials", "6", "--seed", "14"],
-}
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
 def test_results_csv_matches_golden(name, tmp_path):
     argv = GOLDEN_SWEEPS[name] + ["--out", str(tmp_path)]
     assert parse_and_dispatch(argv) == 0
     assert ((tmp_path / "results.csv").read_bytes()
             == (GOLDEN / f"{name}.csv").read_bytes())
+
+
+@pytest.mark.parametrize("name", sorted(PLACEMENT_SWEEPS))
+def test_placements_match_golden(name, tmp_path):
+    # every trial's picks, exactly: a kernel that moves only the last bits
+    # of the rates keeps them (tests/goldens.py rewrites the file)
+    expected = json.loads(PLACEMENTS.read_text())[name]
+    assert placements(PLACEMENT_SWEEPS[name], tmp_path) == expected
 
 
 def test_parse_range_forms():
@@ -89,11 +78,13 @@ def test_values_that_begin_with_a_negative_number_are_glued():
         "--grid", "--rings"]
 
 
-# a range that stops below its start, or whose start, step, stop or point
-# count is not finite
+# a range that stops below its start, whose start, step, stop or point
+# count is not finite, or whose point count is finite but far above the
+# cap (0:1e-300:1 has about 1e300 points; listing them would exhaust the
+# memory)
 @pytest.mark.parametrize("option", [
     "--snr=4:1:0", "--snr=0:1:inf", "--snr=-inf:1:0", "--snr=0:nan:1",
-    "--grid-range=-1e308:1e308:1e308"])
+    "--grid-range=-1e308:1e308:1e308", "--snr=0:1e-300:1"])
 def test_range_stopping_below_its_start_is_named(option, tmp_path, capsys):
     out = tmp_path / "out"
     command = "sweep-grid" if option.startswith("--grid") else "sweep-snr"
@@ -101,6 +92,13 @@ def test_range_stopping_below_its_start_is_named(option, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sweep_values" in err and repr(option.split("=")[1]) in err
     assert not out.exists()
+
+
+def test_range_holds_at_most_the_cap():
+    assert len(_parse_range(f"1:1:{cli.MAX_RANGE_POINTS}")) == cli.MAX_RANGE_POINTS
+    with pytest.raises(ValueError, match=f"sweep_values range '1:1:10001' "
+                                         f"holds more than 10000 points"):
+        _parse_range(f"1:1:{cli.MAX_RANGE_POINTS + 1}")
 
 
 def test_snr_sweep_row_count(tmp_path):
@@ -755,3 +753,33 @@ def test_fcla_a_does_not_see_fcla_j_s_retirements(tmp_path):
                 if line.startswith(b"fcla-a,")]
 
     assert fcla_a_rows("fcla-j,fcla-a") == fcla_a_rows("fcla-a")
+
+
+def test_half_the_frequency_changes_no_result(tmp_path):
+    # at the default spacing floor of lambda/2, halving the carrier
+    # frequency doubles lambda, the radius and every height, which leaves
+    # every phase bit for bit as it was; an absolute length or tolerance
+    # anywhere in the pipeline moves the rows
+    argv = ["sweep-snr", "--grid", "8", "--trials", "6", "--freq"]
+    assert (sweep_rows(argv + ["3e9"], tmp_path / "3e9")
+            == sweep_rows(argv + ["1.5e9"], tmp_path / "1.5e9"))
+
+
+def test_one_and_two_blas_threads_agree(tmp_path):
+    # the response builder's products and fcla-j's and fcla-a's score
+    # carries are BLAS calls, which BLAS may split across threads; the
+    # picks, and so the rows, must not move. OpenBLAS reads its thread
+    # count once, when numpy loads, so each count runs in its own process
+    argv = ["sweep-grid", "--grid-range", "8,24", "--omni", "--methods",
+            "ucla,fcla-j,fcla-a", "--snr", "0", "--trials", "6"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    rows = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "fcla.cli", *argv,
+                        "--out", str(out)],
+                       env={**env, "OPENBLAS_NUM_THREADS": threads},
+                       check=True, capture_output=True)
+        rows.append((out / "results.csv").read_bytes())
+    assert rows[0] == rows[1]
+

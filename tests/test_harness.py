@@ -196,9 +196,14 @@ class TestUclaBaseline:
         monkeypatch.setattr(harness, "build_joint_dictionary",
                             lambda *args: built.append(build(*args)) or built[-1])
         record = ucla_baseline(paths, config, 1.0)
-        assert [d.rows.shape[1] for d in built] == [3 * elements]
-        # bit for bit the columns of the whole uniform grid's dictionary
+        # one build of the uniform grid: 3 rings of N angles, or, with one
+        # element a ring, 3 heights of the flexible grid's 8 angles, so a
+        # ring's one column comes out of the same matrix product as the
+        # whole grid's (a one-angle product takes numpy's matrix-vector
+        # path, which rounds otherwise)
         compact = ucla_config(config)
+        assert [d.rows.shape[1] for d in built] == [3 * compact.g_h]
+        # bit for bit the columns of the whole uniform grid's dictionary
         columns = (np.arange(3)[:, None] * compact.g_h
                    + np.arange(elements)).ravel()
         rows = build(paths, compact).rows[:, columns]
