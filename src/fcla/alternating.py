@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import Dictionary
-from .geometry import FclaConfig
 from .precoding import GreedyState
 from .solution import Solutions, solutions
 
@@ -43,12 +42,11 @@ def _distinct(index: np.ndarray) -> bool:
     return not (np.diff(np.sort(index, axis=-1), axis=-1) == 0).any()
 
 
-def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
-                    alpha: float, trials):
+def optimize_angles(dictionary: Dictionary, slots, alpha: float, trials):
     """Select each ring's element angles with ring m of the i-th listed
     trial pinned at height slot slots[i, m].
 
-    Each ring takes n_elements angles. Rings pick one angle apiece per
+    Each ring takes the config's N angles. Rings pick one angle apiece per
     inner step (lowest index on ties), all against the residual from the
     previous step, so the scores of every ring's columns, watched once per
     phase, serve all rings; one rank-M update takes in all the picks before
@@ -63,7 +61,7 @@ def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
     if not _distinct(slots):
         raise ValueError(f"rings share a height slot: {slots.tolist()}")
     m_rings = slots.shape[1]
-    g_h = dictionary.group_size
+    g_h = dictionary.config.g_h
     ring_columns = slots[..., None] * g_h + np.arange(g_h)  # (T, M, G_H)
     state = GreedyState(n_trials, n_users, alpha)
     state.watch(dictionary.take(ring_columns.reshape(n_trials, -1), trials))
@@ -71,7 +69,7 @@ def optimize_angles(dictionary: Dictionary, slots, n_elements: int,
     # each ring's first watched column, in the (T, M * G_H) kept scores
     ring_start = np.arange(m_rings) * g_h
     picks = []
-    for _ in range(n_elements):
+    for _ in range(dictionary.config.n_elements):
         if picks:
             state.add(dictionary.take(slots * g_h + picks[-1], trials))
             state.drop(trial_index, ring_start + picks[-1])
@@ -96,7 +94,7 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float, trials):
     if not _distinct(angles):
         raise ValueError(f"a ring repeats an angle slot: {angles.tolist()}")
     m_rings, n_elem = angles.shape[1:]
-    g_h, g_v = dictionary.group_size, dictionary.n_groups
+    g_h, g_v = dictionary.config.g_h, dictionary.config.g_v
     if m_rings > g_v:  # ring g_v would find every height slot taken
         raise ValueError(f"candidate set is empty: all {g_v} slots taken")
 
@@ -116,31 +114,30 @@ def optimize_heights(dictionary: Dictionary, angles, alpha: float, trials):
     return slots
 
 
-def solve_alternating(dictionary: Dictionary, config: FclaConfig,
-                      alpha: float, n_outer: int) -> Solutions:
+def solve_alternating(dictionary: Dictionary, alpha: float,
+                      n_outer: int) -> Solutions:
     """Run the angle and height phases alternately for n_outer rounds.
 
     Heights from one round seed the next round's angle phase. A trial whose
     round returns the slots that seeded it stops there, and its later rounds
-    repeat that round. Returns the record (`fcla.solution.Solutions`) of
+    repeat that round. The rings and their elements are those of the
+    dictionary's config. Returns the record (`fcla.solution.Solutions`) of
     every trial of the (B, G, K) dictionary, each trial's part equal to
     solving it alone, with each round's placement columns.
     """
     if n_outer < 1:
         raise ValueError("need at least one outer round")
-    dictionary.check_capacity(config)
     n_trials = len(dictionary.rows)
-    m_rings, n_elem = config.m_rings, config.n_elements
-    g_h = dictionary.group_size
+    config = dictionary.config
+    m_rings, n_elem, g_h = config.m_rings, config.n_elements, config.g_h
 
     round_columns = np.empty((n_trials, n_outer, m_rings * n_elem), dtype=int)
     rounds_run = np.empty(n_trials, dtype=int)
     running = np.arange(n_trials)
     seed_slots = np.broadcast_to(
-        initial_heights(dictionary.n_groups, m_rings), (n_trials, m_rings))
+        initial_heights(config.g_v, m_rings), (n_trials, m_rings))
     for r in range(n_outer):
-        angles = optimize_angles(dictionary, seed_slots, n_elem, alpha,
-                                 running)
+        angles = optimize_angles(dictionary, seed_slots, alpha, running)
         slots = optimize_heights(dictionary, angles, alpha, running)
         # ring-major blocks of N angle columns; each running trial's round
         # fills its entries from r on, so those of a trial that settles here
@@ -157,7 +154,7 @@ def solve_alternating(dictionary: Dictionary, config: FclaConfig,
     # per round run, the angle phase watches each ring's G_H columns and
     # carries its N - 1 adds into them; the height phase scores every slot's
     # N-column block for each ring and never carries an add into them
-    mf_columns = rounds_run * m_rings * n_elem * (g_h + dictionary.n_groups)
+    mf_columns = rounds_run * m_rings * n_elem * (g_h + config.g_v)
     return solutions(dictionary, columns, columns[:, ::n_elem] // g_h, alpha,
                      iterations=n_outer, matched_filter_columns=mf_columns,
                      round_columns=round_columns)

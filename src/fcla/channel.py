@@ -6,8 +6,9 @@ carrier phase accumulated along the direction cosines. That phase is a ring
 term in psi plus a height term in z, so the entries on a grid of angles x
 heights contract, over the paths, an angle factor with a height factor.
 The dictionary stores one conjugated row of K user entries per position, as
-the solvers' matched filters read it; a placement's rows, conjugate
-transposed, give the channel matrix whose rows act as h_k^H.
+the solvers' matched filters read it, with the config whose grid it covers;
+a placement's rows, conjugate transposed, give the channel matrix whose rows
+act as h_k^H.
 
 Every array carries a leading trial axis: B independent draws, B = 1 for a
 single trial.
@@ -110,22 +111,24 @@ def _responses(paths: Paths, psi: np.ndarray, z: np.ndarray,
 
 @dataclass
 class Dictionary:
-    """Responses of B trials at every candidate position, stored as the rows
-    (B, G, K) the solvers match against: row g of a trial is the conjugate
-    of its channel's column g, so a placement's channel (B, K, n) is the
-    conjugate transpose of the placement's rows.
+    """Responses of B trials at every candidate position of config's grid,
+    stored as the rows (B, G, K) the solvers match against: row g of a trial
+    is the conjugate of its channel's column g, so a placement's channel
+    (B, K, n) is the conjugate transpose of the placement's rows.
 
-    Columns are height-major: column slot * group_size + angle holds the
-    response at (psi[angle], z[slot]), so a height slot is a group of
-    group_size consecutive angle columns. The positions lie on a track of
-    the given radius.
+    Columns are height-major: column slot * config.g_h + angle holds the
+    response at (config.psi[angle], config.z[slot]), so a height slot is a
+    group of g_h consecutive angle columns. The config is the grid, and
+    every fact about it (its slots, its track radius) is read there.
     """
 
     rows: np.ndarray
-    psi: np.ndarray
-    z: np.ndarray
-    group_size: int
-    radius: float
+    config: FclaConfig
+
+    def __post_init__(self):
+        if self.rows.shape[1] != self.config.g_h * self.config.g_v:
+            raise ValueError(f"{self.rows.shape[1]} dictionary columns do not "
+                             f"fill the {self.config.g_h}x{self.config.g_v} grid")
 
     def take(self, index: np.ndarray, trials=None) -> np.ndarray:
         """The rows of columns index[i] (T, n) of trial trials[i], (T, n, K).
@@ -136,17 +139,17 @@ class Dictionary:
             trials = np.arange(len(self.rows))
         return self.rows[np.asarray(trials)[:, None], index]
 
+    # each column's position, as the benchmark's tracer
+    # (perfbench/tracing.py) reads it
     @property
-    def n_groups(self) -> int:
-        return self.rows.shape[1] // self.group_size
+    def psi(self) -> np.ndarray:
+        """Each column's ring angle, (G,)."""
+        return np.tile(self.config.psi, self.config.g_v)
 
-    def check_capacity(self, config: FclaConfig) -> None:
-        """Raise unless the grid can host config's rings of elements."""
-        if self.n_groups < config.m_rings or self.group_size < config.n_elements:
-            raise ValueError(
-                f"dictionary grid {self.group_size}x{self.n_groups} cannot host "
-                f"{config.m_rings} rings of {config.n_elements} elements"
-            )
+    @property
+    def z(self) -> np.ndarray:
+        """Each column's height, (G,)."""
+        return np.repeat(self.config.z, self.config.g_h)
 
 
 def build_joint_dictionary(paths: Paths, config: FclaConfig) -> Dictionary:
@@ -165,6 +168,4 @@ def build_joint_dictionary(paths: Paths, config: FclaConfig) -> Dictionary:
         _responses(Paths(paths.beta[part], paths.theta_el[part],
                          paths.phi_az[part]),
                    psi, z, config, rows[part])
-    return Dictionary(rows=rows.reshape(n_trials, -1, n_users),
-                      psi=np.tile(psi, len(z)), z=np.repeat(z, len(psi)),
-                      group_size=len(psi), radius=config.radius)
+    return Dictionary(rows.reshape(n_trials, -1, n_users), config)

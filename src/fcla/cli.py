@@ -101,6 +101,15 @@ def _add_common_flags(p: argparse.ArgumentParser,
     p.add_argument("--seed", type=int, help="base RNG seed (default 1)")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict, or a ValueError naming the keys it repeats."""
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ValueError(f"repeats key(s) {', '.join(map(repr, repeated))}")
+    return dict(pairs)
+
+
 def _build_spec(args: argparse.Namespace, sweep_kind: str) -> ExperimentSpec:
     """Resolve config file < flags into a full spec for the given sweep kind.
     Each flag sets the spec field its destination names; the range flag sets
@@ -108,7 +117,10 @@ def _build_spec(args: argparse.Namespace, sweep_kind: str) -> ExperimentSpec:
     data = {}
     if args.config is not None:
         with open(args.config) as f:
-            data = json.load(f)
+            try:
+                data = json.load(f, object_pairs_hook=_unique_keys)
+            except ValueError as exc:  # malformed, or a key given twice
+                raise ValueError(f"config file {args.config}: {exc}") from None
         if not isinstance(data, dict):
             found = "null" if data is None else type(data).__name__
             raise ValueError(f"config file {args.config} must hold a JSON "
@@ -140,15 +152,27 @@ def _build_spec(args: argparse.Namespace, sweep_kind: str) -> ExperimentSpec:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = args.out if args.out is not None else Path(os.environ.get(OUT_DIR_ENV, "."))
-    out.mkdir(parents=True, exist_ok=True)
+    """The output directory: --out, else $FCLA_OUT_DIR, else '.'. It is
+    checked, not made, so a run can fail before any work and leave nothing
+    behind: a ValueError, naming where the path came from, unless it is a
+    directory or its nearest existing ancestor is one."""
+    if args.out is not None:
+        out, source = args.out, "--out"
+    else:
+        out, source = Path(os.environ.get(OUT_DIR_ENV, ".")), OUT_DIR_ENV
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        where = "" if existing == out else f": {existing}"
+        raise ValueError(f"{source} {out}{where} exists and is not a "
+                         f"directory")
     return out
 
 
 def _run_sweep_command(args: argparse.Namespace, sweep_kind: str) -> int:
     spec = _build_spec(args, sweep_kind)
-    rows = run_sweep(spec)
     out = _out_dir(args)
+    rows = run_sweep(spec)
+    out.mkdir(parents=True, exist_ok=True)
     write_results_csv(rows, out / "results.csv")
     write_manifest(spec, out / "manifest.json")
     print(f"wrote {out / 'results.csv'} ({len(rows)} rows) and "
@@ -162,6 +186,7 @@ def _solve_once(args: argparse.Namespace) -> int:
     the traces its record keeps; nothing is written until every method has
     been solved and rated."""
     spec = _build_spec(args, "snr")
+    out = _out_dir(args)
     batch = draw_batch(spec, 0, [0])
     config = batch.config
     print(f"grid {config.g_h}x{config.g_v}, radius "
@@ -186,7 +211,7 @@ def _solve_once(args: argparse.Namespace) -> int:
                 batch, record, rounds)[0].sum(axis=-1).tolist()
         print(f"{method:<7} sum rate {sum_rate:.4f} bits")
 
-    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
     export_paths(batch.paths, out / "paths.json")
     with open(out / "placement.json", "w") as f:
         json.dump(placements, f, indent=1)
@@ -249,8 +274,8 @@ def _validate(args: argparse.Namespace) -> int:
     # per draw, (objective, sum rate) at each optimum; worse is [+, -]
     best = np.array([(by_objective.objective, by_rate.sum_rate) for
                      by_objective, by_rate in
-                     exhaustive_best(batch.dictionary, batch.config,
-                                     batch.alpha, batch.power, batch.sigma2)])
+                     exhaustive_best(batch.dictionary, batch.alpha,
+                                     batch.power, batch.sigma2)])
     worse = np.array([1.0, -1.0])
     violation, gaps = 0.0, []
     for method, record in solve_methods(batch, spec.methods).items():

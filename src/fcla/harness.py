@@ -52,12 +52,11 @@ def _ucla(batch: TrialBatch) -> Solutions:
 
 
 def _joint(batch: TrialBatch) -> Solutions:
-    return solve_joint(batch.dictionary, batch.config, batch.alpha)
+    return solve_joint(batch.dictionary, batch.alpha)
 
 
 def _alternating(batch: TrialBatch) -> Solutions:
-    return solve_alternating(batch.dictionary, batch.config, batch.alpha,
-                             batch.n_outer)
+    return solve_alternating(batch.dictionary, batch.alpha, batch.n_outer)
 
 
 # method name -> (the Solutions of a TrialBatch, greedy: whether it places

@@ -21,13 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import Dictionary
-from .geometry import FclaConfig
 from .precoding import GreedyState
 from .solution import Solutions, solutions
 
 
-def solve_joint(dictionary: Dictionary, config: FclaConfig,
-                alpha: float) -> Solutions:
+def solve_joint(dictionary: Dictionary, alpha: float) -> Solutions:
     """Greedy joint selection of ring heights and element angles.
 
     Iterates: match the best live atom against the residual, add it to the
@@ -35,14 +33,14 @@ def solve_joint(dictionary: Dictionary, config: FclaConfig,
     group that just filled up, dropping its columns.
     Stops once M groups are complete and keeps only their atoms, in pick
     order, as the placement; rings take the groups in completion order.
+    The rings and their elements are those of the dictionary's config.
     Returns the record (`fcla.solution.Solutions`) of every trial of the
     (B, G, K) dictionary, each trial's part equal to solving it alone, with
     its picks and objective per step.
     """
-    dictionary.check_capacity(config)
+    config = dictionary.config
     m_rings, n_elem = config.m_rings, config.n_elements
-    g_h = dictionary.group_size
-    g_v = dictionary.n_groups
+    g_h, g_v = config.g_h, config.g_v
     n_trials, n_columns, n_users = dictionary.rows.shape
 
     state = GreedyState(n_trials, n_users, alpha)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Dictionary
-from .geometry import FclaConfig
 from .precoding import normalize_columns, rzf, rzf_objective, sinr
 
 # bytes of channels (trials x users x antennas per placement) gathered for
@@ -35,11 +34,11 @@ class OracleResult:
     count: int
 
 
-def exhaustive_best(dictionary: Dictionary, config: FclaConfig, alpha: float,
+def exhaustive_best(dictionary: Dictionary, alpha: float,
                     power: float = 1.0, sigma2: float = 1.0
                     ) -> list[tuple[OracleResult, OracleResult]]:
     """Per trial of the (B, G, K) dictionary, the globally best feasible
-    placement by objective and by sum rate, as a pair.
+    placement of its config's rings by objective and by sum rate, as a pair.
 
     The objective is the regularized precoding objective at the refit RZF
     precoder (minimized); the sum rate is taken after normalizing its columns
@@ -47,16 +46,16 @@ def exhaustive_best(dictionary: Dictionary, config: FclaConfig, alpha: float,
     zero rate. Ties go to the first placement in enumeration order. Raises if
     the C(G_V, M) * C(G_H, N)^M placements would exceed CAP.
     """
-    dictionary.check_capacity(config)
-    m_rings, n_elem, g_h = config.m_rings, config.n_elements, dictionary.group_size
-    count = (math.comb(dictionary.n_groups, m_rings)
-             * math.comb(g_h, n_elem) ** m_rings)
+    config = dictionary.config
+    m_rings, n_elem = config.m_rings, config.n_elements
+    g_h, g_v = config.g_h, config.g_v
+    count = math.comb(g_v, m_rings) * math.comb(g_h, n_elem) ** m_rings
     if count > CAP:
         raise ValueError(f"enumeration of {count} placements exceeds the cap of {CAP}")
     angle_subsets = list(itertools.combinations(range(g_h), n_elem))
     columns = np.array(
         [[h * g_h + a for h, ring in zip(h_idx, a_choice) for a in ring]
-         for h_idx in itertools.combinations(range(dictionary.n_groups), m_rings)
+         for h_idx in itertools.combinations(range(g_v), m_rings)
          for a_choice in itertools.product(angle_subsets, repeat=m_rings)])
 
     rows = dictionary.rows
@@ -71,8 +70,8 @@ def exhaustive_best(dictionary: Dictionary, config: FclaConfig, alpha: float,
 
     def result(trial: int, index: int) -> OracleResult:
         rings = columns[index].reshape(m_rings, n_elem)
-        return OracleResult(heights=dictionary.z[rings[:, 0]],
-                            angles=dictionary.psi[rings],
+        return OracleResult(heights=config.z[rings[:, 0] // g_h],
+                            angles=config.psi[rings % g_h],
                             objective=float(objective[trial, index]),
                             sum_rate=float(rate[trial, index]), count=count)
 

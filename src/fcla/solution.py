@@ -21,10 +21,10 @@ class Solutions:
     columns (B, M*N) are the placement's dictionary columns, in the order of
     H_star's columns and F's rows. Ring m sits at height slot slots[:, m] and
     height heights[:, m] and holds the angles angles[:, m] (B, M, N) of that
-    slot's columns, in column order, on the track radius (one float, the
-    dictionary's). H_star (B, K, M*N) is the channel at the placement and F
-    (B, M*N, K) its RZF precoder, not yet normalized to a power budget;
-    objective (B,) is the RZF objective of that refit.
+    slot's columns, in column order, on the track radius (one float, that
+    of the dictionary's config). H_star (B, K, M*N) is the channel at the
+    placement and F (B, M*N, K) its RZF precoder, not yet normalized to a
+    power budget; objective (B,) is the RZF objective of that refit.
     iterations (B,) counts the solver's iterations: greedy steps of fcla-j,
     outer rounds of fcla-a, none for ucla.
     matched_filter_columns (B,) counts the candidate rows its matched filters
@@ -118,15 +118,15 @@ def solutions(dictionary: Dictionary, columns: np.ndarray, slots: np.ndarray,
     placement must pass the structural check of `_rings`. The counters are
     per trial or one for all, and traces fill the record's trace fields.
     """
-    g_h = dictionary.group_size
-    ring = _rings(columns, slots, g_h)
+    config = dictionary.config
+    ring = _rings(columns, slots, config.g_h)
     by_ring = np.take_along_axis(columns, np.argsort(ring, kind="stable"), -1)
     H_star, F = refit(dictionary, columns, alpha)
     n_trials = len(columns)
     return Solutions(
-        columns=columns, slots=slots, heights=dictionary.z[slots * g_h],
-        angles=dictionary.psi[by_ring].reshape(*slots.shape, -1),
-        radius=dictionary.radius,
+        columns=columns, slots=slots, heights=config.z[slots],
+        angles=config.psi[by_ring % config.g_h].reshape(*slots.shape, -1),
+        radius=config.radius,
         H_star=H_star, F=F,
         objective=rzf_objective(H_star, F, alpha),
         iterations=np.full(n_trials, iterations, dtype=int),

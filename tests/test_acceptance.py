@@ -275,9 +275,9 @@ def test_criterion_6_solvers_dominated_by_oracle():
                             pattern=pattern)
         paths = draw_paths(4, 2, [np.random.SeedSequence([77, i])])
         dictionary = build_joint_dictionary(paths, config)
-        ((best, _),) = exhaustive_best(dictionary, config, alpha=1.0)
-        for sol in (solve_joint(dictionary, config, alpha=1.0),
-                    solve_alternating(dictionary, config, 1.0, 3)):
+        ((best, _),) = exhaustive_best(dictionary, alpha=1.0)
+        for sol in (solve_joint(dictionary, alpha=1.0),
+                    solve_alternating(dictionary, 1.0, 3)):
             (columns,) = sol.columns
             try:
                 check_spacing(list(zip(dictionary.psi[columns],
@@ -368,15 +368,9 @@ def test_criterion_8_structural_properties():
     # crafted instance: a pick in a never-completed height group is dropped
     rows = np.array([[10.0, 0.0], [0.0, 3.0], [0.0, 4.0], [0.1, 0.1]],
                     dtype=complex)
-    crafted = Dictionary(
-        rows=rows[None],
-        psi=np.tile(np.arange(2) * np.pi, 2),
-        z=np.repeat(np.arange(2) * 0.05, 2),
-        group_size=2,
-        radius=0.025,
-    )
-    config2 = FclaConfig(1, 2, 2, 2, d_min=0.05, wavelength=0.1)
-    sol = solve_joint(crafted, config2, alpha=1.0)
+    crafted = Dictionary(rows[None],
+                         FclaConfig(1, 2, 2, 2, d_min=0.05, wavelength=0.1))
+    sol = solve_joint(crafted, alpha=1.0)
     trace_ok = (sol.picks[0, :sol.iterations[0]].tolist() == [0, 2, 1]
                 and sol.columns.tolist() == [[0, 1]])
     ok &= trace_ok
@@ -387,8 +381,8 @@ def test_criterion_8_structural_properties():
     config = spec.config_for_grid(12)
     paths = draw_paths(16, 4, [np.random.SeedSequence([SEED, 0, 0])])
     dictionary = build_joint_dictionary(paths, config)
-    a = solve_joint(dictionary, config, alpha=1.0)
-    b = solve_joint(dictionary, config, alpha=1.0)
+    a = solve_joint(dictionary, alpha=1.0)
+    b = solve_joint(dictionary, alpha=1.0)
     iters = int(a.iterations[0])
     bounds_ok = 16 <= iters <= 144
     ok &= bounds_ok
@@ -397,7 +391,7 @@ def test_criterion_8_structural_properties():
     joint_trace = a.pick_objectives[0, :iters].tolist()
     mono_joint = all(y <= x + 1e-9 * max(1.0, abs(x))
                      for x, y in zip(joint_trace, joint_trace[1:]))
-    alt = solve_alternating(dictionary, config, 1.0, 5)
+    alt = solve_alternating(dictionary, 1.0, 5)
     ok &= mono_joint
     details.append(f"per-step objectives monotone: joint={mono_joint}")
 

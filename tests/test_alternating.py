@@ -80,15 +80,14 @@ def ring_columns(paths, config, angles, z):
 class TestOptimizeAngles:
     def test_single_ring_reduces_to_plain_omp(self):
         config, paths, d = make_setup(m=1, n=2, g_h=5, g_v=2)
-        angles = optimize_angles(d, [[0]], config.n_elements, 1.0, [0])
+        angles = optimize_angles(d, [[0]], 1.0, [0])
         columns = ring_columns(paths, config, range(5), config.z[0])
         want = plain_omp_reference(columns, 2, 1.0)
         assert angles.tolist() == [[want]]
 
     def test_full_ring_forced(self):
         config, _, d = make_setup(m=2, n=2, g_h=2, g_v=4)
-        (angles,) = optimize_angles(d, [initial_heights(4, 2)],
-                                    config.n_elements, 1.0, [0])
+        (angles,) = optimize_angles(d, [initial_heights(4, 2)], 1.0, [0])
         for ring in angles:
             assert sorted(ring.tolist()) == [0, 1]
 
@@ -102,13 +101,13 @@ class TestOptimizeAngles:
             columns = ring_columns(paths, config, range(3), config.z[slot])
             scores = np.sum(np.abs(columns.conj().T) ** 2, axis=1)
             want.append(int(np.argmax(scores)))
-        (angles,) = optimize_angles(d, [slots], config.n_elements, 1.0, [0])
+        (angles,) = optimize_angles(d, [slots], 1.0, [0])
         assert angles[:, 0].tolist() == want
 
     def test_rejects_duplicate_heights(self):
         config, _, d = make_setup()
         with pytest.raises(ValueError):
-            optimize_angles(d, [[1, 1]], config.n_elements, 1.0, [0])
+            optimize_angles(d, [[1, 1]], 1.0, [0])
 
 
 class TestOptimizeHeights:
@@ -163,8 +162,7 @@ class TestOptimizeHeights:
 
     def test_heights_distinct(self):
         config, _, d = make_setup(m=3, n=2, g_h=4, g_v=5, seed=4)
-        angles = optimize_angles(d, [initial_heights(5, 3)],
-                                 config.n_elements, 1.0, [0])
+        angles = optimize_angles(d, [initial_heights(5, 3)], 1.0, [0])
         (slots,) = optimize_heights(d, angles, 1.0, [0])
         assert len(set(slots.tolist())) == 3
 
@@ -176,8 +174,7 @@ class TestOptimizeHeights:
     def test_adds_every_ring_but_the_last(self):
         # the last ring's block would only feed a state that is thrown away
         config, _, d = make_setup(m=3, n=2, g_h=4, g_v=5, seed=4)
-        angles = optimize_angles(d, [initial_heights(5, 3)],
-                                 config.n_elements, 1.0, [0])
+        angles = optimize_angles(d, [initial_heights(5, 3)], 1.0, [0])
         states = []
 
         def counting(*args):
@@ -194,9 +191,8 @@ class TestOptimizeHeights:
 class TestSolveAlternating:
     def test_single_round_composes_phases(self):
         config, _, d = make_setup(m=2, n=2, g_h=3, g_v=2, seed=6)
-        sol = solve_alternating(d, config, 1.0, 1)
-        angles = optimize_angles(d, [initial_heights(2, 2)],
-                                 config.n_elements, 1.0, [0])
+        sol = solve_alternating(d, 1.0, 1)
+        angles = optimize_angles(d, [initial_heights(2, 2)], 1.0, [0])
         (slots,) = optimize_heights(d, angles, 1.0, [0])
         (angles,) = angles
         assert sol.iterations.tolist() == [1]
@@ -212,7 +208,7 @@ class TestSolveAlternating:
         for seed in range(4):
             config, paths, d = make_setup(m=2, n=2, g_h=4, g_v=4, seed=seed,
                                              pattern=PatternSpec.directional(1.0))
-            sol = solve_alternating(d, config, 1.0, 3)
+            sol = solve_alternating(d, 1.0, 3)
             (columns,) = sol.columns
             placement = list(zip(d.psi[columns], d.z[columns]))
             check_spacing(placement, config)
@@ -227,7 +223,7 @@ class TestSolveAlternating:
 
     def test_round_columns_recorded(self):
         config, paths, d = make_setup(seed=8)
-        sol = solve_alternating(d, config, 1.0, 4)
+        sol = solve_alternating(d, 1.0, 4)
         assert sol.round_columns.shape == (1, 4, 4)
         assert np.array_equal(sol.round_columns[:, -1], sol.columns)
         # the last round, refit from its columns, rates as the final record
@@ -238,28 +234,28 @@ class TestSolveAlternating:
     def test_never_beats_exhaustive_oracle(self):
         for seed in range(6):
             config, _, d = make_setup(m=1, n=2, g_h=3, g_v=2, seed=seed)
-            sol = solve_alternating(d, config, 1.0, 3)
-            ((best, _),) = exhaustive_best(d, config, alpha=1.0)
+            sol = solve_alternating(d, 1.0, 3)
+            ((best, _),) = exhaustive_best(d, alpha=1.0)
             assert sol.objective[0] >= best.objective - 1e-9
 
     def test_deterministic(self):
         config, _, d = make_setup(seed=10)
-        a = solve_alternating(d, config, 1.0, 3)
-        b = solve_alternating(d, config, 1.0, 3)
+        a = solve_alternating(d, 1.0, 3)
+        b = solve_alternating(d, 1.0, 3)
         assert np.array_equal(a.F, b.F)
         assert np.array_equal(a.round_columns, b.round_columns)
 
     def test_rejects_zero_rounds(self):
         config, _, d = make_setup()
         with pytest.raises(ValueError):
-            solve_alternating(d, config, 1.0, 0)
+            solve_alternating(d, 1.0, 0)
 
     def test_matched_filter_work_below_joint(self):
         # the alternating decomposition exists to cut matching work
         config, _, d = make_setup(m=4, n=4, g_h=12, g_v=12, users=8,
                                      n_paths=4, seed=12)
-        joint = solve_joint(d, config, 1.0)
-        alt = solve_alternating(d, config, 1.0, 5)
+        joint = solve_joint(d, 1.0)
+        alt = solve_alternating(d, 1.0, 5)
         assert alt.matched_filter_columns[0] < joint.matched_filter_columns[0]
 
 
@@ -268,19 +264,19 @@ RECORD_FIELDS = ("columns", "slots", "heights", "angles", "radius", "H_star",
                  "round_columns")
 
 
-def every_round_reference(dictionary, config, alpha, n_outer):
+def every_round_reference(dictionary, alpha, n_outer):
     """solve_alternating's record from running both phases for all n_outer
     rounds on every trial, settled or not, and whether each round returned
     the slots that seeded it, (B, R). A trial counts matched-filter work up
     to and including its first such round."""
-    g_h = dictionary.group_size
+    config = dictionary.config
+    g_h = config.g_h
     trials = np.arange(len(dictionary.rows))
-    slots = np.tile(initial_heights(dictionary.n_groups, config.m_rings),
+    slots = np.tile(initial_heights(config.g_v, config.m_rings),
                     (len(trials), 1))
     settled, round_columns = [], []
     for _ in range(n_outer):
-        angles = optimize_angles(dictionary, slots, config.n_elements, alpha,
-                                 trials)
+        angles = optimize_angles(dictionary, slots, alpha, trials)
         seed_slots = slots
         slots = optimize_heights(dictionary, angles, alpha, trials)
         settled.append((slots == seed_slots).all(axis=1))
@@ -292,17 +288,17 @@ def every_round_reference(dictionary, config, alpha, n_outer):
     record = solutions(
         dictionary, round_columns[-1], slots, alpha, iterations=n_outer,
         matched_filter_columns=rounds_run * config.m_rings * config.n_elements
-        * (g_h + dictionary.n_groups),
+        * (g_h + config.g_v),
         round_columns=np.stack(round_columns, axis=1))
     return record, settled
 
 
-def check_retirement(dictionary, config, alpha, n_outer):
+def check_retirement(dictionary, alpha, n_outer):
     """Check that solve_alternating equals the every-round reference on every
     record field, and that the reference repeats a trial's round once its
     slots repeat their seed; return solve_alternating's record."""
-    want, settled = every_round_reference(dictionary, config, alpha, n_outer)
-    got = solve_alternating(dictionary, config, alpha, n_outer)
+    want, settled = every_round_reference(dictionary, alpha, n_outer)
+    got = solve_alternating(dictionary, alpha, n_outer)
     for name in RECORD_FIELDS:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     for t, r in zip(*np.nonzero(settled)):
@@ -317,15 +313,14 @@ class TestRetirement:
     @given(instances(max_trials=4), st.integers(1, 10))
     def test_equals_every_round_on_every_trial(self, instance, n_outer):
         config, paths = instance
-        check_retirement(build_joint_dictionary(paths, config), config, 0.8,
-                         n_outer)
+        check_retirement(build_joint_dictionary(paths, config), 0.8, n_outer)
 
     def test_settled_trial_counts_only_rounds_run(self):
         config = FclaConfig(2, 2, 4, 4, d_min=0.05, wavelength=0.1,
                             pattern=PatternSpec.directional(1.0))
         seeds = [np.random.SeedSequence([t]) for t in range(4)]
         d = build_joint_dictionary(draw_paths(4, 2, seeds), config)
-        sol = check_retirement(d, config, 1.0, 3)
+        sol = check_retirement(d, 1.0, 3)
         # trials 0 and 2 settle in their first round, trial 3 runs all three
         assert sol.matched_filter_columns.tolist() == [
             rounds * 2 * 2 * (4 + 4) for rounds in (1, 2, 1, 3)]
@@ -345,9 +340,9 @@ class TestStackedTrials:
         stacked = build_joint_dictionary(draw_paths(6, 3, seeds), config)
         single = [build_joint_dictionary(draw_paths(6, 3, [seed]), config)
                   for seed in seeds]
-        batch = solve_alternating(stacked, config, 0.7, 3)
+        batch = solve_alternating(stacked, 0.7, 3)
         assert batch.columns.shape == (n_trials, 6)
-        alone = [solve_alternating(d, config, 0.7, 3) for d in single]
+        alone = [solve_alternating(d, 0.7, 3) for d in single]
         for t, want in enumerate(alone):
             for name in ("columns", "slots", "heights", "angles", "H_star",
                          "F", "objective", "iterations",
@@ -365,12 +360,10 @@ class TestStackedTrials:
                   for seed in seeds]
         slots = np.array([[0, 3], [1, 2], [3, 0]])
         trials = np.arange(3)
-        angles = optimize_angles(stacked, slots, config.n_elements, 1.0,
-                                 trials)
+        angles = optimize_angles(stacked, slots, 1.0, trials)
         heights = optimize_heights(stacked, angles, 1.0, trials)
         for t, d in enumerate(single):
-            want_angles = optimize_angles(d, slots[t:t + 1],
-                                          config.n_elements, 1.0, [0])
+            want_angles = optimize_angles(d, slots[t:t + 1], 1.0, [0])
             assert np.array_equal(angles[t], want_angles[0])
             want_heights = optimize_heights(d, angles[t:t + 1], 1.0, [0])
             assert np.array_equal(heights[t], want_heights[0])
@@ -381,10 +374,9 @@ class TestStackedTrials:
             draw_paths(4, 2, [np.random.SeedSequence([t]) for t in range(2)]),
             config)
         with pytest.raises(ValueError):
-            optimize_angles(stacked, [[0, 1], [2, 2]], config.n_elements, 1.0,
-                            [0, 1])
+            optimize_angles(stacked, [[0, 1], [2, 2]], 1.0, [0, 1])
 
     def test_rejects_zero_forcing(self):
         config, _, d = make_setup()
         with pytest.raises(ValueError, match="alpha"):
-            solve_alternating(d, config, 0.0, 2)
+            solve_alternating(d, 0.0, 2)

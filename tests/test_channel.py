@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 
 from fcla import channel
-from fcla.channel import Paths, build_joint_dictionary, draw_paths, export_paths
+from fcla.channel import (Dictionary, Paths, build_joint_dictionary,
+                          draw_paths, export_paths)
 from fcla.geometry import FclaConfig
 from fcla.harness import ucla_baseline, ucla_config
 from fcla.pattern import PatternSpec, power_gain
@@ -203,7 +204,12 @@ class TestDictionaries:
         d = build_joint_dictionary(self.paths, self.config)
         g_h, g_v = self.config.g_h, self.config.g_v
         assert d.rows.shape == (2, g_h * g_v, 4)
-        assert d.group_size == g_h and d.n_groups == g_v
+        assert d.config is self.config
+        # each column's position, height-major
+        assert np.array_equal(d.psi, np.tile(self.config.psi, g_v))
+        assert np.array_equal(d.z, np.repeat(self.config.z, g_h))
+        with pytest.raises(ValueError, match=f"do not fill the {g_h}x{g_v}"):
+            Dictionary(d.rows[:, :-g_h], self.config)
         for col in [0, 1, g_h, g_h * g_v - 1]:
             psi, z = d.psi[col], d.z[col]
             assert psi == self.config.psi[col % g_h]

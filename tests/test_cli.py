@@ -225,12 +225,55 @@ def test_zero_forcing_runs_for_ucla(tmp_path):
     assert len(lines) == 2 and lines[1].startswith("ucla,")
 
 
-def test_bad_config_file_rejected(tmp_path):
+def test_bad_config_file_rejected(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
+    out = tmp_path / "out"
     code = parse_and_dispatch(["sweep-snr", "--config", str(cfg),
-                               "--out", str(tmp_path)])
+                               "--out", str(out)])
     assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config file {cfg}: Expecting property name")
+    assert not out.exists()
+
+
+def test_config_file_repeating_a_key_rejected_by_name(tmp_path, capsys):
+    # json keeps the last of a repeated key; the file is refused instead
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"trials": 3, "seed": 2, "trials": 4, "seed": 5}')
+    out = tmp_path / "out"
+    assert parse_and_dispatch(["sweep-snr", "--config", str(cfg),
+                               "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config file {cfg}: repeats key(s) 'seed', 'trials'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, work", [("sweep-snr", "run_sweep"),
+                                           ("solve-once", "draw_batch")])
+@pytest.mark.parametrize("source", ["--out", cli.OUT_DIR_ENV])
+@pytest.mark.parametrize("below", ["", "sub/dir"])
+def test_output_path_blocked_by_a_file_named_before_any_work(
+        command, work, source, below, tmp_path, capsys, monkeypatch):
+    # a file at the output path, or on the way to it: the run fails before
+    # its first trial, names where the path came from and makes nothing
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / below
+
+    def no_work(*args):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(cli, work, no_work)
+    argv = [command] + SHAPE
+    if source == "--out":
+        argv += ["--out", str(out)]
+    else:
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(out))
+    assert parse_and_dispatch(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {source} {out}")
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == ""
 
 
 @pytest.mark.parametrize("content, found", [("[1, 2]", "list"),
@@ -455,12 +498,12 @@ def test_placement_is_each_record_s_grid_positions(tmp_path, monkeypatch):
     config = spec.config_for_grid(spec.grid_size)
     placement = json.loads((tmp_path / "placement.json").read_text())
     assert list(placement) == list(spec.methods)
-    dictionaries = {d.radius: d for d in built}
+    dictionaries = {d.config.radius: d for d in built}
     for method, entry in placement.items():
         record, d = solved[method], dictionaries[entry["radius"]]
         (columns,), (slots,) = record.columns, record.slots
         for m, slot in enumerate(slots):
-            ring = [c for c in columns if c // d.group_size == slot]
+            ring = [c for c in columns if c // d.config.g_h == slot]
             assert entry["heights"][m] == d.z[ring[0]]
             assert entry["angles"][m] == d.psi[ring].tolist()
         assert entry["objective"] == record.objective[0]
@@ -733,6 +776,20 @@ def test_finished_fcla_j_trials_retire_alike_in_any_batch(tmp_path):
     # of 6, so trials leave their batches in other orders
     argv = ["sweep-grid", "--grid-range", "16,24", "--omni", "--methods",
             "ucla,fcla-j", "--snr", "0", "--trials", "12"]
+    assert (sweep_rows(argv + ["--jobs", "1"], tmp_path / "serial")
+            == sweep_rows(argv + ["--jobs", "2"], tmp_path / "pooled"))
+
+
+def test_pooled_batches_spanning_points_match_serial(tmp_path):
+    # at --jobs 2 the 3 SNR points' 9 trials run as batches of 5 and 4, each
+    # spanning two points, so each trial is rated at its own point's power;
+    # the rows must match the serial run's, one batch of 9
+    argv = ["sweep-snr", "--snr=-3:3:3", "--trials", "3"] + SHAPE
+    pooled = harness._batches(ExperimentSpec(
+        rings=2, elements=2, users=4, paths=2, grid_size=4, trials=3,
+        jobs=2), range(3))
+    assert [[p for p, _ in batch] for batch in pooled] == [[0, 0, 0, 1, 1],
+                                                           [1, 2, 2, 2]]
     assert (sweep_rows(argv + ["--jobs", "1"], tmp_path / "serial")
             == sweep_rows(argv + ["--jobs", "2"], tmp_path / "pooled"))
 

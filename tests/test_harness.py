@@ -355,7 +355,7 @@ class TestRunTrial:
                               methods=("fcla-j", method))
         trials = range(spec.trials)
         batch = harness.draw_batch(spec, 0, trials)
-        iterations = harness.solve_joint(batch.dictionary, batch.config,
+        iterations = harness.solve_joint(batch.dictionary,
                                          batch.alpha).iterations
         assert len(set(iterations.tolist())) > 1
         after = run_trial(spec, 0, trials)
@@ -694,9 +694,10 @@ print(json.dumps(sorted(m for m in sys.modules
             def run(*args, **kwargs):
                 batch = solver(*args, **kwargs)
                 given = inspect.signature(solver).bind(*args, **kwargs).arguments
-                config = given["config"]
                 if name == "ucla":  # the baseline's own compact cylinder
-                    config = ucla_config(config)
+                    config = ucla_config(given["config"])
+                else:
+                    config = given["dictionary"].config
                 # the record is of the last batch drawn, in trial order
                 n_trials = len(batch.columns)
                 for t in range(n_trials):

@@ -40,13 +40,13 @@ def rated(paths, placement, config, alpha, power=1.0, sigma2=1.0):
 
 def test_count_formula():
     config, _, d = make_setup(m=2, n=2, g_h=4, g_v=3)
-    ((result, _),) = exhaustive_best(d, config, alpha=1.0)
+    ((result, _),) = exhaustive_best(d, alpha=1.0)
     assert result.count == math.comb(3, 2) * math.comb(4, 2) ** 2
 
 
 def test_single_candidate_grid():
     config, _, d = make_setup(m=2, n=2, g_h=2, g_v=2)
-    ((by_objective, by_rate),) = exhaustive_best(d, config, alpha=1.0)
+    ((by_objective, by_rate),) = exhaustive_best(d, alpha=1.0)
     for result in (by_objective, by_rate):
         assert result.count == 1
         assert sorted(result.heights.tolist()) == config.z.tolist()
@@ -56,7 +56,7 @@ def test_single_candidate_grid():
 
 def test_four_candidates_match_hand_loop():
     config, paths, d = make_setup(m=1, n=1, g_h=2, g_v=2, seed=4)
-    ((result, _),) = exhaustive_best(d, config, alpha=1.0)
+    ((result, _),) = exhaustive_best(d, alpha=1.0)
     assert result.count == 4
 
     best_obj, best_pair = None, None
@@ -72,7 +72,7 @@ def test_four_candidates_match_hand_loop():
 
 def test_objective_dominates_every_feasible_placement():
     config, paths, d = make_setup(m=1, n=2, g_h=3, g_v=2, seed=1)
-    ((result, _),) = exhaustive_best(d, config, alpha=0.7)
+    ((result, _),) = exhaustive_best(d, alpha=0.7)
     for placement in every_placement(config, 1, 2):
         obj, _ = rated(paths, placement, config, 0.7)
         assert obj >= result.objective - 1e-12
@@ -80,8 +80,8 @@ def test_objective_dominates_every_feasible_placement():
 
 def test_sum_rate_criterion_maximizes():
     config, paths, d = make_setup(m=2, n=1, g_h=3, g_v=3, seed=2)
-    ((by_objective, by_rate),) = exhaustive_best(d, config, alpha=1.0,
-                                                 power=2.0, sigma2=0.5)
+    ((by_objective, by_rate),) = exhaustive_best(d, alpha=1.0, power=2.0,
+                                                 sigma2=0.5)
     assert by_rate.sum_rate >= by_objective.sum_rate
     rates = [rated(paths, placement, config, 1.0, 2.0, 0.5)[1]
              for placement in every_placement(config, 2, 1)]
@@ -91,11 +91,10 @@ def test_sum_rate_criterion_maximizes():
 
 def test_each_trial_matches_its_own_call():
     config, _, d = make_setup(m=2, n=2, g_h=3, g_v=3, users=5, trials=3)
-    batch = exhaustive_best(d, config, alpha=0.6, power=2.0)
+    batch = exhaustive_best(d, alpha=0.6, power=2.0)
     for t, pair in enumerate(batch):
-        alone = Dictionary(d.rows[t:t + 1], d.psi, d.z, d.group_size,
-                           d.radius)
-        (want,) = exhaustive_best(alone, config, alpha=0.6, power=2.0)
+        alone = Dictionary(d.rows[t:t + 1], config)
+        (want,) = exhaustive_best(alone, alpha=0.6, power=2.0)
         for got, expected in zip(pair, want):
             assert np.array_equal(got.heights, expected.heights)
             assert np.array_equal(got.angles, expected.angles)
@@ -108,9 +107,9 @@ def test_each_trial_matches_its_own_call():
 @pytest.mark.parametrize("chunk_bytes", [1, 5 * 512])
 def test_chunks_do_not_change_the_optima(chunk_bytes, monkeypatch):
     config, _, d = make_setup(m=2, n=2, g_h=4, g_v=3, users=4, trials=2)
-    whole = exhaustive_best(d, config, alpha=0.8)
+    whole = exhaustive_best(d, alpha=0.8)
     monkeypatch.setattr(oracle, "CHUNK_BYTES", chunk_bytes)
-    for got, want in zip(exhaustive_best(d, config, alpha=0.8), whole):
+    for got, want in zip(exhaustive_best(d, alpha=0.8), whole):
         for a, b in zip(got, want):
             assert np.array_equal(a.heights, b.heights)
             assert np.array_equal(a.angles, b.angles)
@@ -120,9 +119,8 @@ def test_chunks_do_not_change_the_optima(chunk_bytes, monkeypatch):
 def test_ties_go_to_the_first_placement():
     # every column equal: every placement rates the same
     config, _, d = make_setup(m=2, n=2, g_h=4, g_v=3, users=3)
-    flat = Dictionary(np.ones_like(d.rows), d.psi, d.z, d.group_size,
-                      d.radius)
-    for result in exhaustive_best(flat, config, alpha=1.0)[0]:
+    flat = Dictionary(np.ones_like(d.rows), config)
+    for result in exhaustive_best(flat, alpha=1.0)[0]:
         assert np.array_equal(result.heights, config.z[:2])
         assert np.array_equal(result.angles, np.tile(config.psi[:2], (2, 1)))
 
@@ -131,10 +129,10 @@ def test_unservable_user_has_zero_rate():
     config, _, d = make_setup(m=1, n=2, g_h=3, g_v=2, users=3, seed=5)
     rows = d.rows.copy()
     rows[..., 0] = 0.0  # user 0 has no channel anywhere
-    blind = Dictionary(rows, d.psi, d.z, d.group_size, d.radius)
-    ((_, by_rate),) = exhaustive_best(blind, config, alpha=1.0)
-    served_rows = Dictionary(rows[..., 1:], d.psi, d.z, d.group_size, d.radius)
-    ((_, served),) = exhaustive_best(served_rows, config, alpha=1.0)
+    blind = Dictionary(rows, config)
+    ((_, by_rate),) = exhaustive_best(blind, alpha=1.0)
+    served_rows = Dictionary(rows[..., 1:], config)
+    ((_, served),) = exhaustive_best(served_rows, alpha=1.0)
     assert np.isfinite(by_rate.sum_rate) and by_rate.sum_rate > 0.0
     # the remaining users share power 1 among K = 3 streams, not 2
     assert by_rate.sum_rate < served.sum_rate
@@ -144,7 +142,7 @@ def test_ring_order_invariance():
     # two interchangeable rings: swapping which ring owns which height cannot
     # change the optimum value
     config, paths, d = make_setup(m=2, n=1, g_h=3, g_v=3, seed=3)
-    ((result, _),) = exhaustive_best(d, config, alpha=1.0)
+    ((result, _),) = exhaustive_best(d, alpha=1.0)
     swapped_angles = result.angles[::-1]
     swapped_heights = result.heights[::-1]
     placement = [(swapped_angles[m][0], swapped_heights[m]) for m in range(2)]
@@ -156,12 +154,4 @@ def test_cap_enforced(monkeypatch):
     config, _, d = make_setup(m=2, n=2, g_h=4, g_v=4)
     monkeypatch.setattr(oracle, "CAP", 10)
     with pytest.raises(ValueError, match="216 placements"):
-        exhaustive_best(d, config, alpha=1.0)
-
-
-def test_grid_too_small_named():
-    config, _, d = make_setup(m=2, n=2, g_h=4, g_v=4)
-    small = Dictionary(d.rows[:, :4], d.psi[:4], d.z[:4], d.group_size,
-                       d.radius)
-    with pytest.raises(ValueError, match="cannot host"):
-        exhaustive_best(small, config, alpha=1.0)
+        exhaustive_best(d, alpha=1.0)

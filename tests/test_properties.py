@@ -100,8 +100,8 @@ def height_blind(rows, config):
 def greedy_solutions(paths, config, alpha=ALPHA):
     """Method name -> record of both greedy solvers on the paths."""
     dictionary = build_joint_dictionary(paths, config)
-    return {"fcla-j": solve_joint(dictionary, config, alpha),
-            "fcla-a": solve_alternating(dictionary, config, alpha, 3)}
+    return {"fcla-j": solve_joint(dictionary, alpha),
+            "fcla-a": solve_alternating(dictionary, alpha, 3)}
 
 
 def uniform(paths, config, alpha=ALPHA):
@@ -211,9 +211,9 @@ def test_exhaustive_optima_dominate_greedy_solvers(m, n, users, g_h, g_v,
     paths = draw_paths(users, 2, [np.random.SeedSequence([seed, t])
                                   for t in range(3)])
     dictionary = build_joint_dictionary(paths, config)
-    optima = exhaustive_best(dictionary, config, ALPHA, POWER, SIGMA2)
-    for batch in (solve_joint(dictionary, config, ALPHA),
-                  solve_alternating(dictionary, config, ALPHA, 3)):
+    optima = exhaustive_best(dictionary, ALPHA, POWER, SIGMA2)
+    for batch in (solve_joint(dictionary, ALPHA),
+                  solve_alternating(dictionary, ALPHA, 3)):
         rates = sum_rate(batch)
         for t, (by_objective, by_rate) in enumerate(optima):
             assert batch.objective[t] >= by_objective.objective - 1e-9
@@ -256,9 +256,9 @@ def test_counters_are_the_rows_scored(instance, n_outer):
                       paths.phi_az[t:t + 1])
         dictionary = build_joint_dictionary(alone, config)
         for module, solve in (
-                (joint, lambda: solve_joint(dictionary, config, ALPHA)),
-                (alternating, lambda: solve_alternating(dictionary, config,
-                                                        ALPHA, n_outer))):
+                (joint, lambda: solve_joint(dictionary, ALPHA)),
+                (alternating, lambda: solve_alternating(dictionary, ALPHA,
+                                                        n_outer))):
             states = []
 
             def counting(*args):
