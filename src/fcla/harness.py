@@ -69,11 +69,9 @@ METHOD_TABLE = {
 METHODS = tuple(METHOD_TABLE)
 GREEDY_METHODS = tuple(m for m, (_, greedy) in METHOD_TABLE.items() if greedy)
 SWEEP_KINDS = ("snr", "grid", "iters")
-# bytes that a sweep's concurrent batches may hold together, counted per
-# trial as in _batches and split evenly over spec.jobs; at the reference
-# scale a serial sweep runs 61-trial batches on 12x12 and 13-trial ones on
-# 32x32, and each of 2 workers 30 and 6 (CHANGES.md has the measured curve
-# behind it)
+# bytes that one batch may hold, counted per trial as in _batches, at any
+# spec.jobs; at the reference scale a batch holds up to 61 trials on 12x12
+# and 13 on 32x32 (CHANGES.md has the measured curve behind it)
 BATCH_BYTES = 5_000_000
 
 
@@ -428,26 +426,25 @@ def _sweep_work(args):
                 for outcome in _sweep_work((spec, [pair]))]
 
 
-def _batches(spec: ExperimentSpec, points=(0,)) -> list[list[tuple]]:
+def _batches(spec: ExperimentSpec, points) -> list[list[tuple]]:
     """The (point, trial) pairs of a run of consecutive sweep points on
     spec's grid, point by point and each point's spec.trials trials in
-    order, split into batches that fit a spec.jobs-th of BATCH_BYTES, the
-    budget that the spec.jobs batches running at once share. A batch holds
+    order, split into batches that each fit BATCH_BYTES. A batch holds
     per trial 16 bytes per user for each dictionary column (the complex
     rows, whose matched filter the solvers form a few candidates at a
     time), for 3 of each (K, L, G_H) entry (the response builder's
     intermediates, which it holds for a piece of the batch at a time, so
     the term also covers the other temporaries) and for 2 of each
     (K, M*N) entry (the channel and precoder of a placement; run_trial
-    drops each method's record once it is rated). The batch count is a
-    multiple of spec.jobs (unless there are fewer trials), so every worker
-    gets an equal share; a batch may take trials from more than one point
-    of the run."""
+    drops each method's record once it is rated). The fewest batches that
+    fit are rounded up to a multiple of spec.jobs (unless there are fewer
+    pairs), so every worker gets an equal share; spec.jobs sets nothing
+    else. A batch may take trials from more than one point of the run."""
     pairs = [(p, t) for p in points for t in range(spec.trials)]
     per_trial = 16 * spec.users * (spec.grid_size ** 2
                                    + 3 * spec.paths * spec.grid_size
                                    + 2 * spec.rings * spec.elements)
-    size = max(1, BATCH_BYTES // spec.jobs // per_trial)
+    size = max(1, BATCH_BYTES // per_trial)
     rounds = -(-len(pairs) // (size * spec.jobs))
     n_batches = min(len(pairs), rounds * spec.jobs)
     return [pairs[b[0]:b[-1] + 1]
@@ -516,7 +513,8 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     iteration sweep's one point. Each run's trials are split into batches
     (_batches), which may span its points, and every batch is one task; the
     tasks run in order, or on one process pool of at most spec.jobs
-    workers, and no more workers than tasks, when spec.jobs > 1.
+    workers, and no more workers than tasks, when spec.jobs > 1. A batch
+    has the same byte budget either way: the pool only places the batches.
     """
     points = _points(spec)
     runs = ([(points[0][0], range(len(points)))] if spec.sweep_kind == "snr"

@@ -13,8 +13,8 @@ from fcla import cli, harness
 from fcla.cli import _merge_dashed_values, _parse_range, parse_and_dispatch
 from fcla.harness import ExperimentSpec, run_trial
 from fcla.precoding import normalize_columns, sinr
-from goldens import (GOLDEN, GOLDEN_SWEEPS, PLACEMENT_SWEEPS, PLACEMENTS,
-                     placements)
+from goldens import (DIGEST_RUNS, DIGESTS, GOLDEN, GOLDEN_SWEEPS,
+                     PLACEMENT_SWEEPS, PLACEMENTS, digests, placements)
 
 # one small problem: solve-once solves its trial 0, a sweep 2 trials a point.
 # COMMON leaves out --grid and --iters, which sweep-grid and sweep-iters do
@@ -45,6 +45,18 @@ def test_placements_match_golden(name, tmp_path):
     # of the rates keeps them (tests/goldens.py rewrites the file)
     expected = json.loads(PLACEMENTS.read_text())[name]
     assert placements(PLACEMENT_SWEEPS[name], tmp_path) == expected
+
+
+@pytest.mark.parametrize("name, jobs", [(name, []) for name in DIGEST_RUNS]
+                         + [("snr-ref", ["--jobs", "2"])],
+                         ids=[*DIGEST_RUNS, "snr-ref-jobs-2"])
+def test_outputs_match_digests(name, jobs, tmp_path):
+    # every output byte of each command line; snr-ref's 28 trials run at
+    # --jobs 2 in two batches that each span SNR points, and must give the
+    # bytes they give at --jobs 1 (tests/goldens.py rewrites the file)
+    argv, outputs = DIGEST_RUNS[name]
+    expected = json.loads(DIGESTS.read_text())[" ".join(argv)]
+    assert digests(argv + jobs, outputs, tmp_path) == expected
 
 
 def test_parse_range_forms():

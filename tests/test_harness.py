@@ -290,48 +290,47 @@ class TestRunTrial:
 
     def test_batches_split_by_bytes_and_jobs(self):
         spec = small_spec(grid_size=12, trials=61, **REFERENCE)
-        assert [len(b) for b in harness._batches(spec)] == [61]
+        assert [len(b) for b in harness._batches(spec, [0])] == [61]
         assert 61 * trial_bytes(spec) <= harness.BATCH_BYTES
-        assert harness._batches(spec)[0] == [(0, t) for t in range(61)]
+        assert harness._batches(spec, [0])[0] == [(0, t) for t in range(61)]
         pooled = harness._batches(small_spec(grid_size=12, trials=60, jobs=2,
-                                             **REFERENCE))
+                                             **REFERENCE), [0])
         assert [len(b) for b in pooled] == [30, 30]
         # a lone point (the iteration sweep's) splits for the workers
         pooled = harness._batches(small_spec(grid_size=12, trials=30, jobs=2,
-                                             **REFERENCE))
+                                             **REFERENCE), [0])
         assert [len(b) for b in pooled] == [15, 15]
-        # a run of 7 points of 30 trials (the reference SNR sweep): 4
-        # batches of 52-53 across points alone, and 8 batches of 26-27 for 2
-        # workers, each run's (point, trial) pairs in order
-        for jobs, sizes in ((1, [53, 53, 52, 52]), (2, [27, 27] + [26] * 6)):
+        # a run of 7 points of 30 trials (the reference SNR sweep): the same
+        # 4 batches of 52-53 across points alone and for 2 workers, each
+        # run's (point, trial) pairs in order
+        for jobs in (1, 2):
             spec = small_spec(grid_size=12, trials=30, jobs=jobs, **REFERENCE)
             run = harness._batches(spec, range(7))
-            assert [len(b) for b in run] == sizes
+            assert [len(b) for b in run] == [53, 53, 52, 52]
             assert [pair for b in run for pair in b] == [
                 (p, t) for p in range(7) for t in range(30)]
         # the default budget's largest batch per grid size at reference
-        # scale: alone, and for each of 2 workers, which share the budget
-        caps = {1: {8: 101, 12: 61, 16: 40, 24: 21, 32: 13},
-                2: {8: 50, 12: 30, 16: 20, 24: 10, 32: 6}}
-        for jobs, grid_caps in caps.items():
-            budget = harness.BATCH_BYTES // jobs
-            for grid_size, cap in grid_caps.items():
-                spec = small_spec(grid_size=grid_size, jobs=jobs, **REFERENCE)
-                assert (cap * trial_bytes(spec) <= budget
-                        < (cap + 1) * trial_bytes(spec))
+        # scale, which a batch may hold at any jobs
+        caps = {8: 101, 12: 61, 16: 40, 24: 21, 32: 13}
+        for grid_size, cap in caps.items():
+            spec = small_spec(grid_size=grid_size, **REFERENCE)
+            assert (cap * trial_bytes(spec) <= harness.BATCH_BYTES
+                    < (cap + 1) * trial_bytes(spec))
+            for jobs in (1, 2, 3):
                 # one round of batches, one per worker, or two rounds
                 for trials, n_batches in ((cap * jobs, jobs),
                                           (cap * jobs + 1, 2 * jobs)):
                     assert len(harness._batches(dataclasses.replace(
-                        spec, trials=trials))) == n_batches
-        # every batch fits its worker's share of the budget
+                        spec, trials=trials, jobs=jobs), [0])) == n_batches
+        # no batch exceeds its grid's cap, and the batch count is a multiple
+        # of jobs
         for jobs in (1, 2, 3):
             for grid_size in (8, 12, 32):
                 spec = small_spec(grid_size=grid_size, trials=30, jobs=jobs,
                                   **REFERENCE)
-                for batch in harness._batches(spec, range(7)):
-                    assert (len(batch) * trial_bytes(spec)
-                            <= harness.BATCH_BYTES // jobs)
+                run = harness._batches(spec, range(7))
+                assert max(map(len, run)) <= caps[grid_size]
+                assert len(run) % jobs == 0
         # the paths, rings and elements count as well as the grid
         for shape in (dict(paths=8), dict(rings=6)):
             spec = small_spec(grid_size=12, **{**REFERENCE, **shape})
@@ -339,11 +338,11 @@ class TestRunTrial:
             assert cap < 61
             for trials, n_batches in ((cap, 1), (cap + 1, 2)):
                 assert len(harness._batches(dataclasses.replace(
-                    spec, trials=trials))) == n_batches
-        assert len(harness._batches(small_spec(trials=3, jobs=2))) == 2
-        assert len(harness._batches(small_spec(trials=1, jobs=2))) == 1
+                    spec, trials=trials), [0])) == n_batches
+        assert len(harness._batches(small_spec(trials=3, jobs=2), [0])) == 2
+        assert len(harness._batches(small_spec(trials=1, jobs=2), [0])) == 1
         assert [len(b) for b in harness._batches(
-            small_spec(users=16, grid_size=128, trials=3))] == [1, 1, 1]
+            small_spec(users=16, grid_size=128, trials=3), [0])] == [1, 1, 1]
 
     @pytest.mark.parametrize("method", ["fcla-a", "ucla"])
     def test_rates_do_not_depend_on_the_methods_before(self, method):
@@ -740,7 +739,7 @@ MEMORY_SLACK = 384 * 1024
 def test_default_batch_stays_within_its_working_set(shape):
     spec = small_spec(trials=1, **REFERENCE, **shape)
     spec.trials = harness.BATCH_BYTES // trial_bytes(spec)
-    (batch,) = harness._batches(spec)
+    (batch,) = harness._batches(spec, [0])
     assert len(batch) * trial_bytes(spec) <= harness.BATCH_BYTES
     rows = len(batch) * 16 * spec.users * spec.grid_size ** 2
     assert MEMORY_SLACK < rows

@@ -30,7 +30,7 @@ def test_batch_caps_are_the_budget():
     for grid_size, cap in caps.items():
         for trials, n_batches in ((cap, 1), (cap + 1, 2)):
             spec = harness.ExperimentSpec(grid_size=grid_size, trials=trials)
-            assert len(harness._batches(spec)) == n_batches, grid_size
+            assert len(harness._batches(spec, [0])) == n_batches, grid_size
 
 
 def test_validate_prints_readme_s_oracle_gaps(capsys):
