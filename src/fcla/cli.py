@@ -20,7 +20,7 @@ from .harness import (METHODS, ExperimentSpec, draw_batch, rates, run_sweep,
                       solve_methods, write_manifest, write_results_csv)
 from .oracle import exhaustive_best
 from .pattern import PatternSpec, power_gain
-from .precoding import normalize_columns, rzf
+from .precoding import normalize_columns, rzf, rzf_objective
 
 OUT_DIR_ENV = "FCLA_OUT_DIR"
 
@@ -199,7 +199,8 @@ def _solve_once(args: argparse.Namespace) -> int:
         placement = placements[method] = {
             "radius": record.radius, "heights": record.heights[0].tolist(),
             "angles": record.angles[0].tolist(),
-            "objective": float(record.objective[0]),
+            "objective": float(
+                rzf_objective(record.H_star, record.F, batch.alpha)[0]),
             "rates": user_rates.tolist(), "sum_rate": sum_rate}
         if record.picks is not None:  # fcla-j: each step's pick and objective
             made = slice(record.iterations[0])
@@ -279,8 +280,8 @@ def _validate(args: argparse.Namespace) -> int:
     worse = np.array([1.0, -1.0])
     violation, gaps = 0.0, []
     for method, record in solve_methods(batch, spec.methods).items():
-        got = np.concatenate([record.objective[:, None],
-                              rates(batch, record).sum(axis=-1)], axis=1)
+        objective = rzf_objective(record.H_star, record.F, batch.alpha)
+        got = np.column_stack([objective, rates(batch, record).sum(axis=-1)])
         violation = max(violation, np.max((best - got) * worse))
         gap, short = np.median((got - best) / best * worse, axis=0)
         gaps.append(f"{method} {gap:.1%} / {short:.1%}")

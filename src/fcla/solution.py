@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Dictionary
-from .precoding import rzf, rzf_objective
+from .precoding import rzf
 
 
 @dataclass(eq=False)
@@ -24,7 +24,7 @@ class Solutions:
     slot's columns, in column order, on the track radius (one float, that
     of the dictionary's config). H_star (B, K, M*N) is the channel at the
     placement and F (B, M*N, K) its RZF precoder, not yet normalized to a
-    power budget; objective (B,) is the RZF objective of that refit.
+    power budget.
     iterations (B,) counts the solver's iterations: greedy steps of fcla-j,
     outer rounds of fcla-a, none for ucla.
     matched_filter_columns (B,) counts the candidate rows its matched filters
@@ -43,7 +43,6 @@ class Solutions:
     radius: float
     H_star: np.ndarray
     F: np.ndarray
-    objective: np.ndarray
     iterations: np.ndarray
     matched_filter_columns: np.ndarray
     picks: np.ndarray | None = None
@@ -126,9 +125,7 @@ def solutions(dictionary: Dictionary, columns: np.ndarray, slots: np.ndarray,
     return Solutions(
         columns=columns, slots=slots, heights=config.z[slots],
         angles=config.psi[by_ring % config.g_h].reshape(*slots.shape, -1),
-        radius=config.radius,
-        H_star=H_star, F=F,
-        objective=rzf_objective(H_star, F, alpha),
+        radius=config.radius, H_star=H_star, F=F,
         iterations=np.full(n_trials, iterations, dtype=int),
         matched_filter_columns=np.full(n_trials, matched_filter_columns,
                                        dtype=int),

@@ -12,7 +12,7 @@ import pytest
 from fcla import cli, harness
 from fcla.cli import _merge_dashed_values, _parse_range, parse_and_dispatch
 from fcla.harness import ExperimentSpec, run_trial
-from fcla.precoding import normalize_columns, sinr
+from fcla.precoding import normalize_columns, rzf_objective, sinr
 from goldens import (DIGEST_RUNS, DIGESTS, GOLDEN, GOLDEN_SWEEPS,
                      PLACEMENT_SWEEPS, PLACEMENTS, digests, placements)
 
@@ -518,7 +518,8 @@ def test_placement_is_each_record_s_grid_positions(tmp_path, monkeypatch):
             ring = [c for c in columns if c // d.config.g_h == slot]
             assert entry["heights"][m] == d.z[ring[0]]
             assert entry["angles"][m] == d.psi[ring].tolist()
-        assert entry["objective"] == record.objective[0]
+        assert entry["objective"] == rzf_objective(
+            record.H_star, record.F, spec.alpha_value())[0]
         assert len(entry["rates"]) == spec.users
         assert np.sum(entry["rates"]) == entry["sum_rate"]
     assert placement["fcla-j"]["radius"] == config.radius

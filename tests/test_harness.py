@@ -531,6 +531,21 @@ class TestRunSweep:
                              jobs=jobs))
         assert len(started) == starts
 
+    @pytest.mark.parametrize("failing", [
+        pytest.param(False, id="healthy"),
+        pytest.param(True, id="failing-batch", marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="workers see the failing builder only when forked"))])
+    def test_no_pool_worker_outlives_a_sweep(self, failing, monkeypatch):
+        # two pooled batches of 3; with trial 2 failing, its batch raises in
+        # the worker and runs again one trial at a time there
+        spec = small_spec(trials=6, jobs=2)
+        if failing:
+            fail_trial_2(spec, monkeypatch)
+        rows = run_sweep(spec)
+        assert {row.trials for row in rows} == {5 if failing else 6}
+        assert multiprocessing.active_children() == []
+
     def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
         # a fake pool that runs the tasks here: no worker process starts
         workers = []

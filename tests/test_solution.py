@@ -1,14 +1,19 @@
 """The solution record's builder: its structural check of a placement on the
-grid, and the rings' heights and angles it derives from the columns."""
+grid, the rings' heights and angles it derives from the columns, and the
+memory its refit takes."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcla.alternating import solve_alternating
 from fcla.channel import build_joint_dictionary, draw_paths
 from fcla.geometry import FclaConfig
-from fcla.solution import solutions
+from fcla.harness import ExperimentSpec, draw_batch
+from fcla.solution import refit, solutions
 from spacing_oracle import check_spacing
 
 # 2 rings of 2 elements on 4 angles x 3 heights: column slot * 4 + angle
@@ -96,3 +101,28 @@ def test_structure_implies_physical_spacing(placement):
     rings = [(psi, z) for z, ring in zip(record.heights[0], record.angles[0])
              for psi in ring]
     assert sorted(rings) == sorted(positions)
+
+
+def traced_peak(call):
+    """The tracemalloc peak of call(), after a first call whose one-time
+    allocations stay out of it."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_record_takes_no_more_memory_than_its_refit():
+    # fcla-a's placements of 53 reference trials (16 users, 4x4 rings,
+    # 12x12 directional grid): the record holds the refit's channel and
+    # precoder, and building it may add at most half a channel's bytes
+    batch = draw_batch(ExperimentSpec(), 0, range(53))
+    d, alpha = batch.dictionary, batch.alpha
+    placed = solve_alternating(d, alpha, batch.n_outer)
+    columns, slots = placed.columns, placed.slots
+    channel = placed.H_star.nbytes  # one (B, K, M*N) complex array
+    peak = traced_peak(lambda: solutions(d, columns, slots, alpha))
+    assert peak <= traced_peak(lambda: refit(d, columns, alpha)) + channel / 2
